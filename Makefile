@@ -33,7 +33,9 @@ race:
 # solver suites (the pooled block solves only prove their disjoint-write
 # determinism when raced) plus the cross-solver agreement smoke, and a short
 # fuzz smoke of the native fuzz targets, including the snapshot-restore,
-# wire-frame, and incremental-refresh surfaces.
+# wire-frame, wire-codec, and incremental-refresh surfaces. The wire
+# allocation budget (codec, agent.Handle, one mux call) runs plain next to the
+# Decide one for the same reason.
 tier1:
 	$(GO) build ./...
 	$(GO) vet ./...
@@ -45,7 +47,7 @@ tier1:
 	$(GO) test -count=1 -run TestCrossCheckDecomposed ./internal/invariant
 	$(GO) run -race ./cmd/grefar-hollow -agents 64 -slots 5 -kill-frac 0.05
 	$(GO) run -race ./cmd/grefar-hollow -agents 64 -slots 5 -kill-frac 0.05 -partitions 2
-	$(GO) test -count=1 -run TestDecideAllocationBudget .
+	$(GO) test -count=1 -run 'TestDecideAllocationBudget|TestWireAllocationBudget' .
 	$(GO) test -run '^$$' -fuzz FuzzSimplex -fuzztime $(FUZZTIME) ./internal/lp
 	$(GO) test -run '^$$' -fuzz FuzzApply -fuzztime $(FUZZTIME) ./internal/queue
 	$(GO) test -run '^$$' -fuzz FuzzWarmRepair -fuzztime $(FUZZTIME) ./internal/core
@@ -53,6 +55,7 @@ tier1:
 	$(GO) test -run '^$$' -fuzz FuzzRestoreSnapshot -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME) ./internal/serve/snapshot
 	$(GO) test -run '^$$' -fuzz FuzzServerFrame -fuzztime $(FUZZTIME) ./internal/transport
+	$(GO) test -run '^$$' -fuzz FuzzCodec -fuzztime $(FUZZTIME) ./internal/transport
 
 # fuzz runs the native fuzz targets for FUZZTIME each (default 10s); raise it
 # for a deeper soak, e.g. make fuzz FUZZTIME=5m.
@@ -64,6 +67,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzRestoreSnapshot -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME) ./internal/serve/snapshot
 	$(GO) test -run '^$$' -fuzz FuzzServerFrame -fuzztime $(FUZZTIME) ./internal/transport
+	$(GO) test -run '^$$' -fuzz FuzzCodec -fuzztime $(FUZZTIME) ./internal/transport
 
 # golden regenerates the committed golden traces — the healthy ones under
 # internal/invariant/testdata/golden and the degraded-mode chaos trace under
@@ -97,10 +101,11 @@ bench-slot:
 # path) plus the large-instance N=200/J=100 arms (dense, sparse, decomposed,
 # pooled decomposed) at ~10% active-pair density. DIST_BENCHES is
 # the set recorded in BENCH_distributed.json: the 3-agent point-to-point
-# controller round, the hollow-fleet sweep at 100/500/1000/2000 agents, and
-# the partitioned-control-plane cells (agents x partitions).
+# controller round, the hollow-fleet sweep at 100/500/1000/2000 agents, the
+# partitioned-control-plane cells (agents x partitions), and the wire codec
+# alone (state report and allocation, encode and decode).
 SLOT_BENCHES = BenchmarkSlotDecision$$
-DIST_BENCHES = BenchmarkDistributedSlot$$|BenchmarkHollowSlot/|BenchmarkPartitionedSlot/
+DIST_BENCHES = BenchmarkDistributedSlot$$|BenchmarkHollowSlot/|BenchmarkPartitionedSlot/|BenchmarkCodec/
 BENCHCOUNT ?= 3
 
 # bench-json refreshes the committed baselines BENCH_slot.json and
@@ -117,7 +122,9 @@ bench-json:
 # N=200/J=100 large-instance arms against BENCH_slot.json (the benchjson
 # default guard covers both families), and the distributed slot ticks
 # (point-to-point and every
-# hollow fleet size) against BENCH_distributed.json; other benchmarks warn.
+# hollow fleet size) against BENCH_distributed.json; other benchmarks warn —
+# including the ~60 ns BenchmarkCodec cells, whose allocation side is held by
+# TestWireAllocationBudget instead.
 bench-compare:
 	$(GO) test -run '^$$' -bench '$(SLOT_BENCHES)' -benchmem -count=$(BENCHCOUNT) . \
 		| $(GO) run ./cmd/benchjson -compare BENCH_slot.json -max-regress 0.15

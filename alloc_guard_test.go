@@ -2,13 +2,18 @@ package grefar_test
 
 import (
 	"bufio"
+	"net"
 	"os"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"grefar"
+	"grefar/internal/agent"
+	"grefar/internal/hollow"
 	"grefar/internal/queue"
+	"grefar/internal/transport"
 )
 
 // loadAllocBudgets parses testdata/bench_slot_baseline.txt: one
@@ -105,5 +110,111 @@ func TestDecideAllocationBudget(t *testing.T) {
 				t.Errorf("Decide allocates %.1f allocs/op, budget is %.0f (see testdata/bench_slot_baseline.txt)", got, ceil)
 			}
 		})
+	}
+}
+
+// TestWireAllocationBudget is the distributed tick's counterpart of
+// TestDecideAllocationBudget: the per-message costs the hollow-fleet numbers
+// are made of — one body through the codec, one request through an agent, one
+// call over the mux wire — must stay within the ceilings recorded in
+// testdata/bench_slot_baseline.txt. Under gob a J=3 message cost 205
+// allocations to encode and decode; a regression of that kind shows here, in
+// go test, before it shows in a benchmark.
+func TestWireAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts include race-detector bookkeeping under -race")
+	}
+	budgets := loadAllocBudgets(t)
+	in, err := hollow.NewScaleInputs(2012, 4, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := in.Cluster
+	a, err := agent.New(agent.Config{Cluster: c, DataCenter: 0, Price: in.Prices[0], Availability: in.Availability})
+	if err != nil {
+		t.Fatal(err)
+	}
+	report := transport.StateReport{Slot: 5, Price: 0.04, Avail: make([]float64, c.K(0)), QueueLens: make([]float64, c.J())}
+	alloc := transport.Allocate{Route: make([]int, c.J()), Process: make([]float64, c.J()), Busy: make([]float64, c.K(0))}
+	for j := range alloc.Route {
+		alloc.Route[j], alloc.Process[j], report.QueueLens[j] = 2, 1, float64(3+j)
+	}
+	marshal := func(v any) []byte {
+		body, err := transport.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body
+	}
+	snap, err := a.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pingBody, stateBody := marshal(transport.Ping{Nonce: 1}), marshal(transport.StateRequest{Slot: 5})
+	restoreBody := marshal(transport.RestoreRequest{Snapshot: snap})
+
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := transport.NewMuxServer(lis, func(_ int, kind string, body []byte) (any, error) { return a.Handle(kind, body) })
+	go srv.Serve()
+	defer srv.Close()
+	cli, err := transport.DialMux(srv.Addr(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	conn := cli.Agent(0)
+
+	slot := 0
+	handle := func(kind string, body []byte) func() {
+		return func() {
+			if _, err := a.Handle(kind, body); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	cases := []struct {
+		name string
+		op   func()
+	}{
+		{"codec-state", func() {
+			var got transport.StateReport
+			if err := transport.Unmarshal(marshal(&report), &got); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"codec-allocate", func() {
+			var got transport.Allocate
+			if err := transport.Unmarshal(marshal(&alloc), &got); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"handle-ping", handle(transport.KindPing, pingBody)},
+		{"handle-state", handle(transport.KindState, stateBody)},
+		{"handle-allocate", func() {
+			// A fresh slot each run: a repeated slot is answered from the
+			// replay cache and would measure nothing.
+			slot++
+			alloc.Slot = slot
+			handle(transport.KindAllocate, marshal(&alloc))()
+		}},
+		{"handle-restore", handle(transport.KindRestore, restoreBody)},
+		{"mux-call", func() {
+			var got transport.StateReport
+			if err := conn.Call(transport.KindState, transport.StateRequest{Slot: 5}, &got); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	for _, tc := range cases {
+		ceil, ok := budgets[tc.name]
+		if !ok {
+			t.Fatalf("no budget recorded for %s in testdata/bench_slot_baseline.txt", tc.name)
+		}
+		if got := testing.AllocsPerRun(200, tc.op); got > ceil {
+			t.Errorf("%s allocates %.1f allocs/op, budget is %.0f (see testdata/bench_slot_baseline.txt)", tc.name, got, ceil)
+		}
 	}
 }

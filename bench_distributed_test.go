@@ -109,3 +109,47 @@ func TestDistributedBenchHarnessLeaksNoGoroutines(t *testing.T) {
 		t.Errorf("goroutines: %d before harness, %d after teardown", before, got)
 	}
 }
+
+// codecSink keeps the compiler from discarding the measured calls.
+var codecSink []byte
+
+// BenchmarkCodec measures the wire codec alone on the two messages that make
+// up a slot's traffic — a state report and an allocation at J=3, the hollow
+// fleet's shape: encode is one transport.Marshal, decode one
+// transport.Unmarshal into a fresh destination. BENCH_distributed.json tracks
+// the four cells next to the slot ticks they are a part of.
+func BenchmarkCodec(b *testing.B) {
+	report := transport.StateReport{Slot: 7, DataCenter: 311, Avail: []float64{118}, Price: 0.0417, QueueLens: []float64{12, 0, 31}}
+	alloc := transport.Allocate{Slot: 7, Route: []int{3, 0, 5}, Process: []float64{2, 0, 4.5}, Busy: []float64{61.25}}
+	for _, msg := range []struct {
+		name  string
+		value any
+		fresh func() any
+	}{
+		{"state", &report, func() any { return new(transport.StateReport) }},
+		{"allocate", &alloc, func() any { return new(transport.Allocate) }},
+	} {
+		b.Run(msg.name+"/encode", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var err error
+				if codecSink, err = transport.Marshal(msg.value); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(msg.name+"/decode", func(b *testing.B) {
+			body, err := transport.Marshal(msg.value)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := transport.Unmarshal(body, msg.fresh()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

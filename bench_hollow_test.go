@@ -15,8 +15,7 @@ import (
 var hollowBenchSizes = []int{100, 500, 1000, 2000}
 
 // BenchmarkHollowSlot measures one real control-loop slot tick against a
-// hollow fleet of N in-process agents behind the multiplexed gob-over-TCP
-// wire: concurrent gather from N agents, the GreFar decision over N sites,
+// hollow fleet of N in-process agents behind the multiplexed TCP wire: concurrent gather from N agents, the GreFar decision over N sites,
 // and the allocate scatter with ack settlement. This is the number ROADMAP's
 // control-plane scale work is judged by — BENCH_distributed.json tracks it
 // per fleet size, and make bench-compare fails on >15% regressions.

@@ -1,6 +1,6 @@
 // Command grefar-hollow runs a kubemark-style hollow fleet: thousands of
 // real agent state machines hosted in one process behind a multiplexed
-// gob-over-TCP listener, driven by the real central controller for a fixed
+// TCP listener, driven by the real central controller for a fixed
 // horizon. It is the scale harness for the distributed control plane — the
 // way to watch gather/decide/scatter, health tracking, and degraded-mode
 // masking behave at fleet sizes no laptop could host as real processes.

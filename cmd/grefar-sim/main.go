@@ -334,8 +334,7 @@ func runSolverScale(out io.Writer, cfg experiments.SolverScaleConfig) error {
 }
 
 // runScale runs the hollow-fleet scale sweep: per agent count, a real
-// controller drives N in-process agents over the multiplexed gob-over-TCP
-// wire, fault-free and (with -scale-chaos) under injected churn.
+// controller drives N in-process agents over the multiplexed TCP wire, fault-free and (with -scale-chaos) under injected churn.
 func runScale(out io.Writer, cfg experiments.ScaleConfig) error {
 	res, err := experiments.Scale(cfg)
 	if err != nil {

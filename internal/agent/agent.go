@@ -127,14 +127,13 @@ func (a *Agent) state(slot int) transport.StateReport {
 // allocate executes a slot decision: it processes queued jobs first (capped
 // at queue content, matching the paper's queue dynamics where jobs routed in
 // a slot are not processable until the next), then admits the routed jobs,
-// and reports energy, processed counts and delay sums.
+// and reports energy, processed counts and delay sums. The whole request is
+// validated before any ledger moves: a rejected allocation leaves the queues
+// and the replay cache exactly as they were.
 func (a *Agent) allocate(req transport.Allocate) (transport.AllocateAck, error) {
 	c := a.cfg.Cluster
-	if len(req.Process) != c.J() || len(req.Route) != c.J() {
-		return transport.AllocateAck{}, fmt.Errorf("allocation has wrong job dimension")
-	}
-	if len(req.Busy) != c.K(a.cfg.DataCenter) {
-		return transport.AllocateAck{}, fmt.Errorf("allocation has wrong server dimension")
+	if err := req.Validate(c.K(a.cfg.DataCenter), c.J()); err != nil {
+		return transport.AllocateAck{}, err
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -154,9 +153,6 @@ func (a *Agent) allocate(req transport.Allocate) (transport.AllocateAck, error) 
 		DelaySum:  make([]float64, c.J()),
 	}
 	for j := 0; j < c.J(); j++ {
-		if req.Process[j] < 0 || req.Route[j] < 0 {
-			return transport.AllocateAck{}, fmt.Errorf("negative allocation for job type %d", j)
-		}
 		popped, delay := a.ledgers[j].Pop(req.Slot, req.Process[j])
 		ack.Processed[j] = popped
 		ack.DelaySum[j] = delay
@@ -165,9 +161,6 @@ func (a *Agent) allocate(req transport.Allocate) (transport.AllocateAck, error) 
 	}
 	priceNow := a.cfg.Price.At(req.Slot)
 	for k, b := range req.Busy {
-		if b < 0 {
-			return transport.AllocateAck{}, fmt.Errorf("negative busy count for server type %d", k)
-		}
 		ack.Energy += priceNow * b * c.DataCenters[a.cfg.DataCenter].Servers[k].Power
 	}
 	if a.cfg.Observer != nil {

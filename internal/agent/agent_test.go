@@ -1,7 +1,10 @@
 package agent
 
 import (
+	"bytes"
+	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"grefar/internal/availability"
@@ -191,6 +194,86 @@ func TestAllocateRejectsMalformed(t *testing.T) {
 	alloc.Busy[0] = -1
 	if err := call(t, a, transport.KindAllocate, alloc, nil); err == nil {
 		t.Error("negative busy accepted")
+	}
+}
+
+// TestRejectedAllocateLeavesNoTrace is the regression test for the
+// half-applied allocation: a request whose bad entry sits behind good ones
+// (or in Busy, or is NaN — which passes every "< 0" test) used to fail after
+// the earlier ledgers had been popped and pushed, with the replay cache not
+// advanced, so the controller's corrected resend applied them twice. Every
+// rejection must leave the queues and the snapshot bit-identical, and the
+// corrected resend for the same slot must execute exactly once.
+func TestRejectedAllocateLeavesNoTrace(t *testing.T) {
+	a, c := testAgent(t)
+	// Backlog in every queue, so a half-applied request would move something.
+	seed := transport.Allocate{Slot: 0, Route: make([]int, c.J()), Process: make([]float64, c.J()), Busy: make([]float64, c.K(1))}
+	for j := range seed.Route {
+		seed.Route[j] = 5 + j
+	}
+	if err := call(t, a, transport.KindAllocate, seed, nil); err != nil {
+		t.Fatal(err)
+	}
+	lensBefore := a.QueueLens()
+	snapBefore, err := a.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	good := func() transport.Allocate {
+		req := transport.Allocate{Slot: 1, Route: make([]int, c.J()), Process: make([]float64, c.J()), Busy: make([]float64, c.K(1))}
+		for j := range req.Route {
+			req.Route[j] = 2
+			req.Process[j] = 1
+		}
+		return req
+	}
+	last := c.J() - 1
+	for name, corrupt := range map[string]func(*transport.Allocate){
+		"negative process behind good entries": func(r *transport.Allocate) { r.Process[last] = -1 },
+		"negative route behind good entries":   func(r *transport.Allocate) { r.Route[last] = -1 },
+		"NaN process":                          func(r *transport.Allocate) { r.Process[last] = math.NaN() },
+		"infinite process":                     func(r *transport.Allocate) { r.Process[0] = math.Inf(1) },
+		"negative busy":                        func(r *transport.Allocate) { r.Busy[0] = -1 },
+		"NaN busy":                             func(r *transport.Allocate) { r.Busy[0] = math.NaN() },
+	} {
+		req := good()
+		corrupt(&req)
+		err := call(t, a, transport.KindAllocate, req, nil)
+		if !errors.Is(err, transport.ErrMalformedAllocate) {
+			t.Errorf("%s: err = %v, want ErrMalformedAllocate", name, err)
+		}
+		if got := a.QueueLens(); !reflect.DeepEqual(got, lensBefore) {
+			t.Errorf("%s: queues moved on a rejected allocation: %v, want %v", name, got, lensBefore)
+		}
+		snap, err := a.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(snap, snapBefore) {
+			t.Errorf("%s: snapshot changed on a rejected allocation", name)
+		}
+	}
+
+	// The corrected resend for the same slot executes, once.
+	var ack transport.AllocateAck
+	if err := call(t, a, transport.KindAllocate, good(), &ack); err != nil {
+		t.Fatal(err)
+	}
+	for j, l := range a.QueueLens() {
+		if want := lensBefore[j] - 1 + 2; l != want {
+			t.Errorf("queue[%d] = %v after the corrected resend, want %v", j, l, want)
+		}
+		if ack.Processed[j] != 1 {
+			t.Errorf("processed[%d] = %v, want 1", j, ack.Processed[j])
+		}
+	}
+	lensAfter := a.QueueLens()
+	if err := call(t, a, transport.KindAllocate, good(), nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := a.QueueLens(); !reflect.DeepEqual(got, lensAfter) {
+		t.Errorf("duplicate of the executed allocation moved the queues: %v, want %v", got, lensAfter)
 	}
 }
 

@@ -65,6 +65,7 @@ type Controller struct {
 	detail  bool // obs asked for SlotEvent.Detail
 
 	central []queue.Ledger
+	scratch *SlotScratch
 
 	// Fault tolerance: the failure policy and thresholds, the health tracker
 	// owning the per-agent records and shadow ledgers, and the optional
@@ -111,6 +112,7 @@ func New(c *model.Cluster, sch sched.Scheduler, agents []AgentConn, opts ...Opti
 		agents:  agents,
 		fair:    fair,
 		central: make([]queue.Ledger, c.J()),
+		scratch: NewSlotScratch(c),
 	}
 	for _, opt := range opts {
 		opt(ct)
@@ -153,10 +155,11 @@ var errAgentDead = errors.New("agent is dead; probing instead of gathering")
 // dimensions, finite non-negative values), so a malformed or truncated
 // report surfaces as a typed per-agent error — wrapping
 // transport.ErrMalformedReport — before it can corrupt the assembled state.
-// errs[i] is nil exactly when reports[i] is usable.
+// errs[i] is nil exactly when reports[i] is usable. Both live in the slot
+// scratch.
 func (ct *Controller) gatherStates(ctx context.Context, t int) ([]transport.StateReport, []error) {
-	reports := make([]transport.StateReport, len(ct.agents))
-	errs := make([]error, len(ct.agents))
+	reports, errs := ct.scratch.Reports, ct.scratch.StateErrs
+	var req any = transport.StateRequest{Slot: t} // boxed once, not per agent
 	var wg sync.WaitGroup
 	for i := range ct.agents {
 		if ct.recs[i].state == Dead {
@@ -166,7 +169,7 @@ func (ct *Controller) gatherStates(ctx context.Context, t int) ([]transport.Stat
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if err := ct.callAgentTimed(ctx, i, transport.KindState, transport.StateRequest{Slot: t}, &reports[i]); err != nil {
+			if err := ct.callAgentTimed(ctx, i, transport.KindState, req, &reports[i]); err != nil {
 				errs[i] = err
 				return
 			}
@@ -222,6 +225,7 @@ func (ct *Controller) RunSlotContext(ctx context.Context, t int, arrivals []int)
 	if degrade {
 		ct.probeDead(ctx, t)
 	}
+	ct.scratch.Reset()
 	reports, errs := ct.gatherStates(ctx, t)
 	if !degrade {
 		if err := joinAgentErrors("state", errs); err != nil {
@@ -234,7 +238,7 @@ func (ct *Controller) RunSlotContext(ctx context.Context, t int, arrivals []int)
 
 	// Resolve each report into the health machine; ok[i] marks the agents
 	// participating in this slot's decision.
-	ok := make([]bool, c.N())
+	ok := ct.scratch.OK
 	for i := range errs {
 		if !degrade {
 			ok[i] = true
@@ -314,11 +318,15 @@ func (ct *Controller) RunSlotContext(ctx context.Context, t int, arrivals []int)
 	// Dispatch jobs from the central queues, capped at queue content,
 	// consumed in data-center order exactly like queue.Set.Apply so the
 	// distributed run is bit-identical to the single-process simulator.
-	routed := make([][]int, c.N())
-	routedF := make([][]float64, c.N())
-	for i := range routed {
-		routed[i] = make([]int, c.J())
-		routedF[i] = make([]float64, c.J())
+	// routedF is slot evidence for a detail observer and handed to it, so it
+	// is built fresh, and only when one is listening.
+	routed := ct.scratch.Routed
+	var routedF [][]float64
+	if ct.detail {
+		routedF = make([][]float64, c.N())
+		for i := range routedF {
+			routedF[i] = make([]float64, c.J())
+		}
 	}
 	for j := 0; j < c.J(); j++ {
 		for i := 0; i < c.N(); i++ {
@@ -328,12 +336,14 @@ func (ct *Controller) RunSlotContext(ctx context.Context, t int, arrivals []int)
 			}
 			popped, _ := ct.central[j].Pop(t, float64(r))
 			routed[i][j] = int(popped)
-			routedF[i][j] = popped
+			if routedF != nil {
+				routedF[i][j] = popped
+			}
 		}
 	}
 
 	acks := make([]transport.AllocateAck, c.N())
-	errsA := make([]error, c.N())
+	errsA := ct.scratch.AllocErrs
 	var wg sync.WaitGroup
 	for i := range ct.agents {
 		if !ok[i] {

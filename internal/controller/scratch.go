@@ -1,0 +1,52 @@
+package controller
+
+import (
+	"grefar/internal/model"
+	"grefar/internal/transport"
+)
+
+// SlotScratch is the working set one slot's gather and scatter need and no
+// caller ever sees: the state-report decode destinations, the per-agent
+// error and participation marks, and the realized integer routing. A control
+// loop (this package's Controller, controlplane's Plane) owns one and Resets
+// it at the top of every slot instead of reallocating O(N) slices per tick.
+// Reports keep their Avail/QueueLens backing arrays across slots — Unmarshal
+// overwrites every field and reuses capacity — so nothing read out of a
+// report may be retained past the slot.
+type SlotScratch struct {
+	Reports   []transport.StateReport
+	StateErrs []error
+	AllocErrs []error
+	OK        []bool
+	Routed    [][]int // [site][job type], rows cut from routedFlat
+
+	routedFlat []int
+}
+
+// NewSlotScratch sizes a scratch set for the cluster.
+func NewSlotScratch(c *model.Cluster) *SlotScratch {
+	n, j := c.N(), c.J()
+	s := &SlotScratch{
+		Reports:   make([]transport.StateReport, n),
+		StateErrs: make([]error, n),
+		AllocErrs: make([]error, n),
+		OK:        make([]bool, n),
+		Routed:    make([][]int, n),
+
+		routedFlat: make([]int, n*j),
+	}
+	for i := range s.Routed {
+		s.Routed[i] = s.routedFlat[i*j : (i+1)*j : (i+1)*j]
+	}
+	return s
+}
+
+// Reset clears the marks and the routing for a new slot. Reports are left
+// alone: a report is only read after its call succeeded, and a successful
+// decode has overwritten all of it.
+func (s *SlotScratch) Reset() {
+	clear(s.StateErrs)
+	clear(s.AllocErrs)
+	clear(s.OK)
+	clear(s.routedFlat)
+}

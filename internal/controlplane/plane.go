@@ -90,6 +90,7 @@ type Plane struct {
 	board   *board
 	parts   []*partition
 	metrics *planeMetrics
+	scratch *controller.SlotScratch
 }
 
 // partition is one controller partition: its contiguous ownership range, its
@@ -156,6 +157,7 @@ func New(c *model.Cluster, conns []controller.AgentConn, cfg Config) (*Plane, er
 		fair:    fair,
 		obs:     cfg.Observer,
 		board:   newBoard(c.J()),
+		scratch: controller.NewSlotScratch(c),
 		tracker: controller.NewTracker(c, conns, controller.HealthConfig{
 			Policy:       cfg.Policy,
 			SuspectAfter: cfg.SuspectAfter,
@@ -342,9 +344,9 @@ func (pl *Plane) RunSlotContext(ctx context.Context, t int, arrivals []int) (*mo
 	// Phase 1: per-partition probe + gather + resolve, concurrently. Every
 	// write lands at an owned agent's index, and ownership is disjoint, so
 	// the shared arrays and tracker records never race.
-	reports := make([]transport.StateReport, c.N())
-	errs := make([]error, c.N())
-	ok := make([]bool, c.N())
+	pl.scratch.Reset()
+	reports, errs, ok := pl.scratch.Reports, pl.scratch.StateErrs, pl.scratch.OK
+	var stateReq any = transport.StateRequest{Slot: t} // boxed once, not per agent
 	var wg sync.WaitGroup
 	for _, p := range pl.parts {
 		wg.Add(1)
@@ -362,7 +364,7 @@ func (pl *Plane) RunSlotContext(ctx context.Context, t int, arrivals []int) (*mo
 				live = append(live, i)
 			}
 			pl.callMany(ctx, live, transport.KindState,
-				func(i int) any { return transport.StateRequest{Slot: t} },
+				func(i int) any { return stateReq },
 				func(i int) any { return &reports[i] },
 				errs)
 			for _, i := range live {
@@ -509,11 +511,15 @@ func (pl *Plane) RunSlotContext(ctx context.Context, t int, arrivals []int) (*mo
 	// (job type, data-center) order — the same consumption order as
 	// queue.Set.Apply and the single controller, which is what the invariant
 	// checker's flow-routed rule recomputes.
-	routed := make([][]int, c.N())
-	routedF := make([][]float64, c.N())
-	for i := range routed {
-		routed[i] = make([]int, c.J())
-		routedF[i] = make([]float64, c.J())
+	// routedF is handed to a detail observer, so it is built fresh and only
+	// when one is listening.
+	routed := pl.scratch.Routed
+	var routedF [][]float64
+	if pl.detail {
+		routedF = make([][]float64, c.N())
+		for i := range routedF {
+			routedF[i] = make([]float64, c.J())
+		}
 	}
 	for j := 0; j < c.J(); j++ {
 		for i := 0; i < c.N(); i++ {
@@ -523,13 +529,15 @@ func (pl *Plane) RunSlotContext(ctx context.Context, t int, arrivals []int) (*mo
 			}
 			popped, _ := pl.board.ledgers[j].Pop(t, float64(r))
 			routed[i][j] = int(popped)
-			routedF[i][j] = popped
+			if routedF != nil {
+				routedF[i][j] = popped
+			}
 		}
 	}
 
 	// Phase 4b: per-partition batched scatter.
 	acks := make([]transport.AllocateAck, c.N())
-	errsA := make([]error, c.N())
+	errsA := pl.scratch.AllocErrs
 	for _, p := range pl.parts {
 		wg.Add(1)
 		go func(p *partition) {

@@ -20,7 +20,7 @@ import (
 )
 
 // ScaleConfig tunes the hollow-fleet scale experiment: for each agent count,
-// a full distributed control loop — real controller, real gob-over-TCP wire,
+// a full distributed control loop — real controller, real TCP wire,
 // N real agents multiplexed into one process — runs for Slots slots while the
 // harness measures slot-tick latency, throughput, controller allocation rate,
 // and heap ceiling. With Chaos set, every point is additionally run with

@@ -38,8 +38,8 @@ func (o Options) withDefaults() Options {
 // Fleet hosts every agent of a cluster in one process behind a single
 // multiplexed listener. Each agent is a real agent.Agent — real ledgers, real
 // idempotent-replay cache, real restore path — and every call crosses the
-// real gob-over-TCP wire, so the controller observes the same protocol as a
-// geographically distributed fleet minus the WAN latency.
+// real wire (transport's v1 frames over TCP), so the controller observes the
+// same protocol as a geographically distributed fleet minus the WAN latency.
 //
 // Kill, Revive, and Restart flip per-agent fault switches at the RPC
 // boundary, which is exactly where real failures appear to the controller.

@@ -1,6 +1,6 @@
 // Package hollow hosts a kubemark-style hollow fleet: thousands of real
-// agent.Agent state machines in one process, behind the real gob-over-TCP
-// wire format, multiplexed onto a single listener and a handful of pipelined
+// agent.Agent state machines in one process, behind the real TCP wire
+// format, multiplexed onto a single listener and a handful of pipelined
 // connections instead of one socket pair per agent. The fleet exists to
 // exercise the real controller — gather, decide, scatter, health tracking,
 // degraded-mode masking — at agent counts the point-to-point transport

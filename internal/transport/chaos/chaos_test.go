@@ -290,10 +290,16 @@ func TestNetConnFaultsDoNotWedgeServer(t *testing.T) {
 			t.Fatal(err)
 		}
 		cc := WrapNetConn(raw, int64(trial), 0.7, 0.1)
-		// A gob stream with flipped bytes; the server should shrug each
-		// session off. Errors here are expected (killed connections).
+		// A stream of frames with flipped bytes — valid v1 pings on even
+		// trials, a prefix of the retired gob wire on odd ones; the server
+		// should shrug each session off. Errors here are expected (killed
+		// connections).
+		frame := "\x0c\x00\x00\x00\x01\x01\x00\x04ping\x00\x05\x2a\x00"
+		if trial%2 == 1 {
+			frame = "\x13\xff\x81\x03\x01\x01\x05frame\x01\xff\x82"
+		}
 		for i := 0; i < 20; i++ {
-			if _, err := cc.Write([]byte("\x13\xff\x81\x03\x01\x01\x05frame\x01\xff\x82")); err != nil {
+			if _, err := cc.Write([]byte(frame)); err != nil {
 				break
 			}
 		}

@@ -4,7 +4,7 @@
 // The point-to-point Client/Server pair costs one TCP connection, one
 // goroutine, and one file descriptor per agent — fine for the paper's three
 // sites, fatal for a hollow fleet of thousands. The mux layer reuses the
-// exact frame format and gob encoding but adds two degrees of freedom:
+// exact frame format and body encoding but adds two degrees of freedom:
 //
 //   - MuxServer hosts any number of targets behind a single listener. Each
 //     request frame carries a Target index and is dispatched to one handler
@@ -22,37 +22,26 @@
 package transport
 
 import (
+	"bufio"
 	"context"
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
 	"net"
 	"sync"
 	"time"
 )
 
-// MuxHandler processes one request addressed to a target endpoint.
+// MuxHandler processes one request addressed to a target endpoint. Like
+// Handler's, body is valid only until the handler returns.
 type MuxHandler func(target int, kind string, body []byte) (any, error)
 
 // KindBatch is the reserved frame kind carrying a batch of requests. The
 // server unpacks it itself; handlers never see it.
 const KindBatch = "__batch"
 
-// batchItem and batchReply are the gob wire shapes inside a batch frame:
-// one request and one response per call, kept in item order.
-type batchItem struct {
-	Target int
-	Kind   string
-	Body   []byte
-}
-
-type batchReply struct {
-	Err  string
-	Body []byte
-}
-
 // MuxServer accepts connections and dispatches frames to a target-aware
 // handler. Every request on a connection is served in its own goroutine;
-// responses are serialized onto the connection's encoder.
+// each response is one Write, serialized by a per-connection lock.
 type MuxServer struct {
 	lis     net.Listener
 	handler MuxHandler
@@ -106,69 +95,93 @@ func (s *MuxServer) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 		conn.Close()
 	}()
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
-	var encMu sync.Mutex // response writes interleave across request goroutines
+	sess := &muxSession{srv: s, conn: conn}
+	br := bufio.NewReader(conn)
 	for {
-		var req frame
-		if err := dec.Decode(&req); err != nil {
-			return // EOF or broken connection ends the session
+		in := getBuf()
+		var err error
+		if *in, err = readFrame(br, *in); err != nil {
+			putBuf(in)
+			return // EOF, a broken connection or a bad frame ends the session
 		}
-		go func(req frame) {
-			resp := frame{ID: req.ID, Target: req.Target, Kind: req.Kind}
-			var body any
-			var err error
-			if req.Kind == KindBatch {
-				body, err = s.serveBatch(req.Body)
-			} else {
-				body, err = s.handler(req.Target, req.Kind, req.Body)
-			}
-			if err != nil {
-				resp.Err = err.Error()
-			} else if encoded, merr := Marshal(body); merr != nil {
-				resp.Err = merr.Error()
-			} else {
-				resp.Body = encoded
-			}
-			encMu.Lock()
-			err = enc.Encode(&resp)
-			encMu.Unlock()
-			if err != nil {
-				conn.Close() // the reader loop notices and ends the session
-			}
-		}(req)
+		req, err := parseFrame(*in)
+		if err != nil {
+			putBuf(in)
+			return
+		}
+		go sess.serve(req, in)
+	}
+}
+
+// muxSession is one accepted connection: the write lock that keeps the
+// response frames of concurrent request goroutines whole.
+type muxSession struct {
+	srv     *MuxServer
+	conn    net.Conn
+	writeMu sync.Mutex
+}
+
+// serve handles one request and writes its response. in backs req.Body and
+// goes back to the pool once the handler is done with it.
+func (ss *muxSession) serve(req frame, in *[]byte) {
+	out := getBuf()
+	defer putBuf(out)
+	var err error
+	if req.Kind == KindBatch {
+		*out, err = ss.srv.serveBatch(*out, req)
+	} else {
+		body, herr := ss.srv.handler(req.Target, req.Kind, req.Body)
+		*out, err = appendReply(*out, req.ID, req.Target, req.Kind, body, herr)
+	}
+	putBuf(in)
+	if err == nil {
+		ss.writeMu.Lock()
+		_, err = ss.conn.Write(*out)
+		ss.writeMu.Unlock()
+	}
+	if err != nil {
+		ss.conn.Close() // the reader loop notices and ends the session
 	}
 }
 
 // serveBatch fans the items of one batch frame out to the handler
 // concurrently — a gather over the targets behind this connection costs one
-// slow handler, not the sum — and collects the replies in item order.
-func (s *MuxServer) serveBatch(body []byte) ([]batchReply, error) {
-	var items []batchItem
-	if err := Unmarshal(body, &items); err != nil {
-		return nil, fmt.Errorf("batch decode: %w", err)
+// slow handler, not the sum — and appends the reply frame, replies in item
+// order, to dst.
+func (s *MuxServer) serveBatch(dst []byte, req frame) ([]byte, error) {
+	items, err := parseBatchItems(req.Body)
+	if err != nil {
+		return appendReply(dst, req.ID, req.Target, req.Kind, nil, fmt.Errorf("batch decode: %w", err))
 	}
-	replies := make([]batchReply, len(items))
+	outs := make([]any, len(items))
+	errs := make([]error, len(items))
 	var wg sync.WaitGroup
 	wg.Add(len(items))
 	for i := range items {
 		go func(i int) {
 			defer wg.Done()
-			out, err := s.handler(items[i].Target, items[i].Kind, items[i].Body)
-			if err != nil {
-				replies[i].Err = err.Error()
-				return
-			}
-			encoded, merr := Marshal(out)
-			if merr != nil {
-				replies[i].Err = merr.Error()
-				return
-			}
-			replies[i].Body = encoded
+			outs[i], errs[i] = s.handler(items[i].Target, items[i].Kind, items[i].Body)
 		}(i)
 	}
 	wg.Wait()
-	return replies, nil
+
+	body := getBuf()
+	defer putBuf(body)
+	*body = binary.AppendUvarint(*body, uint64(len(items)))
+	for i := range items {
+		if errs[i] == nil {
+			mark := len(*body)
+			*body = append(*body, 0) // empty err
+			if *body, errs[i] = appendNested(*body, outs[i]); errs[i] != nil {
+				*body = (*body)[:mark] // the reply has no wire layout: report that instead
+			}
+		}
+		if errs[i] != nil {
+			*body = appendString(*body, errs[i].Error())
+			*body = append(*body, 0, 0, 0, 0) // empty body
+		}
+	}
+	return appendReply(dst, req.ID, req.Target, req.Kind, *body, nil)
 }
 
 // Close stops accepting and closes open connections. Like net/http's Close,
@@ -199,11 +212,10 @@ type MuxClient struct {
 	conn    net.Conn
 	timeout time.Duration
 
-	encMu sync.Mutex // gob encoders are not concurrent-safe
-	enc   *gob.Encoder
+	writeMu sync.Mutex // one Write per frame, never interleaved
 
 	mu      sync.Mutex
-	pending map[uint64]chan frame
+	pending map[uint64]chan muxReply
 	nextID  uint64
 	closed  bool
 	readErr error
@@ -223,21 +235,45 @@ func DialMux(addr string, timeout time.Duration) (*MuxClient, error) {
 	m := &MuxClient{
 		conn:    conn,
 		timeout: timeout,
-		enc:     gob.NewEncoder(conn),
-		pending: make(map[uint64]chan frame),
+		pending: make(map[uint64]chan muxReply),
 		done:    make(chan struct{}),
 	}
 	go m.readLoop()
 	return m, nil
 }
 
+// muxReply is what the read loop hands a waiting caller: the parsed response
+// and the pooled buffer backing its body, which the caller releases.
+type muxReply struct {
+	frame
+	buf *[]byte
+}
+
+// replyChans and callTimers recycle the two per-call objects every round
+// trip needs. A channel goes back only once nothing else can send on it (see
+// roundTrip); a timer only stopped and drained.
+var (
+	replyChans = sync.Pool{New: func() any { return make(chan muxReply, 1) }}
+	callTimers = sync.Pool{New: func() any {
+		t := time.NewTimer(time.Hour)
+		t.Stop()
+		return t
+	}}
+)
+
 // readLoop routes response frames to their waiting callers until the
 // connection dies, then fails every pending call.
 func (m *MuxClient) readLoop() {
-	dec := gob.NewDecoder(m.conn)
+	br := bufio.NewReader(m.conn)
 	for {
+		buf := getBuf()
 		var resp frame
-		if err := dec.Decode(&resp); err != nil {
+		var err error
+		if *buf, err = readFrame(br, *buf); err == nil {
+			resp, err = parseFrame(*buf)
+		}
+		if err != nil {
+			putBuf(buf)
 			m.mu.Lock()
 			if m.readErr == nil {
 				m.readErr = fmt.Errorf("mux read: %w", err)
@@ -253,7 +289,9 @@ func (m *MuxClient) readLoop() {
 		}
 		m.mu.Unlock()
 		if ok {
-			ch <- resp // buffered; never blocks the read loop
+			ch <- muxReply{resp, buf} // buffered; never blocks the read loop
+		} else {
+			putBuf(buf) // the caller gave up; drop the late response
 		}
 	}
 }
@@ -262,14 +300,11 @@ func (m *MuxClient) readLoop() {
 // into respBody (nil discards it). It honors ctx and the client timeout;
 // an abandoned call's late response is dropped by the read loop.
 func (m *MuxClient) CallTarget(ctx context.Context, target int, kind string, reqBody, respBody any) error {
-	body, err := Marshal(reqBody)
+	resp, err := m.roundTrip(ctx, target, kind, reqBody)
 	if err != nil {
 		return err
 	}
-	resp, err := m.roundTrip(ctx, target, kind, body)
-	if err != nil {
-		return err
-	}
+	defer putBuf(resp.buf)
 	if resp.Err != "" {
 		return &RemoteError{Kind: kind, Message: resp.Err}
 	}
@@ -279,69 +314,86 @@ func (m *MuxClient) CallTarget(ctx context.Context, target int, kind string, req
 	return Unmarshal(resp.Body, respBody)
 }
 
-// roundTrip sends one pre-marshalled frame and waits for its response. All
+// roundTrip frames one request, sends it, and waits for its response. All
 // client calls — single and batched — funnel through here, so the poisoning,
-// timeout, and abandonment rules are identical across both surfaces.
-func (m *MuxClient) roundTrip(ctx context.Context, target int, kind string, body []byte) (frame, error) {
-	ch := make(chan frame, 1)
+// timeout, and abandonment rules are identical across both surfaces. On
+// success the caller owns resp.buf and must release it with putBuf.
+func (m *MuxClient) roundTrip(ctx context.Context, target int, kind string, body any) (muxReply, error) {
+	ch := replyChans.Get().(chan muxReply)
 	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return frame{}, ErrClosed
-	}
-	if m.readErr != nil {
+	if m.closed || m.readErr != nil {
 		err := m.readErr
+		if m.closed {
+			err = ErrClosed
+		}
 		m.mu.Unlock()
-		return frame{}, err
+		replyChans.Put(ch)
+		return muxReply{}, err
 	}
 	m.nextID++
 	id := m.nextID
 	m.pending[id] = ch
 	m.mu.Unlock()
 
-	req := frame{ID: id, Target: target, Kind: kind, Body: body}
-	m.encMu.Lock()
+	out := getBuf()
+	defer putBuf(out)
+	var err error
+	if *out, err = appendFrame(*out, id, target, kind, "", body); err != nil {
+		m.abandon(id, ch) // nothing was written; the stream is intact
+		return muxReply{}, fmt.Errorf("encode %s for target %d: %w", kind, target, err)
+	}
+	m.writeMu.Lock()
 	// Bound the write alone: a per-connection read deadline would abort
 	// every pipelined call in flight, not just a stalled one.
 	m.conn.SetWriteDeadline(time.Now().Add(m.timeout))
-	err := m.enc.Encode(&req)
-	m.encMu.Unlock()
+	_, err = m.conn.Write(*out)
+	m.writeMu.Unlock()
 	if err != nil {
-		// The gob stream is shared and stateful: a partial write leaves it
-		// corrupt for every later call on this client, so poison the whole
-		// client rather than letting the next call emit garbage frames.
+		// A partial write leaves the peer mid-frame: everything sent after it
+		// would be read as the rest of this frame. Poison the whole client
+		// rather than letting the next call emit garbage.
 		m.poison(fmt.Errorf("%w: send %s to target %d: %v", ErrClientPoisoned, kind, target, err))
-		m.abandon(id)
-		return frame{}, fmt.Errorf("send %s to target %d: %w", kind, target, err)
+		m.abandon(id, ch)
+		return muxReply{}, fmt.Errorf("send %s to target %d: %w", kind, target, err)
 	}
 
-	timer := time.NewTimer(m.timeout)
-	defer timer.Stop()
+	timer := callTimers.Get().(*time.Timer)
+	timer.Reset(m.timeout)
+	defer func() {
+		if !timer.Stop() {
+			select {
+			case <-timer.C:
+			default:
+			}
+		}
+		callTimers.Put(timer)
+	}()
 	var ctxDone <-chan struct{}
 	if ctx != nil {
 		ctxDone = ctx.Done()
 	}
 	select {
 	case resp := <-ch:
+		replyChans.Put(ch) // the read loop's one send on it is behind us
 		return resp, nil
 	case <-ctxDone:
-		m.abandon(id)
-		return frame{}, ctx.Err()
+		m.abandon(id, ch)
+		return muxReply{}, ctx.Err()
 	case <-timer.C:
-		m.abandon(id)
-		return frame{}, fmt.Errorf("target %d %s: %w", target, kind, ErrCallTimeout)
+		m.abandon(id, ch)
+		return muxReply{}, fmt.Errorf("target %d %s: %w", target, kind, ErrCallTimeout)
 	case <-m.done:
-		m.abandon(id)
-		// The read loop may have delivered the response before dying.
-		select {
-		case resp := <-ch:
+		if !m.abandon(id, ch) {
+			// The read loop took the call off the pending table before it
+			// died, so its send is on the way or already buffered.
+			resp := <-ch
+			replyChans.Put(ch)
 			return resp, nil
-		default:
 		}
 		m.mu.Lock()
 		err := m.readErr
 		m.mu.Unlock()
-		return frame{}, err
+		return muxReply{}, err
 	}
 }
 
@@ -378,27 +430,27 @@ func (m *MuxClient) CallBatch(ctx context.Context, calls []BatchCall) error {
 	if len(calls) == 0 {
 		return nil
 	}
-	items := make([]batchItem, len(calls))
+	body := getBuf()
+	defer putBuf(body)
+	*body = binary.AppendUvarint(*body, uint64(len(calls)))
 	for i := range calls {
-		body, err := Marshal(calls[i].Req)
-		if err != nil {
+		*body = appendInt(*body, calls[i].Target)
+		*body = appendString(*body, calls[i].Kind)
+		var err error
+		if *body, err = appendNested(*body, calls[i].Req); err != nil {
 			return fmt.Errorf("batch call %d (%s): %w", i, calls[i].Kind, err)
 		}
-		items[i] = batchItem{Target: calls[i].Target, Kind: calls[i].Kind, Body: body}
 	}
-	body, err := Marshal(items)
+	resp, err := m.roundTrip(ctx, -1, KindBatch, *body)
 	if err != nil {
 		return err
 	}
-	resp, err := m.roundTrip(ctx, -1, KindBatch, body)
-	if err != nil {
-		return err
-	}
+	defer putBuf(resp.buf)
 	if resp.Err != "" {
 		return &RemoteError{Kind: KindBatch, Message: resp.Err}
 	}
-	var replies []batchReply
-	if err := Unmarshal(resp.Body, &replies); err != nil {
+	replies, err := parseBatchReplies(resp.Body)
+	if err != nil {
 		return err
 	}
 	if len(replies) != len(calls) {
@@ -421,16 +473,24 @@ func (m *MuxClient) CallBatch(ctx context.Context, calls []BatchCall) error {
 // ErrCallTimeout marks a pipelined call that outlived the client timeout.
 var ErrCallTimeout = fmt.Errorf("transport: call timed out")
 
-// ErrClientPoisoned marks a MuxClient whose shared gob stream may be corrupt
+// ErrClientPoisoned marks a MuxClient whose shared stream stopped mid-frame
 // after a failed request write. The client closes itself; every later call
 // fails fast with an error wrapping this one instead of emitting garbage.
 var ErrClientPoisoned = fmt.Errorf("transport: mux client poisoned by failed write")
 
-// abandon forgets a pending call so its late response is dropped.
-func (m *MuxClient) abandon(id uint64) {
+// abandon forgets a pending call so its late response is dropped, and
+// reports whether the call was still pending. Only then is the reply channel
+// recycled: otherwise the read loop already holds it and its send may yet
+// land.
+func (m *MuxClient) abandon(id uint64, ch chan muxReply) bool {
 	m.mu.Lock()
+	_, pending := m.pending[id]
 	delete(m.pending, id)
 	m.mu.Unlock()
+	if pending {
+		replyChans.Put(ch)
+	}
+	return pending
 }
 
 // Close shuts down the connection; pending calls fail promptly.

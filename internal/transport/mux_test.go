@@ -7,6 +7,7 @@ import (
 	"net"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -272,7 +273,7 @@ func TestMuxShutdownLeaksNoGoroutines(t *testing.T) {
 }
 
 // TestMuxEncodeFailurePoisonsClient pins the poisoning contract: a write that
-// dies mid-encode leaves the shared gob stream in an unknown state, so the
+// dies mid-frame leaves the shared stream in an unknown state, so the
 // client must refuse all later calls with a typed error rather than emitting
 // garbage frames or hanging. The failed write is forced by pointing the
 // client at a peer that accepts but never reads, then pushing a payload far
@@ -380,5 +381,56 @@ func TestMuxBatchFansOutConcurrently(t *testing.T) {
 		if c.Err != nil {
 			t.Errorf("call %d: %v", i, c.Err)
 		}
+	}
+}
+
+// TestMuxLateRepliesNeverCrossCalls races the recycled per-call objects: a
+// third of the calls time out at the client while their replies are still on
+// the way, so reply channels and timers go back to their pools with a late
+// response pending and are handed to other calls at once. Every call that
+// succeeds must have received its own nonce, never a neighbour's late reply.
+func TestMuxLateRepliesNeverCrossCalls(t *testing.T) {
+	srv, _ := startMux(t, func(target int, kind string, body []byte) (any, error) {
+		var p Ping
+		if err := Unmarshal(body, &p); err != nil {
+			return nil, err
+		}
+		if p.Nonce%3 == 0 {
+			time.Sleep(25 * time.Millisecond) // outlive the client's 10ms timeout
+		}
+		return p, nil
+	})
+	cli, err := DialMux(srv.Addr(), 10*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	const workers, calls = 8, 60
+	var ok, late atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := 0; k < calls; k++ {
+				nonce := uint64(w*calls + k)
+				var pong Ping
+				err := cli.Agent(w).Call(KindPing, Ping{Nonce: nonce}, &pong)
+				switch {
+				case errors.Is(err, ErrCallTimeout):
+					late.Add(1)
+				case err != nil:
+					t.Errorf("call %d: %v", nonce, err)
+				case pong.Nonce != nonce:
+					t.Errorf("call %d received the reply to call %d", nonce, pong.Nonce)
+				default:
+					ok.Add(1)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if ok.Load() == 0 || late.Load() == 0 {
+		t.Errorf("%d calls answered, %d timed out; the test needs both", ok.Load(), late.Load())
 	}
 }

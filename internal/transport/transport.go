@@ -1,14 +1,14 @@
 // Package transport implements the wire protocol between the central GreFar
 // controller and the per-data-center agents: a minimal synchronous
-// request/response RPC over TCP with gob encoding, plus the typed messages
-// of the scheduling control loop. The paper's system model — a central
-// scheduler observing per-site state x_i(t) and issuing per-site decisions —
-// maps directly onto this protocol.
+// request/response RPC over TCP in a versioned fixed-layout binary format
+// (wire.go frames, codec.go bodies; DESIGN.md "Wire format v1"), plus the
+// typed messages of the scheduling control loop. The paper's system model — a
+// central scheduler observing per-site state x_i(t) and issuing per-site
+// decisions — maps directly onto this protocol.
 package transport
 
 import (
-	"bytes"
-	"encoding/gob"
+	"bufio"
 	"errors"
 	"fmt"
 	"math"
@@ -60,6 +60,35 @@ type Allocate struct {
 	Process []float64
 	// Busy[k] is b_{i,k}(t).
 	Busy []float64
+}
+
+// ErrMalformedAllocate classifies an Allocate that fails Validate.
+var ErrMalformedAllocate = errors.New("transport: malformed allocation")
+
+// Validate checks the allocation against the receiving site's dimensions (K
+// server types, J job types): lengths must match, route counts must be
+// non-negative, and every process and busy amount must be finite and
+// non-negative (NaN fails). An agent validates the whole request before it
+// touches a ledger, so a rejected allocation leaves no trace and the
+// corrected resend executes exactly once. Errors wrap ErrMalformedAllocate.
+func (a *Allocate) Validate(numServers, numJobTypes int) error {
+	switch {
+	case len(a.Route) != numJobTypes || len(a.Process) != numJobTypes:
+		return fmt.Errorf("%w: slot %d has %d route and %d process entries, want %d", ErrMalformedAllocate, a.Slot, len(a.Route), len(a.Process), numJobTypes)
+	case len(a.Busy) != numServers:
+		return fmt.Errorf("%w: slot %d has %d busy entries, want %d", ErrMalformedAllocate, a.Slot, len(a.Busy), numServers)
+	}
+	for j := range a.Route {
+		if a.Route[j] < 0 || !isFiniteNonNeg(a.Process[j]) {
+			return fmt.Errorf("%w: slot %d job type %d: route %d, process %v", ErrMalformedAllocate, a.Slot, j, a.Route[j], a.Process[j])
+		}
+	}
+	for k, b := range a.Busy {
+		if !isFiniteNonNeg(b) {
+			return fmt.Errorf("%w: slot %d busy[%d]=%v", ErrMalformedAllocate, a.Slot, k, b)
+		}
+	}
+	return nil
 }
 
 // AllocateAck reports what the agent actually did.
@@ -144,37 +173,9 @@ type Ping struct {
 	Slot  int
 }
 
-// frame is the wire envelope. Bodies are gob-encoded separately so the
-// dispatcher can route on Kind without knowing every body type. Target
-// addresses one of many endpoints multiplexed behind a shared listener
-// (MuxServer); the plain Server ignores it, and gob skips absent fields, so
-// mux-aware and historical peers interoperate on the same wire format.
-type frame struct {
-	ID     uint64
-	Target int
-	Kind   string
-	Err    string
-	Body   []byte
-}
-
-// Marshal gob-encodes a message body.
-func Marshal(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, fmt.Errorf("encode %T: %w", v, err)
-	}
-	return buf.Bytes(), nil
-}
-
-// Unmarshal gob-decodes a message body.
-func Unmarshal(data []byte, v any) error {
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(v); err != nil {
-		return fmt.Errorf("decode %T: %w", v, err)
-	}
-	return nil
-}
-
-// Handler processes one request body and returns a response body.
+// Handler processes one request body and returns a response body. body
+// aliases the connection's receive buffer: it is valid until the handler
+// returns, and Unmarshal copies everything it keeps.
 type Handler func(kind string, body []byte) (any, error)
 
 // Server accepts connections and dispatches frames to a handler.
@@ -231,26 +232,45 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 		conn.Close()
 	}()
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
-	for {
-		var req frame
-		if err := dec.Decode(&req); err != nil {
-			return // EOF or broken connection ends the session
-		}
-		resp := frame{ID: req.ID, Kind: req.Kind}
-		body, err := s.handler(req.Kind, req.Body)
-		if err != nil {
-			resp.Err = err.Error()
-		} else if encoded, merr := Marshal(body); merr != nil {
-			resp.Err = merr.Error()
-		} else {
-			resp.Body = encoded
-		}
-		if err := enc.Encode(&resp); err != nil {
-			return
-		}
+	br := bufio.NewReader(conn)
+	for s.serveOne(conn, br) == nil {
 	}
+}
+
+// serveOne reads, handles and answers one request. Any error — EOF, a broken
+// connection, a frame that does not parse — ends the session.
+func (s *Server) serveOne(conn net.Conn, br *bufio.Reader) error {
+	in, out := getBuf(), getBuf()
+	defer putBuf(in)
+	defer putBuf(out)
+	var err error
+	if *in, err = readFrame(br, *in); err != nil {
+		return err
+	}
+	req, err := parseFrame(*in)
+	if err != nil {
+		return err
+	}
+	body, herr := s.handler(req.Kind, req.Body)
+	if *out, err = appendReply(*out, req.ID, 0, req.Kind, body, herr); err != nil {
+		return err
+	}
+	_, err = conn.Write(*out)
+	return err
+}
+
+// appendReply appends the response frame for one handled request: the
+// handler's body, or its error — or the encoding error, when the handler
+// returned something that has no wire layout or does not fit a frame.
+func appendReply(dst []byte, id uint64, target int, kind string, body any, herr error) ([]byte, error) {
+	if herr == nil {
+		var err error
+		if dst, err = appendFrame(dst, id, target, kind, "", body); err == nil {
+			return dst, nil
+		}
+		herr = err
+	}
+	return appendFrame(dst, id, target, kind, herr.Error(), []byte(nil))
 }
 
 // Close stops accepting, closes open connections, and waits for in-flight
@@ -280,8 +300,7 @@ var ErrClosed = errors.New("transport: client closed")
 type Client struct {
 	mu      sync.Mutex
 	conn    net.Conn
-	enc     *gob.Encoder
-	dec     *gob.Decoder
+	br      *bufio.Reader
 	nextID  uint64
 	timeout time.Duration
 	closed  bool
@@ -297,40 +316,47 @@ func Dial(addr string, timeout time.Duration) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dial %s: %w", addr, err)
 	}
-	return &Client{
-		conn:    conn,
-		enc:     gob.NewEncoder(conn),
-		dec:     gob.NewDecoder(conn),
-		timeout: timeout,
-	}, nil
+	return &Client{conn: conn, br: bufio.NewReader(conn), timeout: timeout}, nil
 }
 
 // Call sends a request and decodes the response into respBody (which may be
 // nil to discard).
+//
+// Any failure to send, receive, or match the response leaves the stream in an
+// unknown position — after a read deadline the late reply is still on its
+// way and would be taken for the answer to the next call — so the client
+// closes itself and every later call returns ErrClosed; redial (or use
+// ReconnectClient, which does). A remote handler error or an undecodable
+// response body arrives in a complete frame and leaves the client usable.
 func (c *Client) Call(kind string, reqBody, respBody any) error {
-	body, err := Marshal(reqBody)
-	if err != nil {
-		return err
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
 		return ErrClosed
 	}
 	c.nextID++
-	req := frame{ID: c.nextID, Kind: kind, Body: body}
+	id := c.nextID
+	buf := getBuf()
+	defer putBuf(buf)
+	var err error
+	if *buf, err = appendFrame(*buf, id, 0, kind, "", reqBody); err != nil {
+		return fmt.Errorf("encode %s: %w", kind, err) // nothing was written
+	}
 	if err := c.conn.SetDeadline(time.Now().Add(c.timeout)); err != nil {
-		return err
+		return c.fail(err)
 	}
-	if err := c.enc.Encode(&req); err != nil {
-		return fmt.Errorf("send %s: %w", kind, err)
+	if _, err := c.conn.Write(*buf); err != nil {
+		return c.fail(fmt.Errorf("send %s: %w", kind, err))
 	}
-	var resp frame
-	if err := c.dec.Decode(&resp); err != nil {
-		return fmt.Errorf("receive %s: %w", kind, err)
+	if *buf, err = readFrame(c.br, *buf); err != nil {
+		return c.fail(fmt.Errorf("receive %s: %w", kind, err))
 	}
-	if resp.ID != req.ID {
-		return fmt.Errorf("response id %d does not match request %d", resp.ID, req.ID)
+	resp, err := parseFrame(*buf)
+	if err != nil {
+		return c.fail(fmt.Errorf("receive %s: %w", kind, err))
+	}
+	if resp.ID != id {
+		return c.fail(fmt.Errorf("response id %d does not match request %d", resp.ID, id))
 	}
 	if resp.Err != "" {
 		return &RemoteError{Kind: kind, Message: resp.Err}
@@ -339,6 +365,14 @@ func (c *Client) Call(kind string, reqBody, respBody any) error {
 		return nil
 	}
 	return Unmarshal(resp.Body, respBody)
+}
+
+// fail closes the client after a stream-level failure and returns err.
+// Caller holds mu.
+func (c *Client) fail(err error) error {
+	c.closed = true
+	c.conn.Close()
+	return err
 }
 
 // Close shuts down the connection.

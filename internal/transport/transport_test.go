@@ -194,6 +194,93 @@ func TestCallTimeout(t *testing.T) {
 	}
 }
 
+// TestClientClosesItselfOnDesync is the regression test for the off-by-one
+// stream: after a read deadline the plain Client used to stay open, so the
+// late reply was read as the answer to the next call and every later call
+// failed its ID check forever. Any send/receive/ID failure must close the
+// client — later calls fail fast with ErrClosed — and a fresh Dial must work.
+func TestClientClosesItselfOnDesync(t *testing.T) {
+	t.Run("late reply", func(t *testing.T) {
+		release := make(chan struct{})
+		lis, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := NewServer(lis, func(kind string, body []byte) (any, error) {
+			var p Ping
+			if err := Unmarshal(body, &p); err != nil {
+				return nil, err
+			}
+			if p.Nonce == 1 {
+				<-release // answer this one after the client has given up
+			}
+			return p, nil
+		})
+		go srv.Serve()
+		defer srv.Close()
+
+		c, err := Dial(srv.Addr(), 100*time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		var resp Ping
+		if err := c.Call(KindPing, Ping{Nonce: 1}, &resp); err == nil {
+			t.Fatal("call answered after the deadline succeeded")
+		}
+		close(release)
+		start := time.Now()
+		if err := c.Call(KindPing, Ping{Nonce: 2}, &resp); !errors.Is(err, ErrClosed) {
+			t.Fatalf("call on a desynchronised client returned %v, want ErrClosed", err)
+		}
+		if elapsed := time.Since(start); elapsed > 50*time.Millisecond {
+			t.Errorf("closed client took %v to refuse a call", elapsed)
+		}
+		fresh, err := Dial(srv.Addr(), time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fresh.Close()
+		if err := fresh.Call(KindPing, Ping{Nonce: 3}, &resp); err != nil || resp.Nonce != 3 {
+			t.Fatalf("fresh client: nonce %d, err %v", resp.Nonce, err)
+		}
+	})
+
+	t.Run("wrong id", func(t *testing.T) {
+		lis, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer lis.Close()
+		go func() {
+			conn, err := lis.Accept()
+			if err != nil {
+				return
+			}
+			defer conn.Close()
+			reply, _ := appendFrame(nil, 99, 0, KindPing, "", Ping{})
+			buf := make([]byte, 1024)
+			for {
+				if _, err := conn.Read(buf); err != nil {
+					return
+				}
+				conn.Write(reply)
+			}
+		}()
+		c, err := Dial(lis.Addr().String(), time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if err := c.Call(KindPing, Ping{}, nil); err == nil || errors.Is(err, ErrClosed) {
+			t.Fatalf("mismatched response id returned %v, want an id error", err)
+		}
+		if err := c.Call(KindPing, Ping{}, nil); !errors.Is(err, ErrClosed) {
+			t.Fatalf("call after an id mismatch returned %v, want ErrClosed", err)
+		}
+	})
+}
+
 func TestMarshalUnmarshal(t *testing.T) {
 	rep := StateReport{Slot: 3, DataCenter: 1, Avail: []float64{5}, Price: 0.42, QueueLens: []float64{1, 2}}
 	data, err := Marshal(rep)
