@@ -12,10 +12,11 @@
 //	                  [-policy grefar|always] [-partitions 1] \
 //	                  [-metrics-addr 127.0.0.1:9090] [-pprof]
 //
-// With -partitions > 1 the control loop runs as that many concurrent
-// controller partitions over disjoint data-center ranges, committing
-// optimistically against a shared queue board; per-partition commit and
-// conflict counters are served on /metrics.
+// The control loop is one loop at any -partitions: with 1 (the default) it is
+// the paper's single central scheduler; with more it runs as that many
+// concurrent controller partitions over disjoint data-center ranges,
+// committing optimistically against a shared queue board, and per-partition
+// commit and conflict counters are served on /metrics.
 //
 // The seed must match the agents' so the controller's workload lines up with
 // the world the agents simulate. Agent connections redial with capped
@@ -42,7 +43,6 @@ import (
 	"grefar/internal/core"
 	"grefar/internal/model"
 	"grefar/internal/sched"
-	"grefar/internal/sim"
 	"grefar/internal/telemetry"
 	"grefar/internal/transport"
 	"grefar/internal/workload"
@@ -57,18 +57,12 @@ func main() {
 	}
 }
 
-// loopRunner is the control loop the app drives: the single controller and
-// the partitioned plane expose the same run surface.
-type loopRunner interface {
-	RunContext(ctx context.Context, slots int, wl workload.Generator) (*sim.Result, error)
-}
-
 // app is a fully wired controller run: the control loop plus its
 // observability mux. Tests build one with buildApp and mount Metrics on an
 // httptest server instead of a real listener.
 type app struct {
 	cluster *model.Cluster
-	ctrl    loopRunner
+	ctrl    *controlplane.Plane
 	// Metrics serves /metrics, /healthz, and optionally /debug/pprof/.
 	Metrics http.Handler
 
@@ -170,9 +164,9 @@ func buildApp(args []string) (*app, error) {
 		conns[i] = cli
 	}
 
-	// factory builds one scheduler per consumer. Only the first instance gets
-	// the decision observer, so a partitioned run emits one scheduler event
-	// stream per slot instead of one per partition.
+	// factory builds one scheduler per deciding partition. Only the first
+	// instance gets the decision observer, so a partitioned run emits one
+	// scheduler event stream per slot instead of one per partition.
 	built := 0
 	factory := func() (sched.Scheduler, error) {
 		built++
@@ -194,29 +188,15 @@ func buildApp(args []string) (*app, error) {
 	if err != nil {
 		return nil, fmt.Errorf("workload: %w", err)
 	}
-	if *partitions > 1 {
-		a.ctrl, err = controlplane.New(c, conns, controlplane.Config{
-			Partitions:   *partitions,
-			NewScheduler: factory,
-			Policy:       policyVal,
-			SuspectAfter: *suspectAfter,
-			DeadAfter:    *deadAfter,
-			Observer:     obs,
-			Registry:     reg,
-		})
-	} else {
-		var s sched.Scheduler
-		s, err = factory()
-		if err != nil {
-			return nil, err
-		}
-		a.ctrl, err = controller.New(c, s, conns,
-			controller.WithObserver(obs),
-			controller.WithFailurePolicy(policyVal),
-			controller.WithHealthThresholds(*suspectAfter, *deadAfter),
-			controller.WithHealthMetrics(reg),
-		)
-	}
+	a.ctrl, err = controlplane.New(c, conns, controlplane.Config{
+		Partitions:   *partitions,
+		NewScheduler: factory,
+		Policy:       policyVal,
+		SuspectAfter: *suspectAfter,
+		DeadAfter:    *deadAfter,
+		Observer:     obs,
+		Registry:     reg,
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -17,8 +17,9 @@
 // mask -> probe -> resync -> rejoin cycle; the invariant checker (-check,
 // default on) verifies every applied slot. With -metrics, the controller's
 // health gauges, RTT histograms, and slot telemetry are served on /metrics.
-// With -partitions > 1 the fleet is driven by the partitioned control plane
-// — concurrent per-partition gather/decide/scatter with optimistic commits
+// The fleet's MuxConns put the loop on its batch path: one frame per
+// connection per phase. With -partitions > 1 the same loop runs partitioned —
+// concurrent per-partition gather/decide/scatter with optimistic commits
 // against the shared queue board — and the run report includes each
 // partition's commit/conflict counters.
 package main
@@ -40,18 +41,9 @@ import (
 	"grefar/internal/core"
 	"grefar/internal/hollow"
 	"grefar/internal/invariant"
-	"grefar/internal/model"
 	"grefar/internal/sched"
 	"grefar/internal/telemetry"
-	"grefar/internal/transport"
 )
-
-// slotDriver is the slice of the control loop the harness drives: the single
-// controller and the partitioned plane both satisfy it.
-type slotDriver interface {
-	RunSlotContext(ctx context.Context, t int, arrivals []int) (*model.Action, *model.State, []transport.AllocateAck, error)
-	Health() []controller.AgentHealth
-}
 
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -116,36 +108,17 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		ck = invariant.NewChecker(in.Cluster, invariant.CheckerOptions{})
 		obs = append(obs, ck)
 	}
-	var ct slotDriver
-	var plane *controlplane.Plane
-	if *partitions > 1 {
-		plane, err = controlplane.New(in.Cluster, fleet.Conns(), controlplane.Config{
-			Partitions: *partitions,
-			NewScheduler: func() (sched.Scheduler, error) {
-				return core.New(in.Cluster, core.Config{V: *v, Beta: *beta})
-			},
-			Policy:   controller.Degrade,
-			Observer: telemetry.Multi(obs...),
-			Registry: reg,
-		})
-		if err != nil {
-			return err
-		}
-		ct = plane
-	} else {
-		g, err := core.New(in.Cluster, core.Config{V: *v, Beta: *beta})
-		if err != nil {
-			return err
-		}
-		ctrl, err := controller.New(in.Cluster, g, fleet.Conns(),
-			controller.WithObserver(telemetry.Multi(obs...)),
-			controller.WithFailurePolicy(controller.Degrade),
-			controller.WithHealthMetrics(reg),
-		)
-		if err != nil {
-			return err
-		}
-		ct = ctrl
+	ct, err := controlplane.New(in.Cluster, fleet.Conns(), controlplane.Config{
+		Partitions: *partitions,
+		NewScheduler: func() (sched.Scheduler, error) {
+			return core.New(in.Cluster, core.Config{V: *v, Beta: *beta})
+		},
+		Policy:   controller.Degrade,
+		Observer: telemetry.Multi(obs...),
+		Registry: reg,
+	})
+	if err != nil {
+		return err
 	}
 
 	var metricsSrv *http.Server
@@ -230,8 +203,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		ticks[len(ticks)/2].Round(10*time.Microsecond), ticks[(len(ticks)*99)/100].Round(10*time.Microsecond))
 	fmt.Fprintf(out, "degraded slots %d; energy/slot %.1f; final healthy %d/%d\n",
 		degraded, energy/float64(*slots), healthy, fleet.N())
-	if plane != nil {
-		for _, st := range plane.Stats() {
+	if *partitions > 1 {
+		for _, st := range ct.Stats() {
 			fmt.Fprintf(out, "partition %d: %d agents, %d commits, %d conflicts, %d forced\n",
 				st.Partition, st.Owned, st.Commits, st.Conflicts, st.Forced)
 		}

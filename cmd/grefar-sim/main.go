@@ -673,9 +673,8 @@ func runEvents(ctx context.Context, out io.Writer, cfg experiments.Config, v, be
 	if err != nil {
 		return err
 	}
-	res, simErr := grefar.Simulate(in, s,
+	res, simErr := grefar.SimulateContext(ctx, in, s,
 		grefar.WithSlots(cfg.Slots),
-		grefar.WithContext(ctx),
 		grefar.WithObserver(jsonl),
 		grefar.WithCheck(cfg.Check),
 	)

@@ -157,6 +157,11 @@ func NewLookaheadPlanner(c *Cluster, t int) (*sched.LookaheadPlanner, error) {
 // that replaces the whole option set, so the former call style
 // grefar.Simulate(in, s, grefar.SimOptions{Slots: 2000}) runs identically.
 func Simulate(in SimInputs, s Scheduler, opts ...SimOption) (*SimResult, error) {
+	return sim.Run(in, s, simOptions(in, opts))
+}
+
+// simOptions folds the options, in order, into the internal options struct.
+func simOptions(in SimInputs, opts []SimOption) SimOptions {
 	var opt SimOptions
 	for _, o := range opts {
 		if o != nil {
@@ -168,7 +173,7 @@ func Simulate(in SimInputs, s Scheduler, opts ...SimOption) (*SimResult, error) 
 			n.SetDCNames(dataCenterNames(in.Cluster))
 		}
 	}
-	return sim.Run(in, s, opt)
+	return opt
 }
 
 // ReferenceInputs assembles the paper's evaluation setup: the Table I

@@ -1,4 +1,4 @@
-package controlplane
+package controller
 
 import (
 	"sync"
@@ -6,12 +6,12 @@ import (
 	"grefar/internal/queue"
 )
 
-// board is the shared-state heart of the partitioned control plane: the
-// authoritative central ledgers Q_j plus a per-row version and a running
-// claim total for the slot in flight. Partitions never pop the ledgers
-// themselves — they snapshot the claim-reduced lengths, decide against them,
-// and commit a claim; the plane executes the merged pops once, centrally,
-// after every partition has committed. That keeps the realized routing equal
+// board is the shared state of the control loop: the authoritative central
+// ledgers Q_j plus, for concurrently deciding partitions, a per-row version
+// and a running claim total for the slot in flight. Partitions never pop the
+// ledgers themselves — they snapshot the claim-reduced lengths, decide
+// against them, and commit a claim; the loop executes the merged pops once,
+// centrally, after every partition has committed. That keeps the realized routing equal
 // to the data-center-order consumption of the merged nominal route, which is
 // exactly what the invariant checker's flow rules demand.
 //
@@ -105,8 +105,9 @@ func (b *board) resetClaims() {
 	b.mu.Unlock()
 }
 
-// lens returns the true ledger lengths (no claim reduction) — the slot-initial
-// central backlog used for state assembly, telemetry, and deterministic mode.
+// lensUnclaimed returns the true ledger lengths (no claim reduction) — the
+// slot-initial central backlog used for state assembly, telemetry, and the
+// decide-once path.
 func (b *board) lensUnclaimed() []float64 {
 	out := make([]float64, len(b.ledgers))
 	for j := range b.ledgers {

@@ -4,13 +4,30 @@
 // backlogs Theta(t), runs any sched.Scheduler (normally GreFar), and pushes
 // the per-site allocation decisions back to the agents. The controller owns
 // only the central queues Q_j; the local queues q_{i,j} live on the agents.
+//
+// There is one control loop. P partitions, each owning a disjoint contiguous
+// range of the data centers, split the agent I/O (probe, gather, scatter);
+// everything else — state assembly, masking, the central pops, settling
+// against the shadow ledgers, telemetry — happens once per slot. The decision
+// is either made once, by one scheduler on the slot-initial backlogs (the
+// paper's Algorithm 1; New builds exactly this with P = 1), or by every
+// partition concurrently against a shared versioned board of the central
+// queues with optimistic commit (board.go): a partition's commit is rejected,
+// and its decision retried against a fresh snapshot, when a conflicting commit
+// advanced a central-queue row it claims jobs from — the conflict-aware
+// request distribution of Arktos-style scale-out schedulers. The monolithic
+// controller is the one-partition, decide-once case of that shared-state
+// plane; package controlplane is the constructor surface for the rest.
 package controller
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"grefar/internal/fairness"
 	"grefar/internal/metrics"
@@ -58,22 +75,66 @@ func callAgent(ctx context.Context, a AgentConn, kind string, reqBody, respBody 
 // Controller drives the distributed control loop.
 type Controller struct {
 	cluster *model.Cluster
-	sch     sched.Scheduler
-	agents  []AgentConn // index i is data center i
+	conns   []AgentConn // index i is data center i
 	fair    fairness.Function
 	obs     telemetry.SlotObserver
 	detail  bool // obs asked for SlotEvent.Detail
 
-	central []queue.Ledger
+	// board holds the central ledgers Q_j (and, for concurrent partitions,
+	// the commit protocol's versions and claims); scratch is the per-slot
+	// gather/scatter working set.
+	board   *board
 	scratch *SlotScratch
 
-	// Fault tolerance: the failure policy and thresholds, the health tracker
-	// owning the per-agent records and shadow ledgers, and the optional
-	// metric surface. recs aliases the tracker's records for in-package use.
+	// parts split the agent I/O. With decideOnce, parts[0].sch is the only
+	// scheduler and decides for the whole cluster; otherwise every partition
+	// decides with its own and commits optimistically, at most maxRetries
+	// rejections deep.
+	parts      []*partition
+	decideOnce bool
+	maxRetries int
+	commit     *commitMetrics
+
+	// Fault tolerance: the failure policy and thresholds, the registry the
+	// metric families publish to (nil disables them), and the health tracker
+	// owning the per-agent records and shadow ledgers.
 	health  HealthConfig
+	reg     *telemetry.Registry
 	tracker *Tracker
-	recs    []agentRecord
-	metrics *healthMetrics
+}
+
+// partition is one controller partition: its contiguous ownership range, its
+// scheduler instance (concurrent mode, and partition 0 always), and its
+// commit telemetry.
+type partition struct {
+	id    int
+	label string // id as the "partition" metric label
+	owned []int  // global data-center ids, ascending
+	sch   sched.Scheduler
+
+	conflicts atomic.Int64
+	retries   atomic.Int64
+	commits   atomic.Int64
+	forced    atomic.Int64
+}
+
+// commitMetrics is the registry surface of the commit protocol.
+type commitMetrics struct {
+	conflicts *telemetry.CounterVec
+	retries   *telemetry.CounterVec
+	commits   *telemetry.CounterVec
+	latency   *telemetry.HistogramVec
+}
+
+// PartitionStats is one partition's commit-protocol counters. They stay zero
+// when the loop decides once: there is no commit to count.
+type PartitionStats struct {
+	Partition int
+	Owned     int
+	Conflicts int64 // commits rejected on a version mismatch
+	Retries   int64 // re-decide rounds after a rejection
+	Commits   int64 // successful commits (slots decided)
+	Forced    int64 // commits applied unvalidated after MaxRetries rejections
 }
 
 // Option customizes a Controller.
@@ -86,17 +147,55 @@ func WithObserver(obs telemetry.SlotObserver) Option {
 	return func(ct *Controller) { ct.obs = obs }
 }
 
-// New builds a controller. agents[i] must be connected to the agent serving
-// data center i.
+// Partitioning selects how the loop splits the fleet and how it decides.
+type Partitioning struct {
+	// Partitions is the number of contiguous, near-equal ownership ranges the
+	// data centers are split into.
+	Partitions int
+	// Deterministic makes the loop decide once per slot, on the slot-initial
+	// backlogs, with one scheduler — the single controller's trajectory at
+	// any partition count. One partition always decides once: it has no peer
+	// to conflict with.
+	Deterministic bool
+	// NewScheduler builds the schedulers: one when the loop decides once, one
+	// per partition otherwise (schedulers are stateful).
+	NewScheduler func() (sched.Scheduler, error)
+	// MaxRetries bounds a partition's conflict-retry loop per slot; after
+	// that many rejections it commits unvalidated (counted in Stats.Forced).
+	// Default: Partitions — by then every conflicting peer has committed.
+	MaxRetries int
+}
+
+// New builds the single controller: one partition, one scheduler, one
+// decision per slot. agents[i] must be connected to the agent serving data
+// center i.
 func New(c *model.Cluster, sch sched.Scheduler, agents []AgentConn, opts ...Option) (*Controller, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
 	if sch == nil {
 		return nil, fmt.Errorf("nil scheduler")
 	}
-	if len(agents) != c.N() {
-		return nil, fmt.Errorf("got %d agents, cluster has %d data centers", len(agents), c.N())
+	return NewPartitioned(c, agents, Partitioning{
+		Partitions:   1,
+		NewScheduler: func() (sched.Scheduler, error) { return sch, nil },
+	}, opts...)
+}
+
+// NewPartitioned builds the control loop over the given agent connections;
+// conns[i] must serve data center i.
+func NewPartitioned(c *model.Cluster, conns []AgentConn, pt Partitioning, opts ...Option) (*Controller, error) {
+	if err := c.Validate(); err != nil {
+		return nil, err
+	}
+	if len(conns) != c.N() {
+		return nil, fmt.Errorf("got %d agents, cluster has %d data centers", len(conns), c.N())
+	}
+	if pt.Partitions < 1 || pt.Partitions > c.N() {
+		return nil, fmt.Errorf("partitions %d outside [1,%d]", pt.Partitions, c.N())
+	}
+	if pt.NewScheduler == nil {
+		return nil, fmt.Errorf("nil scheduler factory")
+	}
+	if pt.MaxRetries <= 0 {
+		pt.MaxRetries = pt.Partitions
 	}
 	weights := make([]float64, c.M())
 	for m, a := range c.Accounts {
@@ -107,28 +206,76 @@ func New(c *model.Cluster, sch sched.Scheduler, agents []AgentConn, opts ...Opti
 		return nil, err
 	}
 	ct := &Controller{
-		cluster: c,
-		sch:     sch,
-		agents:  agents,
-		fair:    fair,
-		central: make([]queue.Ledger, c.J()),
-		scratch: NewSlotScratch(c),
+		cluster:    c,
+		conns:      conns,
+		fair:       fair,
+		board:      newBoard(c.J()),
+		scratch:    NewSlotScratch(c),
+		decideOnce: pt.Deterministic || pt.Partitions == 1,
+		maxRetries: pt.MaxRetries,
 	}
 	for _, opt := range opts {
 		opt(ct)
 	}
-	ct.health = ct.health.withDefaults()
 	ct.detail = telemetry.WantsDetail(ct.obs)
-	ct.tracker = newTracker(c, agents, ct.health, ct.metrics)
-	ct.recs = ct.tracker.recs
+	ct.tracker = NewTracker(c, conns, ct.health, ct.reg)
+	n, p := c.N(), pt.Partitions
+	for id := 0; id < p; id++ {
+		lo, hi := id*n/p, (id+1)*n/p
+		part := &partition{id: id, label: strconv.Itoa(id), owned: make([]int, 0, hi-lo)}
+		for i := lo; i < hi; i++ {
+			part.owned = append(part.owned, i)
+		}
+		if id == 0 || !ct.decideOnce {
+			if part.sch, err = pt.NewScheduler(); err != nil {
+				return nil, fmt.Errorf("partition %d scheduler: %w", id, err)
+			}
+			if part.sch == nil {
+				return nil, fmt.Errorf("partition %d: scheduler factory returned nil", id)
+			}
+		}
+		ct.parts = append(ct.parts, part)
+	}
+	if ct.reg != nil && !ct.decideOnce {
+		ct.commit = &commitMetrics{
+			conflicts: ct.reg.Counter("grefar_controlplane_commit_conflicts_total",
+				"Optimistic commits rejected because a conflicting commit advanced a claimed central-queue row.", "partition"),
+			retries: ct.reg.Counter("grefar_controlplane_commit_retries_total",
+				"Re-decide rounds run after a rejected commit.", "partition"),
+			commits: ct.reg.Counter("grefar_controlplane_commits_total",
+				"Successful partition commits (one per partition per applied slot).", "partition"),
+			latency: ct.reg.Histogram("grefar_controlplane_commit_seconds",
+				"Wall-clock time from a partition's first snapshot to its accepted commit, retries included.",
+				[]float64{.00005, .0001, .00025, .0005, .001, .0025, .005, .01, .025, .05, .1, .25}, "partition"),
+		}
+	}
 	return ct, nil
 }
 
+// Partitions returns the number of controller partitions.
+func (ct *Controller) Partitions() int { return len(ct.parts) }
+
+// Owned returns partition p's data-center ids.
+func (ct *Controller) Owned(p int) []int { return append([]int(nil), ct.parts[p].owned...) }
+
+// Health returns the per-agent health states (index i is data center i).
+func (ct *Controller) Health() []AgentHealth { return ct.tracker.Health() }
+
 // CentralLens returns the central backlog per job type.
-func (ct *Controller) CentralLens() []float64 {
-	out := make([]float64, len(ct.central))
-	for j := range ct.central {
-		out[j] = ct.central[j].Len()
+func (ct *Controller) CentralLens() []float64 { return ct.board.lensUnclaimed() }
+
+// Stats returns each partition's commit-protocol counters.
+func (ct *Controller) Stats() []PartitionStats {
+	out := make([]PartitionStats, len(ct.parts))
+	for i, p := range ct.parts {
+		out[i] = PartitionStats{
+			Partition: p.id,
+			Owned:     len(p.owned),
+			Conflicts: p.conflicts.Load(),
+			Retries:   p.retries.Load(),
+			Commits:   p.commits.Load(),
+			Forced:    p.forced.Load(),
+		}
 	}
 	return out
 }
@@ -137,48 +284,18 @@ func (ct *Controller) CentralLens() []float64 {
 // controller can resume exactly where the previous one stopped; pair it with
 // agent.Agent.Snapshot for whole-system checkpoints.
 func (ct *Controller) Snapshot() ([]byte, error) {
-	return queue.SnapshotLedgers(ct.central)
+	return queue.SnapshotLedgers(ct.board.ledgers)
 }
 
 // Restore replaces the central queue state from a Snapshot of a controller
 // for the same cluster.
 func (ct *Controller) Restore(snapshot []byte) error {
-	return queue.RestoreLedgers(ct.central, snapshot)
+	return queue.RestoreLedgers(ct.board.ledgers, snapshot)
 }
 
 // errAgentDead marks an agent excluded from the gather set because its
 // health state is Dead; the slot opens with a probe for it instead.
 var errAgentDead = errors.New("agent is dead; probing instead of gathering")
-
-// gatherStates polls every non-Dead agent concurrently for its slot report
-// and validates each report's shape on receipt (site echo, slot echo,
-// dimensions, finite non-negative values), so a malformed or truncated
-// report surfaces as a typed per-agent error — wrapping
-// transport.ErrMalformedReport — before it can corrupt the assembled state.
-// errs[i] is nil exactly when reports[i] is usable. Both live in the slot
-// scratch.
-func (ct *Controller) gatherStates(ctx context.Context, t int) ([]transport.StateReport, []error) {
-	reports, errs := ct.scratch.Reports, ct.scratch.StateErrs
-	var req any = transport.StateRequest{Slot: t} // boxed once, not per agent
-	var wg sync.WaitGroup
-	for i := range ct.agents {
-		if ct.recs[i].state == Dead {
-			errs[i] = errAgentDead
-			continue
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if err := ct.callAgentTimed(ctx, i, transport.KindState, req, &reports[i]); err != nil {
-				errs[i] = err
-				return
-			}
-			errs[i] = reports[i].Validate(i, t, ct.cluster.K(i), ct.cluster.J())
-		}(i)
-	}
-	wg.Wait()
-	return reports, errs
-}
 
 // joinAgentErrors aggregates per-agent failures into one error naming every
 // failed agent, so a multi-agent outage is diagnosable from a single message.
@@ -190,6 +307,76 @@ func joinAgentErrors(phase string, errs []error) error {
 		}
 	}
 	return errors.Join(joined...)
+}
+
+// eachPartition runs f for every partition, concurrently when there is more
+// than one. Every write f makes must land at an owned agent's index or on the
+// partition itself: ownership is disjoint, so the shared per-agent arrays and
+// the tracker's records never race.
+func (ct *Controller) eachPartition(f func(p *partition)) {
+	if len(ct.parts) == 1 {
+		f(ct.parts[0])
+		return
+	}
+	var wg sync.WaitGroup
+	for _, p := range ct.parts {
+		wg.Add(1)
+		go func(p *partition) {
+			defer wg.Done()
+			f(p)
+		}(p)
+	}
+	wg.Wait()
+}
+
+// callMany issues one kind of RPC to every listed agent, writing results and
+// errors at the agents' global indices. Agents behind the same MuxClient
+// share one batched frame — the conn type says so, no option does; everything
+// else (chaos-wrapped conns, reconnecting clients, in-process fakes) gets a
+// concurrent per-agent call. req(i) builds the request; resp(i) returns the
+// decode destination.
+func (ct *Controller) callMany(ctx context.Context, agents []int, kind string,
+	req func(i int) any, resp func(i int) any, errs []error) {
+	batches := make(map[*transport.MuxClient][]int) // client -> global agent ids
+	var wg sync.WaitGroup
+	for _, i := range agents {
+		if mc, ok := ct.conns[i].(*transport.MuxConn); ok {
+			batches[mc.Client()] = append(batches[mc.Client()], i)
+			continue
+		}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = ct.tracker.Call(ctx, i, kind, req(i), resp(i))
+		}(i)
+	}
+	for cli, ids := range batches {
+		wg.Add(1)
+		go func(cli *transport.MuxClient, ids []int) {
+			defer wg.Done()
+			calls := make([]transport.BatchCall, len(ids))
+			for k, i := range ids {
+				calls[k] = transport.BatchCall{
+					Target: ct.conns[i].(*transport.MuxConn).Target(),
+					Kind:   kind,
+					Req:    req(i),
+					Resp:   resp(i),
+				}
+			}
+			start := time.Now()
+			err := cli.CallBatch(ctx, calls)
+			rtt := time.Since(start)
+			for k, i := range ids {
+				ct.tracker.ObserveRTT(i, rtt)
+				if err != nil {
+					errs[i] = err
+					continue
+				}
+				errs[i] = calls[k].Err
+			}
+		}(cli, ids)
+	}
+	wg.Wait()
 }
 
 // RunSlot executes one slot of the control loop: gather, decide, allocate,
@@ -222,33 +409,57 @@ func (ct *Controller) RunSlotContext(ctx context.Context, t int, arrivals []int)
 		}
 	}
 	degrade := ct.health.Policy == Degrade
-	if degrade {
-		ct.probeDead(ctx, t)
-	}
+
+	// Probe, gather, resolve — per partition. Dead agents are probed instead
+	// of polled; every other agent's report is validated on receipt (site
+	// echo, slot echo, dimensions, finite non-negative values), so a malformed
+	// or truncated report surfaces as a typed per-agent error — wrapping
+	// transport.ErrMalformedReport — before it can corrupt the assembled
+	// state. errs[i] is nil exactly when reports[i] is usable; ok[i] marks the
+	// agents participating in this slot's decision.
 	ct.scratch.Reset()
-	reports, errs := ct.gatherStates(ctx, t)
+	reports, errs, ok := ct.scratch.Reports, ct.scratch.StateErrs, ct.scratch.OK
+	var stateReq any = transport.StateRequest{Slot: t} // boxed once, not per agent
+	ct.eachPartition(func(p *partition) {
+		if degrade {
+			ct.tracker.ProbeDead(ctx, t, p.owned)
+		}
+		live := make([]int, 0, len(p.owned))
+		for _, i := range p.owned {
+			if ct.tracker.State(i) == Dead {
+				errs[i] = errAgentDead
+				continue
+			}
+			live = append(live, i)
+		}
+		ct.callMany(ctx, live, transport.KindState,
+			func(int) any { return stateReq },
+			func(i int) any { return &reports[i] },
+			errs)
+		for _, i := range live {
+			if errs[i] == nil {
+				errs[i] = reports[i].Validate(i, t, c.K(i), c.J())
+			}
+		}
+		if !degrade {
+			return // strict resolution needs every partition's errors
+		}
+		for _, i := range p.owned {
+			if errs[i] != nil {
+				ct.tracker.RecordFailure(i)
+				continue
+			}
+			ok[i] = ct.tracker.ResolveReport(ctx, i, t, &reports[i])
+		}
+	})
 	if !degrade {
 		if err := joinAgentErrors("state", errs); err != nil {
 			return nil, nil, nil, err
 		}
 		for i := range reports {
-			ct.trueUpShadow(i, t, &reports[i])
-		}
-	}
-
-	// Resolve each report into the health machine; ok[i] marks the agents
-	// participating in this slot's decision.
-	ok := ct.scratch.OK
-	for i := range errs {
-		if !degrade {
+			ct.tracker.TrueUpShadow(i, t, &reports[i])
 			ok[i] = true
-			continue
 		}
-		if errs[i] != nil {
-			ct.recordFailure(i)
-			continue
-		}
-		ok[i] = ct.resolveReport(ctx, i, t, &reports[i])
 	}
 
 	// Assemble the global state: reported availability and price for
@@ -268,21 +479,27 @@ func (ct *Controller) RunSlotContext(ctx context.Context, t int, arrivals []int)
 			copy(st.Avail[i], reports[i].Avail)
 			st.Price[i] = reports[i].Price
 		} else {
-			st.Price[i] = ct.recs[i].lastPrice
+			st.Price[i] = ct.tracker.LastPrice(i)
 			masked = append(masked, i)
 		}
-		pre.Local[i] = ct.shadowLens(i)
+		pre.Local[i] = ct.tracker.ShadowLens(i)
 	}
 	if err := st.Validate(c); err != nil {
 		return nil, nil, nil, fmt.Errorf("slot %d: bad assembled state: %w", t, err)
 	}
-	if ct.metrics != nil && len(masked) > 0 {
-		ct.metrics.degraded.Inc()
+	if len(masked) > 0 {
+		ct.tracker.NoteDegraded()
 	}
 
-	act, err := ct.sch.Decide(t, st, pre)
+	var act *model.Action
+	var err error
+	if ct.decideOnce {
+		act, err = ct.parts[0].sch.Decide(t, st, pre)
+	} else {
+		act, err = ct.decideConcurrently(t, st, pre)
+	}
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("slot %d: %s: %w", t, ct.sch.Name(), err)
+		return nil, nil, nil, fmt.Errorf("slot %d: %s: %w", t, ct.parts[0].sch.Name(), err)
 	}
 	// Flow around masked sites: zero their rows so the realized dispatch,
 	// the queue dynamics, and the invariant checker's nominal-route checks
@@ -290,13 +507,9 @@ func (ct *Controller) RunSlotContext(ctx context.Context, t int, arrivals []int)
 	// only on availability, so a masked site's rows are not automatically
 	// zero.)
 	for _, i := range masked {
-		for j := range act.Route[i] {
-			act.Route[i][j] = 0
-			act.Process[i][j] = 0
-		}
-		for k := range act.Busy[i] {
-			act.Busy[i][k] = 0
-		}
+		clear(act.Route[i])
+		clear(act.Process[i])
+		clear(act.Busy[i])
 	}
 	if err := act.Validate(c, st); err != nil {
 		return nil, nil, nil, fmt.Errorf("slot %d: infeasible action: %w", t, err)
@@ -307,17 +520,20 @@ func (ct *Controller) RunSlotContext(ctx context.Context, t int, arrivals []int)
 	// slot would pop the same jobs twice and break conservation. Clone the
 	// ledgers now and restore them on the abort path so a failed slot leaves
 	// the central queues exactly as it found them. (Degrade never aborts.)
+	central := ct.board.ledgers
 	var checkpoint []queue.Ledger
 	if !degrade {
 		checkpoint = make([]queue.Ledger, c.J())
-		for j := range ct.central {
-			checkpoint[j] = ct.central[j].Clone()
+		for j := range central {
+			checkpoint[j] = central[j].Clone()
 		}
 	}
 
-	// Dispatch jobs from the central queues, capped at queue content,
-	// consumed in data-center order exactly like queue.Set.Apply so the
-	// distributed run is bit-identical to the single-process simulator.
+	// Dispatch jobs from the central queues, capped at queue content, in one
+	// pass in (job type, data-center) order exactly like queue.Set.Apply: the
+	// distributed run is bit-identical to the single-process simulator, and
+	// however many partitions contributed rows, the realized routing is what
+	// the invariant checker's flow-routed rule recomputes from the action.
 	// routedF is slot evidence for a detail observer and handed to it, so it
 	// is built fresh, and only when one is listening.
 	routed := ct.scratch.Routed
@@ -334,7 +550,7 @@ func (ct *Controller) RunSlotContext(ctx context.Context, t int, arrivals []int)
 			if r <= 0 {
 				continue
 			}
-			popped, _ := ct.central[j].Pop(t, float64(r))
+			popped, _ := central[j].Pop(t, float64(r))
 			routed[i][j] = int(popped)
 			if routedF != nil {
 				routedF[i][j] = popped
@@ -344,26 +560,28 @@ func (ct *Controller) RunSlotContext(ctx context.Context, t int, arrivals []int)
 
 	acks := make([]transport.AllocateAck, c.N())
 	errsA := ct.scratch.AllocErrs
-	var wg sync.WaitGroup
-	for i := range ct.agents {
-		if !ok[i] {
-			continue
+	ct.eachPartition(func(p *partition) {
+		live := make([]int, 0, len(p.owned))
+		for _, i := range p.owned {
+			if ok[i] {
+				live = append(live, i)
+			}
 		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errsA[i] = ct.callAgentTimed(ctx, i, transport.KindAllocate, transport.Allocate{
-				Slot:    t,
-				Route:   routed[i],
-				Process: act.Process[i],
-				Busy:    act.Busy[i],
-			}, &acks[i])
-		}(i)
-	}
-	wg.Wait()
+		ct.callMany(ctx, live, transport.KindAllocate,
+			func(i int) any {
+				return transport.Allocate{
+					Slot:    t,
+					Route:   routed[i],
+					Process: act.Process[i],
+					Busy:    act.Busy[i],
+				}
+			},
+			func(i int) any { return &acks[i] },
+			errsA)
+	})
 	if !degrade {
 		if err := joinAgentErrors("allocate", errsA); err != nil {
-			copy(ct.central, checkpoint)
+			copy(central, checkpoint)
 			return nil, nil, nil, err
 		}
 	}
@@ -375,7 +593,7 @@ func (ct *Controller) RunSlotContext(ctx context.Context, t int, arrivals []int)
 	// onto this trajectory), zero for masked agents whose rows were zeroed.
 	processedEv := make([][]float64, c.N())
 	for i := 0; i < c.N(); i++ {
-		popped, delays := ct.applyShadow(i, t, act.Process[i], routed[i])
+		popped, delays := ct.tracker.ApplyShadow(i, t, act.Process[i], routed[i])
 		processedEv[i] = popped
 		if !ok[i] {
 			acks[i] = transport.AllocateAck{
@@ -386,8 +604,8 @@ func (ct *Controller) RunSlotContext(ctx context.Context, t int, arrivals []int)
 			continue
 		}
 		if errsA[i] != nil {
-			ct.recordFailure(i)
-			acks[i] = ct.synthesizeAck(i, t, popped, delays, st, act)
+			ct.tracker.RecordFailure(i)
+			acks[i] = ct.tracker.SynthesizeAck(i, t, popped, delays, st, act)
 			continue
 		}
 		for j := range popped {
@@ -403,11 +621,68 @@ func (ct *Controller) RunSlotContext(ctx context.Context, t int, arrivals []int)
 	}
 
 	for j, a := range arrivals {
-		ct.central[j].Push(t, float64(a))
+		central[j].Push(t, float64(a))
 	}
 
 	ct.emitSlot(t, arrivals, st, act, pre, routedF, processedEv, acks, masked)
 	return act, st, acks, nil
+}
+
+// decideConcurrently is the shared-state decision: every partition decides
+// against a versioned snapshot of the central board and commits its claim
+// optimistically, retrying on conflict. Each partition decides full-cluster
+// (the schedulers are whole-problem solvers) but only its owned rows enter
+// the merged action; claims cover only owned-row routes, so conflicts are
+// exactly overlapping central-queue demands.
+func (ct *Controller) decideConcurrently(t int, st *model.State, pre queue.Lengths) (*model.Action, error) {
+	c := ct.cluster
+	ct.board.resetClaims()
+	merged := model.NewAction(c)
+	partErrs := make([]error, len(ct.parts))
+	ct.eachPartition(func(p *partition) {
+		start := time.Now()
+		var act *model.Action
+		for attempt := 0; ; attempt++ {
+			v := ct.board.snapshot()
+			a, err := p.sch.Decide(t, st, queue.Lengths{Central: v.lens, Local: pre.Local})
+			if err != nil {
+				partErrs[p.id] = fmt.Errorf("partition %d: %w", p.id, err)
+				return
+			}
+			want := make([]float64, c.J())
+			for _, i := range p.owned {
+				for j, r := range a.Route[i] {
+					want[j] += float64(r)
+				}
+			}
+			act = a
+			if attempt >= ct.maxRetries {
+				ct.board.claim(v, want, false)
+				p.forced.Add(1)
+				break
+			}
+			if ct.board.claim(v, want, true) {
+				break
+			}
+			p.conflicts.Add(1)
+			p.retries.Add(1)
+			if ct.commit != nil {
+				ct.commit.conflicts.With(p.label).Inc()
+				ct.commit.retries.With(p.label).Inc()
+			}
+		}
+		p.commits.Add(1)
+		if ct.commit != nil {
+			ct.commit.commits.With(p.label).Inc()
+			ct.commit.latency.With(p.label).Observe(time.Since(start).Seconds())
+		}
+		for _, i := range p.owned {
+			copy(merged.Route[i], act.Route[i])
+			copy(merged.Process[i], act.Process[i])
+			copy(merged.Busy[i], act.Busy[i])
+		}
+	})
+	return merged, errors.Join(partErrs...)
 }
 
 // emitSlot assembles and publishes the controller's per-slot telemetry
@@ -420,12 +695,12 @@ func (ct *Controller) emitSlot(t int, arrivals []int, st *model.State, act *mode
 	c := ct.cluster
 	post := queue.Lengths{Central: ct.CentralLens(), Local: make([][]float64, c.N())}
 	for i := 0; i < c.N(); i++ {
-		post.Local[i] = ct.shadowLens(i)
+		post.Local[i] = ct.tracker.ShadowLens(i)
 	}
 	ev := telemetry.SlotEvent{
 		Slot:       t,
 		Origin:     telemetry.OriginController,
-		Scheduler:  ct.sch.Name(),
+		Scheduler:  ct.parts[0].sch.Name(),
 		DataCenter: -1,
 		Degraded:   masked,
 	}
@@ -497,7 +772,7 @@ func (ct *Controller) RunContext(ctx context.Context, slots int, wl workload.Gen
 		workAvg[i] = metrics.NewRunning(false)
 	}
 
-	res := &sim.Result{SchedulerName: ct.sch.Name(), Slots: slots}
+	res := &sim.Result{SchedulerName: ct.parts[0].sch.Name(), Slots: slots}
 	for t := 0; t < slots; t++ {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
@@ -541,8 +816,8 @@ func (ct *Controller) RunContext(ctx context.Context, slots int, wl workload.Gen
 		res.AvgWorkPerDC[i] = workAvg[i].Mean()
 	}
 	var backlog float64
-	for j := range ct.central {
-		backlog += ct.central[j].Len()
+	for _, v := range ct.CentralLens() {
+		backlog += v
 	}
 	res.FinalBacklog = backlog // central only; agents hold the rest
 	return res, nil

@@ -102,24 +102,6 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-func TestRunSlotRejectsBadArrivals(t *testing.T) {
-	in, conns, cleanup := buildSystem(t, 10, false)
-	defer cleanup()
-	g, _ := core.New(in.Cluster, core.Config{V: 7.5})
-	ct, err := New(in.Cluster, g, conns)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, err := ct.RunSlot(0, []int{1}); err == nil {
-		t.Error("short arrivals accepted")
-	}
-	neg := make([]int, in.Cluster.J())
-	neg[0] = -1
-	if _, _, _, err := ct.RunSlot(0, neg); err == nil {
-		t.Error("negative arrivals accepted")
-	}
-}
-
 // TestDistributedMatchesSimulator is the keystone test: the distributed
 // control loop (controller + agents) must produce bit-identical metrics to
 // the single-process simulator on the same inputs and scheduler, because the
@@ -216,48 +198,55 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
+// TestControllerSnapshotRestore checkpoints the central queues mid-run and
+// resumes on a replacement loop, at one partition and at two: the partitioned
+// loop is the same loop, so it resumes the same way.
 func TestControllerSnapshotRestore(t *testing.T) {
 	const slots = 10
-	in, conns, cleanup := buildSystem(t, slots, false)
-	defer cleanup()
-	g, err := core.New(in.Cluster, core.Config{V: 7.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ct, err := New(in.Cluster, g, conns)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s := 0; s < 5; s++ {
-		if _, _, _, err := ct.RunSlot(s, in.Workload.Arrivals(s)); err != nil {
+	for _, parts := range []int{1, 2} {
+		in, conns, cleanup := buildSystem(t, slots, false)
+		defer cleanup()
+		build := func() *Controller {
+			ct, err := NewPartitioned(in.Cluster, conns, Partitioning{
+				Partitions: parts,
+				NewScheduler: func() (sched.Scheduler, error) {
+					return core.New(in.Cluster, core.Config{V: 7.5})
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ct
+		}
+		ct := build()
+		for s := 0; s < 5; s++ {
+			if _, _, _, err := ct.RunSlot(s, in.Workload.Arrivals(s)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		snap, err := ct.Snapshot()
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	snap, err := ct.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
 
-	// A replacement controller (same agents) resumes with identical central
-	// backlogs.
-	ct2, err := New(in.Cluster, g, conns)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ct2.Restore(snap); err != nil {
-		t.Fatal(err)
-	}
-	a, b := ct.CentralLens(), ct2.CentralLens()
-	for j := range a {
-		if a[j] != b[j] {
-			t.Errorf("central[%d]: %v != %v", j, a[j], b[j])
+		// A replacement controller (same agents) resumes with identical
+		// central backlogs.
+		ct2 := build()
+		if err := ct2.Restore(snap); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if _, _, _, err := ct2.RunSlot(5, in.Workload.Arrivals(5)); err != nil {
-		t.Fatalf("restored controller cannot continue: %v", err)
-	}
-	if err := ct2.Restore([]byte("junk")); err == nil {
-		t.Error("junk snapshot accepted")
+		a, b := ct.CentralLens(), ct2.CentralLens()
+		for j := range a {
+			if a[j] != b[j] {
+				t.Errorf("P=%d central[%d]: %v != %v", parts, j, a[j], b[j])
+			}
+		}
+		if _, _, _, err := ct2.RunSlot(5, in.Workload.Arrivals(5)); err != nil {
+			t.Fatalf("P=%d: restored controller cannot continue: %v", parts, err)
+		}
+		if err := ct2.Restore([]byte("junk")); err == nil {
+			t.Errorf("P=%d: junk snapshot accepted", parts)
+		}
 	}
 }
 

@@ -115,10 +115,10 @@ func TestDegradedModeSurvivesChaos(t *testing.T) {
 			t.Errorf("agent %d ended the run %v, want healthy", i, h)
 		}
 	}
-	if v := ct.metrics.degraded.Value(); v < 10 {
+	if v := ct.tracker.metrics.degraded.Value(); v < 10 {
 		t.Errorf("degraded-slot counter = %v, want >= 10 (two 6-slot windows hit)", v)
 	}
-	if v := ct.metrics.failures.With(dcLabel(1)).Value(); v == 0 {
+	if v := ct.tracker.metrics.failures.With(dcLabel(1)).Value(); v == 0 {
 		t.Error("agent 1 failure counter never incremented")
 	}
 
@@ -364,42 +364,5 @@ func TestRejoinMatchesMaskedTrace(t *testing.T) {
 
 	if diff := invariant.DiffJSONL(traceA, traceB); diff != "" {
 		t.Errorf("kill/restart trace deviates from masked-from-start trace:\n%s", diff)
-	}
-}
-
-// TestStrictPolicyStillAborts pins the historical contract: without the
-// Degrade opt-in, an injected fault aborts the slot with an error instead of
-// masking the agent.
-func TestStrictPolicyStillAborts(t *testing.T) {
-	in, err := sim.NewReferenceInputs(chaosSeed, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan := &chaos.Plan{Seed: 1, Windows: []chaos.Window{{Agent: 1, From: 3, To: 5}}}
-	conns := make([]AgentConn, in.Cluster.N())
-	for i := 0; i < in.Cluster.N(); i++ {
-		a, err := agent.New(agent.Config{
-			Cluster:      in.Cluster,
-			DataCenter:   i,
-			Price:        in.Prices[i],
-			Availability: in.Availability,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		conns[i] = plan.Wrap(localConn{a: a}, i)
-	}
-	g, _ := core.New(in.Cluster, core.Config{V: 7.5})
-	ct, err := New(in.Cluster, g, conns) // default policy: Strict
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s := 0; s < 3; s++ {
-		if _, _, _, err := ct.RunSlot(s, in.Workload.Arrivals(s)); err != nil {
-			t.Fatalf("healthy slot %d: %v", s, err)
-		}
-	}
-	if _, _, _, err := ct.RunSlot(3, in.Workload.Arrivals(3)); err == nil {
-		t.Fatal("Strict policy completed a slot with a partitioned agent")
 	}
 }

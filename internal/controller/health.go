@@ -1,14 +1,11 @@
 package controller
 
 import (
-	"context"
 	"fmt"
 	"strconv"
 
-	"grefar/internal/model"
 	"grefar/internal/queue"
 	"grefar/internal/telemetry"
-	"grefar/internal/transport"
 )
 
 // AgentHealth is the controller's classification of one agent's liveness,
@@ -131,12 +128,7 @@ func WithHealthThresholds(suspectAfter, deadAfter int) Option {
 // registry: per-agent health gauges and failure counters, degraded-slot
 // counters, re-sync counters, and per-agent RPC round-trip histograms.
 func WithHealthMetrics(reg *telemetry.Registry) Option {
-	return func(ct *Controller) {
-		if reg == nil {
-			return
-		}
-		ct.metrics = newHealthMetrics(reg)
-	}
+	return func(ct *Controller) { ct.reg = reg }
 }
 
 // newHealthMetrics registers (or re-resolves — registration is idempotent per
@@ -191,46 +183,5 @@ type agentRecord struct {
 	shadow []queue.Ledger
 }
 
-// Health returns the per-agent health states (index i is data center i).
-func (ct *Controller) Health() []AgentHealth { return ct.tracker.Health() }
-
 // dcLabel renders the agent index as a metric label.
 func dcLabel(i int) string { return strconv.Itoa(i) }
-
-// The health machinery itself lives on Tracker (tracker.go) so the
-// partitioned control plane can drive it per-owned-agent. The Controller
-// keeps thin delegations for its own slot loop and the package tests.
-
-func (ct *Controller) setState(i int, s AgentHealth) { ct.tracker.setState(i, s) }
-func (ct *Controller) recordFailure(i int)           { ct.tracker.RecordFailure(i) }
-func (ct *Controller) recordSuccess(i int)           { ct.tracker.RecordSuccess(i) }
-
-func (ct *Controller) shadowLens(i int) []float64 { return ct.tracker.ShadowLens(i) }
-
-func (ct *Controller) seedShadow(i, slot int, lens []float64) { ct.tracker.seedShadow(i, slot, lens) }
-
-func (ct *Controller) applyShadow(i, t int, process []float64, routed []int) (popped, delays []float64) {
-	return ct.tracker.ApplyShadow(i, t, process, routed)
-}
-
-func (ct *Controller) lensEqualShadow(i int, lens []float64) bool {
-	return ct.tracker.lensEqualShadow(i, lens)
-}
-
-func (ct *Controller) probeDead(ctx context.Context, t int) { ct.tracker.ProbeDead(ctx, t, nil) }
-
-func (ct *Controller) resolveReport(ctx context.Context, i, t int, rep *transport.StateReport) bool {
-	return ct.tracker.ResolveReport(ctx, i, t, rep)
-}
-
-func (ct *Controller) trueUpShadow(i, t int, rep *transport.StateReport) {
-	ct.tracker.TrueUpShadow(i, t, rep)
-}
-
-func (ct *Controller) synthesizeAck(i, t int, popped, delays []float64, st *model.State, act *model.Action) transport.AllocateAck {
-	return ct.tracker.SynthesizeAck(i, t, popped, delays, st, act)
-}
-
-func (ct *Controller) callAgentTimed(ctx context.Context, i int, kind string, reqBody, respBody any) error {
-	return ct.tracker.Call(ctx, i, kind, reqBody, respBody)
-}

@@ -98,32 +98,32 @@ func TestHealthStateMachineTransitions(t *testing.T) {
 	}
 
 	want(0, Healthy)
-	ct.recordFailure(0)
+	ct.tracker.RecordFailure(0)
 	want(0, Healthy) // one failure is below SuspectAfter=2
-	ct.recordFailure(0)
+	ct.tracker.RecordFailure(0)
 	want(0, Suspect)
-	ct.recordFailure(0)
+	ct.tracker.RecordFailure(0)
 	want(0, Suspect)
-	ct.recordFailure(0)
+	ct.tracker.RecordFailure(0)
 	want(0, Dead) // fourth consecutive failure reaches DeadAfter=4
-	ct.recordSuccess(0)
+	ct.tracker.RecordSuccess(0)
 	want(0, Healthy)
 
 	// A success mid-streak resets the counter entirely.
-	ct.recordFailure(1)
-	ct.recordSuccess(1)
-	ct.recordFailure(1)
+	ct.tracker.RecordFailure(1)
+	ct.tracker.RecordSuccess(1)
+	ct.tracker.RecordFailure(1)
 	want(1, Healthy)
 
 	// Rejoining is left by recordSuccess only.
-	ct.setState(2, Rejoining)
-	ct.recordSuccess(2)
+	ct.tracker.setState(2, Rejoining)
+	ct.tracker.RecordSuccess(2)
 	want(2, Healthy)
 
-	if v := ct.metrics.failures.With(dcLabel(0)).Value(); v != 4 {
+	if v := ct.tracker.metrics.failures.With(dcLabel(0)).Value(); v != 4 {
 		t.Errorf("failure counter = %v, want 4", v)
 	}
-	if v := ct.metrics.state.With(dcLabel(0)).Value(); v != float64(Healthy) {
+	if v := ct.tracker.metrics.state.With(dcLabel(0)).Value(); v != float64(Healthy) {
 		t.Errorf("state gauge = %v, want %v", v, float64(Healthy))
 	}
 }
@@ -220,15 +220,15 @@ func TestHealthTransitionTable(t *testing.T) {
 			for slot, st := range tc.steps {
 				switch st.ev {
 				case fail:
-					ct.recordFailure(0)
+					ct.tracker.RecordFailure(0)
 				case ok:
-					ct.recordSuccess(0)
+					ct.tracker.RecordSuccess(0)
 				case probe:
 					sw.down.Store(false)
-					ct.probeDead(context.Background(), slot)
+					ct.tracker.ProbeDead(context.Background(), slot, ct.parts[0].owned)
 				case probeFail:
 					sw.down.Store(true)
-					ct.probeDead(context.Background(), slot)
+					ct.tracker.ProbeDead(context.Background(), slot, ct.parts[0].owned)
 					sw.down.Store(false)
 				default:
 					t.Fatalf("unknown event %q", st.ev)
@@ -299,33 +299,33 @@ func TestShadowSeedApplyRestore(t *testing.T) {
 	for jj := range lens {
 		lens[jj] = float64(3 * (jj + 1))
 	}
-	if ct.recs[0].synced {
+	if ct.tracker.recs[0].synced {
 		t.Fatal("shadow synced before any report")
 	}
-	ct.seedShadow(0, 0, lens)
-	if !ct.recs[0].synced {
+	ct.tracker.seedShadow(0, 0, lens)
+	if !ct.tracker.recs[0].synced {
 		t.Fatal("seedShadow did not mark the shadow synced")
 	}
-	if !ct.lensEqualShadow(0, lens) {
-		t.Fatalf("shadow lens %v != seed %v", ct.shadowLens(0), lens)
+	if !ct.tracker.lensEqualShadow(0, lens) {
+		t.Fatalf("shadow lens %v != seed %v", ct.tracker.ShadowLens(0), lens)
 	}
 
 	process := make([]float64, j)
 	routed := make([]int, j)
 	process[0], routed[0] = 2, 5 // pop 2 of 3, then push 5
 	process[1] = 100             // over-processing caps at content
-	popped, _ := ct.applyShadow(0, 1, process, routed)
+	popped, _ := ct.tracker.ApplyShadow(0, 1, process, routed)
 	if popped[0] != 2 || popped[1] != lens[1] {
 		t.Errorf("popped = %v, want [2 %v ...]", popped, lens[1])
 	}
-	got := ct.shadowLens(0)
+	got := ct.tracker.ShadowLens(0)
 	if got[0] != lens[0]-2+5 || got[1] != 0 {
 		t.Errorf("post-apply lens = %v", got)
 	}
-	if ct.lensEqualShadow(0, lens) {
+	if ct.tracker.lensEqualShadow(0, lens) {
 		t.Error("stale lens still compare equal after apply")
 	}
-	if ct.lensEqualShadow(0, lens[:1]) {
+	if ct.tracker.lensEqualShadow(0, lens[:1]) {
 		t.Error("short lens compare equal")
 	}
 }

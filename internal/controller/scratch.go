@@ -7,9 +7,9 @@ import (
 
 // SlotScratch is the working set one slot's gather and scatter need and no
 // caller ever sees: the state-report decode destinations, the per-agent
-// error and participation marks, and the realized integer routing. A control
-// loop (this package's Controller, controlplane's Plane) owns one and Resets
-// it at the top of every slot instead of reallocating O(N) slices per tick.
+// error and participation marks, and the realized integer routing. The
+// control loop owns one and Resets it at the top of every slot instead of
+// reallocating O(N) slices per tick.
 // Reports keep their Avail/QueueLens backing arrays across slots — Unmarshal
 // overwrites every field and reuses capacity — so nothing read out of a
 // report may be retained past the slot.

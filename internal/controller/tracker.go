@@ -12,11 +12,10 @@ import (
 	"grefar/internal/transport"
 )
 
-// Tracker is the per-agent health machine factored out of the Controller so
-// that a partitioned control plane can drive the identical fault-tolerance
-// semantics: the Healthy/Suspect/Dead/Rejoining state machine, the shadow
-// ledgers mirroring each agent's local queues, probe/resync/rejoin, and the
-// divergence bookkeeping.
+// Tracker is the per-agent health machine the control loop drives: the
+// Healthy/Suspect/Dead/Rejoining state machine, the shadow ledgers mirroring
+// each agent's local queues, probe/resync/rejoin, and the divergence
+// bookkeeping.
 //
 // One Tracker serves any number of concurrent drivers as long as each drives
 // a disjoint set of agent indices: every method touches only the record of
@@ -34,25 +33,17 @@ type Tracker struct {
 // NewTracker builds a health tracker over the given agent connections.
 // conns[i] must serve data center i. A nil registry disables metrics.
 func NewTracker(c *model.Cluster, conns []AgentConn, cfg HealthConfig, reg *telemetry.Registry) *Tracker {
-	var m *healthMetrics
-	if reg != nil {
-		m = newHealthMetrics(reg)
-	}
-	return newTracker(c, conns, cfg, m)
-}
-
-func newTracker(c *model.Cluster, conns []AgentConn, cfg HealthConfig, m *healthMetrics) *Tracker {
 	tk := &Tracker{
 		cluster: c,
 		conns:   conns,
 		cfg:     cfg.withDefaults(),
 		recs:    make([]agentRecord, len(conns)),
-		metrics: m,
 	}
 	for i := range tk.recs {
 		tk.recs[i].shadow = make([]queue.Ledger, c.J())
 	}
-	if tk.metrics != nil {
+	if reg != nil {
+		tk.metrics = newHealthMetrics(reg)
 		// Publish the healthy baseline so every per-agent series exists
 		// before the first fault, not lazily on the first transition.
 		for i := range tk.recs {
@@ -61,12 +52,6 @@ func newTracker(c *model.Cluster, conns []AgentConn, cfg HealthConfig, m *health
 	}
 	return tk
 }
-
-// N returns the number of tracked agents.
-func (tk *Tracker) N() int { return len(tk.recs) }
-
-// Config returns the tracker's (defaulted) health configuration.
-func (tk *Tracker) Config() HealthConfig { return tk.cfg }
 
 // Health returns the per-agent health states (index i is data center i).
 func (tk *Tracker) Health() []AgentHealth {

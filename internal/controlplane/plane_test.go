@@ -2,12 +2,10 @@ package controlplane
 
 import (
 	"bytes"
-	"errors"
 	"flag"
 	"os"
 	"path/filepath"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"grefar/internal/agent"
@@ -78,10 +76,10 @@ func grefarFactory(in sim.Inputs) func() (sched.Scheduler, error) {
 }
 
 // TestPartitionedMatchesSingle pins the deterministic-mode equivalence that
-// makes the partitioned plane trustworthy: with commit validation off and
-// every partition deciding from the slot-initial snapshot, a P-partition
-// plane must reproduce the single controller's event trace byte for byte,
-// for every partition count, and match the checked-in golden trace.
+// makes the partitioned plane trustworthy: deciding once from the
+// slot-initial snapshot, with only gather and scatter split P ways, a
+// P-partition plane must reproduce the single controller's event trace byte
+// for byte, for every partition count, and match the checked-in golden trace.
 // Regenerate deliberately with
 // `go test ./internal/controlplane -run TestPartitionedMatchesSingle -update`.
 func TestPartitionedMatchesSingle(t *testing.T) {
@@ -141,8 +139,9 @@ func TestPartitionedMatchesSingle(t *testing.T) {
 				t.Errorf("P=%d partition %d: deterministic mode recorded conflicts=%d forced=%d",
 					parts, st.Partition, st.Conflicts, st.Forced)
 			}
-			if st.Commits != slots {
-				t.Errorf("P=%d partition %d: %d commits, want %d", parts, st.Partition, st.Commits, slots)
+			if st.Commits != 0 {
+				t.Errorf("P=%d partition %d: %d commits, want 0 (deterministic mode decides once, it does not commit)",
+					parts, st.Partition, st.Commits)
 			}
 		}
 		golden = trace
@@ -227,65 +226,6 @@ func TestConcurrentCommitsKeepInvariants(t *testing.T) {
 		if !strings.Contains(prom.String(), fam) {
 			t.Errorf("registry missing %s", fam)
 		}
-	}
-}
-
-// failFromConn fails every call to one agent from a given slot onward,
-// modeling a mid-run outage visible only at the wire.
-type failFromConn struct {
-	inner controller.AgentConn
-	down  *atomic.Bool
-}
-
-func (f failFromConn) Call(kind string, reqBody, respBody any) error {
-	if f.down.Load() {
-		return errors.New("failFromConn: agent unreachable")
-	}
-	return f.inner.Call(kind, reqBody, respBody)
-}
-
-// TestPartitionedDegradeMasksFailedAgent checks that the partition owning a
-// failed agent drives the shared health machine exactly like the single
-// controller: under Degrade the run continues, the failed agent is masked
-// out of the slot evidence, its health leaves Healthy, and the invariant
-// checker holds on every applied slot.
-func TestPartitionedDegradeMasksFailedAgent(t *testing.T) {
-	const slots, failAt, victim = 16, 4, 1
-	in, conns, cleanup := buildSystem(t, slots)
-	defer cleanup()
-	var down atomic.Bool
-	conns[victim] = failFromConn{inner: conns[victim], down: &down}
-	ck := invariant.NewChecker(in.Cluster, invariant.CheckerOptions{})
-	var buf bytes.Buffer
-	pl, err := New(in.Cluster, conns, Config{
-		Partitions:   3,
-		NewScheduler: grefarFactory(in),
-		Policy:       controller.Degrade,
-		SuspectAfter: 1,
-		DeadAfter:    3,
-		Observer:     telemetry.MultiObserver{ck, telemetry.NewJSONLObserver(&buf)},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for tt := 0; tt < slots; tt++ {
-		if tt == failAt {
-			down.Store(true)
-		}
-		if _, _, _, err := pl.RunSlot(tt, in.Workload.Arrivals(tt)); err != nil {
-			t.Fatalf("degrade slot %d: %v", tt, err)
-		}
-	}
-	if err := ck.Err(); err != nil {
-		t.Errorf("invariant violation in degraded partitioned run: %v", err)
-	}
-	if got := pl.Health()[victim]; got == controller.Healthy {
-		t.Errorf("victim agent still Healthy after %d failed slots", slots-failAt)
-	}
-	events := bytes.Count(buf.Bytes(), []byte(`"degraded":[`))
-	masked := bytes.Count(buf.Bytes(), []byte(`"degraded":[1]`))
-	if masked == 0 {
-		t.Errorf("no slot event masked agent %d (saw %d degraded fields)", victim, events)
 	}
 }
 

@@ -1,7 +1,6 @@
 package grefar
 
 import (
-	"context"
 	"io"
 
 	"grefar/internal/core"
@@ -190,16 +189,6 @@ func WithActionValidation(on bool) RunOption {
 // tests; off by default because it roughly doubles per-slot bookkeeping.
 func WithCheck(on bool) RunOption {
 	return simOptionFunc(func(o *SimOptions) { o.Check = on })
-}
-
-// WithContext makes the simulation cancelable: Simulate returns an error
-// wrapping ctx.Err() as soon as cancellation is observed between slots.
-//
-// Deprecated: the public surface is context-first — pass the context as the
-// first argument instead (SimulateContext, Sweep, Session.Tick). WithContext
-// is kept as a shim for existing Simulate callers and behaves identically.
-func WithContext(ctx context.Context) SimOption {
-	return simOptionFunc(func(o *SimOptions) { o.Context = ctx })
 }
 
 // WithInputs supplies the session's system description and environment (the

@@ -117,7 +117,8 @@ func TestObserversDoNotChangeResults(t *testing.T) {
 	}
 }
 
-// TestWithContextCancelsRun proves WithContext stops the run between slots.
+// TestWithContextCancelsRun proves a run handed a canceled context stops
+// between slots and says so.
 func TestWithContextCancelsRun(t *testing.T) {
 	in, err := grefar.ReferenceInputs(1, 50)
 	if err != nil {
@@ -129,7 +130,7 @@ func TestWithContextCancelsRun(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = grefar.Simulate(in, s, grefar.WithSlots(50), grefar.WithContext(ctx))
+	_, err = grefar.SimulateContext(ctx, in, s, grefar.WithSlots(50))
 	if err == nil {
 		t.Fatal("canceled run returned no error")
 	}

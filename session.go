@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"grefar/internal/serve"
+	"grefar/internal/sim"
 	"grefar/internal/telemetry"
 )
 
@@ -80,9 +81,10 @@ func Restore(r io.Reader, opts ...SessionOption) (*Session, error) {
 
 // SimulateContext is Simulate with the context first, per the public
 // surface's context-first convention: the run is canceled between slots as
-// soon as ctx is done. The context parameter wins over any WithContext
-// option in opts.
+// soon as ctx is done. The context parameter wins over a Context carried in
+// by a legacy SimOptions literal in opts.
 func SimulateContext(ctx context.Context, in SimInputs, s Scheduler, opts ...SimOption) (*SimResult, error) {
-	opts = append(append(make([]SimOption, 0, len(opts)+1), opts...), WithContext(ctx))
-	return Simulate(in, s, opts...)
+	opt := simOptions(in, opts)
+	opt.Context = ctx
+	return sim.Run(in, s, opt)
 }

@@ -193,9 +193,10 @@ func TestSimulateContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The context parameter wins over a conflicting WithContext option.
+	// The context parameter wins over a conflicting Context carried in by a
+	// legacy options literal.
 	_, err = grefar.SimulateContext(canceled, in, s3,
-		grefar.WithSlots(48), grefar.WithContext(context.Background()))
+		grefar.SimOptions{Slots: 48, Context: context.Background()})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled SimulateContext: got %v, want context.Canceled", err)
 	}

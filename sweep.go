@@ -18,9 +18,8 @@ type RunSpec struct {
 	Inputs SimInputs
 	// Scheduler is the policy under test, exclusive to this spec.
 	Scheduler Scheduler
-	// Options configure the run like Simulate's variadic options. The sweep
-	// prepends WithContext with its per-run context, so an explicit
-	// WithContext here wins (options apply in order).
+	// Options configure the run like Simulate's variadic options. The run is
+	// canceled through the sweep's per-run context, whatever they say.
 	Options []SimOption
 }
 
@@ -68,9 +67,6 @@ func Sweep(ctx context.Context, specs []RunSpec, opts ...SweepOption) ([]*SimRes
 	}
 	return runner.Map(ctx, sc.workers, len(specs), func(ctx context.Context, i int) (*SimResult, error) {
 		spec := specs[i]
-		simOpts := make([]SimOption, 0, len(spec.Options)+1)
-		simOpts = append(simOpts, WithContext(ctx))
-		simOpts = append(simOpts, spec.Options...)
-		return Simulate(spec.Inputs, spec.Scheduler, simOpts...)
+		return SimulateContext(ctx, spec.Inputs, spec.Scheduler, spec.Options...)
 	})
 }
