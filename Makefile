@@ -31,11 +31,13 @@ race:
 # cycle end to end, once under the single controller and once under the
 # 2-partition control plane), a race-enabled rerun of the sparse/decomposed
 # solver suites (the pooled block solves only prove their disjoint-write
-# determinism when raced) plus the cross-solver agreement smoke, and a short
-# fuzz smoke of the native fuzz targets, including the snapshot-restore,
-# wire-frame, wire-codec, and incremental-refresh surfaces. The wire
-# allocation budget (codec, agent.Handle, one mux call) runs plain next to the
-# Decide one for the same reason.
+# determinism when raced) together with the default-solver, cross-
+# representation checkpoint, validate-before-apply and reused-snapshot tests,
+# plus the cross-solver agreement smoke, and a short fuzz smoke of the native
+# fuzz targets, including the snapshot-restore, wire-frame, wire-codec, and
+# incremental-refresh surfaces. The wire
+# allocation budget (codec, agent.Handle, one mux call) and the N=200/J=100
+# engine-step budget run plain next to the Decide one for the same reason.
 tier1:
 	$(GO) build ./...
 	$(GO) vet ./...
@@ -43,11 +45,13 @@ tier1:
 	$(GO) test -race -count=1 ./internal/runner
 	$(GO) test -race -count=1 ./internal/serve/... ./cmd/grefar-serve
 	$(GO) test -race -count=1 ./internal/controller ./internal/controlplane ./internal/transport/... ./internal/experiments ./internal/hollow
-	$(GO) test -race -count=1 -run 'TestSparse|TestDecomposed|TestSharingADMM' ./internal/core ./internal/solve
+	$(GO) test -race -count=1 -run 'TestSparse|TestDecomposed|TestSharingADMM|TestAuto|TestSchedulerState' ./internal/core ./internal/solve
+	$(GO) test -race -count=1 -run 'TestAutoSolverBitIdentical' ./internal/invariant
+	$(GO) test -race -count=1 -run 'TestRejectedApply|TestSnapshotsOwn|TestEngineSnapshotReuse' ./internal/queue ./internal/sim
 	$(GO) test -count=1 -run TestCrossCheckDecomposed ./internal/invariant
 	$(GO) run -race ./cmd/grefar-hollow -agents 64 -slots 5 -kill-frac 0.05
 	$(GO) run -race ./cmd/grefar-hollow -agents 64 -slots 5 -kill-frac 0.05 -partitions 2
-	$(GO) test -count=1 -run 'TestDecideAllocationBudget|TestWireAllocationBudget' .
+	$(GO) test -count=1 -run 'TestDecideAllocationBudget|TestEngineStepAllocationBudget|TestWireAllocationBudget' .
 	$(GO) test -run '^$$' -fuzz FuzzSimplex -fuzztime $(FUZZTIME) ./internal/lp
 	$(GO) test -run '^$$' -fuzz FuzzApply -fuzztime $(FUZZTIME) ./internal/queue
 	$(GO) test -run '^$$' -fuzz FuzzWarmRepair -fuzztime $(FUZZTIME) ./internal/core
@@ -87,24 +91,26 @@ check: build
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# bench-slot guards the hot path: it runs the per-slot Decide benchmark with
-# allocation reporting, then enforces the allocs/op ceilings recorded in
-# testdata/bench_slot_baseline.txt via TestDecideAllocationBudget. The test
-# fails if allocs/op regresses above the baseline; after an intentional
+# bench-slot guards the hot path: it runs the per-slot Decide benchmark and
+# the whole-slot engine benchmark with allocation reporting, then enforces the
+# allocs/op ceilings recorded in testdata/bench_slot_baseline.txt via
+# TestDecideAllocationBudget and TestEngineStepAllocationBudget. The tests
+# fail if allocs/op regresses above the baseline; after an intentional
 # change, measure with the benchmark and edit the baseline file.
 bench-slot:
-	$(GO) test -run '^$$' -bench BenchmarkSlotDecision -benchmem .
-	$(GO) test -count=1 -run TestDecideAllocationBudget -v .
+	$(GO) test -run '^$$' -bench 'BenchmarkSlotDecision|BenchmarkEngineStep' -benchmem .
+	$(GO) test -count=1 -run 'TestDecideAllocationBudget|TestEngineStepAllocationBudget' -v .
 
 # SLOT_BENCHES is the set recorded in BENCH_slot.json: the per-slot solver
 # cost on the reference cluster (with and without the warm-started away-step
-# path) plus the large-instance N=200/J=100 arms (dense, sparse, decomposed,
-# pooled decomposed) at ~10% active-pair density. DIST_BENCHES is
+# path) plus the large-instance N=200/J=100 arms (auto, dense, sparse,
+# decomposed, pooled decomposed) at ~10% active-pair density and one whole
+# default-configured engine slot at the same shape. DIST_BENCHES is
 # the set recorded in BENCH_distributed.json: the 3-agent point-to-point
 # controller round, the hollow-fleet sweep at 100/500/1000/2000 agents, the
 # partitioned-control-plane cells (agents x partitions), and the wire codec
 # alone (state report and allocation, encode and decode).
-SLOT_BENCHES = BenchmarkSlotDecision$$
+SLOT_BENCHES = BenchmarkSlotDecision$$|BenchmarkEngineStep$$
 DIST_BENCHES = BenchmarkDistributedSlot$$|BenchmarkHollowSlot/|BenchmarkPartitionedSlot/|BenchmarkCodec/
 BENCHCOUNT ?= 3
 
@@ -119,11 +125,11 @@ bench-json:
 
 # bench-compare re-runs the same benchmarks and fails on >15% ns/op or
 # allocs/op regressions: the beta=100 slot decisions (cold and warm) and the
-# N=200/J=100 large-instance arms against BENCH_slot.json (the benchjson
-# default guard covers both families), and the distributed slot ticks
-# (point-to-point and every
-# hollow fleet size) against BENCH_distributed.json; other benchmarks warn —
-# including the ~60 ns BenchmarkCodec cells, whose allocation side is held by
+# N=200/J=100 large-instance arms and engine step against BENCH_slot.json
+# (the benchjson default guard covers all three families), and the
+# distributed slot ticks (point-to-point and every hollow fleet size)
+# against BENCH_distributed.json; other benchmarks warn — including the
+# ~60 ns BenchmarkCodec cells, whose allocation side is held by
 # TestWireAllocationBudget instead.
 bench-compare:
 	$(GO) test -run '^$$' -bench '$(SLOT_BENCHES)' -benchmem -count=$(BENCHCOUNT) . \

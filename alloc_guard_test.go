@@ -113,6 +113,32 @@ func TestDecideAllocationBudget(t *testing.T) {
 	}
 }
 
+// TestEngineStepAllocationBudget holds a whole default-configured simulator
+// slot at N=200/J=100 (BenchmarkEngineStep's engine) to its recorded ceiling.
+// At that size a slot used to cost ~1300 allocations, nearly all of them one
+// make per site in queue.Set.Lengths (twice a slot) and queue.Set.Apply;
+// what remains is the fresh action, the two single-array snapshots and flow
+// matrices, and the per-site delay samples.
+func TestEngineStepAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts include race-detector bookkeeping under -race")
+	}
+	const name = "engine-step/N=200/J=100"
+	ceil, ok := loadAllocBudgets(t)[name]
+	if !ok {
+		t.Fatalf("no budget recorded for %s in testdata/bench_slot_baseline.txt", name)
+	}
+	eng := newLargeEngine(t)
+	got := testing.AllocsPerRun(100, func() {
+		if err := eng.Step(nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > ceil {
+		t.Errorf("Engine.Step allocates %.1f allocs/slot, budget is %.0f (see testdata/bench_slot_baseline.txt)", got, ceil)
+	}
+}
+
 // TestWireAllocationBudget is the distributed tick's counterpart of
 // TestDecideAllocationBudget: the per-message costs the hollow-fleet numbers
 // are made of — one body through the codec, one request through an agent, one

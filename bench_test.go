@@ -23,6 +23,7 @@ import (
 
 	"grefar"
 	"grefar/internal/experiments"
+	"grefar/internal/sim"
 )
 
 // paperScale is the horizon of the paper's figures.
@@ -272,11 +273,14 @@ func BenchmarkSlotDecision(b *testing.B) {
 	// The large-instance arms: a 200-site, 100-job-type synthetic cluster at
 	// ~10% active-pair density, where the sparse index and block decomposition
 	// earn their keep. All arms share the same instance and the same per-slot
-	// input drift; compare against "dense" for the sparse/decomposed win.
+	// input drift; compare against "dense" for the sparse/decomposed win, and
+	// "auto" (the default, which resolves to the compact representation here)
+	// against "sparse" to see that the default pays nothing extra.
 	for _, arm := range []struct {
 		name string
 		kind grefar.SolverKind
 	}{
+		{"auto", grefar.SolverAuto},
 		{"dense", grefar.SolverMonolithic},
 		{"sparse", grefar.SolverSparse},
 		{"decomposed", grefar.SolverDecomposed},
@@ -291,6 +295,49 @@ func BenchmarkSlotDecision(b *testing.B) {
 			benchmarkLargeSlotDecision(b, arm.kind, workers)
 		})
 	}
+}
+
+// BenchmarkEngineStep measures one whole default-configured simulator slot —
+// reveal, decide, apply, arrive, snapshot, metrics — on the solver-scale
+// cluster at N=200/J=100 with a tenth of the pairs eligible, warm-started:
+// the engine-side counterpart of BenchmarkSlotDecision/N=200/J=100/auto, and
+// what the repo benchmark's solve-large workload times end to end.
+func BenchmarkEngineStep(b *testing.B) {
+	b.Run("N=200/J=100", func(b *testing.B) {
+		b.ReportAllocs()
+		eng := newLargeEngine(b)
+		b.ResetTimer()
+		for n := 0; n < b.N; n++ {
+			if err := eng.Step(nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// newLargeEngine builds the N=200/J=100 engine of BenchmarkEngineStep and the
+// engine-step allocation budget — default solver, warm starts on, no observer
+// — and runs it past its cold start.
+func newLargeEngine(tb testing.TB) *sim.Engine {
+	tb.Helper()
+	in, err := experiments.NewSolverScaleInputs(2012, 200, 100, 2048, 0.1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	g, err := grefar.New(in.Cluster, grefar.WithV(7.5), grefar.WithBeta(100), grefar.WithWarmStart(true))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	eng, err := sim.NewEngine(in, g, sim.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for eng.Slot() < 50 {
+		if err := eng.Step(nil); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return eng
 }
 
 // benchmarkLargeSlotDecision times Decide on the solver-scale large instance:

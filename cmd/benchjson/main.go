@@ -14,10 +14,11 @@
 // the minimum is the most reproducible summary.
 //
 // In -compare mode the exit status is nonzero when any benchmark matching
-// -guard (default: the beta=100 and large-instance slot-decision cases, the
-// solver hot paths) regresses more than -max-regress in ns/op or allocs/op
-// against the recorded baseline. Other shared benchmarks are reported but do
-// not fail the run, and benchmarks present on only one side are ignored.
+// -guard (default: the beta=100 and large-instance slot-decision cases and
+// the whole-slot engine step, the solver hot paths) regresses more than
+// -max-regress in ns/op or allocs/op against the recorded baseline. Other
+// shared benchmarks are reported but do not fail the run, and benchmarks
+// present on only one side are ignored.
 //
 // -filter restricts the parsed results to names matching a regexp before
 // anything else happens — useful for recording or guarding one benchmark
@@ -158,7 +159,7 @@ func run(in io.Reader, out io.Writer, args []string) error {
 	outPath := fs.String("out", "", "write parsed results as JSON to this file")
 	comparePath := fs.String("compare", "", "baseline JSON to compare against; exit nonzero on guarded regression")
 	maxRegress := fs.Float64("max-regress", 0.15, "allowed fractional regression for guarded benchmarks")
-	guardExpr := fs.String("guard", `^BenchmarkSlotDecision/(beta=100|N=)`, "regexp of benchmark names that fail the run on regression")
+	guardExpr := fs.String("guard", `^BenchmarkSlotDecision/(beta=100|N=)|^BenchmarkEngineStep/`, "regexp of benchmark names that fail the run on regression")
 	filterExpr := fs.String("filter", "", "regexp restricting which parsed benchmarks are recorded or compared (empty = all)")
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -32,10 +32,10 @@
 // -scale-chaos, under partitions of -kill-frac of the fleet plus call drops.
 //
 // The solverscale experiment (also outside -experiment all) sweeps the slot
-// solvers themselves — monolithic, sparse, decomposed, and pooled decomposed
-// — over large synthetic instances of -solver-shapes (N x J) at
-// -solver-densities active-pair fractions, measuring per-decision latency and
-// allocation rate for -scale-slots drifting slots per cell.
+// solvers themselves — the default (auto), monolithic, sparse, decomposed,
+// and pooled decomposed — over large synthetic instances of -solver-shapes
+// (N x J) at -solver-densities active-pair fractions, measuring per-decision
+// latency and allocation rate for -scale-slots drifting slots per cell.
 package main
 
 import (
@@ -86,7 +86,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	scaleParts := fs.Int("scale-partitions", 4, "partitioned-control-plane arm of the scale experiment (<=1 disables)")
 	killFrac := fs.Float64("kill-frac", 0.05, "fraction of agents the scale chaos variant partitions")
 	solverShapes := fs.String("solver-shapes", "50x25,100x50,200x100", "comma-separated NxJ grid points for the solverscale experiment")
-	solverDensities := fs.String("solver-densities", "0.1,0.5", "comma-separated active-pair fractions for the solverscale experiment")
+	solverDensities := fs.String("solver-densities", "0.1,0.5,1", "comma-separated active-pair fractions for the solverscale experiment")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

@@ -89,9 +89,12 @@ type (
 
 // Slot-solver kinds (Config.Solver / WithSolver).
 const (
-	// SolverAuto picks the historical monolithic dense solver (the default).
+	// SolverAuto (the default) runs on the active-pair compact
+	// representation when the cluster and tariff allow it and on the dense
+	// layout otherwise; the two decide bit-identically.
 	SolverAuto = core.SolverAuto
-	// SolverMonolithic pins the monolithic dense solver explicitly.
+	// SolverMonolithic pins the dense N*J layout, the reference the
+	// differential tests compare against.
 	SolverMonolithic = core.SolverMonolithic
 	// SolverSparse runs the slot solve on the active-pair compact
 	// representation: identical algorithms, bit-identical decisions.

@@ -14,7 +14,7 @@ import (
 func TestDecomposedLinearBitIdentical(t *testing.T) {
 	c := refCluster(t)
 	states, lengths := stateTestWorld(t, c, 20)
-	dense, err := New(c, Config{V: 7.5})
+	dense, err := New(c, Config{V: 7.5, Solver: SolverMonolithic})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestDecomposedLinearBitIdentical(t *testing.T) {
 			}
 			decisionsEqual(t, s, "decomposed-linear", da, xa)
 		}
-		dense, err = New(c, Config{V: 7.5}) // reset for the next worker count
+		dense, err = New(c, Config{V: 7.5, Solver: SolverMonolithic}) // reset for the next worker count
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,7 +49,9 @@ func TestDecomposedQuadraticAgreesWithDense(t *testing.T) {
 	states, lengths := stateTestWorld(t, c, 12)
 	cfg := Config{V: 7.5, Beta: 100, FW: solve.FWOptions{MaxIters: 2000, Tol: 1e-9, AwaySteps: true}}
 
-	dense, err := New(c, cfg)
+	cfgDense := cfg
+	cfgDense.Solver = SolverMonolithic
+	dense, err := New(c, cfgDense)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,12 +55,14 @@ type Config struct {
 	// statistics. Nil costs nothing on the decision path.
 	Observer telemetry.SlotObserver
 	// Solver selects the slot-solver implementation. SolverAuto (the zero
-	// value) keeps the monolithic dense path and its byte-identical golden
-	// traces; SolverSparse runs the same algorithms on the active-pair
-	// compact representation; SolverDecomposed additionally splits the
-	// beta > 0 solve into per-data-center blocks coordinated by sharing ADMM.
-	// The sparse kinds require a cluster without auxiliary resources and a
-	// linear (or absent) tariff; New rejects other combinations.
+	// value) runs on the active-pair compact representation whenever the
+	// cluster and tariff allow it and on the dense layout otherwise — the two
+	// decide bit-identically, so the choice never shows in a trace;
+	// SolverMonolithic pins the dense layout; SolverSparse insists on the
+	// compact one; SolverDecomposed additionally splits the beta > 0 solve
+	// into per-data-center blocks coordinated by sharing ADMM. The compact
+	// representation requires a cluster without auxiliary resources and a
+	// linear (or absent) tariff; New rejects the sparse kinds on other inputs.
 	Solver SolverKind
 	// SolverWorkers bounds the concurrency of the decomposed solver's block
 	// stage: <= 1 solves blocks serially on the calling goroutine, larger
@@ -73,13 +75,19 @@ type Config struct {
 type SolverKind int
 
 const (
-	// SolverAuto picks the historical monolithic dense solver (the default).
+	// SolverAuto (the default) picks the representation from the inputs:
+	// the active-pair compact one when the cluster has no auxiliary
+	// resources and the tariff is linear or absent, the dense one otherwise.
+	// Both run the same algorithms and decide bit-identically; Auto never
+	// appears in telemetry.
 	SolverAuto SolverKind = iota
-	// SolverMonolithic pins the monolithic dense solver explicitly.
+	// SolverMonolithic pins the dense N*J layout: the reference the
+	// differential tests and the benchmark's solver probe compare against.
 	SolverMonolithic
 	// SolverSparse runs the slot solve on the active-pair compact
 	// representation: identical algorithms, bit-identical decisions,
-	// O(active) work instead of O(N*J).
+	// O(active) work instead of O(N*J). Unlike Auto it is an error on inputs
+	// the compact representation does not cover.
 	SolverSparse
 	// SolverDecomposed runs the sparse representation with the beta > 0
 	// solve block-decomposed per data center (sharing ADMM + Frank-Wolfe
@@ -134,6 +142,11 @@ type GreFar struct {
 	cluster *model.Cluster
 	cfg     Config
 	weights []float64 // account target shares gamma_m
+
+	// compact marks a scheduler whose Decide runs on the active-pair compact
+	// representation (see sparse.go); resolved once in New from the solver
+	// kind, the cluster, and the tariff.
+	compact bool
 
 	// ws is the per-scheduler solver workspace. Its single-owner rule makes
 	// Decide NOT safe for concurrent calls on one GreFar instance; parallel
@@ -192,25 +205,19 @@ func New(c *model.Cluster, cfg Config) (*GreFar, error) {
 		return nil, fmt.Errorf("%w: solver worker count %d is negative", ErrBadConfig, cfg.SolverWorkers)
 	}
 	g := &GreFar{cluster: c, cfg: cfg, weights: weights}
-	if g.useSparse() {
+	switch cfg.Solver {
+	case SolverSparse, SolverDecomposed:
 		if c.Aux() > 0 {
 			return nil, fmt.Errorf("%w: solver %v requires a cluster without auxiliary resources", ErrBadConfig, cfg.Solver)
 		}
-		if cfg.Tariff != nil {
-			if _, isLinear := cfg.Tariff.(tariff.Linear); !isLinear {
-				return nil, fmt.Errorf("%w: solver %v requires a linear (or absent) tariff", ErrBadConfig, cfg.Solver)
-			}
+		if !linearTariff(cfg.Tariff) {
+			return nil, fmt.Errorf("%w: solver %v requires a linear (or absent) tariff", ErrBadConfig, cfg.Solver)
 		}
+		g.compact = true
+	case SolverAuto:
+		g.compact = c.Aux() == 0 && linearTariff(cfg.Tariff)
 	}
-	g.ws = newDecideScratch(c, !g.linearSlot())
-	if g.useSparse() {
-		g.ws.sparse = newSparseSlot(c)
-		if g.ws.warm == nil {
-			// The sparse membership rule and state restore read the dense warm
-			// buffer even for linear slots.
-			g.ws.warm = make([]float64, g.ws.layout.total)
-		}
-	}
+	g.ws = newDecideScratch(c, !g.linearSlot(), g.compact)
 	if cfg.Solver == SolverDecomposed {
 		g.ws.dec = newDecomposedScratch(c)
 	}
@@ -388,7 +395,7 @@ func routeBudgetFor(jt model.JobType) int {
 // With beta > 0 it is a convex QP solved by Frank-Wolfe with the greedy as
 // its linear oracle and exact line search.
 func (g *GreFar) decideProcessing(st *model.State, q queue.Lengths, act *model.Action, stats *telemetry.SolveStats) error {
-	if g.useSparse() {
+	if g.compact {
 		return g.decideProcessingSparse(st, q, act, stats)
 	}
 	c := g.cluster
@@ -458,13 +465,16 @@ func (g *GreFar) linearSlot() bool {
 	if g.cfg.V == 0 {
 		return true // cost is irrelevant; greedy processes everything queued
 	}
-	if g.cfg.Beta != 0 {
-		return false
-	}
-	if g.cfg.Tariff == nil {
+	return g.cfg.Beta == 0 && linearTariff(g.cfg.Tariff)
+}
+
+// linearTariff reports whether t bills cost = phi * energy: the paper's
+// baseline, under which the energy cost stays in the linear part of (14).
+func linearTariff(t tariff.Tariff) bool {
+	if t == nil {
 		return true
 	}
-	_, linear := g.cfg.Tariff.(tariff.Linear)
+	_, linear := t.(tariff.Linear)
 	return linear
 }
 
@@ -480,11 +490,7 @@ func (g *GreFar) solveQuadraticSlot(st *model.State, cH, cB, hCap [][]float64, s
 
 	// Non-linear tariffs move the energy cost out of the linear part and
 	// into the convex tariff term.
-	nonlinearTariff := false
-	if g.cfg.Tariff != nil {
-		_, isLinear := g.cfg.Tariff.(tariff.Linear)
-		nonlinearTariff = !isLinear
-	}
+	nonlinearTariff := !linearTariff(g.cfg.Tariff)
 	linear := ws.linear
 	for i := 0; i < c.N(); i++ {
 		for j := 0; j < c.J(); j++ {

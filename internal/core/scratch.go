@@ -24,24 +24,24 @@ import (
 type decideScratch struct {
 	layout slotLayout
 
-	// Linear slot data (SlotCoefficients output).
-	cH, cB, hCap [][]float64
-
 	// Routing order buffer (decideRouting).
 	order []int
-
-	// Greedy exchange workspace, shared by the direct beta = 0 path and the
-	// Frank-Wolfe linear oracle (whose calls are sequential within one
-	// Decide, so one workspace serves both).
-	lin linearScratch
 
 	// Cheapest-first server order per data center for busy-server
 	// provisioning: availability changes per slot but the energy-per-work
 	// rate of a server type does not, so the order is cluster-static.
 	provOrder [][]int
 
-	// Quadratic (beta > 0 / non-linear tariff) path, allocated only when the
-	// configuration can take it.
+	// Dense representation: linear slot data (SlotCoefficients output) and
+	// the greedy exchange workspace, shared by the direct beta = 0 path and
+	// the Frank-Wolfe linear oracle (whose calls are sequential within one
+	// Decide, so one workspace serves both). Nil/empty on a compact
+	// scheduler, which keeps its coefficients in sparse instead.
+	cH, cB, hCap [][]float64
+	lin          linearScratch
+
+	// Dense quadratic (beta > 0 / non-linear tariff) path, allocated only
+	// when a dense configuration can take it.
 	linear  []float64 // linear coefficients over the flat (h, b) vector
 	x0      []float64 // Frank-Wolfe starting point
 	gradH   [][]float64
@@ -59,12 +59,15 @@ type decideScratch struct {
 	// run's iterate into another; one scheduler per run keeps it sound.
 	// Decide repairs the iterate against the current slot's caps before use
 	// and falls back to the zero start when repair fails (see
-	// repairWarmStart).
+	// repairWarmStart). Both representations keep it in the dense layout —
+	// that is what SchedulerState carries, so a checkpoint restores under
+	// either — and only a configuration that can reach the convex path has
+	// one: a linear-slot scheduler exports no warm state.
 	warm      []float64
 	warmValid bool
 
-	// Sparse representation (Config.Solver = SolverSparse / SolverDecomposed)
-	// and the decomposed solver's block scratch; nil on the monolithic path.
+	// Compact representation (see GreFar.compact) and the decomposed solver's
+	// block scratch; nil on the dense path.
 	sparse *sparseSlot
 	dec    *decomposedScratch
 }
@@ -86,29 +89,37 @@ func newLinearScratch(c *model.Cluster) *linearScratch {
 	return ws
 }
 
-// newDecideScratch builds the full workspace for one scheduler. The
-// quadratic-path buffers are allocated only when quad is set (beta > 0 or a
-// non-linear tariff can reach Frank-Wolfe).
-func newDecideScratch(c *model.Cluster, quad bool) *decideScratch {
+// newDecideScratch builds the workspace for one scheduler: only the buffers
+// its representation uses. The quadratic-path buffers are allocated only when
+// quad is set (beta > 0 or a non-linear tariff can reach Frank-Wolfe); a
+// compact scheduler gets the sparse slot and none of the dense N*J
+// coefficient, gradient, or greedy matrices.
+func newDecideScratch(c *model.Cluster, quad, compact bool) *decideScratch {
 	ws := &decideScratch{
 		layout: newSlotLayout(c),
-		cH:     newMatrixNJ(c),
-		cB:     newMatrixNK(c),
-		hCap:   newMatrixNJ(c),
 		order:  make([]int, 0, c.N()),
-		lin:    *newLinearScratch(c),
 	}
 	ws.provOrder = make([][]int, c.N())
 	for i := 0; i < c.N(); i++ {
 		ws.provOrder[i] = model.RateOrder(c.DataCenters[i])
 	}
 	if quad {
+		ws.warm = make([]float64, ws.layout.total)
+	}
+	if compact {
+		ws.sparse = newSparseSlot(c)
+		return ws
+	}
+	ws.cH = newMatrixNJ(c)
+	ws.cB = newMatrixNK(c)
+	ws.hCap = newMatrixNJ(c)
+	ws.lin = *newLinearScratch(c)
+	if quad {
 		ws.linear = make([]float64, ws.layout.total)
 		ws.x0 = make([]float64, ws.layout.total)
 		ws.gradH = newMatrixNJ(c)
 		ws.gradB = newMatrixNK(c)
 		ws.process = newMatrixNJ(c)
-		ws.warm = make([]float64, ws.layout.total)
 	}
 	return ws
 }

@@ -5,7 +5,6 @@ import (
 	"grefar/internal/model"
 	"grefar/internal/queue"
 	"grefar/internal/solve"
-	"grefar/internal/tariff"
 )
 
 // slotLayout maps the processing decision variables of one slot onto the
@@ -80,11 +79,7 @@ func SlotObjective(c *model.Cluster, cfg Config, st *model.State, q queue.Length
 	cH, cB, hCap := SlotCoefficients(c, cfg, st, q)
 	l := newSlotLayout(c)
 
-	nonlinearTariff := false
-	if cfg.Tariff != nil {
-		_, isLinear := cfg.Tariff.(tariff.Linear)
-		nonlinearTariff = !isLinear
-	}
+	nonlinearTariff := !linearTariff(cfg.Tariff)
 	linear := make([]float64, l.total)
 	for i := 0; i < c.N(); i++ {
 		for j := 0; j < c.J(); j++ {

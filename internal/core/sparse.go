@@ -10,9 +10,10 @@ import (
 	"grefar/internal/telemetry"
 )
 
-// This file implements the sparse slot representation behind
-// Config.Solver = SolverSparse / SolverDecomposed: an active-pair index over
-// the (i, j) processing variables that skips every pair with zero backlog and
+// This file implements the compact slot representation — what SolverAuto
+// runs on whenever the inputs allow it, and what SolverSparse and
+// SolverDecomposed insist on: an active-pair index over the (i, j)
+// processing variables that skips every pair with zero backlog and
 // zero warm-start mass, threaded through the coefficient build, the
 // objective/gradient, the greedy oracle, and the Frank-Wolfe workspace. At
 // production scale most pairs are inactive — a job type's data lives at a
@@ -464,12 +465,6 @@ func (sp *sparseSlot) scatterWarm(x, warm []float64) {
 	}
 }
 
-// useSparse reports whether this scheduler's Decide runs on the sparse slot
-// representation.
-func (g *GreFar) useSparse() bool {
-	return g.cfg.Solver == SolverSparse || g.cfg.Solver == SolverDecomposed
-}
-
 // decideProcessingSparse is decideProcessing on the sparse representation:
 // refresh the active-pair index incrementally, solve on the compact layout
 // (greedy for linear slots, compact Frank-Wolfe for SolverSparse, the
@@ -544,7 +539,11 @@ func (g *GreFar) solveSparseLinear(st *model.State, act *model.Action, stats *te
 	}
 	if stats != nil {
 		*stats = telemetry.SolveStats{Solver: solver, Iterations: 1, Converged: true}
-		g.attachSolverOptions(stats, g.cfg.FW)
+		// The dense linear path never reports options, and Auto must read
+		// exactly like it.
+		if g.cfg.Solver != SolverAuto {
+			g.attachSolverOptions(stats, g.cfg.FW)
+		}
 	}
 	return nil
 }

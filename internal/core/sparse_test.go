@@ -1,12 +1,14 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
 	"grefar/internal/model"
 	"grefar/internal/queue"
 	"grefar/internal/solve"
+	"grefar/internal/tariff"
 )
 
 // sparseTestLengths draws a backlog snapshot with roughly the given fraction
@@ -129,7 +131,9 @@ func decisionsEqual(t *testing.T, slot int, label string, a, b *model.Action) {
 // TestSparseDecideBitIdentical drives the monolithic and sparse schedulers
 // through the same evolving slot sequence and requires byte-identical
 // decisions — the bit-identity argument of the sparse representation, pinned
-// for the linear path, the convex path, and the warm-started convex path.
+// for the linear path, the convex path, and the warm-started convex path. The
+// dense arm pins SolverMonolithic: the default resolves to the compact
+// representation on this cluster.
 func TestSparseDecideBitIdentical(t *testing.T) {
 	c := refCluster(t)
 	states, lengths := stateTestWorld(t, c, 30)
@@ -144,7 +148,9 @@ func TestSparseDecideBitIdentical(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			dense, err := New(c, tc.cfg)
+			cfgDense := tc.cfg
+			cfgDense.Solver = SolverMonolithic
+			dense, err := New(c, cfgDense)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -164,6 +170,75 @@ func TestSparseDecideBitIdentical(t *testing.T) {
 					t.Fatal(err)
 				}
 				decisionsEqual(t, s, tc.name, da, sa)
+			}
+		})
+	}
+}
+
+// TestAutoResolvesRepresentation pins what SolverAuto picks and what it
+// allocates: the compact representation, and none of the dense N*J
+// coefficient, gradient, or greedy scratch, whenever the cluster has no
+// auxiliary resources and the tariff is linear or absent; the dense layout —
+// built without error, where SolverSparse is one — on the inputs the compact
+// representation does not cover. Either way the scheduler decides.
+func TestAutoResolvesRepresentation(t *testing.T) {
+	quadTariff, err := tariff.NewQuadratic(20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name    string
+		c       *model.Cluster
+		cfg     Config
+		compact bool
+	}{
+		{"reference-linear", refCluster(t), Config{V: 7.5}, true},
+		{"reference-convex", refCluster(t), Config{V: 7.5, Beta: 100, WarmStart: true}, true},
+		{"linear-tariff", refCluster(t), Config{V: 7.5, Beta: 100, Tariff: tariff.Linear{}}, true},
+		{"auxiliary-resources", auxCluster(), Config{V: 1, Beta: 5}, false},
+		{"quadratic-tariff", twoSiteCluster(), Config{V: 2, Tariff: quadTariff}, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			g, err := New(tc.c, tc.cfg)
+			if err != nil {
+				t.Fatalf("default solver rejected the configuration: %v", err)
+			}
+			if g.compact != tc.compact {
+				t.Fatalf("compact = %v, want %v", g.compact, tc.compact)
+			}
+			ws := g.ws
+			if tc.compact {
+				if ws.sparse == nil {
+					t.Fatal("compact scheduler has no sparse slot")
+				}
+				if ws.cH != nil || ws.cB != nil || ws.hCap != nil || ws.lin.out.process != nil ||
+					ws.linear != nil || ws.x0 != nil || ws.gradH != nil || ws.gradB != nil || ws.process != nil {
+					t.Error("compact scheduler allocated dense scratch")
+				}
+			} else {
+				if ws.sparse != nil {
+					t.Error("dense scheduler allocated a sparse slot")
+				}
+				sparseCfg := tc.cfg
+				sparseCfg.Solver = SolverSparse
+				if _, err := New(tc.c, sparseCfg); !errors.Is(err, ErrBadConfig) {
+					t.Errorf("SolverSparse on the same inputs: got %v, want ErrBadConfig", err)
+				}
+			}
+			c := tc.c
+			prices := make([]float64, c.N())
+			for i := range prices {
+				prices[i] = 0.3 + 0.1*float64(i)
+			}
+			st := stateWith(c, 50, prices)
+			q := sparseTestLengths(rand.New(rand.NewSource(3)), c, 0.7)
+			act, err := g.Decide(0, st, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := act.Validate(c, st); err != nil {
+				t.Errorf("infeasible action: %v", err)
 			}
 		})
 	}

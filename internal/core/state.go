@@ -18,9 +18,11 @@ import (
 // listed here is durable.
 type SchedulerState struct {
 	// Warm is the previous slot's (h, b) iterate in slotLayout order, the
-	// seed of the next warm-started solve. Nil for schedulers whose
-	// configuration never reaches the convex path (beta = 0 with a linear
-	// tariff).
+	// seed of the next warm-started solve — the dense layout under every
+	// solver kind, so a state exported under one representation restores
+	// under another. Nil for schedulers whose configuration never reaches the
+	// convex path (V = 0, or beta = 0 with a linear tariff), whatever the
+	// kind.
 	Warm []float64
 	// WarmValid reports whether Warm holds a real iterate (false before the
 	// first convex solve).
@@ -71,7 +73,10 @@ func (g *GreFar) RestoreState(st *SchedulerState) error {
 	if st == nil {
 		return nil
 	}
-	if st.Warm != nil {
+	// A linear-slot SolverSparse/SolverDecomposed scheduler used to export an
+	// all-zero iterate it never used; such a state (iterate present, not
+	// valid) still restores into a scheduler without a convex path.
+	if st.Warm != nil && (st.WarmValid || g.ws.warm != nil) {
 		if g.ws.warm == nil {
 			return fmt.Errorf("%w: state carries a warm iterate but this configuration has no convex path", ErrBadConfig)
 		}

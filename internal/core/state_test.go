@@ -45,89 +45,122 @@ func stateTestWorld(t *testing.T, c *model.Cluster, slots int) ([]*model.State, 
 
 // TestSchedulerStateRoundTrip drives a warm-starting beta > 0 scheduler for a
 // prefix of slots, exports its state into a fresh instance, and requires the
-// continuation's decisions to be byte-identical to the uninterrupted run.
+// continuation's decisions to be byte-identical to the uninterrupted run —
+// under the default solver, and across representations: a state exported
+// under SolverMonolithic (the dense layout every checkpoint was written under
+// before the default moved to the compact one) restores into the default,
+// and back, because the state is the dense-layout iterate either way.
 func TestSchedulerStateRoundTrip(t *testing.T) {
 	c := model.NewReferenceCluster()
 	const slots, split = 24, 12
 	states, lengths := stateTestWorld(t, c, slots)
-	cfg := Config{V: 7.5, Beta: 100, WarmStart: true}
+	for _, tc := range []struct {
+		name     string
+		from, to SolverKind
+	}{
+		{"auto", SolverAuto, SolverAuto},
+		{"monolithic-into-auto", SolverMonolithic, SolverAuto},
+		{"auto-into-monolithic", SolverAuto, SolverMonolithic},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			build := func(kind SolverKind) *GreFar {
+				g, err := New(c, Config{V: 7.5, Beta: 100, WarmStart: true, Solver: kind})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return g
+			}
+			full := build(tc.from)
+			var want []*model.Action
+			for s := 0; s < slots; s++ {
+				act, err := full.Decide(s, states[s], lengths[s])
+				if err != nil {
+					t.Fatal(err)
+				}
+				want = append(want, act)
+			}
 
-	full, err := New(c, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want []*model.Action
-	for s := 0; s < slots; s++ {
-		act, err := full.Decide(s, states[s], lengths[s])
-		if err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, act)
-	}
+			first := build(tc.from)
+			for s := 0; s < split; s++ {
+				if _, err := first.Decide(s, states[s], lengths[s]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			exported := first.ExportState()
+			if !exported.WarmValid {
+				t.Fatal("warm-starting scheduler exported no valid warm iterate")
+			}
+			// Keep deciding on the original to prove the export is a snapshot,
+			// not a live alias.
+			if _, err := first.Decide(split, states[split], lengths[split]); err != nil {
+				t.Fatal(err)
+			}
 
-	first, err := New(c, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s := 0; s < split; s++ {
-		if _, err := first.Decide(s, states[s], lengths[s]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	exported := first.ExportState()
-	if !exported.WarmValid {
-		t.Fatal("warm-starting scheduler exported no valid warm iterate")
-	}
-	// Keep deciding on the original to prove the export is a snapshot, not a
-	// live alias.
-	if _, err := first.Decide(split, states[split], lengths[split]); err != nil {
-		t.Fatal(err)
-	}
-
-	second, err := New(c, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := second.RestoreState(exported); err != nil {
-		t.Fatal(err)
-	}
-	for s := split; s < slots; s++ {
-		act, err := second.Decide(s, states[s], lengths[s])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(act, want[s]) {
-			t.Fatalf("slot %d: restored scheduler diverged from uninterrupted run", s)
-		}
-	}
-	if second.warmHits != full.warmHits || second.warmRepairs != full.warmRepairs || second.warmFallbacks != full.warmFallbacks {
-		t.Fatalf("warm counters diverged: restored %d/%d/%d, uninterrupted %d/%d/%d",
-			second.warmHits, second.warmRepairs, second.warmFallbacks,
-			full.warmHits, full.warmRepairs, full.warmFallbacks)
+			second := build(tc.to)
+			if err := second.RestoreState(exported); err != nil {
+				t.Fatal(err)
+			}
+			for s := split; s < slots; s++ {
+				act, err := second.Decide(s, states[s], lengths[s])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(act, want[s]) {
+					t.Fatalf("slot %d: restored scheduler diverged from uninterrupted run", s)
+				}
+			}
+			if !reflect.DeepEqual(second.ExportState().Warm, full.ExportState().Warm) {
+				t.Error("final warm iterates differ")
+			}
+			if second.warmHits != full.warmHits || second.warmRepairs != full.warmRepairs || second.warmFallbacks != full.warmFallbacks {
+				t.Fatalf("warm counters diverged: restored %d/%d/%d, uninterrupted %d/%d/%d",
+					second.warmHits, second.warmRepairs, second.warmFallbacks,
+					full.warmHits, full.warmRepairs, full.warmFallbacks)
+			}
+		})
 	}
 }
 
-// TestSchedulerStateLinearPath checks that beta = 0 schedulers export an
-// empty (but restorable) state.
+// TestSchedulerStateLinearPath checks that a scheduler whose slot problem is
+// linear (beta = 0, or V = 0) exports an empty (but restorable) state under
+// every solver kind, after deciding as well as before: a snapshot of such a
+// session carries no warm vector whichever representation ran it.
 func TestSchedulerStateLinearPath(t *testing.T) {
 	c := model.NewReferenceCluster()
-	g, err := New(c, Config{V: 7.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := g.ExportState()
-	if st.Warm != nil || st.WarmValid {
-		t.Fatalf("linear-path scheduler exported warm state: %+v", st)
-	}
-	g2, err := New(c, Config{V: 7.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g2.RestoreState(st); err != nil {
-		t.Fatal(err)
-	}
-	if err := g2.RestoreState(nil); err != nil {
-		t.Fatal(err)
+	states, lengths := stateTestWorld(t, c, 3)
+	for _, kind := range []SolverKind{SolverAuto, SolverMonolithic, SolverSparse, SolverDecomposed} {
+		for _, cfg := range []Config{{V: 7.5}, {V: 0, Beta: 100}, {V: 7.5, WarmStart: true}} {
+			cfg.Solver = kind
+			g, err := New(c, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for s := range states {
+				if st := g.ExportState(); st.Warm != nil || st.WarmValid {
+					t.Fatalf("%v %+v slot %d: linear-path scheduler exported warm state", kind, cfg, s)
+				}
+				if _, err := g.Decide(s, states[s], lengths[s]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			st := g.ExportState()
+			g2, err := New(c, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := g2.RestoreState(st); err != nil {
+				t.Fatal(err)
+			}
+			if err := g2.RestoreState(nil); err != nil {
+				t.Fatal(err)
+			}
+			// What a linear-slot sparse scheduler exported before it stopped
+			// allocating the buffer: a zero iterate marked not valid.
+			old := &SchedulerState{Warm: make([]float64, newSlotLayout(c).total)}
+			if err := g2.RestoreState(old); err != nil {
+				t.Errorf("%v %+v: unused zero iterate rejected: %v", kind, cfg, err)
+			}
+		}
 	}
 }
 

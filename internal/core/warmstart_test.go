@@ -341,6 +341,9 @@ func TestSolverOptionsReportedOnce(t *testing.T) {
 	if tuned[0].Options.MaxIters != 150 {
 		t.Errorf("effective MaxIters %d, want the default 150", tuned[0].Options.MaxIters)
 	}
+	if tuned[0].Options.Solver != "" {
+		t.Errorf("the default solver kind named itself %q in telemetry", tuned[0].Options.Solver)
+	}
 	if tuned[1].Options != nil || tuned[2].Options != nil {
 		t.Error("options attached to more than the first event")
 	}
@@ -361,6 +364,23 @@ func TestSolverOptionsReportedOnce(t *testing.T) {
 		}
 		if ev.Warm != "" || ev.Variant != "" {
 			t.Errorf("default scheduler event %d carries warm/variant fields: %+v", s, ev)
+		}
+	}
+
+	// The linear slot path reports no options under the default kind even
+	// with solver knobs set, whichever representation it runs on: the dense
+	// greedy never did.
+	for _, kind := range []SolverKind{SolverAuto, SolverMonolithic} {
+		var linear []telemetry.SolveStats
+		g3, err := New(c, Config{V: 7.5, WarmStart: true, Solver: kind, Observer: collectSolves(&linear)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := g3.Decide(0, st, randomLengths(rng, c, 40)); err != nil {
+			t.Fatal(err)
+		}
+		if len(linear) != 1 || linear[0].Options != nil {
+			t.Errorf("%v: linear-path events %+v, want one without options", kind, linear)
 		}
 	}
 }

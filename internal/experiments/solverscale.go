@@ -8,9 +8,13 @@ import (
 	"runtime"
 	"time"
 
+	"grefar/internal/availability"
 	"grefar/internal/core"
 	"grefar/internal/model"
+	"grefar/internal/price"
 	"grefar/internal/queue"
+	"grefar/internal/sim"
+	"grefar/internal/workload"
 )
 
 // solverScaleAccounts is how many organizations share the synthetic
@@ -32,26 +36,17 @@ type SolverScaleInstance struct {
 	rng         *rand.Rand
 }
 
-// NewSolverScaleInstance builds a deterministic instance at the requested
-// shape. Sites cycle through three efficiency classes (mirroring the hollow
-// scale cluster) with two server types each; jobs are eligible everywhere and
-// striped across solverScaleAccounts accounts; prices follow a diurnal-ish
-// per-site curve. The backlog seeds roughly density*N*J active pairs.
-func NewSolverScaleInstance(seed int64, n, j int, density float64) (*SolverScaleInstance, error) {
-	if n <= 0 || j <= 0 {
-		return nil, fmt.Errorf("solverscale: shape %dx%d is not positive", n, j)
-	}
-	if density < 0 || density > 1 {
-		return nil, fmt.Errorf("solverscale: density %g outside [0, 1]", density)
-	}
+// solverScaleCluster builds the synthetic large cluster: sites cycle through
+// three efficiency classes (mirroring the hollow scale cluster) with two
+// server types each, and job types are striped across solverScaleAccounts
+// accounts. Type t may run at the sites i with i % stripes == t % stripes, so
+// 1/stripes of all (site, type) pairs can ever hold backlog; stripes = 1
+// makes every type eligible everywhere.
+func solverScaleCluster(n, j, stripes int) (*model.Cluster, error) {
 	c := &model.Cluster{
 		DataCenters: make([]model.DataCenter, n),
 		JobTypes:    make([]model.JobType, j),
 		Accounts:    make([]model.Account, solverScaleAccounts),
-	}
-	everywhere := make([]int, n)
-	for i := range everywhere {
-		everywhere[i] = i
 	}
 	for i := range c.DataCenters {
 		class := i % 3
@@ -63,11 +58,15 @@ func NewSolverScaleInstance(seed int64, n, j int, density float64) (*SolverScale
 			},
 		}
 	}
+	eligible := make([][]int, stripes)
+	for i := 0; i < n; i++ {
+		eligible[i%stripes] = append(eligible[i%stripes], i)
+	}
 	for t := range c.JobTypes {
 		c.JobTypes[t] = model.JobType{
 			Name:       fmt.Sprintf("ss-type%d", t),
 			Demand:     1.0 + 0.25*float64(t%5),
-			Eligible:   everywhere,
+			Eligible:   eligible[t%stripes],
 			Account:    t % solverScaleAccounts,
 			MaxArrival: 4 * n,
 		}
@@ -77,6 +76,82 @@ func NewSolverScaleInstance(seed int64, n, j int, density float64) (*SolverScale
 	}
 	if err := c.Validate(); err != nil {
 		return nil, fmt.Errorf("solverscale: %w", err)
+	}
+	return c, nil
+}
+
+// NewSolverScaleInputs builds simulation inputs on the solver-scale cluster
+// for driving a whole sim.Engine slot — decide, apply, snapshot — at a large
+// shape, where NewSolverScaleInstance drives Decide alone. Eligibility is
+// striped so that about the given fraction of (site, type) pairs can hold
+// backlog; prices are per-site diurnal curves, availability is static, and
+// the seeded arrivals load each stripe of sites to about 60% of its capacity.
+func NewSolverScaleInputs(seed int64, n, j, slots int, density float64) (sim.Inputs, error) {
+	if n <= 0 || j <= 0 || slots <= 0 {
+		return sim.Inputs{}, fmt.Errorf("solverscale: shape %dx%d over %d slots is not positive", n, j, slots)
+	}
+	if density <= 0 || density > 1 {
+		return sim.Inputs{}, fmt.Errorf("solverscale: density %g outside (0, 1]", density)
+	}
+	stripes := int(math.Round(1 / density))
+	if stripes > n {
+		stripes = n
+	}
+	c, err := solverScaleCluster(n, j, stripes)
+	if err != nil {
+		return sim.Inputs{}, err
+	}
+	avail := make([][]float64, n)
+	prices := make([]price.Source, n)
+	stripeCap := make([]float64, stripes)
+	for i := range avail {
+		avail[i] = []float64{4, 3}
+		for k, s := range c.DataCenters[i].Servers {
+			stripeCap[i%stripes] += s.Speed * avail[i][k]
+		}
+		level := []float64{0.40, 0.45, 0.55}[i%3]
+		vals := make([]float64, 24)
+		for h := range vals {
+			vals[h] = level * (1 + 0.3*math.Cos(2*math.Pi*float64(h+i%24)/24))
+		}
+		prices[i] = &price.Trace{Values: vals}
+	}
+	stripeTypes := make([]int, stripes)
+	for t := 0; t < j; t++ {
+		stripeTypes[t%stripes]++
+	}
+	rng := rand.New(rand.NewSource(seed))
+	counts := make([][]int, slots)
+	for s := range counts {
+		diurnal := 1 + 0.25*math.Sin(2*math.Pi*float64(s%24)/24)
+		counts[s] = make([]int, j)
+		for t := range counts[s] {
+			mean := 0.6 * stripeCap[t%stripes] / float64(stripeTypes[t%stripes]) / c.JobTypes[t].Demand
+			counts[s][t] = int(mean * diurnal * (0.7 + 0.6*rng.Float64()))
+		}
+	}
+	return sim.Inputs{
+		Cluster:      c,
+		Prices:       prices,
+		Workload:     &workload.Trace{Counts: counts},
+		Availability: &availability.Static{Avail: avail},
+	}, nil
+}
+
+// NewSolverScaleInstance builds a deterministic instance at the requested
+// shape on the solver-scale cluster with every job type eligible everywhere;
+// prices follow a diurnal-ish per-site curve. The backlog seeds roughly
+// density*N*J active pairs.
+func NewSolverScaleInstance(seed int64, n, j int, density float64) (*SolverScaleInstance, error) {
+	if n <= 0 || j <= 0 {
+		return nil, fmt.Errorf("solverscale: shape %dx%d is not positive", n, j)
+	}
+	if density < 0 || density > 1 {
+		return nil, fmt.Errorf("solverscale: density %g outside [0, 1]", density)
+	}
+	c, err := solverScaleCluster(n, j, 1)
+	if err != nil {
+		return nil, err
 	}
 
 	rng := rand.New(rand.NewSource(seed))
@@ -131,7 +206,9 @@ type SolverScaleConfig struct {
 	// Shapes are the (N, J) grid points (default {50, 25}, {100, 50},
 	// {200, 100}).
 	Shapes [][2]int
-	// Densities are the active-pair fractions per shape (default 0.1, 0.5).
+	// Densities are the active-pair fractions per shape (default 0.1, 0.5,
+	// 1.0 — the last is the regime a dense layout would have to win to be
+	// worth keeping).
 	Densities []float64
 	// Slots is the per-arm horizon (default 20).
 	Slots int
@@ -149,7 +226,7 @@ func (c SolverScaleConfig) withDefaults() SolverScaleConfig {
 		c.Shapes = [][2]int{{50, 25}, {100, 50}, {200, 100}}
 	}
 	if len(c.Densities) == 0 {
-		c.Densities = []float64{0.1, 0.5}
+		c.Densities = []float64{0.1, 0.5, 1.0}
 	}
 	if c.Slots <= 0 {
 		c.Slots = 20
@@ -248,12 +325,13 @@ func solverScaleRun(cfg SolverScaleConfig, shape [2]int, density float64, arm so
 }
 
 // SolverScale runs the solver-scale sweep: for each shape and density, the
-// monolithic, sparse, decomposed, and pooled-decomposed solvers decide the
-// same drifting slot sequence. Cells run sequentially — never in parallel —
-// because each one times solver work on the shared cores.
+// default (auto), monolithic, sparse, decomposed, and pooled-decomposed
+// solvers decide the same drifting slot sequence. Cells run sequentially —
+// never in parallel — because each one times solver work on the shared cores.
 func SolverScale(cfg SolverScaleConfig) (*SolverScaleResult, error) {
 	cfg = cfg.withDefaults()
 	arms := []solverScaleArm{
+		{"auto", core.SolverAuto, 1},
 		{"monolithic", core.SolverMonolithic, 1},
 		{"sparse", core.SolverSparse, 1},
 		{"decomposed", core.SolverDecomposed, 1},

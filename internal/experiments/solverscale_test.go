@@ -59,12 +59,12 @@ func TestSolverScaleSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Points) != 4 {
-		t.Fatalf("got %d points, want 4 arms", len(res.Points))
+	if len(res.Points) != 5 {
+		t.Fatalf("got %d points, want 5 arms", len(res.Points))
 	}
 	names := map[string]bool{}
 	var ref float64
-	for x, pt := range res.Points {
+	for _, pt := range res.Points {
 		names[pt.Solver] = true
 		if pt.DecideMicros <= 0 {
 			t.Errorf("%s: non-positive decide latency %v", pt.Solver, pt.DecideMicros)
@@ -72,16 +72,20 @@ func TestSolverScaleSweep(t *testing.T) {
 		if pt.AllocsPerDecide < 0 || math.IsNaN(pt.Objective) {
 			t.Errorf("%s: bad measurement %+v", pt.Solver, pt)
 		}
-		if x == 0 {
+		if pt.Solver == "monolithic" {
 			ref = pt.Objective
-			continue
+		}
+	}
+	for _, pt := range res.Points {
+		if pt.Solver == "auto" && pt.Objective != ref {
+			t.Errorf("auto objective %v differs from monolithic %v: the two decide bit-identically", pt.Objective, ref)
 		}
 		scale := math.Max(1, math.Abs(ref))
 		if math.Abs(pt.Objective-ref)/scale > 0.01 {
 			t.Errorf("%s objective %v far from monolithic %v", pt.Solver, pt.Objective, ref)
 		}
 	}
-	for _, want := range []string{"monolithic", "sparse", "decomposed", "decomposed-pool"} {
+	for _, want := range []string{"auto", "monolithic", "sparse", "decomposed", "decomposed-pool"} {
 		if !names[want] {
 			t.Errorf("missing arm %q", want)
 		}

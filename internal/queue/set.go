@@ -112,20 +112,25 @@ func (s *Set) CentralLen(j int) float64 { return s.central[j].Len() }
 // LocalLen returns q_{i,j}(t).
 func (s *Set) LocalLen(i, j int) float64 { return s.local[i][j].Len() }
 
-// Lengths returns a snapshot of all backlogs.
+// Lengths returns a snapshot of all backlogs. The snapshot owns its memory
+// (one backing array shared by Central and every Local row, each row capped
+// at its own length) and is never written again by the set.
 func (s *Set) Lengths() Lengths {
+	n, j := len(s.local), len(s.central)
+	flat := make([]float64, (n+1)*j)
 	out := Lengths{
-		Central: make([]float64, len(s.central)),
-		Local:   make([][]float64, len(s.local)),
+		Central: flat[:j:j],
+		Local:   make([][]float64, n),
 	}
-	for j := range s.central {
-		out.Central[j] = s.central[j].Len()
+	for jj := range s.central {
+		out.Central[jj] = s.central[jj].Len()
 	}
 	for i := range s.local {
-		out.Local[i] = make([]float64, len(s.local[i]))
-		for j := range s.local[i] {
-			out.Local[i][j] = s.local[i][j].Len()
+		row := flat[(i+1)*j : (i+2)*j : (i+2)*j]
+		for jj := range s.local[i] {
+			row[jj] = s.local[i][jj].Len()
 		}
+		out.Local[i] = row
 	}
 	return out
 }
@@ -154,57 +159,70 @@ func (s *Set) Arrive(t int, arrivals []int) error {
 // that the Always policy exhibits an average delay of about one.
 //
 // Apply returns what actually moved. It does not validate resource
-// feasibility; use model.Action.Validate for that.
+// feasibility; use model.Action.Validate for that. The action's shape and
+// signs are checked in full before the first ledger is touched, so a rejected
+// action leaves the set exactly as it was.
 func (s *Set) Apply(t int, act *model.Action) (*FlowStats, error) {
 	n, j := len(s.local), len(s.central)
 	if len(act.Route) != n || len(act.Process) != n {
 		return nil, fmt.Errorf("action shaped for %d data centers, queues have %d", len(act.Route), n)
 	}
-	fs := &FlowStats{
-		Routed:            make([][]float64, n),
-		Processed:         make([][]float64, n),
-		CentralDelaySum:   make([]float64, j),
-		CentralRouted:     make([]float64, j),
-		LocalDelaySum:     make([][]float64, n),
-		LocalDelaySamples: make([][]DelaySample, n),
-	}
 	for i := 0; i < n; i++ {
 		if len(act.Route[i]) != j || len(act.Process[i]) != j {
 			return nil, fmt.Errorf("data center %d: action has wrong job dimension", i)
 		}
-		fs.Routed[i] = make([]float64, j)
-		fs.Processed[i] = make([]float64, j)
-		fs.LocalDelaySum[i] = make([]float64, j)
-	}
-
-	// Process from local queues out of the system.
-	for i := 0; i < n; i++ {
 		for jj := 0; jj < j; jj++ {
-			h := act.Process[i][jj]
-			if h < 0 {
+			if h := act.Process[i][jj]; h < 0 {
 				return nil, fmt.Errorf("process[%d][%d] = %v is negative", i, jj, h)
 			}
-			popped, delay := s.local[i][jj].PopVisit(t, h, func(d, jobs float64) {
-				fs.LocalDelaySamples[i] = append(fs.LocalDelaySamples[i], DelaySample{Delay: d, Jobs: jobs})
-			})
-			fs.Processed[i][jj] = popped
-			fs.LocalDelaySum[i][jj] = delay
+			if r := act.Route[i][jj]; r < 0 {
+				return nil, fmt.Errorf("route[%d][%d] = %v is negative", i, jj, r)
+			}
 		}
+	}
+
+	// One backing array for the three N x J matrices and the two per-type
+	// vectors; every row is capped at its own length.
+	flat := make([]float64, (3*n+2)*j)
+	rows := make([][]float64, 3*n)
+	for r := range rows {
+		rows[r] = flat[r*j : (r+1)*j : (r+1)*j]
+	}
+	fs := &FlowStats{
+		Routed:            rows[:n:n],
+		Processed:         rows[n : 2*n : 2*n],
+		LocalDelaySum:     rows[2*n:],
+		CentralDelaySum:   flat[3*n*j : (3*n+1)*j : (3*n+1)*j],
+		CentralRouted:     flat[(3*n+1)*j:],
+		LocalDelaySamples: make([][]DelaySample, n),
+	}
+
+	// Process from local queues out of the system. A pair with nothing to
+	// process moves nothing and records nothing.
+	for i := 0; i < n; i++ {
+		var samples []DelaySample
+		visit := func(d, jobs float64) {
+			samples = append(samples, DelaySample{Delay: d, Jobs: jobs})
+		}
+		for jj, h := range act.Process[i] {
+			if h == 0 {
+				continue
+			}
+			fs.Processed[i][jj], fs.LocalDelaySum[i][jj] = s.local[i][jj].PopVisit(t, h, visit)
+		}
+		fs.LocalDelaySamples[i] = samples
 	}
 
 	// Route from central queues into local queues. Routing is capped at the
 	// central queue content; when the action over-asks across several data
-	// centers the cap is consumed in data-center order.
-	for jj := 0; jj < j; jj++ {
-		for i := 0; i < n; i++ {
-			r := float64(act.Route[i][jj])
-			if r < 0 {
-				return nil, fmt.Errorf("route[%d][%d] = %v is negative", i, jj, r)
-			}
+	// centers the cap is consumed in data-center order: walking the action
+	// row by row still visits each type's central ledger by ascending site.
+	for i := 0; i < n; i++ {
+		for jj, r := range act.Route[i] {
 			if r == 0 {
 				continue
 			}
-			popped, delay := s.central[jj].Pop(t, r)
+			popped, delay := s.central[jj].Pop(t, float64(r))
 			if popped <= 0 {
 				continue
 			}

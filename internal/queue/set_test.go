@@ -1,7 +1,9 @@
 package queue
 
 import (
+	"bytes"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -203,6 +205,144 @@ func TestSetApplyRejectsMalformed(t *testing.T) {
 	act.Route[0][0] = -1
 	if _, err := s.Apply(0, act); err == nil {
 		t.Error("negative route not rejected")
+	}
+}
+
+// loadedSet builds a set with backlog in every central queue and every
+// eligible local queue, spread over two arrival slots.
+func loadedSet(t *testing.T, c *model.Cluster) *Set {
+	t.Helper()
+	s := NewSet(c)
+	arr := make([]int, c.J())
+	for slot := 0; slot < 2; slot++ {
+		for j := range arr {
+			arr[j] = 6 + j + slot
+		}
+		if err := s.Arrive(slot, arr); err != nil {
+			t.Fatal(err)
+		}
+		act := model.NewAction(c)
+		for j, jt := range c.JobTypes {
+			for _, i := range jt.Eligible {
+				act.Route[i][j] = 2
+			}
+		}
+		if _, err := s.Apply(slot, act); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s
+}
+
+// TestRejectedApplyLeavesNoTrace pins validate-before-mutate: an action that
+// asks for real processing and routing everywhere but carries one bad entry
+// at the very end must be refused with the set's snapshot bytes unchanged,
+// and the corrected action must then apply exactly once — the same flows and
+// the same final state as on a set that never saw the rejection.
+func TestRejectedApplyLeavesNoTrace(t *testing.T) {
+	c := testCluster(t)
+	n, nJ := c.N(), c.J()
+	good := func() *model.Action {
+		act := model.NewAction(c)
+		for j, jt := range c.JobTypes {
+			for _, i := range jt.Eligible {
+				act.Route[i][j] = 1
+				act.Process[i][j] = 1.5
+			}
+		}
+		return act
+	}
+	cases := []struct {
+		name    string
+		corrupt func(act *model.Action)
+	}{
+		{"negative-route-last-pair", func(act *model.Action) { act.Route[n-1][nJ-1] = -1 }},
+		{"negative-process-last-pair", func(act *model.Action) { act.Process[n-1][nJ-1] = -0.5 }},
+		{"short-last-row", func(act *model.Action) { act.Process[n-1] = act.Process[n-1][:nJ-1] }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s, twin := loadedSet(t, c), loadedSet(t, c)
+			before, err := s.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			bad := good()
+			tc.corrupt(bad)
+			if _, err := s.Apply(2, bad); err == nil {
+				t.Fatal("malformed action accepted")
+			}
+			after, err := s.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(before, after) {
+				t.Fatal("rejected action changed the set")
+			}
+
+			got, err := s.Apply(2, good())
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := twin.Apply(2, good())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Error("corrected resend moved different jobs than on a set that saw no rejection")
+			}
+			if got.TotalRouted() == 0 {
+				t.Fatal("test action routed nothing")
+			}
+			gs, err := s.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ws, err := twin.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(gs, ws) {
+				t.Error("final state differs from a set that saw no rejection")
+			}
+		})
+	}
+}
+
+// TestSnapshotsOwnTheirRows checks that the single backing array behind a
+// Lengths snapshot or a FlowStats is invisible: growing one row or vector
+// never writes into its neighbour, and a snapshot taken earlier is not
+// touched by later queue movement.
+func TestSnapshotsOwnTheirRows(t *testing.T) {
+	c := testCluster(t)
+	s := loadedSet(t, c)
+	l := s.Lengths()
+	want := l.Clone()
+	_ = append(l.Central, -1)
+	for i := range l.Local {
+		_ = append(l.Local[i], -1)
+	}
+	act := model.NewAction(c)
+	for j, jt := range c.JobTypes {
+		for _, i := range jt.Eligible {
+			act.Route[i][j] = 1
+			act.Process[i][j] = 1
+		}
+	}
+	fs, err := s.Apply(2, act)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(l, want) {
+		t.Error("a Lengths snapshot changed after it was taken")
+	}
+	wantRouted := append([]float64(nil), fs.CentralRouted...)
+	wantProcessed1 := append([]float64(nil), fs.Processed[1]...)
+	_ = append(fs.CentralDelaySum, -1)
+	_ = append(fs.Processed[0], -1)
+	_ = append(fs.Routed[len(fs.Routed)-1], -1)
+	if !reflect.DeepEqual(fs.CentralRouted, wantRouted) || !reflect.DeepEqual(fs.Processed[1], wantProcessed1) {
+		t.Error("growing one FlowStats row wrote into another")
 	}
 }
 

@@ -113,6 +113,26 @@ func TestSessionTickAdmitsWithArrivalCap(t *testing.T) {
 	}
 }
 
+// driveSession submits schedule[slot] and ticks once for each slot in
+// [from, to), returning the tick reports and the backlog after each tick.
+func driveSession(t *testing.T, s *Session, schedule [][]Job, from, to int) ([]TickReport, []queue.Lengths) {
+	t.Helper()
+	var reps []TickReport
+	var traj []queue.Lengths
+	for slot := from; slot < to; slot++ {
+		if _, err := s.Submit(schedule[slot]); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := s.Tick(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		reps = append(reps, *rep)
+		traj = append(traj, s.Lengths())
+	}
+	return reps, traj
+}
+
 // TestSessionCheckpointRestore runs 20 slots, checkpoints, restores into a
 // fresh session, runs 20 more, and requires the queue trajectory and tick
 // reports to match the uninterrupted 40-slot run exactly.
@@ -123,20 +143,7 @@ func TestSessionCheckpointRestore(t *testing.T) {
 
 	drive := func(s *Session, from, to int) ([]TickReport, []queue.Lengths) {
 		t.Helper()
-		var reps []TickReport
-		var traj []queue.Lengths
-		for slot := from; slot < to; slot++ {
-			if _, err := s.Submit(schedule[slot]); err != nil {
-				t.Fatal(err)
-			}
-			rep, err := s.Tick(context.Background())
-			if err != nil {
-				t.Fatal(err)
-			}
-			reps = append(reps, *rep)
-			traj = append(traj, s.Lengths())
-		}
-		return reps, traj
+		return driveSession(t, s, schedule, from, to)
 	}
 
 	full, err := NewSession(testConfig(t, cfg))
@@ -177,6 +184,42 @@ func TestSessionCheckpointRestore(t *testing.T) {
 	}
 	if got, want := second.Submitted(), full.Submitted(); got != want {
 		t.Fatalf("lifetime submitted %v, want %v", got, want)
+	}
+}
+
+// TestSessionRestoreRewindsRunningSession restores a checkpoint into the very
+// session that wrote it, after that session has ticked past it: the engine
+// holds a backlog snapshot from the later slot, and the replay must not
+// decide against it.
+func TestSessionRestoreRewindsRunningSession(t *testing.T) {
+	const split, more = 12, 8
+	cfg := core.Config{V: 7.5, Beta: 100, WarmStart: true}
+	schedule := arrivalSchedule(split+more, 8)
+	sc := testConfig(t, cfg)
+	sc.Sim.Check = false // the checker's slot-continuity rule rightly objects to a rewind
+	s, err := NewSession(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drive := func(from, to int) ([]TickReport, []queue.Lengths) {
+		t.Helper()
+		return driveSession(t, s, schedule, from, to)
+	}
+	drive(0, split)
+	var buf bytes.Buffer
+	if err := s.Checkpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	wantReps, wantTraj := drive(split, split+more)
+	if err := s.Restore(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if s.Slot() != split {
+		t.Fatalf("restored at slot %d, want %d", s.Slot(), split)
+	}
+	gotReps, gotTraj := drive(split, split+more)
+	if !reflect.DeepEqual(gotTraj, wantTraj) || !reflect.DeepEqual(gotReps, wantReps) {
+		t.Fatal("replay after restoring into the running session diverged from the first pass")
 	}
 }
 

@@ -47,6 +47,15 @@ type Engine struct {
 	avgQ               metrics.Running
 	arrived, processed float64
 
+	// next is the backlog snapshot the next Step decides on: the post-slot
+	// snapshot of the slot before it, which nothing modifies in between (the
+	// engine owns the queue set, and snapshots are immutable once taken — the
+	// same value may sit in one slot's Detail.Post and the next slot's
+	// Detail.Pre). nextValid is cleared while a Step is in flight and by
+	// RestoreState, so a failed slot or a rewind re-reads the queues.
+	next      queue.Lengths
+	nextValid bool
+
 	res           *Result
 	admissionLens []float64
 	zeroArrivals  []int
@@ -141,7 +150,9 @@ func NewEngine(in Inputs, s sched.Scheduler, opt Options) (*Engine, error) {
 // the number of slots executed so far).
 func (e *Engine) Slot() int { return e.t }
 
-// Lengths returns a snapshot of the current queue backlogs Theta(t).
+// Lengths returns a snapshot of the current queue backlogs Theta(t). The
+// snapshot is the caller's: it is taken fresh and never aliases the one the
+// engine keeps for its next slot.
 func (e *Engine) Lengths() queue.Lengths { return e.qs.Lengths() }
 
 // Scheduler returns the policy currently driving the engine.
@@ -187,8 +198,12 @@ func (e *Engine) Step(extra []int) error {
 		return fmt.Errorf("slot %d: bad state: %w", t, err)
 	}
 
-	// Decide and apply.
-	lengths := e.qs.Lengths()
+	// Decide and apply. Theta(t) is the snapshot the previous slot ended on.
+	lengths := e.next
+	if !e.nextValid {
+		lengths = e.qs.Lengths()
+	}
+	e.nextValid = false
 	act, err := e.s.Decide(t, st, lengths)
 	if err != nil {
 		return fmt.Errorf("slot %d: %s: %w", t, e.s.Name(), err)
@@ -306,6 +321,7 @@ func (e *Engine) Step(extra []int) error {
 			return fmt.Errorf("slot %d: %s: %w", t, e.s.Name(), err)
 		}
 	}
+	e.next, e.nextValid = post, true
 	e.t++
 	return nil
 }
@@ -387,6 +403,7 @@ func (e *Engine) RestoreState(st *EngineState) error {
 	if st.Slot < 0 {
 		return fmt.Errorf("%w: negative slot counter %d", ErrBadInputs, st.Slot)
 	}
+	e.nextValid = false
 	if err := e.qs.Restore(st.Queues); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadInputs, err)
 	}

@@ -7,6 +7,7 @@ import (
 	"grefar/internal/core"
 	"grefar/internal/queue"
 	"grefar/internal/sched"
+	"grefar/internal/telemetry"
 )
 
 // TestEngineMatchesRun checks that stepping an Engine manually produces the
@@ -231,6 +232,152 @@ func TestEngineStateRoundTrip(t *testing.T) {
 	if err := eB.RestoreState(&EngineState{Slot: 1, Queues: []byte("junk")}); err == nil {
 		t.Fatal("corrupt queue snapshot accepted")
 	}
+}
+
+// detailKeeper retains every applied slot's queue snapshots as delivered,
+// next to a deep copy taken at delivery time.
+type detailKeeper struct {
+	pre, post, preCopy, postCopy []queue.Lengths
+}
+
+func (k *detailKeeper) WantsSlotDetail() bool { return true }
+
+func (k *detailKeeper) ObserveSlot(ev telemetry.SlotEvent) {
+	if ev.Origin != telemetry.OriginSim || ev.Detail == nil {
+		return
+	}
+	k.pre = append(k.pre, ev.Detail.Pre)
+	k.post = append(k.post, ev.Detail.Post)
+	k.preCopy = append(k.preCopy, ev.Detail.Pre.Clone())
+	k.postCopy = append(k.postCopy, ev.Detail.Post.Clone())
+}
+
+// TestEngineSnapshotReuse pins the engine's one-snapshot-per-slot rule from
+// the outside: the post-slot snapshot of slot t is what slot t+1 decides on,
+// retained snapshots are never written again, a rewind drops the kept
+// snapshot, and Lengths() hands out a snapshot of the caller's own.
+func TestEngineSnapshotReuse(t *testing.T) {
+	cfg := core.Config{V: 7.5, Beta: 100, WarmStart: true}
+	build := func(t *testing.T, slots int, opt Options) (*Engine, *core.GreFar) {
+		t.Helper()
+		in := refInputs(t, slots)
+		g, err := core.New(in.Cluster, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt.ValidateActions = true
+		e, err := NewEngine(in, g, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e, g
+	}
+	steps := func(t *testing.T, e *Engine, n int) []queue.Lengths {
+		t.Helper()
+		var traj []queue.Lengths
+		for s := 0; s < n; s++ {
+			if err := e.Step(nil); err != nil {
+				t.Fatal(err)
+			}
+			traj = append(traj, e.Lengths())
+		}
+		return traj
+	}
+
+	t.Run("retained-details", func(t *testing.T) {
+		const slots = 200
+		keep := &detailKeeper{}
+		e, _ := build(t, slots, Options{Check: true, Observer: keep})
+		steps(t, e, slots)
+		if len(keep.pre) != slots {
+			t.Fatalf("observed %d applied slots, want %d", len(keep.pre), slots)
+		}
+		for s := 0; s < slots; s++ {
+			if !reflect.DeepEqual(keep.pre[s], keep.preCopy[s]) {
+				t.Fatalf("slot %d: retained Pre was modified after delivery", s)
+			}
+			if !reflect.DeepEqual(keep.post[s], keep.postCopy[s]) {
+				t.Fatalf("slot %d: retained Post was modified after delivery", s)
+			}
+			if s+1 < slots && !reflect.DeepEqual(keep.post[s], keep.pre[s+1]) {
+				t.Fatalf("Post(%d) differs from Pre(%d)", s, s+1)
+			}
+		}
+		if keep.post[slots-1].Sum() == 0 {
+			t.Fatal("run ended with empty queues; the comparison proved nothing")
+		}
+	})
+
+	t.Run("rewind", func(t *testing.T) {
+		const split, more = 10, 10
+		// No invariant checker here: its slot-continuity rule rightly objects
+		// to time running backwards.
+		e, g := build(t, split+more, Options{})
+		steps(t, e, split)
+		engSt, err := e.ExportState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		schedSt := g.ExportState()
+		want := steps(t, e, more)
+		// The engine now holds the snapshot slot split+more ended on; the
+		// rewind must not decide slot split against it.
+		if err := e.RestoreState(engSt); err != nil {
+			t.Fatal(err)
+		}
+		if err := g.RestoreState(schedSt); err != nil {
+			t.Fatal(err)
+		}
+		if got := steps(t, e, more); !reflect.DeepEqual(got, want) {
+			t.Fatal("replay after rewinding a running engine diverged from the first pass")
+		}
+	})
+
+	t.Run("failed-step", func(t *testing.T) {
+		// A Step that fails after applying its action leaves the queues moved;
+		// the next Step must decide on what is there, not on the snapshot the
+		// last good slot ended on.
+		keep := &detailKeeper{}
+		e, _ := build(t, 8, Options{Observer: keep})
+		steps(t, e, 4)
+		if err := e.Step([]int{1}); err == nil {
+			t.Fatal("wrong-length extra arrivals accepted")
+		}
+		want := e.Lengths()
+		steps(t, e, 1)
+		if got := keep.pre[len(keep.pre)-1]; !reflect.DeepEqual(got, want) {
+			t.Fatal("the slot after a failed Step decided on a stale snapshot")
+		}
+		if reflect.DeepEqual(want, keep.post[len(keep.post)-2]) {
+			t.Fatal("the failed Step moved nothing; the comparison proved nothing")
+		}
+	})
+
+	t.Run("lengths-owned-by-caller", func(t *testing.T) {
+		const slots = 12
+		e, _ := build(t, slots, Options{Check: true})
+		twin, _ := build(t, slots, Options{Check: true})
+		for s := 0; s < slots; s++ {
+			l := e.Lengths()
+			for j := range l.Central {
+				l.Central[j] = -1
+			}
+			for i := range l.Local {
+				for j := range l.Local[i] {
+					l.Local[i][j] = -1
+				}
+			}
+			if err := e.Step(nil); err != nil {
+				t.Fatal(err)
+			}
+			if err := twin.Step(nil); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(e.Lengths(), twin.Lengths()) {
+				t.Fatalf("slot %d: scribbling on a Lengths() result changed the trajectory", s)
+			}
+		}
+	})
 }
 
 // TestEngineSetScheduler checks hot-swapping the policy at a slot boundary.

@@ -15,6 +15,10 @@ import (
 // snapshots, so emitters populate it only when the wired observer asks for
 // it via the DetailObserver interface. The JSONL stream deliberately omits
 // it (json:"-") to keep the event schema stable and the stream compact.
+//
+// A detail may be retained, but it is read-only: the queue snapshots are
+// immutable once taken, and the simulator hands the same snapshot out as one
+// slot's Post and the next slot's Pre.
 type SlotDetail struct {
 	// State is x(t): prices, availability, and base energy as revealed to
 	// the scheduler at the beginning of the slot.

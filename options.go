@@ -133,12 +133,15 @@ func WithWarmStart(on bool) SchedulerOption {
 }
 
 // WithSolver selects the slot-solver implementation: SolverAuto (the
-// default monolithic dense path), SolverMonolithic (the same, pinned
-// explicitly), SolverSparse (the active-pair compact representation,
-// bit-identical decisions in O(active) work), or SolverDecomposed (per-data-
-// center block decomposition, see WithDecomposedSolver). The sparse kinds
-// require a cluster without auxiliary resources and a linear (or absent)
-// tariff; New rejects other combinations with ErrBadConfig.
+// default: the active-pair compact representation, O(active) work per slot,
+// whenever the cluster has no auxiliary resources and the tariff is linear
+// or absent, and the dense layout otherwise — bit-identical decisions either
+// way), SolverMonolithic (the dense N*J layout, pinned as a reference),
+// SolverSparse (the compact representation, insisted on), or
+// SolverDecomposed (per-data-center block decomposition, see
+// WithDecomposedSolver). The sparse kinds require a cluster without
+// auxiliary resources and a linear (or absent) tariff; New rejects other
+// combinations with ErrBadConfig, where SolverAuto falls back to dense.
 func WithSolver(kind core.SolverKind) SchedulerOption {
 	return optionFunc(func(cfg *Config) { cfg.Solver = kind })
 }
