@@ -36,8 +36,11 @@ race:
 # plus the cross-solver agreement smoke, and a short fuzz smoke of the native
 # fuzz targets, including the snapshot-restore, wire-frame, wire-codec, and
 # incremental-refresh surfaces. The wire
-# allocation budget (codec, agent.Handle, one mux call) and the N=200/J=100
-# engine-step budget run plain next to the Decide one for the same reason.
+# allocation budget (codec, agent.Handle, one mux call, one whole 500-agent
+# tick) and the N=200/J=100 engine-step budget run plain next to the Decide
+# one for the same reason. The raced transport run is also where the batch
+# dispatch contract (TestMuxBatchFansOutConcurrently: bounded workers, each
+# item once, replies in order) is held.
 tier1:
 	$(GO) build ./...
 	$(GO) vet ./...

@@ -142,10 +142,10 @@ func TestEngineStepAllocationBudget(t *testing.T) {
 // TestWireAllocationBudget is the distributed tick's counterpart of
 // TestDecideAllocationBudget: the per-message costs the hollow-fleet numbers
 // are made of — one body through the codec, one request through an agent, one
-// call over the mux wire — must stay within the ceilings recorded in
-// testdata/bench_slot_baseline.txt. Under gob a J=3 message cost 205
-// allocations to encode and decode; a regression of that kind shows here, in
-// go test, before it shows in a benchmark.
+// call over the mux wire — and the whole 500-agent tick they add up to must
+// stay within the ceilings recorded in testdata/bench_slot_baseline.txt. Under
+// gob a J=3 message cost 205 allocations to encode and decode; a regression of
+// that kind shows here, in go test, before it shows in a benchmark.
 func TestWireAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts include race-detector bookkeeping under -race")
@@ -193,6 +193,11 @@ func TestWireAllocationBudget(t *testing.T) {
 	defer cli.Close()
 	conn := cli.Agent(0)
 
+	// The whole tick: BenchmarkHollowSlot's fleet and controller at 500 agents.
+	fleetIn, fleet, ct := newHollowLoop(t, 500, 4096)
+	defer fleet.Close()
+	tick := 0
+
 	slot := 0
 	handle := func(kind string, body []byte) func() {
 		return func() {
@@ -233,13 +238,21 @@ func TestWireAllocationBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
+		{"hollow-slot/agents=500", func() {
+			if _, _, _, err := ct.RunSlot(tick, fleetIn.Workload.Arrivals(tick)); err != nil {
+				t.Fatal(err)
+			}
+			tick++
+		}},
 	}
 	for _, tc := range cases {
 		ceil, ok := budgets[tc.name]
 		if !ok {
 			t.Fatalf("no budget recorded for %s in testdata/bench_slot_baseline.txt", tc.name)
 		}
-		if got := testing.AllocsPerRun(200, tc.op); got > ceil {
+		got := testing.AllocsPerRun(200, tc.op)
+		t.Logf("%s: %.1f allocs/op (ceiling %.0f)", tc.name, got, ceil)
+		if got > ceil {
 			t.Errorf("%s allocates %.1f allocs/op, budget is %.0f (see testdata/bench_slot_baseline.txt)", tc.name, got, ceil)
 		}
 	}

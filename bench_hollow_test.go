@@ -9,10 +9,39 @@ import (
 	"grefar/internal/controller"
 	"grefar/internal/core"
 	"grefar/internal/hollow"
+	"grefar/internal/sim"
 )
 
 // hollowBenchSizes is the fleet-size sweep recorded in BENCH_distributed.json.
 var hollowBenchSizes = []int{100, 500, 1000, 2000}
+
+// newHollowLoop builds what the hollow-fleet benchmarks, the leak test and the
+// whole-tick allocation guard all drive: n hollow agents behind the mux wire
+// and the single, Degrade-policy GreFar controller over fleet.Conns(). The
+// caller closes the fleet.
+func newHollowLoop(tb testing.TB, n, horizon int) (sim.Inputs, *hollow.Fleet, *controller.Controller) {
+	tb.Helper()
+	in, err := hollow.NewScaleInputs(2012, n, horizon)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	fleet, err := hollow.NewFleet(in, hollow.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	g, err := core.New(in.Cluster, core.Config{V: 7.5, Beta: 100})
+	if err != nil {
+		fleet.Close()
+		tb.Fatal(err)
+	}
+	ct, err := controller.New(in.Cluster, g, fleet.Conns(),
+		controller.WithFailurePolicy(controller.Degrade))
+	if err != nil {
+		fleet.Close()
+		tb.Fatal(err)
+	}
+	return in, fleet, ct
+}
 
 // BenchmarkHollowSlot measures one real control-loop slot tick against a
 // hollow fleet of N in-process agents behind the multiplexed TCP wire: concurrent gather from N agents, the GreFar decision over N sites,
@@ -22,25 +51,7 @@ var hollowBenchSizes = []int{100, 500, 1000, 2000}
 func BenchmarkHollowSlot(b *testing.B) {
 	for _, n := range hollowBenchSizes {
 		b.Run(fmt.Sprintf("agents=%d", n), func(b *testing.B) {
-			in, err := hollow.NewScaleInputs(2012, n, 4096)
-			if err != nil {
-				b.Fatal(err)
-			}
-			fleet, err := hollow.NewFleet(in, hollow.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			g, err := core.New(in.Cluster, core.Config{V: 7.5, Beta: 100})
-			if err != nil {
-				fleet.Close()
-				b.Fatal(err)
-			}
-			ct, err := controller.New(in.Cluster, g, fleet.Conns(),
-				controller.WithFailurePolicy(controller.Degrade))
-			if err != nil {
-				fleet.Close()
-				b.Fatal(err)
-			}
+			in, fleet, ct := newHollowLoop(b, n, 4096)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				t := i % 4096
@@ -59,25 +70,7 @@ func BenchmarkHollowSlot(b *testing.B) {
 // the process to its prior goroutine count.
 func TestHollowBenchHarnessLeaksNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
-	in, err := hollow.NewScaleInputs(2012, 64, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fleet, err := hollow.NewFleet(in, hollow.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := core.New(in.Cluster, core.Config{V: 7.5, Beta: 100})
-	if err != nil {
-		fleet.Close()
-		t.Fatal(err)
-	}
-	ct, err := controller.New(in.Cluster, g, fleet.Conns(),
-		controller.WithFailurePolicy(controller.Degrade))
-	if err != nil {
-		fleet.Close()
-		t.Fatal(err)
-	}
+	in, fleet, ct := newHollowLoop(t, 64, 32)
 	for tt := 0; tt < 3; tt++ {
 		if _, _, _, err := ct.RunSlot(tt, in.Workload.Arrivals(tt)); err != nil {
 			fleet.Close()

@@ -51,6 +51,11 @@ type Agent struct {
 	// -1 means no allocation has been executed since start or restore.
 	lastSlot int
 	lastAck  transport.AllocateAck
+
+	// req is the decode destination of every Allocate, reused under mu so the
+	// scatter costs the agent no request slices. Nothing read out of it
+	// outlives the call that decoded it.
+	req transport.Allocate
 }
 
 // New validates the configuration and builds an agent.
@@ -90,11 +95,7 @@ func (a *Agent) Handle(kind string, body []byte) (any, error) {
 		}
 		return a.state(req.Slot), nil
 	case transport.KindAllocate:
-		var req transport.Allocate
-		if err := transport.Unmarshal(body, &req); err != nil {
-			return nil, err
-		}
-		return a.allocate(req)
+		return a.allocate(body)
 	case transport.KindRestore:
 		var req transport.RestoreRequest
 		if err := transport.Unmarshal(body, &req); err != nil {
@@ -124,19 +125,23 @@ func (a *Agent) state(slot int) transport.StateReport {
 	return rep
 }
 
-// allocate executes a slot decision: it processes queued jobs first (capped
-// at queue content, matching the paper's queue dynamics where jobs routed in
-// a slot are not processable until the next), then admits the routed jobs,
-// and reports energy, processed counts and delay sums. The whole request is
-// validated before any ledger moves: a rejected allocation leaves the queues
-// and the replay cache exactly as they were.
-func (a *Agent) allocate(req transport.Allocate) (transport.AllocateAck, error) {
+// allocate decodes and executes a slot decision: it processes queued jobs
+// first (capped at queue content, matching the paper's queue dynamics where
+// jobs routed in a slot are not processable until the next), then admits the
+// routed jobs, and reports energy, processed counts and delay sums. The whole
+// request is decoded and validated before any ledger moves: a rejected
+// allocation leaves the queues and the replay cache exactly as they were.
+func (a *Agent) allocate(body []byte) (transport.AllocateAck, error) {
 	c := a.cfg.Cluster
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	req := &a.req
+	if err := transport.Unmarshal(body, req); err != nil {
+		return transport.AllocateAck{}, err
+	}
 	if err := req.Validate(c.K(a.cfg.DataCenter), c.J()); err != nil {
 		return transport.AllocateAck{}, err
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
 
 	// Idempotent replay: the controller sends exactly one allocation per
 	// slot, so a second Allocate with the executed slot is a retransmission

@@ -471,7 +471,7 @@ func (ct *Controller) RunSlotContext(ctx context.Context, t int, arrivals []int)
 	st := model.NewState(c)
 	pre := queue.Lengths{
 		Central: ct.CentralLens(),
-		Local:   make([][]float64, c.N()),
+		Local:   newRows(c.N(), c.J()),
 	}
 	var masked []int
 	for i := 0; i < c.N(); i++ {
@@ -482,7 +482,7 @@ func (ct *Controller) RunSlotContext(ctx context.Context, t int, arrivals []int)
 			st.Price[i] = ct.tracker.LastPrice(i)
 			masked = append(masked, i)
 		}
-		pre.Local[i] = ct.tracker.ShadowLens(i)
+		ct.tracker.ShadowLens(i, pre.Local[i])
 	}
 	if err := st.Validate(c); err != nil {
 		return nil, nil, nil, fmt.Errorf("slot %d: bad assembled state: %w", t, err)
@@ -539,10 +539,7 @@ func (ct *Controller) RunSlotContext(ctx context.Context, t int, arrivals []int)
 	routed := ct.scratch.Routed
 	var routedF [][]float64
 	if ct.detail {
-		routedF = make([][]float64, c.N())
-		for i := range routedF {
-			routedF[i] = make([]float64, c.J())
-		}
+		routedF = newRows(c.N(), c.J())
 	}
 	for j := 0; j < c.J(); j++ {
 		for i := 0; i < c.N(); i++ {
@@ -559,7 +556,7 @@ func (ct *Controller) RunSlotContext(ctx context.Context, t int, arrivals []int)
 	}
 
 	acks := make([]transport.AllocateAck, c.N())
-	errsA := ct.scratch.AllocErrs
+	errsA, allocs := ct.scratch.AllocErrs, ct.scratch.Allocs
 	ct.eachPartition(func(p *partition) {
 		live := make([]int, 0, len(p.owned))
 		for _, i := range p.owned {
@@ -569,12 +566,13 @@ func (ct *Controller) RunSlotContext(ctx context.Context, t int, arrivals []int)
 		}
 		ct.callMany(ctx, live, transport.KindAllocate,
 			func(i int) any {
-				return transport.Allocate{
+				allocs[i] = transport.Allocate{
 					Slot:    t,
 					Route:   routed[i],
 					Process: act.Process[i],
 					Busy:    act.Busy[i],
 				}
+				return &allocs[i] // a pointer into scratch boxes without allocating
 			},
 			func(i int) any { return &acks[i] },
 			errsA)
@@ -591,10 +589,10 @@ func (ct *Controller) RunSlotContext(ctx context.Context, t int, arrivals []int)
 	// the shadow for responders, synthesized from it when the response was
 	// lost (the dispatch is authoritative — a rejoining agent is restored
 	// onto this trajectory), zero for masked agents whose rows were zeroed.
-	processedEv := make([][]float64, c.N())
+	processedEv, delaySums := newRows(c.N(), c.J()), newRows(c.N(), c.J())
 	for i := 0; i < c.N(); i++ {
-		popped, delays := ct.tracker.ApplyShadow(i, t, act.Process[i], routed[i])
-		processedEv[i] = popped
+		popped, delays := processedEv[i], delaySums[i]
+		ct.tracker.ApplyShadow(i, t, act.Process[i], routed[i], popped, delays)
 		if !ok[i] {
 			acks[i] = transport.AllocateAck{
 				Slot:      t,
@@ -693,9 +691,9 @@ func (ct *Controller) emitSlot(t int, arrivals []int, st *model.State, act *mode
 		return
 	}
 	c := ct.cluster
-	post := queue.Lengths{Central: ct.CentralLens(), Local: make([][]float64, c.N())}
+	post := queue.Lengths{Central: ct.CentralLens(), Local: newRows(c.N(), c.J())}
 	for i := 0; i < c.N(); i++ {
-		post.Local[i] = ct.tracker.ShadowLens(i)
+		ct.tracker.ShadowLens(i, post.Local[i])
 	}
 	ev := telemetry.SlotEvent{
 		Slot:       t,

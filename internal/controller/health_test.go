@@ -307,18 +307,19 @@ func TestShadowSeedApplyRestore(t *testing.T) {
 		t.Fatal("seedShadow did not mark the shadow synced")
 	}
 	if !ct.tracker.lensEqualShadow(0, lens) {
-		t.Fatalf("shadow lens %v != seed %v", ct.tracker.ShadowLens(0), lens)
+		t.Fatalf("shadow lens %v != seed %v", ct.tracker.ShadowLens(0, make([]float64, j)), lens)
 	}
 
 	process := make([]float64, j)
 	routed := make([]int, j)
 	process[0], routed[0] = 2, 5 // pop 2 of 3, then push 5
 	process[1] = 100             // over-processing caps at content
-	popped, _ := ct.tracker.ApplyShadow(0, 1, process, routed)
+	popped, delays := make([]float64, j), make([]float64, j)
+	ct.tracker.ApplyShadow(0, 1, process, routed, popped, delays)
 	if popped[0] != 2 || popped[1] != lens[1] {
 		t.Errorf("popped = %v, want [2 %v ...]", popped, lens[1])
 	}
-	got := ct.tracker.ShadowLens(0)
+	got := ct.tracker.ShadowLens(0, make([]float64, j))
 	if got[0] != lens[0]-2+5 || got[1] != 0 {
 		t.Errorf("post-apply lens = %v", got)
 	}

@@ -7,9 +7,10 @@ import (
 
 // SlotScratch is the working set one slot's gather and scatter need and no
 // caller ever sees: the state-report decode destinations, the per-agent
-// error and participation marks, and the realized integer routing. The
-// control loop owns one and Resets it at the top of every slot instead of
-// reallocating O(N) slices per tick.
+// error and participation marks, the realized integer routing, and the
+// allocate requests the scatter sends by pointer. The control loop owns one
+// and Resets it at the top of every slot instead of reallocating O(N) slices
+// per tick.
 // Reports keep their Avail/QueueLens backing arrays across slots — Unmarshal
 // overwrites every field and reuses capacity — so nothing read out of a
 // report may be retained past the slot.
@@ -19,6 +20,7 @@ type SlotScratch struct {
 	AllocErrs []error
 	OK        []bool
 	Routed    [][]int // [site][job type], rows cut from routedFlat
+	Allocs    []transport.Allocate
 
 	routedFlat []int
 }
@@ -32,6 +34,7 @@ func NewSlotScratch(c *model.Cluster) *SlotScratch {
 		AllocErrs: make([]error, n),
 		OK:        make([]bool, n),
 		Routed:    make([][]int, n),
+		Allocs:    make([]transport.Allocate, n),
 
 		routedFlat: make([]int, n*j),
 	}
@@ -43,10 +46,23 @@ func NewSlotScratch(c *model.Cluster) *SlotScratch {
 
 // Reset clears the marks and the routing for a new slot. Reports are left
 // alone: a report is only read after its call succeeded, and a successful
-// decode has overwritten all of it.
+// decode has overwritten all of it. So are Allocs: the scatter writes a
+// request whole before it sends it.
 func (s *SlotScratch) Reset() {
 	clear(s.StateErrs)
 	clear(s.AllocErrs)
 	clear(s.OK)
 	clear(s.routedFlat)
+}
+
+// newRows returns an n x j matrix whose rows are cut from one fresh backing
+// array: what a slot hands to observers and callers is theirs to keep, but it
+// need not cost an allocation per site.
+func newRows(n, j int) [][]float64 {
+	flat := make([]float64, n*j)
+	rows := make([][]float64, n)
+	for i := range rows {
+		rows[i] = flat[i*j : (i+1)*j : (i+1)*j]
+	}
+	return rows
 }

@@ -119,14 +119,14 @@ func (tk *Tracker) NoteDegraded() {
 	}
 }
 
-// ShadowLens returns the shadow backlog per job type for agent i (zeros
-// before the shadow is seeded).
-func (tk *Tracker) ShadowLens(i int) []float64 {
-	out := make([]float64, tk.cluster.J())
+// ShadowLens writes the shadow backlog per job type for agent i (zeros before
+// the shadow is seeded) into dst, which must hold J entries, and returns it.
+// The caller supplies the row so a whole slot's lengths can share one array.
+func (tk *Tracker) ShadowLens(i int, dst []float64) []float64 {
 	for j := range tk.recs[i].shadow {
-		out[j] = tk.recs[i].shadow[j].Len()
+		dst[j] = tk.recs[i].shadow[j].Len()
 	}
-	return out
+	return dst
 }
 
 // seedShadow replaces agent i's shadow with fresh ledgers holding the given
@@ -144,20 +144,15 @@ func (tk *Tracker) seedShadow(i, slot int, lens []float64) {
 
 // ApplyShadow replays one slot's allocation on agent i's shadow ledgers in
 // exactly the agent's execution order (pop then push, per job type) and
-// returns the realized processed amounts and delay sums. Because the shadow
-// held the same cohorts, the popped amounts are bit-identical to what the
-// agent itself reports.
-func (tk *Tracker) ApplyShadow(i, t int, process []float64, routed []int) (popped, delays []float64) {
+// writes the realized processed amounts and delay sums into popped and
+// delays, J entries each. Because the shadow held the same cohorts, the
+// popped amounts are bit-identical to what the agent itself reports.
+func (tk *Tracker) ApplyShadow(i, t int, process []float64, routed []int, popped, delays []float64) {
 	rec := &tk.recs[i]
-	j := tk.cluster.J()
-	popped = make([]float64, j)
-	delays = make([]float64, j)
-	for jj := 0; jj < j; jj++ {
-		p, d := rec.shadow[jj].Pop(t, process[jj])
-		popped[jj], delays[jj] = p, d
-		rec.shadow[jj].Push(t, float64(routed[jj]))
+	for j := range rec.shadow {
+		popped[j], delays[j] = rec.shadow[j].Pop(t, process[j])
+		rec.shadow[j].Push(t, float64(routed[j]))
 	}
-	return popped, delays
 }
 
 // lensEqualShadow reports whether the agent-reported queue lengths coincide
@@ -193,7 +188,7 @@ func (tk *Tracker) resync(ctx context.Context, i, t int) error {
 		return err
 	}
 	if !tk.lensEqualShadow(i, ack.QueueLens) {
-		return fmt.Errorf("restore verification failed: agent echoed %v, shadow holds %v", ack.QueueLens, tk.ShadowLens(i))
+		return fmt.Errorf("restore verification failed: agent echoed %v, shadow holds %v", ack.QueueLens, tk.ShadowLens(i, make([]float64, tk.cluster.J())))
 	}
 	if tk.metrics != nil {
 		tk.metrics.resyncs.With(dcLabel(i)).Inc()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"grefar/internal/fairness"
 	"grefar/internal/model"
@@ -329,24 +330,11 @@ func (g *GreFar) decideRouting(q queue.Lengths, act *model.Action) {
 		// (smallest local backlog) first.
 		order := g.ws.order[:0]
 		for _, i := range jt.Eligible {
-			if q.Local[i][j] < qj {
-				order = append(order, i)
+			if b := q.Local[i][j]; b < qj {
+				order = append(order, routeSite{backlog: b, site: i})
 			}
 		}
-		// Insertion sort by (backlog, site index): the site list is a handful
-		// of entries and this runs once per job type per slot, where
-		// sort.Slice's reflection-based swapping dominated the routing
-		// profile. The comparator is a strict total order (index tie-break),
-		// so the result is identical to any correct sort.
-		for a := 1; a < len(order); a++ {
-			for b := a; b > 0; b-- {
-				qa, qb := q.Local[order[b]][j], q.Local[order[b-1]][j]
-				if qa > qb || (qa == qb && order[b] > order[b-1]) {
-					break
-				}
-				order[b], order[b-1] = order[b-1], order[b]
-			}
-		}
+		sortRouteSites(order)
 		// Fill strictly better (smaller-backlog) sites first; sites whose
 		// backlogs tie have identical coefficients in (14), and the
 		// uncapped paper algorithm routes r_max to each of them, so the
@@ -355,7 +343,7 @@ func (g *GreFar) decideRouting(q queue.Lengths, act *model.Action) {
 		budget := routeBudgetFor(jt)
 		for a := 0; a < len(order) && available > 0; {
 			b := a + 1
-			for b < len(order) && q.Local[order[b]][j] == q.Local[order[a]][j] {
+			for b < len(order) && order[b].backlog == order[a].backlog {
 				b++
 			}
 			group := order[a:b]
@@ -370,10 +358,51 @@ func (g *GreFar) decideRouting(q queue.Lengths, act *model.Action) {
 				if share > budget {
 					share = budget
 				}
-				act.Route[group[g]][j] = share
+				act.Route[group[g].site][j] = share
 				available -= share
 			}
 			a = b
+		}
+	}
+}
+
+// routeSite is one candidate of a job type's routing order: an eligible site
+// and its local backlog for that type, kept together so the sort compares
+// adjacent memory instead of chasing q.Local[site][j] through N row slices.
+type routeSite struct {
+	backlog float64
+	site    int
+}
+
+// insertionSortMax is the longest routing order sorted by insertion. A job
+// type's candidate list is as long as its eligible set: a handful of sites
+// under data placement, where insertion sort wins, and every site of the
+// fleet when placement does not restrict it, where a quadratic sort was most
+// of a 500-site decision.
+const insertionSortMax = 24
+
+// sortRouteSites orders s by (backlog, site index). Sites are distinct, so
+// this is a strict total order and every correct sort returns the same
+// sequence; neither branch allocates.
+func sortRouteSites(s []routeSite) {
+	if len(s) > insertionSortMax {
+		slices.SortFunc(s, func(a, b routeSite) int {
+			switch {
+			case a.backlog < b.backlog:
+				return -1
+			case a.backlog > b.backlog:
+				return 1
+			}
+			return a.site - b.site
+		})
+		return
+	}
+	for a := 1; a < len(s); a++ {
+		for b := a; b > 0; b-- {
+			if s[b].backlog > s[b-1].backlog || (s[b].backlog == s[b-1].backlog && s[b].site > s[b-1].site) {
+				break
+			}
+			s[b], s[b-1] = s[b-1], s[b]
 		}
 	}
 }

@@ -25,7 +25,7 @@ type decideScratch struct {
 	layout slotLayout
 
 	// Routing order buffer (decideRouting).
-	order []int
+	order []routeSite
 
 	// Cheapest-first server order per data center for busy-server
 	// provisioning: availability changes per slot but the energy-per-work
@@ -97,7 +97,7 @@ func newLinearScratch(c *model.Cluster) *linearScratch {
 func newDecideScratch(c *model.Cluster, quad, compact bool) *decideScratch {
 	ws := &decideScratch{
 		layout: newSlotLayout(c),
-		order:  make([]int, 0, c.N()),
+		order:  make([]routeSite, 0, c.N()),
 	}
 	ws.provOrder = make([][]int, c.N())
 	for i := 0; i < c.N(); i++ {

@@ -164,6 +164,9 @@ func (c *Cluster) validate() error {
 			}
 		}
 	}
+	// seenBy[i] is one past the last job type that listed site i: one stamp
+	// slice finds duplicates for every job type without clearing in between.
+	seenBy := make([]int, len(c.DataCenters))
 	for j, jt := range c.JobTypes {
 		if jt.Demand <= 0 {
 			return fmt.Errorf("job type %d (%s): demand %v is not positive", j, jt.Name, jt.Demand)
@@ -171,15 +174,14 @@ func (c *Cluster) validate() error {
 		if len(jt.Eligible) == 0 {
 			return fmt.Errorf("job type %d (%s): empty eligible set", j, jt.Name)
 		}
-		seen := make(map[int]bool, len(jt.Eligible))
 		for _, i := range jt.Eligible {
 			if i < 0 || i >= len(c.DataCenters) {
 				return fmt.Errorf("job type %d (%s): eligible data center %d out of range", j, jt.Name, i)
 			}
-			if seen[i] {
+			if seenBy[i] == j+1 {
 				return fmt.Errorf("job type %d (%s): duplicate eligible data center %d", j, jt.Name, i)
 			}
-			seen[i] = true
+			seenBy[i] = j + 1
 		}
 		if jt.Account < 0 || jt.Account >= len(c.Accounts) {
 			return fmt.Errorf("job type %d (%s): account %d out of range", j, jt.Name, jt.Account)
@@ -506,6 +508,18 @@ func (a *Action) validate(c *Cluster, s *State) error {
 	if len(a.Route) != c.N() || len(a.Process) != c.N() || len(a.Busy) != c.N() {
 		return fmt.Errorf("action shaped for %d data centers, cluster has %d", len(a.Route), c.N())
 	}
+	// eligible[i*J+j] reports i in D_j: the transposed eligibility lists, built
+	// once per call so the per-pair test below is a load, not a scan of D_j
+	// (which made validation O(N^2 J) on a fleet where every site is eligible).
+	nJ := c.J()
+	eligible := make([]bool, c.N()*nJ)
+	for j, jt := range c.JobTypes {
+		for _, i := range jt.Eligible {
+			if i >= 0 && i < c.N() {
+				eligible[i*nJ+j] = true
+			}
+		}
+	}
 	for i := 0; i < c.N(); i++ {
 		if len(a.Route[i]) != c.J() || len(a.Process[i]) != c.J() {
 			return fmt.Errorf("data center %d: action has wrong job-type dimension", i)
@@ -514,14 +528,14 @@ func (a *Action) validate(c *Cluster, s *State) error {
 			return fmt.Errorf("data center %d: action has %d server types, cluster has %d", i, len(a.Busy[i]), c.K(i))
 		}
 		for j := 0; j < c.J(); j++ {
-			jt := c.JobTypes[j]
+			jt := &c.JobTypes[j]
 			if a.Route[i][j] < 0 {
 				return fmt.Errorf("route[%d][%d] = %d is negative", i, j, a.Route[i][j])
 			}
 			if a.Process[i][j] < 0 {
 				return fmt.Errorf("process[%d][%d] = %v is negative", i, j, a.Process[i][j])
 			}
-			if !jt.EligibleSet(i) && (a.Route[i][j] > 0 || a.Process[i][j] > 0) {
+			if !eligible[i*nJ+j] && (a.Route[i][j] > 0 || a.Process[i][j] > 0) {
 				return fmt.Errorf("job type %d is not eligible at data center %d", j, i)
 			}
 			if jt.MaxRoute > 0 && a.Route[i][j] > jt.MaxRoute {

@@ -8,8 +8,10 @@
 //
 //   - MuxServer hosts any number of targets behind a single listener. Each
 //     request frame carries a Target index and is dispatched to one handler
-//     with that index; in-flight requests on a connection are served
-//     concurrently, so one slow target never head-of-line-blocks the rest.
+//     with that index; in-flight frames on a connection are served
+//     concurrently, so one slow target never head-of-line-blocks the calls
+//     in other frames. The items inside one batch frame share a bounded set
+//     of workers (see MuxServer).
 //
 //   - MuxClient pipelines calls: any number of goroutines issue requests on
 //     the same connection concurrently, and a reader goroutine routes each
@@ -27,7 +29,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -40,8 +44,17 @@ type MuxHandler func(target int, kind string, body []byte) (any, error)
 const KindBatch = "__batch"
 
 // MuxServer accepts connections and dispatches frames to a target-aware
-// handler. Every request on a connection is served in its own goroutine;
-// each response is one Write, serialized by a per-connection lock.
+// handler. Every request frame on a connection is served in its own
+// goroutine; each response is one Write, serialized by a per-connection lock.
+//
+// A batch frame (CallBatch) is one request: its items run on
+// min(GOMAXPROCS, items) workers and its one reply frame is written when the
+// last item has finished. So a hung handler stalls its whole batch — as it
+// always did, the reply being one frame — and k slow handlers in a batch cost
+// ceil(k/workers) of them, not one. Handlers are expected to be CPU-bound and
+// short (an agent's ledger update); a caller whose handlers block for long
+// should send them as separate frames, which still run concurrently, as do
+// batch frames on different connections.
 type MuxServer struct {
 	lis     net.Listener
 	handler MuxHandler
@@ -144,10 +157,12 @@ func (ss *muxSession) serve(req frame, in *[]byte) {
 	}
 }
 
-// serveBatch fans the items of one batch frame out to the handler
-// concurrently — a gather over the targets behind this connection costs one
-// slow handler, not the sum — and appends the reply frame, replies in item
-// order, to dst.
+// serveBatch runs the items of one batch frame through the handler on
+// min(GOMAXPROCS, len(items)) workers — this goroutine is one of them — that
+// pull item indices from a shared counter, and appends the reply frame,
+// replies in item order, to dst. A goroutine per item cost more than the
+// handlers themselves at fleet size: a third of a 500-agent tick was
+// spawning a thousand of them a slot and growing each one's stack.
 func (s *MuxServer) serveBatch(dst []byte, req frame) ([]byte, error) {
 	items, err := parseBatchItems(req.Body)
 	if err != nil {
@@ -155,14 +170,21 @@ func (s *MuxServer) serveBatch(dst []byte, req frame) ([]byte, error) {
 	}
 	outs := make([]any, len(items))
 	errs := make([]error, len(items))
-	var wg sync.WaitGroup
-	wg.Add(len(items))
-	for i := range items {
-		go func(i int) {
-			defer wg.Done()
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1)) - 1; i < len(items); i = int(next.Add(1)) - 1 {
 			outs[i], errs[i] = s.handler(items[i].Target, items[i].Kind, items[i].Body)
-		}(i)
+		}
 	}
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(items)); w > 1; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
 	wg.Wait()
 
 	body := getBuf()
@@ -422,10 +444,11 @@ type BatchCall struct {
 }
 
 // CallBatch sends every call in one frame and decodes the replies in order.
-// The server fans the items out to its handler concurrently, so a batch over
-// N targets costs one round trip plus the slowest handler, not N round trips
-// or N frame encodes. A nil return means the batch itself was delivered and
-// answered; inspect each call's Err for per-target outcomes.
+// The server runs the items on a bounded set of workers (see MuxServer), so a
+// batch over N targets costs one round trip, one frame encode and N handler
+// runs spread over the server's cores, not N round trips. A nil return means
+// the batch itself was delivered and answered; inspect each call's Err for
+// per-target outcomes.
 func (m *MuxClient) CallBatch(ctx context.Context, calls []BatchCall) error {
 	if len(calls) == 0 {
 		return nil

@@ -358,30 +358,121 @@ func TestMuxBatchRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMuxBatchFansOutConcurrently proves the server dispatches batch items
-// in parallel: 8 handlers that each stall 30ms must answer together, far
-// under the 240ms a serial walk would cost.
+// TestMuxBatchFansOutConcurrently pins the batch dispatch contract: the items
+// of one batch frame run on min(GOMAXPROCS, items) workers, each item exactly
+// once, replies in item order, a handler error failing only its own call; k
+// slow handlers therefore cost ceil(k/workers) of them, not one and not k.
+// Frames on different connections still run concurrently.
 func TestMuxBatchFansOutConcurrently(t *testing.T) {
-	_, cli := startMux(t, func(target int, kind string, body []byte) (any, error) {
-		time.Sleep(30 * time.Millisecond)
-		return echoMux(target, kind, body)
-	})
-	calls := make([]BatchCall, 8)
-	for i := range calls {
-		calls[i] = BatchCall{Target: i, Kind: KindPing, Req: Ping{Nonce: 1}}
-	}
-	start := time.Now()
-	if err := cli.CallBatch(context.Background(), calls); err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed > 150*time.Millisecond {
-		t.Errorf("batch of 8x30ms handlers took %v; want concurrent fan-out", elapsed)
-	}
-	for i, c := range calls {
-		if c.Err != nil {
-			t.Errorf("call %d: %v", i, c.Err)
+	workers := runtime.GOMAXPROCS(0)
+
+	t.Run("one batch", func(t *testing.T) {
+		const stall = 30 * time.Millisecond
+		k := 4*workers + 1
+		rounds := (k + workers - 1) / workers
+		var mu sync.Mutex
+		handled := make([]int, k)
+		running, peak := 0, 0
+		_, cli := startMux(t, func(target int, kind string, body []byte) (any, error) {
+			mu.Lock()
+			handled[target]++
+			running++
+			peak = max(peak, running)
+			mu.Unlock()
+			time.Sleep(stall)
+			mu.Lock()
+			running--
+			mu.Unlock()
+			if target == 2 {
+				return nil, fmt.Errorf("target 2 rejects")
+			}
+			return echoMux(target, kind, body)
+		})
+		calls := make([]BatchCall, k)
+		pongs := make([]Ping, k)
+		for i := range calls {
+			calls[i] = BatchCall{Target: i, Kind: KindPing, Req: Ping{Nonce: 1}, Resp: &pongs[i]}
 		}
-	}
+		start := time.Now()
+		if err := cli.CallBatch(context.Background(), calls); err != nil {
+			t.Fatal(err)
+		}
+		elapsed := time.Since(start)
+		for i := range calls {
+			if handled[i] != 1 {
+				t.Errorf("item %d handled %d times, want once", i, handled[i])
+			}
+			var re *RemoteError
+			switch {
+			case i == 2 && !errors.As(calls[i].Err, &re):
+				t.Errorf("call 2 err = %v, want RemoteError", calls[i].Err)
+			case i != 2 && calls[i].Err != nil:
+				t.Errorf("call %d: %v", i, calls[i].Err)
+			case i != 2 && pongs[i].Nonce != uint64(1+i*1000):
+				t.Errorf("reply %d carries nonce %d, want target %d's", i, pongs[i].Nonce, i)
+			}
+		}
+		if peak > workers {
+			t.Errorf("%d handlers of one batch ran at once, bound is GOMAXPROCS = %d", peak, workers)
+		}
+		// time.Sleep never returns early, so with at most `workers` handlers
+		// at once the lower bound holds on any box; the upper one is loose and
+		// only separates fan-out from a serial walk of the batch.
+		if floor := time.Duration(rounds) * stall; elapsed < floor {
+			t.Errorf("%d stalling handlers on %d workers took %v, under %d stalls: more than %d ran at once", k, workers, elapsed, rounds, workers)
+		}
+		if workers > 1 {
+			if peak < 2 {
+				t.Errorf("peak handler concurrency %d with %d workers; want fan-out", peak, workers)
+			}
+			if serial := time.Duration(k) * stall; elapsed >= serial {
+				t.Errorf("%d stalling handlers on %d workers took %v, a serial walk costs %v", k, workers, elapsed, serial)
+			}
+		}
+	})
+
+	// Each batch's handlers wait for the other batch to have started: were
+	// frames on different connections serialized, neither could finish.
+	t.Run("two connections overlap", func(t *testing.T) {
+		started := [2]chan struct{}{make(chan struct{}), make(chan struct{})}
+		var once [2]sync.Once
+		srv, cliA := startMux(t, func(target int, kind string, body []byte) (any, error) {
+			batch := target / 100
+			once[batch].Do(func() { close(started[batch]) })
+			select {
+			case <-started[1-batch]:
+				return echoMux(target, kind, body)
+			case <-time.After(5 * time.Second):
+				return nil, fmt.Errorf("batch %d never saw batch %d start", batch, 1-batch)
+			}
+		})
+		cliB, err := DialMux(srv.Addr(), 10*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cliB.Close()
+		var wg sync.WaitGroup
+		for b, cli := range []*MuxClient{cliA, cliB} {
+			wg.Add(1)
+			go func(b int, cli *MuxClient) {
+				defer wg.Done()
+				calls := make([]BatchCall, 3)
+				for i := range calls {
+					calls[i] = BatchCall{Target: b*100 + i, Kind: KindPing, Req: Ping{Nonce: 1}}
+				}
+				if err := cli.CallBatch(context.Background(), calls); err != nil {
+					t.Errorf("batch %d: %v", b, err)
+					return
+				}
+				for i := range calls {
+					if calls[i].Err != nil {
+						t.Errorf("batch %d call %d: %v", b, i, calls[i].Err)
+					}
+				}
+			}(b, cli)
+		}
+		wg.Wait()
+	})
 }
 
 // TestMuxLateRepliesNeverCrossCalls races the recycled per-call objects: a
