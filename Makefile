@@ -36,18 +36,21 @@ race:
 # plus the cross-solver agreement smoke, and a short fuzz smoke of the native
 # fuzz targets, including the snapshot-restore, wire-frame, wire-codec, and
 # incremental-refresh surfaces. The wire
-# allocation budget (codec, agent.Handle, one mux call, one whole 500-agent
-# tick) and the N=200/J=100 engine-step budget run plain next to the Decide
-# one for the same reason. The raced transport run is also where the batch
-# dispatch contract (TestMuxBatchFansOutConcurrently: bounded workers, each
-# item once, replies in order) is held.
+# allocation budget (codec, agent.Handle, one mux call, one whole tick at 500
+# and at 2000 agents) and the N=200/J=100 engine-step budget run plain next to
+# the Decide one for the same reason. The raced transport run is also where
+# the batch dispatch contract (TestMuxBatchFansOutConcurrently: bounded
+# workers, each item once, replies in order) and the append-style handler
+# contract are held; the raced agent and controller runs hold the reuse rules
+# behind the garbage-free wire (replies encoded under the agent's lock, slot
+# outputs fresh per slot).
 tier1:
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(GO) test -race -count=1 ./internal/runner
 	$(GO) test -race -count=1 ./internal/serve/... ./cmd/grefar-serve
-	$(GO) test -race -count=1 ./internal/controller ./internal/controlplane ./internal/transport/... ./internal/experiments ./internal/hollow
+	$(GO) test -race -count=1 ./internal/agent ./internal/controller ./internal/controlplane ./internal/transport/... ./internal/experiments ./internal/hollow
 	$(GO) test -race -count=1 -run 'TestSparse|TestDecomposed|TestSharingADMM|TestAuto|TestSchedulerState' ./internal/core ./internal/solve
 	$(GO) test -race -count=1 -run 'TestAutoSolverBitIdentical' ./internal/invariant
 	$(GO) test -race -count=1 -run 'TestRejectedApply|TestSnapshotsOwn|TestEngineSnapshotReuse' ./internal/queue ./internal/sim

@@ -142,8 +142,9 @@ func TestEngineStepAllocationBudget(t *testing.T) {
 // TestWireAllocationBudget is the distributed tick's counterpart of
 // TestDecideAllocationBudget: the per-message costs the hollow-fleet numbers
 // are made of — one body through the codec, one request through an agent, one
-// call over the mux wire — and the whole 500-agent tick they add up to must
-// stay within the ceilings recorded in testdata/bench_slot_baseline.txt. Under
+// call over the mux wire — and the whole tick they add up to, at 500 and at
+// 2000 agents, must stay within the ceilings recorded in
+// testdata/bench_slot_baseline.txt. Under
 // gob a J=3 message cost 205 allocations to encode and decode; a regression of
 // that kind shows here, in go test, before it shows in a benchmark.
 func TestWireAllocationBudget(t *testing.T) {
@@ -183,7 +184,9 @@ func TestWireAllocationBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := transport.NewMuxServer(lis, func(_ int, kind string, body []byte) (any, error) { return a.Handle(kind, body) })
+	srv := transport.NewMuxServer(lis, func(dst []byte, _ int, kind string, body []byte) ([]byte, error) {
+		return a.AppendReply(dst, kind, body)
+	})
 	go srv.Serve()
 	defer srv.Close()
 	cli, err := transport.DialMux(srv.Addr(), 5*time.Second)
@@ -193,10 +196,19 @@ func TestWireAllocationBudget(t *testing.T) {
 	defer cli.Close()
 	conn := cli.Agent(0)
 
-	// The whole tick: BenchmarkHollowSlot's fleet and controller at 500 agents.
-	fleetIn, fleet, ct := newHollowLoop(t, 500, 4096)
-	defer fleet.Close()
-	tick := 0
+	// The whole tick: BenchmarkHollowSlot's fleet and controller, at two sizes
+	// so a per-agent allocation shows as a slope and not only as a level.
+	hollowSlot := func(agents int) func() {
+		in, fleet, ct := newHollowLoop(t, agents, 4096)
+		t.Cleanup(func() { fleet.Close() })
+		tick := 0
+		return func() {
+			if _, _, _, err := ct.RunSlot(tick, in.Workload.Arrivals(tick)); err != nil {
+				t.Fatal(err)
+			}
+			tick++
+		}
+	}
 
 	slot := 0
 	handle := func(kind string, body []byte) func() {
@@ -238,12 +250,8 @@ func TestWireAllocationBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		{"hollow-slot/agents=500", func() {
-			if _, _, _, err := ct.RunSlot(tick, fleetIn.Workload.Arrivals(tick)); err != nil {
-				t.Fatal(err)
-			}
-			tick++
-		}},
+		{"hollow-slot/agents=500", hollowSlot(500)},
+		{"hollow-slot/agents=2000", hollowSlot(2000)},
 	}
 	for _, tc := range cases {
 		ceil, ok := budgets[tc.name]

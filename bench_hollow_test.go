@@ -15,6 +15,15 @@ import (
 // hollowBenchSizes is the fleet-size sweep recorded in BENCH_distributed.json.
 var hollowBenchSizes = []int{100, 500, 1000, 2000}
 
+// hollowWarmSlots run before BenchmarkHollowSlot starts its timer. A young
+// fleet is still sizing things it then keeps — every ledger (agent, shadow,
+// central) doubles its cohort array until its first compaction at 64 dead
+// entries, and the wire's decode scratch is cut on first use — and a
+// one-second run at 2000 agents is only ~300 slots long, so without the
+// warm-up the large cells reported mostly that growth (~180 of 263 allocs/op)
+// while the small ones, thousands of slots long, did not.
+const hollowWarmSlots = 150
+
 // newHollowLoop builds what the hollow-fleet benchmarks, the leak test and the
 // whole-tick allocation guard all drive: n hollow agents behind the mux wire
 // and the single, Degrade-policy GreFar controller over fleet.Conns(). The
@@ -52,12 +61,17 @@ func BenchmarkHollowSlot(b *testing.B) {
 	for _, n := range hollowBenchSizes {
 		b.Run(fmt.Sprintf("agents=%d", n), func(b *testing.B) {
 			in, fleet, ct := newHollowLoop(b, n, 4096)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				t := i % 4096
-				if _, _, _, err := ct.RunSlot(t, in.Workload.Arrivals(t)); err != nil {
+			tick := func(t int) {
+				if _, _, _, err := ct.RunSlot(t%4096, in.Workload.Arrivals(t%4096)); err != nil {
 					b.Fatal(err)
 				}
+			}
+			for t := 0; t < hollowWarmSlots; t++ {
+				tick(t)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tick(hollowWarmSlots + i)
 			}
 			b.StopTimer()
 			fleet.Close()

@@ -49,13 +49,17 @@ type Agent struct {
 	// duplicated or retransmitted Allocate for the same slot is answered
 	// from the cache instead of popping and pushing the ledgers twice.
 	// -1 means no allocation has been executed since start or restore.
+	// lastAck's slices are the agent's for life: each executed allocation
+	// overwrites them in place, and every reply is encoded from them under mu.
 	lastSlot int
 	lastAck  transport.AllocateAck
 
-	// req is the decode destination of every Allocate, reused under mu so the
-	// scatter costs the agent no request slices. Nothing read out of it
-	// outlives the call that decoded it.
+	// req is the decode destination of every Allocate and rep the state
+	// report every State request fills, both reused under mu so a slot's
+	// gather and scatter cost the agent no slices. Nothing read out of either
+	// outlives the call: a reply leaves the agent as encoded bytes only.
 	req transport.Allocate
+	rep transport.StateReport
 }
 
 // New validates the configuration and builds an agent.
@@ -72,75 +76,90 @@ func New(cfg Config) (*Agent, error) {
 	if cfg.Price == nil || cfg.Availability == nil {
 		return nil, fmt.Errorf("price and availability sources are required")
 	}
+	j := cfg.Cluster.J()
 	return &Agent{
 		cfg:      cfg,
-		ledgers:  make([]queue.Ledger, cfg.Cluster.J()),
+		ledgers:  make([]queue.Ledger, j),
 		lastSlot: -1,
+		lastAck:  transport.AllocateAck{Processed: make([]float64, j), DelaySum: make([]float64, j)},
+		rep: transport.StateReport{
+			DataCenter: cfg.DataCenter,
+			Avail:      make([]float64, 0, cfg.Cluster.K(cfg.DataCenter)),
+			QueueLens:  make([]float64, j),
+		},
 	}, nil
 }
 
-// Handle implements transport.Handler dispatch for this agent.
-func (a *Agent) Handle(kind string, body []byte) (any, error) {
+// AppendReply is the agent's transport.Handler: it serves one request and
+// appends the encoded reply to dst. State reports and allocation acks are
+// built in storage the agent keeps and encoded before its lock is released,
+// so the steady-state exchange allocates nothing here.
+func (a *Agent) AppendReply(dst []byte, kind string, body []byte) ([]byte, error) {
 	switch kind {
 	case transport.KindPing:
 		var p transport.Ping
 		if err := transport.Unmarshal(body, &p); err != nil {
-			return nil, err
+			return dst, err
 		}
-		return p, nil
+		return transport.Append(dst, &p)
 	case transport.KindState:
 		var req transport.StateRequest
 		if err := transport.Unmarshal(body, &req); err != nil {
-			return nil, err
+			return dst, err
 		}
-		return a.state(req.Slot), nil
+		return a.state(dst, req.Slot)
 	case transport.KindAllocate:
-		return a.allocate(body)
+		return a.allocate(dst, body)
 	case transport.KindRestore:
 		var req transport.RestoreRequest
 		if err := transport.Unmarshal(body, &req); err != nil {
-			return nil, err
+			return dst, err
 		}
-		return a.restoreRPC(req)
+		return a.restoreRPC(dst, req)
 	default:
-		return nil, fmt.Errorf("unknown message kind %q", kind)
+		return dst, fmt.Errorf("unknown message kind %q", kind)
 	}
 }
 
-// state builds the slot report.
-func (a *Agent) state(slot int) transport.StateReport {
+// Handle serves one request and returns the encoded reply in a fresh slice.
+// It exists only because the frozen benchmark (benchmark/fleet_probes.go) and
+// the handle-* allocation budgets call it; everything else hands AppendReply
+// to the transport.
+func (a *Agent) Handle(kind string, body []byte) ([]byte, error) {
+	return a.AppendReply(make([]byte, 0, 128), kind, body)
+}
+
+// state fills the slot report and appends its encoding.
+func (a *Agent) state(dst []byte, slot int) ([]byte, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	c := a.cfg.Cluster
-	rep := transport.StateReport{
-		Slot:       slot,
-		DataCenter: a.cfg.DataCenter,
-		Price:      a.cfg.Price.At(slot),
-		Avail:      append([]float64(nil), a.cfg.Availability.At(slot)[a.cfg.DataCenter]...),
-		QueueLens:  make([]float64, c.J()),
-	}
+	rep := &a.rep
+	rep.Slot = slot
+	rep.Price = a.cfg.Price.At(slot)
+	rep.Avail = append(rep.Avail[:0], a.cfg.Availability.At(slot)[a.cfg.DataCenter]...)
 	for j := range a.ledgers {
 		rep.QueueLens[j] = a.ledgers[j].Len()
 	}
-	return rep
+	return transport.Append(dst, rep)
 }
 
 // allocate decodes and executes a slot decision: it processes queued jobs
 // first (capped at queue content, matching the paper's queue dynamics where
 // jobs routed in a slot are not processable until the next), then admits the
-// routed jobs, and reports energy, processed counts and delay sums. The whole
-// request is decoded and validated before any ledger moves: a rejected
-// allocation leaves the queues and the replay cache exactly as they were.
-func (a *Agent) allocate(body []byte) (transport.AllocateAck, error) {
+// routed jobs, and appends the ack: energy, processed counts and delay sums.
+// The whole request is decoded and validated before any ledger moves: a
+// rejected allocation leaves the queues and the replay cache exactly as they
+// were.
+func (a *Agent) allocate(dst, body []byte) ([]byte, error) {
 	c := a.cfg.Cluster
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	req := &a.req
+	req, ack := &a.req, &a.lastAck
 	if err := transport.Unmarshal(body, req); err != nil {
-		return transport.AllocateAck{}, err
+		return dst, err
 	}
 	if err := req.Validate(c.K(a.cfg.DataCenter), c.J()); err != nil {
-		return transport.AllocateAck{}, err
+		return dst, err
 	}
 
 	// Idempotent replay: the controller sends exactly one allocation per
@@ -149,14 +168,11 @@ func (a *Agent) allocate(body []byte) (transport.AllocateAck, error) {
 	// touching the ledgers or re-emitting telemetry — replaying the pops and
 	// pushes would corrupt the queue trajectory.
 	if req.Slot == a.lastSlot {
-		return a.lastAck, nil
+		return transport.Append(dst, ack)
 	}
 
-	ack := transport.AllocateAck{
-		Slot:      req.Slot,
-		Processed: make([]float64, c.J()),
-		DelaySum:  make([]float64, c.J()),
-	}
+	// Nothing below can fail, so the cached ack is overwritten in place.
+	ack.Slot, ack.Energy, ack.Work = req.Slot, 0, 0
 	for j := 0; j < c.J(); j++ {
 		popped, delay := a.ledgers[j].Pop(req.Slot, req.Process[j])
 		ack.Processed[j] = popped
@@ -182,8 +198,7 @@ func (a *Agent) allocate(body []byte) (transport.AllocateAck, error) {
 		a.cfg.Observer.ObserveSlot(ev)
 	}
 	a.lastSlot = req.Slot
-	a.lastAck = ack
-	return ack, nil
+	return transport.Append(dst, ack)
 }
 
 // restoreRPC replaces the local queue state from a controller snapshot and
@@ -191,18 +206,18 @@ func (a *Agent) allocate(body []byte) (transport.AllocateAck, error) {
 // agent landed exactly where intended. The allocation-replay cache is
 // invalidated: after a restore the next Allocate must execute, whatever its
 // slot.
-func (a *Agent) restoreRPC(req transport.RestoreRequest) (transport.RestoreAck, error) {
+func (a *Agent) restoreRPC(dst []byte, req transport.RestoreRequest) ([]byte, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if err := queue.RestoreLedgers(a.ledgers, req.Snapshot); err != nil {
-		return transport.RestoreAck{}, err
+		return dst, err
 	}
 	a.lastSlot = -1
 	ack := transport.RestoreAck{Slot: req.Slot, QueueLens: make([]float64, len(a.ledgers))}
 	for j := range a.ledgers {
 		ack.QueueLens[j] = a.ledgers[j].Len()
 	}
-	return ack, nil
+	return transport.Append(dst, &ack)
 }
 
 // QueueLens returns the current local backlog per job type (for tests and
@@ -241,7 +256,7 @@ func (a *Agent) Restore(snapshot []byte) error {
 // Serve starts a transport server for the agent on the listener. It returns
 // the server; call Close on it to stop.
 func (a *Agent) Serve(lis net.Listener) *transport.Server {
-	srv := transport.NewServer(lis, a.Handle)
+	srv := transport.NewServer(lis, a.AppendReply)
 	go func() {
 		// Serve exits on Close; an unexpected accept error leaves the
 		// controller to notice via failed calls.

@@ -57,18 +57,14 @@ func call(t *testing.T, a *Agent, kind string, req, resp any) error {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := a.Handle(kind, body)
+	out, err := a.AppendReply(nil, kind, body)
 	if err != nil {
 		return err
 	}
 	if resp == nil {
 		return nil
 	}
-	data, err := transport.Marshal(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return transport.Unmarshal(data, resp)
+	return transport.Unmarshal(out, resp)
 }
 
 func TestHandlePing(t *testing.T) {
@@ -84,7 +80,7 @@ func TestHandlePing(t *testing.T) {
 
 func TestHandleUnknownKind(t *testing.T) {
 	a, _ := testAgent(t)
-	if _, err := a.Handle("wat", nil); err == nil {
+	if _, err := a.AppendReply(nil, "wat", nil); err == nil {
 		t.Error("unknown kind accepted")
 	}
 }

@@ -91,6 +91,7 @@ type Controller struct {
 	// decides with its own and commits optimistically, at most maxRetries
 	// rejections deep.
 	parts      []*partition
+	wireOf     []int // agent -> index into its partition's wires, -1 for a per-agent call
 	decideOnce bool
 	maxRetries int
 	commit     *commitMetrics
@@ -112,10 +113,26 @@ type partition struct {
 	owned []int  // global data-center ids, ascending
 	sch   sched.Scheduler
 
+	// wires are the mux clients carrying owned agents, found once at
+	// construction (a conn's type never changes afterwards); live is the
+	// phase's call list. Both are reused every phase, under the partition's
+	// own goroutine.
+	wires []wire
+	live  []int
+
 	conflicts atomic.Int64
 	retries   atomic.Int64
 	commits   atomic.Int64
 	forced    atomic.Int64
+}
+
+// wire is one MuxClient as a partition sees it: the batch frame it builds for
+// the owned agents that client carries. ids and calls are refilled per phase,
+// in step; neither outlives it.
+type wire struct {
+	client *transport.MuxClient
+	ids    []int // global agent ids, in call order
+	calls  []transport.BatchCall
 }
 
 // commitMetrics is the registry surface of the commit protocol.
@@ -220,11 +237,13 @@ func NewPartitioned(c *model.Cluster, conns []AgentConn, pt Partitioning, opts .
 	ct.detail = telemetry.WantsDetail(ct.obs)
 	ct.tracker = NewTracker(c, conns, ct.health, ct.reg)
 	n, p := c.N(), pt.Partitions
+	ct.wireOf = make([]int, n)
 	for id := 0; id < p; id++ {
 		lo, hi := id*n/p, (id+1)*n/p
-		part := &partition{id: id, label: strconv.Itoa(id), owned: make([]int, 0, hi-lo)}
+		part := &partition{id: id, label: strconv.Itoa(id), owned: make([]int, 0, hi-lo), live: make([]int, 0, hi-lo)}
 		for i := lo; i < hi; i++ {
 			part.owned = append(part.owned, i)
+			ct.wireOf[i] = part.wireFor(conns[i])
 		}
 		if id == 0 || !ct.decideOnce {
 			if part.sch, err = pt.NewScheduler(); err != nil {
@@ -329,19 +348,41 @@ func (ct *Controller) eachPartition(f func(p *partition)) {
 	wg.Wait()
 }
 
-// callMany issues one kind of RPC to every listed agent, writing results and
-// errors at the agents' global indices. Agents behind the same MuxClient
-// share one batched frame — the conn type says so, no option does; everything
-// else (chaos-wrapped conns, reconnecting clients, in-process fakes) gets a
-// concurrent per-agent call. req(i) builds the request; resp(i) returns the
-// decode destination.
-func (ct *Controller) callMany(ctx context.Context, agents []int, kind string,
+// wireFor returns the index of the wire carrying conn, adding it on first
+// sight, or -1 when conn is not a MuxConn and its agent is called on its own.
+func (p *partition) wireFor(conn AgentConn) int {
+	mc, ok := conn.(*transport.MuxConn)
+	if !ok {
+		return -1
+	}
+	for w := range p.wires {
+		if p.wires[w].client == mc.Client() {
+			return w
+		}
+	}
+	p.wires = append(p.wires, wire{client: mc.Client()})
+	return len(p.wires) - 1
+}
+
+// callMany issues one kind of RPC to the partition's live agents, writing
+// results and errors at the agents' global indices. Agents behind the same
+// MuxClient share one batched frame — the conn type says so, no option does;
+// everything else (chaos-wrapped conns, reconnecting clients, in-process
+// fakes) gets a concurrent per-agent call. req(i) builds the request; resp(i)
+// returns the decode destination.
+func (ct *Controller) callMany(ctx context.Context, p *partition, kind string,
 	req func(i int) any, resp func(i int) any, errs []error) {
-	batches := make(map[*transport.MuxClient][]int) // client -> global agent ids
 	var wg sync.WaitGroup
-	for _, i := range agents {
-		if mc, ok := ct.conns[i].(*transport.MuxConn); ok {
-			batches[mc.Client()] = append(batches[mc.Client()], i)
+	for _, i := range p.live {
+		if w := ct.wireOf[i]; w >= 0 {
+			wr := &p.wires[w]
+			wr.ids = append(wr.ids, i)
+			wr.calls = append(wr.calls, transport.BatchCall{
+				Target: ct.conns[i].(*transport.MuxConn).Target(),
+				Kind:   kind,
+				Req:    req(i),
+				Resp:   resp(i),
+			})
 			continue
 		}
 		wg.Add(1)
@@ -350,31 +391,28 @@ func (ct *Controller) callMany(ctx context.Context, agents []int, kind string,
 			errs[i] = ct.tracker.Call(ctx, i, kind, req(i), resp(i))
 		}(i)
 	}
-	for cli, ids := range batches {
+	for w := range p.wires {
+		if len(p.wires[w].calls) == 0 {
+			continue
+		}
 		wg.Add(1)
-		go func(cli *transport.MuxClient, ids []int) {
+		go func(wr *wire) {
 			defer wg.Done()
-			calls := make([]transport.BatchCall, len(ids))
-			for k, i := range ids {
-				calls[k] = transport.BatchCall{
-					Target: ct.conns[i].(*transport.MuxConn).Target(),
-					Kind:   kind,
-					Req:    req(i),
-					Resp:   resp(i),
-				}
-			}
 			start := time.Now()
-			err := cli.CallBatch(ctx, calls)
+			err := wr.client.CallBatch(ctx, wr.calls)
 			rtt := time.Since(start)
-			for k, i := range ids {
+			for k, i := range wr.ids {
 				ct.tracker.ObserveRTT(i, rtt)
 				if err != nil {
 					errs[i] = err
 					continue
 				}
-				errs[i] = calls[k].Err
+				errs[i] = wr.calls[k].Err
 			}
-		}(cli, ids)
+			// The calls point at this slot's requests and replies: drop them.
+			clear(wr.calls)
+			wr.ids, wr.calls = wr.ids[:0], wr.calls[:0]
+		}(&p.wires[w])
 	}
 	wg.Wait()
 }
@@ -424,19 +462,19 @@ func (ct *Controller) RunSlotContext(ctx context.Context, t int, arrivals []int)
 		if degrade {
 			ct.tracker.ProbeDead(ctx, t, p.owned)
 		}
-		live := make([]int, 0, len(p.owned))
+		p.live = p.live[:0]
 		for _, i := range p.owned {
 			if ct.tracker.State(i) == Dead {
 				errs[i] = errAgentDead
 				continue
 			}
-			live = append(live, i)
+			p.live = append(p.live, i)
 		}
-		ct.callMany(ctx, live, transport.KindState,
+		ct.callMany(ctx, p, transport.KindState,
 			func(int) any { return stateReq },
 			func(i int) any { return &reports[i] },
 			errs)
-		for _, i := range live {
+		for _, i := range p.live {
 			if errs[i] == nil {
 				errs[i] = reports[i].Validate(i, t, c.K(i), c.J())
 			}
@@ -555,16 +593,25 @@ func (ct *Controller) RunSlotContext(ctx context.Context, t int, arrivals []int)
 		}
 	}
 
+	// The acks are the caller's: fresh every slot. Their slices are cut from
+	// one array before the decode, which fills a destination in place when it
+	// is large enough, so the scatter's replies cost one allocation, not two
+	// per agent.
 	acks := make([]transport.AllocateAck, c.N())
+	ackFlat, j := make([]float64, 2*c.N()*c.J()), c.J()
+	for i := range acks {
+		acks[i].Processed = ackFlat[2*i*j : (2*i+1)*j : (2*i+1)*j]
+		acks[i].DelaySum = ackFlat[(2*i+1)*j : (2*i+2)*j : (2*i+2)*j]
+	}
 	errsA, allocs := ct.scratch.AllocErrs, ct.scratch.Allocs
 	ct.eachPartition(func(p *partition) {
-		live := make([]int, 0, len(p.owned))
+		p.live = p.live[:0]
 		for _, i := range p.owned {
 			if ok[i] {
-				live = append(live, i)
+				p.live = append(p.live, i)
 			}
 		}
-		ct.callMany(ctx, live, transport.KindAllocate,
+		ct.callMany(ctx, p, transport.KindAllocate,
 			func(i int) any {
 				allocs[i] = transport.Allocate{
 					Slot:    t,
@@ -594,11 +641,7 @@ func (ct *Controller) RunSlotContext(ctx context.Context, t int, arrivals []int)
 		popped, delays := processedEv[i], delaySums[i]
 		ct.tracker.ApplyShadow(i, t, act.Process[i], routed[i], popped, delays)
 		if !ok[i] {
-			acks[i] = transport.AllocateAck{
-				Slot:      t,
-				Processed: make([]float64, c.J()),
-				DelaySum:  make([]float64, c.J()),
-			}
+			acks[i].Slot = t // never sent, never decoded into: the zero ack
 			continue
 		}
 		if errsA[i] != nil {

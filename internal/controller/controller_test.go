@@ -27,18 +27,14 @@ func (l localConn) Call(kind string, reqBody, respBody any) error {
 	if err != nil {
 		return err
 	}
-	out, err := l.a.Handle(kind, body)
+	out, err := l.a.AppendReply(nil, kind, body)
 	if err != nil {
 		return err
 	}
 	if respBody == nil {
 		return nil
 	}
-	data, err := transport.Marshal(out)
-	if err != nil {
-		return err
-	}
-	return transport.Unmarshal(data, respBody)
+	return transport.Unmarshal(out, respBody)
 }
 
 func buildSystem(t *testing.T, slots int, overTCP bool) (sim.Inputs, []AgentConn, func()) {

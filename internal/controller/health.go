@@ -181,6 +181,21 @@ type agentRecord struct {
 	lastPrice float64
 	// shadow mirrors the agent's local FIFO ledgers per job type.
 	shadow []queue.Ledger
+	// series are this agent's own metric series (all nil without a registry).
+	series agentSeries
+}
+
+// agentSeries caches the per-agent series the loop touches every slot, so an
+// observation is not a strconv.Itoa and a label-map probe each time — 2N of
+// them a slot for the round-trip histogram alone. The health gauge is resolved
+// when the tracker is built, which publishes it anyway; the other two on
+// their first sample, because resolving a series creates it and /metrics
+// lists a failure counter or a round-trip histogram only for an agent that
+// has had one. The rare counters (resyncs, divergences) still go by label.
+type agentSeries struct {
+	state    *telemetry.Gauge
+	failures *telemetry.Counter
+	rtt      *telemetry.Histogram
 }
 
 // dcLabel renders the agent index as a metric label.

@@ -403,9 +403,9 @@ func TestCallManyBatchesByConnType(t *testing.T) {
 		}
 		var frames, handled atomic.Int64
 		srv := transport.NewMuxServer(frameCountingListener{Listener: lis, frames: &frames},
-			func(target int, kind string, body []byte) (any, error) {
+			func(dst []byte, target int, kind string, body []byte) ([]byte, error) {
 				handled.Add(1)
-				return agents[target].Handle(kind, body)
+				return agents[target].AppendReply(dst, kind, body)
 			})
 		go srv.Serve()
 		defer srv.Close()

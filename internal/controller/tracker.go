@@ -47,7 +47,8 @@ func NewTracker(c *model.Cluster, conns []AgentConn, cfg HealthConfig, reg *tele
 		// Publish the healthy baseline so every per-agent series exists
 		// before the first fault, not lazily on the first transition.
 		for i := range tk.recs {
-			tk.metrics.state.With(dcLabel(i)).Set(float64(Healthy))
+			tk.recs[i].series.state = tk.metrics.state.With(dcLabel(i))
+			tk.recs[i].series.state.Set(float64(Healthy))
 		}
 	}
 	return tk
@@ -72,7 +73,7 @@ func (tk *Tracker) LastPrice(i int) float64 { return tk.recs[i].lastPrice }
 func (tk *Tracker) setState(i int, s AgentHealth) {
 	tk.recs[i].state = s
 	if tk.metrics != nil {
-		tk.metrics.state.With(dcLabel(i)).Set(float64(s))
+		tk.recs[i].series.state.Set(float64(s))
 	}
 }
 
@@ -83,7 +84,10 @@ func (tk *Tracker) RecordFailure(i int) {
 	rec := &tk.recs[i]
 	rec.fails++
 	if tk.metrics != nil {
-		tk.metrics.failures.With(dcLabel(i)).Inc()
+		if rec.series.failures == nil {
+			rec.series.failures = tk.metrics.failures.With(dcLabel(i))
+		}
+		rec.series.failures.Inc()
 	}
 	switch {
 	case rec.fails >= tk.cfg.DeadAfter:
@@ -324,7 +328,7 @@ func (tk *Tracker) Call(ctx context.Context, i int, kind string, reqBody, respBo
 	}
 	start := time.Now()
 	err := callAgent(ctx, tk.conns[i], kind, reqBody, respBody)
-	tk.metrics.rtt.With(dcLabel(i)).Observe(time.Since(start).Seconds())
+	tk.ObserveRTT(i, time.Since(start))
 	return err
 }
 
@@ -332,7 +336,12 @@ func (tk *Tracker) Call(ctx context.Context, i int, kind string, reqBody, respBo
 // callers that batch many agents' calls onto one wire and apportion the
 // batch round-trip themselves.
 func (tk *Tracker) ObserveRTT(i int, d time.Duration) {
-	if tk.metrics != nil {
-		tk.metrics.rtt.With(dcLabel(i)).Observe(d.Seconds())
+	if tk.metrics == nil {
+		return
 	}
+	series := &tk.recs[i].series
+	if series.rtt == nil {
+		series.rtt = tk.metrics.rtt.With(dcLabel(i))
+	}
+	series.rtt.Observe(d.Seconds())
 }

@@ -24,7 +24,7 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/golden_partition
 // mirroring the controller package's unit-test harness.
 type localConn struct {
 	a interface {
-		Handle(kind string, body []byte) (any, error)
+		AppendReply(dst []byte, kind string, body []byte) ([]byte, error)
 	}
 }
 
@@ -33,18 +33,14 @@ func (l localConn) Call(kind string, reqBody, respBody any) error {
 	if err != nil {
 		return err
 	}
-	out, err := l.a.Handle(kind, body)
+	out, err := l.a.AppendReply(nil, kind, body)
 	if err != nil {
 		return err
 	}
 	if respBody == nil {
 		return nil
 	}
-	data, err := transport.Marshal(out)
-	if err != nil {
-		return err
-	}
-	return transport.Unmarshal(data, respBody)
+	return transport.Unmarshal(out, respBody)
 }
 
 func buildSystem(t *testing.T, slots int) (sim.Inputs, []controller.AgentConn, func()) {

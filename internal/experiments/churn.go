@@ -153,7 +153,7 @@ func churnRun(cfg ChurnConfig, plan *chaos.Plan) (*churnCollector, error) {
 		if err != nil {
 			return nil, err
 		}
-		var conn controller.AgentConn = transport.NewLoopback(a.Handle)
+		var conn controller.AgentConn = transport.NewLoopback(a.AppendReply)
 		if plan != nil {
 			conn = plan.Wrap(conn, i)
 		}

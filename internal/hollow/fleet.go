@@ -117,17 +117,17 @@ func (f *Fleet) newAgent(i int) (*agent.Agent, error) {
 }
 
 // handle is the fleet's MuxHandler: it routes each request to the target
-// agent's real Handle, or refuses it when the agent is killed — from the
-// controller's side a killed hollow agent is indistinguishable from a
-// partitioned real one.
-func (f *Fleet) handle(target int, kind string, body []byte) (any, error) {
+// agent's real handler, which appends its reply to dst, or refuses it when
+// the agent is killed — from the controller's side a killed hollow agent is
+// indistinguishable from a partitioned real one.
+func (f *Fleet) handle(dst []byte, target int, kind string, body []byte) ([]byte, error) {
 	if target < 0 || target >= len(f.agents) {
-		return nil, fmt.Errorf("hollow: no agent %d", target)
+		return dst, fmt.Errorf("hollow: no agent %d", target)
 	}
 	if f.down[target].Load() {
-		return nil, fmt.Errorf("hollow: agent %d is down", target)
+		return dst, fmt.Errorf("hollow: agent %d is down", target)
 	}
-	return f.agents[target].Load().Handle(kind, body)
+	return f.agents[target].Load().AppendReply(dst, kind, body)
 }
 
 // Addr is the shared listener's address.

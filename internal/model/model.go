@@ -250,8 +250,16 @@ func NewState(c *Cluster) *State {
 		Avail: make([][]float64, c.N()),
 		Price: make([]float64, c.N()),
 	}
+	// One backing array, as NewAction has: a State is assembled every slot of
+	// the distributed loop, and a row per site was an allocation per site.
+	kTotal := 0
 	for i := range st.Avail {
-		st.Avail[i] = make([]float64, c.K(i))
+		kTotal += c.K(i)
+	}
+	flat := make([]float64, kTotal)
+	for i := range st.Avail {
+		k := c.K(i)
+		st.Avail[i], flat = flat[:k:k], flat[k:]
 	}
 	return st
 }

@@ -14,13 +14,13 @@ import (
 // echoHandler answers pings and counts deliveries.
 type echoHandler struct{ calls atomic.Int64 }
 
-func (h *echoHandler) handle(kind string, body []byte) (any, error) {
+func (h *echoHandler) handle(dst []byte, kind string, body []byte) ([]byte, error) {
 	h.calls.Add(1)
 	var p transport.Ping
 	if err := transport.Unmarshal(body, &p); err != nil {
 		return nil, err
 	}
-	return p, nil
+	return transport.Append(dst, &p)
 }
 
 // faultSequence records which of n slot-tagged calls fail, and how.
@@ -110,13 +110,13 @@ func TestPartitionWindowExactAndDrawFree(t *testing.T) {
 func outcomeSequence(t *testing.T, plan *Plan, slots []int) (faults []string, deliveries []int) {
 	t.Helper()
 	counts := map[uint64]int{}
-	conn := plan.Wrap(transport.NewLoopback(func(kind string, body []byte) (any, error) {
+	conn := plan.Wrap(transport.NewLoopback(func(dst []byte, kind string, body []byte) ([]byte, error) {
 		var p transport.Ping
 		if err := transport.Unmarshal(body, &p); err != nil {
 			return nil, err
 		}
 		counts[p.Nonce]++
-		return p, nil
+		return transport.Append(dst, &p)
 	}), 0)
 	faults = make([]string, len(slots))
 	deliveries = make([]int, len(slots))
@@ -274,12 +274,12 @@ func TestNetConnFaultsDoNotWedgeServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := transport.NewServer(lis, func(kind string, body []byte) (any, error) {
+	srv := transport.NewServer(lis, func(dst []byte, kind string, body []byte) ([]byte, error) {
 		var p transport.Ping
 		if err := transport.Unmarshal(body, &p); err != nil {
 			return nil, err
 		}
-		return p, nil
+		return transport.Append(dst, &p)
 	})
 	go srv.Serve()
 	defer srv.Close()

@@ -56,6 +56,12 @@ func Marshal(v any) ([]byte, error) {
 	return append([]byte(nil), *buf...), nil
 }
 
+// Append is Marshal into the caller's buffer: it appends the encoding of v to
+// dst and returns the extended slice. It is how a Handler writes its reply
+// into the frame it was handed; a message passed by pointer costs no
+// allocation. On an unknown type dst comes back unchanged with the error.
+func Append(dst []byte, v any) ([]byte, error) { return appendBody(dst, v) }
+
 // unknownMessage builds the ErrUnknownMessage for v. reflect.TypeOf does not
 // let v escape, so message values passed by pointer stay on the caller's
 // stack through Marshal and Unmarshal.

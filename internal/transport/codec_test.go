@@ -238,10 +238,10 @@ func TestHostileLengthsAllocateNothing(t *testing.T) {
 
 	batch := append([]byte{}, 0x80, 0x80, 0x80, 0x80, 0x08) // uvarint 2^31
 	got := allocatedBytes(func() {
-		if _, err := parseBatchItems(batch); !errors.Is(err, ErrMalformedWire) {
+		if _, err := parseBatchItems(batch, nil); !errors.Is(err, ErrMalformedWire) {
 			t.Errorf("batch items: err = %v, want ErrMalformedWire", err)
 		}
-		if _, err := parseBatchReplies(batch); !errors.Is(err, ErrMalformedWire) {
+		if _, err := checkBatchReplies(batch); !errors.Is(err, ErrMalformedWire) {
 			t.Errorf("batch replies: err = %v, want ErrMalformedWire", err)
 		}
 	})

@@ -35,12 +35,12 @@ var hostileFrames = []struct {
 // an error frame — the 2^31-item batch is refused from its first five bytes)
 // or is hung up on, and in every case the next dial is served.
 func TestHostileFramesKillOnlyTheirSession(t *testing.T) {
-	echo := func(kind string, body []byte) (any, error) {
+	echo := func(dst []byte, kind string, body []byte) ([]byte, error) {
 		var p transport.Ping
 		if err := transport.Unmarshal(body, &p); err != nil {
 			return nil, err
 		}
-		return p, nil
+		return transport.Append(dst, &p)
 	}
 	listen := func() net.Listener {
 		lis, err := net.Listen("tcp", "127.0.0.1:0")
@@ -52,7 +52,7 @@ func TestHostileFramesKillOnlyTheirSession(t *testing.T) {
 	plain := transport.NewServer(listen(), echo)
 	go plain.Serve()
 	defer plain.Close()
-	mux := transport.NewMuxServer(listen(), func(_ int, kind string, body []byte) (any, error) { return echo(kind, body) })
+	mux := transport.NewMuxServer(listen(), func(dst []byte, _ int, kind string, body []byte) ([]byte, error) { return echo(dst, kind, body) })
 	go mux.Serve()
 	defer mux.Close()
 
@@ -159,12 +159,19 @@ func FuzzServerFrame(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv := transport.NewServer(lis, func(kind string, body []byte) (any, error) {
+		// The handler appends its reply in place and, for odd nonces, fails
+		// after it has: whatever frame the fuzzer lands on a handler, the
+		// half-written reply must not reach the stream.
+		srv := transport.NewServer(lis, func(dst []byte, kind string, body []byte) ([]byte, error) {
 			var p transport.Ping
 			if err := transport.Unmarshal(body, &p); err != nil {
 				return nil, err
 			}
-			return p, nil
+			dst, err := transport.Append(dst, &p)
+			if err == nil && p.Nonce%2 == 1 {
+				err = errors.New("odd nonce")
+			}
+			return dst, err
 		})
 		go srv.Serve()
 		defer srv.Close()

@@ -35,9 +35,13 @@ import (
 	"time"
 )
 
-// MuxHandler processes one request addressed to a target endpoint. Like
-// Handler's, body is valid only until the handler returns.
-type MuxHandler func(target int, kind string, body []byte) (any, error)
+// MuxHandler processes one request addressed to a target endpoint under
+// Handler's contract: it appends its encoded reply body to dst and returns the
+// extended slice, body and dst are valid only during the call, and on an
+// error whatever it had appended is discarded. Inside a batch frame dst is a
+// buffer shared by the items one worker serves, so a handler must append to
+// it and nothing else.
+type MuxHandler func(dst []byte, target int, kind string, body []byte) ([]byte, error)
 
 // KindBatch is the reserved frame kind carrying a batch of requests. The
 // server unpacks it itself; handlers never see it.
@@ -143,8 +147,7 @@ func (ss *muxSession) serve(req frame, in *[]byte) {
 	if req.Kind == KindBatch {
 		*out, err = ss.srv.serveBatch(*out, req)
 	} else {
-		body, herr := ss.srv.handler(req.Target, req.Kind, req.Body)
-		*out, err = appendReply(*out, req.ID, req.Target, req.Kind, body, herr)
+		*out, err = appendReply(*out, req.ID, req.Target, req.Kind, req.Body, ss.srv.handler)
 	}
 	putBuf(in)
 	if err == nil {
@@ -157,53 +160,112 @@ func (ss *muxSession) serve(req frame, in *[]byte) {
 	}
 }
 
+// batchScratch is what serving one batch frame needs besides the frame
+// itself: the parsed items, one reply buffer per worker, and where in those
+// buffers each item's reply landed. Frames recycle it through a pool, so a
+// batch costs no per-frame slices; nothing in it outlives serveBatch.
+type batchScratch struct {
+	items []batchItem
+	segs  []batchSeg // by item
+	bufs  []*[]byte  // by worker, pooled
+	next  atomic.Int64
+	wg    sync.WaitGroup
+}
+
+// batchSeg locates one item's encoded reply: bytes [off, end) of worker w's
+// buffer.
+type batchSeg struct{ w, off, end int }
+
+// maxPooledBatch keeps the scratch of an outsized batch out of the pool.
+const maxPooledBatch = 1 << 14
+
+var batchScratches = sync.Pool{New: func() any { return new(batchScratch) }}
+
+func (sc *batchScratch) release() {
+	for _, b := range sc.bufs {
+		putBuf(b)
+	}
+	if cap(sc.items) > maxPooledBatch {
+		return
+	}
+	clear(sc.items) // bodies alias the request frame, which is recycled too
+	sc.items, sc.bufs = sc.items[:0], sc.bufs[:0]
+	batchScratches.Put(sc)
+}
+
 // serveBatch runs the items of one batch frame through the handler on
 // min(GOMAXPROCS, len(items)) workers — this goroutine is one of them — that
 // pull item indices from a shared counter, and appends the reply frame,
-// replies in item order, to dst. A goroutine per item cost more than the
-// handlers themselves at fleet size: a third of a 500-agent tick was
-// spawning a thousand of them a slot and growing each one's stack.
+// replies in item order, to dst. Each worker's handlers append their replies
+// to that worker's own buffer; the buffers are stitched into the frame once
+// every item is done. A goroutine per item cost more than the handlers
+// themselves at fleet size: a third of a 500-agent tick was spawning a
+// thousand of them a slot and growing each one's stack.
 func (s *MuxServer) serveBatch(dst []byte, req frame) ([]byte, error) {
-	items, err := parseBatchItems(req.Body)
-	if err != nil {
-		return appendReply(dst, req.ID, req.Target, req.Kind, nil, fmt.Errorf("batch decode: %w", err))
+	sc := batchScratches.Get().(*batchScratch)
+	defer sc.release()
+	var err error
+	if sc.items, err = parseBatchItems(req.Body, sc.items); err != nil {
+		return appendErrorFrame(dst, req.ID, req.Target, req.Kind, fmt.Errorf("batch decode: %w", err))
 	}
-	outs := make([]any, len(items))
-	errs := make([]error, len(items))
-	var next atomic.Int64
-	work := func() {
-		for i := int(next.Add(1)) - 1; i < len(items); i = int(next.Add(1)) - 1 {
-			outs[i], errs[i] = s.handler(items[i].Target, items[i].Kind, items[i].Body)
+	items := sc.items
+	if cap(sc.segs) < len(items) {
+		sc.segs = make([]batchSeg, len(items))
+	}
+	sc.segs = sc.segs[:len(items)]
+	workers := max(1, min(runtime.GOMAXPROCS(0), len(items)))
+	for w := 0; w < workers; w++ {
+		sc.bufs = append(sc.bufs, getBuf())
+	}
+	sc.next.Store(0)
+	work := func(w int) {
+		buf := sc.bufs[w]
+		for i := int(sc.next.Add(1)) - 1; i < len(items); i = int(sc.next.Add(1)) - 1 {
+			off := len(*buf)
+			*buf = appendBatchReply(*buf, items[i], s.handler)
+			sc.segs[i] = batchSeg{w, off, len(*buf)}
 		}
 	}
-	var wg sync.WaitGroup
-	for w := min(runtime.GOMAXPROCS(0), len(items)); w > 1; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
+	for w := 1; w < workers; w++ {
+		sc.wg.Add(1)
+		go func(w int) {
+			defer sc.wg.Done()
+			work(w)
+		}(w)
 	}
-	work()
-	wg.Wait()
+	work(0)
+	sc.wg.Wait()
 
-	body := getBuf()
-	defer putBuf(body)
-	*body = binary.AppendUvarint(*body, uint64(len(items)))
-	for i := range items {
-		if errs[i] == nil {
-			mark := len(*body)
-			*body = append(*body, 0) // empty err
-			if *body, errs[i] = appendNested(*body, outs[i]); errs[i] != nil {
-				*body = (*body)[:mark] // the reply has no wire layout: report that instead
-			}
-		}
-		if errs[i] != nil {
-			*body = appendString(*body, errs[i].Error())
-			*body = append(*body, 0, 0, 0, 0) // empty body
-		}
+	start := len(dst)
+	dst = appendFrameHeader(dst, req.ID, req.Target, req.Kind, "")
+	dst = binary.AppendUvarint(dst, uint64(len(items)))
+	for _, sg := range sc.segs {
+		dst = append(dst, (*sc.bufs[sg.w])[sg.off:sg.end]...)
 	}
-	return appendReply(dst, req.ID, req.Target, req.Kind, *body, nil)
+	if dst, err = finishFrame(dst, start); err != nil {
+		return appendErrorFrame(dst[:start], req.ID, req.Target, req.Kind, err)
+	}
+	return dst, nil
+}
+
+// appendBatchReply runs one batch item through the handler and appends its
+// reply — empty err, then the body the handler appends behind a u32 length —
+// to dst. A handler error, or a body over the frame cap, rewinds to where the
+// item began: the item contributes the error string and an empty body.
+func appendBatchReply(dst []byte, it batchItem, h MuxHandler) []byte {
+	mark := len(dst)
+	dst = append(dst, 0, 0, 0, 0, 0) // empty err, body length
+	out, err := h(dst, it.Target, it.Kind, it.Body)
+	if err == nil {
+		n := len(out) - mark - 5
+		if n <= maxFrame {
+			binary.LittleEndian.PutUint32(out[mark+1:], uint32(n))
+			return out
+		}
+		err = fmt.Errorf("%w: batch item of %d bytes", ErrFrameTooLarge, n)
+	}
+	dst = appendString(dst[:mark], err.Error())
+	return append(dst, 0, 0, 0, 0) // empty body
 }
 
 // Close stops accepting and closes open connections. Like net/http's Close,
@@ -472,23 +534,25 @@ func (m *MuxClient) CallBatch(ctx context.Context, calls []BatchCall) error {
 	if resp.Err != "" {
 		return &RemoteError{Kind: KindBatch, Message: resp.Err}
 	}
-	replies, err := parseBatchReplies(resp.Body)
+	n, err := checkBatchReplies(resp.Body)
 	if err != nil {
 		return err
 	}
-	if len(replies) != len(calls) {
-		return fmt.Errorf("batch: %d replies for %d calls", len(replies), len(calls))
+	if n != len(calls) {
+		return fmt.Errorf("batch: %d replies for %d calls", n, len(calls))
 	}
+	d := decoder{b: resp.Body}
+	d.count(minBatchReply)
 	for i := range calls {
-		if replies[i].Err != "" {
-			calls[i].Err = &RemoteError{Kind: calls[i].Kind, Message: replies[i].Err}
-			continue
-		}
-		if calls[i].Resp == nil {
+		errMsg, reply := d.view(), d.nested()
+		switch {
+		case len(errMsg) > 0:
+			calls[i].Err = &RemoteError{Kind: calls[i].Kind, Message: string(errMsg)}
+		case calls[i].Resp == nil:
 			calls[i].Err = nil
-			continue
+		default:
+			calls[i].Err = Unmarshal(reply, calls[i].Resp)
 		}
-		calls[i].Err = Unmarshal(replies[i].Body, calls[i].Resp)
 	}
 	return nil
 }

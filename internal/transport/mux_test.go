@@ -1,11 +1,15 @@
 package transport
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -33,13 +37,13 @@ func startMux(t *testing.T, h MuxHandler) (*MuxServer, *MuxClient) {
 
 // echoMux answers pings with the target folded into the nonce so tests can
 // verify routing.
-func echoMux(target int, kind string, body []byte) (any, error) {
+func echoMux(dst []byte, target int, kind string, body []byte) ([]byte, error) {
 	var p Ping
 	if err := Unmarshal(body, &p); err != nil {
 		return nil, err
 	}
 	p.Nonce += uint64(target) * 1000
-	return p, nil
+	return Append(dst, &p)
 }
 
 func TestMuxRoutesByTarget(t *testing.T) {
@@ -59,9 +63,9 @@ func TestMuxRoutesByTarget(t *testing.T) {
 // rest: N calls that each stall 30ms must complete together, far under N*30ms.
 func TestMuxPipelinesConcurrentCalls(t *testing.T) {
 	const n = 16
-	_, cli := startMux(t, func(target int, kind string, body []byte) (any, error) {
+	_, cli := startMux(t, func(dst []byte, target int, kind string, body []byte) ([]byte, error) {
 		time.Sleep(30 * time.Millisecond)
-		return echoMux(target, kind, body)
+		return echoMux(dst, target, kind, body)
 	})
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -92,11 +96,11 @@ func TestMuxPipelinesConcurrentCalls(t *testing.T) {
 }
 
 func TestMuxRemoteErrorAndConcurrentMix(t *testing.T) {
-	_, cli := startMux(t, func(target int, kind string, body []byte) (any, error) {
+	_, cli := startMux(t, func(dst []byte, target int, kind string, body []byte) ([]byte, error) {
 		if target%2 == 1 {
 			return nil, fmt.Errorf("target %d is down", target)
 		}
-		return echoMux(target, kind, body)
+		return echoMux(dst, target, kind, body)
 	})
 	var wg sync.WaitGroup
 	for i := 0; i < 10; i++ {
@@ -121,9 +125,9 @@ func TestMuxRemoteErrorAndConcurrentMix(t *testing.T) {
 func TestMuxCallTimeout(t *testing.T) {
 	block := make(chan struct{})
 	defer close(block)
-	srv, _ := startMux(t, func(target int, kind string, body []byte) (any, error) {
+	srv, _ := startMux(t, func(dst []byte, target int, kind string, body []byte) ([]byte, error) {
 		<-block
-		return Ping{}, nil
+		return Append(dst, Ping{})
 	})
 	cli, err := DialMux(srv.Addr(), 100*time.Millisecond)
 	if err != nil {
@@ -138,9 +142,9 @@ func TestMuxCallTimeout(t *testing.T) {
 func TestMuxContextCancelAbortsCall(t *testing.T) {
 	block := make(chan struct{})
 	defer close(block)
-	_, cli := startMux(t, func(target int, kind string, body []byte) (any, error) {
+	_, cli := startMux(t, func(dst []byte, target int, kind string, body []byte) ([]byte, error) {
 		<-block
-		return Ping{}, nil
+		return Append(dst, Ping{})
 	})
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
@@ -160,9 +164,9 @@ func TestMuxContextCancelAbortsCall(t *testing.T) {
 func TestMuxServerCloseFailsPendingCalls(t *testing.T) {
 	block := make(chan struct{})
 	defer close(block)
-	srv, cli := startMux(t, func(target int, kind string, body []byte) (any, error) {
+	srv, cli := startMux(t, func(dst []byte, target int, kind string, body []byte) ([]byte, error) {
 		<-block
-		return Ping{}, nil
+		return Append(dst, Ping{})
 	})
 	errCh := make(chan error, 1)
 	go func() { errCh <- cli.Agent(0).Call(KindPing, Ping{}, nil) }()
@@ -195,23 +199,23 @@ func TestMuxClosedClient(t *testing.T) {
 // through the mux wire to prove the framing round-trips typed bodies exactly
 // as the point-to-point client does.
 func TestMuxControlLoopShapes(t *testing.T) {
-	_, cli := startMux(t, func(target int, kind string, body []byte) (any, error) {
+	_, cli := startMux(t, func(dst []byte, target int, kind string, body []byte) ([]byte, error) {
 		switch kind {
 		case KindState:
 			var req StateRequest
 			if err := Unmarshal(body, &req); err != nil {
 				return nil, err
 			}
-			return StateReport{
+			return Append(dst, &StateReport{
 				Slot: req.Slot, DataCenter: target,
 				Price: 0.5, Avail: []float64{3}, QueueLens: []float64{1, 2},
-			}, nil
+			})
 		case KindAllocate:
 			var req Allocate
 			if err := Unmarshal(body, &req); err != nil {
 				return nil, err
 			}
-			return AllocateAck{Slot: req.Slot, Processed: make([]float64, len(req.Process)), DelaySum: make([]float64, len(req.Process))}, nil
+			return Append(dst, &AllocateAck{Slot: req.Slot, Processed: make([]float64, len(req.Process)), DelaySum: make([]float64, len(req.Process))})
 		}
 		return nil, fmt.Errorf("unknown kind %q", kind)
 	})
@@ -324,11 +328,11 @@ func TestMuxEncodeFailurePoisonsClient(t *testing.T) {
 // responses land in call order, per-call handler errors surface as that
 // call's RemoteError without failing the batch, and targets are routed.
 func TestMuxBatchRoundTrip(t *testing.T) {
-	_, cli := startMux(t, func(target int, kind string, body []byte) (any, error) {
+	_, cli := startMux(t, func(dst []byte, target int, kind string, body []byte) ([]byte, error) {
 		if target == 3 {
 			return nil, fmt.Errorf("target 3 rejects")
 		}
-		return echoMux(target, kind, body)
+		return echoMux(dst, target, kind, body)
 	})
 	calls := make([]BatchCall, 5)
 	pongs := make([]Ping, 5)
@@ -373,7 +377,7 @@ func TestMuxBatchFansOutConcurrently(t *testing.T) {
 		var mu sync.Mutex
 		handled := make([]int, k)
 		running, peak := 0, 0
-		_, cli := startMux(t, func(target int, kind string, body []byte) (any, error) {
+		_, cli := startMux(t, func(dst []byte, target int, kind string, body []byte) ([]byte, error) {
 			mu.Lock()
 			handled[target]++
 			running++
@@ -386,7 +390,7 @@ func TestMuxBatchFansOutConcurrently(t *testing.T) {
 			if target == 2 {
 				return nil, fmt.Errorf("target 2 rejects")
 			}
-			return echoMux(target, kind, body)
+			return echoMux(dst, target, kind, body)
 		})
 		calls := make([]BatchCall, k)
 		pongs := make([]Ping, k)
@@ -436,12 +440,12 @@ func TestMuxBatchFansOutConcurrently(t *testing.T) {
 	t.Run("two connections overlap", func(t *testing.T) {
 		started := [2]chan struct{}{make(chan struct{}), make(chan struct{})}
 		var once [2]sync.Once
-		srv, cliA := startMux(t, func(target int, kind string, body []byte) (any, error) {
+		srv, cliA := startMux(t, func(dst []byte, target int, kind string, body []byte) ([]byte, error) {
 			batch := target / 100
 			once[batch].Do(func() { close(started[batch]) })
 			select {
 			case <-started[1-batch]:
-				return echoMux(target, kind, body)
+				return echoMux(dst, target, kind, body)
 			case <-time.After(5 * time.Second):
 				return nil, fmt.Errorf("batch %d never saw batch %d start", batch, 1-batch)
 			}
@@ -481,7 +485,7 @@ func TestMuxBatchFansOutConcurrently(t *testing.T) {
 // response pending and are handed to other calls at once. Every call that
 // succeeds must have received its own nonce, never a neighbour's late reply.
 func TestMuxLateRepliesNeverCrossCalls(t *testing.T) {
-	srv, _ := startMux(t, func(target int, kind string, body []byte) (any, error) {
+	srv, _ := startMux(t, func(dst []byte, target int, kind string, body []byte) ([]byte, error) {
 		var p Ping
 		if err := Unmarshal(body, &p); err != nil {
 			return nil, err
@@ -489,7 +493,7 @@ func TestMuxLateRepliesNeverCrossCalls(t *testing.T) {
 		if p.Nonce%3 == 0 {
 			time.Sleep(25 * time.Millisecond) // outlive the client's 10ms timeout
 		}
-		return p, nil
+		return Append(dst, &p)
 	})
 	cli, err := DialMux(srv.Addr(), 10*time.Millisecond)
 	if err != nil {
@@ -523,5 +527,115 @@ func TestMuxLateRepliesNeverCrossCalls(t *testing.T) {
 	wg.Wait()
 	if ok.Load() == 0 || late.Load() == 0 {
 		t.Errorf("%d calls answered, %d timed out; the test needs both", ok.Load(), late.Load())
+	}
+}
+
+// halfThenFail is the handler of the append-contract tests: kind "huge"
+// extends the reply past the frame cap (without touching the new bytes, so
+// the pages are never resident); odd nonces append half a reply and then
+// fail; everything else is echoMux.
+func halfThenFail(dst []byte, target int, kind string, body []byte) ([]byte, error) {
+	if kind == "huge" {
+		n := len(dst) + maxFrame + 1
+		return slices.Grow(dst, maxFrame+1)[:n], nil
+	}
+	var p Ping
+	if err := Unmarshal(body, &p); err != nil {
+		return nil, err
+	}
+	if p.Nonce%2 == 1 {
+		return append(dst, "half a reply, then"...), fmt.Errorf("target %d rejects nonce %d", target, p.Nonce)
+	}
+	return echoMux(dst, target, kind, body)
+}
+
+// TestBatchItemFailingAfterAppend holds the batch half of the append
+// contract at the byte level: a handler that has already appended when it
+// fails contributes its error string and an empty body — nothing it wrote —
+// while its neighbours, served by the same worker into the same buffer, are
+// intact and in item order. On one worker and on several.
+func TestBatchItemFailingAfterAppend(t *testing.T) {
+	const items = 23
+	var body []byte
+	body = binary.AppendUvarint(body, items)
+	for i := 0; i < items; i++ {
+		body = appendInt(body, i)
+		body = appendString(body, KindPing)
+		var err error
+		if body, err = appendNested(body, &Ping{Nonce: uint64(i % 3)}); err != nil { // items 1, 4, 7, ... fail
+			t.Fatal(err)
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		srv := &MuxServer{handler: halfThenFail}
+		out, err := srv.serveBatch([]byte("earlier frame"), frame{ID: 9, Target: -1, Kind: KindBatch, Body: body})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = bytes.TrimPrefix(out, []byte("earlier frame"))
+		if n := int(binary.LittleEndian.Uint32(out)); n != len(out)-4 {
+			t.Fatalf("procs=%d: frame declares %d bytes, carries %d", procs, n, len(out)-4)
+		}
+		reply, err := parseFrame(out[4:])
+		if err != nil || reply.ID != 9 || reply.Kind != KindBatch || reply.Err != "" {
+			t.Fatalf("procs=%d: reply frame %+v, err %v", procs, reply, err)
+		}
+		if n, err := checkBatchReplies(reply.Body); err != nil || n != items {
+			t.Fatalf("procs=%d: %d replies, err %v", procs, n, err)
+		}
+		d := decoder{b: reply.Body}
+		d.count(minBatchReply)
+		for i := 0; i < items; i++ {
+			errMsg, nested := string(d.view()), d.nested()
+			if i%3 == 1 {
+				if want := fmt.Sprintf("target %d rejects nonce 1", i); errMsg != want || len(nested) != 0 {
+					t.Errorf("procs=%d item %d: err %q with a %d-byte body, want %q and no body", procs, i, errMsg, len(nested), want)
+				}
+				continue
+			}
+			var pong Ping
+			if err := Unmarshal(nested, &pong); errMsg != "" || err != nil || pong.Nonce != uint64(i%3+i*1000) {
+				t.Errorf("procs=%d item %d: err %q, decode %v, nonce %d", procs, i, errMsg, err, pong.Nonce)
+			}
+		}
+	}
+}
+
+// TestMuxOversizedReplyIsAnErrorReply: a reply over the frame cap reaches the
+// caller as that call's error — alone or inside a batch — and the connection
+// carries the next call, so no part of the oversized frame was written.
+func TestMuxOversizedReplyIsAnErrorReply(t *testing.T) {
+	srv, _ := startMux(t, halfThenFail)
+	// The race detector takes seconds to map a frame's worth of memory.
+	cli, err := DialMux(srv.Addr(), time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	var re *RemoteError
+	err = cli.Agent(1).Call("huge", Ping{}, nil)
+	if !errors.As(err, &re) || !strings.Contains(re.Message, ErrFrameTooLarge.Error()) {
+		t.Fatalf("oversized reply: err = %v, want a remote ErrFrameTooLarge", err)
+	}
+	pongs := make([]Ping, 3)
+	calls := []BatchCall{
+		{Target: 0, Kind: KindPing, Req: Ping{Nonce: 2}, Resp: &pongs[0]},
+		{Target: 1, Kind: "huge", Req: Ping{}, Resp: &pongs[1]},
+		{Target: 2, Kind: KindPing, Req: Ping{Nonce: 4}, Resp: &pongs[2]},
+	}
+	if err := cli.CallBatch(context.Background(), calls); err != nil {
+		t.Fatal(err)
+	}
+	if !errors.As(calls[1].Err, &re) || !strings.Contains(re.Message, ErrFrameTooLarge.Error()) {
+		t.Errorf("oversized batch item: err = %v, want a remote ErrFrameTooLarge", calls[1].Err)
+	}
+	if calls[0].Err != nil || calls[2].Err != nil || pongs[0].Nonce != 2 || pongs[2].Nonce != 2004 {
+		t.Errorf("neighbours of the oversized item: %v %+v, %v %+v", calls[0].Err, pongs[0], calls[2].Err, pongs[2])
+	}
+	var pong Ping
+	if err := cli.Agent(3).Call(KindPing, Ping{Nonce: 6}, &pong); err != nil || pong.Nonce != 3006 {
+		t.Errorf("call after the oversized replies: nonce %d, err %v", pong.Nonce, err)
 	}
 }

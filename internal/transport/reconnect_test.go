@@ -9,14 +9,14 @@ import (
 )
 
 // pingHandler answers pings and fails "boom" requests.
-func pingHandler(kind string, body []byte) (any, error) {
+func pingHandler(dst []byte, kind string, body []byte) ([]byte, error) {
 	switch kind {
 	case KindPing:
 		var p Ping
 		if err := Unmarshal(body, &p); err != nil {
 			return nil, err
 		}
-		return p, nil
+		return Append(dst, &p)
 	default:
 		return nil, errors.New("kaboom")
 	}

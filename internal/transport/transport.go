@@ -173,15 +173,27 @@ type Ping struct {
 	Slot  int
 }
 
-// Handler processes one request body and returns a response body. body
-// aliases the connection's receive buffer: it is valid until the handler
-// returns, and Unmarshal copies everything it keeps.
-type Handler func(kind string, body []byte) (any, error)
+// Handler processes one request body: it appends its encoded reply body to
+// dst (with Append, for a message) and returns the extended slice. Both body
+// and dst belong to the connection — body aliases its receive buffer, dst is
+// the reply frame being built — and are valid only during the call: a handler
+// keeps neither, and Unmarshal copies everything it decodes. On an error the
+// returned slice is ignored; whatever the handler had appended is discarded
+// and the peer gets the error string with an empty body. A handler that
+// serves shared state encodes its reply before it releases that state's lock,
+// so nothing it owns is read after it returns.
+type Handler func(dst []byte, kind string, body []byte) ([]byte, error)
+
+// mux adapts the handler to the target-carrying form the reply path takes.
+// Server and Loopback adapt theirs once, when they are built.
+func (h Handler) mux() MuxHandler {
+	return func(dst []byte, _ int, kind string, body []byte) ([]byte, error) { return h(dst, kind, body) }
+}
 
 // Server accepts connections and dispatches frames to a handler.
 type Server struct {
 	lis     net.Listener
-	handler Handler
+	handler MuxHandler
 
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -191,7 +203,7 @@ type Server struct {
 
 // NewServer wraps a listener. Call Serve to start accepting.
 func NewServer(lis net.Listener, handler Handler) *Server {
-	return &Server{lis: lis, handler: handler, conns: make(map[net.Conn]struct{})}
+	return &Server{lis: lis, handler: handler.mux(), conns: make(map[net.Conn]struct{})}
 }
 
 // Addr returns the listener address.
@@ -251,26 +263,32 @@ func (s *Server) serveOne(conn net.Conn, br *bufio.Reader) error {
 	if err != nil {
 		return err
 	}
-	body, herr := s.handler(req.Kind, req.Body)
-	if *out, err = appendReply(*out, req.ID, 0, req.Kind, body, herr); err != nil {
+	if *out, err = appendReply(*out, req.ID, 0, req.Kind, req.Body, s.handler); err != nil {
 		return err
 	}
 	_, err = conn.Write(*out)
 	return err
 }
 
-// appendReply appends the response frame for one handled request: the
-// handler's body, or its error — or the encoding error, when the handler
-// returned something that has no wire layout or does not fit a frame.
-func appendReply(dst []byte, id uint64, target int, kind string, body any, herr error) ([]byte, error) {
+// appendReply appends the response frame for one request: the frame header,
+// then whatever the handler appends as its body. A handler error — or a body
+// that does not fit a frame — rewinds to the frame's start and appends the
+// error frame instead: the error string and an empty body.
+func appendReply(dst []byte, id uint64, target int, kind string, body []byte, h MuxHandler) ([]byte, error) {
+	start := len(dst)
+	dst = appendFrameHeader(dst, id, target, kind, "")
+	out, herr := h(dst, target, kind, body)
 	if herr == nil {
-		var err error
-		if dst, err = appendFrame(dst, id, target, kind, "", body); err == nil {
-			return dst, nil
+		if out, herr = finishFrame(out, start); herr == nil {
+			return out, nil
 		}
-		herr = err
 	}
-	return appendFrame(dst, id, target, kind, herr.Error(), []byte(nil))
+	return appendErrorFrame(dst[:start], id, target, kind, herr)
+}
+
+// appendErrorFrame appends the response frame that carries err and no body.
+func appendErrorFrame(dst []byte, id uint64, target int, kind string, err error) ([]byte, error) {
+	return finishFrame(appendFrameHeader(dst, id, target, kind, err.Error()), len(dst))
 }
 
 // Close stops accepting, closes open connections, and waits for in-flight
@@ -387,36 +405,43 @@ func (c *Client) Close() error {
 }
 
 // Loopback is an in-process connection that routes calls straight to a
-// Handler through the same Marshal/Unmarshal round-trip the TCP path uses, so
+// Handler through the same reply frame and body codec the TCP path uses, so
 // tests and experiments exercise the real wire encoding without sockets. It
 // is safe for concurrent calls when the handler is.
 type Loopback struct {
-	handler Handler
+	handler MuxHandler
 }
 
-// NewLoopback wraps a handler (typically agent.Agent.Handle) as a connection.
-func NewLoopback(h Handler) *Loopback { return &Loopback{handler: h} }
+// NewLoopback wraps a handler (typically agent.Agent.AppendReply) as a
+// connection.
+func NewLoopback(h Handler) *Loopback { return &Loopback{handler: h.mux()} }
 
-// Call encodes the request, dispatches it to the handler, and decodes the
-// response, mirroring Client.Call's semantics: handler errors come back as
-// *RemoteError, exactly as they would over TCP.
+// Call encodes the request, has the handler build the reply frame a Server
+// would have written, and decodes it as Client.Call does: handler errors —
+// and a reply over the frame cap — come back as *RemoteError, exactly as
+// they would over TCP.
 func (l *Loopback) Call(kind string, reqBody, respBody any) error {
-	body, err := Marshal(reqBody)
+	in, out := getBuf(), getBuf()
+	defer putBuf(in)
+	defer putBuf(out)
+	var err error
+	if *in, err = appendBody(*in, reqBody); err != nil {
+		return err
+	}
+	if *out, err = appendReply(*out, 0, 0, kind, *in, l.handler); err != nil {
+		return err
+	}
+	resp, err := parseFrame((*out)[4:])
 	if err != nil {
 		return err
 	}
-	out, err := l.handler(kind, body)
-	if err != nil {
-		return &RemoteError{Kind: kind, Message: err.Error()}
+	if resp.Err != "" {
+		return &RemoteError{Kind: kind, Message: resp.Err}
 	}
 	if respBody == nil {
 		return nil
 	}
-	data, err := Marshal(out)
-	if err != nil {
-		return err
-	}
-	return Unmarshal(data, respBody)
+	return Unmarshal(resp.Body, respBody)
 }
 
 // RemoteError is an error returned by the remote handler, preserving the

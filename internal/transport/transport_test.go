@@ -16,14 +16,14 @@ func echoServer(t *testing.T) (*Server, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(lis, func(kind string, body []byte) (any, error) {
+	srv := NewServer(lis, func(dst []byte, kind string, body []byte) ([]byte, error) {
 		switch kind {
 		case KindPing:
 			var p Ping
 			if err := Unmarshal(body, &p); err != nil {
 				return nil, err
 			}
-			return p, nil
+			return Append(dst, &p)
 		case "boom":
 			return nil, errors.New("kaboom")
 		default:
@@ -206,7 +206,7 @@ func TestClientClosesItselfOnDesync(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv := NewServer(lis, func(kind string, body []byte) (any, error) {
+		srv := NewServer(lis, func(dst []byte, kind string, body []byte) ([]byte, error) {
 			var p Ping
 			if err := Unmarshal(body, &p); err != nil {
 				return nil, err
@@ -214,7 +214,7 @@ func TestClientClosesItselfOnDesync(t *testing.T) {
 			if p.Nonce == 1 {
 				<-release // answer this one after the client has given up
 			}
-			return p, nil
+			return Append(dst, &p)
 		})
 		go srv.Serve()
 		defer srv.Close()
@@ -296,5 +296,47 @@ func TestMarshalUnmarshal(t *testing.T) {
 	}
 	if err := Unmarshal([]byte("garbage"), &got); err == nil {
 		t.Error("garbage decoded")
+	}
+}
+
+// TestHandlerErrorAfterAppendLeavesNoBytes and the oversized case run the
+// append contract through the plain Server and through Loopback (halfThenFail
+// is in mux_test.go): a handler that fails after appending is answered with
+// its error and nothing it wrote; a reply over the frame cap is an error
+// reply; and either way the next call on the same connection is served, so
+// the stream never carried a torn frame.
+func TestHandlerErrorAfterAppendLeavesNoBytes(t *testing.T) {
+	handler := func(dst []byte, kind string, body []byte) ([]byte, error) { return halfThenFail(dst, 0, kind, body) }
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(lis, handler)
+	go srv.Serve()
+	defer srv.Close()
+	// The race detector takes seconds to map a frame's worth of memory.
+	cli, err := Dial(srv.Addr(), time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+
+	type conn interface {
+		Call(kind string, reqBody, respBody any) error
+	}
+	for name, c := range map[string]conn{"server": cli, "loopback": NewLoopback(handler)} {
+		var re *RemoteError
+		var pong Ping
+		err := c.Call(KindPing, Ping{Nonce: 5}, &pong)
+		if !errors.As(err, &re) || re.Message != "target 0 rejects nonce 5" || pong != (Ping{}) {
+			t.Errorf("%s: failing handler: err = %v, decoded %+v", name, err, pong)
+		}
+		err = c.Call("huge", Ping{}, &pong)
+		if !errors.As(err, &re) || !strings.Contains(re.Message, ErrFrameTooLarge.Error()) {
+			t.Errorf("%s: oversized reply: err = %v, want a remote ErrFrameTooLarge", name, err)
+		}
+		if err := c.Call(KindPing, Ping{Nonce: 8}, &pong); err != nil || pong.Nonce != 8 {
+			t.Errorf("%s: call after the failures: nonce %d, err %v", name, pong.Nonce, err)
+		}
 	}
 }

@@ -91,18 +91,33 @@ func putBuf(b *[]byte) {
 // comes back at its original length.
 func appendFrame(dst []byte, id uint64, target int, kind, errMsg string, body any) ([]byte, error) {
 	start := len(dst)
+	out, err := appendBody(appendFrameHeader(dst, id, target, kind, errMsg), body)
+	if err == nil {
+		out, err = finishFrame(out, start)
+	}
+	if err != nil {
+		return dst[:start], err
+	}
+	return out, nil
+}
+
+// appendFrameHeader opens a frame: a placeholder length prefix and everything
+// that precedes the body. The body is appended behind it and finishFrame
+// closes the frame.
+func appendFrameHeader(dst []byte, id uint64, target int, kind, errMsg string) []byte {
 	dst = append(dst, 0, 0, 0, 0, wireVersion)
 	dst = binary.AppendUvarint(dst, id)
 	dst = appendInt(dst, target)
 	dst = appendString(dst, kind)
-	dst = appendString(dst, errMsg)
-	dst, err := appendBody(dst, body)
-	if err != nil {
-		return dst[:start], err
-	}
+	return appendString(dst, errMsg)
+}
+
+// finishFrame closes the frame opened at dst[start] by writing its length
+// prefix, or refuses it when it exceeds the cap.
+func finishFrame(dst []byte, start int) ([]byte, error) {
 	n := len(dst) - start - 4
 	if n > maxFrame {
-		return dst[:start], fmt.Errorf("%w: %d bytes, cap %d", ErrFrameTooLarge, n, maxFrame)
+		return dst, fmt.Errorf("%w: %d bytes, cap %d", ErrFrameTooLarge, n, maxFrame)
 	}
 	binary.LittleEndian.PutUint32(dst[start:], uint32(n))
 	return dst, nil
@@ -191,17 +206,12 @@ func internKind(b []byte) string {
 	return string(b)
 }
 
-// batchItem and batchReply are one request and one response inside a batch
-// frame, kept in item order. Bodies alias the frame they were parsed from.
+// batchItem is one request inside a batch frame. Its Body aliases the frame
+// it was parsed from.
 type batchItem struct {
 	Target int
 	Kind   string
 	Body   []byte
-}
-
-type batchReply struct {
-	Err  string
-	Body []byte
 }
 
 // appendNested appends body behind a u32 length prefix.
@@ -243,26 +253,38 @@ const (
 	minBatchReply = 5
 )
 
-func parseBatchItems(body []byte) ([]batchItem, error) {
+// parseBatchItems decodes a batch request body into items, reusing its
+// capacity: the server keeps the slice in its pooled batch scratch rather
+// than making one per frame.
+func parseBatchItems(body []byte, items []batchItem) ([]batchItem, error) {
 	d := decoder{b: body}
-	items := make([]batchItem, d.count(minBatchItem))
+	n := d.count(minBatchItem)
+	if cap(items) < n {
+		items = make([]batchItem, n)
+	}
+	items = items[:n]
 	for i := range items {
 		items[i] = batchItem{Target: d.int(), Kind: internKind(d.view()), Body: d.nested()}
 	}
 	if d.bad || d.off != len(body) {
-		return nil, fmt.Errorf("%w: batch request of %d bytes", ErrMalformedWire, len(body))
+		return items[:0], fmt.Errorf("%w: batch request of %d bytes", ErrMalformedWire, len(body))
 	}
 	return items, nil
 }
 
-func parseBatchReplies(body []byte) ([]batchReply, error) {
+// checkBatchReplies walks a whole batch reply body and returns its reply
+// count. A body that passes can be walked again with decoder.view and
+// decoder.nested without a further check, which is how CallBatch reads the
+// replies: in place, with no per-frame slice of them.
+func checkBatchReplies(body []byte) (int, error) {
 	d := decoder{b: body}
-	replies := make([]batchReply, d.count(minBatchReply))
-	for i := range replies {
-		replies[i] = batchReply{Err: string(d.view()), Body: d.nested()}
+	n := d.count(minBatchReply)
+	for i := 0; i < n; i++ {
+		d.view()
+		d.nested()
 	}
 	if d.bad || d.off != len(body) {
-		return nil, fmt.Errorf("%w: batch reply of %d bytes", ErrMalformedWire, len(body))
+		return 0, fmt.Errorf("%w: batch reply of %d bytes", ErrMalformedWire, len(body))
 	}
-	return replies, nil
+	return n, nil
 }
