@@ -32,8 +32,11 @@ race:
 # 2-partition control plane), a race-enabled rerun of the sparse/decomposed
 # solver suites (the pooled block solves only prove their disjoint-write
 # determinism when raced) together with the default-solver, cross-
-# representation checkpoint, validate-before-apply and reused-snapshot tests,
-# plus the cross-solver agreement smoke, and a short fuzz smoke of the native
+# representation checkpoint, validate-before-apply, reused-snapshot and
+# reused-flow-storage tests (FuzzApply's seeds compare every Apply on the
+# reused storage with one on a fresh Set; TestEngineDetailOwnsFlows holds the
+# engine to copying what a SlotDetail keeps), plus the cross-solver agreement
+# smoke, and a short fuzz smoke of the native
 # fuzz targets, including the snapshot-restore, wire-frame, wire-codec, and
 # incremental-refresh surfaces. The wire
 # allocation budget (codec, agent.Handle, one mux call, one whole tick at 500
@@ -53,7 +56,7 @@ tier1:
 	$(GO) test -race -count=1 ./internal/agent ./internal/controller ./internal/controlplane ./internal/transport/... ./internal/experiments ./internal/hollow
 	$(GO) test -race -count=1 -run 'TestSparse|TestDecomposed|TestSharingADMM|TestAuto|TestSchedulerState' ./internal/core ./internal/solve
 	$(GO) test -race -count=1 -run 'TestAutoSolverBitIdentical' ./internal/invariant
-	$(GO) test -race -count=1 -run 'TestRejectedApply|TestSnapshotsOwn|TestEngineSnapshotReuse' ./internal/queue ./internal/sim
+	$(GO) test -race -count=1 -run 'TestRejectedApply|TestSnapshotsOwn|TestEngineSnapshotReuse|TestEngineDetailOwnsFlows|FuzzApply' ./internal/queue ./internal/sim
 	$(GO) test -count=1 -run TestCrossCheckDecomposed ./internal/invariant
 	$(GO) run -race ./cmd/grefar-hollow -agents 64 -slots 5 -kill-frac 0.05
 	$(GO) run -race ./cmd/grefar-hollow -agents 64 -slots 5 -kill-frac 0.05 -partitions 2
@@ -111,12 +114,14 @@ bench-slot:
 # cost on the reference cluster (with and without the warm-started away-step
 # path) plus the large-instance N=200/J=100 arms (auto, dense, sparse,
 # decomposed, pooled decomposed) at ~10% active-pair density and one whole
-# default-configured engine slot at the same shape. DIST_BENCHES is
+# default-configured engine slot at the same shape, and the routing half of a
+# decision alone at 20 and at 500 candidate sites per job type (it lives in
+# internal/core, hence the second package on those lines). DIST_BENCHES is
 # the set recorded in BENCH_distributed.json: the 3-agent point-to-point
 # controller round, the hollow-fleet sweep at 100/500/1000/2000 agents, the
 # partitioned-control-plane cells (agents x partitions), and the wire codec
 # alone (state report and allocation, encode and decode).
-SLOT_BENCHES = BenchmarkSlotDecision$$|BenchmarkEngineStep$$
+SLOT_BENCHES = BenchmarkSlotDecision$$|BenchmarkEngineStep$$|BenchmarkDecideRouting$$
 DIST_BENCHES = BenchmarkDistributedSlot$$|BenchmarkHollowSlot/|BenchmarkPartitionedSlot/|BenchmarkCodec/
 BENCHCOUNT ?= 3
 
@@ -124,7 +129,7 @@ BENCHCOUNT ?= 3
 # BENCH_distributed.json. Run it after an intentional performance change and
 # commit the diff.
 bench-json:
-	$(GO) test -run '^$$' -bench '$(SLOT_BENCHES)' -benchmem -count=$(BENCHCOUNT) . \
+	$(GO) test -run '^$$' -bench '$(SLOT_BENCHES)' -benchmem -count=$(BENCHCOUNT) . ./internal/core \
 		| $(GO) run ./cmd/benchjson -out BENCH_slot.json
 	$(GO) test -run '^$$' -bench '$(DIST_BENCHES)' -benchmem -count=$(BENCHCOUNT) . \
 		| $(GO) run ./cmd/benchjson -out BENCH_distributed.json
@@ -138,7 +143,7 @@ bench-json:
 # ~60 ns BenchmarkCodec cells, whose allocation side is held by
 # TestWireAllocationBudget instead.
 bench-compare:
-	$(GO) test -run '^$$' -bench '$(SLOT_BENCHES)' -benchmem -count=$(BENCHCOUNT) . \
+	$(GO) test -run '^$$' -bench '$(SLOT_BENCHES)' -benchmem -count=$(BENCHCOUNT) . ./internal/core \
 		| $(GO) run ./cmd/benchjson -compare BENCH_slot.json -max-regress 0.15
 	$(GO) test -run '^$$' -bench '$(DIST_BENCHES)' -benchmem -count=$(BENCHCOUNT) . \
 		| $(GO) run ./cmd/benchjson -compare BENCH_distributed.json \

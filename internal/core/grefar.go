@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"grefar/internal/fairness"
 	"grefar/internal/model"
@@ -316,98 +315,157 @@ func (g *GreFar) slotEvent(t int, st *model.State, q queue.Lengths, act *model.A
 // eligible site whose local backlog is below the central backlog. Because
 // this simulator moves real jobs, the total routed per type is additionally
 // capped at the central queue content, spent on the most-negative
-// coefficients (the least-backlogged sites) first.
+// coefficients (the least-backlogged sites) first: strictly better
+// (smaller-backlog) sites fill first, and sites whose backlogs tie — they
+// have identical coefficients in (14), and the uncapped paper algorithm
+// routes r_max to each of them — split what is left evenly instead of
+// privileging the lowest index.
+//
+// That consumes the candidates in ascending (backlog, site) order, but only
+// until the central queue's content is spent, so nothing is sorted. The
+// least-backlogged tie group is found while the candidates are gathered and
+// served in one more pass over them; unless a routing bound caps its shares
+// it takes everything and the type is done. Only what a bound leaves over
+// goes on to the remaining candidates, which are then heapified in place and
+// popped one tie group at a time.
 func (g *GreFar) decideRouting(q queue.Lengths, act *model.Action) {
 	c := g.cluster
 	for j := 0; j < c.J(); j++ {
-		jt := c.JobTypes[j]
+		jt := &c.JobTypes[j]
 		qj := q.Central[j]
 		available := int(qj)
 		if available <= 0 {
 			continue
 		}
-		// Eligible sites with negative routing coefficient, most negative
-		// (smallest local backlog) first.
+		// Eligible sites with negative routing coefficient, in ascending site
+		// order, and the smallest backlog among them with its multiplicity.
 		order := g.ws.order[:0]
-		for _, i := range jt.Eligible {
-			if b := q.Local[i][j]; b < qj {
-				order = append(order, routeSite{backlog: b, site: i})
+		tie, ties := 0.0, 0
+		for _, i := range g.ws.routeSites[j] {
+			b := q.Local[i][j]
+			if !(b < qj) {
+				continue
+			}
+			order = append(order, routeSite{backlog: b, site: i})
+			switch {
+			case ties == 0 || b < tie:
+				tie, ties = b, 1
+			case b == tie:
+				ties++
 			}
 		}
-		sortRouteSites(order)
-		// Fill strictly better (smaller-backlog) sites first; sites whose
-		// backlogs tie have identical coefficients in (14), and the
-		// uncapped paper algorithm routes r_max to each of them, so the
-		// capped emulation splits the remaining jobs evenly across the tie
-		// group instead of privileging the lowest index.
+		if ties == 0 {
+			continue
+		}
+		if g.cfg.Routing == FirstSiteWins {
+			ties = 1 // the lowest-index site of the group stands for it
+		}
 		budget := routeBudgetFor(jt)
-		for a := 0; a < len(order) && available > 0; {
-			b := a + 1
-			for b < len(order) && order[b].backlog == order[a].backlog {
-				b++
+		rest, member, remaining := order[:0], 0, available
+		for _, rs := range order {
+			if rs.backlog != tie {
+				rest = append(rest, rs)
+				continue
 			}
-			group := order[a:b]
-			if g.cfg.Routing == FirstSiteWins {
-				group = group[:1]
-			}
-			for g, remaining := 0, available; g < len(group); g++ {
-				share := remaining / len(group)
-				if g < remaining%len(group) {
-					share++
-				}
-				if share > budget {
-					share = budget
-				}
-				act.Route[group[g].site][j] = share
+			if member < ties {
+				share := tieShare(remaining, ties, member, budget)
+				act.Route[rs.site][j] = share
 				available -= share
 			}
-			a = b
+			member++
+		}
+		if available <= 0 {
+			continue
+		}
+		heapifyRouteSites(rest)
+		for heap := rest; len(heap) > 0 && available > 0; {
+			// Successive minima land at the shrinking heap's tail, so the
+			// popped group reads in descending site order.
+			end, tie := len(heap), heap[0].backlog
+			for len(heap) > 0 && heap[0].backlog == tie {
+				heap = popRouteSite(heap)
+			}
+			group := rest[len(heap):end]
+			if g.cfg.Routing == FirstSiteWins {
+				group = group[len(group)-1:]
+			}
+			remaining := available
+			for member := range group {
+				share := tieShare(remaining, len(group), member, budget)
+				act.Route[group[len(group)-1-member].site][j] = share
+				available -= share
+			}
 		}
 	}
 }
 
+// tieShare is what member number member (in ascending site order) of a tie
+// group of ties sites gets of the remaining jobs: an even split, the
+// remainder going one each to the lowest-index members, capped at the
+// type's routing bound.
+func tieShare(remaining, ties, member, budget int) int {
+	share := remaining / ties
+	if member < remaining%ties {
+		share++
+	}
+	if share > budget {
+		share = budget
+	}
+	return share
+}
+
 // routeSite is one candidate of a job type's routing order: an eligible site
-// and its local backlog for that type, kept together so the sort compares
+// and its local backlog for that type, kept together so the comparisons read
 // adjacent memory instead of chasing q.Local[site][j] through N row slices.
 type routeSite struct {
 	backlog float64
 	site    int
 }
 
-// insertionSortMax is the longest routing order sorted by insertion. A job
-// type's candidate list is as long as its eligible set: a handful of sites
-// under data placement, where insertion sort wins, and every site of the
-// fleet when placement does not restrict it, where a quadratic sort was most
-// of a 500-site decision.
-const insertionSortMax = 24
+// before is the routing order: ascending (backlog, site index). Sites are
+// distinct, so it is a strict total order and the sequence of minima the
+// heap yields is the one any correct sort would.
+func (a routeSite) before(b routeSite) bool {
+	return a.backlog < b.backlog || (a.backlog == b.backlog && a.site < b.site)
+}
 
-// sortRouteSites orders s by (backlog, site index). Sites are distinct, so
-// this is a strict total order and every correct sort returns the same
-// sequence; neither branch allocates.
-func sortRouteSites(s []routeSite) {
-	if len(s) > insertionSortMax {
-		slices.SortFunc(s, func(a, b routeSite) int {
-			switch {
-			case a.backlog < b.backlog:
-				return -1
-			case a.backlog > b.backlog:
-				return 1
-			}
-			return a.site - b.site
-		})
-		return
-	}
-	for a := 1; a < len(s); a++ {
-		for b := a; b > 0; b-- {
-			if s[b].backlog > s[b-1].backlog || (s[b].backlog == s[b-1].backlog && s[b].site > s[b-1].site) {
-				break
-			}
-			s[b], s[b-1] = s[b-1], s[b]
-		}
+// heapifyRouteSites arranges h as a binary min-heap under before, in place:
+// selecting the tie groups a routing bound makes routing go through costs
+// O(n + taken*log n), where sorting every candidate first was most of a
+// 500-site decision.
+func heapifyRouteSites(h []routeSite) {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDownRouteSite(h, i)
 	}
 }
 
-func routeBudgetFor(jt model.JobType) int {
+// popRouteSite moves the heap's minimum to h[len(h)-1] and returns the heap
+// that remains in front of it.
+func popRouteSite(h []routeSite) []routeSite {
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	siftDownRouteSite(h[:n], 0)
+	return h[:n]
+}
+
+func siftDownRouteSite(h []routeSite, i int) {
+	for {
+		m := 2*i + 1
+		if m >= len(h) {
+			return
+		}
+		if r := m + 1; r < len(h) && h[r].before(h[m]) {
+			m = r
+		}
+		if !h[m].before(h[i]) {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
+}
+
+func routeBudgetFor(jt *model.JobType) int {
 	if jt.MaxRoute > 0 {
 		return jt.MaxRoute
 	}
@@ -479,7 +537,7 @@ func (g *GreFar) decideProcessing(st *model.State, q queue.Lengths, act *model.A
 	return nil
 }
 
-func processBudgetFor(jt model.JobType, queued float64) float64 {
+func processBudgetFor(jt *model.JobType, queued float64) float64 {
 	b := queued
 	if jt.MaxProcess > 0 && jt.MaxProcess < b {
 		b = jt.MaxProcess

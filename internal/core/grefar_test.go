@@ -347,7 +347,7 @@ func solveSlotByProjectedGradient(c *model.Cluster, cfg Config, st *model.State,
 		for j := 0; j < c.J(); j++ {
 			jt := c.JobTypes[j]
 			if jt.EligibleSet(i) {
-				caps[i][j] = processBudgetFor(jt, q.Local[i][j])
+				caps[i][j] = processBudgetFor(&jt, q.Local[i][j])
 			}
 			weights[i][j] = jt.Demand
 		}
@@ -406,7 +406,7 @@ func TestGreFarBeatsAlternativesOnDPP(t *testing.T) {
 					if !c.JobTypes[j].EligibleSet(i) {
 						continue
 					}
-					h := rng.Float64() * processBudgetFor(c.JobTypes[j], q.Local[i][j])
+					h := rng.Float64() * processBudgetFor(&c.JobTypes[j], q.Local[i][j])
 					if work+h*c.JobTypes[j].Demand > capi {
 						continue
 					}

@@ -11,8 +11,8 @@ import (
 	"grefar/internal/queue"
 )
 
-// referenceRouting is decideRouting as it stood before the routing order was
-// sorted in O(n log n): site indices ordered by an insertion sort that reads
+// referenceRouting is decideRouting as it first stood, fully sorting every
+// candidate list: site indices ordered by an insertion sort that reads
 // the backlogs through q.Local. It is the oracle TestRoutingMatchesReference
 // holds the production routing to.
 func referenceRouting(c *model.Cluster, rule RoutingRule, q queue.Lengths) [][]int {
@@ -39,7 +39,7 @@ func referenceRouting(c *model.Cluster, rule RoutingRule, q queue.Lengths) [][]i
 				order[b], order[b-1] = order[b-1], order[b]
 			}
 		}
-		budget := routeBudgetFor(jt)
+		budget := routeBudgetFor(&jt)
 		for a := 0; a < len(order) && available > 0; {
 			b := a + 1
 			for b < len(order) && q.Local[order[b]][j] == q.Local[order[a]][j] {
@@ -116,9 +116,10 @@ func tiedLengths(rng *rand.Rand, c *model.Cluster, levels int) queue.Lengths {
 }
 
 // TestRoutingMatchesReference requires decideRouting to produce exactly the
-// Route matrix of the insertion-sort reference: eligible-set sizes on both
-// sides of insertionSortMax, unsorted Eligible lists, heavy ties, both tie
-// rules, bounded and unbounded MaxRoute.
+// Route matrix of the insertion-sort reference: eligible-set sizes from one
+// site to the whole fleet, unsorted Eligible lists, heavy ties, both tie
+// rules, and MaxRoute both unbounded (the least-backlogged tie group takes
+// everything) and bounded (the heap serves the groups after it).
 func TestRoutingMatchesReference(t *testing.T) {
 	sizes := []int{1, 2, 20, 500, 1, 2, 20, 500}
 	maxRoutes := []int{0, 0, 0, 0, 3, 3, 3, 3}
@@ -144,17 +145,20 @@ func TestRoutingMatchesReference(t *testing.T) {
 	}
 }
 
-// TestRoutingDoesNotAllocate pins the other half of the contract: ordering a
-// 500-site candidate list costs no allocation, whichever sort runs.
+// TestRoutingDoesNotAllocate pins the other half of the contract: routing
+// over a 500-site candidate list costs no allocation, with the first tie
+// group taking everything and with a bound sending it through the heap.
 func TestRoutingDoesNotAllocate(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	c := routingCluster(t, rng, 500, []int{20, 500}, []int{0})
+	c := routingCluster(t, rng, 500, []int{20, 500, 20, 500}, []int{0, 0, 3, 3})
 	g, err := New(c, Config{V: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	q := tiedLengths(rng, c, 40)
-	q.Central[0], q.Central[1] = 1e6, 1e6 // every site is a candidate
+	for j := range q.Central {
+		q.Central[j] = 1e6 // every site is a candidate
+	}
 	act := model.NewAction(c)
 	if got := testing.AllocsPerRun(50, func() { g.decideRouting(q, act) }); got != 0 {
 		t.Errorf("decideRouting allocates %.1f times per call, want 0", got)

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"grefar/internal/model"
 	"grefar/internal/solve"
 )
@@ -24,8 +26,11 @@ import (
 type decideScratch struct {
 	layout slotLayout
 
-	// Routing order buffer (decideRouting).
-	order []routeSite
+	// Routing (decideRouting): routeSites[j] is job type j's eligible set in
+	// ascending site order — cluster-static; the Eligible list itself when it
+	// is already sorted — and order the candidate buffer.
+	routeSites [][]int
+	order      []routeSite
 
 	// Cheapest-first server order per data center for busy-server
 	// provisioning: availability changes per slot but the energy-per-work
@@ -102,6 +107,15 @@ func newDecideScratch(c *model.Cluster, quad, compact bool) *decideScratch {
 	ws.provOrder = make([][]int, c.N())
 	for i := 0; i < c.N(); i++ {
 		ws.provOrder[i] = model.RateOrder(c.DataCenters[i])
+	}
+	ws.routeSites = make([][]int, c.J())
+	for j := range c.JobTypes {
+		sites := c.JobTypes[j].Eligible
+		if !slices.IsSorted(sites) {
+			sites = slices.Clone(sites)
+			slices.Sort(sites)
+		}
+		ws.routeSites[j] = sites
 	}
 	if quad {
 		ws.warm = make([]float64, ws.layout.total)

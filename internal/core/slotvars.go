@@ -53,7 +53,7 @@ func slotCoefficientsInto(c *model.Cluster, cfg Config, st *model.State, q queue
 		for j := 0; j < c.J(); j++ {
 			cH[i][j] = -q.Local[i][j]
 			if c.JobTypes[j].EligibleSet(i) {
-				hCap[i][j] = processBudgetFor(c.JobTypes[j], q.Local[i][j])
+				hCap[i][j] = processBudgetFor(&c.JobTypes[j], q.Local[i][j])
 			} else {
 				hCap[i][j] = 0
 			}

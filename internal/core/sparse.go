@@ -19,8 +19,9 @@ import (
 // production scale most pairs are inactive — a job type's data lives at a
 // handful of sites and most queues are empty — so the dense N*J vectors the
 // monolithic path iterates over are mostly exact zeros. The compact layout
-// makes every solver pass O(active) instead of O(N*J) while producing
-// bit-identical iterates: an inactive pair has x = v = dir = 0 on the dense
+// makes every solver pass O(active) instead of O(N*J) — and the passes that
+// maintain the index itself O(eligible pairs), the size (14) actually has —
+// while producing bit-identical iterates: an inactive pair has x = v = dir = 0 on the dense
 // path, contributing exactly +0.0 to every inner product, and the compact
 // index preserves the dense (i, j) lexicographic order, so the fairness
 // account sums, the greedy candidate lists, and the line-search scalars all
@@ -35,8 +36,14 @@ type sparseSlot struct {
 	c *model.Cluster
 	l slotLayout
 
-	// eligible[i*J+j] is cluster-static: j in D_j at site i.
-	eligible []bool
+	// Cluster-static eligibility as a per-site CSR list: the job types that
+	// may run at site i are eligJ[eligOff[i]:eligOff[i+1]], ascending — the
+	// dense (i, j) scan order restricted to the pairs (14) has a variable for.
+	// Every pass that used to walk all N*J cells walks this instead: a pair
+	// outside it is never active and never carries warm-start mass
+	// (RestoreState rejects an iterate that would put some there).
+	eligOff []int // len N+1
+	eligJ   []int
 
 	// Active-pair index. Compact h variable t covers the dense pair
 	// denseIdx[t] = i*J+j with job type pairJ[t]; a site's compact h
@@ -69,7 +76,7 @@ type sparseSlot struct {
 	// contents and prices move, so only rows whose inputs moved are
 	// recomputed, and the index itself is rebuilt only when the active
 	// membership changes.
-	prevLocal []float64 // dense N*J backlog snapshot
+	prevLocal []float64 // backlog per compact h variable
 	prevPrice []float64
 	prevValid bool
 
@@ -93,16 +100,29 @@ func newSparseSlot(c *model.Cluster) *sparseSlot {
 	sp := &sparseSlot{
 		c:         c,
 		l:         newSlotLayout(c),
-		eligible:  make([]bool, nJ),
+		eligOff:   make([]int, c.N()+1),
 		active:    make([]bool, nJ),
 		siteOff:   make([]int, 0, c.N()+1),
 		bOffC:     make([]int, c.N()),
-		prevLocal: make([]float64, nJ),
 		prevPrice: make([]float64, c.N()),
 	}
+	// Counting sort of the (site, type) pairs by site: walking the job types
+	// in ascending j leaves every site's row ascending whatever order the
+	// Eligible lists are in.
+	for _, jt := range c.JobTypes {
+		for _, i := range jt.Eligible {
+			sp.eligOff[i+1]++
+		}
+	}
+	for i := 0; i < c.N(); i++ {
+		sp.eligOff[i+1] += sp.eligOff[i]
+	}
+	sp.eligJ = make([]int, sp.eligOff[c.N()])
+	next := append([]int(nil), sp.eligOff[:c.N()]...)
 	for j, jt := range c.JobTypes {
 		for _, i := range jt.Eligible {
-			sp.eligible[i*c.J()+j] = true
+			sp.eligJ[next[i]] = j
+			next[i]++
 		}
 	}
 	sp.scr.segs = make([]segment, 0, maxServerTypes(c))
@@ -110,10 +130,15 @@ func newSparseSlot(c *model.Cluster) *sparseSlot {
 	return sp
 }
 
-// wantActive is the membership rule: eligible, and carrying either backlog
-// or warm-start mass (warm nil means no warm iterate is in play).
-func (sp *sparseSlot) wantActive(idx int, q float64, warm []float64) bool {
-	return sp.eligible[idx] && (q > 0 || (warm != nil && warm[idx] > 0))
+// eligibleAt returns the job types that may run at site i, ascending.
+func (sp *sparseSlot) eligibleAt(i int) []int {
+	return sp.eligJ[sp.eligOff[i]:sp.eligOff[i+1]]
+}
+
+// wantActive is the membership rule for an eligible pair: it carries either
+// backlog or warm-start mass (warm nil means no warm iterate is in play).
+func wantActive(idx int, q float64, warm []float64) bool {
+	return q > 0 || (warm != nil && warm[idx] > 0)
 }
 
 // refresh brings the compact representation up to date with this slot's
@@ -133,8 +158,8 @@ func (sp *sparseSlot) refresh(cfg Config, st *model.State, q queue.Lengths, warm
 	for i := 0; i < n; i++ {
 		row := q.Local[i]
 		base := i * nJ
-		for j := 0; j < nJ; j++ {
-			if sp.wantActive(base+j, row[j], warm) != sp.active[base+j] {
+		for _, j := range sp.eligibleAt(i) {
+			if wantActive(base+j, row[j], warm) != sp.active[base+j] {
 				sp.rebuildIndex(cfg, st, q, warm)
 				return
 			}
@@ -145,12 +170,12 @@ func (sp *sparseSlot) refresh(cfg Config, st *model.State, q queue.Lengths, warm
 		touched := false
 		for t := sp.siteOff[i]; t < sp.siteOff[i+1]; t++ {
 			qv := q.Local[i][sp.pairJ[t]]
-			if qv == sp.prevLocal[sp.denseIdx[t]] {
+			if qv == sp.prevLocal[t] {
 				continue
 			}
-			sp.prevLocal[sp.denseIdx[t]] = qv
+			sp.prevLocal[t] = qv
 			sp.linear[t] = -qv
-			sp.hCap[t] = processBudgetFor(c.JobTypes[sp.pairJ[t]], qv)
+			sp.hCap[t] = processBudgetFor(&c.JobTypes[sp.pairJ[t]], qv)
 			touched = true
 		}
 		if st.Price[i] != sp.prevPrice[i] {
@@ -180,15 +205,14 @@ func (sp *sparseSlot) rebuildIndex(cfg Config, st *model.State, q queue.Lengths,
 		sp.siteOff = append(sp.siteOff, len(sp.pairJ))
 		row := q.Local[i]
 		base := i * nJ
-		for j := 0; j < nJ; j++ {
+		for _, j := range sp.eligibleAt(i) {
 			idx := base + j
-			want := sp.wantActive(idx, row[j], warm)
+			want := wantActive(idx, row[j], warm)
 			sp.active[idx] = want
 			if want {
 				sp.pairJ = append(sp.pairJ, j)
 				sp.denseIdx = append(sp.denseIdx, idx)
 			}
-			sp.prevLocal[idx] = row[j]
 		}
 	}
 	sp.siteOff = append(sp.siteOff, len(sp.pairJ))
@@ -204,11 +228,13 @@ func (sp *sparseSlot) rebuildIndex(cfg Config, st *model.State, q queue.Lengths,
 	sp.hCap = resizeFloats(sp.hCap, sp.nH)
 	sp.account = resizeInts(sp.account, sp.nH)
 	sp.demand = resizeFloats(sp.demand, sp.nH)
+	sp.prevLocal = resizeFloats(sp.prevLocal, sp.nH)
 	for i := 0; i < n; i++ {
 		for t := sp.siteOff[i]; t < sp.siteOff[i+1]; t++ {
 			j := sp.pairJ[t]
-			jt := c.JobTypes[j]
+			jt := &c.JobTypes[j]
 			qv := q.Local[i][j]
+			sp.prevLocal[t] = qv
 			sp.linear[t] = -qv
 			sp.hCap[t] = processBudgetFor(jt, qv)
 			sp.account[t] = jt.Account
@@ -346,19 +372,21 @@ func greedyExchange(segs []segment, jobs []jobDemand, out []float64, bBase int) 
 
 // repairWarm is repairWarmStart for the sparse path: it repairs the dense
 // warm vector in place against the compact caps without materializing a
-// dense hCap matrix. An inactive pair's cap is zero, so any mass there
-// clamps away; the capacity-row sums skip inactive pairs, whose terms are
-// exact zeros, and therefore match the dense sums float-for-float. The
-// outcome classification is identical to repairWarmStart on the dense
-// coefficients. Auxiliary rows are absent by construction: New rejects the
-// sparse solvers on clusters with auxiliary resources.
+// dense hCap matrix, walking eligible pairs only — an ineligible pair holds
+// an exact zero and needs neither the finite check nor the clamp. An
+// inactive pair's cap is zero, so any mass there clamps away; the
+// capacity-row sums skip inactive pairs, whose terms are exact zeros, and
+// therefore match the dense sums float-for-float. The outcome classification
+// is identical to repairWarmStart on the dense coefficients. Auxiliary rows
+// are absent by construction: New rejects the sparse solvers on clusters
+// with auxiliary resources.
 func (sp *sparseSlot) repairWarm(st *model.State, x []float64) warmOutcome {
 	c := sp.c
 	n, nJ := c.N(), c.J()
 	repaired := false
 	for i := 0; i < n; i++ {
 		base := i * nJ
-		for j := 0; j < nJ; j++ {
+		for _, j := range sp.eligibleAt(i) {
 			idx := base + j
 			v := x[idx]
 			if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -367,15 +395,8 @@ func (sp *sparseSlot) repairWarm(st *model.State, x []float64) warmOutcome {
 			if sp.active[idx] {
 				continue // clamped against the compact cap below
 			}
-			w := v
-			if w < 0 {
-				w = 0
-			}
-			if w > 0 {
-				w = 0 // cap is 0 off the active index
-			}
-			if w != v {
-				x[idx] = w
+			if v != 0 { // cap is 0 off the active index
+				x[idx] = 0
 				repaired = true
 			}
 		}
@@ -451,11 +472,16 @@ func (sp *sparseSlot) gather(x, out []float64) {
 }
 
 // scatterWarm writes the compact iterate x back into the dense warm buffer,
-// zeroing the h block first: the dense path keeps exact zeros on inactive
-// pairs, so zero-then-scatter reproduces its buffer exactly.
+// zeroing the eligible pairs of the h block first (the others never leave
+// zero): the dense path keeps exact zeros on inactive pairs, so
+// zero-then-scatter reproduces its buffer exactly.
 func (sp *sparseSlot) scatterWarm(x, warm []float64) {
-	for idx := 0; idx < sp.c.N()*sp.c.J(); idx++ {
-		warm[idx] = 0
+	nJ := sp.c.J()
+	for i := 0; i < sp.c.N(); i++ {
+		base := i * nJ
+		for _, j := range sp.eligibleAt(i) {
+			warm[base+j] = 0
+		}
 	}
 	for t := 0; t < sp.nH; t++ {
 		warm[sp.denseIdx[t]] = x[t]
@@ -493,7 +519,13 @@ func (g *GreFar) decideProcessingSparse(st *model.State, q queue.Lengths, act *m
 	}
 
 	for i := 0; i < c.N(); i++ {
-		if _, err := model.ProvisionOrdered(c.DataCenters[i], ws.provOrder[i], st.Avail[i], act.Busy[i], act.WorkAt(c, i)); err != nil {
+		// act.WorkAt(c, i) over the site's active pairs: the action processes
+		// nothing anywhere else, and a zero term changes no bit of the sum.
+		work := 0.0
+		for t := sp.siteOff[i]; t < sp.siteOff[i+1]; t++ {
+			work += act.Process[i][sp.pairJ[t]] * sp.demand[t]
+		}
+		if _, err := model.ProvisionOrdered(c.DataCenters[i], ws.provOrder[i], st.Avail[i], act.Busy[i], work); err != nil {
 			return fmt.Errorf("data center %d: %w", i, err)
 		}
 	}

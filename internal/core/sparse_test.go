@@ -2,7 +2,11 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"grefar/internal/model"
@@ -81,10 +85,10 @@ func TestSparseCoefficientsMatchDense(t *testing.T) {
 				if seen[idx] {
 					continue
 				}
-				if sp.eligible[idx] && q.Local[i][j] != 0 {
+				if c.JobTypes[j].EligibleSet(i) && q.Local[i][j] != 0 {
 					t.Errorf("trial %d site %d job %d: backlogged eligible pair missing from index", trial, i, j)
 				}
-				if hCap[i][j] != 0 && !sp.eligible[idx] {
+				if hCap[i][j] != 0 && !c.JobTypes[j].EligibleSet(i) {
 					t.Errorf("trial %d site %d job %d: ineligible pair has dense cap %v", trial, i, j, hCap[i][j])
 				}
 			}
@@ -92,7 +96,7 @@ func TestSparseCoefficientsMatchDense(t *testing.T) {
 		wantH := 0
 		for i := 0; i < c.N(); i++ {
 			for j := 0; j < c.J(); j++ {
-				if sp.eligible[i*c.J()+j] && q.Local[i][j] > 0 {
+				if c.JobTypes[j].EligibleSet(i) && q.Local[i][j] > 0 {
 					wantH++
 				}
 			}
@@ -313,57 +317,283 @@ func FuzzSparseRefresh(f *testing.F) {
 	f.Add(int64(-7), uint8(0))
 	f.Add(int64(9000), uint8(25))
 	f.Fuzz(func(t *testing.T, seed int64, mutations uint8) {
-		c := model.NewReferenceCluster()
-		if err := c.Validate(); err != nil {
-			t.Skip()
-		}
-		cfg := Config{V: 7.5, Beta: 100}
-		rng := rand.New(rand.NewSource(seed))
-		st := stateWith(c, 50, []float64{0.3, 0.5, 0.7})
-		q := sparseTestLengths(rng, c, 0.4)
-
-		inc := newSparseSlot(c)
-		inc.refresh(cfg, st, q, nil)
-		for m := 0; m < int(mutations); m++ {
-			switch rng.Intn(4) {
-			case 0: // backlog drift on one pair
-				q.Local[rng.Intn(c.N())][rng.Intn(c.J())] = float64(rng.Intn(30))
-			case 1: // price drift on one site
-				st.Price[rng.Intn(c.N())] = 0.1 + rng.Float64()
-			case 2: // drain a whole site
-				site := rng.Intn(c.N())
-				for j := range q.Local[site] {
-					q.Local[site][j] = 0
-				}
-			case 3: // no-op slot
-			}
-			inc.refresh(cfg, st, q, nil)
-		}
-
-		fresh := newSparseSlot(c)
-		fresh.refresh(cfg, st, q, nil)
-
-		if inc.nH != fresh.nH || inc.total != fresh.total {
-			t.Fatalf("index shape diverged: nH %d/%d total %d/%d", inc.nH, fresh.nH, inc.total, fresh.total)
-		}
-		for ct := 0; ct < inc.nH; ct++ {
-			if inc.denseIdx[ct] != fresh.denseIdx[ct] || inc.pairJ[ct] != fresh.pairJ[ct] {
-				t.Fatalf("compact %d: index diverged (%d/%d vs %d/%d)",
-					ct, inc.denseIdx[ct], inc.pairJ[ct], fresh.denseIdx[ct], fresh.pairJ[ct])
-			}
-			if inc.hCap[ct] != fresh.hCap[ct] {
-				t.Fatalf("compact %d: hCap %v vs %v", ct, inc.hCap[ct], fresh.hCap[ct])
-			}
-		}
-		for ct := range fresh.linear {
-			if inc.linear[ct] != fresh.linear[ct] {
-				t.Fatalf("compact %d: linear %v vs %v", ct, inc.linear[ct], fresh.linear[ct])
-			}
-		}
-		for idx := range fresh.active {
-			if inc.active[idx] != fresh.active[idx] {
-				t.Fatalf("dense %d: active %v vs %v", idx, inc.active[idx], fresh.active[idx])
-			}
-		}
+		checkSparseRefresh(t, model.NewReferenceCluster(), seed, mutations)
+		checkSparseRefresh(t, oddEligibilityCluster(t), seed, mutations)
 	})
+}
+
+// checkSparseRefresh is FuzzSparseRefresh's property on one cluster.
+func checkSparseRefresh(t *testing.T, c *model.Cluster, seed int64, mutations uint8) {
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{V: 7.5, Beta: 100}
+	rng := rand.New(rand.NewSource(seed))
+	prices := make([]float64, c.N())
+	for i := range prices {
+		prices[i] = 0.3 + 0.2*float64(i%3)
+	}
+	st := stateWith(c, 50, prices)
+	q := sparseTestLengths(rng, c, 0.4)
+
+	inc := newSparseSlot(c)
+	inc.refresh(cfg, st, q, nil)
+	for m := 0; m < int(mutations); m++ {
+		switch rng.Intn(4) {
+		case 0: // backlog drift on one pair
+			q.Local[rng.Intn(c.N())][rng.Intn(c.J())] = float64(rng.Intn(30))
+		case 1: // price drift on one site
+			st.Price[rng.Intn(c.N())] = 0.1 + rng.Float64()
+		case 2: // drain a whole site
+			site := rng.Intn(c.N())
+			for j := range q.Local[site] {
+				q.Local[site][j] = 0
+			}
+		case 3: // no-op slot
+		}
+		inc.refresh(cfg, st, q, nil)
+	}
+
+	fresh := newSparseSlot(c)
+	fresh.refresh(cfg, st, q, nil)
+
+	if inc.nH != fresh.nH || inc.total != fresh.total {
+		t.Fatalf("index shape diverged: nH %d/%d total %d/%d", inc.nH, fresh.nH, inc.total, fresh.total)
+	}
+	for ct := 0; ct < inc.nH; ct++ {
+		if inc.denseIdx[ct] != fresh.denseIdx[ct] || inc.pairJ[ct] != fresh.pairJ[ct] {
+			t.Fatalf("compact %d: index diverged (%d/%d vs %d/%d)",
+				ct, inc.denseIdx[ct], inc.pairJ[ct], fresh.denseIdx[ct], fresh.pairJ[ct])
+		}
+		if inc.hCap[ct] != fresh.hCap[ct] {
+			t.Fatalf("compact %d: hCap %v vs %v", ct, inc.hCap[ct], fresh.hCap[ct])
+		}
+	}
+	for ct := range fresh.linear {
+		if inc.linear[ct] != fresh.linear[ct] {
+			t.Fatalf("compact %d: linear %v vs %v", ct, inc.linear[ct], fresh.linear[ct])
+		}
+	}
+	for idx := range fresh.active {
+		if inc.active[idx] != fresh.active[idx] {
+			t.Fatalf("dense %d: active %v vs %v", idx, inc.active[idx], fresh.active[idx])
+		}
+	}
+}
+
+// oddEligibilityCluster has the placement shapes the eligibility index must
+// get right: Eligible lists in no particular order, a site no job type may
+// use (site 1: an empty row), and a job type that runs at one site only.
+func oddEligibilityCluster(tb testing.TB) *model.Cluster {
+	tb.Helper()
+	c := &model.Cluster{
+		Accounts: []model.Account{{Name: "a", Weight: 2}, {Name: "b", Weight: 1}},
+	}
+	for i := 0; i < 5; i++ {
+		c.DataCenters = append(c.DataCenters, model.DataCenter{
+			Name: fmt.Sprintf("dc%d", i),
+			Servers: []model.ServerType{
+				{Name: "std", Speed: 1.5 + 0.1*float64(i), Power: 1},
+				{Name: "eco", Speed: 1, Power: 0.5},
+			},
+		})
+	}
+	for j, eligible := range [][]int{{3, 0, 2}, {4}, {2, 0}, {4, 3, 0}, {3, 2}} {
+		c.JobTypes = append(c.JobTypes, model.JobType{
+			Name:       fmt.Sprintf("t%d", j),
+			Demand:     1 + 0.5*float64(j%3),
+			Eligible:   eligible,
+			Account:    j % 2,
+			MaxArrival: 40,
+			MaxProcess: []float64{0, 12}[j%2],
+		})
+	}
+	if err := c.Validate(); err != nil {
+		tb.Fatal(err)
+	}
+	return c
+}
+
+// TestEligibilityIndex pins the per-site eligibility rows: each is the
+// ascending list of the job types whose D_j holds the site, whatever order
+// the Eligible lists are in, and a site outside every D_j has an empty row.
+func TestEligibilityIndex(t *testing.T) {
+	for _, c := range []*model.Cluster{refCluster(t), oddEligibilityCluster(t)} {
+		sp := newSparseSlot(c)
+		for i := 0; i < c.N(); i++ {
+			var want []int
+			for j := range c.JobTypes {
+				if c.JobTypes[j].EligibleSet(i) {
+					want = append(want, j)
+				}
+			}
+			if got := sp.eligibleAt(i); !slices.Equal(got, want) {
+				t.Errorf("N=%d site %d: eligible job types %v, want %v", c.N(), i, got, want)
+			}
+		}
+	}
+	if row := newSparseSlot(oddEligibilityCluster(t)).eligibleAt(1); len(row) != 0 {
+		t.Errorf("site no job type may use has row %v", row)
+	}
+}
+
+// TestSparseDecideBitIdenticalOddEligibility is TestSparseDecideBitIdentical
+// on oddEligibilityCluster, with backlog on ineligible pairs too (a queue
+// the scheduler must ignore): decisions, warm outcomes and the exported warm
+// iterate agree bit for bit between the dense layout and the compact one.
+func TestSparseDecideBitIdenticalOddEligibility(t *testing.T) {
+	c := oddEligibilityCluster(t)
+	states, lengths := stateTestWorld(t, c, 30)
+	for _, cfg := range []Config{
+		{V: 7.5},
+		{V: 7.5, Beta: 100},
+		{V: 7.5, Beta: 100, WarmStart: true},
+		{V: 7.5, Beta: 100, WarmStart: true, FW: awayFWOptions()},
+	} {
+		cfgDense, cfgSparse := cfg, cfg
+		cfgDense.Solver, cfgSparse.Solver = SolverMonolithic, SolverSparse
+		dense, err := New(c, cfgDense)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sparse, err := New(c, cfgSparse)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s := range states {
+			da, err := dense.Decide(s, states[s], lengths[s])
+			if err != nil {
+				t.Fatal(err)
+			}
+			sa, err := sparse.Decide(s, states[s], lengths[s])
+			if err != nil {
+				t.Fatal(err)
+			}
+			decisionsEqual(t, s, fmt.Sprintf("%+v", cfg), da, sa)
+			if !reflect.DeepEqual(dense.ExportState(), sparse.ExportState()) {
+				t.Fatalf("slot %d %+v: exported scheduler states differ", s, cfg)
+			}
+		}
+	}
+}
+
+// stripedCluster builds n two-server sites and nJ job types, type j eligible
+// at the sites i with i%stripes == j%stripes: 1/stripes of all pairs.
+func stripedCluster(tb testing.TB, n, nJ, stripes int) *model.Cluster {
+	tb.Helper()
+	c := &model.Cluster{Accounts: make([]model.Account, 8)}
+	for m := range c.Accounts {
+		c.Accounts[m] = model.Account{Name: fmt.Sprintf("org%d", m), Weight: 1 + 0.5*float64(m%3)}
+	}
+	for i := 0; i < n; i++ {
+		c.DataCenters = append(c.DataCenters, model.DataCenter{
+			Name: fmt.Sprintf("dc%d", i),
+			Servers: []model.ServerType{
+				{Name: "std", Speed: 2 - 0.4*float64(i%3), Power: 1 + 0.1*float64(i%3)},
+				{Name: "eco", Speed: 1.2 - 0.2*float64(i%3), Power: 0.5 + 0.1*float64(i%3)},
+			},
+		})
+	}
+	for j := 0; j < nJ; j++ {
+		var eligible []int
+		for i := j % stripes; i < n; i += stripes {
+			eligible = append(eligible, i)
+		}
+		c.JobTypes = append(c.JobTypes, model.JobType{
+			Name:       fmt.Sprintf("type%d", j),
+			Demand:     1 + 0.25*float64(j%5),
+			Eligible:   eligible,
+			Account:    j % len(c.Accounts),
+			MaxArrival: 1 << 20,
+		})
+	}
+	if err := c.Validate(); err != nil {
+		tb.Fatal(err)
+	}
+	return c
+}
+
+// TestSparseRepairWarmMatchesDense runs sparseSlot.repairWarm against the
+// dense repairWarmStart on the same iterates over a 200x100 stream with a
+// tenth of the pairs eligible: the iterate a warm-started scheduler carries
+// from slot to slot, sometimes perturbed on eligible pairs and busy-server
+// variables (negative values, values above their cap), under backlogs that
+// drain and availability that now and then collapses at one site. The two
+// must classify every iterate alike and, unless both give it up, leave the
+// same bytes — which a second pass of either must then accept as they are.
+func TestSparseRepairWarmMatchesDense(t *testing.T) {
+	c := stripedCluster(t, 200, 100, 10)
+	cfg := Config{V: 7.5, Beta: 100, WarmStart: true}
+	g, err := New(c, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := newSlotLayout(c)
+	rng := rand.New(rand.NewSource(2012))
+	st := model.NewState(c)
+	q := queue.Lengths{Central: make([]float64, c.J()), Local: make([][]float64, c.N())}
+	for i := range q.Local {
+		q.Local[i] = make([]float64, c.J())
+	}
+	sp := newSparseSlot(c)
+	outcomes := make(map[warmOutcome]int)
+	// repairBoth repairs one copy of x each way and returns the outcome and
+	// the repaired iterate (nil when both fell back).
+	repairBoth := func(s int, x []float64) (warmOutcome, []float64) {
+		xs, xd := append([]float64(nil), x...), append([]float64(nil), x...)
+		sp.refresh(cfg, st, q, xs)
+		_, _, hCap := SlotCoefficients(c, cfg, st, q)
+		got, want := sp.repairWarm(st, xs), repairWarmStart(c, st, hCap, l, xd)
+		if got != want {
+			t.Fatalf("slot %d: sparse repair says %v, dense %v", s, got, want)
+		}
+		outcomes[want]++
+		if want == warmFallback {
+			return want, nil
+		}
+		for idx := range xd {
+			if math.Float64bits(xs[idx]) != math.Float64bits(xd[idx]) {
+				t.Fatalf("slot %d: variable %d repaired to %v, dense %v", s, idx, xs[idx], xd[idx])
+			}
+		}
+		return want, xs
+	}
+	for s := 0; s < 40; s++ {
+		for i := 0; i < c.N(); i++ {
+			st.Price[i] = 0.3 + 0.4*rng.Float64()
+			st.Avail[i][0], st.Avail[i][1] = float64(2+rng.Intn(4)), float64(1+rng.Intn(4))
+			for j := range q.Local[i] {
+				q.Local[i][j] = 0
+				if c.JobTypes[j].EligibleSet(i) && rng.Intn(4) != 0 {
+					q.Local[i][j] = float64(rng.Intn(12))
+				}
+			}
+		}
+		if s%5 == 4 {
+			i := rng.Intn(c.N())
+			st.Avail[i][0], st.Avail[i][1] = 0.1, 0
+		}
+		if g.ws.warmValid {
+			x := append([]float64(nil), g.ws.warm...)
+			if s%2 == 0 {
+				for n := 0; n < 50; n++ {
+					j := rng.Intn(c.J())
+					i := c.JobTypes[j].Eligible[rng.Intn(len(c.JobTypes[j].Eligible))]
+					x[l.hIndex(i, j)] = 12*rng.Float64() - 2
+					x[l.bOff[rng.Intn(c.N())]+rng.Intn(2)] = 6*rng.Float64() - 1
+				}
+			}
+			if outcome, repaired := repairBoth(s, x); outcome != warmFallback {
+				if again, _ := repairBoth(s, repaired); again != warmHit {
+					t.Fatalf("slot %d: a repaired iterate needed repair again (%v)", s, again)
+				}
+			}
+		}
+		if _, err := g.Decide(s, st, q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if outcomes[warmHit] == 0 || outcomes[warmRepaired] == 0 || outcomes[warmFallback] == 0 {
+		t.Errorf("stream did not reach every outcome: %v", outcomes)
+	}
 }

@@ -67,8 +67,9 @@ func (g *GreFar) ExportState() *SchedulerState {
 // exported one. The scheduler must have been constructed for the same
 // cluster shape (the warm iterate's length is checked against the solver
 // layout) and should carry the same configuration, or the restored warm
-// iterate seeds a different optimization than the one it came from. A nil
-// state is a no-op.
+// iterate seeds a different optimization than the one it came from. A state
+// is checked in full before any of it is copied, so a rejected restore leaves
+// the scheduler exactly as it was. A nil state is a no-op.
 func (g *GreFar) RestoreState(st *SchedulerState) error {
 	if st == nil {
 		return nil
@@ -76,7 +77,8 @@ func (g *GreFar) RestoreState(st *SchedulerState) error {
 	// A linear-slot SolverSparse/SolverDecomposed scheduler used to export an
 	// all-zero iterate it never used; such a state (iterate present, not
 	// valid) still restores into a scheduler without a convex path.
-	if st.Warm != nil && (st.WarmValid || g.ws.warm != nil) {
+	restoreWarm := st.Warm != nil && (st.WarmValid || g.ws.warm != nil)
+	if restoreWarm {
 		if g.ws.warm == nil {
 			return fmt.Errorf("%w: state carries a warm iterate but this configuration has no convex path", ErrBadConfig)
 		}
@@ -89,12 +91,26 @@ func (g *GreFar) RestoreState(st *SchedulerState) error {
 				return fmt.Errorf("%w: warm iterate variable %d is not finite", ErrBadConfig, i)
 			}
 		}
-		copy(g.ws.warm, st.Warm)
+		// No scheduler exports anything but zero on a pair whose job type may
+		// not run at that site — (14) has no variable there — and the compact
+		// representation relies on it: its repair and write-back walk eligible
+		// pairs only, so a value planted here would ride along unseen.
+		c := g.cluster
+		for j := range c.JobTypes {
+			jt := &c.JobTypes[j]
+			for i := 0; i < c.N(); i++ {
+				if v := st.Warm[g.ws.layout.hIndex(i, j)]; v != 0 && !jt.EligibleSet(i) {
+					return fmt.Errorf("%w: warm iterate carries %v on job type %d at data center %d, where it is not eligible",
+						ErrBadConfig, v, j, i)
+				}
+			}
+		}
 	}
 	if st.WarmValid && st.Warm == nil {
 		return fmt.Errorf("%w: state marks a warm iterate valid but carries none", ErrBadConfig)
 	}
-	if st.DecomposedU != nil || st.DecomposedZ != nil {
+	restoreDual := st.DecomposedU != nil || st.DecomposedZ != nil
+	if restoreDual {
 		if g.ws.dec == nil {
 			return fmt.Errorf("%w: state carries decomposed dual state but this configuration does not use the decomposed solver", ErrBadConfig)
 		}
@@ -108,7 +124,13 @@ func (g *GreFar) RestoreState(st *SchedulerState) error {
 				return fmt.Errorf("%w: decomposed dual state entry %d is not finite", ErrBadConfig, i)
 			}
 		}
-		g.ws.dec.shw.Resize(g.cluster.N(), m)
+	}
+
+	if restoreWarm {
+		copy(g.ws.warm, st.Warm)
+	}
+	if restoreDual {
+		g.ws.dec.shw.Resize(g.cluster.N(), g.cluster.M())
 		copy(g.ws.dec.shw.U, st.DecomposedU)
 		copy(g.ws.dec.shw.Z, st.DecomposedZ)
 	}

@@ -195,3 +195,89 @@ func TestSchedulerStateRejectsMismatch(t *testing.T) {
 		})
 	}
 }
+
+// TestRestoreRejectsIneligibleWarmMass: a warm iterate with a value on a pair
+// whose job type may not run at that site is one no scheduler can export.
+// Restoring it used to succeed — the first Decide clamped the value away and
+// booked a "repaired" warm start — and would, now that the compact repair
+// walks eligible pairs only, ride along unseen. It is rejected under every
+// solver kind before anything is copied: the scheduler's own state is
+// unchanged, and the corrected state then restores and the decision stream
+// continues bit-identically.
+func TestRestoreRejectsIneligibleWarmMass(t *testing.T) {
+	c := oddEligibilityCluster(t)
+	const slots, split = 20, 10
+	states, lengths := stateTestWorld(t, c, slots)
+	l := newSlotLayout(c)
+	ineligible := l.hIndex(1, 0) // site 1 runs no job type at all
+	for _, kind := range []SolverKind{SolverAuto, SolverMonolithic, SolverSparse, SolverDecomposed} {
+		for _, planted := range []float64{3, -2} {
+			build := func() *GreFar {
+				g, err := New(c, Config{V: 7.5, Beta: 100, WarmStart: true, Solver: kind})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return g
+			}
+			full := build()
+			var want []*model.Action
+			for s := 0; s < slots; s++ {
+				act, err := full.Decide(s, states[s], lengths[s])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if s >= split {
+					want = append(want, act)
+				}
+				if s == split-1 {
+					if v := full.ExportState().Warm[ineligible]; v != 0 {
+						t.Fatalf("%v: scheduler exported %v on an ineligible pair", kind, v)
+					}
+				}
+			}
+
+			first := build()
+			for s := 0; s < split; s++ {
+				if _, err := first.Decide(s, states[s], lengths[s]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			good := first.ExportState()
+			bad := *good
+			bad.Warm = append([]float64(nil), good.Warm...)
+			bad.Warm[ineligible] = planted
+			bad.WarmHits += 100
+
+			// Into a scheduler with a trajectory of its own, so that "nothing
+			// was copied" is visible.
+			second := build()
+			for s := 0; s < 3; s++ {
+				if _, err := second.Decide(s, states[s], lengths[s]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := second.ExportState()
+			if err := second.RestoreState(&bad); !errors.Is(err, ErrBadConfig) {
+				t.Fatalf("%v planted %v: got %v, want ErrBadConfig", kind, planted, err)
+			}
+			if !reflect.DeepEqual(second.ExportState(), before) {
+				t.Fatalf("%v planted %v: rejected restore changed the scheduler's state", kind, planted)
+			}
+			if err := second.RestoreState(good); err != nil {
+				t.Fatal(err)
+			}
+			for s := split; s < slots; s++ {
+				act, err := second.Decide(s, states[s], lengths[s])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(act, want[s-split]) {
+					t.Fatalf("%v: slot %d after the corrected restore diverged from the uninterrupted run", kind, s)
+				}
+			}
+			if !reflect.DeepEqual(second.ExportState(), full.ExportState()) {
+				t.Errorf("%v: final scheduler states differ", kind)
+			}
+		}
+	}
+}

@@ -158,7 +158,7 @@ func tariffSlotByProjectedGradient(c *model.Cluster, cfg Config, st *model.State
 		for j := 0; j < c.J(); j++ {
 			jt := c.JobTypes[j]
 			if jt.EligibleSet(i) {
-				caps[i][j] = processBudgetFor(jt, q.Local[i][j])
+				caps[i][j] = processBudgetFor(&jt, q.Local[i][j])
 			}
 			weights[i][j] = jt.Demand
 		}

@@ -406,9 +406,14 @@ func (a *Action) Clone() *Action {
 }
 
 // WorkAt returns the work processed at data center i: sum_j h_{i,j}(t)*d_j.
+// Most pairs of a large cluster process nothing in a given slot, and a zero
+// h adds an exact +0.0 to the sum, so skipping it changes no bit.
 func (a *Action) WorkAt(c *Cluster, i int) float64 {
 	var w float64
 	for j, h := range a.Process[i] {
+		if h == 0 {
+			continue
+		}
 		w += h * c.JobTypes[j].Demand
 	}
 	return w
@@ -490,7 +495,10 @@ func (a *Action) AccountWork(c *Cluster) []float64 {
 	out := make([]float64, c.M())
 	for i := range a.Process {
 		for j, h := range a.Process[i] {
-			jt := c.JobTypes[j]
+			if h == 0 {
+				continue // an exact +0.0 term, as in WorkAt
+			}
+			jt := &c.JobTypes[j]
 			out[jt.Account] += h * jt.Demand
 		}
 	}

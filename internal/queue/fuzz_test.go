@@ -3,6 +3,7 @@ package queue_test
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -35,11 +36,20 @@ func fuzzCluster() *model.Cluster {
 // Arrive adds exactly the arrivals, routed flow never exceeds either the
 // command or the central backlog, and the physical Set is dominated
 // componentwise by the Virtual dynamics of eqs. (12)-(13).
+//
+// It is also the stale-cell detector for the flow storage Apply reuses: every
+// call's FlowStats must equal, field for field, what a second Set — restored
+// from the first's Snapshot just before the call, so with untouched scratch —
+// returns for the same action.
 func FuzzApply(f *testing.F) {
 	f.Add([]byte{3, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
 	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{8, 255, 254, 253, 0, 1, 2, 128, 127, 126, 64, 63, 62, 31, 200, 100})
 	f.Add([]byte{12, 7, 0, 31, 0, 7, 31, 0, 0, 31, 7, 7, 0, 0, 0, 31, 31, 31})
+	// Twelve slots alternating an action that moves every pair with an empty
+	// one (a slot reads 8 action bytes and 2 arrival bytes, and the 20 bytes
+	// repeat): whatever the wide slot wrote must be gone from the empty one.
+	f.Add([]byte{11, 7, 31, 7, 31, 7, 31, 7, 31, 7, 7, 0, 0, 0, 0, 0, 0, 0, 0, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
@@ -82,10 +92,23 @@ func FuzzApply(f *testing.F) {
 			for _, q := range pre.Central {
 				preCentral += q
 			}
+			snap, err := set.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
 			flow, err := set.Apply(slot, act)
 			if err != nil {
 				t.Fatalf("slot %d: Apply on non-negative action: %v", slot, err)
 			}
+			fresh := queue.NewSet(c)
+			if err := fresh.Restore(snap); err != nil {
+				t.Fatal(err)
+			}
+			want, err := fresh.Apply(slot, act)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameFlows(t, slot, flow, want)
 			post := set.Lengths()
 			assertNonNegative(t, slot, post)
 
@@ -136,6 +159,39 @@ func FuzzApply(f *testing.F) {
 			}
 		}
 	})
+}
+
+// assertSameFlows compares the six FlowStats fields by content (an empty
+// sample list equals a nil one).
+func assertSameFlows(t *testing.T, slot int, got, want *queue.FlowStats) {
+	t.Helper()
+	matrix := func(name string, g, w [][]float64) {
+		if len(g) != len(w) {
+			t.Fatalf("slot %d: %s has %d rows, want %d", slot, name, len(g), len(w))
+		}
+		for i := range w {
+			if !slices.Equal(g[i], w[i]) {
+				t.Fatalf("slot %d: %s[%d] = %v on the reused storage, %v on fresh", slot, name, i, g[i], w[i])
+			}
+		}
+	}
+	matrix("Routed", got.Routed, want.Routed)
+	matrix("Processed", got.Processed, want.Processed)
+	matrix("LocalDelaySum", got.LocalDelaySum, want.LocalDelaySum)
+	if !slices.Equal(got.CentralDelaySum, want.CentralDelaySum) {
+		t.Fatalf("slot %d: CentralDelaySum = %v on the reused storage, %v on fresh", slot, got.CentralDelaySum, want.CentralDelaySum)
+	}
+	if !slices.Equal(got.CentralRouted, want.CentralRouted) {
+		t.Fatalf("slot %d: CentralRouted = %v on the reused storage, %v on fresh", slot, got.CentralRouted, want.CentralRouted)
+	}
+	if len(got.LocalDelaySamples) != len(want.LocalDelaySamples) {
+		t.Fatalf("slot %d: delay samples for %d sites, want %d", slot, len(got.LocalDelaySamples), len(want.LocalDelaySamples))
+	}
+	for i := range want.LocalDelaySamples {
+		if !slices.Equal(got.LocalDelaySamples[i], want.LocalDelaySamples[i]) {
+			t.Fatalf("slot %d: LocalDelaySamples[%d] = %v on the reused storage, %v on fresh", slot, i, got.LocalDelaySamples[i], want.LocalDelaySamples[i])
+		}
+	}
 }
 
 func assertNonNegative(t *testing.T, slot int, l queue.Lengths) {

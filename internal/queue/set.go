@@ -45,6 +45,10 @@ func (l Lengths) Clone() Lengths {
 
 // FlowStats summarizes what one Apply call actually moved, including the
 // delay samples needed for the paper's "Average Delay in DC #i" curves.
+//
+// The value Apply returns is storage the Set owns and reuses: it is valid
+// until the next Apply on the same Set, and a caller that keeps any of it
+// longer copies what it keeps (sim.Engine does, for SlotDetail).
 type FlowStats struct {
 	// Routed[i][j] is the number of type-j jobs actually moved from the
 	// central queue to data center i (after capping at queue content).
@@ -91,6 +95,20 @@ type Set struct {
 	cluster *model.Cluster
 	central []Ledger   // per job type j
 	local   [][]Ledger // per data center i, job type j
+
+	// Apply's result and the scratch behind it, reused call to call. The
+	// three N x J matrices and the two per-type vectors of flows share the
+	// backing array flowFlat; touched lists the matrix cells (flat index
+	// i*J+j) the previous call wrote, so the next one clears those and not
+	// N*J zeros. samples holds every site's delay cohorts back to back,
+	// appended through the one closure visit; sampleOff[i] is where site
+	// i's run starts.
+	flows     FlowStats
+	flowFlat  []float64
+	touched   []int
+	samples   []DelaySample
+	sampleOff []int
+	visit     func(delay, jobs float64)
 }
 
 // NewSet builds an empty queue set shaped for the cluster.
@@ -102,6 +120,27 @@ func NewSet(c *model.Cluster) *Set {
 	}
 	for i := range s.local {
 		s.local[i] = make([]Ledger, c.J())
+	}
+
+	// One backing array for the three N x J matrices and the two per-type
+	// vectors; every row is capped at its own length.
+	n, j := c.N(), c.J()
+	s.flowFlat = make([]float64, (3*n+2)*j)
+	rows := make([][]float64, 3*n)
+	for r := range rows {
+		rows[r] = s.flowFlat[r*j : (r+1)*j : (r+1)*j]
+	}
+	s.flows = FlowStats{
+		Routed:            rows[:n:n],
+		Processed:         rows[n : 2*n : 2*n],
+		LocalDelaySum:     rows[2*n:],
+		CentralDelaySum:   s.flowFlat[3*n*j : (3*n+1)*j : (3*n+1)*j],
+		CentralRouted:     s.flowFlat[(3*n+1)*j:],
+		LocalDelaySamples: make([][]DelaySample, n),
+	}
+	s.sampleOff = make([]int, n+1)
+	s.visit = func(delay, jobs float64) {
+		s.samples = append(s.samples, DelaySample{Delay: delay, Jobs: jobs})
 	}
 	return s
 }
@@ -158,10 +197,12 @@ func (s *Set) Arrive(t int, arrivals []int) error {
 // t+1 has a local delay of exactly one slot — matching the paper's remark
 // that the Always policy exhibits an average delay of about one.
 //
-// Apply returns what actually moved. It does not validate resource
-// feasibility; use model.Action.Validate for that. The action's shape and
-// signs are checked in full before the first ledger is touched, so a rejected
-// action leaves the set exactly as it was.
+// Apply returns what actually moved, in storage the set reuses: the returned
+// FlowStats is valid until the next Apply (see FlowStats). It does not
+// validate resource feasibility; use model.Action.Validate for that. The
+// action's shape and signs are checked in full before the first ledger — or
+// the previous call's result — is touched, so a rejected action leaves the
+// set exactly as it was.
 func (s *Set) Apply(t int, act *model.Action) (*FlowStats, error) {
 	n, j := len(s.local), len(s.central)
 	if len(act.Route) != n || len(act.Process) != n {
@@ -181,36 +222,34 @@ func (s *Set) Apply(t int, act *model.Action) (*FlowStats, error) {
 		}
 	}
 
-	// One backing array for the three N x J matrices and the two per-type
-	// vectors; every row is capped at its own length.
-	flat := make([]float64, (3*n+2)*j)
-	rows := make([][]float64, 3*n)
-	for r := range rows {
-		rows[r] = flat[r*j : (r+1)*j : (r+1)*j]
+	// Back to all-zero: only the cells the previous call wrote.
+	fs := &s.flows
+	for _, cell := range s.touched {
+		s.flowFlat[cell], s.flowFlat[n*j+cell], s.flowFlat[2*n*j+cell] = 0, 0, 0
 	}
-	fs := &FlowStats{
-		Routed:            rows[:n:n],
-		Processed:         rows[n : 2*n : 2*n],
-		LocalDelaySum:     rows[2*n:],
-		CentralDelaySum:   flat[3*n*j : (3*n+1)*j : (3*n+1)*j],
-		CentralRouted:     flat[(3*n+1)*j:],
-		LocalDelaySamples: make([][]DelaySample, n),
+	s.touched = s.touched[:0]
+	for jj := 0; jj < j; jj++ {
+		fs.CentralDelaySum[jj], fs.CentralRouted[jj] = 0, 0
 	}
+	s.samples = s.samples[:0]
 
 	// Process from local queues out of the system. A pair with nothing to
 	// process moves nothing and records nothing.
 	for i := 0; i < n; i++ {
-		var samples []DelaySample
-		visit := func(d, jobs float64) {
-			samples = append(samples, DelaySample{Delay: d, Jobs: jobs})
-		}
+		s.sampleOff[i] = len(s.samples)
 		for jj, h := range act.Process[i] {
 			if h == 0 {
 				continue
 			}
-			fs.Processed[i][jj], fs.LocalDelaySum[i][jj] = s.local[i][jj].PopVisit(t, h, visit)
+			fs.Processed[i][jj], fs.LocalDelaySum[i][jj] = s.local[i][jj].PopVisit(t, h, s.visit)
+			s.touched = append(s.touched, i*j+jj)
 		}
-		fs.LocalDelaySamples[i] = samples
+	}
+	s.sampleOff[n] = len(s.samples)
+	// Cut the per-site runs only now: the buffer may have moved while it grew.
+	for i := 0; i < n; i++ {
+		a, b := s.sampleOff[i], s.sampleOff[i+1]
+		fs.LocalDelaySamples[i] = s.samples[a:b:b]
 	}
 
 	// Route from central queues into local queues. Routing is capped at the
@@ -228,6 +267,7 @@ func (s *Set) Apply(t int, act *model.Action) (*FlowStats, error) {
 			}
 			s.local[i][jj].Push(t, popped)
 			fs.Routed[i][jj] = popped
+			s.touched = append(s.touched, i*j+jj)
 			fs.CentralRouted[jj] += popped
 			fs.CentralDelaySum[jj] += delay
 		}

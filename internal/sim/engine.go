@@ -266,12 +266,17 @@ func (e *Engine) Step(extra []int) error {
 	e.fairScore.Add(slotFairness)
 	var slotProcessed float64
 	for i := 0; i < c.N(); i++ {
+		// A pair that processed nothing has no delay to report either, and
+		// its terms are exact +0.0s: skipping them changes no sum.
 		var dSum, dCount float64
-		for j := 0; j < c.J(); j++ {
+		for j, p := range flows.Processed[i] {
+			if p == 0 {
+				continue
+			}
 			dSum += flows.LocalDelaySum[i][j]
-			dCount += flows.Processed[i][j]
-			e.processed += flows.Processed[i][j]
-			slotProcessed += flows.Processed[i][j]
+			dCount += p
+			e.processed += p
+			slotProcessed += p
 		}
 		e.localDelay[i].Add(dSum, dCount)
 		for _, sample := range flows.LocalDelaySamples[i] {
@@ -289,29 +294,42 @@ func (e *Engine) Step(extra []int) error {
 		e.arrived += float64(arrivals[j])
 		slotArrived += float64(arrivals[j])
 	}
+	// One pass over the fresh snapshot for both queue statistics, summing in
+	// post.Sum()'s order; backlogs are never negative, so the slot's largest
+	// is all maxQ needs to see.
 	post := e.qs.Lengths()
+	var qSum, qMax float64
 	for _, v := range post.Central {
-		e.maxQ.Add(v)
+		qSum += v
+		if v > qMax {
+			qMax = v
+		}
 	}
 	for i := range post.Local {
 		for _, v := range post.Local[i] {
-			e.maxQ.Add(v)
+			qSum += v
+			if v > qMax {
+				qMax = v
+			}
 		}
 	}
-	e.avgQ.Add(post.Sum())
+	e.maxQ.Add(qMax)
+	e.avgQ.Add(qSum)
 
 	if e.obs != nil {
 		ev := slotEvent(c, e.s.Name(), t, post, act, st, in.Tariff,
 			slotEnergy, slotFairness, slotArrived, slotProcessed, slotDropped)
 		if e.wantDetail {
+			// The detail owns everything it carries: the queue set reuses
+			// its flow matrices on the next Apply, so they are copied here.
 			ev.Detail = &telemetry.SlotDetail{
 				State:     st.Clone(),
 				Action:    act.Clone(),
 				Pre:       lengths,
 				Post:      post,
 				Arrivals:  append([]int(nil), admitted...),
-				Routed:    flows.Routed,
-				Processed: flows.Processed,
+				Routed:    cloneRows(flows.Routed),
+				Processed: cloneRows(flows.Processed),
 			}
 		}
 		e.obs.ObserveSlot(ev)
@@ -324,6 +342,22 @@ func (e *Engine) Step(extra []int) error {
 	e.next, e.nextValid = post, true
 	e.t++
 	return nil
+}
+
+// cloneRows deep-copies a matrix onto one backing array, each row capped at
+// its own length.
+func cloneRows(m [][]float64) [][]float64 {
+	total := 0
+	for _, row := range m {
+		total += len(row)
+	}
+	flat := make([]float64, 0, total)
+	out := make([][]float64, len(m))
+	for i, row := range m {
+		flat = append(flat, row...)
+		out[i] = flat[len(flat)-len(row) : len(flat) : len(flat)]
+	}
+	return out
 }
 
 // Result finalizes the aggregate metrics over the slots executed so far. The

@@ -252,6 +252,74 @@ func (k *detailKeeper) ObserveSlot(ev telemetry.SlotEvent) {
 	k.postCopy = append(k.postCopy, ev.Detail.Post.Clone())
 }
 
+// flowKeeper retains every applied slot's Detail as delivered, next to deep
+// copies of its flow matrices and queue snapshots taken at delivery time.
+type flowKeeper struct {
+	details           []*telemetry.SlotDetail
+	routed, processed [][][]float64
+	pre, post         []queue.Lengths
+}
+
+func (k *flowKeeper) WantsSlotDetail() bool { return true }
+
+func (k *flowKeeper) ObserveSlot(ev telemetry.SlotEvent) {
+	if ev.Origin != telemetry.OriginSim || ev.Detail == nil {
+		return
+	}
+	k.details = append(k.details, ev.Detail)
+	k.routed = append(k.routed, cloneRows(ev.Detail.Routed))
+	k.processed = append(k.processed, cloneRows(ev.Detail.Processed))
+	k.pre = append(k.pre, ev.Detail.Pre.Clone())
+	k.post = append(k.post, ev.Detail.Post.Clone())
+}
+
+// TestEngineDetailOwnsFlows holds the engine to SlotDetail's ownership rule
+// now that queue.Set.Apply reuses its flow storage: an observer that keeps
+// slot t's Detail finds Routed, Processed, Pre and Post unchanged after slots
+// t+1 ... t+5 have been applied.
+func TestEngineDetailOwnsFlows(t *testing.T) {
+	const slots, later = 60, 5
+	in := refInputs(t, slots)
+	g, err := core.New(in.Cluster, core.Config{V: 7.5, Beta: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keep := &flowKeeper{}
+	e, err := NewEngine(in, g, Options{Observer: keep})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s := 0; s < slots; s++ {
+		if err := e.Step(nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(keep.details) != slots {
+		t.Fatalf("observed %d applied slots, want %d", len(keep.details), slots)
+	}
+	var moved float64
+	for s := 0; s+later < slots; s++ {
+		d := keep.details[s]
+		if !reflect.DeepEqual(d.Routed, keep.routed[s]) {
+			t.Fatalf("slot %d: retained Routed was modified by a later slot", s)
+		}
+		if !reflect.DeepEqual(d.Processed, keep.processed[s]) {
+			t.Fatalf("slot %d: retained Processed was modified by a later slot", s)
+		}
+		if !reflect.DeepEqual(d.Pre, keep.pre[s]) || !reflect.DeepEqual(d.Post, keep.post[s]) {
+			t.Fatalf("slot %d: retained Pre/Post was modified by a later slot", s)
+		}
+		for i := range d.Routed {
+			for j := range d.Routed[i] {
+				moved += d.Routed[i][j] + d.Processed[i][j]
+			}
+		}
+	}
+	if moved == 0 {
+		t.Fatal("nothing was routed or processed; the comparison proved nothing")
+	}
+}
+
 // TestEngineSnapshotReuse pins the engine's one-snapshot-per-slot rule from
 // the outside: the post-slot snapshot of slot t is what slot t+1 decides on,
 // retained snapshots are never written again, a rewind drops the kept
