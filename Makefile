@@ -117,10 +117,13 @@ bench-slot:
 # default-configured engine slot at the same shape, and the routing half of a
 # decision alone at 20 and at 500 candidate sites per job type (it lives in
 # internal/core, hence the second package on those lines). DIST_BENCHES is
-# the set recorded in BENCH_distributed.json: the 3-agent point-to-point
-# controller round, the hollow-fleet sweep at 100/500/1000/2000 agents, the
-# partitioned-control-plane cells (agents x partitions), and the wire codec
-# alone (state report and allocation, encode and decode).
+# the set recorded in BENCH_distributed.json: the 3-agent controller round
+# (one mux conn per agent), the hollow-fleet sweep at 100/500/1000/2000
+# agents, the partitioned-control-plane cells (agents x partitions), and the
+# wire codec alone (state report and allocation, encode and decode). benchjson
+# records the box under "_env" (BENCH_distributed.json has it, BENCH_slot.json
+# gets it at its next refresh) and bench-compare refuses a run taken at
+# another GOMAXPROCS.
 SLOT_BENCHES = BenchmarkSlotDecision$$|BenchmarkEngineStep$$|BenchmarkDecideRouting$$
 DIST_BENCHES = BenchmarkDistributedSlot$$|BenchmarkHollowSlot/|BenchmarkPartitionedSlot/|BenchmarkCodec/
 BENCHCOUNT ?= 3
@@ -138,7 +141,7 @@ bench-json:
 # allocs/op regressions: the beta=100 slot decisions (cold and warm) and the
 # N=200/J=100 large-instance arms and engine step against BENCH_slot.json
 # (the benchjson default guard covers all three families), and the
-# distributed slot ticks (point-to-point and every hollow fleet size)
+# distributed slot ticks (one mux conn per agent and every hollow fleet size)
 # against BENCH_distributed.json; other benchmarks warn — including the
 # ~60 ns BenchmarkCodec cells, whose allocation side is held by
 # TestWireAllocationBudget instead.

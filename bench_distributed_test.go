@@ -13,10 +13,11 @@ import (
 )
 
 // startDistributed builds the 3-site reference system over real loopback TCP
-// — one listener, server, and client per agent — and returns the controller
-// with a teardown that closes every connection, server, and listener. Both
-// the benchmark and its companion leak test run through this helper so the
-// lifecycle they exercise is identical.
+// as the two daemons do — one listener and agent.Serve per agent, one
+// ReconnectClient per address, as cmd/grefar-controller dials them — and
+// returns the controller with a teardown that closes every connection,
+// server, and listener. Both the benchmark and its companion leak test run
+// through this helper so the lifecycle they exercise is identical.
 func startDistributed(tb testing.TB) (*controller.Controller, grefar.SimInputs, func()) {
 	tb.Helper()
 	inputs, err := grefar.ReferenceInputs(2012, 4096)
@@ -49,11 +50,7 @@ func startDistributed(tb testing.TB) (*controller.Controller, grefar.SimInputs, 
 		}
 		srv := a.Serve(lis)
 		cleanups = append(cleanups, func() { srv.Close() })
-		cli, err := transport.Dial(srv.Addr(), 5*time.Second)
-		if err != nil {
-			teardown()
-			tb.Fatal(err)
-		}
+		cli := transport.NewReconnectClient(srv.Addr(), 5*time.Second, 0)
 		cleanups = append(cleanups, func() { cli.Close() })
 		conns[i] = cli
 	}

@@ -7,11 +7,18 @@
 //	        -benchmem -count=3 . | benchjson -out BENCH_slot.json
 //	go test ... | benchjson -compare BENCH_slot.json -max-regress 0.15
 //
-// Benchmark names are recorded with the -GOMAXPROCS suffix stripped so the
-// baseline is portable across machines with different core counts. With
-// -count > 1 the fastest repetition per benchmark is kept: ns/op noise is
-// one-sided (scheduling and thermal jitter only ever slow a run down), so
-// the minimum is the most reproducible summary.
+// Benchmark names are recorded with the -GOMAXPROCS suffix stripped, so one
+// name means one benchmark on every box. With -count > 1 the fastest
+// repetition per benchmark is kept: ns/op noise is one-sided (scheduling and
+// thermal jitter only ever slow a run down), so the minimum is the most
+// reproducible summary.
+//
+// The box itself goes under the reserved "_env" key: the goos:, goarch: and
+// cpu: lines `go test` prints, the GOMAXPROCS the name suffix carried, and
+// this toolchain's version. -compare prints both sides' env and refuses —
+// nonzero exit — to compare runs taken at different GOMAXPROCS, whose
+// wire-bound numbers mean different things; a baseline recorded before the
+// key existed still loads and is compared as before.
 //
 // In -compare mode the exit status is nonzero when any benchmark matching
 // -guard (default: the beta=100 and large-instance slot-decision cases and
@@ -33,6 +40,7 @@ import (
 	"io"
 	"os"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 )
@@ -44,21 +52,54 @@ type Result struct {
 	AllocsPerOp float64 `json:"allocs_per_op"`
 }
 
+// Env is the box a set of results was taken on.
+type Env struct {
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
+	CPU        string `json:"cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	Go         string `json:"go"`
+}
+
+func (e Env) String() string {
+	return fmt.Sprintf("%s/%s, %s, GOMAXPROCS=%d, %s", e.GOOS, e.GOARCH, e.CPU, e.GOMAXPROCS, e.Go)
+}
+
+// envKey is the one name in a baseline file that is not a benchmark.
+const envKey = "_env"
+
 // gomaxprocsSuffix matches the trailing -N that `go test` appends to
-// benchmark names (GOMAXPROCS at run time).
-var gomaxprocsSuffix = regexp.MustCompile(`-\d+$`)
+// benchmark names (GOMAXPROCS at run time; nothing is appended at 1).
+var gomaxprocsSuffix = regexp.MustCompile(`-(\d+)$`)
 
 // parseBench reads `go test -bench` output and returns the fastest
-// repetition per benchmark, keyed by name without the GOMAXPROCS suffix.
-func parseBench(r io.Reader) (map[string]Result, error) {
+// repetition per benchmark, keyed by name without the GOMAXPROCS suffix,
+// and the box the header lines and that suffix describe.
+func parseBench(r io.Reader) (map[string]Result, Env, error) {
 	out := make(map[string]Result)
+	env := Env{GOMAXPROCS: 1, Go: runtime.Version()}
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
-		fields := strings.Fields(sc.Text())
+		line := sc.Text()
+		if key, v, ok := strings.Cut(line, ": "); ok {
+			switch key {
+			case "goos":
+				env.GOOS = v
+			case "goarch":
+				env.GOARCH = v
+			case "cpu":
+				env.CPU = v
+			}
+		}
+		fields := strings.Fields(line)
 		if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
 			continue
 		}
-		name := gomaxprocsSuffix.ReplaceAllString(fields[0], "")
+		name := fields[0]
+		if m := gomaxprocsSuffix.FindStringSubmatch(name); m != nil {
+			name = strings.TrimSuffix(name, m[0])
+			env.GOMAXPROCS, _ = strconv.Atoi(m[1])
+		}
 		var res Result
 		ok := false
 		// Benchmark lines are "name iters value unit value unit ...".
@@ -85,12 +126,12 @@ func parseBench(r io.Reader) (map[string]Result, error) {
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return nil, env, err
 	}
 	if len(out) == 0 {
-		return nil, fmt.Errorf("no benchmark result lines found on input")
+		return nil, env, fmt.Errorf("no benchmark result lines found on input")
 	}
-	return out, nil
+	return out, env, nil
 }
 
 // regression describes one guarded metric exceeding the allowed slack.
@@ -171,7 +212,7 @@ func run(in io.Reader, out io.Writer, args []string) error {
 	if err != nil {
 		return fmt.Errorf("bad -guard: %v", err)
 	}
-	current, err := parseBench(in)
+	current, env, err := parseBench(in)
 	if err != nil {
 		return err
 	}
@@ -192,7 +233,11 @@ func run(in io.Reader, out io.Writer, args []string) error {
 	if *outPath != "" {
 		// json.Marshal emits map keys in sorted order, so the committed
 		// baseline diffs cleanly.
-		buf, err := json.MarshalIndent(current, "", "  ")
+		file := map[string]any{envKey: env}
+		for name, res := range current {
+			file[name] = res
+		}
+		buf, err := json.MarshalIndent(file, "", "  ")
 		if err != nil {
 			return err
 		}
@@ -206,9 +251,29 @@ func run(in io.Reader, out io.Writer, args []string) error {
 		if err != nil {
 			return err
 		}
+		// Two passes over one file: the env object decodes as an empty
+		// Result in the first and is dropped, the results are skipped in the
+		// second.
 		baseline := make(map[string]Result)
+		var recorded struct {
+			Env *Env `json:"_env"`
+		}
 		if err := json.Unmarshal(buf, &baseline); err != nil {
 			return fmt.Errorf("%s: %v", *comparePath, err)
+		}
+		if err := json.Unmarshal(buf, &recorded); err != nil {
+			return fmt.Errorf("%s: %v", *comparePath, err)
+		}
+		delete(baseline, envKey)
+		fmt.Fprintf(out, "this run: %v\n", env)
+		if recorded.Env == nil {
+			fmt.Fprintf(out, "baseline: env not recorded\n")
+		} else {
+			fmt.Fprintf(out, "baseline: %v\n", *recorded.Env)
+			if recorded.Env.GOMAXPROCS != env.GOMAXPROCS {
+				return fmt.Errorf("%s was taken at GOMAXPROCS=%d, this run at %d: not comparable",
+					*comparePath, recorded.Env.GOMAXPROCS, env.GOMAXPROCS)
+			}
 		}
 		if bad := compare(out, baseline, current, guard, *maxRegress); len(bad) > 0 {
 			for _, r := range bad {

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -23,9 +24,12 @@ ok  	grefar	20.592s
 `
 
 func TestParseBench(t *testing.T) {
-	got, err := parseBench(strings.NewReader(sampleBench))
+	got, env, err := parseBench(strings.NewReader(sampleBench))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if want := (Env{"linux", "amd64", "Intel(R) Xeon(R) CPU @ 2.10GHz", 16, runtime.Version()}); env != want {
+		t.Errorf("env = %+v, want %+v", env, want)
 	}
 	if len(got) != 4 {
 		t.Fatalf("parsed %d benchmarks, want 4: %v", len(got), got)
@@ -48,7 +52,7 @@ func TestParseBench(t *testing.T) {
 }
 
 func TestParseBenchEmpty(t *testing.T) {
-	if _, err := parseBench(strings.NewReader("PASS\nok grefar 1s\n")); err == nil {
+	if _, _, err := parseBench(strings.NewReader("PASS\nok grefar 1s\n")); err == nil {
 		t.Fatal("want error on input with no benchmark lines")
 	}
 }
@@ -116,8 +120,8 @@ func TestRunOutAndCompareRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(buf, &decoded); err != nil {
 		t.Fatalf("written baseline is not valid JSON: %v", err)
 	}
-	if len(decoded) != 4 {
-		t.Fatalf("baseline has %d entries, want 4", len(decoded))
+	if _, ok := decoded[envKey]; !ok || len(decoded) != 5 {
+		t.Fatalf("baseline has %d entries, want 4 benchmarks and %s", len(decoded), envKey)
 	}
 
 	// The same run compared against its own baseline must pass.
@@ -132,6 +136,65 @@ func TestRunOutAndCompareRoundTrip(t *testing.T) {
 	out.Reset()
 	if err := run(strings.NewReader(slow), &out, []string{"-compare", path}); err == nil {
 		t.Fatalf("3x slower guarded benchmark passed compare:\n%s", out.String())
+	}
+}
+
+// TestEnvRecordedAndGuarded: -out writes the box under "_env", -compare reads
+// it back and prints both sides, a run at another GOMAXPROCS is refused before
+// any number is compared, and a baseline from before the key still loads.
+func TestEnvRecordedAndGuarded(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH.json")
+	if err := run(strings.NewReader(sampleBench), &strings.Builder{}, []string{"-out", path}); err != nil {
+		t.Fatal(err)
+	}
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var file struct {
+		Env Env `json:"_env"`
+	}
+	if err := json.Unmarshal(buf, &file); err != nil {
+		t.Fatal(err)
+	}
+	if want := (Env{"linux", "amd64", "Intel(R) Xeon(R) CPU @ 2.10GHz", 16, runtime.Version()}); file.Env != want {
+		t.Errorf("recorded env = %+v, want %+v", file.Env, want)
+	}
+
+	var out strings.Builder
+	if err := run(strings.NewReader(sampleBench), &out, []string{"-compare", path}); err != nil {
+		t.Fatalf("self-compare failed: %v\n%s", err, out.String())
+	}
+	if n := strings.Count(out.String(), "GOMAXPROCS=16"); n != 2 {
+		t.Errorf("compare printed %d envs at GOMAXPROCS=16, want this run's and the baseline's:\n%s", n, out.String())
+	}
+	if strings.Contains(out.String(), envKey) {
+		t.Errorf("%s was compared as a benchmark:\n%s", envKey, out.String())
+	}
+
+	// Same numbers, another box: -4 instead of -16, and none at all (GOMAXPROCS=1).
+	for _, suffix := range []string{"-4 ", " "} {
+		out.Reset()
+		err := run(strings.NewReader(strings.ReplaceAll(sampleBench, "-16 ", suffix)), &out, []string{"-compare", path})
+		if err == nil || !strings.Contains(err.Error(), "GOMAXPROCS") {
+			t.Errorf("suffix %q: err = %v, want a GOMAXPROCS refusal\n%s", suffix, err, out.String())
+		}
+		if strings.Contains(out.String(), "ns/op") {
+			t.Errorf("suffix %q: numbers were compared before the refusal:\n%s", suffix, out.String())
+		}
+	}
+
+	// A baseline recorded before the key existed has no box to disagree with.
+	old := filepath.Join(t.TempDir(), "BENCH_old.json")
+	if err := os.WriteFile(old, []byte(`{"BenchmarkDistributedSlot": {"ns_per_op": 146000, "bytes_per_op": 52000, "allocs_per_op": 310}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out.Reset()
+	if err := run(strings.NewReader(strings.ReplaceAll(sampleBench, "-16 ", "-4 ")), &out, []string{"-compare", old}); err != nil {
+		t.Fatalf("compare against a baseline without %s: %v\n%s", envKey, err, out.String())
+	}
+	if !strings.Contains(out.String(), "env not recorded") || !strings.Contains(out.String(), "BenchmarkDistributedSlot") {
+		t.Errorf("baseline without %s: want the note and the comparison:\n%s", envKey, out.String())
 	}
 }
 
@@ -158,7 +221,7 @@ func TestRunFilter(t *testing.T) {
 	if err := json.Unmarshal(buf, &decoded); err != nil {
 		t.Fatal(err)
 	}
-	if len(decoded) != 3 {
+	if delete(decoded, envKey); len(decoded) != 3 {
 		t.Fatalf("filtered baseline has %d entries, want 3: %v", len(decoded), decoded)
 	}
 	if _, ok := decoded["BenchmarkDistributedSlot"]; ok {

@@ -72,7 +72,7 @@ func run(ctx context.Context, args []string) error {
 // httptest server instead of a real listener.
 type agentApp struct {
 	// Server answers the controller's RPCs.
-	Server *transport.Server
+	Server *transport.MuxServer
 	// Name is the served data center's name (e.g. "dc2").
 	Name string
 	// Metrics serves /metrics, /healthz, and optionally /debug/pprof/.

@@ -21,11 +21,12 @@ func TestServeAndPing(t *testing.T) {
 	if a.Name != "dc2" {
 		t.Errorf("name = %q, want dc2", a.Name)
 	}
-	cli, err := transport.Dial(a.Server.Addr(), time.Second)
+	mux, err := transport.DialMux(a.Server.Addr(), time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cli.Close()
+	defer mux.Close()
+	cli := mux.Agent(0)
 	var pong transport.Ping
 	if err := cli.Call(transport.KindPing, transport.Ping{Nonce: 3}, &pong); err != nil {
 		t.Fatal(err)
@@ -65,11 +66,12 @@ func TestAgentMetricsEndpoint(t *testing.T) {
 	defer a.Close()
 
 	c := model.NewReferenceCluster()
-	cli, err := transport.Dial(a.Server.Addr(), time.Second)
+	mux, err := transport.DialMux(a.Server.Addr(), time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cli.Close()
+	defer mux.Close()
+	cli := mux.Agent(0)
 	var ack transport.AllocateAck
 	if err := cli.Call(transport.KindAllocate, transport.Allocate{
 		Slot:    0,

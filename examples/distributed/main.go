@@ -45,12 +45,12 @@ func main() {
 		defer srv.Close()
 		fmt.Printf("agent for %s listening on %s\n", c.DataCenters[i].Name, srv.Addr())
 
-		cli, err := transport.Dial(srv.Addr(), 5*time.Second)
+		cli, err := transport.DialMux(srv.Addr(), 5*time.Second)
 		if err != nil {
 			log.Fatal(err)
 		}
 		defer cli.Close()
-		conns[i] = cli
+		conns[i] = cli.Agent(0)
 	}
 
 	scheduler, err := grefar.New(c, grefar.WithV(7.5), grefar.WithBeta(100))

@@ -254,9 +254,12 @@ func (a *Agent) Restore(snapshot []byte) error {
 }
 
 // Serve starts a transport server for the agent on the listener. It returns
-// the server; call Close on it to stop.
-func (a *Agent) Serve(lis net.Listener) *transport.Server {
-	srv := transport.NewServer(lis, a.AppendReply)
+// the server; call Close on it to stop. The agent is the listener's only
+// endpoint, so a frame's target is ignored (callers send 0).
+func (a *Agent) Serve(lis net.Listener) *transport.MuxServer {
+	srv := transport.NewMuxServer(lis, func(dst []byte, _ int, kind string, body []byte) ([]byte, error) {
+		return a.AppendReply(dst, kind, body)
+	})
 	go func() {
 		// Serve exits on Close; an unexpected accept error leaves the
 		// controller to notice via failed calls.

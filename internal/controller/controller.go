@@ -46,18 +46,19 @@ type AgentConn interface {
 	Call(kind string, reqBody, respBody any) error
 }
 
-// ContextAgentConn is an AgentConn whose calls honor a context — retrying
-// connections (transport.ReconnectClient) abort their backoff loop when the
-// control loop is canceled, so SIGINT does not wait out reconnection delays
-// to an unreachable agent. Connections without context support degrade to
-// plain Call.
+// ContextAgentConn is an AgentConn whose calls honor a context: a mux
+// connection (transport.MuxConn) abandons the call in flight, its late reply
+// dropped by frame id, and a retrying one (transport.ReconnectClient, a mux
+// client under a redial loop) also aborts its backoff, so SIGINT waits out
+// neither a slow agent nor the reconnection delays to an unreachable one.
+// Connections without context support degrade to plain Call.
 type ContextAgentConn interface {
 	AgentConn
 	CallContext(ctx context.Context, kind string, reqBody, respBody any) error
 }
 
 var (
-	_ AgentConn        = (*transport.Client)(nil)
+	_ ContextAgentConn = (*transport.MuxConn)(nil)
 	_ ContextAgentConn = (*transport.ReconnectClient)(nil)
 )
 
@@ -367,9 +368,10 @@ func (p *partition) wireFor(conn AgentConn) int {
 // callMany issues one kind of RPC to the partition's live agents, writing
 // results and errors at the agents' global indices. Agents behind the same
 // MuxClient share one batched frame — the conn type says so, no option does;
-// everything else (chaos-wrapped conns, reconnecting clients, in-process
-// fakes) gets a concurrent per-agent call. req(i) builds the request; resp(i)
-// returns the decode destination.
+// everything else (chaos-wrapped conns, Loopback, in-process fakes, and
+// reconnecting clients, which carry one agent per address and so have nothing
+// to batch) gets a concurrent per-agent call. req(i) builds the request;
+// resp(i) returns the decode destination.
 func (ct *Controller) callMany(ctx context.Context, p *partition, kind string,
 	req func(i int) any, resp func(i int) any, errs []error) {
 	var wg sync.WaitGroup

@@ -61,11 +61,11 @@ func buildSystem(t *testing.T, slots int, overTCP bool) (sim.Inputs, []AgentConn
 				t.Fatal(err)
 			}
 			srv := a.Serve(lis)
-			cli, err := transport.Dial(srv.Addr(), 5*time.Second)
+			cli, err := transport.DialMux(srv.Addr(), 5*time.Second)
 			if err != nil {
 				t.Fatal(err)
 			}
-			conns[i] = cli
+			conns[i] = cli.Agent(0)
 			cleanups = append(cleanups, func() { cli.Close(); srv.Close() })
 		} else {
 			conns[i] = localConn{a: a}

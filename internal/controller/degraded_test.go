@@ -256,7 +256,7 @@ func TestRejoinMatchesMaskedTrace(t *testing.T) {
 			return a
 		}
 		conns := make([]AgentConn, in.Cluster.N())
-		servers := make([]*transport.Server, in.Cluster.N())
+		servers := make([]*transport.MuxServer, in.Cluster.N())
 		addrs := make([]string, in.Cluster.N())
 		for i := 0; i < in.Cluster.N(); i++ {
 			lis, err := net.Listen("tcp", "127.0.0.1:0")

@@ -21,7 +21,7 @@ func TestControllerSurfacesDeadAgent(t *testing.T) {
 		t.Fatal(err)
 	}
 	conns := make([]AgentConn, in.Cluster.N())
-	var servers []*transport.Server
+	var servers []*transport.MuxServer
 	for i := 0; i < in.Cluster.N(); i++ {
 		a, err := agent.New(agent.Config{
 			Cluster:      in.Cluster,
@@ -38,12 +38,12 @@ func TestControllerSurfacesDeadAgent(t *testing.T) {
 		}
 		srv := a.Serve(lis)
 		servers = append(servers, srv)
-		cli, err := transport.Dial(srv.Addr(), time.Second)
+		cli, err := transport.DialMux(srv.Addr(), time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer cli.Close()
-		conns[i] = cli
+		conns[i] = cli.Agent(0)
 	}
 	defer func() {
 		for _, s := range servers {
@@ -104,7 +104,7 @@ func TestControllerRecoversWithReconnectClient(t *testing.T) {
 	}
 
 	conns := make([]AgentConn, in.Cluster.N())
-	servers := make([]*transport.Server, in.Cluster.N())
+	servers := make([]*transport.MuxServer, in.Cluster.N())
 	addrs := make([]string, in.Cluster.N())
 	for i := 0; i < in.Cluster.N(); i++ {
 		lis, err := net.Listen("tcp", "127.0.0.1:0")

@@ -3,9 +3,9 @@
 // format, multiplexed onto a single listener and a handful of pipelined
 // connections instead of one socket pair per agent. The fleet exists to
 // exercise the real controller — gather, decide, scatter, health tracking,
-// degraded-mode masking — at agent counts the point-to-point transport
-// cannot reach, so control-plane scale work is judged against measurements
-// rather than extrapolation.
+// degraded-mode masking — at agent counts one listener and one connection
+// per agent cannot reach, so control-plane scale work is judged against
+// measurements rather than extrapolation.
 package hollow
 
 import (

@@ -117,7 +117,7 @@ func (e *Error) Error() string {
 	return fmt.Sprintf("chaos: %s fault at agent %d slot %d", e.Fault, e.Agent, e.Slot)
 }
 
-// Conn is the calling surface chaos wraps — satisfied by transport.Client,
+// Conn is the calling surface chaos wraps — satisfied by transport.MuxConn,
 // transport.ReconnectClient, transport.Loopback, and the controller's
 // in-process fakes.
 type Conn interface {
@@ -125,7 +125,8 @@ type Conn interface {
 }
 
 // connDropper is implemented by connections that can sever their transport
-// (transport.ReconnectClient); the kill fault uses it.
+// and redial it (transport.ReconnectClient, which drops the mux client under
+// it); the kill fault uses it.
 type connDropper interface {
 	DropConn()
 }

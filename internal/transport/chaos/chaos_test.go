@@ -274,7 +274,7 @@ func TestNetConnFaultsDoNotWedgeServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := transport.NewServer(lis, func(dst []byte, kind string, body []byte) ([]byte, error) {
+	srv := transport.NewMuxServer(lis, func(dst []byte, _ int, kind string, body []byte) ([]byte, error) {
 		var p transport.Ping
 		if err := transport.Unmarshal(body, &p); err != nil {
 			return nil, err
@@ -307,13 +307,13 @@ func TestNetConnFaultsDoNotWedgeServer(t *testing.T) {
 	}
 
 	// The accept loop must still answer a clean client.
-	cli, err := transport.Dial(srv.Addr(), 2*time.Second)
+	cli, err := transport.DialMux(srv.Addr(), 2*time.Second)
 	if err != nil {
 		t.Fatalf("dial after chaos sessions: %v", err)
 	}
 	defer cli.Close()
 	var resp transport.Ping
-	if err := cli.Call(transport.KindPing, transport.Ping{Nonce: 77}, &resp); err != nil {
+	if err := cli.Agent(0).Call(transport.KindPing, transport.Ping{Nonce: 77}, &resp); err != nil {
 		t.Fatalf("ping after chaos sessions: %v", err)
 	}
 	if resp.Nonce != 77 {

@@ -1,10 +1,9 @@
-// Multiplexed transport: many logical endpoints behind one listener, many
-// in-flight calls on one connection.
-//
-// The point-to-point Client/Server pair costs one TCP connection, one
-// goroutine, and one file descriptor per agent — fine for the paper's three
-// sites, fatal for a hollow fleet of thousands. The mux layer reuses the
-// exact frame format and body encoding but adds two degrees of freedom:
+// The transport's one endpoint pair: many logical endpoints behind one
+// listener, many in-flight calls on one connection. A real agent is the
+// degenerate case — one endpoint per listener, addressed as target 0, which
+// its handler ignores (agent.Serve, ReconnectClient) — and a hollow fleet of
+// thousands the general one; both speak the same frames through the same
+// code:
 //
 //   - MuxServer hosts any number of targets behind a single listener. Each
 //     request frame carries a Target index and is dispatched to one handler
@@ -19,8 +18,7 @@
 //     therefore costs max(RTT) wall-clock, not N*RTT.
 //
 // Agent(target) binds a MuxClient to one target index as a per-agent
-// connection satisfying the controller's AgentConn and ContextAgentConn,
-// so the scale-out path slots into the existing control loop unchanged.
+// connection satisfying the controller's AgentConn and ContextAgentConn.
 package transport
 
 import (

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/binary"
@@ -134,8 +135,12 @@ func TestMuxCallTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cli.Close()
+	start := time.Now()
 	if err := cli.Agent(0).Call(KindPing, Ping{}, nil); !errors.Is(err, ErrCallTimeout) {
 		t.Errorf("err = %v, want ErrCallTimeout", err)
+	}
+	if time.Since(start) > 2*time.Second {
+		t.Error("timeout took far too long")
 	}
 }
 
@@ -196,8 +201,7 @@ func TestMuxClosedClient(t *testing.T) {
 }
 
 // TestMuxControlLoopShapes runs the real message kinds (state, allocate)
-// through the mux wire to prove the framing round-trips typed bodies exactly
-// as the point-to-point client does.
+// through the mux wire to prove the framing round-trips typed bodies.
 func TestMuxControlLoopShapes(t *testing.T) {
 	_, cli := startMux(t, func(dst []byte, target int, kind string, body []byte) ([]byte, error) {
 		switch kind {
@@ -527,6 +531,54 @@ func TestMuxLateRepliesNeverCrossCalls(t *testing.T) {
 	wg.Wait()
 	if ok.Load() == 0 || late.Load() == 0 {
 		t.Errorf("%d calls answered, %d timed out; the test needs both", ok.Load(), late.Load())
+	}
+}
+
+// TestMuxDropsReplyNobodyWaitsFor answers the first request under an id no
+// call holds — the stream fault that used to leave a client matching replies
+// by position one reply behind for good. Here the frame is dropped, the call
+// it should have answered times out on its own, and the next call on the same
+// connection gets its own reply.
+func TestMuxDropsReplyNobodyWaitsFor(t *testing.T) {
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	go func() {
+		conn, err := lis.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		br := bufio.NewReader(conn)
+		var in []byte
+		for first := true; ; first = false {
+			if in, err = readFrame(br, in[:0]); err != nil {
+				return
+			}
+			req, err := parseFrame(in)
+			if err != nil {
+				return
+			}
+			if first {
+				req.ID += 98
+			}
+			reply, _ := appendFrame(nil, req.ID, req.Target, req.Kind, "", req.Body)
+			conn.Write(reply)
+		}
+	}()
+	cli, err := DialMux(lis.Addr().String(), 100*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	var pong Ping
+	if err := cli.Agent(0).Call(KindPing, Ping{Nonce: 1}, &pong); !errors.Is(err, ErrCallTimeout) {
+		t.Fatalf("call answered under a stranger's id: err = %v, want ErrCallTimeout", err)
+	}
+	if err := cli.Agent(0).Call(KindPing, Ping{Nonce: 2}, &pong); err != nil || pong.Nonce != 2 {
+		t.Fatalf("call after the stray reply: nonce %d, err %v", pong.Nonce, err)
 	}
 }
 

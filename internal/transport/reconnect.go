@@ -2,6 +2,7 @@ package transport
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
@@ -17,14 +18,15 @@ const (
 	maxBackoff  = 2 * time.Second
 )
 
-// ReconnectClient wraps Dial with lazy connection establishment and
+// ReconnectClient wraps DialMux with lazy connection establishment and
 // bounded-retry reconnection: if a call fails because the connection broke
 // (agent restart, transient network fault), the client redials and replays
-// the request. Because the control-loop requests are idempotent snapshots
-// and slot-tagged commands, replay is safe: an agent that already applied an
-// allocation for a slot would only be asked again if its reply was lost, and
-// the controller aborts the run on a genuine remote error rather than
-// retrying it.
+// the request. It speaks to one agent per address, so every call goes to
+// target 0, which a single-agent server ignores. Because the control-loop
+// requests are idempotent snapshots and slot-tagged commands, replay is safe:
+// an agent that already applied an allocation for a slot would only be asked
+// again if its reply was lost, and the controller aborts the run on a genuine
+// remote error rather than retrying it.
 type ReconnectClient struct {
 	addr    string
 	timeout time.Duration
@@ -38,8 +40,10 @@ type ReconnectClient struct {
 	jitterMu sync.Mutex
 	rng      *rand.Rand
 
+	// mu guards the connection, not the calls on it: concurrent calls share
+	// the mux client and each decides for itself whether it failed.
 	mu     sync.Mutex
-	client *Client
+	client *MuxClient
 	closed bool
 }
 
@@ -110,15 +114,17 @@ func sleepContext(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// ensure returns a live client, dialing if necessary. Caller holds mu.
-func (r *ReconnectClient) ensure() (*Client, error) {
+// ensure returns a live client, dialing if necessary.
+func (r *ReconnectClient) ensure() (*MuxClient, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	if r.closed {
 		return nil, ErrClosed
 	}
 	if r.client != nil {
 		return r.client, nil
 	}
-	c, err := Dial(r.addr, r.timeout)
+	c, err := DialMux(r.addr, r.timeout)
 	if err != nil {
 		return nil, err
 	}
@@ -126,19 +132,47 @@ func (r *ReconnectClient) ensure() (*Client, error) {
 	return c, nil
 }
 
+// drop closes c and, if it is still the current connection, forgets it so the
+// next call redials.
+func (r *ReconnectClient) drop(c *MuxClient) {
+	r.mu.Lock()
+	if r.client == c {
+		r.client = nil
+	}
+	r.mu.Unlock()
+	c.Close()
+}
+
+// retriable reports whether a failed call is the connection's failure — worth
+// a redial and a replay — rather than the request's or the caller's.
+func retriable(ctx context.Context, err error) bool {
+	var remote *RemoteError
+	switch {
+	case errors.As(err, &remote):
+		return false // the agent saw the request and rejected it
+	case ctx.Err() != nil && errors.Is(err, ctx.Err()):
+		return false // the caller gave up; the mux drops the late reply by id
+	case errors.Is(err, ErrUnknownMessage):
+		return false // never encoded, so never written: the stream is intact
+	}
+	return true
+}
+
 // Call sends a request, redialing and retrying on transport failures with
 // capped exponential backoff between attempts. Remote handler errors
 // (RemoteError) are not retried: the remote side saw the request and rejected
-// it, so replaying cannot help.
+// it, so replaying cannot help. Nor is a request with no wire layout
+// (ErrUnknownMessage): nothing was written, and the connection is kept.
 func (r *ReconnectClient) Call(kind string, reqBody, respBody any) error {
 	return r.CallContext(context.Background(), kind, reqBody, respBody)
 }
 
-// CallContext is Call honoring a context: cancellation aborts the retry loop
-// immediately, including mid-backoff, so an interrupted controller does not
-// sit out the remaining delays of an unreachable agent. The in-flight network
-// operation itself is still bounded by the client's I/O timeout rather than
-// the context.
+// CallContext is Call honoring a context: cancellation aborts the call at
+// once, whether it is waiting out a backoff — an interrupted controller does
+// not sit out the remaining delays of an unreachable agent — or for a reply.
+// A call canceled in flight returns the context's error and keeps the
+// connection: the reply, if it still comes, is dropped by its frame id. Only
+// the dial is bounded by the client's timeout alone.
 func (r *ReconnectClient) CallContext(ctx context.Context, kind string, reqBody, respBody any) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -147,38 +181,22 @@ func (r *ReconnectClient) CallContext(ctx context.Context, kind string, reqBody,
 	for attempt := 0; attempt <= r.retries; attempt++ {
 		if attempt > 0 {
 			if err := sleepContext(ctx, r.retryDelay(attempt)); err != nil {
-				if lastErr != nil {
-					return fmt.Errorf("canceled after %d attempts (last error: %v): %w", attempt, lastErr, err)
-				}
-				return err
+				return fmt.Errorf("canceled after %d attempts (last error: %v): %w", attempt, lastErr, err)
 			}
 		} else if err := ctx.Err(); err != nil {
 			return err
 		}
-		r.mu.Lock()
 		c, err := r.ensure()
-		if err != nil {
-			r.mu.Unlock()
-			if err == ErrClosed {
-				return err
-			}
-			lastErr = err
-			continue
-		}
-		err = c.Call(kind, reqBody, respBody)
-		if err == nil {
-			r.mu.Unlock()
-			return nil
-		}
-		if _, remote := err.(*RemoteError); remote {
-			r.mu.Unlock()
+		if errors.Is(err, ErrClosed) {
 			return err
 		}
-		// Transport failure: drop the connection so the next attempt
-		// redials.
-		c.Close()
-		r.client = nil
-		r.mu.Unlock()
+		if err == nil {
+			if err = c.CallTarget(ctx, 0, kind, reqBody, respBody); err == nil || !retriable(ctx, err) {
+				return err
+			}
+			// Timed out, poisoned or hung up on: the next attempt redials.
+			r.drop(c)
+		}
 		lastErr = err
 	}
 	return fmt.Errorf("after %d attempts: %w", r.retries+1, lastErr)
@@ -190,22 +208,22 @@ func (r *ReconnectClient) CallContext(ctx context.Context, kind string, reqBody,
 // when no connection is live.
 func (r *ReconnectClient) DropConn() {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.client != nil {
-		r.client.Close()
-		r.client = nil
+	c := r.client
+	r.mu.Unlock()
+	if c != nil {
+		r.drop(c)
 	}
 }
 
 // Close shuts the client down permanently.
 func (r *ReconnectClient) Close() error {
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.closed = true
-	if r.client != nil {
-		err := r.client.Close()
-		r.client = nil
-		return err
+	c := r.client
+	r.client = nil
+	r.mu.Unlock()
+	if c != nil {
+		return c.Close()
 	}
 	return nil
 }

@@ -4,23 +4,10 @@ import (
 	"context"
 	"errors"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 )
-
-// pingHandler answers pings and fails "boom" requests.
-func pingHandler(dst []byte, kind string, body []byte) ([]byte, error) {
-	switch kind {
-	case KindPing:
-		var p Ping
-		if err := Unmarshal(body, &p); err != nil {
-			return nil, err
-		}
-		return Append(dst, &p)
-	default:
-		return nil, errors.New("kaboom")
-	}
-}
 
 func TestReconnectClientSurvivesServerRestart(t *testing.T) {
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
@@ -28,7 +15,7 @@ func TestReconnectClientSurvivesServerRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr := lis.Addr().String()
-	srv := NewServer(lis, pingHandler)
+	srv := NewMuxServer(lis, echoHandler)
 	go srv.Serve()
 
 	c := NewReconnectClient(addr, time.Second, 3)
@@ -48,7 +35,7 @@ func TestReconnectClientSurvivesServerRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv2 := NewServer(lis2, pingHandler)
+	srv2 := NewMuxServer(lis2, echoHandler)
 	go srv2.Serve()
 	defer srv2.Close()
 
@@ -79,7 +66,7 @@ func TestReconnectClientDoesNotRetryRemoteErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(lis, pingHandler)
+	srv := NewMuxServer(lis, echoHandler)
 	go srv.Serve()
 	defer srv.Close()
 
@@ -94,10 +81,12 @@ func TestReconnectClientDoesNotRetryRemoteErrors(t *testing.T) {
 
 // flakyListener accepts TCP connections but slams the door on the first
 // refusals of them, then hands the rest to a real server — the shape of an
-// agent that is restarting while the controller retries.
+// agent that is restarting while the controller retries — and counts the ones
+// it handed over.
 type flakyListener struct {
 	net.Listener
 	refusals int
+	accepted atomic.Int64
 }
 
 func (fl *flakyListener) Accept() (net.Conn, error) {
@@ -111,6 +100,7 @@ func (fl *flakyListener) Accept() (net.Conn, error) {
 			conn.Close()
 			continue
 		}
+		fl.accepted.Add(1)
 		return conn, nil
 	}
 }
@@ -121,7 +111,7 @@ func TestReconnectClientBacksOffThroughRefusals(t *testing.T) {
 		t.Fatal(err)
 	}
 	fl := &flakyListener{Listener: lis, refusals: 2}
-	srv := NewServer(fl, pingHandler)
+	srv := NewMuxServer(fl, echoHandler)
 	go srv.Serve()
 	defer srv.Close()
 
@@ -176,6 +166,86 @@ func TestReconnectClientCallContextAlreadyCanceled(t *testing.T) {
 	}
 }
 
+// TestReconnectClientCancelsInFlightCall: a context canceled while the agent
+// sits on the request ends the call at once with the context's error, and the
+// connection — healthy, its late reply dropped by id — carries the next call.
+func TestReconnectClientCancelsInFlightCall(t *testing.T) {
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fl := &flakyListener{Listener: lis}
+	entered, release := make(chan struct{}, 1), make(chan struct{})
+	srv := NewMuxServer(fl, func(dst []byte, target int, kind string, body []byte) ([]byte, error) {
+		var p Ping
+		if err := Unmarshal(body, &p); err == nil && p.Nonce == 1 {
+			select {
+			case entered <- struct{}{}:
+			default: // a replay, which the assertions below catch
+			}
+			<-release
+		}
+		return echoHandler(dst, target, kind, body)
+	})
+	go srv.Serve()
+	defer srv.Close()
+	defer close(release)
+
+	c := NewReconnectClient(srv.Addr(), 5*time.Second, 3)
+	defer c.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		<-entered // the agent has the request: the call is in flight
+		cancel()
+	}()
+	start := time.Now()
+	err = c.CallContext(ctx, KindPing, Ping{Nonce: 1}, nil)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Errorf("cancellation took %v; the in-flight call must not wait out the 5s timeout", elapsed)
+	}
+	var resp Ping
+	if err := c.Call(KindPing, Ping{Nonce: 2}, &resp); err != nil || resp.Nonce != 2 {
+		t.Fatalf("call after the canceled one: nonce %d, err %v", resp.Nonce, err)
+	}
+	if n := fl.accepted.Load(); n != 1 {
+		t.Errorf("server accepted %d connections, want 1: a canceled call must keep its connection", n)
+	}
+}
+
+// TestReconnectClientDoesNotRetryEncodeError: a request with no wire layout
+// was never written, so there is nothing to redial for and nothing to replay.
+func TestReconnectClientDoesNotRetryEncodeError(t *testing.T) {
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fl := &flakyListener{Listener: lis}
+	srv := NewMuxServer(fl, echoHandler)
+	go srv.Serve()
+	defer srv.Close()
+
+	c := NewReconnectClient(srv.Addr(), time.Second, 3)
+	c.backoff = time.Second // a retry would show as a sleep
+	defer c.Close()
+	start := time.Now()
+	if err := c.Call(KindPing, struct{}{}, nil); !errors.Is(err, ErrUnknownMessage) {
+		t.Fatalf("err = %v, want ErrUnknownMessage", err)
+	}
+	if elapsed := time.Since(start); elapsed > 400*time.Millisecond {
+		t.Errorf("unencodable request took %v; it was retried", elapsed)
+	}
+	var resp Ping
+	if err := c.Call(KindPing, Ping{Nonce: 3}, &resp); err != nil || resp.Nonce != 3 {
+		t.Fatalf("call after the encode error: nonce %d, err %v", resp.Nonce, err)
+	}
+	if n := fl.accepted.Load(); n != 1 {
+		t.Errorf("server accepted %d connections, want 1: an encode error must keep its connection", n)
+	}
+}
+
 func TestRetryDelayCappedWithJitter(t *testing.T) {
 	c := NewReconnectClient("127.0.0.1:1", time.Second, 3)
 	// Equal jitter draws each delay from [d/2, d], where d is the un-jittered
@@ -227,7 +297,7 @@ func TestDropConnForcesRedial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(lis, pingHandler)
+	srv := NewMuxServer(lis, echoHandler)
 	go srv.Serve()
 	defer srv.Close()
 

@@ -8,13 +8,9 @@
 package transport
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"math"
-	"net"
-	"sync"
-	"time"
 )
 
 // Message kinds understood by agents.
@@ -184,92 +180,6 @@ type Ping struct {
 // so nothing it owns is read after it returns.
 type Handler func(dst []byte, kind string, body []byte) ([]byte, error)
 
-// mux adapts the handler to the target-carrying form the reply path takes.
-// Server and Loopback adapt theirs once, when they are built.
-func (h Handler) mux() MuxHandler {
-	return func(dst []byte, _ int, kind string, body []byte) ([]byte, error) { return h(dst, kind, body) }
-}
-
-// Server accepts connections and dispatches frames to a handler.
-type Server struct {
-	lis     net.Listener
-	handler MuxHandler
-
-	mu     sync.Mutex
-	conns  map[net.Conn]struct{}
-	closed bool
-	wg     sync.WaitGroup
-}
-
-// NewServer wraps a listener. Call Serve to start accepting.
-func NewServer(lis net.Listener, handler Handler) *Server {
-	return &Server{lis: lis, handler: handler.mux(), conns: make(map[net.Conn]struct{})}
-}
-
-// Addr returns the listener address.
-func (s *Server) Addr() string { return s.lis.Addr().String() }
-
-// Serve accepts connections until the server is closed. It blocks; run it in
-// a goroutine and call Close to stop.
-func (s *Server) Serve() error {
-	for {
-		conn, err := s.lis.Accept()
-		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
-				return nil
-			}
-			return fmt.Errorf("accept: %w", err)
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return nil
-		}
-		s.conns[conn] = struct{}{}
-		s.wg.Add(1)
-		s.mu.Unlock()
-		go s.serveConn(conn)
-	}
-}
-
-func (s *Server) serveConn(conn net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-		conn.Close()
-	}()
-	br := bufio.NewReader(conn)
-	for s.serveOne(conn, br) == nil {
-	}
-}
-
-// serveOne reads, handles and answers one request. Any error — EOF, a broken
-// connection, a frame that does not parse — ends the session.
-func (s *Server) serveOne(conn net.Conn, br *bufio.Reader) error {
-	in, out := getBuf(), getBuf()
-	defer putBuf(in)
-	defer putBuf(out)
-	var err error
-	if *in, err = readFrame(br, *in); err != nil {
-		return err
-	}
-	req, err := parseFrame(*in)
-	if err != nil {
-		return err
-	}
-	if *out, err = appendReply(*out, req.ID, 0, req.Kind, req.Body, s.handler); err != nil {
-		return err
-	}
-	_, err = conn.Write(*out)
-	return err
-}
-
 // appendReply appends the response frame for one request: the frame header,
 // then whatever the handler appends as its body. A handler error — or a body
 // that does not fit a frame — rewinds to the frame's start and appends the
@@ -291,118 +201,8 @@ func appendErrorFrame(dst []byte, id uint64, target int, kind string, err error)
 	return finishFrame(appendFrameHeader(dst, id, target, kind, err.Error()), len(dst))
 }
 
-// Close stops accepting, closes open connections, and waits for in-flight
-// requests to finish.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	err := s.lis.Close()
-	for conn := range s.conns {
-		conn.Close()
-	}
-	s.mu.Unlock()
-	s.wg.Wait()
-	return err
-}
-
 // ErrClosed is returned by calls on a closed client.
 var ErrClosed = errors.New("transport: client closed")
-
-// Client is a synchronous RPC client. Calls are serialized over a single
-// connection; the control loop issues one request per agent per phase, so no
-// pipelining is needed.
-type Client struct {
-	mu      sync.Mutex
-	conn    net.Conn
-	br      *bufio.Reader
-	nextID  uint64
-	timeout time.Duration
-	closed  bool
-}
-
-// Dial connects to a server. timeout bounds both the dial and each call;
-// zero means 10 seconds.
-func Dial(addr string, timeout time.Duration) (*Client, error) {
-	if timeout <= 0 {
-		timeout = 10 * time.Second
-	}
-	conn, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return nil, fmt.Errorf("dial %s: %w", addr, err)
-	}
-	return &Client{conn: conn, br: bufio.NewReader(conn), timeout: timeout}, nil
-}
-
-// Call sends a request and decodes the response into respBody (which may be
-// nil to discard).
-//
-// Any failure to send, receive, or match the response leaves the stream in an
-// unknown position — after a read deadline the late reply is still on its
-// way and would be taken for the answer to the next call — so the client
-// closes itself and every later call returns ErrClosed; redial (or use
-// ReconnectClient, which does). A remote handler error or an undecodable
-// response body arrives in a complete frame and leaves the client usable.
-func (c *Client) Call(kind string, reqBody, respBody any) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return ErrClosed
-	}
-	c.nextID++
-	id := c.nextID
-	buf := getBuf()
-	defer putBuf(buf)
-	var err error
-	if *buf, err = appendFrame(*buf, id, 0, kind, "", reqBody); err != nil {
-		return fmt.Errorf("encode %s: %w", kind, err) // nothing was written
-	}
-	if err := c.conn.SetDeadline(time.Now().Add(c.timeout)); err != nil {
-		return c.fail(err)
-	}
-	if _, err := c.conn.Write(*buf); err != nil {
-		return c.fail(fmt.Errorf("send %s: %w", kind, err))
-	}
-	if *buf, err = readFrame(c.br, *buf); err != nil {
-		return c.fail(fmt.Errorf("receive %s: %w", kind, err))
-	}
-	resp, err := parseFrame(*buf)
-	if err != nil {
-		return c.fail(fmt.Errorf("receive %s: %w", kind, err))
-	}
-	if resp.ID != id {
-		return c.fail(fmt.Errorf("response id %d does not match request %d", resp.ID, id))
-	}
-	if resp.Err != "" {
-		return &RemoteError{Kind: kind, Message: resp.Err}
-	}
-	if respBody == nil {
-		return nil
-	}
-	return Unmarshal(resp.Body, respBody)
-}
-
-// fail closes the client after a stream-level failure and returns err.
-// Caller holds mu.
-func (c *Client) fail(err error) error {
-	c.closed = true
-	c.conn.Close()
-	return err
-}
-
-// Close shuts down the connection.
-func (c *Client) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return nil
-	}
-	c.closed = true
-	return c.conn.Close()
-}
 
 // Loopback is an in-process connection that routes calls straight to a
 // Handler through the same reply frame and body codec the TCP path uses, so
@@ -413,13 +213,16 @@ type Loopback struct {
 }
 
 // NewLoopback wraps a handler (typically agent.Agent.AppendReply) as a
-// connection.
-func NewLoopback(h Handler) *Loopback { return &Loopback{handler: h.mux()} }
+// connection, adapting it once to the target-carrying form the reply path
+// takes.
+func NewLoopback(h Handler) *Loopback {
+	return &Loopback{handler: func(dst []byte, _ int, kind string, body []byte) ([]byte, error) { return h(dst, kind, body) }}
+}
 
-// Call encodes the request, has the handler build the reply frame a Server
-// would have written, and decodes it as Client.Call does: handler errors —
-// and a reply over the frame cap — come back as *RemoteError, exactly as
-// they would over TCP.
+// Call encodes the request, has the handler build the reply frame a MuxServer
+// would have written, and decodes it as MuxClient.CallTarget does: handler
+// errors — and a reply over the frame cap — come back as *RemoteError, exactly
+// as they would over TCP.
 func (l *Loopback) Call(kind string, reqBody, respBody any) error {
 	in, out := getBuf(), getBuf()
 	defer putBuf(in)

@@ -1,5 +1,5 @@
 // Wire format v1, framing. Every message on a connection — request or
-// response, point-to-point or multiplexed — is one frame:
+// response, single-agent or multiplexed — is one frame:
 //
 //	u32 len | version | id | target | kind | err | body
 //

@@ -34,7 +34,7 @@ var wireMessages = []any{
 
 // wireGoldenHandler answers "m<i>" with wireMessages[i] and fails "boom" —
 // after appending to the reply, so the error path has something to discard.
-func wireGoldenHandler(dst []byte, kind string, body []byte) ([]byte, error) {
+func wireGoldenHandler(dst []byte, _ int, kind string, body []byte) ([]byte, error) {
 	if kind == "boom" {
 		return append(dst, "half a reply"...), errors.New("kaboom")
 	}
@@ -85,14 +85,16 @@ func recordingProxy(t *testing.T, upstream string) (addr string, streams func() 
 	}
 }
 
-// TestWireStreamsMatchGolden drives every message type, a handler error and a
-// batch frame through the plain and the multiplexed wire behind a recording
-// proxy, and compares both byte streams — request frames and reply frames —
-// with testdata/wire_v1_streams.txt. That file was written by the build that
-// still boxed handler replies as `any` and encoded them after the handler
-// returned; handlers now append into the frame in place, and the bytes on the
-// wire must not have changed. Regenerate with -update only for a deliberate
-// wire-format change.
+// TestWireStreamsMatchGolden drives every message type and a handler error
+// through a single-agent connection (target 0) and a multiplexed one (target
+// 3, plus a batch frame) behind a recording proxy, and compares both byte
+// streams — request frames and reply frames — with
+// testdata/wire_v1_streams.txt. The plain.* streams in that file were recorded
+// from the serial Server/Client pair this package used to carry;
+// DialMux(addr).Agent(0) against a MuxServer must reproduce them byte for
+// byte, which is the proof that an agent or controller built before the pair
+// was deleted still interoperates with one built after. Regenerate with
+// -update only for a deliberate wire-format change.
 func TestWireStreamsMatchGolden(t *testing.T) {
 	got := map[string][]byte{}
 	checkReply := func(i int, resp any, err error) {
@@ -106,38 +108,23 @@ func TestWireStreamsMatchGolden(t *testing.T) {
 	}
 	fresh := func(i int) any { return reflect.New(reflect.TypeOf(wireMessages[i]).Elem()).Interface() }
 
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain := NewServer(lis, wireGoldenHandler)
-	go plain.Serve()
-	defer plain.Close()
-	addr, streams := recordingProxy(t, plain.Addr())
-	cli, err := Dial(addr, 2*time.Second)
+	mux, _ := startMux(t, wireGoldenHandler)
+	addr, streams := recordingProxy(t, mux.Addr())
+	cli, err := DialMux(addr, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, msg := range wireMessages {
 		resp := fresh(i)
-		checkReply(i, resp, cli.Call(fmt.Sprintf("m%d", i), msg, resp))
+		checkReply(i, resp, cli.Agent(0).Call(fmt.Sprintf("m%d", i), msg, resp))
 	}
 	var re *RemoteError
-	if err := cli.Call("boom", &Ping{}, nil); !errors.As(err, &re) || re.Message != "kaboom" {
+	if err := cli.Agent(0).Call("boom", &Ping{}, nil); !errors.As(err, &re) || re.Message != "kaboom" {
 		t.Errorf("plain boom: err = %v, want remote kaboom", err)
 	}
 	cli.Close()
 	got["plain.requests"], got["plain.replies"] = streams()
 
-	mlis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mux := NewMuxServer(mlis, func(dst []byte, _ int, kind string, body []byte) ([]byte, error) {
-		return wireGoldenHandler(dst, kind, body)
-	})
-	go mux.Serve()
-	defer mux.Close()
 	addr, streams = recordingProxy(t, mux.Addr())
 	mcli, err := DialMux(addr, 2*time.Second)
 	if err != nil {
