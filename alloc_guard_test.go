@@ -208,9 +208,10 @@ func TestWireAllocationBudget(t *testing.T) {
 	conn := cli.Agent(0)
 
 	// The whole tick: BenchmarkHollowSlot's fleet and controller, at two sizes
-	// so a per-agent allocation shows as a slope and not only as a level.
-	hollowSlot := func(agents int) func() {
-		in, fleet, ct := newHollowLoop(t, agents, 4096)
+	// so a per-agent allocation shows as a slope and not only as a level, and
+	// BenchmarkPartitionedSlot's loop with its I/O split two ways.
+	hollowSlot := func(agents, parts int) func() {
+		in, fleet, ct := newHollowLoop(t, agents, parts, 4096)
 		t.Cleanup(func() { fleet.Close() })
 		tick := 0
 		return func() {
@@ -261,8 +262,9 @@ func TestWireAllocationBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		{"hollow-slot/agents=500", hollowSlot(500)},
-		{"hollow-slot/agents=2000", hollowSlot(2000)},
+		{"hollow-slot/agents=500", hollowSlot(500, 1)},
+		{"hollow-slot/agents=2000", hollowSlot(2000, 1)},
+		{"partitioned-slot/agents=500/parts=2", hollowSlot(500, 2)},
 	}
 	for _, tc := range cases {
 		ceil, ok := budgets[tc.name]

@@ -9,6 +9,7 @@ import (
 	"grefar/internal/controller"
 	"grefar/internal/core"
 	"grefar/internal/hollow"
+	"grefar/internal/sched"
 	"grefar/internal/sim"
 )
 
@@ -25,10 +26,11 @@ var hollowBenchSizes = []int{100, 500, 1000, 2000}
 const hollowWarmSlots = 150
 
 // newHollowLoop builds what the hollow-fleet benchmarks, the leak test and the
-// whole-tick allocation guard all drive: n hollow agents behind the mux wire
-// and the single, Degrade-policy GreFar controller over fleet.Conns(). The
-// caller closes the fleet.
-func newHollowLoop(tb testing.TB, n, horizon int) (sim.Inputs, *hollow.Fleet, *controller.Controller) {
+// whole-tick allocation guards all drive: n hollow agents behind the mux wire
+// and the Degrade-policy GreFar control loop over fleet.Conns(), its I/O split
+// over parts partitions (1 is the single controller). The caller closes the
+// fleet.
+func newHollowLoop(tb testing.TB, n, parts, horizon int) (sim.Inputs, *hollow.Fleet, *controller.Controller) {
 	tb.Helper()
 	in, err := hollow.NewScaleInputs(2012, n, horizon)
 	if err != nil {
@@ -38,13 +40,12 @@ func newHollowLoop(tb testing.TB, n, horizon int) (sim.Inputs, *hollow.Fleet, *c
 	if err != nil {
 		tb.Fatal(err)
 	}
-	g, err := core.New(in.Cluster, core.Config{V: 7.5, Beta: 100})
-	if err != nil {
-		fleet.Close()
-		tb.Fatal(err)
-	}
-	ct, err := controller.New(in.Cluster, g, fleet.Conns(),
-		controller.WithFailurePolicy(controller.Degrade))
+	ct, err := controller.NewPartitioned(in.Cluster, fleet.Conns(), controller.Partitioning{
+		Partitions: parts,
+		NewScheduler: func() (sched.Scheduler, error) {
+			return core.New(in.Cluster, core.Config{V: 7.5, Beta: 100})
+		},
+	}, controller.WithFailurePolicy(controller.Degrade))
 	if err != nil {
 		fleet.Close()
 		tb.Fatal(err)
@@ -60,7 +61,7 @@ func newHollowLoop(tb testing.TB, n, horizon int) (sim.Inputs, *hollow.Fleet, *c
 func BenchmarkHollowSlot(b *testing.B) {
 	for _, n := range hollowBenchSizes {
 		b.Run(fmt.Sprintf("agents=%d", n), func(b *testing.B) {
-			in, fleet, ct := newHollowLoop(b, n, 4096)
+			in, fleet, ct := newHollowLoop(b, n, 1, 4096)
 			tick := func(t int) {
 				if _, _, _, err := ct.RunSlot(t%4096, in.Workload.Arrivals(t%4096)); err != nil {
 					b.Fatal(err)
@@ -84,7 +85,7 @@ func BenchmarkHollowSlot(b *testing.B) {
 // the process to its prior goroutine count.
 func TestHollowBenchHarnessLeaksNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
-	in, fleet, ct := newHollowLoop(t, 64, 32)
+	in, fleet, ct := newHollowLoop(t, 64, 1, 32)
 	for tt := 0; tt < 3; tt++ {
 		if _, _, _, err := ct.RunSlot(tt, in.Workload.Arrivals(tt)); err != nil {
 			fleet.Close()

@@ -3,12 +3,6 @@ package grefar_test
 import (
 	"fmt"
 	"testing"
-
-	"grefar/internal/controller"
-	"grefar/internal/controlplane"
-	"grefar/internal/core"
-	"grefar/internal/hollow"
-	"grefar/internal/sched"
 )
 
 // partitionedBenchCells is the (fleet size, partition count) sweep recorded
@@ -22,34 +16,15 @@ var partitionedBenchCells = []struct{ agents, parts int }{
 }
 
 // BenchmarkPartitionedSlot measures one slot tick of the partitioned control
-// plane against a hollow fleet: P concurrent controller partitions each
-// batch-gathering from their owned agents, deciding against the shared
-// versioned queue board, committing optimistically, and batch-scattering
-// their allocations. Compared with BenchmarkHollowSlot/agents=N it shows
-// what partition concurrency buys (and what the commit protocol costs) on
-// the slot-tick critical path; make bench-compare fails on >15% regressions.
+// loop against a hollow fleet: P controller partitions each batch-gathering
+// from their owned agents, one decision for the whole cluster, and P
+// batch-scatters of the allocations. Compared with BenchmarkHollowSlot/agents=N
+// it shows what splitting the agent I/O P ways buys on the slot-tick critical
+// path; make bench-compare fails on >15% regressions.
 func BenchmarkPartitionedSlot(b *testing.B) {
 	for _, cell := range partitionedBenchCells {
 		b.Run(fmt.Sprintf("agents=%d/parts=%d", cell.agents, cell.parts), func(b *testing.B) {
-			in, err := hollow.NewScaleInputs(2012, cell.agents, 4096)
-			if err != nil {
-				b.Fatal(err)
-			}
-			fleet, err := hollow.NewFleet(in, hollow.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			pl, err := controlplane.New(in.Cluster, fleet.Conns(), controlplane.Config{
-				Partitions: cell.parts,
-				NewScheduler: func() (sched.Scheduler, error) {
-					return core.New(in.Cluster, core.Config{V: 7.5, Beta: 100})
-				},
-				Policy: controller.Degrade,
-			})
-			if err != nil {
-				fleet.Close()
-				b.Fatal(err)
-			}
+			in, fleet, pl := newHollowLoop(b, cell.agents, cell.parts, 4096)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				t := i % 4096

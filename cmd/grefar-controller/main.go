@@ -13,10 +13,10 @@
 //	                  [-metrics-addr 127.0.0.1:9090] [-pprof]
 //
 // The control loop is one loop at any -partitions: with 1 (the default) it is
-// the paper's single central scheduler; with more it runs as that many
-// concurrent controller partitions over disjoint data-center ranges,
-// committing optimistically against a shared queue board, and per-partition
-// commit and conflict counters are served on /metrics.
+// the paper's single central scheduler; with more, that many controller
+// partitions over disjoint data-center ranges run the agent I/O concurrently,
+// and the loop still decides once per slot, so the run's metrics are the
+// single scheduler's.
 //
 // The seed must match the agents' so the controller's workload lines up with
 // the world the agents simulate. Agent connections redial with capped
@@ -107,7 +107,7 @@ func buildApp(args []string) (*app, error) {
 	slots := fs.Int("slots", 2000, "horizon in hourly slots")
 	seed := fs.Int64("seed", 2012, "workload seed (must match the agents)")
 	policy := fs.String("policy", "grefar", "scheduling policy: grefar or always")
-	partitions := fs.Int("partitions", 1, "controller partitions (>1 runs the partitioned shared-state control plane)")
+	partitions := fs.Int("partitions", 1, "controller partitions splitting probe/gather/scatter; the loop decides once per slot at any count")
 	timeout := fs.Duration("timeout", 10*time.Second, "per-RPC timeout")
 	retries := fs.Int("retries", 2, "redial attempts per RPC after a transport failure (with capped exponential backoff)")
 	metricsAddr := fs.String("metrics-addr", "", "address to serve /metrics and /healthz on (empty disables)")

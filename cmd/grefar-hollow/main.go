@@ -18,10 +18,9 @@
 // default on) verifies every applied slot. With -metrics, the controller's
 // health gauges, RTT histograms, and slot telemetry are served on /metrics.
 // The fleet's MuxConns put the loop on its batch path: one frame per
-// connection per phase. With -partitions > 1 the same loop runs partitioned —
-// concurrent per-partition gather/decide/scatter with optimistic commits
-// against the shared queue board — and the run report includes each
-// partition's commit/conflict counters.
+// connection per phase. With -partitions > 1 the same loop splits its probe,
+// gather and scatter that many ways, one partition per contiguous range of
+// agents; it still decides once per slot, so the trajectory is unchanged.
 package main
 
 import (
@@ -60,7 +59,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	slots := fs.Int("slots", 60, "horizon in slots")
 	seed := fs.Int64("seed", 2012, "seed for the synthetic workload")
 	conns := fs.Int("conns", 0, "multiplexed client connections carrying the fleet's traffic (0 = default)")
-	partitions := fs.Int("partitions", 1, "controller partitions (>1 drives the fleet with the partitioned control plane)")
+	partitions := fs.Int("partitions", 1, "controller partitions splitting probe/gather/scatter; the loop decides once per slot at any count")
 	killFrac := fs.Float64("kill-frac", 0, "fraction of agents killed mid-run (0 disables the outage)")
 	killAt := fs.Int("kill-at", 0, "slot the outage starts (default slots/3)")
 	reviveAt := fs.Int("revive-at", 0, "slot the killed agents come back (default 2*slots/3)")
@@ -203,12 +202,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		ticks[len(ticks)/2].Round(10*time.Microsecond), ticks[(len(ticks)*99)/100].Round(10*time.Microsecond))
 	fmt.Fprintf(out, "degraded slots %d; energy/slot %.1f; final healthy %d/%d\n",
 		degraded, energy/float64(*slots), healthy, fleet.N())
-	if *partitions > 1 {
-		for _, st := range ct.Stats() {
-			fmt.Fprintf(out, "partition %d: %d agents, %d commits, %d conflicts, %d forced\n",
-				st.Partition, st.Owned, st.Commits, st.Conflicts, st.Forced)
-		}
-	}
 	if *check {
 		fmt.Fprintln(out, "invariant checker: ok on every applied slot")
 	}

@@ -360,12 +360,11 @@ func runScale(out io.Writer, cfg experiments.ScaleConfig) error {
 			report.FormatFloat(pt.AllocsPerSlot, 0),
 			report.FormatFloat(pt.HeapMB, 1),
 			strconv.Itoa(pt.DegradedSlots),
-			strconv.FormatInt(pt.Conflicts, 10),
 			report.FormatFloat(pt.EnergyPerSlot, 1),
 			report.FormatFloat(pt.FinalBacklog, 0),
 		}
 	}
-	return report.Table(out, []string{"Agents", "Mode", "Parts", "p50 tick", "p99 tick", "Slots/s", "Allocs/slot", "Heap MiB", "Degraded", "Conflicts", "Energy/slot", "Backlog"}, table)
+	return report.Table(out, []string{"Agents", "Mode", "Parts", "p50 tick", "p99 tick", "Slots/s", "Allocs/slot", "Heap MiB", "Degraded", "Energy/slot", "Backlog"}, table)
 }
 
 func runTableI(out io.Writer, cfg experiments.Config) error {

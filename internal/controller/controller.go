@@ -7,26 +7,19 @@
 //
 // There is one control loop. P partitions, each owning a disjoint contiguous
 // range of the data centers, split the agent I/O (probe, gather, scatter);
-// everything else — state assembly, masking, the central pops, settling
-// against the shadow ledgers, telemetry — happens once per slot. The decision
-// is either made once, by one scheduler on the slot-initial backlogs (the
-// paper's Algorithm 1; New builds exactly this with P = 1), or by every
-// partition concurrently against a shared versioned board of the central
-// queues with optimistic commit (board.go): a partition's commit is rejected,
-// and its decision retried against a fresh snapshot, when a conflicting commit
-// advanced a central-queue row it claims jobs from — the conflict-aware
-// request distribution of Arktos-style scale-out schedulers. The monolithic
-// controller is the one-partition, decide-once case of that shared-state
-// plane; package controlplane is the constructor surface for the rest.
+// everything else — state assembly, the decision, masking, the central pops,
+// settling against the shadow ledgers, telemetry — happens once per slot. The
+// decision is made once, by one scheduler on the slot-initial backlogs: the
+// paper's Algorithm 1, whose fairness term couples every site's allocation,
+// so no partition could decide its own rows alone. New builds this loop with
+// P = 1; package controlplane is the constructor surface for the rest.
 package controller
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"grefar/internal/fairness"
@@ -81,21 +74,16 @@ type Controller struct {
 	obs     telemetry.SlotObserver
 	detail  bool // obs asked for SlotEvent.Detail
 
-	// board holds the central ledgers Q_j (and, for concurrent partitions,
-	// the commit protocol's versions and claims); scratch is the per-slot
+	// central holds the central ledgers Q_j; scratch is the per-slot
 	// gather/scatter working set.
-	board   *board
+	central []queue.Ledger
 	scratch *SlotScratch
 
-	// parts split the agent I/O. With decideOnce, parts[0].sch is the only
-	// scheduler and decides for the whole cluster; otherwise every partition
-	// decides with its own and commits optimistically, at most maxRetries
-	// rejections deep.
-	parts      []*partition
-	wireOf     []int // agent -> index into its partition's wires, -1 for a per-agent call
-	decideOnce bool
-	maxRetries int
-	commit     *commitMetrics
+	// sch decides for the whole cluster, once per slot; parts split the
+	// agent I/O.
+	sch    sched.Scheduler
+	parts  []*partition
+	wireOf []int // agent -> index into its partition's wires, -1 for a per-agent call
 
 	// Fault tolerance: the failure policy and thresholds, the registry the
 	// metric families publish to (nil disables them), and the health tracker
@@ -105,14 +93,10 @@ type Controller struct {
 	tracker *Tracker
 }
 
-// partition is one controller partition: its contiguous ownership range, its
-// scheduler instance (concurrent mode, and partition 0 always), and its
-// commit telemetry.
+// partition is one controller partition: its contiguous ownership range and
+// the wires its I/O goes out on.
 type partition struct {
-	id    int
-	label string // id as the "partition" metric label
-	owned []int  // global data-center ids, ascending
-	sch   sched.Scheduler
+	owned []int // global data-center ids, ascending
 
 	// wires are the mux clients carrying owned agents, found once at
 	// construction (a conn's type never changes afterwards); live is the
@@ -120,11 +104,6 @@ type partition struct {
 	// own goroutine.
 	wires []wire
 	live  []int
-
-	conflicts atomic.Int64
-	retries   atomic.Int64
-	commits   atomic.Int64
-	forced    atomic.Int64
 }
 
 // wire is one MuxClient as a partition sees it: the batch frame it builds for
@@ -136,23 +115,13 @@ type wire struct {
 	calls  []transport.BatchCall
 }
 
-// commitMetrics is the registry surface of the commit protocol.
-type commitMetrics struct {
-	conflicts *telemetry.CounterVec
-	retries   *telemetry.CounterVec
-	commits   *telemetry.CounterVec
-	latency   *telemetry.HistogramVec
-}
-
-// PartitionStats is one partition's commit-protocol counters. They stay zero
-// when the loop decides once: there is no commit to count.
+// PartitionStats describes one partition. The loop decides once, so there is
+// no commit to count: Conflicts, Retries, Commits and Forced are always zero.
 type PartitionStats struct {
 	Partition int
 	Owned     int
-	Conflicts int64 // commits rejected on a version mismatch
-	Retries   int64 // re-decide rounds after a rejection
-	Commits   int64 // successful commits (slots decided)
-	Forced    int64 // commits applied unvalidated after MaxRetries rejections
+
+	Conflicts, Retries, Commits, Forced int64
 }
 
 // Option customizes a Controller.
@@ -165,23 +134,15 @@ func WithObserver(obs telemetry.SlotObserver) Option {
 	return func(ct *Controller) { ct.obs = obs }
 }
 
-// Partitioning selects how the loop splits the fleet and how it decides.
+// Partitioning selects how the loop splits the fleet's I/O. At any partition
+// count the loop decides once per slot, so its trajectory is the single
+// controller's.
 type Partitioning struct {
 	// Partitions is the number of contiguous, near-equal ownership ranges the
 	// data centers are split into.
 	Partitions int
-	// Deterministic makes the loop decide once per slot, on the slot-initial
-	// backlogs, with one scheduler — the single controller's trajectory at
-	// any partition count. One partition always decides once: it has no peer
-	// to conflict with.
-	Deterministic bool
-	// NewScheduler builds the schedulers: one when the loop decides once, one
-	// per partition otherwise (schedulers are stateful).
+	// NewScheduler builds the loop's one scheduler.
 	NewScheduler func() (sched.Scheduler, error)
-	// MaxRetries bounds a partition's conflict-retry loop per slot; after
-	// that many rejections it commits unvalidated (counted in Stats.Forced).
-	// Default: Partitions — by then every conflicting peer has committed.
-	MaxRetries int
 }
 
 // New builds the single controller: one partition, one scheduler, one
@@ -212,9 +173,6 @@ func NewPartitioned(c *model.Cluster, conns []AgentConn, pt Partitioning, opts .
 	if pt.NewScheduler == nil {
 		return nil, fmt.Errorf("nil scheduler factory")
 	}
-	if pt.MaxRetries <= 0 {
-		pt.MaxRetries = pt.Partitions
-	}
 	weights := make([]float64, c.M())
 	for m, a := range c.Accounts {
 		weights[m] = a.Weight
@@ -223,14 +181,20 @@ func NewPartitioned(c *model.Cluster, conns []AgentConn, pt Partitioning, opts .
 	if err != nil {
 		return nil, err
 	}
+	sch, err := pt.NewScheduler()
+	if err != nil {
+		return nil, fmt.Errorf("scheduler: %w", err)
+	}
+	if sch == nil {
+		return nil, fmt.Errorf("scheduler factory returned nil")
+	}
 	ct := &Controller{
-		cluster:    c,
-		conns:      conns,
-		fair:       fair,
-		board:      newBoard(c.J()),
-		scratch:    NewSlotScratch(c),
-		decideOnce: pt.Deterministic || pt.Partitions == 1,
-		maxRetries: pt.MaxRetries,
+		cluster: c,
+		conns:   conns,
+		fair:    fair,
+		central: make([]queue.Ledger, c.J()),
+		scratch: NewSlotScratch(c),
+		sch:     sch,
 	}
 	for _, opt := range opts {
 		opt(ct)
@@ -241,33 +205,12 @@ func NewPartitioned(c *model.Cluster, conns []AgentConn, pt Partitioning, opts .
 	ct.wireOf = make([]int, n)
 	for id := 0; id < p; id++ {
 		lo, hi := id*n/p, (id+1)*n/p
-		part := &partition{id: id, label: strconv.Itoa(id), owned: make([]int, 0, hi-lo), live: make([]int, 0, hi-lo)}
+		part := &partition{owned: make([]int, 0, hi-lo), live: make([]int, 0, hi-lo)}
 		for i := lo; i < hi; i++ {
 			part.owned = append(part.owned, i)
 			ct.wireOf[i] = part.wireFor(conns[i])
 		}
-		if id == 0 || !ct.decideOnce {
-			if part.sch, err = pt.NewScheduler(); err != nil {
-				return nil, fmt.Errorf("partition %d scheduler: %w", id, err)
-			}
-			if part.sch == nil {
-				return nil, fmt.Errorf("partition %d: scheduler factory returned nil", id)
-			}
-		}
 		ct.parts = append(ct.parts, part)
-	}
-	if ct.reg != nil && !ct.decideOnce {
-		ct.commit = &commitMetrics{
-			conflicts: ct.reg.Counter("grefar_controlplane_commit_conflicts_total",
-				"Optimistic commits rejected because a conflicting commit advanced a claimed central-queue row.", "partition"),
-			retries: ct.reg.Counter("grefar_controlplane_commit_retries_total",
-				"Re-decide rounds run after a rejected commit.", "partition"),
-			commits: ct.reg.Counter("grefar_controlplane_commits_total",
-				"Successful partition commits (one per partition per applied slot).", "partition"),
-			latency: ct.reg.Histogram("grefar_controlplane_commit_seconds",
-				"Wall-clock time from a partition's first snapshot to its accepted commit, retries included.",
-				[]float64{.00005, .0001, .00025, .0005, .001, .0025, .005, .01, .025, .05, .1, .25}, "partition"),
-		}
 	}
 	return ct, nil
 }
@@ -282,20 +225,19 @@ func (ct *Controller) Owned(p int) []int { return append([]int(nil), ct.parts[p]
 func (ct *Controller) Health() []AgentHealth { return ct.tracker.Health() }
 
 // CentralLens returns the central backlog per job type.
-func (ct *Controller) CentralLens() []float64 { return ct.board.lensUnclaimed() }
+func (ct *Controller) CentralLens() []float64 {
+	out := make([]float64, len(ct.central))
+	for j := range ct.central {
+		out[j] = ct.central[j].Len()
+	}
+	return out
+}
 
-// Stats returns each partition's commit-protocol counters.
+// Stats describes each partition.
 func (ct *Controller) Stats() []PartitionStats {
 	out := make([]PartitionStats, len(ct.parts))
 	for i, p := range ct.parts {
-		out[i] = PartitionStats{
-			Partition: p.id,
-			Owned:     len(p.owned),
-			Conflicts: p.conflicts.Load(),
-			Retries:   p.retries.Load(),
-			Commits:   p.commits.Load(),
-			Forced:    p.forced.Load(),
-		}
+		out[i] = PartitionStats{Partition: i, Owned: len(p.owned)}
 	}
 	return out
 }
@@ -304,13 +246,13 @@ func (ct *Controller) Stats() []PartitionStats {
 // controller can resume exactly where the previous one stopped; pair it with
 // agent.Agent.Snapshot for whole-system checkpoints.
 func (ct *Controller) Snapshot() ([]byte, error) {
-	return queue.SnapshotLedgers(ct.board.ledgers)
+	return queue.SnapshotLedgers(ct.central)
 }
 
 // Restore replaces the central queue state from a Snapshot of a controller
 // for the same cluster.
 func (ct *Controller) Restore(snapshot []byte) error {
-	return queue.RestoreLedgers(ct.board.ledgers, snapshot)
+	return queue.RestoreLedgers(ct.central, snapshot)
 }
 
 // errAgentDead marks an agent excluded from the gather set because its
@@ -531,15 +473,9 @@ func (ct *Controller) RunSlotContext(ctx context.Context, t int, arrivals []int)
 		ct.tracker.NoteDegraded()
 	}
 
-	var act *model.Action
-	var err error
-	if ct.decideOnce {
-		act, err = ct.parts[0].sch.Decide(t, st, pre)
-	} else {
-		act, err = ct.decideConcurrently(t, st, pre)
-	}
+	act, err := ct.sch.Decide(t, st, pre)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("slot %d: %s: %w", t, ct.parts[0].sch.Name(), err)
+		return nil, nil, nil, fmt.Errorf("slot %d: %s: %w", t, ct.sch.Name(), err)
 	}
 	// Flow around masked sites: zero their rows so the realized dispatch,
 	// the queue dynamics, and the invariant checker's nominal-route checks
@@ -560,7 +496,7 @@ func (ct *Controller) RunSlotContext(ctx context.Context, t int, arrivals []int)
 	// slot would pop the same jobs twice and break conservation. Clone the
 	// ledgers now and restore them on the abort path so a failed slot leaves
 	// the central queues exactly as it found them. (Degrade never aborts.)
-	central := ct.board.ledgers
+	central := ct.central
 	var checkpoint []queue.Ledger
 	if !degrade {
 		checkpoint = make([]queue.Ledger, c.J())
@@ -572,8 +508,8 @@ func (ct *Controller) RunSlotContext(ctx context.Context, t int, arrivals []int)
 	// Dispatch jobs from the central queues, capped at queue content, in one
 	// pass in (job type, data-center) order exactly like queue.Set.Apply: the
 	// distributed run is bit-identical to the single-process simulator, and
-	// however many partitions contributed rows, the realized routing is what
-	// the invariant checker's flow-routed rule recomputes from the action.
+	// the realized routing is what the invariant checker's flow-routed rule
+	// recomputes from the action.
 	// routedF is slot evidence for a detail observer and handed to it, so it
 	// is built fresh, and only when one is listening.
 	routed := ct.scratch.Routed
@@ -671,63 +607,6 @@ func (ct *Controller) RunSlotContext(ctx context.Context, t int, arrivals []int)
 	return act, st, acks, nil
 }
 
-// decideConcurrently is the shared-state decision: every partition decides
-// against a versioned snapshot of the central board and commits its claim
-// optimistically, retrying on conflict. Each partition decides full-cluster
-// (the schedulers are whole-problem solvers) but only its owned rows enter
-// the merged action; claims cover only owned-row routes, so conflicts are
-// exactly overlapping central-queue demands.
-func (ct *Controller) decideConcurrently(t int, st *model.State, pre queue.Lengths) (*model.Action, error) {
-	c := ct.cluster
-	ct.board.resetClaims()
-	merged := model.NewAction(c)
-	partErrs := make([]error, len(ct.parts))
-	ct.eachPartition(func(p *partition) {
-		start := time.Now()
-		var act *model.Action
-		for attempt := 0; ; attempt++ {
-			v := ct.board.snapshot()
-			a, err := p.sch.Decide(t, st, queue.Lengths{Central: v.lens, Local: pre.Local})
-			if err != nil {
-				partErrs[p.id] = fmt.Errorf("partition %d: %w", p.id, err)
-				return
-			}
-			want := make([]float64, c.J())
-			for _, i := range p.owned {
-				for j, r := range a.Route[i] {
-					want[j] += float64(r)
-				}
-			}
-			act = a
-			if attempt >= ct.maxRetries {
-				ct.board.claim(v, want, false)
-				p.forced.Add(1)
-				break
-			}
-			if ct.board.claim(v, want, true) {
-				break
-			}
-			p.conflicts.Add(1)
-			p.retries.Add(1)
-			if ct.commit != nil {
-				ct.commit.conflicts.With(p.label).Inc()
-				ct.commit.retries.With(p.label).Inc()
-			}
-		}
-		p.commits.Add(1)
-		if ct.commit != nil {
-			ct.commit.commits.With(p.label).Inc()
-			ct.commit.latency.With(p.label).Observe(time.Since(start).Seconds())
-		}
-		for _, i := range p.owned {
-			copy(merged.Route[i], act.Route[i])
-			copy(merged.Process[i], act.Process[i])
-			copy(merged.Busy[i], act.Busy[i])
-		}
-	})
-	return merged, errors.Join(partErrs...)
-}
-
 // emitSlot assembles and publishes the controller's per-slot telemetry
 // event, including the full slot evidence when the observer asks for it.
 func (ct *Controller) emitSlot(t int, arrivals []int, st *model.State, act *model.Action,
@@ -743,7 +622,7 @@ func (ct *Controller) emitSlot(t int, arrivals []int, st *model.State, act *mode
 	ev := telemetry.SlotEvent{
 		Slot:       t,
 		Origin:     telemetry.OriginController,
-		Scheduler:  ct.parts[0].sch.Name(),
+		Scheduler:  ct.sch.Name(),
 		DataCenter: -1,
 		Degraded:   masked,
 	}
@@ -815,7 +694,7 @@ func (ct *Controller) RunContext(ctx context.Context, slots int, wl workload.Gen
 		workAvg[i] = metrics.NewRunning(false)
 	}
 
-	res := &sim.Result{SchedulerName: ct.parts[0].sch.Name(), Slots: slots}
+	res := &sim.Result{SchedulerName: ct.sch.Name(), Slots: slots}
 	for t := 0; t < slots; t++ {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {

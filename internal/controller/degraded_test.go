@@ -13,6 +13,7 @@ import (
 	"grefar/internal/agent"
 	"grefar/internal/core"
 	"grefar/internal/invariant"
+	"grefar/internal/sched"
 	"grefar/internal/sim"
 	"grefar/internal/telemetry"
 	"grefar/internal/transport"
@@ -43,8 +44,9 @@ func chaosPlan() *chaos.Plan {
 // runChaosTrace runs the reference workload under the Degrade policy with the
 // plan's faults injected on every agent connection, the invariant checker
 // verifying every applied slot, and a trace recorder pinning the event
-// stream. It returns the serialized JSONL trace and the controller.
-func runChaosTrace(t *testing.T, plan *chaos.Plan, reg *telemetry.Registry) ([]byte, *Controller) {
+// stream, through a loop of the given partition count (1 is what New builds).
+// It returns the serialized JSONL trace and the controller.
+func runChaosTrace(t *testing.T, plan *chaos.Plan, reg *telemetry.Registry, parts int) ([]byte, *Controller) {
 	t.Helper()
 	if err := plan.Validate(); err != nil {
 		t.Fatal(err)
@@ -66,10 +68,6 @@ func runChaosTrace(t *testing.T, plan *chaos.Plan, reg *telemetry.Registry) ([]b
 		}
 		conns[i] = plan.Wrap(localConn{a: a}, i)
 	}
-	g, err := core.New(in.Cluster, core.Config{V: 7.5})
-	if err != nil {
-		t.Fatal(err)
-	}
 	rec := &invariant.TraceRecorder{}
 	ck := invariant.NewChecker(in.Cluster, invariant.CheckerOptions{})
 	opts := []Option{
@@ -79,7 +77,12 @@ func runChaosTrace(t *testing.T, plan *chaos.Plan, reg *telemetry.Registry) ([]b
 	if reg != nil {
 		opts = append(opts, WithHealthMetrics(reg))
 	}
-	ct, err := New(in.Cluster, g, conns, opts...)
+	ct, err := NewPartitioned(in.Cluster, conns, Partitioning{
+		Partitions: parts,
+		NewScheduler: func() (sched.Scheduler, error) {
+			return core.New(in.Cluster, core.Config{V: 7.5})
+		},
+	}, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +111,7 @@ func runChaosTrace(t *testing.T, plan *chaos.Plan, reg *telemetry.Registry) ([]b
 // recover to Healthy within a bounded number of slots after their windows end.
 func TestDegradedModeSurvivesChaos(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	trace, ct := runChaosTrace(t, chaosPlan(), reg)
+	trace, ct := runChaosTrace(t, chaosPlan(), reg, 1)
 
 	for i, h := range ct.Health() {
 		if h != Healthy {
@@ -196,7 +199,7 @@ func containsInt(s []int, v int) bool {
 // seed, same faults, byte-identical trace, run after run. Regenerate
 // deliberately with `go test ./internal/controller -run TestGoldenChaos -update`.
 func TestGoldenChaosTrace(t *testing.T) {
-	got, _ := runChaosTrace(t, chaosPlan(), nil)
+	got, _ := runChaosTrace(t, chaosPlan(), nil, 1)
 	path := filepath.Join("testdata", "golden_chaos.jsonl")
 	if *updateChaosGolden {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -217,9 +220,27 @@ func TestGoldenChaosTrace(t *testing.T) {
 	}
 
 	// And the run must be deterministic in-process too.
-	again, _ := runChaosTrace(t, chaosPlan(), nil)
+	again, _ := runChaosTrace(t, chaosPlan(), nil, 1)
 	if diff := invariant.DiffJSONL(again, got); diff != "" {
 		t.Errorf("same-seed chaos reruns diverge:\n%s", diff)
+	}
+}
+
+// TestPartitionedChaosMatchesGolden composes partitions with chaos: the
+// acceptance scenario run through a two- and a three-partition loop must
+// reproduce the single controller's golden chaos trace byte for byte, with
+// the invariant checker clean on every applied slot. The partitions only
+// split the agent I/O; the loop decides once per slot at any count.
+func TestPartitionedChaosMatchesGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "golden_chaos.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, parts := range []int{2, 3} {
+		got, _ := runChaosTrace(t, chaosPlan(), nil, parts)
+		if diff := invariant.DiffJSONL(got, want); diff != "" {
+			t.Errorf("P=%d chaos trace deviates from the golden trace:\n%s", parts, diff)
+		}
 	}
 }
 

@@ -5,12 +5,12 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"grefar/internal/agent"
 	"grefar/internal/controller"
 	"grefar/internal/core"
+	"grefar/internal/hollow"
 	"grefar/internal/invariant"
 	"grefar/internal/sched"
 	"grefar/internal/sim"
@@ -43,14 +43,11 @@ func (l localConn) Call(kind string, reqBody, respBody any) error {
 	return transport.Unmarshal(out, respBody)
 }
 
-func buildSystem(t *testing.T, slots int) (sim.Inputs, []controller.AgentConn, func()) {
+// buildSystem starts one in-process agent per site of in's cluster.
+func buildSystem(t *testing.T, in sim.Inputs) []controller.AgentConn {
 	t.Helper()
-	in, err := sim.NewReferenceInputs(2012, slots)
-	if err != nil {
-		t.Fatal(err)
-	}
 	conns := make([]controller.AgentConn, in.Cluster.N())
-	for i := 0; i < in.Cluster.N(); i++ {
+	for i := range conns {
 		a, err := agent.New(agent.Config{
 			Cluster:      in.Cluster,
 			DataCenter:   i,
@@ -62,7 +59,16 @@ func buildSystem(t *testing.T, slots int) (sim.Inputs, []controller.AgentConn, f
 		}
 		conns[i] = localConn{a: a}
 	}
-	return in, conns, func() {}
+	return conns
+}
+
+func referenceInputs(t *testing.T, slots int) sim.Inputs {
+	t.Helper()
+	in, err := sim.NewReferenceInputs(2012, slots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return in
 }
 
 func grefarFactory(in sim.Inputs) func() (sched.Scheduler, error) {
@@ -71,164 +77,97 @@ func grefarFactory(in sim.Inputs) func() (sched.Scheduler, error) {
 	}
 }
 
-// TestPartitionedMatchesSingle pins the deterministic-mode equivalence that
-// makes the partitioned plane trustworthy: deciding once from the
-// slot-initial snapshot, with only gather and scatter split P ways, a
-// P-partition plane must reproduce the single controller's event trace byte
-// for byte, for every partition count, and match the checked-in golden trace.
+// TestPartitionedMatchesSingle pins the equivalence that makes the
+// partitioned plane trustworthy: deciding once from the slot-initial
+// backlogs, with only probe, gather and scatter split P ways, a P-partition
+// plane must reproduce the single controller's event trace byte for byte at
+// every partition count — on the reference cluster, whose trace must also
+// match the checked-in golden one, and on an eight-site hollow cluster, where
+// P reaches 4 — with every commit counter at zero.
 // Regenerate deliberately with
 // `go test ./internal/controlplane -run TestPartitionedMatchesSingle -update`.
 func TestPartitionedMatchesSingle(t *testing.T) {
 	const slots = 24
 
-	runSingle := func() []byte {
-		in, conns, cleanup := buildSystem(t, slots)
-		defer cleanup()
-		g, err := core.New(in.Cluster, core.Config{V: 7.5})
-		if err != nil {
-			t.Fatal(err)
-		}
+	// run drives a fresh system over in for the horizon: the single
+	// controller when parts is 0, a P-partition plane otherwise.
+	run := func(in sim.Inputs, parts int) []byte {
+		conns := buildSystem(t, in)
 		var buf bytes.Buffer
-		ct, err := controller.New(in.Cluster, g, conns,
-			controller.WithObserver(telemetry.NewJSONLObserver(&buf)))
+		obs := telemetry.NewJSONLObserver(&buf)
+		var loop *Plane
+		var err error
+		if parts == 0 {
+			var g sched.Scheduler
+			if g, err = grefarFactory(in)(); err == nil {
+				loop, err = controller.New(in.Cluster, g, conns, controller.WithObserver(obs))
+			}
+		} else {
+			loop, err = New(in.Cluster, conns, Config{
+				Partitions:   parts,
+				NewScheduler: grefarFactory(in),
+				Observer:     obs,
+			})
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
 		for tt := 0; tt < slots; tt++ {
-			if _, _, _, err := ct.RunSlot(tt, in.Workload.Arrivals(tt)); err != nil {
-				t.Fatalf("single controller slot %d: %v", tt, err)
+			if _, _, _, err := loop.RunSlot(tt, in.Workload.Arrivals(tt)); err != nil {
+				t.Fatalf("P=%d slot %d: %v", parts, tt, err)
+			}
+		}
+		for _, st := range loop.Stats() {
+			if st.Conflicts != 0 || st.Retries != 0 || st.Commits != 0 || st.Forced != 0 {
+				t.Errorf("P=%d partition %d: counters %+v, want zero (the loop decides once)", parts, st.Partition, st)
 			}
 		}
 		return buf.Bytes()
 	}
-	single := runSingle()
 
-	runPartitioned := func(parts int) ([]byte, *Plane) {
-		in, conns, cleanup := buildSystem(t, slots)
-		defer cleanup()
-		var buf bytes.Buffer
-		pl, err := New(in.Cluster, conns, Config{
-			Partitions:    parts,
-			Deterministic: true,
-			NewScheduler:  grefarFactory(in),
-			Observer:      telemetry.NewJSONLObserver(&buf),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for tt := 0; tt < slots; tt++ {
-			if _, _, _, err := pl.RunSlot(tt, in.Workload.Arrivals(tt)); err != nil {
-				t.Fatalf("partitioned (P=%d) slot %d: %v", parts, tt, err)
-			}
-		}
-		return buf.Bytes(), pl
-	}
-
-	var golden []byte
-	for parts := 1; parts <= 3; parts++ {
-		trace, pl := runPartitioned(parts)
-		if diff := invariant.DiffJSONL(trace, single); diff != "" {
-			t.Fatalf("P=%d deterministic trace deviates from single controller:\n%s", parts, diff)
-		}
-		for _, st := range pl.Stats() {
-			if st.Conflicts != 0 || st.Forced != 0 {
-				t.Errorf("P=%d partition %d: deterministic mode recorded conflicts=%d forced=%d",
-					parts, st.Partition, st.Conflicts, st.Forced)
-			}
-			if st.Commits != 0 {
-				t.Errorf("P=%d partition %d: %d commits, want 0 (deterministic mode decides once, it does not commit)",
-					parts, st.Partition, st.Commits)
-			}
-		}
-		golden = trace
-	}
-
-	path := filepath.Join("testdata", "golden_partitioned.jsonl")
-	if *updateGolden {
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, golden, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %s (%d bytes)", path, len(golden))
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden partitioned trace (regenerate with -update): %v", err)
-	}
-	if diff := invariant.DiffJSONL(golden, want); diff != "" {
-		t.Errorf("partitioned trace deviates from %s:\n%s", path, diff)
-	}
-}
-
-// TestConcurrentCommitsKeepInvariants runs the plane in full optimistic
-// concurrency — every partition snapshotting, deciding, and committing
-// against the live board — with the invariant checker attached: whatever
-// interleaving the scheduler produces, every applied slot must satisfy
-// conservation, queue dynamics, and flow realization, and the commit
-// telemetry must account for every slot.
-func TestConcurrentCommitsKeepInvariants(t *testing.T) {
-	const slots, parts = 40, 3
-	in, conns, cleanup := buildSystem(t, slots)
-	defer cleanup()
-	ck := invariant.NewChecker(in.Cluster, invariant.CheckerOptions{})
-	reg := telemetry.NewRegistry()
-	pl, err := New(in.Cluster, conns, Config{
-		Partitions:   parts,
-		NewScheduler: grefarFactory(in),
-		Observer:     ck,
-		Registry:     reg,
-	})
+	hollowIn, err := hollow.NewScaleInputs(2012, 8, slots)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for tt := 0; tt < slots; tt++ {
-		if _, _, _, err := pl.RunSlot(tt, in.Workload.Arrivals(tt)); err != nil {
-			t.Fatalf("slot %d: %v", tt, err)
-		}
-	}
-	if err := ck.Err(); err != nil {
-		t.Errorf("invariant violation under concurrent commits: %v", err)
-	}
-	if ck.Slots() != slots {
-		t.Errorf("checker saw %d slots, want %d", ck.Slots(), slots)
-	}
-	var commits, conflicts, retries int64
-	for _, st := range pl.Stats() {
-		commits += st.Commits
-		conflicts += st.Conflicts
-		retries += st.Retries
-		if st.Commits != slots {
-			t.Errorf("partition %d: %d commits, want %d", st.Partition, st.Commits, slots)
-		}
-	}
-	if commits != int64(slots*parts) {
-		t.Errorf("total commits %d, want %d", commits, slots*parts)
-	}
-	if conflicts != retries {
-		t.Errorf("conflicts %d != retries %d: every rejection must trigger exactly one retry", conflicts, retries)
-	}
-	var prom bytes.Buffer
-	if err := reg.WritePrometheus(&prom); err != nil {
-		t.Fatal(err)
-	}
-	for _, fam := range []string{
-		"grefar_controlplane_commits_total",
-		"grefar_controlplane_commit_conflicts_total",
-		"grefar_controlplane_commit_seconds",
+	for _, tc := range []struct {
+		name     string
+		in       sim.Inputs
+		maxParts int
+	}{
+		{"reference", referenceInputs(t, slots), 3},
+		{"hollow-8", hollowIn, 4},
 	} {
-		if !strings.Contains(prom.String(), fam) {
-			t.Errorf("registry missing %s", fam)
+		single := run(tc.in, 0)
+		for parts := 1; parts <= tc.maxParts; parts++ {
+			if diff := invariant.DiffJSONL(run(tc.in, parts), single); diff != "" {
+				t.Fatalf("%s P=%d trace deviates from single controller:\n%s", tc.name, parts, diff)
+			}
+		}
+		if tc.name != "reference" {
+			continue
+		}
+		path := filepath.Join("testdata", "golden_partitioned.jsonl")
+		if *updateGolden {
+			if err := os.WriteFile(path, single, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("wrote %s (%d bytes)", path, len(single))
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("missing golden partitioned trace (regenerate with -update): %v", err)
+		}
+		if diff := invariant.DiffJSONL(single, want); diff != "" {
+			t.Errorf("partitioned trace deviates from %s:\n%s", path, diff)
 		}
 	}
 }
 
 // TestNewValidation pins the constructor's error surface.
 func TestNewValidation(t *testing.T) {
-	in, conns, cleanup := buildSystem(t, 8)
-	defer cleanup()
+	in := referenceInputs(t, 8)
+	conns := buildSystem(t, in)
 	fac := grefarFactory(in)
 	if _, err := New(in.Cluster, conns, Config{Partitions: 0, NewScheduler: fac}); err == nil {
 		t.Error("zero partitions accepted")

@@ -40,9 +40,9 @@ type ScaleConfig struct {
 	// Chaos adds a second run per agent count with partitions and drops.
 	Chaos bool
 	// Partitions, when > 1, adds a partitioned-control-plane arm per agent
-	// count: the same fleet driven by that many concurrent controller
-	// partitions committing optimistically against the shared queue board
-	// (fault-free, and under chaos when Chaos is set).
+	// count: the same fleet driven by a loop whose probe, gather and scatter
+	// are split over that many controller partitions (fault-free, and under
+	// chaos when Chaos is set).
 	Partitions int
 	// KillFrac is the fraction of agents the chaos variant partitions
 	// (default 0.05), staggered through the middle half of the horizon.
@@ -84,9 +84,6 @@ type ScalePoint struct {
 	// Partitions is the controller partition count driving this cell
 	// (1 = the single controller).
 	Partitions int
-	// Conflicts, Retries, and ForcedCommits aggregate the optimistic-commit
-	// protocol across partitions and slots; all zero for Partitions == 1.
-	Conflicts, Retries, ForcedCommits int64
 	// P50 and P99 are slot-tick latency percentiles: one tick is probe +
 	// gather + decide + scatter + settle, the full RunSlot critical path.
 	P50, P99 time.Duration
@@ -235,11 +232,6 @@ func scaleRun(cfg ScaleConfig, n, parts int, plan *chaos.Plan) (ScalePoint, erro
 	pt.DegradedSlots = col.degraded
 	pt.EnergyPerSlot = col.energy / float64(cfg.Slots)
 	pt.FinalBacklog = col.backlog
-	for _, st := range ct.Stats() {
-		pt.Conflicts += st.Conflicts
-		pt.Retries += st.Retries
-		pt.ForcedCommits += st.Forced
-	}
 	return pt, nil
 }
 

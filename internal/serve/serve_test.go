@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/gob"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -72,6 +73,52 @@ func TestSessionSubmitValidation(t *testing.T) {
 	}
 	if accepted != 5 || s.Pending()[0] != 5 || s.Submitted() != 5 {
 		t.Fatalf("accepted=%d pending=%v submitted=%v", accepted, s.Pending(), s.Submitted())
+	}
+}
+
+// TestSessionSubmitRefusesOverflow pins that a count which would wrap the
+// batch total or the pending buffer is refused before anything moves: a
+// wrapped buffer goes negative, and Restore rejects a checkpoint of it as
+// corrupt, so the session could never come back.
+func TestSessionSubmitRefusesOverflow(t *testing.T) {
+	s, err := NewSession(testConfig(t, core.Config{V: 7.5}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Submit([]Job{{Type: 0, Count: math.MaxInt}}); err != nil {
+		t.Fatalf("first math.MaxInt job refused: %v", err)
+	}
+	pending, submitted := s.Pending(), s.Submitted()
+	for _, batch := range [][]Job{
+		{{Type: 0, Count: math.MaxInt}},            // wraps pending[0]
+		{{Type: 1, Count: math.MaxInt}, {Type: 1}}, // wraps the batch total
+		{{Type: 1, Count: 3}, {Type: 0, Count: 1}}, // wraps pending[0] in its tail
+	} {
+		rejected := s.rejected
+		if _, err := s.Submit(batch); !errors.Is(err, ErrBadJob) {
+			t.Fatalf("batch %v: got %v, want ErrBadJob", batch, err)
+		}
+		if s.rejected != rejected+1 {
+			t.Errorf("batch %v: rejected counter %v -> %v, want one more", batch, rejected, s.rejected)
+		}
+	}
+	if !reflect.DeepEqual(s.Pending(), pending) || s.Submitted() != submitted {
+		t.Fatalf("refused batches moved the session: pending %v -> %v, submitted %v -> %v",
+			pending, s.Pending(), submitted, s.Submitted())
+	}
+	var buf bytes.Buffer
+	if err := s.Checkpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := NewSession(testConfig(t, core.Config{V: 7.5}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.Restore(&buf); err != nil {
+		t.Fatalf("checkpoint after refused overflow does not restore: %v", err)
+	}
+	if !reflect.DeepEqual(restored.Pending(), pending) {
+		t.Errorf("restored pending %v, want %v", restored.Pending(), pending)
 	}
 }
 

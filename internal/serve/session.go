@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sync"
 
 	"grefar/internal/core"
@@ -115,7 +116,9 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 // Submit queues jobs for admission at the next Ticks and returns how many
 // jobs were accepted. The batch is validated first and rejected atomically:
 // either every job is queued or none is, so a half-applied batch can never
-// be checkpointed.
+// be checkpointed. A batch whose total, or whose total added to the pending
+// buffer of any type it names, would overflow an int is refused: a wrapped
+// buffer would go negative, and no snapshot of it would restore.
 func (s *Session) Submit(jobs []Job) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -132,18 +135,21 @@ func (s *Session) Submit(jobs []Job) (int, error) {
 			s.rejected++
 			return 0, fmt.Errorf("%w: job %d: negative count %d", ErrBadJob, k, job.Count)
 		}
-		if job.Count == 0 {
-			total++
-		} else {
-			total += job.Count
+		n := max(job.Count, 1)
+		if n > math.MaxInt-total {
+			s.rejected++
+			return 0, fmt.Errorf("%w: job %d: count %d overflows the batch total", ErrBadJob, k, job.Count)
+		}
+		total += n
+	}
+	for k, job := range jobs {
+		if s.pending[job.Type] > math.MaxInt-total {
+			s.rejected++
+			return 0, fmt.Errorf("%w: job %d: count %d overflows type %d's pending buffer", ErrBadJob, k, job.Count, job.Type)
 		}
 	}
 	for _, job := range jobs {
-		n := job.Count
-		if n == 0 {
-			n = 1
-		}
-		s.pending[job.Type] += n
+		s.pending[job.Type] += max(job.Count, 1)
 	}
 	s.submitted += float64(total)
 	return total, nil
