@@ -111,9 +111,9 @@ bench-slot:
 	$(GO) test -count=1 -run 'TestDecideAllocationBudget|TestEngineStepAllocationBudget' -v .
 
 # SLOT_BENCHES is the set recorded in BENCH_slot.json: the per-slot solver
-# cost on the reference cluster (with and without the warm-started away-step
-# path) plus the large-instance N=200/J=100 arms (auto, dense, sparse,
-# decomposed, pooled decomposed) at ~10% active-pair density and one whole
+# cost on the reference cluster (the linear beta=0 slot and the warm-started
+# away-step beta=100 one) plus the large-instance N=200/J=100 arms (auto,
+# dense, sparse, decomposed, pooled decomposed) at ~10% active-pair density and one whole
 # default-configured engine slot at the same shape, and the routing half of a
 # decision alone at 20 and at 500 candidate sites per job type (it lives in
 # internal/core, hence the second package on those lines). DIST_BENCHES is
@@ -121,9 +121,8 @@ bench-slot:
 # (one mux conn per agent), the hollow-fleet sweep at 100/500/1000/2000
 # agents, the partitioned-control-plane cells (agents x partitions), and the
 # wire codec alone (state report and allocation, encode and decode). benchjson
-# records the box under "_env" (BENCH_distributed.json has it, BENCH_slot.json
-# gets it at its next refresh) and bench-compare refuses a run taken at
-# another GOMAXPROCS.
+# records the box under "_env" in both files, and bench-compare refuses a run
+# taken at another GOMAXPROCS.
 SLOT_BENCHES = BenchmarkSlotDecision$$|BenchmarkEngineStep$$|BenchmarkDecideRouting$$
 DIST_BENCHES = BenchmarkDistributedSlot$$|BenchmarkHollowSlot/|BenchmarkPartitionedSlot/|BenchmarkCodec/
 BENCHCOUNT ?= 3
@@ -138,8 +137,8 @@ bench-json:
 		| $(GO) run ./cmd/benchjson -out BENCH_distributed.json
 
 # bench-compare re-runs the same benchmarks and fails on >15% ns/op or
-# allocs/op regressions: the beta=100 slot decisions (cold and warm) and the
-# N=200/J=100 large-instance arms and engine step against BENCH_slot.json
+# allocs/op regressions: the beta=100 slot decision and the N=200/J=100
+# large-instance arms and engine step against BENCH_slot.json
 # (the benchjson default guard covers all three families), and the
 # distributed slot ticks (one mux conn per agent and every hollow fleet size)
 # against BENCH_distributed.json; other benchmarks warn — including the

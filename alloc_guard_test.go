@@ -62,13 +62,9 @@ func TestDecideAllocationBudget(t *testing.T) {
 	cases := []struct {
 		name string
 		beta float64
-		opts []grefar.Option
 	}{
 		{name: "beta=0", beta: 0},
 		{name: "beta=100", beta: 100},
-		{name: "beta=100-warm", beta: 100, opts: []grefar.Option{
-			grefar.WithWarmStart(true), grefar.WithAwaySteps(true),
-		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -81,7 +77,7 @@ func TestDecideAllocationBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 			c := inputs.Cluster
-			g, err := grefar.New(c, append([]grefar.Option{grefar.Config{V: 7.5, Beta: tc.beta}}, tc.opts...)...)
+			g, err := grefar.New(c, grefar.Config{V: 7.5, Beta: tc.beta})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -263,13 +263,6 @@ func BenchmarkSlotDecision(b *testing.B) {
 			benchmarkSlotDecision(b, beta)
 		})
 	}
-	// The optimized solver path: cross-slot warm start + away-step
-	// Frank-Wolfe. Compare against beta=100 for the solver-engineering win;
-	// `make bench-json` records both in BENCH_slot.json.
-	b.Run("beta=100-warm", func(b *testing.B) {
-		b.ReportAllocs()
-		benchmarkSlotDecision(b, 100, grefar.WithWarmStart(true), grefar.WithAwaySteps(true))
-	})
 	// The large-instance arms: a 200-site, 100-job-type synthetic cluster at
 	// ~10% active-pair density, where the sparse index and block decomposition
 	// earn their keep. All arms share the same instance and the same per-slot
@@ -324,7 +317,7 @@ func newLargeEngine(tb testing.TB) *sim.Engine {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	g, err := grefar.New(in.Cluster, grefar.WithV(7.5), grefar.WithBeta(100), grefar.WithWarmStart(true))
+	g, err := grefar.New(in.Cluster, grefar.WithV(7.5), grefar.WithBeta(100))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -351,7 +344,6 @@ func benchmarkLargeSlotDecision(b *testing.B, kind grefar.SolverKind, workers in
 	}
 	g, err := grefar.New(in.Cluster,
 		grefar.Config{V: 7.5, Beta: 100},
-		grefar.WithWarmStart(true),
 		grefar.WithSolver(kind),
 		grefar.WithSolverWorkers(workers),
 	)

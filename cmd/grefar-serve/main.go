@@ -9,7 +9,7 @@
 // Usage:
 //
 //	grefar-serve -listen 127.0.0.1:8080 -snapshot-dir /var/lib/grefar \
-//	             [-seed 2012] [-v 7.5] [-beta 100] [-warm] [-check] \
+//	             [-seed 2012] [-v 7.5] [-beta 100] [-check] \
 //	             [-snapshot-every 20] [-tick 1s] [-pprof]
 //
 // With -snapshot-dir the daemon restores the newest intact snapshot at boot
@@ -137,8 +137,6 @@ func newApp(args []string) (*app, error) {
 	horizon := fs.Int("horizon", 4096, "length of the materialized environment (slots wrap past it)")
 	v := fs.Float64("v", 7.5, "cost-delay parameter V")
 	beta := fs.Float64("beta", 100, "energy-fairness parameter beta")
-	warm := fs.Bool("warm", false, "warm-start the convex slot solve from the previous slot")
-	away := fs.Bool("away", false, "use away-step Frank-Wolfe for the convex slot solve")
 	check := fs.Bool("check", false, "re-verify every slot against the paper's queue dynamics")
 	snapDir := fs.String("snapshot-dir", "", "directory for durable checkpoints (empty disables)")
 	snapEvery := fs.Int("snapshot-every", 20, "checkpoint automatically every n served slots (0 disables)")
@@ -159,7 +157,6 @@ func newApp(args []string) (*app, error) {
 	s, err := grefar.Open(
 		grefar.WithInputs(in),
 		grefar.WithV(*v), grefar.WithBeta(*beta),
-		grefar.WithWarmStart(*warm), grefar.WithAwaySteps(*away),
 		grefar.WithActionValidation(true), grefar.WithCheck(*check),
 		grefar.WithTelemetry(reg),
 	)

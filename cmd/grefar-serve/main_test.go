@@ -62,7 +62,7 @@ func TestServeKillRestartMatchesGolden(t *testing.T) {
 	schedule := e2eSchedule(slots, types)
 	dir := filepath.Join(t.TempDir(), "snaps")
 	flags := []string{
-		"-seed", "2012", "-horizon", "64", "-v", "7.5", "-beta", "100", "-warm",
+		"-seed", "2012", "-horizon", "64", "-v", "7.5", "-beta", "100",
 		"-check", "-snapshot-dir", dir, "-snapshot-every", "5",
 	}
 
@@ -75,7 +75,7 @@ func TestServeKillRestartMatchesGolden(t *testing.T) {
 	in.Workload = nil
 	golden, err := grefar.Open(
 		grefar.WithInputs(in),
-		grefar.WithV(7.5), grefar.WithBeta(100), grefar.WithWarmStart(true),
+		grefar.WithV(7.5), grefar.WithBeta(100),
 		grefar.WithActionValidation(true), grefar.WithCheck(true),
 	)
 	if err != nil {

@@ -79,7 +79,7 @@ type (
 	// (energy-fairness).
 	Config = core.Config
 	// FWOptions tunes the Frank-Wolfe solver used when beta > 0 (see
-	// WithFrankWolfe, WithAwaySteps, WithWarmStart).
+	// WithFrankWolfe).
 	FWOptions = solve.FWOptions
 	// QueueLengths is the backlog snapshot Theta(t) a Scheduler observes.
 	QueueLengths = queue.Lengths

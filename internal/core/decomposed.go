@@ -237,11 +237,10 @@ func decomposedRho(vbeta float64, n int, total float64) float64 {
 	return 1
 }
 
-// decomposedFWOptions tunes the per-block subproblem solves: away steps for
-// linear convergence on the small site polytopes, a tolerance well under the
-// outer residual thresholds, and a bounded iteration budget (the polish
-// cleans up whatever the blocks leave).
-var decomposedFWOptions = solve.FWOptions{MaxIters: 120, Tol: 1e-10, AwaySteps: true}
+// decomposedFWOptions tunes the per-block subproblem solves: a tolerance well
+// under the outer residual thresholds and a bounded iteration budget (the
+// polish cleans up whatever the blocks leave).
+var decomposedFWOptions = solve.FWOptions{MaxIters: 120, Tol: 1e-10}
 
 // proxFor builds the sharing prox for the fairness coupling g(a) =
 // vbeta*P(a, total): per account, the scalar stationarity condition
@@ -331,41 +330,20 @@ func (g *GreFar) solveDecomposedQuadratic(st *model.State, act *model.Action, st
 	d.refreshValues(sp)
 
 	// Block iterates are derived state: every Decide re-seeds them from the
-	// repaired dense warm iterate (or zero), so restoring SchedulerState
-	// alone reproduces the decision stream exactly.
-	warm := ""
-	warmLoaded := false
-	if g.cfg.WarmStart {
-		outcome := warmFallback
-		if ws.warmValid {
-			outcome = sp.repairWarm(st, ws.warm)
-		}
-		switch outcome {
-		case warmHit:
-			warm = telemetry.WarmHit
-			g.warmHits++
-		case warmRepaired:
-			warm = telemetry.WarmRepaired
-			g.warmRepairs++
-		default:
-			warm = telemetry.WarmFallback
-			g.warmFallbacks++
-		}
-		warmLoaded = outcome != warmFallback
+	// repaired dense warm iterate (zeroed on fallback), so restoring
+	// SchedulerState alone reproduces the decision stream exactly.
+	outcome := warmFallback
+	if ws.warmValid {
+		outcome = sp.repairWarm(st, ws.warm)
 	}
+	warm := g.warmStart(outcome)
 	for i := 0; i < n; i++ {
 		ds := &d.sites[i]
-		if warmLoaded {
-			for s := 0; s < ds.nh; s++ {
-				ds.x[s] = ws.warm[sp.denseIdx[sp.siteOff[i]+s]]
-			}
-			for k := 0; k < ds.nb; k++ {
-				ds.x[ds.nh+k] = ws.warm[sp.l.bOff[i]+k]
-			}
-		} else {
-			for s := range ds.x {
-				ds.x[s] = 0
-			}
+		for s := 0; s < ds.nh; s++ {
+			ds.x[s] = ws.warm[sp.denseIdx[sp.siteOff[i]+s]]
+		}
+		for k := 0; k < ds.nb; k++ {
+			ds.x[ds.nh+k] = ws.warm[sp.l.bOff[i]+k]
 		}
 		ds.computeContrib()
 		d.oracles[i] = ds.oracle(c, st, i, &d.scr[i])
@@ -423,7 +401,6 @@ func (g *GreFar) solveDecomposedQuadratic(st *model.State, act *model.Action, st
 	if opts.MaxIters <= 0 {
 		opts.MaxIters = 150
 	}
-	opts.AwaySteps = true
 	res, err := solve.FrankWolfeWS(&ws.fw, sp.wrapped, sp.oracle(st), d.xfull, opts)
 	if err != nil {
 		return fmt.Errorf("frank-wolfe polish: %w", err)
@@ -432,10 +409,8 @@ func (g *GreFar) solveDecomposedQuadratic(st *model.State, act *model.Action, st
 	// FW workspace): SolveSlotDecomposed reads it back out after Decide-level
 	// helpers have run.
 	copy(d.xfull, res.X)
-	if g.cfg.WarmStart {
-		sp.scatterWarm(res.X, ws.warm)
-		ws.warmValid = true
-	}
+	sp.scatterWarm(res.X, ws.warm)
+	ws.warmValid = true
 	if stats != nil {
 		*stats = telemetry.SolveStats{
 			Solver:     telemetry.SolverDecomposed,

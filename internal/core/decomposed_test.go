@@ -47,7 +47,7 @@ func TestDecomposedLinearBitIdentical(t *testing.T) {
 func TestDecomposedQuadraticAgreesWithDense(t *testing.T) {
 	c := refCluster(t)
 	states, lengths := stateTestWorld(t, c, 12)
-	cfg := Config{V: 7.5, Beta: 100, FW: solve.FWOptions{MaxIters: 2000, Tol: 1e-9, AwaySteps: true}}
+	cfg := Config{V: 7.5, Beta: 100, FW: solve.FWOptions{MaxIters: 2000, Tol: 1e-9}}
 
 	cfgDense := cfg
 	cfgDense.Solver = SolverMonolithic
@@ -87,7 +87,7 @@ func TestDecomposedDeterministicAcrossWorkers(t *testing.T) {
 	c := refCluster(t)
 	states, lengths := stateTestWorld(t, c, 15)
 	run := func(workers int) []*model.Action {
-		cfg := Config{V: 7.5, Beta: 100, WarmStart: true, Solver: SolverDecomposed, SolverWorkers: workers}
+		cfg := Config{V: 7.5, Beta: 100, Solver: SolverDecomposed, SolverWorkers: workers}
 		g, err := New(c, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -119,7 +119,7 @@ func TestDecomposedStateRoundTrip(t *testing.T) {
 	c := refCluster(t)
 	const slots, split = 20, 10
 	states, lengths := stateTestWorld(t, c, slots)
-	cfg := Config{V: 7.5, Beta: 100, WarmStart: true, Solver: SolverDecomposed}
+	cfg := Config{V: 7.5, Beta: 100, Solver: SolverDecomposed}
 
 	full, err := New(c, cfg)
 	if err != nil {

@@ -35,13 +35,11 @@ type Config struct {
 	// defaults; invalid values (negative MaxIters, NaN or negative Tol) are
 	// rejected at New with ErrBadConfig.
 	FW solve.FWOptions
-	// WarmStart seeds each slot's convex solve (Beta > 0) with the previous
-	// slot's iterate, repaired against the current slot's availability caps,
-	// instead of cold-starting from zero. Consecutive slot problems differ
-	// only by backlogs, prices, and availability, so the previous optimum is
-	// usually a few iterations from the new one. Off by default: results are
-	// equal within the solver tolerance but not bit-identical, and golden
-	// traces pin the cold-start behavior.
+	// WarmStart is read by nothing: every convex slot solve (Beta > 0) starts
+	// from the previous slot's iterate, repaired against the current slot's
+	// caps, and from zero only on the first slot or when the repair fails.
+	//
+	// Deprecated: ignored; kept so existing Config literals compile.
 	WarmStart bool
 	// Routing selects how routing ties are broken (sites with equal local
 	// backlog have identical coefficients in (14), so the minimizer is not
@@ -154,7 +152,7 @@ type GreFar struct {
 	ws *decideScratch
 
 	// Warm-start outcome counters, cumulative over the scheduler's lifetime
-	// and surfaced in every SolveStats when WarmStart is on.
+	// and surfaced in every convex slot's SolveStats.
 	warmHits, warmRepairs, warmFallbacks int
 
 	// reportOpts marks a scheduler whose solver options depart from the
@@ -221,8 +219,7 @@ func New(c *model.Cluster, cfg Config) (*GreFar, error) {
 	if cfg.Solver == SolverDecomposed {
 		g.ws.dec = newDecomposedScratch(c)
 	}
-	g.reportOpts = cfg.FW != (solve.FWOptions{}) || cfg.WarmStart ||
-		cfg.Solver != SolverAuto || cfg.SolverWorkers != 0
+	g.reportOpts = cfg.FW != (solve.FWOptions{}) || cfg.Solver != SolverAuto || cfg.SolverWorkers != 0
 	return g, nil
 }
 
@@ -614,54 +611,25 @@ func (g *GreFar) solveQuadraticSlot(st *model.State, cH, cB, hCap [][]float64, s
 		opts.MaxIters = 150
 	}
 
-	// Starting point: the previous slot's iterate when warm-starting is on
-	// and the iterate survives repair against this slot's caps, the zero
-	// vector otherwise. The repair mutates ws.warm in place; on fallback the
-	// half-repaired buffer is simply not used (and is overwritten by this
-	// slot's result below).
-	start := ws.x0
-	warm := ""
-	if g.cfg.WarmStart {
-		outcome := warmFallback
-		if ws.warmValid {
-			outcome = repairWarmStart(c, st, hCap, l, ws.warm)
-		}
-		switch outcome {
-		case warmHit:
-			start = ws.warm
-			warm = telemetry.WarmHit
-			g.warmHits++
-		case warmRepaired:
-			start = ws.warm
-			warm = telemetry.WarmRepaired
-			g.warmRepairs++
-		default:
-			warm = telemetry.WarmFallback
-			g.warmFallbacks++
-		}
+	// Start from the previous slot's iterate, repaired in place against this
+	// slot's caps, or from zero (see warmStart).
+	outcome := warmFallback
+	if ws.warmValid {
+		outcome = repairWarmStart(c, st, hCap, l, ws.warm)
 	}
-	if &start[0] == &ws.x0[0] {
-		for j := range ws.x0 {
-			ws.x0[j] = 0
-		}
-	}
-	res, err := solve.FrankWolfeWS(&ws.fw, ws.wrapped, oracle, start, opts)
+	warm := g.warmStart(outcome)
+	res, err := solve.FrankWolfeWS(&ws.fw, ws.wrapped, oracle, ws.warm, opts)
 	if err != nil {
 		return nil, fmt.Errorf("frank-wolfe: %w", err)
 	}
-	if g.cfg.WarmStart {
-		copy(ws.warm, res.X)
-		ws.warmValid = true
-	}
+	copy(ws.warm, res.X)
+	ws.warmValid = true
 	if stats != nil {
 		*stats = telemetry.SolveStats{
 			Solver:     telemetry.SolverFrankWolfe,
 			Iterations: res.Iters,
 			Converged:  res.Converged,
 			Residual:   res.Gap,
-		}
-		if res.Variant != solve.VariantVanilla {
-			stats.Variant = res.Variant
 		}
 		g.attachWarmStats(stats, warm)
 		g.attachSolverOptions(stats, opts)
@@ -681,4 +649,22 @@ func (g *GreFar) solveQuadraticSlot(st *model.State, cH, cB, hCap [][]float64, s
 		}
 	}
 	return process, nil
+}
+
+// warmStart settles this slot's starting point in ws.warm from the repair's
+// verdict on the previous slot's iterate (warmFallback when there is none):
+// on a hit or repair the iterate stands, on a fallback it is zeroed, a cold
+// start. It counts the outcome and returns its telemetry label.
+func (g *GreFar) warmStart(outcome warmOutcome) string {
+	switch outcome {
+	case warmHit:
+		g.warmHits++
+		return telemetry.WarmHit
+	case warmRepaired:
+		g.warmRepairs++
+		return telemetry.WarmRepaired
+	}
+	clear(g.ws.warm)
+	g.warmFallbacks++
+	return telemetry.WarmFallback
 }

@@ -48,7 +48,6 @@ type decideScratch struct {
 	// Dense quadratic (beta > 0 / non-linear tariff) path, allocated only
 	// when a dense configuration can take it.
 	linear  []float64 // linear coefficients over the flat (h, b) vector
-	x0      []float64 // Frank-Wolfe starting point
 	gradH   [][]float64
 	gradB   [][]float64
 	process [][]float64 // clamped h result
@@ -56,18 +55,18 @@ type decideScratch struct {
 	wrapped solve.Objective
 	fw      solve.FWWorkspace
 
-	// Cross-slot warm start (Config.WarmStart): warm holds the previous
-	// slot's (h, b) iterate in slotLayout order, and warmValid reports
-	// whether it exists (false before the first solve). The buffer follows
-	// the workspace's single-owner rule — it is this scheduler's memory of
-	// its own trajectory, so sharing a scheduler across runs would leak one
-	// run's iterate into another; one scheduler per run keeps it sound.
-	// Decide repairs the iterate against the current slot's caps before use
-	// and falls back to the zero start when repair fails (see
-	// repairWarmStart). Both representations keep it in the dense layout —
-	// that is what SchedulerState carries, so a checkpoint restores under
-	// either — and only a configuration that can reach the convex path has
-	// one: a linear-slot scheduler exports no warm state.
+	// Cross-slot warm start: warm holds the previous slot's (h, b) iterate
+	// in slotLayout order, and warmValid reports whether it exists (false
+	// before the first solve). The buffer follows the workspace's
+	// single-owner rule — it is this scheduler's memory of its own
+	// trajectory, so sharing a scheduler across runs would leak one run's
+	// iterate into another; one scheduler per run keeps it sound. Decide
+	// repairs the iterate against the current slot's caps and zeroes it when
+	// repair fails (see GreFar.warmStart); the dense path then hands it to
+	// Frank-Wolfe as the starting point. Both representations keep it in the
+	// dense layout — that is what SchedulerState carries, so a checkpoint
+	// restores under either — and only a configuration that can reach the
+	// convex path has one: a linear-slot scheduler exports no warm state.
 	warm      []float64
 	warmValid bool
 
@@ -130,7 +129,6 @@ func newDecideScratch(c *model.Cluster, quad, compact bool) *decideScratch {
 	ws.lin = *newLinearScratch(c)
 	if quad {
 		ws.linear = make([]float64, ws.layout.total)
-		ws.x0 = make([]float64, ws.layout.total)
 		ws.gradH = newMatrixNJ(c)
 		ws.gradB = newMatrixNK(c)
 		ws.process = newMatrixNJ(c)

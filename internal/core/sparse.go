@@ -83,9 +83,10 @@ type sparseSlot struct {
 	// Refresh counters: full index rebuilds vs in-place site-row refreshes.
 	rebuilds, rowRefreshes int
 
-	// Solver buffers in compact layout.
-	x0, xw, vertex []float64
-	scr            siteScratch
+	// Solver buffers in compact layout: xw is the Frank-Wolfe starting point
+	// gathered from the dense warm buffer.
+	xw, vertex []float64
+	scr        siteScratch
 }
 
 // siteScratch holds one site's greedy-exchange buffers. The decomposed
@@ -500,7 +501,7 @@ func (g *GreFar) decideProcessingSparse(st *model.State, q queue.Lengths, act *m
 	c, ws := g.cluster, g.ws
 	sp := ws.sparse
 	var warmRef []float64
-	if g.cfg.WarmStart && ws.warmValid {
+	if ws.warmValid {
 		warmRef = ws.warm
 	}
 	sp.refresh(g.cfg, st, q, warmRef)
@@ -594,53 +595,25 @@ func (g *GreFar) solveSparseQuadratic(st *model.State, act *model.Action, stats 
 		opts.MaxIters = 150
 	}
 
-	sp.x0 = resizeFloats(sp.x0, sp.total)
-	start := sp.x0
-	warm := ""
-	if g.cfg.WarmStart {
-		outcome := warmFallback
-		if ws.warmValid {
-			outcome = sp.repairWarm(st, ws.warm)
-		}
-		switch outcome {
-		case warmHit:
-			warm = telemetry.WarmHit
-			g.warmHits++
-		case warmRepaired:
-			warm = telemetry.WarmRepaired
-			g.warmRepairs++
-		default:
-			warm = telemetry.WarmFallback
-			g.warmFallbacks++
-		}
-		if outcome != warmFallback {
-			sp.xw = resizeFloats(sp.xw, sp.total)
-			sp.gather(ws.warm, sp.xw)
-			start = sp.xw
-		}
+	outcome := warmFallback
+	if ws.warmValid {
+		outcome = sp.repairWarm(st, ws.warm)
 	}
-	if len(start) > 0 && &start[0] == &sp.x0[0] {
-		for j := range sp.x0 {
-			sp.x0[j] = 0
-		}
-	}
-	res, err := solve.FrankWolfeWS(&ws.fw, sp.wrapped, oracle, start, opts)
+	warm := g.warmStart(outcome)
+	sp.xw = resizeFloats(sp.xw, sp.total)
+	sp.gather(ws.warm, sp.xw)
+	res, err := solve.FrankWolfeWS(&ws.fw, sp.wrapped, oracle, sp.xw, opts)
 	if err != nil {
 		return fmt.Errorf("frank-wolfe: %w", err)
 	}
-	if g.cfg.WarmStart {
-		sp.scatterWarm(res.X, ws.warm)
-		ws.warmValid = true
-	}
+	sp.scatterWarm(res.X, ws.warm)
+	ws.warmValid = true
 	if stats != nil {
 		*stats = telemetry.SolveStats{
 			Solver:     telemetry.SolverFrankWolfe,
 			Iterations: res.Iters,
 			Converged:  res.Converged,
 			Residual:   res.Gap,
-		}
-		if res.Variant != solve.VariantVanilla {
-			stats.Variant = res.Variant
 		}
 		g.attachWarmStats(stats, warm)
 		g.attachSolverOptions(stats, opts)
@@ -666,12 +639,8 @@ func (sp *sparseSlot) clampProcess(x []float64, act *model.Action) {
 	}
 }
 
-// attachWarmStats fills the warm-start telemetry fields when warm starts are
-// configured.
+// attachWarmStats fills the warm-start telemetry fields of a convex slot.
 func (g *GreFar) attachWarmStats(stats *telemetry.SolveStats, warm string) {
-	if !g.cfg.WarmStart {
-		return
-	}
 	stats.Warm = warm
 	stats.WarmHits = g.warmHits
 	stats.WarmRepairs = g.warmRepairs
@@ -685,12 +654,7 @@ func (g *GreFar) attachSolverOptions(stats *telemetry.SolveStats, opts solve.FWO
 	if !g.reportOpts || g.optsReported {
 		return
 	}
-	stats.Options = &telemetry.SolverOptions{
-		MaxIters:  opts.MaxIters,
-		Tol:       opts.Tol,
-		AwaySteps: opts.AwaySteps,
-		WarmStart: g.cfg.WarmStart,
-	}
+	stats.Options = &telemetry.SolverOptions{MaxIters: opts.MaxIters, Tol: opts.Tol}
 	if g.cfg.Solver != SolverAuto {
 		stats.Options.Solver = g.cfg.Solver.String()
 	}

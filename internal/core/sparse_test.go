@@ -11,7 +11,6 @@ import (
 
 	"grefar/internal/model"
 	"grefar/internal/queue"
-	"grefar/internal/solve"
 	"grefar/internal/tariff"
 )
 
@@ -135,9 +134,9 @@ func decisionsEqual(t *testing.T, slot int, label string, a, b *model.Action) {
 // TestSparseDecideBitIdentical drives the monolithic and sparse schedulers
 // through the same evolving slot sequence and requires byte-identical
 // decisions — the bit-identity argument of the sparse representation, pinned
-// for the linear path, the convex path, and the warm-started convex path. The
-// dense arm pins SolverMonolithic: the default resolves to the compact
-// representation on this cluster.
+// for the linear path and the (warm-started) convex path. The dense arm pins
+// SolverMonolithic: the default resolves to the compact representation on
+// this cluster.
 func TestSparseDecideBitIdentical(t *testing.T) {
 	c := refCluster(t)
 	states, lengths := stateTestWorld(t, c, 30)
@@ -147,8 +146,6 @@ func TestSparseDecideBitIdentical(t *testing.T) {
 	}{
 		{"beta=0", Config{V: 7.5}},
 		{"beta=100", Config{V: 7.5, Beta: 100}},
-		{"beta=100-warm", Config{V: 7.5, Beta: 100, WarmStart: true}},
-		{"beta=100-away", Config{V: 7.5, Beta: 100, FW: awayFWOptions()}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -197,7 +194,7 @@ func TestAutoResolvesRepresentation(t *testing.T) {
 		compact bool
 	}{
 		{"reference-linear", refCluster(t), Config{V: 7.5}, true},
-		{"reference-convex", refCluster(t), Config{V: 7.5, Beta: 100, WarmStart: true}, true},
+		{"reference-convex", refCluster(t), Config{V: 7.5, Beta: 100}, true},
 		{"linear-tariff", refCluster(t), Config{V: 7.5, Beta: 100, Tariff: tariff.Linear{}}, true},
 		{"auxiliary-resources", auxCluster(), Config{V: 1, Beta: 5}, false},
 		{"quadratic-tariff", twoSiteCluster(), Config{V: 2, Tariff: quadTariff}, false},
@@ -217,7 +214,7 @@ func TestAutoResolvesRepresentation(t *testing.T) {
 					t.Fatal("compact scheduler has no sparse slot")
 				}
 				if ws.cH != nil || ws.cB != nil || ws.hCap != nil || ws.lin.out.process != nil ||
-					ws.linear != nil || ws.x0 != nil || ws.gradH != nil || ws.gradB != nil || ws.process != nil {
+					ws.linear != nil || ws.gradH != nil || ws.gradB != nil || ws.process != nil {
 					t.Error("compact scheduler allocated dense scratch")
 				}
 			} else {
@@ -246,12 +243,6 @@ func TestAutoResolvesRepresentation(t *testing.T) {
 			}
 		})
 	}
-}
-
-func awayFWOptions() (o solve.FWOptions) {
-	o.MaxIters = 150
-	o.AwaySteps = true
-	return o
 }
 
 // TestSparseRefreshIncremental pins the refresh machinery: with stable active
@@ -447,8 +438,6 @@ func TestSparseDecideBitIdenticalOddEligibility(t *testing.T) {
 	for _, cfg := range []Config{
 		{V: 7.5},
 		{V: 7.5, Beta: 100},
-		{V: 7.5, Beta: 100, WarmStart: true},
-		{V: 7.5, Beta: 100, WarmStart: true, FW: awayFWOptions()},
 	} {
 		cfgDense, cfgSparse := cfg, cfg
 		cfgDense.Solver, cfgSparse.Solver = SolverMonolithic, SolverSparse
@@ -523,7 +512,7 @@ func stripedCluster(tb testing.TB, n, nJ, stripes int) *model.Cluster {
 // same bytes — which a second pass of either must then accept as they are.
 func TestSparseRepairWarmMatchesDense(t *testing.T) {
 	c := stripedCluster(t, 200, 100, 10)
-	cfg := Config{V: 7.5, Beta: 100, WarmStart: true}
+	cfg := Config{V: 7.5, Beta: 100}
 	g, err := New(c, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -64,7 +64,7 @@ func TestSchedulerStateRoundTrip(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			build := func(kind SolverKind) *GreFar {
-				g, err := New(c, Config{V: 7.5, Beta: 100, WarmStart: true, Solver: kind})
+				g, err := New(c, Config{V: 7.5, Beta: 100, Solver: kind})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -129,7 +129,7 @@ func TestSchedulerStateLinearPath(t *testing.T) {
 	c := model.NewReferenceCluster()
 	states, lengths := stateTestWorld(t, c, 3)
 	for _, kind := range []SolverKind{SolverAuto, SolverMonolithic, SolverSparse, SolverDecomposed} {
-		for _, cfg := range []Config{{V: 7.5}, {V: 0, Beta: 100}, {V: 7.5, WarmStart: true}} {
+		for _, cfg := range []Config{{V: 7.5}, {V: 0, Beta: 100}} {
 			cfg.Solver = kind
 			g, err := New(c, cfg)
 			if err != nil {
@@ -213,7 +213,7 @@ func TestRestoreRejectsIneligibleWarmMass(t *testing.T) {
 	for _, kind := range []SolverKind{SolverAuto, SolverMonolithic, SolverSparse, SolverDecomposed} {
 		for _, planted := range []float64{3, -2} {
 			build := func() *GreFar {
-				g, err := New(c, Config{V: 7.5, Beta: 100, WarmStart: true, Solver: kind})
+				g, err := New(c, Config{V: 7.5, Beta: 100, Solver: kind})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -164,27 +164,36 @@ func collectSolves(dst *[]telemetry.SolveStats) telemetry.SlotObserver {
 	})
 }
 
-// TestWarmStartShrunkAvailability drives a warm-started scheduler through an
-// availability drop sharp enough that the saved iterate violates the new
-// caps: the repaired start must still produce a valid action whose objective
-// matches a cold-started scheduler's to within the cross-check tolerance.
+// coldDecide decides one slot on a fresh scheduler, whose first convex
+// solve starts from zero: the cold reference a warm-started decision is held
+// to.
+func coldDecide(t *testing.T, c *model.Cluster, cfg Config, slot int, st *model.State, q queue.Lengths) *model.Action {
+	t.Helper()
+	cfg.Observer = nil
+	g, err := New(c, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	act, err := g.Decide(slot, st, q)
+	if err != nil {
+		t.Fatalf("slot %d cold: %v", slot, err)
+	}
+	return act
+}
+
+// TestWarmStartShrunkAvailability drives a scheduler through an availability
+// drop sharp enough that the saved iterate violates the new caps: the
+// repaired start must still produce a valid action whose objective matches a
+// fresh scheduler's cold first slot to within the cross-check tolerance.
 func TestWarmStartShrunkAvailability(t *testing.T) {
 	c := refCluster(t)
-	// Tight tolerance + away steps in both schedulers: parity then measures
-	// the warm start, not residual solver error.
-	cfg := Config{V: 7.5, Beta: 100, WarmStart: true}
-	cfg.FW.AwaySteps = true
+	// A tight tolerance makes parity measure the warm start, not residual
+	// solver error.
+	cfg := Config{V: 7.5, Beta: 100}
 	cfg.FW.Tol = 1e-9
 	var stats []telemetry.SolveStats
 	cfg.Observer = collectSolves(&stats)
 	warm, err := New(c, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	coldCfg := cfg
-	coldCfg.WarmStart = false
-	coldCfg.Observer = nil
-	cold, err := New(c, coldCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,10 +214,7 @@ func TestWarmStartShrunkAvailability(t *testing.T) {
 		if err := wAct.Validate(c, st); err != nil {
 			t.Fatalf("slot %d: warm action invalid: %v", slot, err)
 		}
-		cAct, err := cold.Decide(slot, st, q)
-		if err != nil {
-			t.Fatalf("slot %d cold: %v", slot, err)
-		}
+		cAct := coldDecide(t, c, cfg, slot, st, q)
 		wObj := DriftPlusPenalty(c, cfg, st, q, wAct, gamma)
 		cObj := DriftPlusPenalty(c, cfg, st, q, cAct, gamma)
 		rel := math.Abs(wObj-cObj) / math.Max(1, math.Max(math.Abs(wObj), math.Abs(cObj)))
@@ -227,29 +233,20 @@ func TestWarmStartShrunkAvailability(t *testing.T) {
 	}
 }
 
-// TestWarmVsColdParity runs a longer randomized slot sequence with warm
-// start and away steps on, asserting per-slot objective parity with the
-// cold vanilla scheduler and that the telemetry counters account for every
-// slot.
+// TestWarmVsColdParity runs a longer randomized slot sequence, asserting
+// per-slot objective parity with a fresh scheduler's cold first slot on the
+// same input and that the telemetry counters account for every slot.
 func TestWarmVsColdParity(t *testing.T) {
 	const slots = 30
 	c := refCluster(t)
-	// Same solver in both schedulers (away steps, tight tolerance) so the
-	// only difference is the starting point: any objective drift then
-	// isolates a warm-start bug rather than a convergence-rate artifact.
-	cfg := Config{V: 7.5, Beta: 100, WarmStart: true}
-	cfg.FW.AwaySteps = true
+	// Same solver and tight tolerance on both sides, so the only difference
+	// is the starting point: any objective drift then isolates a warm-start
+	// bug rather than a convergence-rate artifact.
+	cfg := Config{V: 7.5, Beta: 100}
 	cfg.FW.Tol = 1e-9
 	var stats []telemetry.SolveStats
 	cfg.Observer = collectSolves(&stats)
 	warm, err := New(c, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	coldCfg := cfg
-	coldCfg.WarmStart = false
-	coldCfg.Observer = nil
-	cold, err := New(c, coldCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,10 +264,7 @@ func TestWarmVsColdParity(t *testing.T) {
 		if err := wAct.Validate(c, st); err != nil {
 			t.Fatalf("slot %d: warm action invalid: %v", slot, err)
 		}
-		cAct, err := cold.Decide(slot, st, q)
-		if err != nil {
-			t.Fatalf("slot %d cold: %v", slot, err)
-		}
+		cAct := coldDecide(t, c, cfg, slot, st, q)
 		wObj := DriftPlusPenalty(c, cfg, st, q, wAct, gamma)
 		cObj := DriftPlusPenalty(c, cfg, st, q, cAct, gamma)
 		rel := math.Abs(wObj-cObj) / math.Max(1, math.Max(math.Abs(wObj), math.Abs(cObj)))
@@ -290,35 +284,29 @@ func TestWarmVsColdParity(t *testing.T) {
 	if last.WarmFallbacks == slots {
 		t.Error("warm start never engaged: every slot fell back")
 	}
+	if stats[0].Warm != telemetry.WarmFallback {
+		t.Errorf("slot 0 outcome %q, want %q", stats[0].Warm, telemetry.WarmFallback)
+	}
 	for s, st := range stats {
-		want := telemetry.WarmFallback
-		if s > 0 {
-			want = "" // any outcome, but must be set
-		}
-		if s == 0 && st.Warm != want {
-			t.Errorf("slot 0 outcome %q, want %q", st.Warm, want)
-		}
 		if st.Warm == "" {
 			t.Errorf("slot %d: warm outcome missing", s)
-		}
-		if st.Variant != "away-step" {
-			t.Errorf("slot %d: variant %q, want away-step", s, st.Variant)
 		}
 	}
 }
 
 // TestSolverOptionsReportedOnce pins the once-per-scheduler options
 // surfacing: a scheduler with non-default solver knobs attaches the
-// effective options to its first event only; a default-configured scheduler
-// never attaches them (golden traces depend on this).
+// effective Frank-Wolfe options (and a pinned solver kind) to its first event
+// only; a default-configured scheduler never attaches them (golden traces
+// depend on this), though its convex slots do carry their warm-start fields.
 func TestSolverOptionsReportedOnce(t *testing.T) {
 	c := refCluster(t)
 	st := stateWith(c, 40, []float64{0.4, 0.5, 0.6})
 	rng := rand.New(rand.NewSource(3))
 
 	var tuned []telemetry.SolveStats
-	cfg := Config{V: 7.5, Beta: 100, WarmStart: true}
-	cfg.FW.AwaySteps = true
+	cfg := Config{V: 7.5, Beta: 100}
+	cfg.FW.Tol = 1e-9
 	cfg.Observer = collectSolves(&tuned)
 	g, err := New(c, cfg)
 	if err != nil {
@@ -335,14 +323,8 @@ func TestSolverOptionsReportedOnce(t *testing.T) {
 	if tuned[0].Options == nil {
 		t.Fatal("first event missing effective options")
 	}
-	if !tuned[0].Options.AwaySteps || !tuned[0].Options.WarmStart {
-		t.Errorf("options %+v do not reflect the configuration", *tuned[0].Options)
-	}
-	if tuned[0].Options.MaxIters != 150 {
-		t.Errorf("effective MaxIters %d, want the default 150", tuned[0].Options.MaxIters)
-	}
-	if tuned[0].Options.Solver != "" {
-		t.Errorf("the default solver kind named itself %q in telemetry", tuned[0].Options.Solver)
+	if want := (telemetry.SolverOptions{MaxIters: 150, Tol: 1e-9}); *tuned[0].Options != want {
+		t.Errorf("options %+v, want %+v: the configured tolerance, the default MaxIters and no solver kind", *tuned[0].Options, want)
 	}
 	if tuned[1].Options != nil || tuned[2].Options != nil {
 		t.Error("options attached to more than the first event")
@@ -362,25 +344,25 @@ func TestSolverOptionsReportedOnce(t *testing.T) {
 		if ev.Options != nil {
 			t.Errorf("default scheduler event %d carries options", s)
 		}
-		if ev.Warm != "" || ev.Variant != "" {
-			t.Errorf("default scheduler event %d carries warm/variant fields: %+v", s, ev)
+		if ev.Warm == "" || ev.WarmHits+ev.WarmRepairs+ev.WarmFallbacks != s+1 {
+			t.Errorf("default scheduler event %d lacks its warm-start fields: %+v", s, ev)
 		}
 	}
 
 	// The linear slot path reports no options under the default kind even
 	// with solver knobs set, whichever representation it runs on: the dense
-	// greedy never did.
+	// greedy never did. It has no warm start to report either.
 	for _, kind := range []SolverKind{SolverAuto, SolverMonolithic} {
 		var linear []telemetry.SolveStats
-		g3, err := New(c, Config{V: 7.5, WarmStart: true, Solver: kind, Observer: collectSolves(&linear)})
+		g3, err := New(c, Config{V: 7.5, FW: cfg.FW, Solver: kind, Observer: collectSolves(&linear)})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, err := g3.Decide(0, st, randomLengths(rng, c, 40)); err != nil {
 			t.Fatal(err)
 		}
-		if len(linear) != 1 || linear[0].Options != nil {
-			t.Errorf("%v: linear-path events %+v, want one without options", kind, linear)
+		if len(linear) != 1 || linear[0].Options != nil || linear[0].Warm != "" {
+			t.Errorf("%v: linear-path events %+v, want one without options or warm outcome", kind, linear)
 		}
 	}
 }

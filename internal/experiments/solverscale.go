@@ -285,7 +285,7 @@ func solverScaleRun(cfg SolverScaleConfig, shape [2]int, density float64, arm so
 		return pt, err
 	}
 	pt.ActivePairs = in.ActivePairs
-	ccfg := core.Config{V: cfg.V, Beta: cfg.Beta, WarmStart: true, Solver: arm.kind, SolverWorkers: arm.workers}
+	ccfg := core.Config{V: cfg.V, Beta: cfg.Beta, Solver: arm.kind, SolverWorkers: arm.workers}
 	g, err := core.New(in.Cluster, ccfg)
 	if err != nil {
 		return pt, err

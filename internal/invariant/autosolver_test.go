@@ -9,7 +9,6 @@ import (
 	"grefar/internal/invariant"
 	"grefar/internal/model"
 	"grefar/internal/sim"
-	"grefar/internal/solve"
 	"grefar/internal/telemetry"
 )
 
@@ -43,20 +42,16 @@ func (a *actionLog) ObserveSlot(ev telemetry.SlotEvent) {
 // TestAutoSolverBitIdentical holds the default solver to the dense reference:
 // SolverAuto, which runs on the compact active-pair representation wherever
 // it can, and SolverMonolithic must produce byte-identical actions and JSONL
-// event streams — over the golden-trace run under the linear, convex,
-// warm-started and away-step configurations, and over a drifting 200x100
-// instance with a tenth of its pairs backlogged.
+// event streams — over the golden-trace run under the linear and the
+// (warm-started) convex configuration, and over a drifting 200x100 instance
+// with a tenth of its pairs backlogged.
 func TestAutoSolverBitIdentical(t *testing.T) {
-	away := solve.FWOptions{MaxIters: 150, AwaySteps: true}
 	for _, tc := range []struct {
 		name string
 		cfg  core.Config
 	}{
 		{"beta=0", core.Config{V: 7.5}},
 		{"beta=100", core.Config{V: 7.5, Beta: 100}},
-		{"beta=100-warm", core.Config{V: 7.5, Beta: 100, WarmStart: true}},
-		{"beta=100-away", core.Config{V: 7.5, Beta: 100, FW: away}},
-		{"beta=100-warm-away", core.Config{V: 7.5, Beta: 100, WarmStart: true, FW: away}},
 	} {
 		t.Run("golden/"+tc.name, func(t *testing.T) {
 			run := func(kind core.SolverKind) ([]byte, []*model.Action) {
@@ -106,7 +101,7 @@ func TestAutoSolverBitIdentical(t *testing.T) {
 			}
 			rec := &invariant.TraceRecorder{}
 			g, err := core.New(in.Cluster, core.Config{
-				V: 7.5, Beta: 100, WarmStart: true, Solver: kind, Observer: kindBlind{rec},
+				V: 7.5, Beta: 100, Solver: kind, Observer: kindBlind{rec},
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -20,12 +20,9 @@ type SolverObjectives struct {
 	Greedy float64
 	// LP is the two-phase simplex objective.
 	LP float64
-	// FrankWolfe is the vanilla Frank-Wolfe objective over the same polytope.
+	// FrankWolfe is the (away-step) Frank-Wolfe objective over the same
+	// polytope.
 	FrankWolfe float64
-	// FrankWolfeAway is the away-step Frank-Wolfe objective: same oracle and
-	// feasible set as FrankWolfe, but entirely different step machinery
-	// (active atom set, away directions, drop steps).
-	FrankWolfeAway float64
 	// ProjGrad is the projected-gradient objective, using exact Euclidean
 	// projection onto the slot polytope via dual bisection.
 	ProjGrad float64
@@ -50,7 +47,6 @@ func (out *SolverObjectives) compare(tol float64) error {
 		{"greedy", out.Greedy},
 		{"simplex", out.LP},
 		{"frank-wolfe", out.FrankWolfe},
-		{"away-step frank-wolfe", out.FrankWolfeAway},
 		{"projected-gradient", out.ProjGrad},
 		{"decomposed", out.Decomposed},
 	}
@@ -77,18 +73,18 @@ func (out *SolverObjectives) compare(tol float64) error {
 
 // CrossCheckSolvers is the differential testing engine for the per-slot
 // processing problem. At beta = 0 it runs the greedy exchange, the simplex
-// LP, both Frank-Wolfe variants, and a projected-gradient solver on the
-// identical slot input (cluster, config, state, backlogs); the solvers share
-// no iterative machinery — greedy is combinatorial, the simplex pivots a
-// tableau, Frank-Wolfe calls a linear oracle, and projected gradient only
-// ever projects — so agreement is strong evidence each one is correct. At
-// beta > 0 the slot program is the convex QP of (14); the two one-shot
-// linear solvers sit out (Greedy and LP are NaN) and the engine compares
-// vanilla Frank-Wolfe, away-step Frank-Wolfe, and projected gradient on the
-// exact objective core.Decide optimizes (core.SlotObjective), additionally
-// verifying every final iterate is feasible for the scheduling polytope.
-// An error wrapping ErrViolation reports any two objectives disagreeing by
-// more than tol relatively, or an infeasible iterate.
+// LP, Frank-Wolfe, and a projected-gradient solver on the identical slot
+// input (cluster, config, state, backlogs); the solvers share no iterative
+// machinery — greedy is combinatorial, the simplex pivots a tableau,
+// Frank-Wolfe calls a linear oracle, and projected gradient only ever
+// projects — so agreement is strong evidence each one is correct. At beta > 0
+// the slot program is the convex QP of (14); the two one-shot linear solvers
+// sit out (Greedy and LP are NaN) and the engine compares Frank-Wolfe and
+// projected gradient on the exact objective core.Decide optimizes
+// (core.SlotObjective), additionally verifying every final iterate is
+// feasible for the scheduling polytope. An error wrapping ErrViolation
+// reports any two objectives disagreeing by more than tol relatively, or an
+// infeasible iterate.
 //
 // tol <= 0 selects 1e-6. Clusters with auxiliary resources skip the greedy
 // (it handles the single capacity constraint only).
@@ -116,8 +112,7 @@ func CrossCheckSolvers(c *model.Cluster, cfg core.Config, st *model.State, q que
 	out.LP = lpObj
 
 	cH, cB, hCap := core.SlotCoefficients(c, cfg, st, q)
-	out.FrankWolfe = frankWolfeSlot(c, st, cH, cB, hCap, false)
-	out.FrankWolfeAway = frankWolfeSlot(c, st, cH, cB, hCap, true)
+	out.FrankWolfe = frankWolfeSlot(c, st, cH, cB, hCap)
 	out.ProjGrad = projGradSlot(c, st, cH, cB, hCap)
 
 	out.Decomposed = math.NaN()
@@ -162,18 +157,11 @@ func decomposedApplies(c *model.Cluster, cfg core.Config) bool {
 	return true
 }
 
-// crossCheckQuadratic is the beta > 0 arm of CrossCheckSolvers: vanilla
-// Frank-Wolfe vs away-step Frank-Wolfe vs projected gradient on the convex
-// slot objective, with feasibility verification of every final iterate.
-//
-// The away-step variant and projected gradient both converge linearly, so
-// their objectives must agree strictly within tol. Vanilla Frank-Wolfe
-// zigzags at O(1/k) on this QP — reaching 1e-6 relative agreement would take
-// hundreds of thousands of oracle calls, which is precisely why the
-// away-step variant exists — so it is checked against its own duality-gap
-// certificate instead: its value may exceed the converged optimum by at most
-// its certified gap, and may never undercut it (an undercut means the
-// evaluation or the feasible set is wrong, not the convergence rate).
+// crossCheckQuadratic is the beta > 0 arm of CrossCheckSolvers: Frank-Wolfe
+// vs projected gradient (vs the decomposed solver, when it applies) on the
+// convex slot objective, with feasibility verification of every final
+// iterate. All of them converge linearly — the decomposed solver through its
+// Frank-Wolfe polish — so their objectives must agree strictly within tol.
 func crossCheckQuadratic(c *model.Cluster, cfg core.Config, st *model.State, q queue.Lengths, tol float64) (*SolverObjectives, error) {
 	obj, hCap, err := core.SlotObjective(c, cfg, st, q)
 	if err != nil {
@@ -183,19 +171,11 @@ func crossCheckQuadratic(c *model.Cluster, cfg core.Config, st *model.State, q q
 	l := newSlotVars(c)
 	oracle := core.SlotOracle(c, st, hCap)
 
-	opts := solve.FWOptions{MaxIters: 4000, Tol: 1e-10}
-	van, err := solve.FrankWolfe(obj, oracle, make([]float64, l.total), opts)
+	fw, err := solve.FrankWolfe(obj, oracle, make([]float64, l.total), solve.FWOptions{MaxIters: 4000, Tol: 1e-10})
 	if err != nil {
 		return nil, fmt.Errorf("%w: frank-wolfe failed: %v", ErrViolation, err)
 	}
-	out.FrankWolfe = van.Value
-
-	opts.AwaySteps = true
-	away, err := solve.FrankWolfe(obj, oracle, make([]float64, l.total), opts)
-	if err != nil {
-		return nil, fmt.Errorf("%w: away-step frank-wolfe failed: %v", ErrViolation, err)
-	}
-	out.FrankWolfeAway = away.Value
+	out.FrankWolfe = fw.Value
 
 	pg := projGradQuadratic(c, st, obj, hCap)
 	out.ProjGrad = pg.Value
@@ -215,8 +195,7 @@ func crossCheckQuadratic(c *model.Cluster, cfg core.Config, st *model.State, q q
 		name string
 		x    []float64
 	}{
-		{"frank-wolfe", van.X},
-		{"away-step frank-wolfe", away.X},
+		{"frank-wolfe", fw.X},
 		{"projected-gradient", pg.X},
 		{"decomposed", decX},
 	} {
@@ -227,49 +206,8 @@ func crossCheckQuadratic(c *model.Cluster, cfg core.Config, st *model.State, q q
 			return out, fmt.Errorf("%w: %s iterate infeasible: %v", ErrViolation, it.name, err)
 		}
 	}
-
-	// Strict agreement between the linearly convergent, mechanically
-	// unrelated solvers: away-step Frank-Wolfe, projected gradient, and (when
-	// applicable) the ADMM-decomposed solver, whose away-step polish gives it
-	// the same convergence guarantee.
-	strict := []struct {
-		name string
-		v    float64
-	}{
-		{"away-step frank-wolfe", away.Value},
-		{"projected-gradient", pg.Value},
-		{"decomposed", out.Decomposed},
-	}
-	for a := 0; a < len(strict); a++ {
-		if math.IsNaN(strict[a].v) {
-			continue
-		}
-		for b := a + 1; b < len(strict); b++ {
-			if math.IsNaN(strict[b].v) {
-				continue
-			}
-			s := math.Max(1, math.Max(math.Abs(strict[a].v), math.Abs(strict[b].v)))
-			rel := math.Abs(strict[a].v-strict[b].v) / s
-			if rel > out.MaxRelDiff {
-				out.MaxRelDiff = rel
-			}
-			if rel > tol {
-				return out, fmt.Errorf("%w: solvers disagree: %s=%v vs %s=%v (relative diff %.3g > %.3g)",
-					ErrViolation, strict[a].name, strict[a].v, strict[b].name, strict[b].v, rel, tol)
-			}
-		}
-	}
-	scale := math.Max(1, math.Max(math.Abs(away.Value), math.Abs(pg.Value)))
-
-	// Vanilla certificate check against the converged optimum.
-	best := math.Min(away.Value, pg.Value)
-	if van.Value < best-tol*scale {
-		return out, fmt.Errorf("%w: vanilla frank-wolfe value %v undercuts the converged optimum %v",
-			ErrViolation, van.Value, best)
-	}
-	if van.Value-best > van.Gap+tol*scale {
-		return out, fmt.Errorf("%w: vanilla frank-wolfe value %v exceeds optimum %v by more than its certified gap %v",
-			ErrViolation, van.Value, best, van.Gap)
+	if err := out.compare(tol); err != nil {
+		return out, err
 	}
 	return out, nil
 }
@@ -341,9 +279,9 @@ func (l slotVars) hIndex(i, j int) int { return i*l.nJ + j }
 // frankWolfeSlot minimizes the linear slot objective with Frank-Wolfe over
 // the scheduling polytope. The objective is linear, so the first oracle call
 // lands on the optimal vertex and the exact line search jumps straight to it;
-// the run still exercises the full gradient/oracle/gap machinery (and, with
-// away set, the active-atom bookkeeping of the away-step variant).
-func frankWolfeSlot(c *model.Cluster, st *model.State, cH, cB, hCap [][]float64, away bool) float64 {
+// the run still exercises the full gradient/oracle/gap machinery and the
+// active-atom bookkeeping.
+func frankWolfeSlot(c *model.Cluster, st *model.State, cH, cB, hCap [][]float64) float64 {
 	l := newSlotVars(c)
 	linear := make([]float64, l.total)
 	for i := 0; i < c.N(); i++ {
@@ -356,7 +294,7 @@ func frankWolfeSlot(c *model.Cluster, st *model.State, cH, cB, hCap [][]float64,
 	}
 	obj := &solve.Quadratic{Linear: linear}
 	oracle := core.SlotOracle(c, st, hCap)
-	res, err := solve.FrankWolfe(obj, oracle, make([]float64, l.total), solve.FWOptions{MaxIters: 50, Tol: 1e-12, AwaySteps: away})
+	res, err := solve.FrankWolfe(obj, oracle, make([]float64, l.total), solve.FWOptions{MaxIters: 50, Tol: 1e-12})
 	if err != nil {
 		return math.NaN()
 	}

@@ -255,7 +255,7 @@ func TestCrossCheckSolversQuadraticAux(t *testing.T) {
 }
 
 // TestCrossCheckSolversBetaZeroRunsAway pins that the beta = 0 mode also
-// cross-runs the away-step variant rather than silently skipping it.
+// cross-runs (away-step) Frank-Wolfe rather than silently skipping it.
 func TestCrossCheckSolversBetaZeroRunsAway(t *testing.T) {
 	in, err := sim.NewReferenceInputs(5, 2)
 	if err != nil {
@@ -270,11 +270,8 @@ func TestCrossCheckSolversBetaZeroRunsAway(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.IsNaN(res.FrankWolfeAway) {
-		t.Error("away-step objective not computed at beta = 0")
-	}
 	if math.IsNaN(res.FrankWolfe) {
-		t.Error("vanilla objective not computed at beta = 0")
+		t.Error("Frank-Wolfe objective not computed at beta = 0")
 	}
 }
 

@@ -6,12 +6,14 @@ import (
 	"encoding/gob"
 	"errors"
 	"math"
+	"os"
 	"reflect"
 	"testing"
 
 	"grefar/internal/core"
 	"grefar/internal/queue"
 	"grefar/internal/sim"
+	"grefar/internal/telemetry"
 )
 
 // testConfig builds a serving-mode session config: the reference environment
@@ -122,6 +124,92 @@ func TestSessionSubmitRefusesOverflow(t *testing.T) {
 	}
 }
 
+// TestSessionSubmitRefusesPendingTotalOverflow pins the cross-type half of
+// the overflow rule: two submissions that each fit their own type's buffer
+// but together overflow the pending total. The second must be refused with
+// the session's snapshot unchanged but for the rejected counter, and a
+// corrected resend must then apply exactly once, as on a session that never
+// saw the refusal. Without the rule the next tick reports a negative
+// pending count, and so does grefar_serve_pending_jobs. A snapshot whose
+// buffers sum past the int range is refused as corrupt.
+func TestSessionSubmitRefusesPendingTotalOverflow(t *testing.T) {
+	big := math.MaxInt/2 + 1<<20
+	open := func() *Session {
+		s, err := NewSession(testConfig(t, core.Config{V: 7.5}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Submit([]Job{{Type: 0, Count: big}}); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	payload := func(s *Session) checkpointPayload {
+		data, err := s.EncodeState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var p checkpointPayload
+		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&p); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	s, twin := open(), open()
+	before := payload(s)
+	if _, err := s.Submit([]Job{{Type: 1, Count: big}}); !errors.Is(err, ErrBadJob) {
+		rep, tickErr := s.Tick(context.Background())
+		t.Fatalf("second submission: got %v, want ErrBadJob; the next tick reports %+v (%v)", err, rep, tickErr)
+	}
+	after := payload(s)
+	if after.Rejected != before.Rejected+1 {
+		t.Errorf("rejected counter %v -> %v, want one more", before.Rejected, after.Rejected)
+	}
+	after.Rejected = before.Rejected
+	if !reflect.DeepEqual(after, before) {
+		t.Fatal("refused batch moved the session")
+	}
+
+	var reps [2]*TickReport
+	for k, x := range []*Session{s, twin} {
+		if _, err := x.Submit([]Job{{Type: 1, Count: 3}}); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := x.Tick(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		reps[k] = rep
+	}
+	if *reps[0] != *reps[1] || reps[0].Pending != big+3-reps[0].Admitted {
+		t.Fatalf("corrected resend: tick %+v, on a session without the refusal %+v", *reps[0], *reps[1])
+	}
+	var buf bytes.Buffer
+	if err := s.Checkpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := NewSession(testConfig(t, core.Config{V: 7.5}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.Restore(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := restored.totalPending(); got != reps[0].Pending {
+		t.Errorf("restored pending total %d, want %d", got, reps[0].Pending)
+	}
+
+	forged := payload(s)
+	forged.Pending[0], forged.Pending[1] = math.MaxInt, 1
+	var enc bytes.Buffer
+	if err := gob.NewEncoder(&enc).Encode(forged); err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.RestoreState(enc.Bytes()); !errors.Is(err, ErrCorruptSnapshot) {
+		t.Fatalf("snapshot with pending buffers summing past MaxInt: got %v, want ErrCorruptSnapshot", err)
+	}
+}
+
 func TestSessionTickAdmitsWithArrivalCap(t *testing.T) {
 	s, err := NewSession(testConfig(t, core.Config{V: 7.5}))
 	if err != nil {
@@ -185,7 +273,7 @@ func driveSession(t *testing.T, s *Session, schedule [][]Job, from, to int) ([]T
 // reports to match the uninterrupted 40-slot run exactly.
 func TestSessionCheckpointRestore(t *testing.T) {
 	const slots, split = 40, 20
-	cfg := core.Config{V: 7.5, Beta: 100, WarmStart: true}
+	cfg := core.Config{V: 7.5, Beta: 100}
 	schedule := arrivalSchedule(slots, 8)
 
 	drive := func(s *Session, from, to int) ([]TickReport, []queue.Lengths) {
@@ -240,7 +328,7 @@ func TestSessionCheckpointRestore(t *testing.T) {
 // decide against it.
 func TestSessionRestoreRewindsRunningSession(t *testing.T) {
 	const split, more = 12, 8
-	cfg := core.Config{V: 7.5, Beta: 100, WarmStart: true}
+	cfg := core.Config{V: 7.5, Beta: 100}
 	schedule := arrivalSchedule(split+more, 8)
 	sc := testConfig(t, cfg)
 	sc.Sim.Check = false // the checker's slot-continuity rule rightly objects to a rewind
@@ -267,6 +355,52 @@ func TestSessionRestoreRewindsRunningSession(t *testing.T) {
 	gotReps, gotTraj := drive(split, split+more)
 	if !reflect.DeepEqual(gotTraj, wantTraj) || !reflect.DeepEqual(gotReps, wantReps) {
 		t.Fatal("replay after restoring into the running session diverged from the first pass")
+	}
+}
+
+// TestSessionRestoresColdCheckpoint restores testdata/beta100-cold-vanilla.snap,
+// a beta = 100 session checkpointed after six slots by a build whose convex
+// solve started cold from zero every slot (vanilla Frank-Wolfe, no warm
+// start), so it carries no valid warm iterate. The continuation must start
+// cold once, fall back on its first tick, warm-start every tick after it, and
+// keep the invariant checker (on in testConfig) clean.
+func TestSessionRestoresColdCheckpoint(t *testing.T) {
+	const from, to = 6, 18
+	data, err := os.ReadFile("testdata/beta100-cold-vanilla.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stats []telemetry.SolveStats
+	cfg := core.Config{V: 7.5, Beta: 100, Observer: telemetry.ObserverFunc(func(ev telemetry.SlotEvent) {
+		if ev.Solve != nil {
+			stats = append(stats, *ev.Solve)
+		}
+	})}
+	s, err := NewSession(testConfig(t, cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Restore(bytes.NewReader(data)); err != nil {
+		t.Fatal(err)
+	}
+	if s.Slot() != from {
+		t.Fatalf("restored at slot %d, want %d", s.Slot(), from)
+	}
+	driveSession(t, s, arrivalSchedule(to, 8), from, to)
+	if len(stats) != to-from {
+		t.Fatalf("got %d solve stats, want %d", len(stats), to-from)
+	}
+	for k, st := range stats {
+		want := st.Warm == telemetry.WarmHit || st.Warm == telemetry.WarmRepaired
+		if k == 0 {
+			want = st.Warm == telemetry.WarmFallback
+		}
+		if !want {
+			t.Errorf("slot %d: warm outcome %q", from+k, st.Warm)
+		}
+	}
+	if last := stats[len(stats)-1]; last.WarmFallbacks != 1 {
+		t.Errorf("%d fallbacks after the restore, want 1", last.WarmFallbacks)
 	}
 }
 
@@ -298,7 +432,7 @@ func TestSessionRestoreRejections(t *testing.T) {
 }
 
 func TestSessionReconfigure(t *testing.T) {
-	s, err := NewSession(testConfig(t, core.Config{V: 7.5, Beta: 100, WarmStart: true}))
+	s, err := NewSession(testConfig(t, core.Config{V: 7.5, Beta: 100}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +510,7 @@ func FuzzRestoreSnapshot(f *testing.F) {
 			f.Fatal(err)
 		}
 		in.Workload = nil
-		return SessionConfig{Inputs: in, Scheduler: core.Config{V: 7.5, Beta: 100, WarmStart: true},
+		return SessionConfig{Inputs: in, Scheduler: core.Config{V: 7.5, Beta: 100},
 			Sim: sim.Options{ValidateActions: true}}
 	}
 

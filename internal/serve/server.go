@@ -231,11 +231,7 @@ func (sv *Server) Tick(ctx context.Context) (*TickReport, error) {
 func (sv *Server) updateGauges() {
 	sv.slotGauge.Set(float64(sv.s.Slot()))
 	sv.backlog.Set(sv.s.Lengths().Sum())
-	pending := 0
-	for _, n := range sv.s.Pending() {
-		pending += n
-	}
-	sv.pendingJobs.Set(float64(pending))
+	sv.pendingJobs.Set(float64(sv.s.totalPending()))
 	if !sv.lastSnapTime.IsZero() {
 		sv.snapAge.Set(sv.now().Sub(sv.lastSnapTime).Seconds())
 	}
@@ -327,11 +323,7 @@ func (sv *Server) ingest(w http.ResponseWriter, jobs []Job) {
 		return
 	}
 	sv.ingested.Add(float64(accepted))
-	pending := 0
-	for _, n := range sv.s.Pending() {
-		pending += n
-	}
-	sv.pendingJobs.Set(float64(pending))
+	sv.pendingJobs.Set(float64(sv.s.totalPending()))
 	writeJSON(w, http.StatusAccepted, map[string]int{"accepted": accepted})
 }
 

@@ -85,8 +85,10 @@ type Session struct {
 
 	// pending accumulates submitted jobs per type until Tick admits them.
 	// Each Tick drains at most a_max_j per type (paper eq. 1); the rest
-	// carries over to later slots.
-	pending []int
+	// carries over to later slots. pendingTotal is their sum, which Submit
+	// keeps within an int.
+	pending      []int
+	pendingTotal int
 	// submitted counts lifetime accepted jobs; rejected counts rejected
 	// Submit batches (a batch is rejected atomically).
 	submitted, rejected float64
@@ -116,9 +118,9 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 // Submit queues jobs for admission at the next Ticks and returns how many
 // jobs were accepted. The batch is validated first and rejected atomically:
 // either every job is queued or none is, so a half-applied batch can never
-// be checkpointed. A batch whose total, or whose total added to the pending
-// buffer of any type it names, would overflow an int is refused: a wrapped
-// buffer would go negative, and no snapshot of it would restore.
+// be checkpointed. A batch whose total, or whose total added to every job
+// already pending, would overflow an int is refused: a wrapped count would go
+// negative, and no snapshot of it would restore.
 func (s *Session) Submit(jobs []Job) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -142,15 +144,14 @@ func (s *Session) Submit(jobs []Job) (int, error) {
 		}
 		total += n
 	}
-	for k, job := range jobs {
-		if s.pending[job.Type] > math.MaxInt-total {
-			s.rejected++
-			return 0, fmt.Errorf("%w: job %d: count %d overflows type %d's pending buffer", ErrBadJob, k, job.Count, job.Type)
-		}
+	if total > math.MaxInt-s.pendingTotal {
+		s.rejected++
+		return 0, fmt.Errorf("%w: %d jobs overflow the %d already pending", ErrBadJob, total, s.pendingTotal)
 	}
 	for _, job := range jobs {
 		s.pending[job.Type] += max(job.Count, 1)
 	}
+	s.pendingTotal += total
 	s.submitted += float64(total)
 	return total, nil
 }
@@ -202,20 +203,13 @@ func (s *Session) Tick(ctx context.Context) (*TickReport, error) {
 	for j := range extra {
 		s.pending[j] -= extra[j]
 	}
+	s.pendingTotal -= admitted
 	return &TickReport{
 		Slot:     t,
 		Admitted: admitted,
-		Pending:  s.pendingTotalLocked(),
+		Pending:  s.pendingTotal,
 		Backlog:  s.eng.Lengths().Sum(),
 	}, nil
-}
-
-func (s *Session) pendingTotalLocked() int {
-	total := 0
-	for _, n := range s.pending {
-		total += n
-	}
-	return total
 }
 
 // Slot returns the next slot index Tick will execute.
@@ -237,6 +231,13 @@ func (s *Session) Pending() []int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return append([]int(nil), s.pending...)
+}
+
+// totalPending returns how many submitted jobs await admission.
+func (s *Session) totalPending() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.pendingTotal
 }
 
 // Submitted returns the lifetime count of accepted jobs.
@@ -382,10 +383,15 @@ func (s *Session) RestoreState(payload []byte) error {
 	if len(p.Pending) != s.c.J() {
 		return fmt.Errorf("%w: pending buffer has %d types, cluster has %d", ErrCorruptSnapshot, len(p.Pending), s.c.J())
 	}
+	pendingTotal := 0
 	for j, n := range p.Pending {
 		if n < 0 {
 			return fmt.Errorf("%w: pending buffer type %d is negative", ErrCorruptSnapshot, j)
 		}
+		if n > math.MaxInt-pendingTotal {
+			return fmt.Errorf("%w: pending buffers sum past the int range at type %d", ErrCorruptSnapshot, j)
+		}
+		pendingTotal += n
 	}
 	if err := s.eng.RestoreState(&p.Engine); err != nil {
 		return fmt.Errorf("%w: engine state: %v", ErrCorruptSnapshot, err)
@@ -394,6 +400,7 @@ func (s *Session) RestoreState(payload []byte) error {
 		return fmt.Errorf("%w: scheduler state: %v", ErrCorruptSnapshot, err)
 	}
 	copy(s.pending, p.Pending)
+	s.pendingTotal = pendingTotal
 	s.submitted = p.Submitted
 	s.rejected = p.Rejected
 	return nil

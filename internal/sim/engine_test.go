@@ -146,7 +146,7 @@ func TestEngineExtraArrivals(t *testing.T) {
 // trajectory and totals to match the uninterrupted run exactly.
 func TestEngineStateRoundTrip(t *testing.T) {
 	const slots, split = 40, 20
-	cfg := core.Config{V: 7.5, Beta: 100, WarmStart: true}
+	cfg := core.Config{V: 7.5, Beta: 100}
 	opt := Options{ValidateActions: true, Check: true}
 
 	trajectory := func(e *Engine, from, to int) []queue.Lengths {
@@ -325,7 +325,7 @@ func TestEngineDetailOwnsFlows(t *testing.T) {
 // retained snapshots are never written again, a rewind drops the kept
 // snapshot, and Lengths() hands out a snapshot of the caller's own.
 func TestEngineSnapshotReuse(t *testing.T) {
-	cfg := core.Config{V: 7.5, Beta: 100, WarmStart: true}
+	cfg := core.Config{V: 7.5, Beta: 100}
 	build := func(t *testing.T, slots int, opt Options) (*Engine, *core.GreFar) {
 		t.Helper()
 		in := refInputs(t, slots)

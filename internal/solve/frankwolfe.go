@@ -12,19 +12,6 @@ import (
 // needs an explicit constraint description.
 type LinearOracle func(grad []float64, out []float64)
 
-// Variant names for FWResult.Variant.
-const (
-	// VariantVanilla is the classic conditional-gradient method: every step
-	// moves toward an oracle vertex. Sublinear O(1/k) convergence, but no
-	// per-iteration state beyond the iterate.
-	VariantVanilla = "vanilla"
-	// VariantAwayStep is the away-step variant (Guelat-Marcotte; analysis by
-	// Lacoste-Julien & Jaggi): it carries the active atom set of the iterate
-	// and may step away from a bad atom instead of toward a vertex, which
-	// restores linear convergence on polytopes.
-	VariantAwayStep = "away-step"
-)
-
 // FWOptions tunes the Frank-Wolfe solver. Zero values select defaults.
 type FWOptions struct {
 	// MaxIters caps the number of iterations (default 200).
@@ -38,12 +25,6 @@ type FWOptions struct {
 	// default: the last iterate is feasible and its gap bounds the
 	// suboptimality, which is usually good enough for a slot decision.
 	RequireConvergence bool
-	// AwaySteps selects the away-step variant, which maintains the active
-	// atom set of the iterate in the workspace and can remove mass from a
-	// bad atom instead of only adding vertices. On polytopes this converges
-	// linearly where the vanilla method zigzags at O(1/k). Off by default;
-	// results are equal within tolerance but not bit-identical.
-	AwaySteps bool
 }
 
 // Validate rejects option values that a solve would otherwise have to paper
@@ -85,9 +66,6 @@ type FWResult struct {
 	Iters int
 	// Converged reports whether the gap tolerance was met.
 	Converged bool
-	// Variant names the algorithm that ran: VariantVanilla or
-	// VariantAwayStep.
-	Variant string
 }
 
 // ErrDimensionMismatch is returned when the starting point and oracle output
@@ -120,18 +98,18 @@ func (e *NotConvergedError) Error() string {
 // Unwrap makes errors.Is(err, ErrNotConverged) true.
 func (e *NotConvergedError) Unwrap() error { return ErrNotConverged }
 
-// FWWorkspace holds the iterate and direction buffers of a Frank-Wolfe run —
-// and, for the away-step variant, the active atom set of the iterate — so
-// repeated solves of same-sized problems allocate nothing. A workspace is
-// sized lazily on first use and may be reused across calls of any dimension;
-// it must not be shared between concurrent solves.
+// FWWorkspace holds the iterate and direction buffers of a Frank-Wolfe run
+// and the active atom set of the iterate, so repeated solves allocate
+// nothing. A workspace is sized lazily on first use and may be reused across
+// calls of any dimension; it must not be shared between concurrent solves.
 type FWWorkspace struct {
 	x, grad, v, dir []float64
 
-	// Active atom set of the away-step variant: the iterate is the convex
-	// combination sum_s weights[s]*atoms[s] over the first nAtoms entries.
-	// Entries beyond nAtoms are a reuse pool. The set is rebuilt from the
-	// starting point on every call; nothing in it survives across solves.
+	// Active atom set: the iterate is the convex combination
+	// sum_s weights[s]*atoms[s] over the first nAtoms entries. Entries beyond
+	// nAtoms are a reuse pool whose vectors keep their capacity across
+	// solves of any dimension; the set itself is rebuilt from the starting
+	// point on every call.
 	atoms   [][]float64
 	weights []float64
 	nAtoms  int
@@ -140,11 +118,19 @@ type FWWorkspace struct {
 // resize makes every buffer exactly n long. It reallocates on growth, and
 // also releases capacity when the requested size drops below a quarter of
 // what is held: without that, a single large-instance solve would pin
-// peak-sized scratch vectors (and, via resetAtoms, the atom pool) for the
-// lifetime of the scheduler that owns the workspace. The 4x hysteresis keeps
-// steady-state solves of equal or mildly varying size allocation-free.
+// peak-sized scratch vectors and atom pool for the lifetime of the scheduler
+// that owns the workspace. The 4x hysteresis keeps steady-state solves of
+// equal or mildly varying size allocation-free: the compact slot dimension
+// moves whenever a pair joins or leaves the active set.
 func (ws *FWWorkspace) resize(n int) {
-	if c := cap(ws.x); c < n || (n > 0 && c >= 4*n) {
+	c := cap(ws.x)
+	if n > 0 && c >= 4*n {
+		// Nil the pooled vectors before truncating: atoms[:0] keeps the
+		// backing array, which would otherwise pin every one of them.
+		clear(ws.atoms)
+		ws.atoms = ws.atoms[:0]
+	}
+	if c < n || (n > 0 && c >= 4*n) {
 		ws.x = make([]float64, n)
 		ws.grad = make([]float64, n)
 		ws.v = make([]float64, n)
@@ -161,28 +147,13 @@ func (ws *FWWorkspace) resize(n int) {
 // produce degenerate away steps.
 const weightEps = 1e-12
 
-// resetAtoms empties the active set, dropping the reuse pool when its entries
-// were sized for a different dimension. Dropped entries are nilled out before
-// the pool is truncated: atoms[:0] keeps the backing array alive, so a stale
-// reference there would otherwise pin every peak-sized atom vector.
-func (ws *FWWorkspace) resetAtoms(n int) {
-	ws.nAtoms = 0
-	if len(ws.atoms) > 0 && len(ws.atoms[0]) != n {
-		for s := range ws.atoms {
-			ws.atoms[s] = nil
-		}
-		ws.atoms = ws.atoms[:0]
-	}
-}
-
-// pushAtom appends a copy of src with the given weight, reusing pooled
-// storage when available.
+// pushAtom appends a copy of src with the given weight, reusing a pooled
+// vector (resliced, or grown when its capacity is short) when one is free.
 func (ws *FWWorkspace) pushAtom(src []float64, w float64) {
-	if ws.nAtoms < len(ws.atoms) {
-		copy(ws.atoms[ws.nAtoms], src)
-	} else {
-		ws.atoms = append(ws.atoms, append([]float64(nil), src...))
+	if ws.nAtoms == len(ws.atoms) {
+		ws.atoms = append(ws.atoms, nil)
 	}
+	ws.atoms[ws.nAtoms] = append(ws.atoms[ws.nAtoms][:0], src...)
 	if ws.nAtoms < len(ws.weights) {
 		ws.weights[ws.nAtoms] = w
 	} else {
@@ -223,14 +194,20 @@ func (ws *FWWorkspace) findAtom(v []float64) int {
 // FrankWolfe minimizes a convex objective over the polytope implicitly
 // defined by the linear oracle, starting from the feasible point x0.
 //
-// Each iteration calls the oracle at the current gradient to obtain a vertex
-// v, forms the direction d = v - x, and steps by an exact line search when
-// the objective exposes CurvatureAlong (always the case for Quadratic), or by
-// the classic diminishing step 2/(k+2) otherwise. The duality gap
-// grad.(x - v) >= f(x) - f* provides a certified stopping criterion. With
-// FWOptions.AwaySteps the solver additionally tracks the active atom set of
-// the iterate and may step away from its worst atom, which is linearly
-// convergent on polytopes.
+// It is the away-step variant (Guelat-Marcotte; analysis by Lacoste-Julien &
+// Jaggi, NeurIPS 2015). The iterate is kept as a convex combination of atoms:
+// the starting point, which need not be a vertex, plus every oracle vertex
+// stepped toward. Each iteration calls the oracle at the current gradient to
+// obtain a vertex v and compares the classic direction v - x against the
+// away direction x - a, where a is the active atom with the largest gradient
+// inner product, taking the steeper of the two; an away step capped at its
+// maximal length drops atom a from the set entirely. That restores linear
+// convergence on polytopes, where stepping only toward vertices zigzags at
+// O(1/k). Steps use an exact line search when the objective exposes
+// CurvatureAlong (always the case for Quadratic), or the diminishing step
+// 2/(k+2) otherwise. Every iterate stays a convex combination of feasible
+// atoms, and the duality gap grad.(x - v) >= f(x) - f* provides a certified
+// stopping criterion.
 func FrankWolfe(obj Objective, oracle LinearOracle, x0 []float64, opts FWOptions) (FWResult, error) {
 	return FrankWolfeWS(nil, obj, oracle, x0, opts)
 }
@@ -244,97 +221,18 @@ func FrankWolfeWS(ws *FWWorkspace, obj Objective, oracle LinearOracle, x0 []floa
 		ws = &FWWorkspace{}
 	}
 	opts = opts.withDefaults()
-	ws.resize(len(x0))
-	if opts.AwaySteps {
-		return awayStepFW(ws, obj, oracle, x0, opts)
-	}
-	return vanillaFW(ws, obj, oracle, x0, opts)
-}
-
-func vanillaFW(ws *FWWorkspace, obj Objective, oracle LinearOracle, x0 []float64, opts FWOptions) (FWResult, error) {
 	n := len(x0)
+	ws.resize(n)
 	x, grad, v, dir := ws.x, ws.grad, ws.v, ws.dir
 	copy(x, x0)
-	curv, hasCurv := obj.(CurvatureAlong)
-
-	res := FWResult{Variant: VariantVanilla}
-	// f(x) is tracked across iterations: the stopping test only needs it for
-	// the relative-tolerance scale, and the exact line search updates it in
-	// closed form, so the per-iteration full objective pass is unnecessary.
-	fx := obj.Value(x)
-	for k := 0; k < opts.MaxIters; k++ {
-		res.Iters = k + 1
-		obj.Grad(x, grad)
-		for j := range v {
-			v[j] = 0
-		}
-		oracle(grad, v)
-		if len(v) != n {
-			return FWResult{}, ErrDimensionMismatch
-		}
-		var gdotd float64
-		for j := range dir {
-			dir[j] = v[j] - x[j]
-			gdotd += grad[j] * dir[j]
-		}
-		gap := -gdotd // grad.(x - v)
-		res.Gap = gap
-		if gap <= opts.Tol*(1+math.Abs(fx)) {
-			res.Converged = true
-			break
-		}
-		alpha := 2 / float64(k+2)
-		var c float64
-		if hasCurv {
-			if c = curv.CurvatureAlong(x, dir); c > 0 {
-				alpha = -gdotd / c
-			} else {
-				// Linear along dir: jump to the vertex.
-				alpha = 1
-			}
-			if alpha > 1 {
-				alpha = 1
-			} else if alpha < 0 {
-				alpha = 0
-			}
-		}
-		for j := range x {
-			x[j] += alpha * dir[j]
-		}
-		if hasCurv {
-			if c < 0 {
-				c = 0
-			}
-			fx += alpha*gdotd + 0.5*alpha*alpha*c
-		} else {
-			fx = obj.Value(x)
-		}
-	}
-	res.X = x
-	res.Value = obj.Value(x)
-	if opts.RequireConvergence && !res.Converged {
-		return res, &NotConvergedError{Solver: "frank-wolfe", Iters: res.Iters, Residual: res.Gap}
-	}
-	return res, nil
-}
-
-// awayStepFW is the away-step variant. The iterate is maintained as a convex
-// combination of atoms: the starting point (which need not be a vertex) plus
-// every oracle vertex stepped toward. Each iteration compares the classic
-// Frank-Wolfe direction v-x against the away direction x-a, where a is the
-// active atom with the largest gradient inner product, and takes the steeper
-// of the two; an away step capped at its maximal length removes atom a from
-// the set entirely (a "drop step"). Feasibility is preserved throughout:
-// every iterate stays a convex combination of feasible atoms.
-func awayStepFW(ws *FWWorkspace, obj Objective, oracle LinearOracle, x0 []float64, opts FWOptions) (FWResult, error) {
-	n := len(x0)
-	x, grad, v, dir := ws.x, ws.grad, ws.v, ws.dir
-	copy(x, x0)
-	ws.resetAtoms(n)
+	ws.nAtoms = 0
 	ws.pushAtom(x, 1)
 	curv, hasCurv := obj.(CurvatureAlong)
 
-	res := FWResult{Variant: VariantAwayStep}
+	var res FWResult
+	// f(x) is tracked across iterations: the stopping test only needs it for
+	// the relative-tolerance scale, and the exact line search updates it in
+	// closed form, so the per-iteration full objective pass is unnecessary.
 	fx := obj.Value(x)
 	for k := 0; k < opts.MaxIters; k++ {
 		res.Iters = k + 1
@@ -380,7 +278,7 @@ func awayStepFW(ws *FWWorkspace, obj Objective, oracle LinearOracle, x0 []float6
 				// Numerically all mass already sits on the away atom; the
 				// away direction is degenerate. Restart the active set at
 				// the current (feasible) iterate and try again.
-				ws.resetAtoms(n)
+				ws.nAtoms = 0
 				ws.pushAtom(x, 1)
 				continue
 			}
@@ -434,7 +332,7 @@ func awayStepFW(ws *FWWorkspace, obj Objective, oracle LinearOracle, x0 []float6
 			ws.weights[aIdx] -= alpha
 		} else if alpha >= 1 {
 			// Full step onto the vertex: the active set collapses to {v}.
-			ws.resetAtoms(n)
+			ws.nAtoms = 0
 			ws.pushAtom(v, 1)
 		} else {
 			for s := 0; s < ws.nAtoms; s++ {
@@ -455,7 +353,7 @@ func awayStepFW(ws *FWWorkspace, obj Objective, oracle LinearOracle, x0 []float6
 	res.X = x
 	res.Value = obj.Value(x)
 	if opts.RequireConvergence && !res.Converged {
-		return res, &NotConvergedError{Solver: "away-step frank-wolfe", Iters: res.Iters, Residual: res.Gap}
+		return res, &NotConvergedError{Solver: "frank-wolfe", Iters: res.Iters, Residual: res.Gap}
 	}
 	return res, nil
 }

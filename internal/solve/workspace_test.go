@@ -51,38 +51,84 @@ func TestFWWorkspaceResizeReleasesCapacity(t *testing.T) {
 		t.Fatal("resize(100) left inconsistent buffer lengths")
 	}
 
-	// The atom pool releases its entries on a dimension change too.
+	// The atom pool is released with the vectors.
 	ws.resize(50)
 	ws.pushAtom(make([]float64, 50), 1)
-	ws.resetAtoms(8)
-	for s := range ws.atoms {
-		if ws.atoms[s] != nil {
-			t.Fatal("resetAtoms kept a stale atom reference after a dimension change")
+	ws.resize(8)
+	for _, a := range ws.atoms[:cap(ws.atoms)] {
+		if a != nil {
+			t.Fatal("a 4x shrink kept a pooled atom reachable")
 		}
 	}
 }
 
 // TestFWWorkspaceSteadyStateAllocFree pins the workspace contract: repeated
 // same-sized solves — the shape of every slot decision a scheduler makes —
-// allocate nothing after the first call, for both Frank-Wolfe variants.
+// allocate nothing after the first call.
 func TestFWWorkspaceSteadyStateAllocFree(t *testing.T) {
 	center := []float64{0.3, 0.8, 0.5, 0.1}
 	obj := boxQuadratic(center)
 	x0 := make([]float64, len(center))
 	oracle := unitBoxOracle(len(center))
-	for _, away := range []bool{false, true} {
-		var ws FWWorkspace
-		opts := FWOptions{MaxIters: 60, Tol: 1e-9, AwaySteps: away}
+	var ws FWWorkspace
+	opts := FWOptions{MaxIters: 60, Tol: 1e-9}
+	if _, err := FrankWolfeWS(&ws, obj, oracle, x0, opts); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
 		if _, err := FrankWolfeWS(&ws, obj, oracle, x0, opts); err != nil {
 			t.Fatal(err)
 		}
-		allocs := testing.AllocsPerRun(20, func() {
-			if _, err := FrankWolfeWS(&ws, obj, oracle, x0, opts); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if allocs != 0 {
-			t.Errorf("away=%v: steady-state solve allocates %v times per run", away, allocs)
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state solve allocates %v times per run", allocs)
+	}
+}
+
+// TestAwayStepWorkspaceReusesAtomsAcrossDimensions alternates two problem
+// dimensions within the 4x hysteresis on one workspace — a compact slot
+// problem changes size whenever a pair joins or leaves the active set — and
+// requires the steady state to allocate nothing: the pooled atoms are
+// resliced, not dropped. A drop below a quarter of the held size must still
+// release the pool.
+func TestAwayStepWorkspaceReusesAtomsAcrossDimensions(t *testing.T) {
+	problem := func(n int) (Objective, LinearOracle, []float64) {
+		center := make([]float64, n)
+		for j := range center {
+			center[j] = float64(j%7) / 7
+		}
+		return boxQuadratic(center), unitBoxOracle(n), make([]float64, n)
+	}
+	objA, oracleA, x0A := problem(40)
+	objB, oracleB, x0B := problem(25)
+	var ws FWWorkspace
+	opts := FWOptions{MaxIters: 60, Tol: 1e-9}
+	both := func() {
+		if _, err := FrankWolfeWS(&ws, objA, oracleA, x0A, opts); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := FrankWolfeWS(&ws, objB, oracleB, x0B, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 3 {
+		both()
+	}
+	if ws.nAtoms < 2 {
+		t.Fatalf("solve left %d active atoms; the pool is not exercised", ws.nAtoms)
+	}
+	if allocs := testing.AllocsPerRun(20, both); allocs != 0 {
+		t.Errorf("alternating dimensions 40/25 allocates %v times per pair of solves", allocs)
+	}
+
+	peak := cap(ws.x)
+	objS, oracleS, x0S := problem(peak/4 - 1)
+	if _, err := FrankWolfeWS(&ws, objS, oracleS, x0S, opts); err != nil {
+		t.Fatal(err)
+	}
+	for s, a := range ws.atoms {
+		if cap(a) >= peak {
+			t.Fatalf("after a 4x shrink atom %d still holds capacity %d (peak %d)", s, cap(a), peak)
 		}
 	}
 }

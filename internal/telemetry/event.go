@@ -36,9 +36,9 @@ const (
 	SolverDecomposed = "decomposed"
 )
 
-// Warm-start outcomes used in SolveStats.Warm. One of these is recorded per
-// slot when the scheduler runs with warm-starting enabled; the field stays
-// empty otherwise.
+// Warm-start outcomes used in SolveStats.Warm. One of these is recorded for
+// every slot that runs the convex (beta > 0) solve; the field stays empty
+// otherwise.
 const (
 	// WarmHit: the previous slot's iterate was feasible as-is and seeded the
 	// solve unchanged.
@@ -54,9 +54,8 @@ const (
 
 // SolveStats describes how the per-slot optimization was solved. It is
 // attached to OriginDecide events. Every field beyond the base four is
-// omitted from the JSON encoding when it carries its zero value, so traces
-// recorded with the solver extensions off are byte-identical to traces from
-// before the extensions existed.
+// omitted from the JSON encoding when it carries its zero value, so a linear
+// slot's stats read as the base four alone.
 type SolveStats struct {
 	// Solver names the algorithm that produced the processing decision:
 	// "greedy" (the closed-form exchange for linear slots), "simplex" (the
@@ -72,16 +71,12 @@ type SolveStats struct {
 	// solvers.
 	Residual float64 `json:"residual"`
 
-	// Variant names the solver variant when it departs from the default
-	// (e.g. "away-step" Frank-Wolfe); empty for the vanilla method.
-	Variant string `json:"variant,omitempty"`
-
 	// Outer is the number of outer coordination rounds of a decomposed solve
 	// (the ADMM iterations); zero for monolithic solvers.
 	Outer int `json:"outer,omitempty"`
 
 	// Warm records this slot's warm-start outcome (WarmHit, WarmRepaired, or
-	// WarmFallback); empty when warm-starting is off.
+	// WarmFallback); empty on slots with no convex solve.
 	Warm string `json:"warm,omitempty"`
 	// WarmHits, WarmRepairs, and WarmFallbacks are the scheduler's cumulative
 	// warm-start outcome counts, including this slot.
@@ -102,10 +97,6 @@ type SolverOptions struct {
 	MaxIters int `json:"max_iters"`
 	// Tol is the effective duality-gap tolerance (0 = solver default).
 	Tol float64 `json:"tol"`
-	// AwaySteps reports whether the away-step Frank-Wolfe variant is on.
-	AwaySteps bool `json:"away_steps"`
-	// WarmStart reports whether cross-slot warm-starting is on.
-	WarmStart bool `json:"warm_start"`
 	// Solver names the configured solver kind when it departs from the
 	// automatic selection ("monolithic", "sparse", "decomposed").
 	Solver string `json:"solver,omitempty"`

@@ -107,29 +107,12 @@ func WithRouting(rule core.RoutingRule) SchedulerOption {
 	return optionFunc(func(cfg *Config) { cfg.Routing = rule })
 }
 
-// WithFrankWolfe tunes the Frank-Wolfe solver used when beta > 0. Invalid
-// values (negative MaxIters, NaN or negative Tol) are rejected at New with
-// ErrBadConfig.
+// WithFrankWolfe tunes the Frank-Wolfe solver used when beta > 0: the
+// away-step method, each slot warm-started from the previous slot's iterate.
+// Invalid values (negative MaxIters, NaN or negative Tol) are rejected at New
+// with ErrBadConfig.
 func WithFrankWolfe(opts solve.FWOptions) SchedulerOption {
 	return optionFunc(func(cfg *Config) { cfg.FW = opts })
-}
-
-// WithAwaySteps toggles the away-step Frank-Wolfe variant for the beta > 0
-// slot solve: it carries the active vertex set of the iterate and can remove
-// mass from a bad vertex instead of only adding new ones, converging linearly
-// where the vanilla method zigzags at O(1/k). Composes with WithFrankWolfe
-// (apply WithFrankWolfe first; it replaces all solver options at once).
-func WithAwaySteps(on bool) SchedulerOption {
-	return optionFunc(func(cfg *Config) { cfg.FW.AwaySteps = on })
-}
-
-// WithWarmStart toggles cross-slot warm-starting of the beta > 0 slot solve:
-// each slot starts from the previous slot's iterate, repaired against the
-// current availability caps, falling back to the zero start when the repair
-// fails (first slot, availability collapse). Off by default — results agree
-// within the solver tolerance but are not bit-identical to cold starts.
-func WithWarmStart(on bool) SchedulerOption {
-	return optionFunc(func(cfg *Config) { cfg.WarmStart = on })
 }
 
 // WithSolver selects the slot-solver implementation: SolverAuto (the
