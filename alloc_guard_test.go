@@ -13,6 +13,7 @@ import (
 	"grefar/internal/agent"
 	"grefar/internal/hollow"
 	"grefar/internal/queue"
+	"grefar/internal/sim"
 	"grefar/internal/transport"
 )
 
@@ -125,7 +126,7 @@ func TestEngineStepAllocationBudget(t *testing.T) {
 	if !ok {
 		t.Fatalf("no budget recorded for %s in testdata/bench_slot_baseline.txt", name)
 	}
-	eng := newLargeEngine(t)
+	eng := newLargeEngine(t, sim.Options{})
 	// Young ledgers still grow their cohort slices, a doubling append at a
 	// time: ~20 allocations a slot around slot 100, 6 around slot 250, none
 	// in the long run. Measuring from slot 200 keeps that tail small beside

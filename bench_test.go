@@ -298,7 +298,7 @@ func BenchmarkSlotDecision(b *testing.B) {
 func BenchmarkEngineStep(b *testing.B) {
 	b.Run("N=200/J=100", func(b *testing.B) {
 		b.ReportAllocs()
-		eng := newLargeEngine(b)
+		eng := newLargeEngine(b, sim.Options{})
 		b.ResetTimer()
 		for n := 0; n < b.N; n++ {
 			if err := eng.Step(nil); err != nil {
@@ -308,29 +308,44 @@ func BenchmarkEngineStep(b *testing.B) {
 	})
 }
 
-// newLargeEngine builds the N=200/J=100 engine of BenchmarkEngineStep and the
-// engine-step allocation budget — default solver, warm starts on, no observer
-// — and runs it past its cold start.
-func newLargeEngine(tb testing.TB) *sim.Engine {
+// newLargeEngine builds the N=200/J=100 engine — default solver, warm starts
+// on — under opt and runs it past its cold start. BenchmarkEngineStep and the
+// engine-step allocation budget pass no options, so no observer.
+func newLargeEngine(tb testing.TB, opt sim.Options) *sim.Engine {
 	tb.Helper()
-	in, err := experiments.NewSolverScaleInputs(2012, 200, 100, 2048, 0.1)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	g, err := grefar.New(in.Cluster, grefar.WithV(7.5), grefar.WithBeta(100))
-	if err != nil {
-		tb.Fatal(err)
-	}
-	eng, err := sim.NewEngine(in, g, sim.Options{})
-	if err != nil {
-		tb.Fatal(err)
-	}
+	eng := newEngineOn(tb, largeEngineInputs(tb), opt)
 	for eng.Slot() < 50 {
 		if err := eng.Step(nil); err != nil {
 			tb.Fatal(err)
 		}
 	}
 	return eng
+}
+
+// newEngineOn builds an engine on in under the default solver, V = 7.5 and
+// β = 100.
+func newEngineOn(tb testing.TB, in sim.Inputs, opt sim.Options) *sim.Engine {
+	tb.Helper()
+	g, err := grefar.New(in.Cluster, grefar.WithV(7.5), grefar.WithBeta(100))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	eng, err := sim.NewEngine(in, g, opt)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return eng
+}
+
+// largeEngineInputs builds the inputs newLargeEngine runs on; every call
+// returns an equal set.
+func largeEngineInputs(tb testing.TB) sim.Inputs {
+	tb.Helper()
+	in, err := experiments.NewSolverScaleInputs(2012, 200, 100, 2048, 0.1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return in
 }
 
 // benchmarkLargeSlotDecision times Decide on the solver-scale large instance:

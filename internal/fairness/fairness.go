@@ -19,7 +19,9 @@ import (
 // Function scores an allocation. alloc[m] is the resource given to account m
 // this slot (r_m(t)); total is the available resource R(t). Higher is fairer.
 type Function interface {
-	// Score returns the fairness value f(t).
+	// Score returns the fairness value f(t). alloc belongs to the caller,
+	// which may rewrite it after Score returns (sim.Engine reuses one slice
+	// every slot): an implementation must not retain it.
 	Score(alloc []float64, total float64) float64
 	// Name identifies the function in reports.
 	Name() string

@@ -3,6 +3,7 @@ package queue_test
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -40,7 +41,12 @@ func fuzzCluster() *model.Cluster {
 // It is also the stale-cell detector for the flow storage Apply reuses: every
 // call's FlowStats must equal, field for field, what a second Set — restored
 // from the first's Snapshot just before the call, so with untouched scratch —
-// returns for the same action.
+// returns for the same action, and its Cells must list exactly the h != 0
+// pairs in row-major order. After every Apply, Arrive and Restore the length
+// mirror must match the ledgers. Each slot also offers the set its action
+// with one entry made negative (the pair chosen by the slot index): the
+// refusal must leave the lengths and the slot's FlowStats, Cells included,
+// as they were.
 func FuzzApply(f *testing.F) {
 	f.Add([]byte{3, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
 	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 0, 0})
@@ -104,13 +110,44 @@ func FuzzApply(f *testing.F) {
 			if err := fresh.Restore(snap); err != nil {
 				t.Fatal(err)
 			}
+			assertMirror(t, slot, fresh)
+			if !reflect.DeepEqual(fresh.Lengths(), pre) {
+				t.Fatalf("slot %d: restored set has lengths %v, want %v", slot, fresh.Lengths(), pre)
+			}
 			want, err := fresh.Apply(slot, act)
 			if err != nil {
 				t.Fatal(err)
 			}
 			assertSameFlows(t, slot, flow, want)
+			var wantCells []int
+			for i := range act.Process {
+				for j, h := range act.Process[i] {
+					if h != 0 {
+						wantCells = append(wantCells, i*c.J()+j)
+					}
+				}
+			}
+			if !slices.Equal(flow.Cells, wantCells) {
+				t.Fatalf("slot %d: Cells = %v, want the h != 0 pairs %v", slot, flow.Cells, wantCells)
+			}
+			assertMirror(t, slot, set)
 			post := set.Lengths()
 			assertNonNegative(t, slot, post)
+
+			kept := cloneFlows(flow)
+			bad := act.Clone()
+			if cell := slot % (c.N() * c.J()); slot%2 == 0 {
+				bad.Process[cell/c.J()][cell%c.J()] = -1
+			} else {
+				bad.Route[cell/c.J()][cell%c.J()] = -1
+			}
+			if _, err := set.Apply(slot, bad); err == nil {
+				t.Fatalf("slot %d: Apply accepted a negative entry", slot)
+			}
+			assertSameFlows(t, slot, flow, &kept)
+			if !reflect.DeepEqual(set.Lengths(), post) {
+				t.Fatalf("slot %d: a rejected action moved the queues", slot)
+			}
 
 			// Apply routes (conserving) and processes (removing at most the
 			// commanded amount): the total can only shrink, and by no more
@@ -129,6 +166,7 @@ func FuzzApply(f *testing.F) {
 			if err := set.Arrive(slot, arrivals); err != nil {
 				t.Fatalf("slot %d: Arrive: %v", slot, err)
 			}
+			assertMirror(t, slot, set)
 			var arrived float64
 			for _, a := range arrivals {
 				arrived += float64(a)
@@ -161,10 +199,60 @@ func FuzzApply(f *testing.F) {
 	})
 }
 
-// assertSameFlows compares the six FlowStats fields by content (an empty
-// sample list equals a nil one).
+// assertMirror checks what Lengths and Backlog read off the set's mirror
+// against the ledgers themselves, bit for bit.
+func assertMirror(t *testing.T, slot int, s *queue.Set) {
+	t.Helper()
+	l := s.Lengths()
+	for j, q := range l.Central {
+		if want := s.CentralLen(j); q != want {
+			t.Fatalf("slot %d: Lengths().Central[%d] = %v, ledger holds %v", slot, j, q, want)
+		}
+	}
+	for i := range l.Local {
+		for j, q := range l.Local[i] {
+			if want := s.LocalLen(i, j); q != want {
+				t.Fatalf("slot %d: Lengths().Local[%d][%d] = %v, ledger holds %v", slot, i, j, q, want)
+			}
+		}
+	}
+	if got, want := s.Backlog(), l.Sum(); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("slot %d: Backlog() = %v, Lengths().Sum() = %v", slot, got, want)
+	}
+}
+
+// cloneFlows deep-copies a FlowStats, so a kept copy outlives the storage
+// Apply reuses.
+func cloneFlows(fs *queue.FlowStats) queue.FlowStats {
+	rows := func(m [][]float64) [][]float64 {
+		out := make([][]float64, len(m))
+		for i := range m {
+			out[i] = slices.Clone(m[i])
+		}
+		return out
+	}
+	out := queue.FlowStats{
+		Cells:             slices.Clone(fs.Cells),
+		Routed:            rows(fs.Routed),
+		Processed:         rows(fs.Processed),
+		CentralDelaySum:   slices.Clone(fs.CentralDelaySum),
+		CentralRouted:     slices.Clone(fs.CentralRouted),
+		LocalDelaySum:     rows(fs.LocalDelaySum),
+		LocalDelaySamples: make([][]queue.DelaySample, len(fs.LocalDelaySamples)),
+	}
+	for i, s := range fs.LocalDelaySamples {
+		out.LocalDelaySamples[i] = slices.Clone(s)
+	}
+	return out
+}
+
+// assertSameFlows compares the seven FlowStats fields by content (an empty
+// list equals a nil one).
 func assertSameFlows(t *testing.T, slot int, got, want *queue.FlowStats) {
 	t.Helper()
+	if !slices.Equal(got.Cells, want.Cells) {
+		t.Fatalf("slot %d: Cells = %v on the reused storage, %v on fresh", slot, got.Cells, want.Cells)
+	}
 	matrix := func(name string, g, w [][]float64) {
 		if len(g) != len(w) {
 			t.Fatalf("slot %d: %s has %d rows, want %d", slot, name, len(g), len(w))

@@ -2,6 +2,7 @@ package queue
 
 import (
 	"fmt"
+	"math"
 
 	"grefar/internal/model"
 )
@@ -50,6 +51,10 @@ func (l Lengths) Clone() Lengths {
 // until the next Apply on the same Set, and a caller that keeps any of it
 // longer copies what it keeps (sim.Engine does, for SlotDetail).
 type FlowStats struct {
+	// Cells lists, in row-major order as flat indices i*J+j, the pairs the
+	// action asked to process (h_{i,j} != 0). Processed and LocalDelaySum
+	// are zero outside it, so a sum over them may walk Cells alone.
+	Cells []int
 	// Routed[i][j] is the number of type-j jobs actually moved from the
 	// central queue to data center i (after capping at queue content).
 	Routed [][]float64
@@ -96,19 +101,27 @@ type Set struct {
 	central []Ledger   // per job type j
 	local   [][]Ledger // per data center i, job type j
 
+	// lens mirrors every ledger's total in Lengths' layout: lens[j] is Q_j
+	// and lens[(i+1)*J+j] is q_{i,j}. Whatever changes a total writes the
+	// mirror in the same step, so a snapshot is one copy.
+	lens []float64
+
 	// Apply's result and the scratch behind it, reused call to call. The
 	// three N x J matrices and the two per-type vectors of flows share the
-	// backing array flowFlat; touched lists the matrix cells (flat index
-	// i*J+j) the previous call wrote, so the next one clears those and not
-	// N*J zeros. samples holds every site's delay cohorts back to back,
-	// appended through the one closure visit; sampleOff[i] is where site
-	// i's run starts.
-	flows     FlowStats
-	flowFlat  []float64
-	touched   []int
-	samples   []DelaySample
-	sampleOff []int
-	visit     func(delay, jobs float64)
+	// backing array flowFlat. flows.Cells and routes list the process and
+	// route cells (flat index i*J+j) the previous call moved, so the next one
+	// clears those and not N*J zeros; cellsNext and routesNext are where the
+	// next call collects its own before it swaps them in. samples holds every
+	// site's delay cohorts back to back, appended through the one closure
+	// visit; sampleOff[i] is where site i's run starts.
+	flows      FlowStats
+	flowFlat   []float64
+	routes     []int
+	cellsNext  []int
+	routesNext []int
+	samples    []DelaySample
+	sampleOff  []int
+	visit      func(delay, jobs float64)
 }
 
 // NewSet builds an empty queue set shaped for the cluster.
@@ -125,6 +138,7 @@ func NewSet(c *model.Cluster) *Set {
 	// One backing array for the three N x J matrices and the two per-type
 	// vectors; every row is capped at its own length.
 	n, j := c.N(), c.J()
+	s.lens = make([]float64, (n+1)*j)
 	s.flowFlat = make([]float64, (3*n+2)*j)
 	rows := make([][]float64, 3*n)
 	for r := range rows {
@@ -156,22 +170,25 @@ func (s *Set) LocalLen(i, j int) float64 { return s.local[i][j].Len() }
 // at its own length) and is never written again by the set.
 func (s *Set) Lengths() Lengths {
 	n, j := len(s.local), len(s.central)
-	flat := make([]float64, (n+1)*j)
+	flat := append([]float64(nil), s.lens...)
 	out := Lengths{
 		Central: flat[:j:j],
 		Local:   make([][]float64, n),
 	}
-	for jj := range s.central {
-		out.Central[jj] = s.central[jj].Len()
-	}
-	for i := range s.local {
-		row := flat[(i+1)*j : (i+2)*j : (i+2)*j]
-		for jj := range s.local[i] {
-			row[jj] = s.local[i][jj].Len()
-		}
-		out.Local[i] = row
+	for i := range out.Local {
+		out.Local[i] = flat[(i+1)*j : (i+2)*j : (i+2)*j]
 	}
 	return out
+}
+
+// Backlog returns the total backlog, bit-identical to Lengths().Sum() (it
+// sums in the same order) without taking a snapshot.
+func (s *Set) Backlog() float64 {
+	var sum float64
+	for _, q := range s.lens {
+		sum += q
+	}
+	return sum
 }
 
 // Arrive records a_j(t) new jobs of each type entering the central queue
@@ -185,6 +202,7 @@ func (s *Set) Arrive(t int, arrivals []int) error {
 			return fmt.Errorf("job type %d: negative arrivals %d", j, a)
 		}
 		s.central[j].Push(t, float64(a))
+		s.lens[j] = s.central[j].Len()
 	}
 	return nil
 }
@@ -208,41 +226,61 @@ func (s *Set) Apply(t int, act *model.Action) (*FlowStats, error) {
 	if len(act.Route) != n || len(act.Process) != n {
 		return nil, fmt.Errorf("action shaped for %d data centers, queues have %d", len(act.Route), n)
 	}
+	// The one pass over every cell: check each sign and collect the pairs
+	// that move, row-major, into scratch. Nothing is swapped in before the
+	// whole action has passed.
+	cells, routes := s.cellsNext[:0], s.routesNext[:0]
 	for i := 0; i < n; i++ {
-		if len(act.Route[i]) != j || len(act.Process[i]) != j {
+		proc, route := act.Process[i], act.Route[i]
+		if len(route) != j || len(proc) != j {
 			return nil, fmt.Errorf("data center %d: action has wrong job dimension", i)
 		}
-		for jj := 0; jj < j; jj++ {
-			if h := act.Process[i][jj]; h < 0 {
-				return nil, fmt.Errorf("process[%d][%d] = %v is negative", i, jj, h)
+		for jj, h := range proc {
+			// Most pairs move nothing: one test on both entries' bits
+			// passes them over.
+			if math.Float64bits(h)|uint64(route[jj]) == 0 {
+				continue
 			}
-			if r := act.Route[i][jj]; r < 0 {
-				return nil, fmt.Errorf("route[%d][%d] = %v is negative", i, jj, r)
+			if h != 0 {
+				if h < 0 {
+					return nil, fmt.Errorf("process[%d][%d] = %v is negative", i, jj, h)
+				}
+				cells = append(cells, i*j+jj)
+			}
+			if r := route[jj]; r != 0 {
+				if r < 0 {
+					return nil, fmt.Errorf("route[%d][%d] = %v is negative", i, jj, r)
+				}
+				routes = append(routes, i*j+jj)
 			}
 		}
 	}
 
 	// Back to all-zero: only the cells the previous call wrote.
 	fs := &s.flows
-	for _, cell := range s.touched {
-		s.flowFlat[cell], s.flowFlat[n*j+cell], s.flowFlat[2*n*j+cell] = 0, 0, 0
+	for _, cell := range fs.Cells {
+		s.flowFlat[n*j+cell], s.flowFlat[2*n*j+cell] = 0, 0
 	}
-	s.touched = s.touched[:0]
+	for _, cell := range s.routes {
+		s.flowFlat[cell] = 0
+	}
 	for jj := 0; jj < j; jj++ {
 		fs.CentralDelaySum[jj], fs.CentralRouted[jj] = 0, 0
 	}
 	s.samples = s.samples[:0]
+	fs.Cells, s.cellsNext = cells, fs.Cells[:0]
+	s.routes, s.routesNext = routes, s.routes[:0]
 
-	// Process from local queues out of the system. A pair with nothing to
-	// process moves nothing and records nothing.
+	// Process from local queues out of the system, site by site; a pair
+	// with nothing to process moves nothing and records nothing.
+	k := 0
 	for i := 0; i < n; i++ {
 		s.sampleOff[i] = len(s.samples)
-		for jj, h := range act.Process[i] {
-			if h == 0 {
-				continue
-			}
-			fs.Processed[i][jj], fs.LocalDelaySum[i][jj] = s.local[i][jj].PopVisit(t, h, s.visit)
-			s.touched = append(s.touched, i*j+jj)
+		for ; k < len(cells) && cells[k] < (i+1)*j; k++ {
+			jj := cells[k] - i*j
+			l := &s.local[i][jj]
+			fs.Processed[i][jj], fs.LocalDelaySum[i][jj] = l.PopVisit(t, act.Process[i][jj], s.visit)
+			s.lens[j+cells[k]] = l.Len()
 		}
 	}
 	s.sampleOff[n] = len(s.samples)
@@ -254,23 +292,21 @@ func (s *Set) Apply(t int, act *model.Action) (*FlowStats, error) {
 
 	// Route from central queues into local queues. Routing is capped at the
 	// central queue content; when the action over-asks across several data
-	// centers the cap is consumed in data-center order: walking the action
-	// row by row still visits each type's central ledger by ascending site.
-	for i := 0; i < n; i++ {
-		for jj, r := range act.Route[i] {
-			if r == 0 {
-				continue
-			}
-			popped, delay := s.central[jj].Pop(t, float64(r))
-			if popped <= 0 {
-				continue
-			}
-			s.local[i][jj].Push(t, popped)
-			fs.Routed[i][jj] = popped
-			s.touched = append(s.touched, i*j+jj)
-			fs.CentralRouted[jj] += popped
-			fs.CentralDelaySum[jj] += delay
+	// centers the cap is consumed in data-center order: the row-major route
+	// list still visits each type's central ledger by ascending site.
+	for _, cell := range routes {
+		i, jj := cell/j, cell%j
+		popped, delay := s.central[jj].Pop(t, float64(act.Route[i][jj]))
+		s.lens[jj] = s.central[jj].Len()
+		if popped <= 0 {
+			continue
 		}
+		l := &s.local[i][jj]
+		l.Push(t, popped)
+		s.lens[j+cell] = l.Len()
+		fs.Routed[i][jj] = popped
+		fs.CentralRouted[jj] += popped
+		fs.CentralDelaySum[jj] += delay
 	}
 	return fs, nil
 }

@@ -234,11 +234,28 @@ func loadedSet(t *testing.T, c *model.Cluster) *Set {
 	return s
 }
 
+// walkLengths builds a Lengths snapshot by walking the ledgers, the reference
+// for the mirror Lengths copies.
+func walkLengths(s *Set) Lengths {
+	out := Lengths{Central: make([]float64, len(s.central)), Local: make([][]float64, len(s.local))}
+	for j := range s.central {
+		out.Central[j] = s.central[j].Len()
+	}
+	for i := range s.local {
+		out.Local[i] = make([]float64, len(s.local[i]))
+		for j := range s.local[i] {
+			out.Local[i][j] = s.local[i][j].Len()
+		}
+	}
+	return out
+}
+
 // TestRejectedApplyLeavesNoTrace pins validate-before-mutate: an action that
 // asks for real processing and routing everywhere but carries one bad entry
-// at the very end must be refused with the set's snapshot bytes unchanged,
-// and the corrected action must then apply exactly once — the same flows and
-// the same final state as on a set that never saw the rejection.
+// at the very end must be refused with the set's snapshot bytes, its lengths
+// and the previous call's FlowStats (Cells included) unchanged, and the
+// corrected action must then apply exactly once — the same flows and the
+// same final state as on a set that never saw the rejection.
 func TestRejectedApplyLeavesNoTrace(t *testing.T) {
 	c := testCluster(t)
 	n, nJ := c.N(), c.J()
@@ -263,13 +280,23 @@ func TestRejectedApplyLeavesNoTrace(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			s, twin := loadedSet(t, c), loadedSet(t, c)
+			// A previous result that processed something, for the refusal
+			// to leave alone.
+			for _, set := range []*Set{s, twin} {
+				if _, err := set.Apply(2, good()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if len(s.flows.Cells) == 0 {
+				t.Fatal("the previous slot processed nothing; the comparison proves nothing")
+			}
 			before, err := s.Snapshot()
 			if err != nil {
 				t.Fatal(err)
 			}
 			bad := good()
 			tc.corrupt(bad)
-			if _, err := s.Apply(2, bad); err == nil {
+			if _, err := s.Apply(3, bad); err == nil {
 				t.Fatal("malformed action accepted")
 			}
 			after, err := s.Snapshot()
@@ -279,12 +306,18 @@ func TestRejectedApplyLeavesNoTrace(t *testing.T) {
 			if !bytes.Equal(before, after) {
 				t.Fatal("rejected action changed the set")
 			}
+			if !reflect.DeepEqual(s.Lengths(), walkLengths(s)) {
+				t.Fatal("after the refusal Lengths() differs from the ledgers")
+			}
+			if !reflect.DeepEqual(s.flows, twin.flows) {
+				t.Fatal("rejected action changed the previous FlowStats")
+			}
 
-			got, err := s.Apply(2, good())
+			got, err := s.Apply(3, good())
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := twin.Apply(2, good())
+			want, err := twin.Apply(3, good())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -293,6 +326,20 @@ func TestRejectedApplyLeavesNoTrace(t *testing.T) {
 			}
 			if got.TotalRouted() == 0 {
 				t.Fatal("test action routed nothing")
+			}
+			var wantCells []int
+			for i, row := range good().Process {
+				for j, h := range row {
+					if h != 0 {
+						wantCells = append(wantCells, i*nJ+j)
+					}
+				}
+			}
+			if !reflect.DeepEqual(got.Cells, wantCells) {
+				t.Errorf("Cells = %v, want the h != 0 pairs %v", got.Cells, wantCells)
+			}
+			if !reflect.DeepEqual(s.Lengths(), walkLengths(s)) {
+				t.Error("Lengths() after the corrected resend differs from the ledgers")
 			}
 			gs, err := s.Snapshot()
 			if err != nil {

@@ -135,12 +135,15 @@ func (s *Set) Restore(snapshot []byte) error {
 			return fmt.Errorf("snapshot site %d has %d job types, set has %d", i, len(data.Local[i]), len(s.local[i]))
 		}
 	}
+	nJ := len(s.central)
 	for j := range s.central {
 		s.central[j].restore(data.Central[j])
+		s.lens[j] = s.central[j].Len()
 	}
 	for i := range s.local {
 		for j := range s.local[i] {
 			s.local[i][j].restore(data.Local[i][j])
+			s.lens[(i+1)*nJ+j] = s.local[i][j].Len()
 		}
 	}
 	return nil

@@ -230,7 +230,7 @@ func (sv *Server) Tick(ctx context.Context) (*TickReport, error) {
 
 func (sv *Server) updateGauges() {
 	sv.slotGauge.Set(float64(sv.s.Slot()))
-	sv.backlog.Set(sv.s.Lengths().Sum())
+	sv.backlog.Set(sv.s.backlog())
 	sv.pendingJobs.Set(float64(sv.s.totalPending()))
 	if !sv.lastSnapTime.IsZero() {
 		sv.snapAge.Set(sv.now().Sub(sv.lastSnapTime).Seconds())

@@ -208,7 +208,7 @@ func (s *Session) Tick(ctx context.Context) (*TickReport, error) {
 		Slot:     t,
 		Admitted: admitted,
 		Pending:  s.pendingTotal,
-		Backlog:  s.eng.Lengths().Sum(),
+		Backlog:  s.eng.Backlog(),
 	}, nil
 }
 
@@ -224,6 +224,13 @@ func (s *Session) Lengths() queue.Lengths {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.eng.Lengths()
+}
+
+// backlog returns the total queue backlog, as Lengths().Sum() would.
+func (s *Session) backlog() float64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.eng.Backlog()
 }
 
 // Pending returns a copy of the per-type pending arrival buffer.

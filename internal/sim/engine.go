@@ -57,6 +57,7 @@ type Engine struct {
 	nextValid bool
 
 	res           *Result
+	accountWork   []float64 // r_m(t), rewritten every slot
 	admissionLens []float64
 	zeroArrivals  []int
 	arrivalsBuf   []int
@@ -141,6 +142,7 @@ func NewEngine(in Inputs, s sched.Scheduler, opt Options) (*Engine, error) {
 	if opt.Admission != nil {
 		e.admissionLens = make([]float64, c.J())
 	}
+	e.accountWork = make([]float64, c.M())
 	e.zeroArrivals = make([]int, c.J())
 	e.arrivalsBuf = make([]int, c.J())
 	return e, nil
@@ -154,6 +156,10 @@ func (e *Engine) Slot() int { return e.t }
 // snapshot is the caller's: it is taken fresh and never aliases the one the
 // engine keeps for its next slot.
 func (e *Engine) Lengths() queue.Lengths { return e.qs.Lengths() }
+
+// Backlog returns the total queue backlog, bit-identical to
+// Lengths().Sum() without taking a snapshot.
+func (e *Engine) Backlog() float64 { return e.qs.Backlog() }
 
 // Scheduler returns the policy currently driving the engine.
 func (e *Engine) Scheduler() sched.Scheduler { return e.s }
@@ -259,35 +265,43 @@ func (e *Engine) Step(extra []int) error {
 	}
 	res.TotalDropped += slotDropped
 
-	// Metrics.
+	// Metrics. Work, account work and the delay sums walk only the pairs the
+	// action asked to process, site by site in row-major order: every term
+	// they skip is an exact +0.0, so each sum is bit-identical to the dense
+	// one (WorkAt, AccountWork).
 	slotEnergy := act.BilledCost(c, st, in.Tariff)
-	slotFairness := e.fair.Score(act.AccountWork(c), st.TotalResource(c))
 	e.energy.Add(slotEnergy)
-	e.fairScore.Add(slotFairness)
+	clear(e.accountWork)
 	var slotProcessed float64
+	cells, k, nJ := flows.Cells, 0, c.J()
 	for i := 0; i < c.N(); i++ {
-		// A pair that processed nothing has no delay to report either, and
-		// its terms are exact +0.0s: skipping them changes no sum.
-		var dSum, dCount float64
-		for j, p := range flows.Processed[i] {
-			if p == 0 {
-				continue
+		var work, dSum, dCount float64
+		for ; k < len(cells) && cells[k] < (i+1)*nJ; k++ {
+			j := cells[k] - i*nJ
+			jt := &c.JobTypes[j]
+			w := act.Process[i][j] * jt.Demand
+			work += w
+			e.accountWork[jt.Account] += w
+			// A pair that processed nothing has no delay to report either.
+			if p := flows.Processed[i][j]; p != 0 {
+				dSum += flows.LocalDelaySum[i][j]
+				dCount += p
+				e.processed += p
+				slotProcessed += p
 			}
-			dSum += flows.LocalDelaySum[i][j]
-			dCount += p
-			e.processed += p
-			slotProcessed += p
 		}
 		e.localDelay[i].Add(dSum, dCount)
 		for _, sample := range flows.LocalDelaySamples[i] {
 			e.hists[i].Add(sample.Delay, sample.Jobs)
 		}
-		e.workAvg[i].Add(act.WorkAt(c, i))
+		e.workAvg[i].Add(work)
 		if opt.RecordSeries {
-			res.WorkSeries[i] = append(res.WorkSeries[i], act.WorkAt(c, i))
+			res.WorkSeries[i] = append(res.WorkSeries[i], work)
 			res.PriceSeries[i] = append(res.PriceSeries[i], st.Price[i])
 		}
 	}
+	slotFairness := e.fair.Score(e.accountWork, st.TotalResource(c))
+	e.fairScore.Add(slotFairness)
 	var slotArrived float64
 	for j := 0; j < c.J(); j++ {
 		e.centralDelay.Add(flows.CentralDelaySum[j], flows.CentralRouted[j])
@@ -386,7 +400,7 @@ func (e *Engine) Result() *Result {
 	res.DelayHistograms = e.hists
 	res.MaxQueue = e.maxQ.Value()
 	res.AvgQueue = e.avgQ.Mean()
-	res.FinalBacklog = e.qs.Lengths().Sum()
+	res.FinalBacklog = e.qs.Backlog()
 	res.TotalArrived = e.arrived
 	res.TotalProcessed = e.processed
 	return res

@@ -422,7 +422,7 @@ func (m *MuxClient) roundTrip(ctx context.Context, target int, kind string, body
 	var err error
 	if *out, err = appendFrame(*out, id, target, kind, "", body); err != nil {
 		m.abandon(id, ch) // nothing was written; the stream is intact
-		return muxReply{}, fmt.Errorf("encode %s for target %d: %w", kind, target, err)
+		return muxReply{}, unsentError{fmt.Errorf("encode %s for target %d: %w", kind, target, err)}
 	}
 	m.writeMu.Lock()
 	// Bound the write alone: a per-connection read deadline would abort

@@ -143,6 +143,14 @@ func (r *ReconnectClient) drop(c *MuxClient) {
 	c.Close()
 }
 
+// unsentError marks a request that failed before any byte of it was written
+// — no wire layout, or a frame over the size cap — so the connection is
+// intact and a replay would fail the same way.
+type unsentError struct{ err error }
+
+func (e unsentError) Error() string { return e.err.Error() }
+func (e unsentError) Unwrap() error { return e.err }
+
 // retriable reports whether a failed call is the connection's failure — worth
 // a redial and a replay — rather than the request's or the caller's.
 func retriable(ctx context.Context, err error) bool {
@@ -152,8 +160,10 @@ func retriable(ctx context.Context, err error) bool {
 		return false // the agent saw the request and rejected it
 	case ctx.Err() != nil && errors.Is(err, ctx.Err()):
 		return false // the caller gave up; the mux drops the late reply by id
+	case errors.As(err, new(unsentError)):
+		return false // never written: the stream is intact
 	case errors.Is(err, ErrUnknownMessage):
-		return false // never encoded, so never written: the stream is intact
+		return false // a reply destination with no wire layout: a replay fails alike
 	}
 	return true
 }
@@ -161,8 +171,9 @@ func retriable(ctx context.Context, err error) bool {
 // Call sends a request, redialing and retrying on transport failures with
 // capped exponential backoff between attempts. Remote handler errors
 // (RemoteError) are not retried: the remote side saw the request and rejected
-// it, so replaying cannot help. Nor is a request with no wire layout
-// (ErrUnknownMessage): nothing was written, and the connection is kept.
+// it, so replaying cannot help. Nor is a request that could not be framed (no
+// wire layout, ErrUnknownMessage, or over the size cap, ErrFrameTooLarge):
+// nothing was written, and the connection is kept.
 func (r *ReconnectClient) Call(kind string, reqBody, respBody any) error {
 	return r.CallContext(context.Background(), kind, reqBody, respBody)
 }

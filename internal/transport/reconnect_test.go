@@ -246,6 +246,38 @@ func TestReconnectClientDoesNotRetryEncodeError(t *testing.T) {
 	}
 }
 
+// TestReconnectClientDoesNotRetryOversizedRequest: a request over the frame
+// cap is refused before any byte is written, so the client neither redials
+// nor backs off, and the healthy connection carries the next call.
+func TestReconnectClientDoesNotRetryOversizedRequest(t *testing.T) {
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fl := &flakyListener{Listener: lis}
+	srv := NewMuxServer(fl, echoHandler)
+	go srv.Serve()
+	defer srv.Close()
+
+	c := NewReconnectClient(srv.Addr(), time.Second, 3)
+	c.backoff = time.Second // a retry would show as a sleep
+	defer c.Close()
+	start := time.Now()
+	if err := c.Call(KindPing, make([]byte, maxFrame+1), nil); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("err = %v, want ErrFrameTooLarge", err)
+	}
+	if elapsed := time.Since(start); elapsed > 400*time.Millisecond {
+		t.Errorf("oversized request took %v; it was retried", elapsed)
+	}
+	var resp Ping
+	if err := c.Call(KindPing, Ping{Nonce: 2}, &resp); err != nil || resp.Nonce != 2 {
+		t.Fatalf("call after the oversized one: nonce %d, err %v", resp.Nonce, err)
+	}
+	if n := fl.accepted.Load(); n != 1 {
+		t.Errorf("server accepted %d connections, want 1: an oversized request must keep its connection", n)
+	}
+}
+
 func TestRetryDelayCappedWithJitter(t *testing.T) {
 	c := NewReconnectClient("127.0.0.1:1", time.Second, 3)
 	// Equal jitter draws each delay from [d/2, d], where d is the un-jittered
