@@ -26,10 +26,9 @@ race:
 # internal/serve and cmd/grefar-serve only proves its tick/checkpoint locking
 # when raced; the degraded-mode controller and the chaos transport only prove
 # their kill/restart determinism when raced), the Decide allocation-budget
-# guard (which -race skips, so it runs plain here), race-enabled hollow
-# smokes (64 in-process agents, 5 slots, 5% killed mid-run — the degraded-mode
-# cycle end to end, once under the single controller and once under the
-# 2-partition control plane), a race-enabled rerun of the sparse/decomposed
+# guard (which -race skips, so it runs plain here), a race-enabled hollow
+# smoke (64 in-process agents, 5 slots, 5% killed mid-run — the degraded-mode
+# cycle end to end), a race-enabled rerun of the sparse/decomposed
 # solver suites (the pooled block solves only prove their disjoint-write
 # determinism when raced) together with the default-solver, cross-
 # representation checkpoint, validate-before-apply, reused-snapshot and
@@ -59,7 +58,6 @@ tier1:
 	$(GO) test -race -count=1 -run 'TestRejectedApply|TestSnapshotsOwn|TestEngineSnapshotReuse|TestEngineDetailOwnsFlows|FuzzApply' ./internal/queue ./internal/sim
 	$(GO) test -count=1 -run TestCrossCheckDecomposed ./internal/invariant
 	$(GO) run -race ./cmd/grefar-hollow -agents 64 -slots 5 -kill-frac 0.05
-	$(GO) run -race ./cmd/grefar-hollow -agents 64 -slots 5 -kill-frac 0.05 -partitions 2 -check
 	$(GO) test -count=1 -run 'TestDecideAllocationBudget|TestEngineStepAllocationBudget|TestWireAllocationBudget' .
 	$(GO) test -run '^$$' -fuzz FuzzSimplex -fuzztime $(FUZZTIME) ./internal/lp
 	$(GO) test -run '^$$' -fuzz FuzzApply -fuzztime $(FUZZTIME) ./internal/queue
@@ -89,7 +87,6 @@ fuzz:
 golden:
 	$(GO) test ./internal/invariant -run TestGoldenTraces -update
 	$(GO) test ./internal/controller -run TestGoldenChaosTrace -update
-	$(GO) test ./internal/controlplane -run TestPartitionedMatchesSingle -update
 
 # check replays the paper's reference experiment with the invariant checker
 # attached: queue dynamics (12)-(13), action feasibility, job conservation,
@@ -119,12 +116,11 @@ bench-slot:
 # internal/core, hence the second package on those lines). DIST_BENCHES is
 # the set recorded in BENCH_distributed.json: the 3-agent controller round
 # (one mux conn per agent), the hollow-fleet sweep at 100/500/1000/2000
-# agents, the partitioned-control-plane cells (agents x partitions), and the
-# wire codec alone (state report and allocation, encode and decode). benchjson
+# agents, and the wire codec alone (state report and allocation, encode and decode). benchjson
 # records the box under "_env" in both files, and bench-compare refuses a run
 # taken at another GOMAXPROCS.
 SLOT_BENCHES = BenchmarkSlotDecision$$|BenchmarkEngineStep$$|BenchmarkDecideRouting$$
-DIST_BENCHES = BenchmarkDistributedSlot$$|BenchmarkHollowSlot/|BenchmarkPartitionedSlot/|BenchmarkCodec/
+DIST_BENCHES = BenchmarkDistributedSlot$$|BenchmarkHollowSlot/|BenchmarkCodec/
 BENCHCOUNT ?= 3
 
 # bench-json refreshes the committed baselines BENCH_slot.json and
@@ -149,7 +145,7 @@ bench-compare:
 		| $(GO) run ./cmd/benchjson -compare BENCH_slot.json -max-regress 0.15
 	$(GO) test -run '^$$' -bench '$(DIST_BENCHES)' -benchmem -count=$(BENCHCOUNT) . \
 		| $(GO) run ./cmd/benchjson -compare BENCH_distributed.json \
-			-guard '^BenchmarkDistributedSlot$$|^BenchmarkHollowSlot|^BenchmarkPartitionedSlot' -max-regress 0.15
+			-guard '^BenchmarkDistributedSlot$$|^BenchmarkHollowSlot' -max-regress 0.15
 
 # hollow-bench runs the hollow-fleet scale sweep locally — fault-free and
 # chaos variants at each fleet size — and prints the measurement table

@@ -9,14 +9,8 @@
 //
 //	grefar-controller -agents 127.0.0.1:7001,127.0.0.1:7002,127.0.0.1:7003 \
 //	                  [-V 7.5] [-beta 100] [-slots 2000] [-seed 2012] \
-//	                  [-policy grefar|always] [-partitions 1] \
+//	                  [-policy grefar|always] \
 //	                  [-metrics-addr 127.0.0.1:9090] [-pprof]
-//
-// The control loop is one loop at any -partitions: with 1 (the default) it is
-// the paper's single central scheduler; with more, that many controller
-// partitions over disjoint data-center ranges run the agent I/O concurrently,
-// and the loop still decides once per slot, so the run's metrics are the
-// single scheduler's.
 //
 // The seed must match the agents' so the controller's workload lines up with
 // the world the agents simulate. Agent connections redial with capped
@@ -39,7 +33,6 @@ import (
 	"time"
 
 	"grefar/internal/controller"
-	"grefar/internal/controlplane"
 	"grefar/internal/core"
 	"grefar/internal/model"
 	"grefar/internal/sched"
@@ -62,7 +55,7 @@ func main() {
 // httptest server instead of a real listener.
 type app struct {
 	cluster *model.Cluster
-	ctrl    *controlplane.Plane
+	ctrl    *controller.Controller
 	// Metrics serves /metrics, /healthz, and optionally /debug/pprof/.
 	Metrics http.Handler
 
@@ -107,7 +100,6 @@ func buildApp(args []string) (*app, error) {
 	slots := fs.Int("slots", 2000, "horizon in hourly slots")
 	seed := fs.Int64("seed", 2012, "workload seed (must match the agents)")
 	policy := fs.String("policy", "grefar", "scheduling policy: grefar or always")
-	partitions := fs.Int("partitions", 1, "controller partitions splitting probe/gather/scatter; the loop decides once per slot at any count")
 	timeout := fs.Duration("timeout", 10*time.Second, "per-RPC timeout")
 	retries := fs.Int("retries", 2, "redial attempts per RPC after a transport failure (with capped exponential backoff)")
 	metricsAddr := fs.String("metrics-addr", "", "address to serve /metrics and /healthz on (empty disables)")
@@ -164,39 +156,29 @@ func buildApp(args []string) (*app, error) {
 		conns[i] = cli
 	}
 
-	// factory builds one scheduler per deciding partition. Only the first
-	// instance gets the decision observer, so a partitioned run emits one
-	// scheduler event stream per slot instead of one per partition.
-	built := 0
-	factory := func() (sched.Scheduler, error) {
-		built++
-		switch *policy {
-		case "grefar":
-			cfg := core.Config{V: *v, Beta: *beta}
-			if built == 1 {
-				cfg.Observer = obs
-			}
-			return core.New(c, cfg)
-		case "always":
-			return sched.NewAlways(c)
-		default:
-			return nil, fmt.Errorf("unknown policy %q", *policy)
-		}
+	var sch sched.Scheduler
+	switch *policy {
+	case "grefar":
+		sch, err = core.New(c, core.Config{V: *v, Beta: *beta, Observer: obs})
+	case "always":
+		sch, err = sched.NewAlways(c)
+	default:
+		err = fmt.Errorf("unknown policy %q", *policy)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("scheduler: %w", err)
 	}
 
 	a.wl, err = workload.NewReferenceWorkload(*seed+1, c, *slots)
 	if err != nil {
 		return nil, fmt.Errorf("workload: %w", err)
 	}
-	a.ctrl, err = controlplane.New(c, conns, controlplane.Config{
-		Partitions:   *partitions,
-		NewScheduler: factory,
-		Policy:       policyVal,
-		SuspectAfter: *suspectAfter,
-		DeadAfter:    *deadAfter,
-		Observer:     obs,
-		Registry:     reg,
-	})
+	a.ctrl, err = controller.New(c, sch, conns,
+		controller.WithObserver(obs),
+		controller.WithFailurePolicy(policyVal),
+		controller.WithHealthThresholds(*suspectAfter, *deadAfter),
+		controller.WithHealthMetrics(reg),
+	)
 	if err != nil {
 		return nil, err
 	}

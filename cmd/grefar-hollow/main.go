@@ -8,7 +8,7 @@
 // Usage:
 //
 //	grefar-hollow [-agents 1000] [-slots 60] [-seed 2012] [-conns 4]
-//	              [-partitions 1] [-kill-frac 0.05] [-kill-at slots/3]
+//	              [-kill-frac 0.05] [-kill-at slots/3]
 //	              [-revive-at 2*slots/3] [-V 7.5] [-beta 100] [-check]
 //	              [-metrics :9300] [-pprof]
 //
@@ -18,9 +18,7 @@
 // default on) verifies every applied slot. With -metrics, the controller's
 // health gauges, RTT histograms, and slot telemetry are served on /metrics.
 // The fleet's MuxConns put the loop on its batch path: one frame per
-// connection per phase. With -partitions > 1 the same loop splits its probe,
-// gather and scatter that many ways, one partition per contiguous range of
-// agents; it still decides once per slot, so the trajectory is unchanged.
+// connection per phase.
 package main
 
 import (
@@ -36,11 +34,9 @@ import (
 	"time"
 
 	"grefar/internal/controller"
-	"grefar/internal/controlplane"
 	"grefar/internal/core"
 	"grefar/internal/hollow"
 	"grefar/internal/invariant"
-	"grefar/internal/sched"
 	"grefar/internal/telemetry"
 )
 
@@ -59,7 +55,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	slots := fs.Int("slots", 60, "horizon in slots")
 	seed := fs.Int64("seed", 2012, "seed for the synthetic workload")
 	conns := fs.Int("conns", 0, "multiplexed client connections carrying the fleet's traffic (0 = default)")
-	partitions := fs.Int("partitions", 1, "controller partitions splitting probe/gather/scatter; the loop decides once per slot at any count")
 	killFrac := fs.Float64("kill-frac", 0, "fraction of agents killed mid-run (0 disables the outage)")
 	killAt := fs.Int("kill-at", 0, "slot the outage starts (default slots/3)")
 	reviveAt := fs.Int("revive-at", 0, "slot the killed agents come back (default 2*slots/3)")
@@ -73,9 +68,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 	if *agents <= 0 || *slots <= 0 {
 		return fmt.Errorf("need positive -agents and -slots")
-	}
-	if *partitions < 1 || *partitions > *agents {
-		return fmt.Errorf("-partitions %d outside [1,%d]", *partitions, *agents)
 	}
 	if *killFrac < 0 || *killFrac >= 1 {
 		return fmt.Errorf("-kill-frac %v outside [0,1)", *killFrac)
@@ -107,15 +99,15 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		ck = invariant.NewChecker(in.Cluster, invariant.CheckerOptions{})
 		obs = append(obs, ck)
 	}
-	ct, err := controlplane.New(in.Cluster, fleet.Conns(), controlplane.Config{
-		Partitions: *partitions,
-		NewScheduler: func() (sched.Scheduler, error) {
-			return core.New(in.Cluster, core.Config{V: *v, Beta: *beta})
-		},
-		Policy:   controller.Degrade,
-		Observer: telemetry.Multi(obs...),
-		Registry: reg,
-	})
+	g, err := core.New(in.Cluster, core.Config{V: *v, Beta: *beta})
+	if err != nil {
+		return err
+	}
+	ct, err := controller.New(in.Cluster, g, fleet.Conns(),
+		controller.WithFailurePolicy(controller.Degrade),
+		controller.WithObserver(telemetry.Multi(obs...)),
+		controller.WithHealthMetrics(reg),
+	)
 	if err != nil {
 		return err
 	}
@@ -132,9 +124,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 
 	killed := killSet(*agents, *killFrac)
 	fmt.Fprintf(out, "hollow fleet: %d agents on %s, %d slots", fleet.N(), fleet.Addr(), *slots)
-	if *partitions > 1 {
-		fmt.Fprintf(out, ", %d controller partitions", *partitions)
-	}
 	if len(killed) > 0 {
 		fmt.Fprintf(out, ", killing %d agents over [%d,%d)", len(killed), *killAt, *reviveAt)
 	}

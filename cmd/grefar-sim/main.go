@@ -83,7 +83,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	scaleAgents := fs.String("scale-agents", "100,500,1000,2000", "comma-separated fleet sizes for the scale experiment")
 	scaleSlots := fs.Int("scale-slots", 40, "per-fleet-size horizon for the scale experiment")
 	scaleChaos := fs.Bool("scale-chaos", true, "also run each scale point with injected churn and drops")
-	scaleParts := fs.Int("scale-partitions", 4, "partitioned-control-plane arm of the scale experiment (<=1 disables)")
 	killFrac := fs.Float64("kill-frac", 0.05, "fraction of agents the scale chaos variant partitions")
 	solverShapes := fs.String("solver-shapes", "50x25,100x50,200x100", "comma-separated NxJ grid points for the solverscale experiment")
 	solverDensities := fs.String("solver-densities", "0.1,0.5,1", "comma-separated active-pair fractions for the solverscale experiment")
@@ -154,15 +153,14 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 				return fmt.Errorf("-scale-agents: %w", err)
 			}
 			return runScale(out, experiments.ScaleConfig{
-				Seed:       *seed,
-				ChaosSeed:  *chaosSeed,
-				Agents:     agents,
-				Slots:      *scaleSlots,
-				Chaos:      *scaleChaos,
-				Partitions: *scaleParts,
-				KillFrac:   *killFrac,
-				Check:      *check,
-				Context:    ctx,
+				Seed:      *seed,
+				ChaosSeed: *chaosSeed,
+				Agents:    agents,
+				Slots:     *scaleSlots,
+				Chaos:     *scaleChaos,
+				KillFrac:  *killFrac,
+				Check:     *check,
+				Context:   ctx,
 			})
 		},
 		"solverscale": func() error {
@@ -346,14 +344,9 @@ func runScale(out io.Writer, cfg experiments.ScaleConfig) error {
 		if pt.Chaos {
 			mode = "chaos"
 		}
-		parts := pt.Partitions
-		if parts < 1 {
-			parts = 1
-		}
 		table[x] = []string{
 			strconv.Itoa(pt.Agents),
 			mode,
-			strconv.Itoa(parts),
 			pt.P50.Round(10 * time.Microsecond).String(),
 			pt.P99.Round(10 * time.Microsecond).String(),
 			report.FormatFloat(pt.SlotsPerSec, 1),
@@ -364,7 +357,7 @@ func runScale(out io.Writer, cfg experiments.ScaleConfig) error {
 			report.FormatFloat(pt.FinalBacklog, 0),
 		}
 	}
-	return report.Table(out, []string{"Agents", "Mode", "Parts", "p50 tick", "p99 tick", "Slots/s", "Allocs/slot", "Heap MiB", "Degraded", "Energy/slot", "Backlog"}, table)
+	return report.Table(out, []string{"Agents", "Mode", "p50 tick", "p99 tick", "Slots/s", "Allocs/slot", "Heap MiB", "Degraded", "Energy/slot", "Backlog"}, table)
 }
 
 func runTableI(out io.Writer, cfg experiments.Config) error {

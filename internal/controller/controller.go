@@ -5,14 +5,12 @@
 // the per-site allocation decisions back to the agents. The controller owns
 // only the central queues Q_j; the local queues q_{i,j} live on the agents.
 //
-// There is one control loop. P partitions, each owning a disjoint contiguous
-// range of the data centers, split the agent I/O (probe, gather, scatter);
-// everything else — state assembly, the decision, masking, the central pops,
-// settling against the shadow ledgers, telemetry — happens once per slot. The
-// decision is made once, by one scheduler on the slot-initial backlogs: the
-// paper's Algorithm 1, whose fairness term couples every site's allocation,
-// so no partition could decide its own rows alone. New builds this loop with
-// P = 1; package controlplane is the constructor surface for the rest.
+// There is one control loop, and New builds it. Each slot it decides once, by
+// one scheduler on the slot-initial backlogs: the paper's Algorithm 1, whose
+// fairness term couples every site's allocation. Its agent I/O (probe,
+// gather, scatter) fans out once per wire: the agents behind one
+// transport.MuxClient share one batch frame per phase, and every other agent
+// gets its own concurrent call.
 package controller
 
 import (
@@ -79,11 +77,16 @@ type Controller struct {
 	central []queue.Ledger
 	scratch *SlotScratch
 
-	// sch decides for the whole cluster, once per slot; parts split the
-	// agent I/O.
-	sch    sched.Scheduler
-	parts  []*partition
-	wireOf []int // agent -> index into its partition's wires, -1 for a per-agent call
+	// sch decides for the whole cluster, once per slot.
+	sch sched.Scheduler
+
+	// wires are the mux clients carrying agents, found once at construction
+	// (a conn's type never changes afterwards); wireOf maps an agent to its
+	// wire, -1 for a per-agent call; live is the phase's call list. All are
+	// reused every phase.
+	wires  []wire
+	wireOf []int
+	live   []int
 
 	// Fault tolerance: the failure policy and thresholds, the registry the
 	// metric families publish to (nil disables them), and the health tracker
@@ -93,30 +96,21 @@ type Controller struct {
 	tracker *Tracker
 }
 
-// partition is one controller partition: its contiguous ownership range and
-// the wires its I/O goes out on.
-type partition struct {
-	owned []int // global data-center ids, ascending
-
-	// wires are the mux clients carrying owned agents, found once at
-	// construction (a conn's type never changes afterwards); live is the
-	// phase's call list. Both are reused every phase, under the partition's
-	// own goroutine.
-	wires []wire
-	live  []int
-}
-
-// wire is one MuxClient as a partition sees it: the batch frame it builds for
-// the owned agents that client carries. ids and calls are refilled per phase,
-// in step; neither outlives it.
+// wire is one MuxClient: the batch frame a phase builds for the agents that
+// client carries. ids and calls are refilled per phase, in step; neither
+// outlives it.
 type wire struct {
 	client *transport.MuxClient
-	ids    []int // global agent ids, in call order
+	ids    []int // agent ids, in call order
 	calls  []transport.BatchCall
 }
 
-// PartitionStats describes one partition. The loop decides once, so there is
-// no commit to count: Conflicts, Retries, Commits and Forced are always zero.
+// PartitionStats describes the loop as one partition owning every data
+// center.
+//
+// Deprecated: the loop has no partitions. Conflicts, Retries, Commits and
+// Forced are always zero; the type stays only because benchmark/fleet.go
+// still reads it.
 type PartitionStats struct {
 	Partition int
 	Owned     int
@@ -134,44 +128,17 @@ func WithObserver(obs telemetry.SlotObserver) Option {
 	return func(ct *Controller) { ct.obs = obs }
 }
 
-// Partitioning selects how the loop splits the fleet's I/O. At any partition
-// count the loop decides once per slot, so its trajectory is the single
-// controller's.
-type Partitioning struct {
-	// Partitions is the number of contiguous, near-equal ownership ranges the
-	// data centers are split into.
-	Partitions int
-	// NewScheduler builds the loop's one scheduler.
-	NewScheduler func() (sched.Scheduler, error)
-}
-
-// New builds the single controller: one partition, one scheduler, one
-// decision per slot. agents[i] must be connected to the agent serving data
-// center i.
+// New builds the control loop: one scheduler, one decision per slot.
+// agents[i] must be connected to the agent serving data center i.
 func New(c *model.Cluster, sch sched.Scheduler, agents []AgentConn, opts ...Option) (*Controller, error) {
 	if sch == nil {
 		return nil, fmt.Errorf("nil scheduler")
 	}
-	return NewPartitioned(c, agents, Partitioning{
-		Partitions:   1,
-		NewScheduler: func() (sched.Scheduler, error) { return sch, nil },
-	}, opts...)
-}
-
-// NewPartitioned builds the control loop over the given agent connections;
-// conns[i] must serve data center i.
-func NewPartitioned(c *model.Cluster, conns []AgentConn, pt Partitioning, opts ...Option) (*Controller, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	if len(conns) != c.N() {
-		return nil, fmt.Errorf("got %d agents, cluster has %d data centers", len(conns), c.N())
-	}
-	if pt.Partitions < 1 || pt.Partitions > c.N() {
-		return nil, fmt.Errorf("partitions %d outside [1,%d]", pt.Partitions, c.N())
-	}
-	if pt.NewScheduler == nil {
-		return nil, fmt.Errorf("nil scheduler factory")
+	if len(agents) != c.N() {
+		return nil, fmt.Errorf("got %d agents, cluster has %d data centers", len(agents), c.N())
 	}
 	weights := make([]float64, c.M())
 	for m, a := range c.Accounts {
@@ -181,45 +148,26 @@ func NewPartitioned(c *model.Cluster, conns []AgentConn, pt Partitioning, opts .
 	if err != nil {
 		return nil, err
 	}
-	sch, err := pt.NewScheduler()
-	if err != nil {
-		return nil, fmt.Errorf("scheduler: %w", err)
-	}
-	if sch == nil {
-		return nil, fmt.Errorf("scheduler factory returned nil")
-	}
 	ct := &Controller{
 		cluster: c,
-		conns:   conns,
+		conns:   agents,
 		fair:    fair,
 		central: make([]queue.Ledger, c.J()),
 		scratch: NewSlotScratch(c),
 		sch:     sch,
+		wireOf:  make([]int, c.N()),
+		live:    make([]int, 0, c.N()),
 	}
 	for _, opt := range opts {
 		opt(ct)
 	}
 	ct.detail = telemetry.WantsDetail(ct.obs)
-	ct.tracker = NewTracker(c, conns, ct.health, ct.reg)
-	n, p := c.N(), pt.Partitions
-	ct.wireOf = make([]int, n)
-	for id := 0; id < p; id++ {
-		lo, hi := id*n/p, (id+1)*n/p
-		part := &partition{owned: make([]int, 0, hi-lo), live: make([]int, 0, hi-lo)}
-		for i := lo; i < hi; i++ {
-			part.owned = append(part.owned, i)
-			ct.wireOf[i] = part.wireFor(conns[i])
-		}
-		ct.parts = append(ct.parts, part)
+	ct.tracker = NewTracker(c, agents, ct.health, ct.reg)
+	for i, conn := range agents {
+		ct.wireOf[i] = ct.wireFor(conn)
 	}
 	return ct, nil
 }
-
-// Partitions returns the number of controller partitions.
-func (ct *Controller) Partitions() int { return len(ct.parts) }
-
-// Owned returns partition p's data-center ids.
-func (ct *Controller) Owned(p int) []int { return append([]int(nil), ct.parts[p].owned...) }
 
 // Health returns the per-agent health states (index i is data center i).
 func (ct *Controller) Health() []AgentHealth { return ct.tracker.Health() }
@@ -233,13 +181,11 @@ func (ct *Controller) CentralLens() []float64 {
 	return out
 }
 
-// Stats describes each partition.
+// Stats describes the loop as one partition.
+//
+// Deprecated: see PartitionStats.
 func (ct *Controller) Stats() []PartitionStats {
-	out := make([]PartitionStats, len(ct.parts))
-	for i, p := range ct.parts {
-		out[i] = PartitionStats{Partition: i, Owned: len(p.owned)}
-	}
-	return out
+	return []PartitionStats{{Owned: ct.cluster.N()}}
 }
 
 // Snapshot serializes the controller's central queue state so a restarted
@@ -271,55 +217,35 @@ func joinAgentErrors(phase string, errs []error) error {
 	return errors.Join(joined...)
 }
 
-// eachPartition runs f for every partition, concurrently when there is more
-// than one. Every write f makes must land at an owned agent's index or on the
-// partition itself: ownership is disjoint, so the shared per-agent arrays and
-// the tracker's records never race.
-func (ct *Controller) eachPartition(f func(p *partition)) {
-	if len(ct.parts) == 1 {
-		f(ct.parts[0])
-		return
-	}
-	var wg sync.WaitGroup
-	for _, p := range ct.parts {
-		wg.Add(1)
-		go func(p *partition) {
-			defer wg.Done()
-			f(p)
-		}(p)
-	}
-	wg.Wait()
-}
-
 // wireFor returns the index of the wire carrying conn, adding it on first
 // sight, or -1 when conn is not a MuxConn and its agent is called on its own.
-func (p *partition) wireFor(conn AgentConn) int {
+func (ct *Controller) wireFor(conn AgentConn) int {
 	mc, ok := conn.(*transport.MuxConn)
 	if !ok {
 		return -1
 	}
-	for w := range p.wires {
-		if p.wires[w].client == mc.Client() {
+	for w := range ct.wires {
+		if ct.wires[w].client == mc.Client() {
 			return w
 		}
 	}
-	p.wires = append(p.wires, wire{client: mc.Client()})
-	return len(p.wires) - 1
+	ct.wires = append(ct.wires, wire{client: mc.Client()})
+	return len(ct.wires) - 1
 }
 
-// callMany issues one kind of RPC to the partition's live agents, writing
-// results and errors at the agents' global indices. Agents behind the same
-// MuxClient share one batched frame — the conn type says so, no option does;
-// everything else (chaos-wrapped conns, Loopback, in-process fakes, and
-// reconnecting clients, which carry one agent per address and so have nothing
-// to batch) gets a concurrent per-agent call. req(i) builds the request;
-// resp(i) returns the decode destination.
-func (ct *Controller) callMany(ctx context.Context, p *partition, kind string,
+// callMany issues one kind of RPC to the live agents, writing results and
+// errors at the agents' indices. Agents behind the same MuxClient share one
+// batched frame — the conn type says so, no option does; everything else
+// (chaos-wrapped conns, Loopback, in-process fakes, and reconnecting clients,
+// which carry one agent per address and so have nothing to batch) gets a
+// concurrent per-agent call. req(i) builds the request; resp(i) returns the
+// decode destination.
+func (ct *Controller) callMany(ctx context.Context, kind string,
 	req func(i int) any, resp func(i int) any, errs []error) {
 	var wg sync.WaitGroup
-	for _, i := range p.live {
+	for _, i := range ct.live {
 		if w := ct.wireOf[i]; w >= 0 {
-			wr := &p.wires[w]
+			wr := &ct.wires[w]
 			wr.ids = append(wr.ids, i)
 			wr.calls = append(wr.calls, transport.BatchCall{
 				Target: ct.conns[i].(*transport.MuxConn).Target(),
@@ -335,8 +261,8 @@ func (ct *Controller) callMany(ctx context.Context, p *partition, kind string,
 			errs[i] = ct.tracker.Call(ctx, i, kind, req(i), resp(i))
 		}(i)
 	}
-	for w := range p.wires {
-		if len(p.wires[w].calls) == 0 {
+	for w := range ct.wires {
+		if len(ct.wires[w].calls) == 0 {
 			continue
 		}
 		wg.Add(1)
@@ -356,7 +282,7 @@ func (ct *Controller) callMany(ctx context.Context, p *partition, kind string,
 			// The calls point at this slot's requests and replies: drop them.
 			clear(wr.calls)
 			wr.ids, wr.calls = wr.ids[:0], wr.calls[:0]
-		}(&p.wires[w])
+		}(&ct.wires[w])
 	}
 	wg.Wait()
 }
@@ -392,49 +318,45 @@ func (ct *Controller) RunSlotContext(ctx context.Context, t int, arrivals []int)
 	}
 	degrade := ct.health.Policy == Degrade
 
-	// Probe, gather, resolve — per partition. Dead agents are probed instead
-	// of polled; every other agent's report is validated on receipt (site
-	// echo, slot echo, dimensions, finite non-negative values), so a malformed
-	// or truncated report surfaces as a typed per-agent error — wrapping
+	// Probe, gather, resolve. Dead agents are probed instead of polled; every
+	// other agent's report is validated on receipt (site echo, slot echo,
+	// dimensions, finite non-negative values), so a malformed or truncated
+	// report surfaces as a typed per-agent error — wrapping
 	// transport.ErrMalformedReport — before it can corrupt the assembled
 	// state. errs[i] is nil exactly when reports[i] is usable; ok[i] marks the
 	// agents participating in this slot's decision.
 	ct.scratch.Reset()
 	reports, errs, ok := ct.scratch.Reports, ct.scratch.StateErrs, ct.scratch.OK
 	var stateReq any = transport.StateRequest{Slot: t} // boxed once, not per agent
-	ct.eachPartition(func(p *partition) {
-		if degrade {
-			ct.tracker.ProbeDead(ctx, t, p.owned)
+	if degrade {
+		ct.tracker.ProbeDead(ctx, t)
+	}
+	ct.live = ct.live[:0]
+	for i := 0; i < c.N(); i++ {
+		if ct.tracker.State(i) == Dead {
+			errs[i] = errAgentDead
+			continue
 		}
-		p.live = p.live[:0]
-		for _, i := range p.owned {
-			if ct.tracker.State(i) == Dead {
-				errs[i] = errAgentDead
-				continue
-			}
-			p.live = append(p.live, i)
+		ct.live = append(ct.live, i)
+	}
+	ct.callMany(ctx, transport.KindState,
+		func(int) any { return stateReq },
+		func(i int) any { return &reports[i] },
+		errs)
+	for _, i := range ct.live {
+		if errs[i] == nil {
+			errs[i] = reports[i].Validate(i, t, c.K(i), c.J())
 		}
-		ct.callMany(ctx, p, transport.KindState,
-			func(int) any { return stateReq },
-			func(i int) any { return &reports[i] },
-			errs)
-		for _, i := range p.live {
-			if errs[i] == nil {
-				errs[i] = reports[i].Validate(i, t, c.K(i), c.J())
-			}
-		}
-		if !degrade {
-			return // strict resolution needs every partition's errors
-		}
-		for _, i := range p.owned {
-			if errs[i] != nil {
+	}
+	if degrade {
+		for i, err := range errs {
+			if err != nil {
 				ct.tracker.RecordFailure(i)
 				continue
 			}
 			ok[i] = ct.tracker.ResolveReport(ctx, i, t, &reports[i])
 		}
-	})
-	if !degrade {
+	} else {
 		if err := joinAgentErrors("state", errs); err != nil {
 			return nil, nil, nil, err
 		}
@@ -542,26 +464,24 @@ func (ct *Controller) RunSlotContext(ctx context.Context, t int, arrivals []int)
 		acks[i].DelaySum = ackFlat[(2*i+1)*j : (2*i+2)*j : (2*i+2)*j]
 	}
 	errsA, allocs := ct.scratch.AllocErrs, ct.scratch.Allocs
-	ct.eachPartition(func(p *partition) {
-		p.live = p.live[:0]
-		for _, i := range p.owned {
-			if ok[i] {
-				p.live = append(p.live, i)
-			}
+	ct.live = ct.live[:0]
+	for i, in := range ok {
+		if in {
+			ct.live = append(ct.live, i)
 		}
-		ct.callMany(ctx, p, transport.KindAllocate,
-			func(i int) any {
-				allocs[i] = transport.Allocate{
-					Slot:    t,
-					Route:   routed[i],
-					Process: act.Process[i],
-					Busy:    act.Busy[i],
-				}
-				return &allocs[i] // a pointer into scratch boxes without allocating
-			},
-			func(i int) any { return &acks[i] },
-			errsA)
-	})
+	}
+	ct.callMany(ctx, transport.KindAllocate,
+		func(i int) any {
+			allocs[i] = transport.Allocate{
+				Slot:    t,
+				Route:   routed[i],
+				Process: act.Process[i],
+				Busy:    act.Busy[i],
+			}
+			return &allocs[i] // a pointer into scratch boxes without allocating
+		},
+		func(i int) any { return &acks[i] },
+		errsA)
 	if !degrade {
 		if err := joinAgentErrors("allocate", errsA); err != nil {
 			copy(central, checkpoint)

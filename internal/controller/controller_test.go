@@ -195,54 +195,50 @@ func TestRunValidation(t *testing.T) {
 }
 
 // TestControllerSnapshotRestore checkpoints the central queues mid-run and
-// resumes on a replacement loop, at one partition and at two: the partitioned
-// loop is the same loop, so it resumes the same way.
+// resumes on a replacement loop.
 func TestControllerSnapshotRestore(t *testing.T) {
 	const slots = 10
-	for _, parts := range []int{1, 2} {
-		in, conns, cleanup := buildSystem(t, slots, false)
-		defer cleanup()
-		build := func() *Controller {
-			ct, err := NewPartitioned(in.Cluster, conns, Partitioning{
-				Partitions: parts,
-				NewScheduler: func() (sched.Scheduler, error) {
-					return core.New(in.Cluster, core.Config{V: 7.5})
-				},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return ct
-		}
-		ct := build()
-		for s := 0; s < 5; s++ {
-			if _, _, _, err := ct.RunSlot(s, in.Workload.Arrivals(s)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		snap, err := ct.Snapshot()
+	in, conns, cleanup := buildSystem(t, slots, false)
+	defer cleanup()
+	build := func() *Controller {
+		g, err := core.New(in.Cluster, core.Config{V: 7.5})
 		if err != nil {
 			t.Fatal(err)
 		}
-
-		// A replacement controller (same agents) resumes with identical
-		// central backlogs.
-		ct2 := build()
-		if err := ct2.Restore(snap); err != nil {
+		ct, err := New(in.Cluster, g, conns)
+		if err != nil {
 			t.Fatal(err)
 		}
-		a, b := ct.CentralLens(), ct2.CentralLens()
-		for j := range a {
-			if a[j] != b[j] {
-				t.Errorf("P=%d central[%d]: %v != %v", parts, j, a[j], b[j])
-			}
+		return ct
+	}
+	ct := build()
+	for s := 0; s < 5; s++ {
+		if _, _, _, err := ct.RunSlot(s, in.Workload.Arrivals(s)); err != nil {
+			t.Fatal(err)
 		}
-		if _, _, _, err := ct2.RunSlot(5, in.Workload.Arrivals(5)); err != nil {
-			t.Fatalf("P=%d: restored controller cannot continue: %v", parts, err)
+	}
+	snap, err := ct.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// A replacement controller (same agents) resumes with identical central
+	// backlogs.
+	ct2 := build()
+	if err := ct2.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	a, b := ct.CentralLens(), ct2.CentralLens()
+	for j := range a {
+		if a[j] != b[j] {
+			t.Errorf("central[%d]: %v != %v", j, a[j], b[j])
 		}
-		if err := ct2.Restore([]byte("junk")); err == nil {
-			t.Errorf("P=%d: junk snapshot accepted", parts)
-		}
+	}
+	if _, _, _, err := ct2.RunSlot(5, in.Workload.Arrivals(5)); err != nil {
+		t.Fatalf("restored controller cannot continue: %v", err)
+	}
+	if err := ct2.Restore([]byte("junk")); err == nil {
+		t.Error("junk snapshot accepted")
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"grefar/internal/agent"
 	"grefar/internal/core"
 	"grefar/internal/invariant"
-	"grefar/internal/sched"
 	"grefar/internal/sim"
 	"grefar/internal/telemetry"
 	"grefar/internal/transport"
@@ -44,9 +43,8 @@ func chaosPlan() *chaos.Plan {
 // runChaosTrace runs the reference workload under the Degrade policy with the
 // plan's faults injected on every agent connection, the invariant checker
 // verifying every applied slot, and a trace recorder pinning the event
-// stream, through a loop of the given partition count (1 is what New builds).
-// It returns the serialized JSONL trace and the controller.
-func runChaosTrace(t *testing.T, plan *chaos.Plan, reg *telemetry.Registry, parts int) ([]byte, *Controller) {
+// stream. It returns the serialized JSONL trace and the controller.
+func runChaosTrace(t *testing.T, plan *chaos.Plan, reg *telemetry.Registry) ([]byte, *Controller) {
 	t.Helper()
 	if err := plan.Validate(); err != nil {
 		t.Fatal(err)
@@ -77,12 +75,11 @@ func runChaosTrace(t *testing.T, plan *chaos.Plan, reg *telemetry.Registry, part
 	if reg != nil {
 		opts = append(opts, WithHealthMetrics(reg))
 	}
-	ct, err := NewPartitioned(in.Cluster, conns, Partitioning{
-		Partitions: parts,
-		NewScheduler: func() (sched.Scheduler, error) {
-			return core.New(in.Cluster, core.Config{V: 7.5})
-		},
-	}, opts...)
+	g, err := core.New(in.Cluster, core.Config{V: 7.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct, err := New(in.Cluster, g, conns, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +108,7 @@ func runChaosTrace(t *testing.T, plan *chaos.Plan, reg *telemetry.Registry, part
 // recover to Healthy within a bounded number of slots after their windows end.
 func TestDegradedModeSurvivesChaos(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	trace, ct := runChaosTrace(t, chaosPlan(), reg, 1)
+	trace, ct := runChaosTrace(t, chaosPlan(), reg)
 
 	for i, h := range ct.Health() {
 		if h != Healthy {
@@ -199,7 +196,7 @@ func containsInt(s []int, v int) bool {
 // seed, same faults, byte-identical trace, run after run. Regenerate
 // deliberately with `go test ./internal/controller -run TestGoldenChaos -update`.
 func TestGoldenChaosTrace(t *testing.T) {
-	got, _ := runChaosTrace(t, chaosPlan(), nil, 1)
+	got, _ := runChaosTrace(t, chaosPlan(), nil)
 	path := filepath.Join("testdata", "golden_chaos.jsonl")
 	if *updateChaosGolden {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -220,27 +217,9 @@ func TestGoldenChaosTrace(t *testing.T) {
 	}
 
 	// And the run must be deterministic in-process too.
-	again, _ := runChaosTrace(t, chaosPlan(), nil, 1)
+	again, _ := runChaosTrace(t, chaosPlan(), nil)
 	if diff := invariant.DiffJSONL(again, got); diff != "" {
 		t.Errorf("same-seed chaos reruns diverge:\n%s", diff)
-	}
-}
-
-// TestPartitionedChaosMatchesGolden composes partitions with chaos: the
-// acceptance scenario run through a two- and a three-partition loop must
-// reproduce the single controller's golden chaos trace byte for byte, with
-// the invariant checker clean on every applied slot. The partitions only
-// split the agent I/O; the loop decides once per slot at any count.
-func TestPartitionedChaosMatchesGolden(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("testdata", "golden_chaos.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, parts := range []int{2, 3} {
-		got, _ := runChaosTrace(t, chaosPlan(), nil, parts)
-		if diff := invariant.DiffJSONL(got, want); diff != "" {
-			t.Errorf("P=%d chaos trace deviates from the golden trace:\n%s", parts, diff)
-		}
 	}
 }
 

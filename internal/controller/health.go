@@ -133,8 +133,7 @@ func WithHealthMetrics(reg *telemetry.Registry) Option {
 
 // newHealthMetrics registers (or re-resolves — registration is idempotent per
 // name) the health metric families. Trackers sharing one registry share the
-// families, so a partitioned control plane reports into the same series a
-// single controller would.
+// families.
 func newHealthMetrics(reg *telemetry.Registry) *healthMetrics {
 	return &healthMetrics{
 		state: reg.Gauge("grefar_controller_agent_health",

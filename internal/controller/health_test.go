@@ -225,10 +225,10 @@ func TestHealthTransitionTable(t *testing.T) {
 					ct.tracker.RecordSuccess(0)
 				case probe:
 					sw.down.Store(false)
-					ct.tracker.ProbeDead(context.Background(), slot, ct.parts[0].owned)
+					ct.tracker.ProbeDead(context.Background(), slot)
 				case probeFail:
 					sw.down.Store(true)
-					ct.tracker.ProbeDead(context.Background(), slot, ct.parts[0].owned)
+					ct.tracker.ProbeDead(context.Background(), slot)
 					sw.down.Store(false)
 				default:
 					t.Fatalf("unknown event %q", st.ev)

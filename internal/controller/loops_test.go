@@ -36,8 +36,7 @@ func grefarFactory(c *model.Cluster) func() (sched.Scheduler, error) {
 }
 
 // jitterConn holds every reply back a random few microseconds, so the
-// partitions' goroutines and the per-agent calls finish in a different order
-// from call to call.
+// concurrent per-agent calls finish in a different order from call to call.
 type jitterConn struct{ inner controller.AgentConn }
 
 func (j jitterConn) Call(kind string, reqBody, respBody any) error {
@@ -45,10 +44,11 @@ func (j jitterConn) Call(kind string, reqBody, respBody any) error {
 	return j.inner.Call(kind, reqBody, respBody)
 }
 
-// planeCtor builds the partitioned loop over parts partitions. A /concurrent
-// row runs it over jittered agents, a /deterministic row over agents that
-// answer at once; the loop decides once per slot either way, so every row
-// owes the single controller's trajectory.
+// planeCtor builds the loop through the deprecated controlplane adapter,
+// which accepts a partition count and changes nothing for it. A /concurrent
+// row runs the loop over jittered agents whose replies finish out of order, a
+// /deterministic row over agents that answer at once; every row owes the
+// single controller's trajectory.
 func planeCtor(name string, parts int, jitter bool) loopCtor {
 	return loopCtor{
 		name: name,
@@ -256,11 +256,10 @@ func (f failFromConn) Call(kind string, reqBody, respBody any) error {
 	return f.inner.Call(kind, reqBody, respBody)
 }
 
-// TestDegradeMasksFailedAgent checks the Degrade contract on every loop —
-// whichever partition owns the failed agent drives the one health machine:
-// the run continues, the failed agent is masked out of the slot evidence, its
-// health leaves Healthy, and the invariant checker holds on every applied
-// slot.
+// TestDegradeMasksFailedAgent checks the Degrade contract on every
+// constructor: the run continues, the failed agent is masked out of the slot
+// evidence, its health leaves Healthy, and the invariant checker holds on
+// every applied slot.
 func TestDegradeMasksFailedAgent(t *testing.T) {
 	const slots, failAt, victim = 16, 4, 1
 	eachLoop(t, func(t *testing.T, lc loopCtor) {
@@ -308,9 +307,9 @@ func (c countingScheduler) Decide(t int, st *model.State, q queue.Lengths) (*mod
 	return c.Scheduler.Decide(t, st, q)
 }
 
-// TestDeterministicDecidesOnce pins what the loop promises at every
-// partition count: one scheduler built, one Decide per slot, commit counters
-// at zero, and no control-plane metric family published.
+// TestDeterministicDecidesOnce pins what the adapter promises at every
+// partition count: one scheduler built, one Decide per slot, deprecated
+// counters at zero, and no control-plane metric family published.
 func TestDeterministicDecidesOnce(t *testing.T) {
 	const slots = 12
 	for parts := 1; parts <= 3; parts++ {
@@ -383,71 +382,82 @@ type opaqueConn struct{ controller.AgentConn }
 // TestCallManyBatchesByConnType pins the one I/O rule: the loop reads from the
 // connection's type — not from any option — whether agents share a wire. Over
 // raw MuxConns a slot costs one batch frame per connection per phase (gather,
-// scatter); over wrapped conns it costs one call per live agent per phase.
+// scatter), whatever partition count the deprecated adapter was asked for;
+// over wrapped conns it costs one call per live agent per phase.
 func TestCallManyBatchesByConnType(t *testing.T) {
 	const slots = 6
-	for _, wrapped := range []bool{false, true} {
-		in, err := sim.NewReferenceInputs(2012, slots)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := in.Cluster.N()
-		agents := make([]*agent.Agent, n)
-		for i := range agents {
-			if agents[i], err = agent.New(agent.Config{
-				Cluster: in.Cluster, DataCenter: i, Price: in.Prices[i], Availability: in.Availability,
-			}); err != nil {
+	for _, tc := range []struct {
+		name    string
+		lc      loopCtor
+		wrapped bool
+	}{
+		{"controller.New", loopCtors[0], false},
+		{"controller.New/wrapped", loopCtors[0], true},
+		{"controlplane.New/P=3", planeCtor("controlplane.New/P=3", 3, false), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			in, err := sim.NewReferenceInputs(2012, slots)
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		lis, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		var frames, handled atomic.Int64
-		srv := transport.NewMuxServer(frameCountingListener{Listener: lis, frames: &frames},
-			func(dst []byte, target int, kind string, body []byte) ([]byte, error) {
-				handled.Add(1)
-				return agents[target].AppendReply(dst, kind, body)
-			})
-		go srv.Serve()
-		defer srv.Close()
+			n := in.Cluster.N()
+			agents := make([]*agent.Agent, n)
+			for i := range agents {
+				if agents[i], err = agent.New(agent.Config{
+					Cluster: in.Cluster, DataCenter: i, Price: in.Prices[i], Availability: in.Availability,
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			lis, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var frames, handled atomic.Int64
+			srv := transport.NewMuxServer(frameCountingListener{Listener: lis, frames: &frames},
+				func(dst []byte, target int, kind string, body []byte) ([]byte, error) {
+					handled.Add(1)
+					return agents[target].AppendReply(dst, kind, body)
+				})
+			go srv.Serve()
+			defer srv.Close()
 
-		// Two connections: sites 0..n-2 share the first, the last site has
-		// its own.
-		const wires = 2
-		clients := make([]*transport.MuxClient, wires)
-		for k := range clients {
-			if clients[k], err = transport.DialMux(srv.Addr(), 5*time.Second); err != nil {
+			// Two connections: sites 0..n-2 share the first, the last site has
+			// its own.
+			const wires = 2
+			clients := make([]*transport.MuxClient, wires)
+			for k := range clients {
+				if clients[k], err = transport.DialMux(srv.Addr(), 5*time.Second); err != nil {
+					t.Fatal(err)
+				}
+				defer clients[k].Close()
+			}
+			conns := make([]controller.AgentConn, n)
+			for i := range conns {
+				conns[i] = clients[i/(n-1)].Agent(i)
+				if tc.wrapped {
+					conns[i] = opaqueConn{conns[i]}
+				}
+			}
+			ct, err := tc.lc.build(in.Cluster, conns, controller.Strict, nil)
+			if err != nil {
 				t.Fatal(err)
 			}
-			defer clients[k].Close()
-		}
-		conns := make([]controller.AgentConn, n)
-		for i := range conns {
-			conns[i] = clients[i/(n-1)].Agent(i)
-			if wrapped {
-				conns[i] = opaqueConn{conns[i]}
+			for tt := 0; tt < slots; tt++ {
+				if _, _, _, err := ct.RunSlot(tt, in.Workload.Arrivals(tt)); err != nil {
+					t.Fatalf("slot %d: %v", tt, err)
+				}
 			}
-		}
-		ct, err := loopCtors[0].build(in.Cluster, conns, controller.Strict, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for tt := 0; tt < slots; tt++ {
-			if _, _, _, err := ct.RunSlot(tt, in.Workload.Arrivals(tt)); err != nil {
-				t.Fatalf("wrapped=%v slot %d: %v", wrapped, tt, err)
+			wantFrames := int64(slots * 2 * wires)
+			if tc.wrapped {
+				wantFrames = int64(slots * 2 * n)
 			}
-		}
-		wantFrames := int64(slots * 2 * wires)
-		if wrapped {
-			wantFrames = int64(slots * 2 * n)
-		}
-		if frames.Load() != wantFrames {
-			t.Errorf("wrapped=%v: server answered %d frames over %d slots, want %d", wrapped, frames.Load(), slots, wantFrames)
-		}
-		if want := int64(slots * 2 * n); handled.Load() != want {
-			t.Errorf("wrapped=%v: agents handled %d requests, want %d", wrapped, handled.Load(), want)
-		}
+			if frames.Load() != wantFrames {
+				t.Errorf("server answered %d frames over %d slots, want %d", frames.Load(), slots, wantFrames)
+			}
+			if want := int64(slots * 2 * n); handled.Load() != want {
+				t.Errorf("agents handled %d requests, want %d", handled.Load(), want)
+			}
+		})
 	}
 }

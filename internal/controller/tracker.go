@@ -17,11 +17,9 @@ import (
 // each agent's local queues, probe/resync/rejoin, and the divergence
 // bookkeeping.
 //
-// One Tracker serves any number of concurrent drivers as long as each drives
-// a disjoint set of agent indices: every method touches only the record of
-// the agent it is passed (plus concurrency-safe metric families), so
-// partitions operating on their owned agents never race. Methods taking a
-// single index are not safe for concurrent use on the SAME index.
+// Every method taking an agent index touches only that agent's record (plus
+// concurrency-safe metric families), so the loop's concurrent per-agent calls
+// never race; such methods are not safe for concurrent use on the SAME index.
 type Tracker struct {
 	cluster *model.Cluster
 	conns   []AgentConn
@@ -200,29 +198,22 @@ func (tk *Tracker) resync(ctx context.Context, i, t int) error {
 	return nil
 }
 
-// ProbeDead opens the slot by heartbeating every Dead agent in owned once
-// (owned nil probes all tracked agents). A probe answer re-syncs the agent
-// onto the shadow state and moves it to Rejoining, so the following gather
-// can complete the rejoin; a failed probe (or a failed re-sync) keeps it
-// Dead.
+// ProbeDead opens the slot by heartbeating every Dead agent once. A probe
+// answer re-syncs the agent onto the shadow state and moves it to Rejoining,
+// so the following gather can complete the rejoin; a failed probe (or a
+// failed re-sync) keeps it Dead.
 //
 // Probes run concurrently, like the gather: a mass outage must cost one probe
 // timeout per slot, not one per dead agent — at fleet scale a sequential
 // probe loop would stall the slot for minutes. The RPCs (ping, then restore)
 // touch only agent i's record, which nothing else reads during the probe
 // phase; state transitions are applied serially in index order afterwards so
-// the health machine stays single-threaded per driver.
-func (tk *Tracker) ProbeDead(ctx context.Context, t int, owned []int) {
-	if owned == nil {
-		owned = make([]int, len(tk.recs))
-		for i := range owned {
-			owned[i] = i
-		}
-	}
+// the health machine stays single-threaded.
+func (tk *Tracker) ProbeDead(ctx context.Context, t int) {
 	probed := make([]bool, len(tk.recs))
 	joined := make([]bool, len(tk.recs))
 	var wg sync.WaitGroup
-	for _, i := range owned {
+	for i := range tk.recs {
 		if tk.recs[i].state != Dead {
 			continue
 		}
@@ -238,7 +229,7 @@ func (tk *Tracker) ProbeDead(ctx context.Context, t int, owned []int) {
 		}(i)
 	}
 	wg.Wait()
-	for _, i := range owned {
+	for i := range tk.recs {
 		switch {
 		case !probed[i]:
 		case joined[i]:

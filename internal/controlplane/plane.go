@@ -1,16 +1,15 @@
-// Package controlplane is the constructor surface of the partitioned control
-// plane: P controller partitions, each owning a disjoint contiguous subset of
-// the data centers, probe, gather and scatter their own agents concurrently,
-// and the loop decides once per slot with one scheduler on the slot-initial
-// backlogs.
+// Package controlplane is a deprecated adapter over controller.New, kept only
+// because benchmark/fleet.go still builds its fleet-part2 loop through it.
+// The control loop has no partitions: New checks that Partitions lies in
+// [1, N], builds the one scheduler and returns the loop controller.New
+// builds, so the partition count changes neither the trajectory nor the I/O.
 //
-// The loop itself is package controller's, the same one controller.New runs
-// with one partition: a Plane is a controller.Controller, and its trajectory
-// is byte-identical to the single controller's at any partition count — the
-// equivalence TestPartitionedMatchesSingle pins against a golden trace.
+// Deprecated: build the loop with controller.New.
 package controlplane
 
 import (
+	"fmt"
+
 	"grefar/internal/controller"
 	"grefar/internal/model"
 	"grefar/internal/sched"
@@ -19,38 +18,41 @@ import (
 
 // Config tunes a Plane. Partitions and NewScheduler are required.
 type Config struct {
-	// Partitions is the number of controller partitions; the data centers are
-	// split into that many contiguous, near-equal ownership ranges.
+	// Partitions must lie in [1, N]; it changes nothing else.
 	Partitions int
 	// NewScheduler builds the loop's one scheduler.
 	NewScheduler func() (sched.Scheduler, error)
-	// Policy, SuspectAfter, DeadAfter configure the shared health tracker
-	// exactly like the single controller's options.
+	// Policy, SuspectAfter, DeadAfter configure the health tracker exactly
+	// like controller.New's options.
 	Policy       controller.FailurePolicy
 	SuspectAfter int
 	DeadAfter    int
-	// Observer receives one SlotEvent per slot (origin "controller"),
-	// identical in shape to the single controller's.
+	// Observer receives one SlotEvent per slot (origin "controller").
 	Observer telemetry.SlotObserver
 	// Registry, when set, publishes the tracker's health families.
 	Registry *telemetry.Registry
 }
 
-// Plane is the control loop; the partitioned plane and the single controller
-// are one type.
+// Plane is the control loop.
 type Plane = controller.Controller
 
-// PartitionStats describes one partition.
+// PartitionStats describes the loop as one partition.
 type PartitionStats = controller.PartitionStats
 
-// New builds a partitioned control plane over the given agent connections;
-// conns[i] must serve data center i.
+// New builds the control loop over the given agent connections; conns[i] must
+// serve data center i.
 func New(c *model.Cluster, conns []controller.AgentConn, cfg Config) (*Plane, error) {
-	return controller.NewPartitioned(c, conns,
-		controller.Partitioning{
-			Partitions:   cfg.Partitions,
-			NewScheduler: cfg.NewScheduler,
-		},
+	if cfg.Partitions < 1 || cfg.Partitions > c.N() {
+		return nil, fmt.Errorf("partitions %d outside [1,%d]", cfg.Partitions, c.N())
+	}
+	if cfg.NewScheduler == nil {
+		return nil, fmt.Errorf("nil scheduler factory")
+	}
+	sch, err := cfg.NewScheduler()
+	if err != nil {
+		return nil, fmt.Errorf("scheduler: %w", err)
+	}
+	return controller.New(c, sch, conns,
 		controller.WithObserver(cfg.Observer),
 		controller.WithFailurePolicy(cfg.Policy),
 		controller.WithHealthThresholds(cfg.SuspectAfter, cfg.DeadAfter),

@@ -8,11 +8,9 @@ import (
 	"time"
 
 	"grefar/internal/controller"
-	"grefar/internal/controlplane"
 	"grefar/internal/core"
 	"grefar/internal/hollow"
 	"grefar/internal/invariant"
-	"grefar/internal/sched"
 	"grefar/internal/telemetry"
 	"grefar/internal/transport/chaos"
 )
@@ -39,11 +37,6 @@ type ScaleConfig struct {
 	Conns int
 	// Chaos adds a second run per agent count with partitions and drops.
 	Chaos bool
-	// Partitions, when > 1, adds a partitioned-control-plane arm per agent
-	// count: the same fleet driven by a loop whose probe, gather and scatter
-	// are split over that many controller partitions (fault-free, and under
-	// chaos when Chaos is set).
-	Partitions int
 	// KillFrac is the fraction of agents the chaos variant partitions
 	// (default 0.05), staggered through the middle half of the horizon.
 	KillFrac float64
@@ -81,9 +74,6 @@ type ScalePoint struct {
 	Agents, Slots int
 	// Chaos marks the churn/partition variant of the sweep.
 	Chaos bool
-	// Partitions is the controller partition count driving this cell
-	// (1 = the single controller).
-	Partitions int
 	// P50 and P99 are slot-tick latency percentiles: one tick is probe +
 	// gather + decide + scatter + settle, the full RunSlot critical path.
 	P50, P99 time.Duration
@@ -155,10 +145,9 @@ func scaleChaosPlan(cfg ScaleConfig, n int) *chaos.Plan {
 }
 
 // scaleRun measures one cell: build the fleet, run the horizon, report the
-// point. plan nil is the fault-free variant; parts is the control loop's
-// partition count (1 is the single controller).
-func scaleRun(cfg ScaleConfig, n, parts int, plan *chaos.Plan) (ScalePoint, error) {
-	pt := ScalePoint{Agents: n, Slots: cfg.Slots, Chaos: plan != nil, Partitions: parts}
+// point. plan nil is the fault-free variant.
+func scaleRun(cfg ScaleConfig, n int, plan *chaos.Plan) (ScalePoint, error) {
+	pt := ScalePoint{Agents: n, Slots: cfg.Slots, Chaos: plan != nil}
 	in, err := hollow.NewScaleInputs(cfg.Seed, n, cfg.Slots)
 	if err != nil {
 		return pt, err
@@ -188,14 +177,14 @@ func scaleRun(cfg ScaleConfig, n, parts int, plan *chaos.Plan) (ScalePoint, erro
 	if cfg.Observer != nil {
 		obs = append(obs, cfg.Observer)
 	}
-	ct, err := controlplane.New(in.Cluster, conns, controlplane.Config{
-		Partitions: parts,
-		NewScheduler: func() (sched.Scheduler, error) {
-			return core.New(in.Cluster, core.Config{V: 7.5, Beta: 100})
-		},
-		Policy:   controller.Degrade,
-		Observer: telemetry.Multi(obs...),
-	})
+	g, err := core.New(in.Cluster, core.Config{V: 7.5, Beta: 100})
+	if err != nil {
+		return pt, err
+	}
+	ct, err := controller.New(in.Cluster, g, conns,
+		controller.WithFailurePolicy(controller.Degrade),
+		controller.WithObserver(telemetry.Multi(obs...)),
+	)
 	if err != nil {
 		return pt, err
 	}
@@ -242,31 +231,17 @@ func Scale(cfg ScaleConfig) (*ScaleResult, error) {
 	cfg = cfg.withDefaults()
 	res := &ScaleResult{}
 	for _, n := range cfg.Agents {
-		pt, err := scaleRun(cfg, n, 1, nil)
+		pt, err := scaleRun(cfg, n, nil)
 		if err != nil {
 			return nil, err
 		}
 		res.Points = append(res.Points, pt)
 		if cfg.Chaos {
-			cpt, err := scaleRun(cfg, n, 1, scaleChaosPlan(cfg, n))
+			cpt, err := scaleRun(cfg, n, scaleChaosPlan(cfg, n))
 			if err != nil {
 				return nil, err
 			}
 			res.Points = append(res.Points, cpt)
-		}
-		if cfg.Partitions > 1 && cfg.Partitions <= n {
-			ppt, err := scaleRun(cfg, n, cfg.Partitions, nil)
-			if err != nil {
-				return nil, err
-			}
-			res.Points = append(res.Points, ppt)
-			if cfg.Chaos {
-				cpt, err := scaleRun(cfg, n, cfg.Partitions, scaleChaosPlan(cfg, n))
-				if err != nil {
-					return nil, err
-				}
-				res.Points = append(res.Points, cpt)
-			}
 		}
 	}
 	return res, nil

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"math"
 )
 
 // The snapshot format captures every FIFO cohort of every ledger, so a
@@ -50,7 +51,24 @@ func (l *Ledger) snapshot() ledgerData {
 	return out
 }
 
-// restore replaces the ledger contents from a snapshot.
+// check rejects what no ledger can hold: a cohort amount or a total that is
+// not finite and non-negative. Restores check every ledger before they
+// replace any, so a rejected snapshot leaves the queues as they were.
+func (data ledgerData) check() error {
+	for _, c := range data.Cohorts {
+		if !finiteNonNeg(c.Amount) {
+			return fmt.Errorf("cohort of slot %d holds %v jobs", c.Slot, c.Amount)
+		}
+	}
+	if !finiteNonNeg(data.Total) {
+		return fmt.Errorf("total is %v", data.Total)
+	}
+	return nil
+}
+
+func finiteNonNeg(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
+
+// restore replaces the ledger contents from a checked snapshot.
 func (l *Ledger) restore(data ledgerData) {
 	l.entries = l.entries[:0]
 	l.head = 0
@@ -89,6 +107,11 @@ func RestoreLedgers(ls []Ledger, snapshot []byte) error {
 	}
 	if len(data) != len(ls) {
 		return fmt.Errorf("snapshot has %d ledgers, want %d", len(data), len(ls))
+	}
+	for j := range data {
+		if err := data[j].check(); err != nil {
+			return fmt.Errorf("snapshot ledger %d: %w", j, err)
+		}
 	}
 	for j := range ls {
 		ls[j].restore(data[j])
@@ -130,9 +153,19 @@ func (s *Set) Restore(snapshot []byte) error {
 		return fmt.Errorf("snapshot shaped %dx%d, set is %dx%d",
 			len(data.Central), len(data.Local), len(s.central), len(s.local))
 	}
+	for j := range data.Central {
+		if err := data.Central[j].check(); err != nil {
+			return fmt.Errorf("snapshot central queue %d: %w", j, err)
+		}
+	}
 	for i := range data.Local {
 		if len(data.Local[i]) != len(s.local[i]) {
 			return fmt.Errorf("snapshot site %d has %d job types, set has %d", i, len(data.Local[i]), len(s.local[i]))
+		}
+		for j := range data.Local[i] {
+			if err := data.Local[i][j].check(); err != nil {
+				return fmt.Errorf("snapshot site %d queue %d: %w", i, j, err)
+			}
 		}
 	}
 	nJ := len(s.central)

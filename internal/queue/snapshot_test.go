@@ -1,6 +1,10 @@
 package queue
 
 import (
+	"bytes"
+	"encoding/gob"
+	"math"
+	"reflect"
 	"testing"
 
 	"grefar/internal/model"
@@ -161,5 +165,87 @@ func TestRestoreOverwritesExistingState(t *testing.T) {
 	}
 	if got := s.CentralLen(0); got != 7 {
 		t.Errorf("CentralLen = %v, want 7 after rewind", got)
+	}
+}
+
+// TestRestoreRejectsImpossibleLedgers feeds RestoreLedgers and Set.Restore gob
+// payloads carrying one value no ledger can hold, on the last ledger, behind
+// valid ledgers that differ from the live state: each payload must be refused
+// before any ledger changes.
+func TestRestoreRejectsImpossibleLedgers(t *testing.T) {
+	c := model.NewReferenceCluster()
+	good := ledgerData{Cohorts: []cohortData{{Slot: 3, Amount: 4}}, Total: 4, HasTotal: true}
+	withCohort := func(v float64) ledgerData {
+		return ledgerData{Cohorts: []cohortData{{Slot: 1, Amount: v}}, Total: 1, HasTotal: true}
+	}
+	withTotal := func(v float64) ledgerData {
+		return ledgerData{Cohorts: []cohortData{{Slot: 1, Amount: 1}}, Total: v, HasTotal: true}
+	}
+	encode := func(v any) []byte {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for _, tc := range []struct {
+		name string
+		bad  ledgerData
+	}{
+		{"cohort-NaN", withCohort(math.NaN())},
+		{"cohort-negative", withCohort(-1)},
+		{"cohort-Inf", withCohort(math.Inf(1))},
+		{"total-NaN", withTotal(math.NaN())},
+		{"total-negative", withTotal(-1)},
+		{"total-Inf", withTotal(math.Inf(1))},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ls := make([]Ledger, c.J())
+			data := make([]ledgerData, c.J())
+			for j := range ls {
+				ls[j].Push(0, float64(j+1))
+				data[j] = good
+			}
+			data[c.J()-1] = tc.bad
+			lens := func() []float64 {
+				out := make([]float64, len(ls))
+				for j := range ls {
+					out[j] = ls[j].Len()
+				}
+				return out
+			}
+			before := lens()
+			if err := RestoreLedgers(ls, encode(data)); err == nil {
+				t.Error("RestoreLedgers accepted the payload")
+			}
+			if got := lens(); !reflect.DeepEqual(got, before) {
+				t.Errorf("RestoreLedgers moved the ledgers: %v -> %v", before, got)
+			}
+
+			s := NewSet(c)
+			arr := make([]int, c.J())
+			arr[0] = 7
+			if err := s.Arrive(0, arr); err != nil {
+				t.Fatal(err)
+			}
+			sd := setData{Central: make([]ledgerData, c.J()), Local: make([][]ledgerData, c.N())}
+			for j := range sd.Central {
+				sd.Central[j] = good
+			}
+			for i := range sd.Local {
+				sd.Local[i] = make([]ledgerData, c.J())
+				for j := range sd.Local[i] {
+					sd.Local[i][j] = good
+				}
+			}
+			sd.Local[c.N()-1][c.J()-1] = tc.bad
+			want := s.Lengths()
+			if err := s.Restore(encode(sd)); err == nil {
+				t.Error("Set.Restore accepted the payload")
+			}
+			if got := s.Lengths(); !reflect.DeepEqual(got, want) {
+				t.Errorf("Set.Restore moved the queues: %+v -> %+v", want, got)
+			}
+		})
 	}
 }

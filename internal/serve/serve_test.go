@@ -12,6 +12,7 @@ import (
 
 	"grefar/internal/core"
 	"grefar/internal/queue"
+	"grefar/internal/serve/snapshot"
 	"grefar/internal/sim"
 	"grefar/internal/telemetry"
 )
@@ -431,6 +432,91 @@ func TestSessionRestoreRejections(t *testing.T) {
 	}
 }
 
+// corruptPayload decodes a checkpoint payload, applies mutate and encodes it
+// again: a payload that passes every frame and gob check and fails only the
+// state validation behind them.
+func corruptPayload(tb testing.TB, payload []byte, mutate func(p *checkpointPayload)) []byte {
+	tb.Helper()
+	var p checkpointPayload
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&p); err != nil {
+		tb.Fatal(err)
+	}
+	mutate(&p)
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(p); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// restoreRejections are payload corruptions one half of the session refuses:
+// the scheduler before the engine is touched, or the engine after the
+// scheduler has accepted its state.
+var restoreRejections = []struct {
+	name   string
+	mutate func(p *checkpointPayload)
+}{
+	{"scheduler-warm-NaN", func(p *checkpointPayload) { p.Scheduler.Warm[0] = math.NaN() }},
+	{"engine-negative-slot", func(p *checkpointPayload) { p.Engine.Slot = -1 }},
+	{"engine-corrupt-queues", func(p *checkpointPayload) { p.Engine.Queues = []byte("junk") }},
+}
+
+// TestRejectedRestoreLeavesNoTrace pins restore atomicity: after a rejected
+// RestoreState, EncodeState returns the same bytes as before it, and a good
+// payload restored next applies once.
+func TestRejectedRestoreLeavesNoTrace(t *testing.T) {
+	cfg := core.Config{V: 7.5, Beta: 100}
+	schedule := arrivalSchedule(5, 8)
+	src, err := NewSession(testConfig(t, cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	driveSession(t, src, schedule, 0, 5)
+	good, err := src.EncodeState()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := NewSession(testConfig(t, cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	driveSession(t, s, schedule, 0, 2)
+	if _, err := s.Submit([]Job{{Type: 1, Count: 3}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range restoreRejections {
+		before, err := s.EncodeState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.RestoreState(corruptPayload(t, good, tc.mutate)); !errors.Is(err, ErrCorruptSnapshot) {
+			t.Fatalf("%s: got %v, want ErrCorruptSnapshot", tc.name, err)
+		}
+		after, err := s.EncodeState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(after, before) {
+			t.Errorf("%s: the rejected restore changed the session (now at slot %d)", tc.name, s.Slot())
+		}
+	}
+
+	if err := s.RestoreState(good); err != nil {
+		t.Fatal(err)
+	}
+	if s.Slot() != 5 {
+		t.Fatalf("restored at slot %d, want 5", s.Slot())
+	}
+	got, err := s.EncodeState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, good) {
+		t.Error("the good restore did not land exactly on its payload")
+	}
+}
+
 func TestSessionReconfigure(t *testing.T) {
 	s, err := NewSession(testConfig(t, core.Config{V: 7.5, Beta: 100}))
 	if err != nil {
@@ -502,7 +588,8 @@ func TestSessionClose(t *testing.T) {
 
 // FuzzRestoreSnapshot feeds arbitrary bytes to the full restore path (frame
 // decode + gob decode + state validation): it must never panic and must fail
-// only with the typed sentinels, leaving the session usable.
+// only with the typed sentinels, leaving the session exactly as it was and
+// usable.
 func FuzzRestoreSnapshot(f *testing.F) {
 	seedCfg := func() SessionConfig {
 		in, err := sim.NewReferenceInputs(2012, 64)
@@ -539,17 +626,30 @@ func FuzzRestoreSnapshot(f *testing.F) {
 	flipped := append([]byte(nil), good...)
 	flipped[len(flipped)-1] ^= 0xFF
 	f.Add(flipped)
+	payload, err := seed.EncodeState()
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, tc := range restoreRejections {
+		f.Add(snapshot.Encode(corruptPayload(f, payload, tc.mutate)))
+	}
 
 	s, err := NewSession(seedCfg())
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		err := s.Restore(bytes.NewReader(data))
+		before, err := s.EncodeState()
 		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Restore(bytes.NewReader(data)); err != nil {
 			if !errors.Is(err, ErrCorruptSnapshot) && !errors.Is(err, ErrSnapshotVersion) &&
 				!errors.Is(err, ErrSnapshotMismatch) {
 				t.Fatalf("untyped restore error: %v", err)
+			}
+			if after, err := s.EncodeState(); err != nil || !bytes.Equal(after, before) {
+				t.Fatalf("rejected restore changed the session (encode err %v)", err)
 			}
 		}
 		// Whatever happened, the session must still tick.

@@ -400,11 +400,16 @@ func (s *Session) RestoreState(payload []byte) error {
 		}
 		pendingTotal += n
 	}
-	if err := s.eng.RestoreState(&p.Engine); err != nil {
-		return fmt.Errorf("%w: engine state: %v", ErrCorruptSnapshot, err)
-	}
+	// The scheduler and the engine each check their state in full before they
+	// take any of it. The scheduler goes first and is put back if the engine
+	// refuses, so a rejected payload leaves the session as it was.
+	prev := s.g.ExportState()
 	if err := s.g.RestoreState(&p.Scheduler); err != nil {
 		return fmt.Errorf("%w: scheduler state: %v", ErrCorruptSnapshot, err)
+	}
+	if err := s.eng.RestoreState(&p.Engine); err != nil {
+		_ = s.g.RestoreState(prev) // its own export: accepted by construction
+		return fmt.Errorf("%w: engine state: %v", ErrCorruptSnapshot, err)
 	}
 	copy(s.pending, p.Pending)
 	s.pendingTotal = pendingTotal

@@ -443,7 +443,8 @@ func (e *Engine) ExportState() (*EngineState, error) {
 // trajectory point: queue contents (with per-cohort arrival slots), the slot
 // counter, and the lifetime job counters. The engine must have been built
 // for the same cluster shape. Aggregate metrics restart from zero — see
-// EngineState for what is durable versus derived.
+// EngineState for what is durable versus derived. A rejected state leaves the
+// engine as it was.
 func (e *Engine) RestoreState(st *EngineState) error {
 	if st == nil {
 		return nil
@@ -451,10 +452,10 @@ func (e *Engine) RestoreState(st *EngineState) error {
 	if st.Slot < 0 {
 		return fmt.Errorf("%w: negative slot counter %d", ErrBadInputs, st.Slot)
 	}
-	e.nextValid = false
 	if err := e.qs.Restore(st.Queues); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadInputs, err)
 	}
+	e.nextValid = false
 	e.t = st.Slot
 	e.arrived = st.TotalArrived
 	e.processed = st.TotalProcessed
