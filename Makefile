@@ -34,10 +34,13 @@ race:
 # representation checkpoint, validate-before-apply, reused-snapshot and
 # reused-flow-storage tests (FuzzApply's seeds compare every Apply on the
 # reused storage with one on a fresh Set; TestEngineDetailOwnsFlows holds the
-# engine to copying what a SlotDetail keeps), plus the cross-solver agreement
+# engine to copying what a SlotDetail keeps; TestViewTracksTheSet and
+# TestDecideLeavesNoStaleCells hold the no-copy backlog view and the reused
+# Action; TestRejectedStepLeavesNoTrace the engine's validate-first Step),
+# plus the cross-solver agreement
 # smoke, and a short fuzz smoke of the native
-# fuzz targets, including the snapshot-restore, wire-frame, wire-codec, and
-# incremental-refresh surfaces. The wire
+# fuzz targets, including the snapshot-restore, wire-frame, wire-codec,
+# incremental-refresh and lazy greedy-exchange surfaces. The wire
 # allocation budget (codec, agent.Handle, one mux call, one whole tick at 500
 # and at 2000 agents) and the N=200/J=100 engine-step budget run plain next to
 # the Decide one for the same reason. The raced transport run is also where
@@ -53,15 +56,16 @@ tier1:
 	$(GO) test -race -count=1 ./internal/runner
 	$(GO) test -race -count=1 ./internal/serve/... ./cmd/grefar-serve
 	$(GO) test -race -count=1 ./internal/agent ./internal/controller ./internal/controlplane ./internal/transport/... ./internal/experiments ./internal/hollow
-	$(GO) test -race -count=1 -run 'TestSparse|TestDecomposed|TestSharingADMM|TestAuto|TestSchedulerState' ./internal/core ./internal/solve
+	$(GO) test -race -count=1 -run 'TestSparse|TestDecomposed|TestSharingADMM|TestAuto|TestSchedulerState|TestDecideLeavesNoStaleCells' ./internal/core ./internal/solve
 	$(GO) test -race -count=1 -run 'TestAutoSolverBitIdentical' ./internal/invariant
-	$(GO) test -race -count=1 -run 'TestRejectedApply|TestSnapshotsOwn|TestEngineSnapshotReuse|TestEngineDetailOwnsFlows|FuzzApply' ./internal/queue ./internal/sim
+	$(GO) test -race -count=1 -run 'TestRejectedApply|TestRejectedStep|TestSnapshotsOwn|TestViewTracksTheSet|TestEngineSnapshotReuse|TestEngineDetailOwnsFlows|FuzzApply' ./internal/queue ./internal/sim
 	$(GO) test -count=1 -run TestCrossCheckDecomposed ./internal/invariant
 	$(GO) run -race ./cmd/grefar-hollow -agents 64 -slots 5 -kill-frac 0.05
 	$(GO) test -count=1 -run 'TestDecideAllocationBudget|TestEngineStepAllocationBudget|TestWireAllocationBudget' .
 	$(GO) test -run '^$$' -fuzz FuzzSimplex -fuzztime $(FUZZTIME) ./internal/lp
 	$(GO) test -run '^$$' -fuzz FuzzApply -fuzztime $(FUZZTIME) ./internal/queue
 	$(GO) test -run '^$$' -fuzz FuzzWarmRepair -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzGreedyExchange -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzSparseRefresh -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzRestoreSnapshot -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME) ./internal/serve/snapshot
@@ -74,6 +78,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSimplex -fuzztime $(FUZZTIME) ./internal/lp
 	$(GO) test -run '^$$' -fuzz FuzzApply -fuzztime $(FUZZTIME) ./internal/queue
 	$(GO) test -run '^$$' -fuzz FuzzWarmRepair -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzGreedyExchange -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzSparseRefresh -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzRestoreSnapshot -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME) ./internal/serve/snapshot
@@ -133,8 +138,9 @@ bench-json:
 		| $(GO) run ./cmd/benchjson -out BENCH_distributed.json
 
 # bench-compare re-runs the same benchmarks and fails on >15% ns/op or
-# allocs/op regressions: the beta=100 slot decision and the N=200/J=100
-# large-instance arms and engine step against BENCH_slot.json
+# allocs/op regressions (allocs/op must also rise by more than one, the
+# rounding of go test's integer per-op count): the beta=100 slot decision
+# and the N=200/J=100 large-instance arms and engine step against BENCH_slot.json
 # (the benchjson default guard covers all three families), and the
 # distributed slot ticks (one mux conn per agent and every hollow fleet size)
 # against BENCH_distributed.json; other benchmarks warn — including the

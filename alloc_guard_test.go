@@ -115,8 +115,10 @@ func TestDecideAllocationBudget(t *testing.T) {
 // At that size a slot used to cost ~1300 allocations, nearly all of them one
 // make per site in queue.Set.Lengths (twice a slot) and queue.Set.Apply;
 // then 303, the flow matrices, a closure and a sample slice per site that
-// queue.Set.Apply built every call; what remains is the fresh action (its
-// three matrices and their row headers) and the fresh post-slot snapshot.
+// queue.Set.Apply built every call; then 17, the fresh action and post-slot
+// snapshot among them. The scheduler now owns its action and the engine
+// decides on the queue set's view, so what remains is the workload's
+// arrivals row and ledger appends.
 func TestEngineStepAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts include race-detector bookkeeping under -race")
@@ -127,10 +129,10 @@ func TestEngineStepAllocationBudget(t *testing.T) {
 		t.Fatalf("no budget recorded for %s in testdata/bench_slot_baseline.txt", name)
 	}
 	eng := newLargeEngine(t, sim.Options{})
-	// Young ledgers still grow their cohort slices, a doubling append at a
-	// time: ~20 allocations a slot around slot 100, 6 around slot 250, none
-	// in the long run. Measuring from slot 200 keeps that tail small beside
-	// the engine's own dozen.
+	// Ledgers that still hold jobs grow their cohort slices, a doubling
+	// append at a time, for the first couple of hundred slots; an emptied
+	// one rewinds and reuses its storage. Measuring from slot 200 keeps that
+	// tail to a few allocations a slot.
 	for eng.Slot() < 200 {
 		if err := eng.Step(nil); err != nil {
 			t.Fatal(err)

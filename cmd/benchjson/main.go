@@ -146,6 +146,10 @@ type regression struct {
 // guarded regressions beyond maxRegress (a fraction, e.g. 0.15 for 15%).
 // Metrics with a zero baseline are skipped: a ratio against zero is
 // meaningless, and allocs/op legitimately sits at zero for some paths.
+// allocs/op must also grow by more than one: `go test` truncates the
+// per-op average to an integer, so a path that allocates 2.4 times a slot
+// reads 2 or 3 depending on b.N, and at such counts one is not a
+// regression (the allocation-budget tests hold those paths exactly).
 func compare(w io.Writer, baseline, current map[string]Result, guard *regexp.Regexp, maxRegress float64) []regression {
 	var bad []regression
 	names := make([]string, 0, len(baseline))
@@ -161,16 +165,17 @@ func compare(w io.Writer, baseline, current map[string]Result, guard *regexp.Reg
 		for _, m := range []struct {
 			metric   string
 			old, new float64
+			slack    float64 // absolute growth that is never a regression
 		}{
-			{"ns/op", old.NsPerOp, cur.NsPerOp},
-			{"allocs/op", old.AllocsPerOp, cur.AllocsPerOp},
+			{"ns/op", old.NsPerOp, cur.NsPerOp, 0},
+			{"allocs/op", old.AllocsPerOp, cur.AllocsPerOp, 1},
 		} {
 			if m.old == 0 {
 				continue
 			}
 			frac := (m.new - m.old) / m.old
 			status := "ok"
-			if frac > maxRegress {
+			if frac > maxRegress && m.new-m.old > m.slack {
 				if guarded {
 					status = "FAIL"
 					bad = append(bad, regression{name, m.metric, m.old, m.new})

@@ -92,6 +92,17 @@ func TestCompareGuard(t *testing.T) {
 		}
 	})
 
+	t.Run("one allocation is rounding", func(t *testing.T) {
+		base := map[string]Result{"BenchmarkSlotDecision/beta=100": {NsPerOp: 3000, AllocsPerOp: 2}}
+		var sb strings.Builder
+		if bad := compare(&sb, base, map[string]Result{"BenchmarkSlotDecision/beta=100": {NsPerOp: 3000, AllocsPerOp: 3}}, guard, 0.15); len(bad) != 0 {
+			t.Fatalf("2 -> 3 allocs/op flagged: %v", bad)
+		}
+		if bad := compare(&sb, base, map[string]Result{"BenchmarkSlotDecision/beta=100": {NsPerOp: 3000, AllocsPerOp: 4}}, guard, 0.15); len(bad) != 1 {
+			t.Fatalf("2 -> 4 allocs/op not flagged: %v", bad)
+		}
+	})
+
 	t.Run("alloc regression fails", func(t *testing.T) {
 		current := map[string]Result{
 			"BenchmarkSlotDecision/beta=100-warm": {NsPerOp: 2000, AllocsPerOp: 12},

@@ -395,10 +395,13 @@ func (ct *Controller) RunSlotContext(ctx context.Context, t int, arrivals []int)
 		ct.tracker.NoteDegraded()
 	}
 
-	act, err := ct.sch.Decide(t, st, pre)
+	owned, err := ct.sch.Decide(t, st, pre)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("slot %d: %s: %w", t, ct.sch.Name(), err)
 	}
+	// The scheduler may rewrite its action on the next Decide, and the
+	// slot's action is the caller's: copy it before anything edits it.
+	act := owned.Clone()
 	// Flow around masked sites: zero their rows so the realized dispatch,
 	// the queue dynamics, and the invariant checker's nominal-route checks
 	// all agree that nothing moved there. (Schedulers route on backlog, not

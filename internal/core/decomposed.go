@@ -217,9 +217,8 @@ func (ds *decSite) oracle(c *model.Cluster, st *model.State, i int, scr *siteScr
 			d := ds.dem[s]
 			jobs = append(jobs, jobDemand{job: s, work: ds.hCap[s] * d, density: -grad[s] / d, demand: d})
 		}
-		sortJobsByDensity(jobs)
 		scr.segs, scr.jobs = segs, jobs
-		greedyExchange(segs, jobs, out, ds.nh)
+		greedyExchange(segs, jobs, out, out[ds.nh:], 0)
 	}
 }
 

@@ -98,7 +98,7 @@ func TestDecomposedDeterministicAcrossWorkers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			acts = append(acts, a)
+			acts = append(acts, a.Clone()) // a is rewritten by the next Decide
 		}
 		return acts
 	}
@@ -131,7 +131,7 @@ func TestDecomposedStateRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want = append(want, a)
+		want = append(want, a.Clone()) // the scheduler rewrites a on its next Decide
 	}
 
 	first, err := New(c, cfg)

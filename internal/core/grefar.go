@@ -229,9 +229,22 @@ func (g *GreFar) Name() string {
 }
 
 // Decide implements sched.Scheduler: it minimizes the drift-plus-penalty
-// expression (14) for slot t.
+// expression (14) for slot t. The returned action is the scheduler's own,
+// cleared and rewritten in place by every call: it is valid until the next
+// Decide, and a caller that keeps it longer keeps a Clone.
 func (g *GreFar) Decide(t int, st *model.State, q queue.Lengths) (*model.Action, error) {
-	act := model.NewAction(g.cluster)
+	act := g.ws.act
+	if act == nil {
+		// Allocated on first use: building a scheduler stays cheap.
+		act = model.NewAction(g.cluster)
+		g.ws.act = act
+	} else {
+		for i := range act.Route {
+			clear(act.Route[i])
+			clear(act.Process[i])
+			clear(act.Busy[i])
+		}
+	}
 	g.decideRouting(q, act)
 	var stats *telemetry.SolveStats
 	if g.cfg.Observer != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"grefar/internal/model"
@@ -464,5 +465,68 @@ func TestEnergyFairnessCost(t *testing.T) {
 	g100 := EnergyFairnessCost(c, st, act, 100, gamma)
 	if g100 <= e {
 		t.Errorf("with beta=100 and an unfair allocation, cost %v should exceed energy %v", g100, e)
+	}
+}
+
+// TestDecideLeavesNoStaleCells: Decide rewrites one action it owns in place,
+// so every cell the previous slot set must be cleared. At beta = 0 a decision
+// depends on the slot's inputs alone, so after a heavily backlogged slot the
+// action for a light one must equal, bit for bit, what a fresh scheduler
+// decides on it, under every solver kind.
+func TestDecideLeavesNoStaleCells(t *testing.T) {
+	c := refCluster(t)
+	states, _ := stateTestWorld(t, c, 2)
+	heavy := randomLengths(rand.New(rand.NewSource(3)), c, 400)
+	light := queue.Lengths{Central: make([]float64, c.J()), Local: make([][]float64, c.N())}
+	for i := range light.Local {
+		light.Local[i] = make([]float64, c.J())
+	}
+	light.Central[1] = 2
+	light.Local[0][0] = 30
+	nonzero := func(a *model.Action) int {
+		n := 0
+		for i := range a.Route {
+			for j := range a.Route[i] {
+				if a.Route[i][j] != 0 || a.Process[i][j] != 0 {
+					n++
+				}
+			}
+			for _, b := range a.Busy[i] {
+				if b != 0 {
+					n++
+				}
+			}
+		}
+		return n
+	}
+	for _, kind := range []SolverKind{SolverAuto, SolverMonolithic, SolverSparse, SolverDecomposed} {
+		cfg := Config{V: 7.5, Solver: kind}
+		g, err := New(c, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, err := g.Decide(0, states[0], heavy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		busy := nonzero(first)
+		second, err := g.Decide(1, states[1], light)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := New(c, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.Decide(1, states[1], light)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if busy <= nonzero(want) {
+			t.Fatalf("%v: the heavy slot set %d cells, the light one %d; nothing could go stale", kind, busy, nonzero(want))
+		}
+		if !reflect.DeepEqual(second, want) {
+			t.Errorf("%v: the light slot's action carries cells from the heavy one:\n got %+v\nwant %+v", kind, second, want)
+		}
 	}
 }

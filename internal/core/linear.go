@@ -32,16 +32,6 @@ func sortSegsByDensity(segs []segment) {
 	}
 }
 
-// sortJobsByDensity stable-sorts job demands by descending reward density;
-// see sortSegsByDensity for why insertion sort.
-func sortJobsByDensity(jobs []jobDemand) {
-	for a := 1; a < len(jobs); a++ {
-		for b := a; b > 0 && jobs[b].density > jobs[b-1].density; b-- {
-			jobs[b], jobs[b-1] = jobs[b-1], jobs[b]
-		}
-	}
-}
-
 // linearAssignment is the solution of one linear slot subproblem.
 type linearAssignment struct {
 	process [][]float64 // h_{i,j}
@@ -99,7 +89,7 @@ func solveLinearSlotWS(ws *linearScratch, c *model.Cluster, st *model.State, cH,
 			out.busy[i][k] = 0
 		}
 
-		// Build capacity segments sorted by cost density.
+		// Capacity segments, sorted by cost density.
 		dc := c.DataCenters[i]
 		segs := ws.segs[:0]
 		for k, stype := range dc.Servers {
@@ -119,7 +109,8 @@ func solveLinearSlotWS(ws *linearScratch, c *model.Cluster, st *model.State, cH,
 		}
 		sortSegsByDensity(segs)
 
-		// Build job demands sorted by reward density.
+		// Collect the profitable job demands; the exchange picks among them
+		// in descending reward density.
 		jobs := ws.jobs[:0]
 		for j := 0; j < c.J(); j++ {
 			if cH[i][j] >= 0 || hCap[i][j] <= 0 {
@@ -133,35 +124,60 @@ func solveLinearSlotWS(ws *linearScratch, c *model.Cluster, st *model.State, cH,
 				demand:  d,
 			})
 		}
-		sortJobsByDensity(jobs)
+		out.value = greedyExchange(segs, jobs, out.process[i], out.busy[i], out.value)
+	}
+	return out, nil
+}
 
-		// Exchange: highest-reward work onto cheapest capacity, while the
-		// reward strictly exceeds the cost.
-		seg := 0
-		for _, jd := range jobs {
-			remaining := jd.work
-			for remaining > 1e-15 && seg < len(segs) {
-				s := &segs[seg]
-				if jd.density <= s.density {
-					break // this and all costlier segments are unprofitable
-				}
-				take := remaining
-				if take > s.cap {
-					take = s.cap
-				}
-				out.process[i][jd.job] += take / jd.demand
-				out.busy[i][s.serverType] += take / s.speed
-				out.value += take * (s.density - jd.density)
-				s.cap -= take
-				remaining -= take
-				if s.cap <= 1e-15 {
-					seg++
-				}
+// greedyExchange is the exchange core of every greedy slot solve: the dense
+// solveLinearSlotWS, the compact sparseSlot.greedySite and the decomposed
+// block oracle. It matches job demands in descending reward density with
+// capacity segments in ascending cost density while the reward strictly
+// exceeds the cost, adding each take into h[job] and b[serverType] and its
+// objective change into value, which it returns.
+//
+// segs must be sorted (sortSegsByDensity). jobs is in ascending job order and
+// is consumed: the next job is picked only when the exchange needs one, as
+// the first of maximal density among those left, which is exactly the order
+// a stable descending sort would give. The exchange stops at the first pick
+// whose density is at or below the current segment's: every job left is at
+// most as profitable, so it could add nothing. A site usually takes one or
+// two of its candidates, so picking beats sorting them all. The arithmetic —
+// take splitting, the 1e-15 epsilons, the accumulation order — is the sorted
+// exchange's, so vertices and values come out bit-identical.
+func greedyExchange(segs []segment, jobs []jobDemand, h, b []float64, value float64) float64 {
+	seg := 0
+	for seg < len(segs) && len(jobs) > 0 {
+		best := 0
+		for x := 1; x < len(jobs); x++ {
+			if jobs[x].density > jobs[best].density {
+				best = x
 			}
-			if seg >= len(segs) {
-				break
+		}
+		jd := jobs[best]
+		if jd.density <= segs[seg].density {
+			break
+		}
+		jobs = append(jobs[:best], jobs[best+1:]...)
+		remaining := jd.work
+		for remaining > 1e-15 && seg < len(segs) {
+			s := &segs[seg]
+			if jd.density <= s.density {
+				break // this and all costlier segments are unprofitable
+			}
+			take := remaining
+			if take > s.cap {
+				take = s.cap
+			}
+			h[jd.job] += take / jd.demand
+			b[s.serverType] += take / s.speed
+			value += take * (s.density - jd.density)
+			s.cap -= take
+			remaining -= take
+			if s.cap <= 1e-15 {
+				seg++
 			}
 		}
 	}
-	return out, nil
+	return value
 }

@@ -19,12 +19,15 @@ import (
 // (internal/runner) construct one scheduler per run, which keeps every
 // workspace single-owner; the repo-wide -race run verifies this.
 //
-// Ownership rule for buffers handed outward: anything that escapes Decide —
-// the returned *model.Action, telemetry events and their slices — is still
-// allocated fresh per call. Scratch covers only solver-internal state whose
-// lifetime ends when Decide returns.
+// Ownership rule for buffers handed outward: the returned *model.Action is
+// act, allocated by the first Decide and cleared and rewritten by every later
+// one, so it is valid until the scheduler's next Decide (sched.Scheduler
+// states the rule; a caller that keeps an action longer keeps a Clone).
+// Telemetry events and their slices are allocated fresh per call. Everything
+// else here is solver-internal state whose lifetime ends when Decide returns.
 type decideScratch struct {
 	layout slotLayout
+	act    *model.Action
 
 	// Routing (decideRouting): routeSites[j] is job type j's eligible set in
 	// ascending site order — cluster-static; the Eligible list itself when it

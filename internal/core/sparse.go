@@ -330,45 +330,8 @@ func (sp *sparseSlot) greedySite(scr *siteScratch, st *model.State, i int, cost,
 			demand:  d,
 		})
 	}
-	sortJobsByDensity(jobs)
 	scr.segs, scr.jobs = segs, jobs
-	return greedyExchange(segs, jobs, out, sp.bOffC[i]), nil
-}
-
-// greedyExchange is the exchange core of solveLinearSlotWS operating on a
-// flat output vector: jobs[].job indexes out directly for the h side and a
-// segment's server type maps to out[bBase+k]. Both lists must be pre-sorted
-// (jobs by descending reward density, segs by ascending cost density); the
-// arithmetic — take splitting, the 1e-15 epsilons, the accumulation order —
-// replicates solveLinearSlotWS exactly so vertices come out bit-identical.
-func greedyExchange(segs []segment, jobs []jobDemand, out []float64, bBase int) float64 {
-	value := 0.0
-	seg := 0
-	for _, jd := range jobs {
-		remaining := jd.work
-		for remaining > 1e-15 && seg < len(segs) {
-			s := &segs[seg]
-			if jd.density <= s.density {
-				break
-			}
-			take := remaining
-			if take > s.cap {
-				take = s.cap
-			}
-			out[jd.job] += take / jd.demand
-			out[bBase+s.serverType] += take / s.speed
-			value += take * (s.density - jd.density)
-			s.cap -= take
-			remaining -= take
-			if s.cap <= 1e-15 {
-				seg++
-			}
-		}
-		if seg >= len(segs) {
-			break
-		}
-	}
-	return value
+	return greedyExchange(segs, jobs, out, out[sp.bOffC[i]:], 0), nil
 }
 
 // repairWarm is repairWarmStart for the sparse path: it repairs the dense

@@ -77,7 +77,7 @@ func TestSchedulerStateRoundTrip(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want = append(want, act)
+				want = append(want, act.Clone()) // act is rewritten by the next Decide
 			}
 
 			first := build(tc.from)
@@ -227,7 +227,7 @@ func TestRestoreRejectsIneligibleWarmMass(t *testing.T) {
 					t.Fatal(err)
 				}
 				if s >= split {
-					want = append(want, act)
+					want = append(want, act.Clone()) // act is rewritten by the next Decide
 				}
 				if s == split-1 {
 					if v := full.ExportState().Warm[ineligible]; v != 0 {

@@ -112,7 +112,9 @@ func TestAutoSolverBitIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				acts = append(acts, act)
+				// Clone: the scheduler rewrites act on its next Decide, so
+				// keeping act itself would compare the last action with itself.
+				acts = append(acts, act.Clone())
 				in.Mutate()
 			}
 			out, err := rec.MarshalJSONL()

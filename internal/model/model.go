@@ -390,19 +390,33 @@ func NewAction(c *Cluster) *Action {
 	return a
 }
 
-// Clone returns a deep copy of the action.
+// Clone returns a deep copy of the action with one backing array per matrix,
+// like NewAction: its allocation count does not grow with the cluster. Each
+// row is capped at its own length, and a nil row stays nil.
 func (a *Action) Clone() *Action {
-	cp := &Action{
-		Route:   make([][]int, len(a.Route)),
-		Process: make([][]float64, len(a.Process)),
-		Busy:    make([][]float64, len(a.Busy)),
+	return &Action{
+		Route:   cloneMatrix(a.Route),
+		Process: cloneMatrix(a.Process),
+		Busy:    cloneMatrix(a.Busy),
 	}
-	for i := range a.Route {
-		cp.Route[i] = append([]int(nil), a.Route[i]...)
-		cp.Process[i] = append([]float64(nil), a.Process[i]...)
-		cp.Busy[i] = append([]float64(nil), a.Busy[i]...)
+}
+
+// cloneMatrix deep-copies m onto one backing array.
+func cloneMatrix[T any](m [][]T) [][]T {
+	total := 0
+	for _, row := range m {
+		total += len(row)
 	}
-	return cp
+	flat := make([]T, 0, total)
+	out := make([][]T, len(m))
+	for i, row := range m {
+		if row == nil {
+			continue
+		}
+		flat = append(flat, row...)
+		out[i] = flat[len(flat)-len(row) : len(flat) : len(flat)]
+	}
+	return out
 }
 
 // WorkAt returns the work processed at data center i: sum_j h_{i,j}(t)*d_j.

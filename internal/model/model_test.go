@@ -2,6 +2,7 @@ package model
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -239,5 +240,67 @@ func TestEligibleSet(t *testing.T) {
 	}
 	if jt.EligibleSet(1) {
 		t.Error("unexpected member 1")
+	}
+}
+
+// wideCluster has n data centers of two server types each and four job
+// types: the shape NewAction and Clone size their matrices by.
+func wideCluster(n int) *Cluster {
+	c := &Cluster{JobTypes: make([]JobType, 4), Accounts: []Account{{Weight: 1}}}
+	for i := 0; i < n; i++ {
+		c.DataCenters = append(c.DataCenters, DataCenter{Servers: []ServerType{{Speed: 1, Power: 1}, {Speed: 2, Power: 3}}})
+	}
+	return c
+}
+
+// TestActionCloneIsDeepAndFlat: a clone equals its source, shares no storage
+// with it (writing every cell of either leaves the other as it was), keeps
+// each row capped at its own length, and costs the same number of
+// allocations at 8 sites as at 200 — one backing array per matrix.
+func TestActionCloneIsDeepAndFlat(t *testing.T) {
+	c := wideCluster(8)
+	a := NewAction(c)
+	for i := range a.Route {
+		for j := range a.Route[i] {
+			a.Route[i][j] = i + j
+			a.Process[i][j] = float64(i*j) / 2
+		}
+		for k := range a.Busy[i] {
+			a.Busy[i][k] = float64(i + k)
+		}
+	}
+	cp := a.Clone()
+	if !reflect.DeepEqual(cp, a) {
+		t.Fatal("clone differs from its source")
+	}
+	want := a.Clone()
+	for i := range cp.Route {
+		for j := range cp.Route[i] {
+			cp.Route[i][j] = -1
+			cp.Process[i][j] = -1
+		}
+		for k := range cp.Busy[i] {
+			cp.Busy[i][k] = -1
+		}
+		_ = append(cp.Process[i], -2) // a row may not grow into its neighbour
+	}
+	if !reflect.DeepEqual(a, want) {
+		t.Fatal("writing the clone changed its source")
+	}
+	for i := range cp.Process {
+		if cap(cp.Process[i]) != len(cp.Process[i]) || cap(cp.Busy[i]) != len(cp.Busy[i]) || cap(cp.Route[i]) != len(cp.Route[i]) {
+			t.Fatalf("row %d is not capped at its length", i)
+		}
+	}
+	ragged := &Action{Route: [][]int{{1}, nil}, Process: [][]float64{{2}, {}}, Busy: [][]float64{nil, {3, 4}}}
+	if got := ragged.Clone(); !reflect.DeepEqual(got, ragged) {
+		t.Fatalf("ragged clone %+v, want %+v", got, ragged)
+	}
+
+	small, large := NewAction(c), NewAction(wideCluster(200))
+	nSmall := testing.AllocsPerRun(50, func() { _ = small.Clone() })
+	nLarge := testing.AllocsPerRun(50, func() { _ = large.Clone() })
+	if nSmall != nLarge {
+		t.Errorf("Clone allocates %v times at 8 sites and %v at 200", nSmall, nLarge)
 	}
 }

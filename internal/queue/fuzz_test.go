@@ -199,11 +199,14 @@ func FuzzApply(f *testing.F) {
 	})
 }
 
-// assertMirror checks what Lengths and Backlog read off the set's mirror
-// against the ledgers themselves, bit for bit.
+// assertMirror checks what Lengths, View and Backlog read off the set's
+// mirror against the ledgers themselves, bit for bit.
 func assertMirror(t *testing.T, slot int, s *queue.Set) {
 	t.Helper()
 	l := s.Lengths()
+	if v := s.View(); !reflect.DeepEqual(v, l) {
+		t.Fatalf("slot %d: View() = %v, Lengths() = %v", slot, v, l)
+	}
 	for j, q := range l.Central {
 		if want := s.CentralLen(j); q != want {
 			t.Fatalf("slot %d: Lengths().Central[%d] = %v, ledger holds %v", slot, j, q, want)

@@ -105,6 +105,9 @@ type Set struct {
 	// and lens[(i+1)*J+j] is q_{i,j}. Whatever changes a total writes the
 	// mirror in the same step, so a snapshot is one copy.
 	lens []float64
+	// view is lens seen as Lengths, its row headers cut once: lens is
+	// written in place and never reallocated, so they stay valid.
+	view Lengths
 
 	// Apply's result and the scratch behind it, reused call to call. The
 	// three N x J matrices and the two per-type vectors of flows share the
@@ -139,6 +142,10 @@ func NewSet(c *model.Cluster) *Set {
 	// vectors; every row is capped at its own length.
 	n, j := c.N(), c.J()
 	s.lens = make([]float64, (n+1)*j)
+	s.view = Lengths{Central: s.lens[:j:j], Local: make([][]float64, n)}
+	for i := range s.view.Local {
+		s.view.Local[i] = s.lens[(i+1)*j : (i+2)*j : (i+2)*j]
+	}
 	s.flowFlat = make([]float64, (3*n+2)*j)
 	rows := make([][]float64, 3*n)
 	for r := range rows {
@@ -181,6 +188,13 @@ func (s *Set) Lengths() Lengths {
 	return out
 }
 
+// View returns the current backlogs without copying them: the Lengths reads
+// the set's own mirror of its ledger totals. It is valid until the set's next
+// Apply, Arrive or Restore, which write through it, and it must be treated as
+// read-only. A caller that keeps backlogs longer takes Lengths (or Clones the
+// view).
+func (s *Set) View() Lengths { return s.view }
+
 // Backlog returns the total backlog, bit-identical to Lengths().Sum() (it
 // sums in the same order) without taking a snapshot.
 func (s *Set) Backlog() float64 {
@@ -192,7 +206,8 @@ func (s *Set) Backlog() float64 {
 }
 
 // Arrive records a_j(t) new jobs of each type entering the central queue
-// during slot t. len(arrivals) must equal the number of job types.
+// during slot t. len(arrivals) must equal the number of job types. The counts
+// are checked in full first, so a rejected call changes nothing.
 func (s *Set) Arrive(t int, arrivals []int) error {
 	if len(arrivals) != len(s.central) {
 		return fmt.Errorf("got %d arrival counts, want %d", len(arrivals), len(s.central))
@@ -201,6 +216,8 @@ func (s *Set) Arrive(t int, arrivals []int) error {
 		if a < 0 {
 			return fmt.Errorf("job type %d: negative arrivals %d", j, a)
 		}
+	}
+	for j, a := range arrivals {
 		s.central[j].Push(t, float64(a))
 		s.lens[j] = s.central[j].Len()
 	}

@@ -510,3 +510,109 @@ func TestSetConservation(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestViewTracksTheSet: the view taken once at construction is the set's
+// live backlog. At every slot boundary — after Apply, after Arrive, after a
+// Restore onto an earlier snapshot — it equals a fresh Lengths() snapshot,
+// while the snapshots taken along the way keep their own values. Taking the
+// view allocates nothing.
+func TestViewTracksTheSet(t *testing.T) {
+	c := testCluster(t)
+	s := NewSet(c)
+	view := s.View()
+	check := func(when string) {
+		t.Helper()
+		if !reflect.DeepEqual(view, s.Lengths()) || !reflect.DeepEqual(s.View(), view) {
+			t.Fatalf("%s: view %v, Lengths() %v", when, view, s.Lengths())
+		}
+	}
+	check("empty")
+	var snaps [][]byte
+	var kept []Lengths
+	arr := make([]int, c.J())
+	for slot := 0; slot < 8; slot++ {
+		act := model.NewAction(c)
+		for j, jt := range c.JobTypes {
+			for _, i := range jt.Eligible {
+				act.Route[i][j] = 1 + (i+j+slot)%3
+				act.Process[i][j] = float64((i*j+slot)%4) / 2
+			}
+		}
+		if _, err := s.Apply(slot, act); err != nil {
+			t.Fatal(err)
+		}
+		check("after Apply")
+		for j := range arr {
+			arr[j] = (j + 2*slot) % 7
+		}
+		if err := s.Arrive(slot, arr); err != nil {
+			t.Fatal(err)
+		}
+		check("after Arrive")
+		snap, err := s.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		snaps = append(snaps, snap)
+		kept = append(kept, s.Lengths())
+	}
+	if view.Sum() == 0 {
+		t.Fatal("the queues ended empty; the comparison proved nothing")
+	}
+	if err := s.Restore(snaps[2]); err != nil {
+		t.Fatal(err)
+	}
+	check("after Restore")
+	if !reflect.DeepEqual(view, kept[2]) {
+		t.Fatal("the view after a Restore does not read the restored queues")
+	}
+	for k := 1; k < len(kept); k++ {
+		if reflect.DeepEqual(kept[k], kept[k-1]) {
+			t.Fatalf("snapshots %d and %d are equal; the slots moved nothing", k-1, k)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = s.View() }); n != 0 {
+		t.Errorf("View allocates %v times", n)
+	}
+}
+
+// TestEmptiedLedgerRewinds: a ledger whose last cohort is popped returns to
+// the start of its slice, so a queue that drains every slot keeps one entry
+// of storage, and its snapshot bytes are those of a ledger that never held
+// anything.
+func TestEmptiedLedgerRewinds(t *testing.T) {
+	var l, never Ledger
+	for slot := 0; slot < 200; slot++ {
+		l.Push(slot, 3)
+		if slot%2 == 1 {
+			l.Push(slot, 1)
+		}
+		if got, _ := l.Pop(slot, 10); got == 0 {
+			t.Fatalf("slot %d: nothing popped", slot)
+		}
+		if l.head != 0 || len(l.entries) != 0 {
+			t.Fatalf("slot %d: emptied ledger kept head %d, %d entries", slot, l.head, len(l.entries))
+		}
+	}
+	if cap(l.entries) > 1 {
+		t.Errorf("a ledger that drains every slot grew to %d entries", cap(l.entries))
+	}
+	got, err := SnapshotLedgers([]Ledger{l})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := SnapshotLedgers([]Ledger{never})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("an emptied ledger's snapshot differs from a never-used one's")
+	}
+	// A partial pop keeps the live cohort where it is.
+	l.Push(300, 5)
+	l.Push(301, 5)
+	l.Pop(302, 6)
+	if l.head != 1 || l.Len() != 4 {
+		t.Errorf("partial pop: head %d, length %v", l.head, l.Len())
+	}
+}

@@ -17,7 +17,13 @@ type Scheduler interface {
 	// Name identifies the policy in reports.
 	Name() string
 	// Decide returns the action z(t) for slot t. Implementations must treat
-	// st and q as read-only.
+	// st and q as read-only and must not keep q: it may be a view the caller
+	// rewrites after Decide returns (queue.Set.View).
+	//
+	// The returned action may be storage the scheduler owns and rewrites on
+	// its next Decide (GreFar does; the baselines here return a fresh one,
+	// which trivially satisfies the rule). It is valid until the scheduler's
+	// next Decide call; a caller that keeps it longer keeps a Clone.
 	Decide(t int, st *model.State, q queue.Lengths) (*model.Action, error)
 }
 

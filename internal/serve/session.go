@@ -198,8 +198,11 @@ func (s *Session) Tick(ctx context.Context) (*TickReport, error) {
 	if err := s.eng.Step(extra); err != nil {
 		return nil, err
 	}
-	// The slot committed; only now do the admitted jobs leave the buffer,
-	// so a failed Step loses nothing.
+	// The slot committed; only now do the admitted jobs leave the buffer.
+	// A Step refused before it applied its action left the engine as it was,
+	// so the jobs wait for the next Tick. One that failed after (the
+	// invariant checker's verdict) keeps them buffered too, but the engine
+	// then refuses every later Step with that error until a Restore.
 	for j := range extra {
 		s.pending[j] -= extra[j]
 	}

@@ -47,14 +47,10 @@ type Engine struct {
 	avgQ               metrics.Running
 	arrived, processed float64
 
-	// next is the backlog snapshot the next Step decides on: the post-slot
-	// snapshot of the slot before it, which nothing modifies in between (the
-	// engine owns the queue set, and snapshots are immutable once taken — the
-	// same value may sit in one slot's Detail.Post and the next slot's
-	// Detail.Pre). nextValid is cleared while a Step is in flight and by
-	// RestoreState, so a failed slot or a rewind re-reads the queues.
-	next      queue.Lengths
-	nextValid bool
+	// failed is the first error a Step returned after its slot had already
+	// moved the queues; every later Step returns it instead of re-running a
+	// slot on queues that moved. RestoreState clears it.
+	failed error
 
 	res           *Result
 	accountWork   []float64 // r_m(t), rewritten every slot
@@ -153,8 +149,8 @@ func NewEngine(in Inputs, s sched.Scheduler, opt Options) (*Engine, error) {
 func (e *Engine) Slot() int { return e.t }
 
 // Lengths returns a snapshot of the current queue backlogs Theta(t). The
-// snapshot is the caller's: it is taken fresh and never aliases the one the
-// engine keeps for its next slot.
+// snapshot is the caller's: it is taken fresh and never aliases the view the
+// engine's scheduler decides on.
 func (e *Engine) Lengths() queue.Lengths { return e.qs.Lengths() }
 
 // Backlog returns the total queue backlog, bit-identical to
@@ -186,10 +182,32 @@ func (e *Engine) CheckerErr() error {
 // generator's output (when a generator is configured) plus extra, the
 // externally ingested counts per job type (nil means none). Errors carry the
 // slot context exactly as Run reports them.
+//
+// A Step rejected before its action is applied — a malformed extra, a bad
+// state, a scheduler error or an infeasible action — leaves the queues, the
+// counters and the slot index as they were, so the corrected call runs the
+// slot once. A failure only the applied slot can reveal (the admission
+// policy's counts, the workload's arrivals, the invariant checker's verdict)
+// cannot be undone: the engine then refuses every later Step with that first
+// error until RestoreState rewinds it.
 func (e *Engine) Step(extra []int) error {
+	if e.failed != nil {
+		return e.failed
+	}
 	c, st, t := e.c, e.st, e.t
 	in, opt := &e.in, &e.opt
 	res := e.res
+
+	if extra != nil {
+		if len(extra) != c.J() {
+			return fmt.Errorf("slot %d: got %d extra arrival counts, cluster has %d job types", t, len(extra), c.J())
+		}
+		for j, a := range extra {
+			if a < 0 {
+				return fmt.Errorf("slot %d: job type %d: negative extra arrivals %d", t, j, a)
+			}
+		}
+	}
 
 	// Reveal x(t).
 	avail := in.Availability.At(t)
@@ -204,13 +222,11 @@ func (e *Engine) Step(extra []int) error {
 		return fmt.Errorf("slot %d: bad state: %w", t, err)
 	}
 
-	// Decide and apply. Theta(t) is the snapshot the previous slot ended on.
-	lengths := e.next
-	if !e.nextValid {
-		lengths = e.qs.Lengths()
-	}
-	e.nextValid = false
-	act, err := e.s.Decide(t, st, lengths)
+	// Decide and apply. The scheduler decides on the queue set's own view of
+	// Theta(t), which Apply rewrites; a detail observer gets a copy taken
+	// before it does.
+	view := e.qs.View()
+	act, err := e.s.Decide(t, st, view)
 	if err != nil {
 		return fmt.Errorf("slot %d: %s: %w", t, e.s.Name(), err)
 	}
@@ -218,6 +234,10 @@ func (e *Engine) Step(extra []int) error {
 		if err := act.Validate(c, st); err != nil {
 			return fmt.Errorf("slot %d: %s produced an infeasible action: %w", t, e.s.Name(), err)
 		}
+	}
+	var pre queue.Lengths
+	if e.wantDetail {
+		pre = view.Clone()
 	}
 	flows, err := e.qs.Apply(t, act)
 	if err != nil {
@@ -228,16 +248,9 @@ func (e *Engine) Step(extra []int) error {
 		arrivals = in.Workload.Arrivals(t)
 	}
 	if extra != nil {
-		if len(extra) != c.J() {
-			return fmt.Errorf("slot %d: got %d extra arrival counts, cluster has %d job types", t, len(extra), c.J())
-		}
 		buf := e.arrivalsBuf
 		for j := range buf {
-			a := extra[j]
-			if a < 0 {
-				return fmt.Errorf("slot %d: job type %d: negative extra arrivals %d", t, j, a)
-			}
-			buf[j] = arrivals[j] + a
+			buf[j] = arrivals[j] + extra[j]
 		}
 		arrivals = buf
 	}
@@ -250,18 +263,18 @@ func (e *Engine) Step(extra []int) error {
 		}
 		admitted = opt.Admission.Admit(t, arrivals, lens)
 		if len(admitted) != c.J() {
-			return fmt.Errorf("slot %d: admission policy returned %d counts, want %d", t, len(admitted), c.J())
+			return e.fail(fmt.Errorf("slot %d: admission policy returned %d counts, want %d", t, len(admitted), c.J()))
 		}
 		for j := range admitted {
 			if admitted[j] < 0 || admitted[j] > arrivals[j] {
-				return fmt.Errorf("slot %d: admission policy admitted %d of %d for job type %d",
-					t, admitted[j], arrivals[j], j)
+				return e.fail(fmt.Errorf("slot %d: admission policy admitted %d of %d for job type %d",
+					t, admitted[j], arrivals[j], j))
 			}
 			slotDropped += float64(arrivals[j] - admitted[j])
 		}
 	}
 	if err := e.qs.Arrive(t, admitted); err != nil {
-		return fmt.Errorf("slot %d: arrivals: %w", t, err)
+		return e.fail(fmt.Errorf("slot %d: arrivals: %w", t, err))
 	}
 	res.TotalDropped += slotDropped
 
@@ -308,19 +321,18 @@ func (e *Engine) Step(extra []int) error {
 		e.arrived += float64(arrivals[j])
 		slotArrived += float64(arrivals[j])
 	}
-	// One pass over the fresh snapshot for both queue statistics, summing in
-	// post.Sum()'s order; backlogs are never negative, so the slot's largest
-	// is all maxQ needs to see.
-	post := e.qs.Lengths()
+	// One pass over the view, now the post-slot backlogs, for both queue
+	// statistics, summing in Lengths.Sum's order; backlogs are never
+	// negative, so the slot's largest is all maxQ needs to see.
 	var qSum, qMax float64
-	for _, v := range post.Central {
+	for _, v := range view.Central {
 		qSum += v
 		if v > qMax {
 			qMax = v
 		}
 	}
-	for i := range post.Local {
-		for _, v := range post.Local[i] {
+	for i := range view.Local {
+		for _, v := range view.Local[i] {
 			qSum += v
 			if v > qMax {
 				qMax = v
@@ -331,16 +343,17 @@ func (e *Engine) Step(extra []int) error {
 	e.avgQ.Add(qSum)
 
 	if e.obs != nil {
-		ev := slotEvent(c, e.s.Name(), t, post, act, st, in.Tariff,
+		ev := slotEvent(c, e.s.Name(), t, view, act, st, in.Tariff,
 			slotEnergy, slotFairness, slotArrived, slotProcessed, slotDropped)
 		if e.wantDetail {
-			// The detail owns everything it carries: the queue set reuses
-			// its flow matrices on the next Apply, so they are copied here.
+			// The detail owns everything it carries: the scheduler rewrites
+			// its action, and the queue set its view and flow matrices, on
+			// the next slot, so they are copied here.
 			ev.Detail = &telemetry.SlotDetail{
 				State:     st.Clone(),
 				Action:    act.Clone(),
-				Pre:       lengths,
-				Post:      post,
+				Pre:       pre,
+				Post:      view.Clone(),
 				Arrivals:  append([]int(nil), admitted...),
 				Routed:    cloneRows(flows.Routed),
 				Processed: cloneRows(flows.Processed),
@@ -350,12 +363,18 @@ func (e *Engine) Step(extra []int) error {
 	}
 	if e.checker != nil {
 		if err := e.checker.Err(); err != nil {
-			return fmt.Errorf("slot %d: %s: %w", t, e.s.Name(), err)
+			return e.fail(fmt.Errorf("slot %d: %s: %w", t, e.s.Name(), err))
 		}
 	}
-	e.next, e.nextValid = post, true
 	e.t++
 	return nil
+}
+
+// fail records the first error of a slot that had already moved the queues
+// and returns it; see Step.
+func (e *Engine) fail(err error) error {
+	e.failed = err
+	return err
 }
 
 // cloneRows deep-copies a matrix onto one backing array, each row capped at
@@ -455,7 +474,7 @@ func (e *Engine) RestoreState(st *EngineState) error {
 	if err := e.qs.Restore(st.Queues); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadInputs, err)
 	}
-	e.nextValid = false
+	e.failed = nil
 	e.t = st.Slot
 	e.arrived = st.TotalArrived
 	e.processed = st.TotalProcessed

@@ -320,10 +320,12 @@ func TestEngineDetailOwnsFlows(t *testing.T) {
 	}
 }
 
-// TestEngineSnapshotReuse pins the engine's one-snapshot-per-slot rule from
-// the outside: the post-slot snapshot of slot t is what slot t+1 decides on,
-// retained snapshots are never written again, a rewind drops the kept
-// snapshot, and Lengths() hands out a snapshot of the caller's own.
+// TestEngineSnapshotReuse pins, from the outside, how the engine hands out
+// backlogs while its scheduler decides on the queue set's live view: the
+// post-slot snapshot of slot t is what slot t+1 decides on, retained
+// snapshots are never written again, a rewind decides on the restored queues,
+// a slot that failed after it moved the queues is never run again on them,
+// and Lengths() hands out a snapshot of the caller's own.
 func TestEngineSnapshotReuse(t *testing.T) {
 	cfg := core.Config{V: 7.5, Beta: 100}
 	build := func(t *testing.T, slots int, opt Options) (*Engine, *core.GreFar) {
@@ -402,22 +404,45 @@ func TestEngineSnapshotReuse(t *testing.T) {
 	})
 
 	t.Run("failed-step", func(t *testing.T) {
-		// A Step that fails after applying its action leaves the queues moved;
-		// the next Step must decide on what is there, not on the snapshot the
-		// last good slot ended on.
+		// A Step that fails after applying its action leaves the queues moved.
+		// The engine must refuse to run that slot again on them; once rewound,
+		// it decides on what the restored queues hold.
+		const at = 4
 		keep := &detailKeeper{}
-		e, _ := build(t, 8, Options{Observer: keep})
-		steps(t, e, 4)
-		if err := e.Step([]int{1}); err == nil {
-			t.Fatal("wrong-length extra arrivals accepted")
+		e, g := build(t, 8, Options{Observer: keep, Admission: failingAdmission{at: at}})
+		steps(t, e, at)
+		engSt, err := e.ExportState()
+		if err != nil {
+			t.Fatal(err)
 		}
-		want := e.Lengths()
+		schedSt := g.ExportState()
+		before := e.Lengths()
+		first := e.Step(nil)
+		if first == nil {
+			t.Fatal("misbehaving admission policy accepted")
+		}
+		if reflect.DeepEqual(e.Lengths(), before) {
+			t.Fatal("the failed Step moved nothing; the test proves nothing")
+		}
+		moved := e.Lengths()
+		for k := 0; k < 2; k++ {
+			if err := e.Step(nil); err != first {
+				t.Fatalf("Step after a failed slot returned %v, want the first error %v", err, first)
+			}
+		}
+		if e.Slot() != at || !reflect.DeepEqual(e.Lengths(), moved) {
+			t.Fatal("a refused Step changed the engine")
+		}
+		if err := e.RestoreState(engSt); err != nil {
+			t.Fatal(err)
+		}
+		if err := g.RestoreState(schedSt); err != nil {
+			t.Fatal(err)
+		}
+		e.opt.Admission = nil
 		steps(t, e, 1)
-		if got := keep.pre[len(keep.pre)-1]; !reflect.DeepEqual(got, want) {
-			t.Fatal("the slot after a failed Step decided on a stale snapshot")
-		}
-		if reflect.DeepEqual(want, keep.post[len(keep.post)-2]) {
-			t.Fatal("the failed Step moved nothing; the comparison proved nothing")
+		if got := keep.pre[len(keep.pre)-1]; !reflect.DeepEqual(got, before) {
+			t.Fatal("the slot after the rewind did not decide on the restored queues")
 		}
 	})
 
@@ -480,5 +505,87 @@ func TestEngineSetScheduler(t *testing.T) {
 	}
 	if res := e.Result(); res.SchedulerName != a.Name() || res.Slots != slots {
 		t.Fatalf("post-swap result: scheduler %q slots %d", res.SchedulerName, res.Slots)
+	}
+}
+
+// failingAdmission admits everything except at slot at, where it returns a
+// vector of the wrong length: a failure the engine can only see after the
+// slot's action has moved the queues.
+type failingAdmission struct{ at int }
+
+func (p failingAdmission) Admit(t int, arrivals []int, _ []float64) []int {
+	if t == p.at {
+		return arrivals[:0]
+	}
+	return arrivals
+}
+
+func (failingAdmission) Name() string { return "fails-once" }
+
+// TestRejectedStepLeavesNoTrace: a Step whose extra arrivals are malformed is
+// refused before the slot's state is revealed or its action applied. The
+// engine's durable state and slot counter are unchanged, and the corrected
+// call then applies the slot once: the run continues exactly like one that
+// never saw the bad call.
+func TestRejectedStepLeavesNoTrace(t *testing.T) {
+	const slots, at = 10, 5
+	build := func() *Engine {
+		in := refInputs(t, slots)
+		g, err := core.New(in.Cluster, core.Config{V: 7.5, Beta: 100})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := NewEngine(in, g, Options{ValidateActions: true, Check: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	export := func(e *Engine) *EngineState {
+		t.Helper()
+		st, err := e.ExportState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	extra := func(c int) []int {
+		out := make([]int, c)
+		for j := range out {
+			out[j] = 1 + j%3
+		}
+		return out
+	}
+	e, twin := build(), build()
+	nJ := e.c.J()
+	for s := 0; s < slots; s++ {
+		if s == at {
+			negative := extra(nJ)
+			negative[nJ-1] = -1
+			for _, bad := range [][]int{negative, extra(nJ - 1), extra(nJ + 1)} {
+				before := export(e)
+				if err := e.Step(bad); err == nil {
+					t.Fatalf("extra %v accepted", bad)
+				}
+				if e.Slot() != at {
+					t.Fatalf("rejected Step moved the slot counter to %d", e.Slot())
+				}
+				if !reflect.DeepEqual(export(e), before) {
+					t.Fatalf("rejected Step with extra %v changed the engine's state", bad)
+				}
+			}
+		}
+		if err := e.Step(extra(nJ)); err != nil {
+			t.Fatalf("slot %d: %v", s, err)
+		}
+		if err := twin.Step(extra(nJ)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.CheckerErr(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(export(e), export(twin)) || !reflect.DeepEqual(e.Result(), twin.Result()) {
+		t.Fatal("the run that saw rejected calls diverged from the one that did not")
 	}
 }

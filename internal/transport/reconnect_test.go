@@ -260,13 +260,16 @@ func TestReconnectClientDoesNotRetryOversizedRequest(t *testing.T) {
 	defer srv.Close()
 
 	c := NewReconnectClient(srv.Addr(), time.Second, 3)
-	c.backoff = time.Second // a retry would show as a sleep
+	// A retry would show as a sleep of at least the backoff. Encoding the
+	// oversized body alone takes ~0.4 s under -race, so the bound sits well
+	// clear of that and well below the backoff.
+	c.backoff = 3 * time.Second
 	defer c.Close()
 	start := time.Now()
 	if err := c.Call(KindPing, make([]byte, maxFrame+1), nil); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("err = %v, want ErrFrameTooLarge", err)
 	}
-	if elapsed := time.Since(start); elapsed > 400*time.Millisecond {
+	if elapsed := time.Since(start); elapsed > 1500*time.Millisecond {
 		t.Errorf("oversized request took %v; it was retried", elapsed)
 	}
 	var resp Ping
