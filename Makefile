@@ -28,18 +28,14 @@ race:
 # their kill/restart determinism when raced), the Decide allocation-budget
 # guard (which -race skips, so it runs plain here), a race-enabled hollow
 # smoke (64 in-process agents, 5 slots, 5% killed mid-run — the degraded-mode
-# cycle end to end), a race-enabled rerun of the sparse/decomposed
-# solver suites (the pooled block solves only prove their disjoint-write
-# determinism when raced) together with the default-solver, cross-
-# representation checkpoint, validate-before-apply, reused-snapshot and
-# reused-flow-storage tests (FuzzApply's seeds compare every Apply on the
+# cycle end to end), a race-enabled rerun of the sparse solver suite together
+# with the default-solver, cross-representation checkpoint,
+# validate-before-apply, reused-snapshot and reused-flow-storage tests (FuzzApply's seeds compare every Apply on the
 # reused storage with one on a fresh Set; TestEngineDetailOwnsFlows holds the
 # engine to copying what a SlotDetail keeps; TestViewTracksTheSet and
 # TestDecideLeavesNoStaleCells hold the no-copy backlog view and the reused
 # Action; TestRejectedStepLeavesNoTrace the engine's validate-first Step),
-# plus the cross-solver agreement
-# smoke, and a short fuzz smoke of the native
-# fuzz targets, including the snapshot-restore, wire-frame, wire-codec,
+# and a short fuzz smoke of the native fuzz targets, including the snapshot-restore, wire-frame, wire-codec,
 # incremental-refresh and lazy greedy-exchange surfaces. The wire
 # allocation budget (codec, agent.Handle, one mux call, one whole tick at 500
 # and at 2000 agents) and the N=200/J=100 engine-step budget run plain next to
@@ -56,10 +52,9 @@ tier1:
 	$(GO) test -race -count=1 ./internal/runner
 	$(GO) test -race -count=1 ./internal/serve/... ./cmd/grefar-serve
 	$(GO) test -race -count=1 ./internal/agent ./internal/controller ./internal/controlplane ./internal/transport/... ./internal/experiments ./internal/hollow
-	$(GO) test -race -count=1 -run 'TestSparse|TestDecomposed|TestSharingADMM|TestAuto|TestSchedulerState|TestDecideLeavesNoStaleCells' ./internal/core ./internal/solve
+	$(GO) test -race -count=1 -run 'TestSparse|TestAuto|TestSchedulerState|TestDecideLeavesNoStaleCells' ./internal/core
 	$(GO) test -race -count=1 -run 'TestAutoSolverBitIdentical' ./internal/invariant
 	$(GO) test -race -count=1 -run 'TestRejectedApply|TestRejectedStep|TestSnapshotsOwn|TestViewTracksTheSet|TestEngineSnapshotReuse|TestEngineDetailOwnsFlows|FuzzApply' ./internal/queue ./internal/sim
-	$(GO) test -count=1 -run TestCrossCheckDecomposed ./internal/invariant
 	$(GO) run -race ./cmd/grefar-hollow -agents 64 -slots 5 -kill-frac 0.05
 	$(GO) test -count=1 -run 'TestDecideAllocationBudget|TestEngineStepAllocationBudget|TestWireAllocationBudget' .
 	$(GO) test -run '^$$' -fuzz FuzzSimplex -fuzztime $(FUZZTIME) ./internal/lp
@@ -115,7 +110,7 @@ bench-slot:
 # SLOT_BENCHES is the set recorded in BENCH_slot.json: the per-slot solver
 # cost on the reference cluster (the linear beta=0 slot and the warm-started
 # away-step beta=100 one) plus the large-instance N=200/J=100 arms (auto,
-# dense, sparse, decomposed, pooled decomposed) at ~10% active-pair density and one whole
+# dense, sparse) at ~10% active-pair density and one whole
 # default-configured engine slot at the same shape, and the routing half of a
 # decision alone at 20 and at 500 candidate sites per job type (it lives in
 # internal/core, hence the second package on those lines). DIST_BENCHES is

@@ -18,7 +18,6 @@ package grefar_test
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
 	"grefar"
@@ -264,11 +263,11 @@ func BenchmarkSlotDecision(b *testing.B) {
 		})
 	}
 	// The large-instance arms: a 200-site, 100-job-type synthetic cluster at
-	// ~10% active-pair density, where the sparse index and block decomposition
-	// earn their keep. All arms share the same instance and the same per-slot
-	// input drift; compare against "dense" for the sparse/decomposed win, and
-	// "auto" (the default, which resolves to the compact representation here)
-	// against "sparse" to see that the default pays nothing extra.
+	// ~10% active-pair density, where the sparse index earns its keep. All arms
+	// share the same instance and the same per-slot input drift; compare
+	// against "dense" for the sparse win, and "auto" (the default, which
+	// resolves to the compact representation here) against "sparse" to see
+	// that the default pays nothing extra.
 	for _, arm := range []struct {
 		name string
 		kind grefar.SolverKind
@@ -276,16 +275,10 @@ func BenchmarkSlotDecision(b *testing.B) {
 		{"auto", grefar.SolverAuto},
 		{"dense", grefar.SolverMonolithic},
 		{"sparse", grefar.SolverSparse},
-		{"decomposed", grefar.SolverDecomposed},
-		{"decomposed-pool", grefar.SolverDecomposed},
 	} {
-		workers := 1
-		if arm.name == "decomposed-pool" {
-			workers = runtime.GOMAXPROCS(0)
-		}
 		b.Run("N=200/J=100/"+arm.name, func(b *testing.B) {
 			b.ReportAllocs()
-			benchmarkLargeSlotDecision(b, arm.kind, workers)
+			benchmarkLargeSlotDecision(b, arm.kind)
 		})
 	}
 }
@@ -352,7 +345,7 @@ func largeEngineInputs(tb testing.TB) sim.Inputs {
 // 200 sites x 100 job types at 10% density, warm-started, with small input
 // drift each iteration so the incremental coefficient refresh is on its
 // steady-state path rather than replaying one frozen slot.
-func benchmarkLargeSlotDecision(b *testing.B, kind grefar.SolverKind, workers int) {
+func benchmarkLargeSlotDecision(b *testing.B, kind grefar.SolverKind) {
 	in, err := experiments.NewSolverScaleInstance(2012, 200, 100, 0.1)
 	if err != nil {
 		b.Fatal(err)
@@ -360,7 +353,6 @@ func benchmarkLargeSlotDecision(b *testing.B, kind grefar.SolverKind, workers in
 	g, err := grefar.New(in.Cluster,
 		grefar.Config{V: 7.5, Beta: 100},
 		grefar.WithSolver(kind),
-		grefar.WithSolverWorkers(workers),
 	)
 	if err != nil {
 		b.Fatal(err)

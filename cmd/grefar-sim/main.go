@@ -32,8 +32,8 @@
 // -scale-chaos, under partitions of -kill-frac of the fleet plus call drops.
 //
 // The solverscale experiment (also outside -experiment all) sweeps the slot
-// solvers themselves — the default (auto), monolithic, sparse, decomposed,
-// and pooled decomposed — over large synthetic instances of -solver-shapes
+// solvers themselves — the default (auto), monolithic and sparse — over
+// large synthetic instances of -solver-shapes
 // (N x J) at -solver-densities active-pair fractions, measuring per-decision
 // latency and allocation rate for -scale-slots drifting slots per cell.
 package main
@@ -179,7 +179,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 				Slots:     *scaleSlots,
 				Beta:      *beta,
 				V:         *v,
-				Workers:   *workers,
 				Context:   ctx,
 			})
 		},
@@ -322,13 +321,12 @@ func runSolverScale(out io.Writer, cfg experiments.SolverScaleConfig) error {
 			report.FormatFloat(pt.Density, 2),
 			strconv.Itoa(pt.ActivePairs),
 			pt.Solver,
-			strconv.Itoa(pt.Workers),
 			report.FormatFloat(pt.DecideMicros, 1),
 			report.FormatFloat(pt.AllocsPerDecide, 0),
 			report.FormatFloat(pt.Objective, 1),
 		}
 	}
-	return report.Table(out, []string{"N", "J", "Density", "Active", "Solver", "Workers", "us/decide", "Allocs/decide", "Objective"}, table)
+	return report.Table(out, []string{"N", "J", "Density", "Active", "Solver", "us/decide", "Allocs/decide", "Objective"}, table)
 }
 
 // runScale runs the hollow-fleet scale sweep: per agent count, a real

@@ -99,9 +99,6 @@ const (
 	// SolverSparse runs the slot solve on the active-pair compact
 	// representation: identical algorithms, bit-identical decisions.
 	SolverSparse = core.SolverSparse
-	// SolverDecomposed block-decomposes the beta > 0 slot solve per data
-	// center (see WithDecomposedSolver, WithSolverWorkers).
-	SolverDecomposed = core.SolverDecomposed
 )
 
 // Simulation types.

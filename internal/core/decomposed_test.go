@@ -1,63 +1,32 @@
 package core
 
 import (
-	"math"
+	"bytes"
+	"encoding/gob"
+	"errors"
 	"testing"
 
 	"grefar/internal/model"
-	"grefar/internal/solve"
 )
 
-// TestDecomposedLinearBitIdentical pins the beta = 0 decomposed path against
-// the monolithic greedy: the linear slot decomposes trivially per site, so
-// the decisions must be byte-identical, serial and pooled alike.
-func TestDecomposedLinearBitIdentical(t *testing.T) {
+// The decomposed solver is gone; SolverDecomposed survives only as a
+// deprecated name for SolverSparse. These tests pin what is left of it: the
+// name decides exactly as the compact solver does, is validated like it, and
+// states its schedulers wrote still restore.
+
+// decomposedAliasMatchesDense drives a SolverDecomposed scheduler and a
+// monolithic one over the same slots and requires bit-identical actions.
+func decomposedAliasMatchesDense(t *testing.T, cfg Config) {
+	t.Helper()
 	c := refCluster(t)
 	states, lengths := stateTestWorld(t, c, 20)
-	dense, err := New(c, Config{V: 7.5, Solver: SolverMonolithic})
+	cfg.Solver = SolverMonolithic
+	dense, err := New(c, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{0, 1, 4} {
-		dec, err := New(c, Config{V: 7.5, Solver: SolverDecomposed, SolverWorkers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for s := range states {
-			da, err := dense.Decide(s, states[s], lengths[s])
-			if err != nil {
-				t.Fatal(err)
-			}
-			xa, err := dec.Decide(s, states[s], lengths[s])
-			if err != nil {
-				t.Fatal(err)
-			}
-			decisionsEqual(t, s, "decomposed-linear", da, xa)
-		}
-		dense, err = New(c, Config{V: 7.5, Solver: SolverMonolithic}) // reset for the next worker count
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// TestDecomposedQuadraticAgreesWithDense requires the decomposed solver's
-// slot decisions to match the monolithic Frank-Wolfe solution in objective
-// value to solver tolerance, slot after slot.
-func TestDecomposedQuadraticAgreesWithDense(t *testing.T) {
-	c := refCluster(t)
-	states, lengths := stateTestWorld(t, c, 12)
-	cfg := Config{V: 7.5, Beta: 100, FW: solve.FWOptions{MaxIters: 2000, Tol: 1e-9}}
-
-	cfgDense := cfg
-	cfgDense.Solver = SolverMonolithic
-	dense, err := New(c, cfgDense)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfgDec := cfg
-	cfgDec.Solver = SolverDecomposed
-	dec, err := New(c, cfgDec)
+	cfg.Solver = SolverDecomposed
+	alias, err := New(c, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,60 +35,46 @@ func TestDecomposedQuadraticAgreesWithDense(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		xa, err := dec.Decide(s, states[s], lengths[s])
+		xa, err := alias.Decide(s, states[s], lengths[s])
 		if err != nil {
 			t.Fatal(err)
 		}
-		vd := processingObjective(c, cfg, states[s], lengths[s], da.Process)
-		vx := processingObjective(c, cfg, states[s], lengths[s], xa.Process)
-		scale := math.Max(1, math.Max(math.Abs(vd), math.Abs(vx)))
-		if rel := math.Abs(vd-vx) / scale; rel > 1e-6 {
-			t.Errorf("slot %d: dense objective %v vs decomposed %v (rel %.3g)", s, vd, vx, rel)
-		}
+		decisionsEqual(t, s, "decomposed-alias", da, xa)
 	}
 }
 
-// TestDecomposedDeterministicAcrossWorkers pins the pooled-reduction
-// determinism claim: the decomposed solver's decision stream is byte-identical
-// at every worker count, because block solves write disjoint state and all
-// reductions run serially in site order.
-func TestDecomposedDeterministicAcrossWorkers(t *testing.T) {
-	c := refCluster(t)
-	states, lengths := stateTestWorld(t, c, 15)
-	run := func(workers int) []*model.Action {
-		cfg := Config{V: 7.5, Beta: 100, Solver: SolverDecomposed, SolverWorkers: workers}
-		g, err := New(c, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var acts []*model.Action
-		for s := range states {
-			a, err := g.Decide(s, states[s], lengths[s])
-			if err != nil {
-				t.Fatal(err)
-			}
-			acts = append(acts, a.Clone()) // a is rewritten by the next Decide
-		}
-		return acts
-	}
-	want := run(1)
-	for _, workers := range []int{2, 4, 8} {
-		got := run(workers)
-		for s := range want {
-			decisionsEqual(t, s, "workers", want[s], got[s])
-		}
-	}
+// TestDecomposedLinearBitIdentical: at beta = 0 the deprecated kind runs the
+// compact greedy, bit-identical to the dense one.
+func TestDecomposedLinearBitIdentical(t *testing.T) {
+	decomposedAliasMatchesDense(t, Config{V: 7.5})
 }
 
-// TestDecomposedStateRoundTrip exports a decomposed scheduler's state
-// mid-stream — warm iterate plus ADMM dual prices — restores it into a fresh
-// instance, and requires the continuation to be byte-identical to the
-// uninterrupted run.
+// TestDecomposedQuadraticAgreesWithDense: at beta > 0 the deprecated kind runs
+// the compact warm-started Frank-Wolfe, whose decisions equal the dense
+// solve's bit for bit, slot after slot.
+func TestDecomposedQuadraticAgreesWithDense(t *testing.T) {
+	decomposedAliasMatchesDense(t, Config{V: 7.5, Beta: 100})
+}
+
+// legacyDecomposedState is SchedulerState as the decomposed solver wrote it:
+// the ADMM duals after the shared fields.
+type legacyDecomposedState struct {
+	Warm                                 []float64
+	WarmValid                            bool
+	WarmHits, WarmRepairs, WarmFallbacks int
+	OptsReported                         bool
+	DecomposedU, DecomposedZ             []float64
+}
+
+// TestDecomposedStateRoundTrip restores a state in the decomposed solver's
+// gob form — duals included — into a fresh default scheduler. The duals are
+// dropped, everything else is taken, and the continuation is bit-identical to
+// the uninterrupted run.
 func TestDecomposedStateRoundTrip(t *testing.T) {
 	c := refCluster(t)
 	const slots, split = 20, 10
 	states, lengths := stateTestWorld(t, c, slots)
-	cfg := Config{V: 7.5, Beta: 100, Solver: SolverDecomposed}
+	cfg := Config{V: 7.5, Beta: 100}
 
 	full, err := New(c, cfg)
 	if err != nil {
@@ -143,16 +98,31 @@ func TestDecomposedStateRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	exported := first.ExportState()
-	if exported.DecomposedU == nil || exported.DecomposedZ == nil {
-		t.Fatal("decomposed scheduler exported no dual state")
+	st := first.ExportState()
+	legacy := legacyDecomposedState{
+		Warm: st.Warm, WarmValid: st.WarmValid,
+		WarmHits: st.WarmHits, WarmRepairs: st.WarmRepairs, WarmFallbacks: st.WarmFallbacks,
+		OptsReported: st.OptsReported,
+		DecomposedU:  make([]float64, c.M()),
+		DecomposedZ:  make([]float64, c.M()),
+	}
+	for m := range legacy.DecomposedU {
+		legacy.DecomposedU[m], legacy.DecomposedZ[m] = -1-float64(m), 2+float64(m)
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(legacy); err != nil {
+		t.Fatal(err)
+	}
+	var decoded SchedulerState
+	if err := gob.NewDecoder(&buf).Decode(&decoded); err != nil {
+		t.Fatalf("a state carrying decomposed duals no longer decodes: %v", err)
 	}
 
 	second, err := New(c, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := second.RestoreState(exported); err != nil {
+	if err := second.RestoreState(&decoded); err != nil {
 		t.Fatal(err)
 	}
 	for s := split; s < slots; s++ {
@@ -164,46 +134,36 @@ func TestDecomposedStateRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDecomposedConfigValidation pins the gate: sparse solver kinds reject
-// auxiliary resources and non-linear tariffs, and bad knobs are ErrBadConfig.
+// TestDecomposedConfigValidation pins the gate: the deprecated kind is
+// validated exactly like SolverSparse (no auxiliary resources) and runs as
+// it; unknown kinds are ErrBadConfig.
 func TestDecomposedConfigValidation(t *testing.T) {
 	c := refCluster(t)
-	if _, err := New(c, Config{V: 1, Solver: SolverKind(99)}); err == nil {
-		t.Error("unknown solver kind accepted")
+	if _, err := New(c, Config{V: 1, Solver: SolverKind(99)}); !errors.Is(err, ErrBadConfig) {
+		t.Errorf("unknown solver kind: got %v, want ErrBadConfig", err)
 	}
-	if _, err := New(c, Config{V: 1, SolverWorkers: -2}); err == nil {
-		t.Error("negative worker count accepted")
+	g, err := New(c, Config{V: 1, Solver: SolverDecomposed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.cfg.Solver != SolverSparse || !g.compact {
+		t.Errorf("SolverDecomposed resolved to %v (compact %v), want the compact sparse solver", g.cfg.Solver, g.compact)
 	}
 	aux := auxCluster()
-	if _, err := New(aux, Config{V: 1, Solver: SolverSparse}); err == nil {
-		t.Error("sparse solver accepted a cluster with auxiliary resources")
-	}
-	if _, err := New(aux, Config{V: 1, Solver: SolverDecomposed}); err == nil {
-		t.Error("decomposed solver accepted a cluster with auxiliary resources")
+	for _, kind := range []SolverKind{SolverSparse, SolverDecomposed} {
+		if _, err := New(aux, Config{V: 1, Solver: kind}); !errors.Is(err, ErrBadConfig) {
+			t.Errorf("solver kind %d accepted a cluster with auxiliary resources: %v", int(kind), err)
+		}
 	}
 	// Monolithic kinds still take auxiliary clusters.
 	if _, err := New(aux, Config{V: 1, Solver: SolverMonolithic}); err != nil {
 		t.Errorf("monolithic solver rejected auxiliary cluster: %v", err)
 	}
 	for kind, want := range map[SolverKind]string{
-		SolverAuto: "auto", SolverMonolithic: "monolithic",
-		SolverSparse: "sparse", SolverDecomposed: "decomposed",
+		SolverAuto: "auto", SolverMonolithic: "monolithic", SolverSparse: "sparse",
 	} {
 		if got := kind.String(); got != want {
 			t.Errorf("SolverKind(%d).String() = %q, want %q", int(kind), got, want)
 		}
-	}
-}
-
-// TestDecomposedRho pins the penalty heuristic's edges.
-func TestDecomposedRho(t *testing.T) {
-	if r := decomposedRho(0, 10, 100); r != 1 {
-		t.Errorf("vbeta=0: rho %v, want 1", r)
-	}
-	if r := decomposedRho(750, 3, 150); r != 2*750*3/(150.0*150.0) {
-		t.Errorf("rho %v, want curvature scale", r)
-	}
-	if r := decomposedRho(1e-30, 2, 1e10); r != 1 {
-		t.Errorf("tiny curvature: rho %v, want fallback 1", r)
 	}
 }

@@ -57,16 +57,10 @@ type Config struct {
 	// cluster and tariff allow it and on the dense layout otherwise — the two
 	// decide bit-identically, so the choice never shows in a trace;
 	// SolverMonolithic pins the dense layout; SolverSparse insists on the
-	// compact one; SolverDecomposed additionally splits the beta > 0 solve
-	// into per-data-center blocks coordinated by sharing ADMM. The compact
-	// representation requires a cluster without auxiliary resources and a
-	// linear (or absent) tariff; New rejects the sparse kinds on other inputs.
+	// compact one. The compact representation requires a cluster without
+	// auxiliary resources and a linear (or absent) tariff; New rejects
+	// SolverSparse on other inputs.
 	Solver SolverKind
-	// SolverWorkers bounds the concurrency of the decomposed solver's block
-	// stage: <= 1 solves blocks serially on the calling goroutine, larger
-	// values pool them on internal/runner. Results are byte-identical at any
-	// worker count. Ignored by the monolithic and sparse solvers.
-	SolverWorkers int
 }
 
 // SolverKind selects the slot-solver implementation (Config.Solver).
@@ -87,9 +81,13 @@ const (
 	// O(active) work instead of O(N*J). Unlike Auto it is an error on inputs
 	// the compact representation does not cover.
 	SolverSparse
-	// SolverDecomposed runs the sparse representation with the beta > 0
-	// solve block-decomposed per data center (sharing ADMM + Frank-Wolfe
-	// polish), optionally pooling block solves across SolverWorkers.
+	// SolverDecomposed named the per-data-center block decomposition of the
+	// beta > 0 solve (sharing ADMM plus a Frank-Wolfe polish). It lost to the
+	// compact solver on every measured shape and is gone; New runs
+	// SolverSparse in its place, under the same input requirements.
+	//
+	// Deprecated: use SolverAuto or SolverSparse. Kept so code that names it
+	// (benchmark/solve.go's solver probe) still compiles.
 	SolverDecomposed
 )
 
@@ -102,8 +100,6 @@ func (k SolverKind) String() string {
 		return "monolithic"
 	case SolverSparse:
 		return "sparse"
-	case SolverDecomposed:
-		return "decomposed"
 	}
 	return fmt.Sprintf("SolverKind(%d)", int(k))
 }
@@ -199,12 +195,12 @@ func New(c *model.Cluster, cfg Config) (*GreFar, error) {
 	if cfg.Solver < SolverAuto || cfg.Solver > SolverDecomposed {
 		return nil, fmt.Errorf("%w: unknown solver kind %d", ErrBadConfig, int(cfg.Solver))
 	}
-	if cfg.SolverWorkers < 0 {
-		return nil, fmt.Errorf("%w: solver worker count %d is negative", ErrBadConfig, cfg.SolverWorkers)
+	if cfg.Solver == SolverDecomposed {
+		cfg.Solver = SolverSparse
 	}
 	g := &GreFar{cluster: c, cfg: cfg, weights: weights}
 	switch cfg.Solver {
-	case SolverSparse, SolverDecomposed:
+	case SolverSparse:
 		if c.Aux() > 0 {
 			return nil, fmt.Errorf("%w: solver %v requires a cluster without auxiliary resources", ErrBadConfig, cfg.Solver)
 		}
@@ -216,10 +212,7 @@ func New(c *model.Cluster, cfg Config) (*GreFar, error) {
 		g.compact = c.Aux() == 0 && linearTariff(cfg.Tariff)
 	}
 	g.ws = newDecideScratch(c, !g.linearSlot(), g.compact)
-	if cfg.Solver == SolverDecomposed {
-		g.ws.dec = newDecomposedScratch(c)
-	}
-	g.reportOpts = cfg.FW != (solve.FWOptions{}) || cfg.Solver != SolverAuto || cfg.SolverWorkers != 0
+	g.reportOpts = cfg.FW != (solve.FWOptions{}) || cfg.Solver != SolverAuto
 	return g, nil
 }
 

@@ -499,7 +499,7 @@ func TestDecideLeavesNoStaleCells(t *testing.T) {
 		}
 		return n
 	}
-	for _, kind := range []SolverKind{SolverAuto, SolverMonolithic, SolverSparse, SolverDecomposed} {
+	for _, kind := range []SolverKind{SolverAuto, SolverMonolithic, SolverSparse} {
 		cfg := Config{V: 7.5, Solver: kind}
 		g, err := New(c, cfg)
 		if err != nil {

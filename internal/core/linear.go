@@ -130,8 +130,7 @@ func solveLinearSlotWS(ws *linearScratch, c *model.Cluster, st *model.State, cH,
 }
 
 // greedyExchange is the exchange core of every greedy slot solve: the dense
-// solveLinearSlotWS, the compact sparseSlot.greedySite and the decomposed
-// block oracle. It matches job demands in descending reward density with
+// solveLinearSlotWS and the compact sparseSlot.greedySite. It matches job demands in descending reward density with
 // capacity segments in ascending cost density while the reward strictly
 // exceeds the cost, adding each take into h[job] and b[serverType] and its
 // objective change into value, which it returns.

@@ -73,10 +73,8 @@ type decideScratch struct {
 	warm      []float64
 	warmValid bool
 
-	// Compact representation (see GreFar.compact) and the decomposed solver's
-	// block scratch; nil on the dense path.
+	// Compact representation (see GreFar.compact); nil on the dense path.
 	sparse *sparseSlot
-	dec    *decomposedScratch
 }
 
 // linearScratch holds the buffers of one greedy-exchange slot solve.

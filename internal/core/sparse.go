@@ -10,22 +10,21 @@ import (
 	"grefar/internal/telemetry"
 )
 
-// This file implements the compact slot representation — what SolverAuto
-// runs on whenever the inputs allow it, and what SolverSparse and
-// SolverDecomposed insist on: an active-pair index over the (i, j)
-// processing variables that skips every pair with zero backlog and
-// zero warm-start mass, threaded through the coefficient build, the
-// objective/gradient, the greedy oracle, and the Frank-Wolfe workspace. At
-// production scale most pairs are inactive — a job type's data lives at a
-// handful of sites and most queues are empty — so the dense N*J vectors the
-// monolithic path iterates over are mostly exact zeros. The compact layout
-// makes every solver pass O(active) instead of O(N*J) — and the passes that
-// maintain the index itself O(eligible pairs), the size (14) actually has —
-// while producing bit-identical iterates: an inactive pair has x = v = dir = 0 on the dense
-// path, contributing exactly +0.0 to every inner product, and the compact
-// index preserves the dense (i, j) lexicographic order, so the fairness
-// account sums, the greedy candidate lists, and the line-search scalars all
-// come out float-for-float equal.
+// This file implements the compact slot representation — what SolverAuto runs
+// on whenever the inputs allow it, and what SolverSparse insists on: an
+// active-pair index over the (i, j) processing variables that skips every pair
+// with zero backlog and zero warm-start mass, threaded through the coefficient
+// build, the objective/gradient, the greedy oracle, and the Frank-Wolfe
+// workspace. At production scale most pairs are inactive — a job type's data
+// lives at a handful of sites and most queues are empty — so the dense N*J
+// vectors the monolithic path iterates over are mostly exact zeros. The
+// compact layout makes every solver pass O(active) instead of O(N*J) — and the
+// passes that maintain the index itself O(eligible pairs), the size (14)
+// actually has — while producing bit-identical iterates: an inactive pair has
+// x = v = dir = 0 on the dense path, contributing exactly +0.0 to every inner
+// product, and the compact index preserves the dense (i, j) lexicographic
+// order, so the fairness account sums, the greedy candidate lists, and the
+// line-search scalars all come out float-for-float equal.
 
 // sparseSlot is the active-pair slot representation owned by one scheduler.
 // Pair (i, j) is active when j is eligible at i and the pair has positive
@@ -84,16 +83,11 @@ type sparseSlot struct {
 	rebuilds, rowRefreshes int
 
 	// Solver buffers in compact layout: xw is the Frank-Wolfe starting point
-	// gathered from the dense warm buffer.
+	// gathered from the dense warm buffer; segs and jobs are one site's
+	// greedy-exchange lists.
 	xw, vertex []float64
-	scr        siteScratch
-}
-
-// siteScratch holds one site's greedy-exchange buffers. The decomposed
-// solver keeps one per site so pooled block solves never share state.
-type siteScratch struct {
-	segs []segment
-	jobs []jobDemand
+	segs       []segment
+	jobs       []jobDemand
 }
 
 func newSparseSlot(c *model.Cluster) *sparseSlot {
@@ -126,8 +120,8 @@ func newSparseSlot(c *model.Cluster) *sparseSlot {
 			next[i]++
 		}
 	}
-	sp.scr.segs = make([]segment, 0, maxServerTypes(c))
-	sp.scr.jobs = make([]jobDemand, 0, c.J())
+	sp.segs = make([]segment, 0, maxServerTypes(c))
+	sp.jobs = make([]jobDemand, 0, c.J())
 	return sp
 }
 
@@ -284,24 +278,24 @@ func (sp *sparseSlot) oracle(st *model.State) solve.LinearOracle {
 			out[j] = 0
 		}
 		for i := 0; i < sp.c.N(); i++ {
-			sp.greedySite(&sp.scr, st, i, grad, out, true)
+			sp.greedySite(st, i, grad, out, true)
 		}
 	}
 }
 
 // greedySite runs one site's greedy exchange over the site's active pairs
 // with the compact cost vector cost, adding the chosen vertex into out
-// (caller-zeroed, compact layout) and returning the site's objective
-// contribution. With clampNegB, negative b costs clamp to zero exactly as in
-// slotOracleWS; without it they are an error, mirroring solveLinearSlotWS.
-func (sp *sparseSlot) greedySite(scr *siteScratch, st *model.State, i int, cost, out []float64, clampNegB bool) (float64, error) {
+// (caller-zeroed, compact layout). With clampNegB, negative b costs clamp to
+// zero exactly as in slotOracleWS; without it they are an error, mirroring
+// solveLinearSlotWS.
+func (sp *sparseSlot) greedySite(st *model.State, i int, cost, out []float64, clampNegB bool) error {
 	c := sp.c
-	segs := scr.segs[:0]
+	segs := sp.segs[:0]
 	for k, stype := range c.DataCenters[i].Servers {
 		cb := cost[sp.bOffC[i]+k]
 		if cb < 0 {
 			if !clampNegB {
-				return 0, fmt.Errorf("data center %d server type %d: negative capacity cost %v", i, k, cb)
+				return fmt.Errorf("data center %d server type %d: negative capacity cost %v", i, k, cb)
 			}
 			cb = 0
 		}
@@ -317,7 +311,7 @@ func (sp *sparseSlot) greedySite(scr *siteScratch, st *model.State, i int, cost,
 		})
 	}
 	sortSegsByDensity(segs)
-	jobs := scr.jobs[:0]
+	jobs := sp.jobs[:0]
 	for t := sp.siteOff[i]; t < sp.siteOff[i+1]; t++ {
 		if cost[t] >= 0 || sp.hCap[t] <= 0 {
 			continue
@@ -330,8 +324,9 @@ func (sp *sparseSlot) greedySite(scr *siteScratch, st *model.State, i int, cost,
 			demand:  d,
 		})
 	}
-	scr.segs, scr.jobs = segs, jobs
-	return greedyExchange(segs, jobs, out, out[sp.bOffC[i]:], 0), nil
+	sp.segs, sp.jobs = segs, jobs
+	greedyExchange(segs, jobs, out, out[sp.bOffC[i]:], 0)
+	return nil
 }
 
 // repairWarm is repairWarmStart for the sparse path: it repairs the dense
@@ -457,8 +452,7 @@ func (sp *sparseSlot) scatterWarm(x, warm []float64) {
 
 // decideProcessingSparse is decideProcessing on the sparse representation:
 // refresh the active-pair index incrementally, solve on the compact layout
-// (greedy for linear slots, compact Frank-Wolfe for SolverSparse, the
-// sharing-ADMM block decomposition for SolverDecomposed), scatter the
+// (greedy for linear slots, compact Frank-Wolfe otherwise), scatter the
 // clamped h into the action, and provision exactly as the dense path does.
 func (g *GreFar) decideProcessingSparse(st *model.State, q queue.Lengths, act *model.Action, stats *telemetry.SolveStats) error {
 	c, ws := g.cluster, g.ws
@@ -470,12 +464,9 @@ func (g *GreFar) decideProcessingSparse(st *model.State, q queue.Lengths, act *m
 	sp.refresh(g.cfg, st, q, warmRef)
 
 	var err error
-	switch {
-	case g.linearSlot():
+	if g.linearSlot() {
 		err = g.solveSparseLinear(st, act, stats)
-	case g.cfg.Solver == SolverDecomposed:
-		err = g.solveDecomposedQuadratic(st, act, stats)
-	default:
+	} else {
 		err = g.solveSparseQuadratic(st, act, stats)
 	}
 	if err != nil {
@@ -497,35 +488,15 @@ func (g *GreFar) decideProcessingSparse(st *model.State, q queue.Lengths, act *m
 }
 
 // solveSparseLinear is the beta = 0 slot solve on the compact layout: the
-// per-site greedy exchange over active pairs, site by site — or pooled on
-// the runner when the decomposed solver is configured with workers, with
-// per-site scratch and disjoint output ranges, so the result is
-// bit-identical at any worker count.
+// per-site greedy exchange over active pairs, site by site.
 func (g *GreFar) solveSparseLinear(st *model.State, act *model.Action, stats *telemetry.SolveStats) error {
-	c, ws := g.cluster, g.ws
-	sp := ws.sparse
+	c := g.cluster
+	sp := g.ws.sparse
 	sp.vertex = resizeFloats(sp.vertex, sp.total)
-	for j := range sp.vertex {
-		sp.vertex[j] = 0
-	}
-	solver := telemetry.SolverGreedy
-	workers := 1
-	if g.cfg.Solver == SolverDecomposed {
-		solver = telemetry.SolverDecomposed
-		workers = g.cfg.SolverWorkers
-	}
-	if workers > 1 {
-		if err := ws.dec.parallelSites(sp, workers, func(i int, scr *siteScratch) error {
-			_, err := sp.greedySite(scr, st, i, sp.linear, sp.vertex, false)
+	clear(sp.vertex)
+	for i := 0; i < c.N(); i++ {
+		if err := sp.greedySite(st, i, sp.linear, sp.vertex, false); err != nil {
 			return err
-		}); err != nil {
-			return err
-		}
-	} else {
-		for i := 0; i < c.N(); i++ {
-			if _, err := sp.greedySite(&sp.scr, st, i, sp.linear, sp.vertex, false); err != nil {
-				return err
-			}
 		}
 	}
 	for i := 0; i < c.N(); i++ {
@@ -534,7 +505,7 @@ func (g *GreFar) solveSparseLinear(st *model.State, act *model.Action, stats *te
 		}
 	}
 	if stats != nil {
-		*stats = telemetry.SolveStats{Solver: solver, Iterations: 1, Converged: true}
+		*stats = telemetry.SolveStats{Solver: telemetry.SolverGreedy, Iterations: 1, Converged: true}
 		// The dense linear path never reports options, and Auto must read
 		// exactly like it.
 		if g.cfg.Solver != SolverAuto {
@@ -620,9 +591,6 @@ func (g *GreFar) attachSolverOptions(stats *telemetry.SolveStats, opts solve.FWO
 	stats.Options = &telemetry.SolverOptions{MaxIters: opts.MaxIters, Tol: opts.Tol}
 	if g.cfg.Solver != SolverAuto {
 		stats.Options.Solver = g.cfg.Solver.String()
-	}
-	if g.cfg.SolverWorkers != 0 {
-		stats.Options.Workers = g.cfg.SolverWorkers
 	}
 	g.optsReported = true
 }

@@ -16,6 +16,11 @@ import (
 // The state is intentionally small: the per-slot solver workspace
 // (decideScratch) is derived and rebuilt by New; only the cross-slot memory
 // listed here is durable.
+//
+// States written before the decomposed solver was removed may also carry its
+// ADMM duals as DecomposedU and DecomposedZ. gob drops fields the type no
+// longer has, so such a checkpoint decodes and restores without them: the
+// warm iterate it carries is the dense-layout one every kind shares.
 type SchedulerState struct {
 	// Warm is the previous slot's (h, b) iterate in slotLayout order, the
 	// seed of the next warm-started solve — the dense layout under every
@@ -34,12 +39,6 @@ type SchedulerState struct {
 	// attached to a telemetry event, so a restored scheduler does not attach
 	// them a second time mid-stream.
 	OptsReported bool
-	// DecomposedU and DecomposedZ are the decomposed solver's carried ADMM
-	// dual state (one entry per account): the scaled coupling dual and the
-	// averaged coupling iterate. Nil for other solver kinds. The block
-	// iterates themselves are re-derived from Warm every slot, so these two
-	// vectors are the only extra memory a decomposed scheduler carries.
-	DecomposedU, DecomposedZ []float64
 }
 
 // ExportState captures the scheduler's resumable cross-slot state. The
@@ -56,10 +55,6 @@ func (g *GreFar) ExportState() *SchedulerState {
 	if g.ws.warm != nil {
 		st.Warm = append([]float64(nil), g.ws.warm...)
 	}
-	if g.ws.dec != nil && g.ws.dec.shw.U != nil {
-		st.DecomposedU = append([]float64(nil), g.ws.dec.shw.U...)
-		st.DecomposedZ = append([]float64(nil), g.ws.dec.shw.Z...)
-	}
 	return st
 }
 
@@ -74,9 +69,9 @@ func (g *GreFar) RestoreState(st *SchedulerState) error {
 	if st == nil {
 		return nil
 	}
-	// A linear-slot SolverSparse/SolverDecomposed scheduler used to export an
-	// all-zero iterate it never used; such a state (iterate present, not
-	// valid) still restores into a scheduler without a convex path.
+	// A linear-slot compact scheduler used to export an all-zero iterate it
+	// never used; such a state (iterate present, not valid) still restores
+	// into a scheduler without a convex path.
 	restoreWarm := st.Warm != nil && (st.WarmValid || g.ws.warm != nil)
 	if restoreWarm {
 		if g.ws.warm == nil {
@@ -109,30 +104,9 @@ func (g *GreFar) RestoreState(st *SchedulerState) error {
 	if st.WarmValid && st.Warm == nil {
 		return fmt.Errorf("%w: state marks a warm iterate valid but carries none", ErrBadConfig)
 	}
-	restoreDual := st.DecomposedU != nil || st.DecomposedZ != nil
-	if restoreDual {
-		if g.ws.dec == nil {
-			return fmt.Errorf("%w: state carries decomposed dual state but this configuration does not use the decomposed solver", ErrBadConfig)
-		}
-		m := g.cluster.M()
-		if len(st.DecomposedU) != m || len(st.DecomposedZ) != m {
-			return fmt.Errorf("%w: decomposed dual state has %d/%d entries, cluster has %d accounts",
-				ErrBadConfig, len(st.DecomposedU), len(st.DecomposedZ), m)
-		}
-		for i := 0; i < m; i++ {
-			if u, z := st.DecomposedU[i], st.DecomposedZ[i]; math.IsNaN(u) || math.IsInf(u, 0) || math.IsNaN(z) || math.IsInf(z, 0) {
-				return fmt.Errorf("%w: decomposed dual state entry %d is not finite", ErrBadConfig, i)
-			}
-		}
-	}
 
 	if restoreWarm {
 		copy(g.ws.warm, st.Warm)
-	}
-	if restoreDual {
-		g.ws.dec.shw.Resize(g.cluster.N(), g.cluster.M())
-		copy(g.ws.dec.shw.U, st.DecomposedU)
-		copy(g.ws.dec.shw.Z, st.DecomposedZ)
 	}
 	g.ws.warmValid = st.WarmValid
 	g.warmHits = st.WarmHits

@@ -128,7 +128,7 @@ func TestSchedulerStateRoundTrip(t *testing.T) {
 func TestSchedulerStateLinearPath(t *testing.T) {
 	c := model.NewReferenceCluster()
 	states, lengths := stateTestWorld(t, c, 3)
-	for _, kind := range []SolverKind{SolverAuto, SolverMonolithic, SolverSparse, SolverDecomposed} {
+	for _, kind := range []SolverKind{SolverAuto, SolverMonolithic, SolverSparse} {
 		for _, cfg := range []Config{{V: 7.5}, {V: 0, Beta: 100}} {
 			cfg.Solver = kind
 			g, err := New(c, cfg)
@@ -210,7 +210,7 @@ func TestRestoreRejectsIneligibleWarmMass(t *testing.T) {
 	states, lengths := stateTestWorld(t, c, slots)
 	l := newSlotLayout(c)
 	ineligible := l.hIndex(1, 0) // site 1 runs no job type at all
-	for _, kind := range []SolverKind{SolverAuto, SolverMonolithic, SolverSparse, SolverDecomposed} {
+	for _, kind := range []SolverKind{SolverAuto, SolverMonolithic, SolverSparse} {
 		for _, planted := range []float64{3, -2} {
 			build := func() *GreFar {
 				g, err := New(c, Config{V: 7.5, Beta: 100, Solver: kind})

@@ -18,9 +18,8 @@ import (
 )
 
 // solverScaleAccounts is how many organizations share the synthetic
-// large-instance cluster: enough that the decomposed solver's per-account
-// coupling terms are non-trivial, few enough that the fairness prox stays a
-// small fraction of the slot cost.
+// large-instance cluster: enough that the fairness term's per-account
+// coupling is non-trivial.
 const solverScaleAccounts = 8
 
 // SolverScaleInstance is one synthetic large slot instance: a validated
@@ -214,8 +213,6 @@ type SolverScaleConfig struct {
 	Slots int
 	// Beta and V parameterize the objective (defaults 100, 7.5).
 	Beta, V float64
-	// Workers is the pooled arm's worker count (0 = one per CPU).
-	Workers int
 	// Context cancels the sweep between arms.
 	Context context.Context
 }
@@ -237,9 +234,6 @@ func (c SolverScaleConfig) withDefaults() SolverScaleConfig {
 	if c.V == 0 {
 		c.V = 7.5
 	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
 	if c.Context == nil {
 		c.Context = context.Background()
 	}
@@ -252,9 +246,8 @@ type SolverScalePoint struct {
 	// active-pair fraction.
 	N, J, ActivePairs int
 	Density           float64
-	// Solver names the arm; Workers is its pool size (1 = serial).
-	Solver  string
-	Workers int
+	// Solver names the arm.
+	Solver string
 	// DecideMicros is the mean per-Decide wall time over the horizon.
 	DecideMicros float64
 	// AllocsPerDecide is the mean heap allocation count per Decide.
@@ -271,22 +264,20 @@ type SolverScaleResult struct {
 
 // solverScaleArm describes one solver configuration under measurement.
 type solverScaleArm struct {
-	name    string
-	kind    core.SolverKind
-	workers int
+	name string
+	kind core.SolverKind
 }
 
 // solverScaleRun measures one cell: fresh instance, warm-up decide, then the
 // timed horizon with per-slot input drift.
 func solverScaleRun(cfg SolverScaleConfig, shape [2]int, density float64, arm solverScaleArm) (SolverScalePoint, error) {
-	pt := SolverScalePoint{N: shape[0], J: shape[1], Density: density, Solver: arm.name, Workers: arm.workers}
+	pt := SolverScalePoint{N: shape[0], J: shape[1], Density: density, Solver: arm.name}
 	in, err := NewSolverScaleInstance(cfg.Seed, shape[0], shape[1], density)
 	if err != nil {
 		return pt, err
 	}
 	pt.ActivePairs = in.ActivePairs
-	ccfg := core.Config{V: cfg.V, Beta: cfg.Beta, Solver: arm.kind, SolverWorkers: arm.workers}
-	g, err := core.New(in.Cluster, ccfg)
+	g, err := core.New(in.Cluster, core.Config{V: cfg.V, Beta: cfg.Beta, Solver: arm.kind})
 	if err != nil {
 		return pt, err
 	}
@@ -325,17 +316,15 @@ func solverScaleRun(cfg SolverScaleConfig, shape [2]int, density float64, arm so
 }
 
 // SolverScale runs the solver-scale sweep: for each shape and density, the
-// default (auto), monolithic, sparse, decomposed, and pooled-decomposed
-// solvers decide the same drifting slot sequence. Cells run sequentially —
+// default (auto), monolithic and sparse solvers decide the same drifting slot
+// sequence. Cells run sequentially —
 // never in parallel — because each one times solver work on the shared cores.
 func SolverScale(cfg SolverScaleConfig) (*SolverScaleResult, error) {
 	cfg = cfg.withDefaults()
 	arms := []solverScaleArm{
-		{"auto", core.SolverAuto, 1},
-		{"monolithic", core.SolverMonolithic, 1},
-		{"sparse", core.SolverSparse, 1},
-		{"decomposed", core.SolverDecomposed, 1},
-		{"decomposed-pool", core.SolverDecomposed, cfg.Workers},
+		{"auto", core.SolverAuto},
+		{"monolithic", core.SolverMonolithic},
+		{"sparse", core.SolverSparse},
 	}
 	res := &SolverScaleResult{}
 	for _, shape := range cfg.Shapes {

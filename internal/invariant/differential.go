@@ -8,7 +8,6 @@ import (
 	"grefar/internal/model"
 	"grefar/internal/queue"
 	"grefar/internal/solve"
-	"grefar/internal/tariff"
 )
 
 // SolverObjectives holds the slot objective value each solver reached on one
@@ -26,12 +25,6 @@ type SolverObjectives struct {
 	// ProjGrad is the projected-gradient objective, using exact Euclidean
 	// projection onto the slot polytope via dual bisection.
 	ProjGrad float64
-	// Decomposed is the block-decomposed solver's objective (sharing ADMM
-	// over per-site subproblems plus a Frank-Wolfe polish), evaluated on the
-	// same dense objective as the monolithic solvers. NaN when the cluster
-	// has auxiliary resources or the tariff is non-linear (the decomposed
-	// solver rejects those configurations).
-	Decomposed float64
 	// MaxRelDiff is the largest pairwise relative disagreement among the
 	// applicable solvers.
 	MaxRelDiff float64
@@ -48,7 +41,6 @@ func (out *SolverObjectives) compare(tol float64) error {
 		{"simplex", out.LP},
 		{"frank-wolfe", out.FrankWolfe},
 		{"projected-gradient", out.ProjGrad},
-		{"decomposed", out.Decomposed},
 	}
 	for a := 0; a < len(vals); a++ {
 		if math.IsNaN(vals[a].v) {
@@ -115,53 +107,16 @@ func CrossCheckSolvers(c *model.Cluster, cfg core.Config, st *model.State, q que
 	out.FrankWolfe = frankWolfeSlot(c, st, cH, cB, hCap)
 	out.ProjGrad = projGradSlot(c, st, cH, cB, hCap)
 
-	out.Decomposed = math.NaN()
-	if decomposedApplies(c, cfg) {
-		x, err := core.SolveSlotDecomposed(c, cfg, st, q)
-		if err != nil {
-			return nil, fmt.Errorf("%w: decomposed solver failed: %v", ErrViolation, err)
-		}
-		l := newSlotVars(c)
-		if err := checkSlotFeasible(c, st, hCap, l, x); err != nil {
-			return out, fmt.Errorf("%w: decomposed iterate infeasible: %v", ErrViolation, err)
-		}
-		var v float64
-		for i := 0; i < c.N(); i++ {
-			for j := 0; j < c.J(); j++ {
-				v += cH[i][j] * x[l.hIndex(i, j)]
-			}
-			for k := 0; k < c.K(i); k++ {
-				v += cB[i][k] * x[l.bOff[i]+k]
-			}
-		}
-		out.Decomposed = v
-	}
-
 	if err := out.compare(tol); err != nil {
 		return out, err
 	}
 	return out, nil
 }
 
-// decomposedApplies reports whether the block-decomposed solver accepts this
-// configuration: no auxiliary resources and a linear (or absent) tariff.
-func decomposedApplies(c *model.Cluster, cfg core.Config) bool {
-	if c.Aux() > 0 {
-		return false
-	}
-	if cfg.Tariff != nil {
-		if _, linear := cfg.Tariff.(tariff.Linear); !linear {
-			return false
-		}
-	}
-	return true
-}
-
 // crossCheckQuadratic is the beta > 0 arm of CrossCheckSolvers: Frank-Wolfe
-// vs projected gradient (vs the decomposed solver, when it applies) on the
-// convex slot objective, with feasibility verification of every final
-// iterate. All of them converge linearly — the decomposed solver through its
-// Frank-Wolfe polish — so their objectives must agree strictly within tol.
+// vs projected gradient on the convex slot objective, with feasibility
+// verification of every final iterate. Both converge linearly, so their
+// objectives must agree strictly within tol.
 func crossCheckQuadratic(c *model.Cluster, cfg core.Config, st *model.State, q queue.Lengths, tol float64) (*SolverObjectives, error) {
 	obj, hCap, err := core.SlotObjective(c, cfg, st, q)
 	if err != nil {
@@ -180,28 +135,13 @@ func crossCheckQuadratic(c *model.Cluster, cfg core.Config, st *model.State, q q
 	pg := projGradQuadratic(c, st, obj, hCap)
 	out.ProjGrad = pg.Value
 
-	out.Decomposed = math.NaN()
-	var decX []float64
-	if decomposedApplies(c, cfg) {
-		x, err := core.SolveSlotDecomposed(c, cfg, st, q)
-		if err != nil {
-			return nil, fmt.Errorf("%w: decomposed solver failed: %v", ErrViolation, err)
-		}
-		decX = x
-		out.Decomposed = obj.Value(x)
-	}
-
 	for _, it := range []struct {
 		name string
 		x    []float64
 	}{
 		{"frank-wolfe", fw.X},
 		{"projected-gradient", pg.X},
-		{"decomposed", decX},
 	} {
-		if it.x == nil {
-			continue
-		}
 		if err := checkSlotFeasible(c, st, hCap, l, it.x); err != nil {
 			return out, fmt.Errorf("%w: %s iterate infeasible: %v", ErrViolation, it.name, err)
 		}

@@ -274,55 +274,3 @@ func TestCrossCheckSolversBetaZeroRunsAway(t *testing.T) {
 		t.Error("Frank-Wolfe objective not computed at beta = 0")
 	}
 }
-
-// TestCrossCheckDecomposed pins the decomposed solver's participation in the
-// differential harness: it must run and agree on aux-free clusters in both
-// the linear and quadratic arms, and sit out (NaN) when auxiliary resources
-// put the slot outside its domain.
-func TestCrossCheckDecomposed(t *testing.T) {
-	const slots = 20
-	in, err := sim.NewReferenceInputs(2012, slots)
-	if err != nil {
-		t.Fatal(err)
-	}
-	states, _, err := sim.CollectStates(in, slots)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(53))
-	for trial, beta := range []float64{0, 100} {
-		st := states[rng.Intn(slots)]
-		q := randLengths(rng, in.Cluster, 40)
-		cfg := core.Config{V: 7.5, Beta: beta}
-		res, err := invariant.CrossCheckSolvers(in.Cluster, cfg, st, q, diffTol)
-		if err != nil {
-			t.Fatalf("trial %d (beta=%g): %v", trial, beta, err)
-		}
-		if math.IsNaN(res.Decomposed) {
-			t.Fatalf("trial %d (beta=%g): decomposed solver sat out an aux-free slot", trial, beta)
-		}
-	}
-
-	aux := &model.Cluster{
-		DataCenters: []model.DataCenter{
-			{Name: "a", Servers: []model.ServerType{{Name: "s", Speed: 1, Power: 1}}, AuxCapacity: []float64{25}},
-		},
-		JobTypes: []model.JobType{
-			{Name: "light", Demand: 1, Eligible: []int{0}, Account: 0, AuxDemand: []float64{1}},
-		},
-		Accounts: []model.Account{{Name: "acct", Weight: 1}},
-	}
-	if err := aux.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	st := model.NewState(aux)
-	st.Avail[0][0] = 10
-	st.Price[0] = 0.5
-	res, err := invariant.CrossCheckSolvers(aux, core.Config{V: 2}, st, randLengths(rng, aux, 10), diffTol)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !math.IsNaN(res.Decomposed) {
-		t.Error("decomposed solver claimed an auxiliary-resource slot")
-	}
-}

@@ -405,6 +405,66 @@ func TestSessionRestoresColdCheckpoint(t *testing.T) {
 	}
 }
 
+// TestSessionRestoresDecomposedCheckpoint restores
+// testdata/beta100-decomposed.snap, a beta = 100 session checkpointed after
+// six slots by the since-removed decomposed solver, whose scheduler state
+// carries that solver's ADMM duals next to its warm iterate. The checkpoint
+// must restore into a default session, which drops the duals and keeps the
+// iterate: every tick after it warm-starts, and the checker stays clean.
+func TestSessionRestoresDecomposedCheckpoint(t *testing.T) {
+	const from, to = 6, 18
+	data, err := os.ReadFile("testdata/beta100-decomposed.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := snapshot.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var legacy struct {
+		Scheduler struct {
+			WarmValid                bool
+			WarmFallbacks            int
+			DecomposedU, DecomposedZ []float64
+		}
+	}
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&legacy); err != nil {
+		t.Fatal(err)
+	}
+	if ls := legacy.Scheduler; !ls.WarmValid || len(ls.DecomposedU) == 0 || len(ls.DecomposedZ) == 0 {
+		t.Fatalf("fixture carries no decomposed duals or no warm iterate: %+v", ls)
+	}
+
+	var stats []telemetry.SolveStats
+	cfg := core.Config{V: 7.5, Beta: 100, Observer: telemetry.ObserverFunc(func(ev telemetry.SlotEvent) {
+		if ev.Solve != nil {
+			stats = append(stats, *ev.Solve)
+		}
+	})}
+	s, err := NewSession(testConfig(t, cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Restore(bytes.NewReader(data)); err != nil {
+		t.Fatal(err)
+	}
+	if s.Slot() != from {
+		t.Fatalf("restored at slot %d, want %d", s.Slot(), from)
+	}
+	driveSession(t, s, arrivalSchedule(to, 8), from, to)
+	if len(stats) != to-from {
+		t.Fatalf("got %d solve stats, want %d", len(stats), to-from)
+	}
+	for k, st := range stats {
+		if st.Warm != telemetry.WarmHit && st.Warm != telemetry.WarmRepaired {
+			t.Errorf("slot %d: warm outcome %q, want the restored iterate", from+k, st.Warm)
+		}
+	}
+	if got, want := stats[len(stats)-1].WarmFallbacks, legacy.Scheduler.WarmFallbacks; got != want {
+		t.Errorf("%d fallbacks after the restore, want the checkpoint's %d", got, want)
+	}
+}
+
 func TestSessionRestoreRejections(t *testing.T) {
 	s, err := NewSession(testConfig(t, core.Config{V: 7.5}))
 	if err != nil {

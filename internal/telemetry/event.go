@@ -30,10 +30,6 @@ const (
 	SolverFrankWolfe = "frank-wolfe"
 	// SolverProjGrad is the projected-gradient solver (lookahead baselines).
 	SolverProjGrad = "projected-gradient"
-	// SolverDecomposed is the block-decomposed slot solver: per-data-center
-	// subproblems coordinated by sharing ADMM, finished by a Frank-Wolfe
-	// polish.
-	SolverDecomposed = "decomposed"
 )
 
 // Warm-start outcomes used in SolveStats.Warm. One of these is recorded for
@@ -71,10 +67,6 @@ type SolveStats struct {
 	// solvers.
 	Residual float64 `json:"residual"`
 
-	// Outer is the number of outer coordination rounds of a decomposed solve
-	// (the ADMM iterations); zero for monolithic solvers.
-	Outer int `json:"outer,omitempty"`
-
 	// Warm records this slot's warm-start outcome (WarmHit, WarmRepaired, or
 	// WarmFallback); empty on slots with no convex solve.
 	Warm string `json:"warm,omitempty"`
@@ -98,11 +90,8 @@ type SolverOptions struct {
 	// Tol is the effective duality-gap tolerance (0 = solver default).
 	Tol float64 `json:"tol"`
 	// Solver names the configured solver kind when it departs from the
-	// automatic selection ("monolithic", "sparse", "decomposed").
+	// automatic selection ("monolithic", "sparse").
 	Solver string `json:"solver,omitempty"`
-	// Workers is the configured block-solve worker count of the decomposed
-	// solver; zero (omitted) means serial.
-	Workers int `json:"workers,omitempty"`
 }
 
 // SlotEvent is the structured record one control-loop iteration emits.

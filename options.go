@@ -119,31 +119,13 @@ func WithFrankWolfe(opts solve.FWOptions) SchedulerOption {
 // default: the active-pair compact representation, O(active) work per slot,
 // whenever the cluster has no auxiliary resources and the tariff is linear
 // or absent, and the dense layout otherwise — bit-identical decisions either
-// way), SolverMonolithic (the dense N*J layout, pinned as a reference),
-// SolverSparse (the compact representation, insisted on), or
-// SolverDecomposed (per-data-center block decomposition, see
-// WithDecomposedSolver). The sparse kinds require a cluster without
-// auxiliary resources and a linear (or absent) tariff; New rejects other
-// combinations with ErrBadConfig, where SolverAuto falls back to dense.
+// way), SolverMonolithic (the dense N*J layout, pinned as a reference), or
+// SolverSparse (the compact representation, insisted on). SolverSparse
+// requires a cluster without auxiliary resources and a linear (or absent)
+// tariff; New rejects other combinations with ErrBadConfig, where SolverAuto
+// falls back to dense.
 func WithSolver(kind core.SolverKind) SchedulerOption {
 	return optionFunc(func(cfg *Config) { cfg.Solver = kind })
-}
-
-// WithDecomposedSolver selects the block-decomposed slot solver: the beta > 0
-// slot decision splits into per-data-center subproblems coordinated by dual
-// prices on the fairness coupling, solved concurrently when worker pooling is
-// enabled (WithSolverWorkers) and finished by a monolithic polish, so the
-// decisions agree with the default solver to solver tolerance at a fraction
-// of the large-instance cost.
-func WithDecomposedSolver() SchedulerOption {
-	return WithSolver(core.SolverDecomposed)
-}
-
-// WithSolverWorkers bounds the concurrency of the decomposed solver's block
-// stage: n <= 1 solves the per-site blocks serially, larger values pool them
-// across n goroutines. Results are byte-identical at any worker count.
-func WithSolverWorkers(n int) SchedulerOption {
-	return optionFunc(func(cfg *Config) { cfg.SolverWorkers = n })
 }
 
 // WithSlots sets the simulation horizon t_end (required, > 0).
