@@ -20,31 +20,27 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# tier1 is the merge gate: compile, vet, the full test suite under the race
-# detector (the sweep-engine tests in internal/runner and the parallel
-# experiment fan-out only prove determinism when raced; the serving layer in
-# internal/serve and cmd/grefar-serve only proves its tick/checkpoint locking
-# when raced; the degraded-mode controller and the chaos transport only prove
-# their kill/restart determinism when raced), the Decide allocation-budget
-# guard (which -race skips, so it runs plain here), a race-enabled hollow
-# smoke (64 in-process agents, 5 slots, 5% killed mid-run — the degraded-mode
-# cycle end to end), a race-enabled rerun of the sparse solver suite together
-# with the default-solver, cross-representation checkpoint,
-# validate-before-apply, reused-snapshot and reused-flow-storage tests (FuzzApply's seeds compare every Apply on the
-# reused storage with one on a fresh Set; TestEngineDetailOwnsFlows holds the
-# engine to copying what a SlotDetail keeps; TestViewTracksTheSet and
-# TestDecideLeavesNoStaleCells hold the no-copy backlog view and the reused
-# Action; TestRejectedStepLeavesNoTrace the engine's validate-first Step),
-# and a short fuzz smoke of the native fuzz targets, including the snapshot-restore, wire-frame, wire-codec,
-# incremental-refresh and lazy greedy-exchange surfaces. The wire
-# allocation budget (codec, agent.Handle, one mux call, one whole tick at 500
-# and at 2000 agents) and the N=200/J=100 engine-step budget run plain next to
-# the Decide one for the same reason. The raced transport run is also where
-# the batch dispatch contract (TestMuxBatchFansOutConcurrently: bounded
-# workers, each item once, replies in order) and the append-style handler
-# contract are held; the raced agent and controller runs hold the reuse rules
-# behind the garbage-free wire (replies encoded under the agent's lock, slot
-# outputs fresh per slot).
+# tier1 is the merge gate. What each command protects, in order:
+#   build: the tree compiles
+#   vet: no suspicious constructs
+#   race ./...: no data race anywhere
+#   runner: sweeps independent of scheduling
+#   serve: tick and checkpoint locking
+#   agent..hollow: wire reuse, batch contract, parked workers, degrade
+#   core: compact solver matches dense
+#   invariant: default solver matches across representations
+#   queue, sim: rejected input leaves no trace
+#   grefar-hollow: kill, mask, resync, rejoin
+#   budgets: decide, step, wire, tick allocations
+#   FuzzSimplex: hostile LPs
+#   FuzzApply: hostile actions
+#   FuzzWarmRepair: hostile warm starts
+#   FuzzGreedyExchange: greedy exchange optimality
+#   FuzzSparseRefresh: incremental refresh exactness
+#   FuzzRestoreSnapshot: hostile serve checkpoints
+#   FuzzDecode: hostile snapshot files
+#   FuzzServerFrame: hostile wire frames
+#   FuzzCodec: hostile message bodies
 tier1:
 	$(GO) build ./...
 	$(GO) vet ./...

@@ -2,6 +2,7 @@ package grefar_test
 
 import (
 	"bufio"
+	"context"
 	"net"
 	"os"
 	"strconv"
@@ -152,7 +153,7 @@ func TestEngineStepAllocationBudget(t *testing.T) {
 // TestWireAllocationBudget is the distributed tick's counterpart of
 // TestDecideAllocationBudget: the per-message costs the hollow-fleet numbers
 // are made of — one body through the codec, one request through an agent, one
-// call over the mux wire — and the whole tick they add up to, at 500 and at
+// call and one batch over the mux wire — and the whole tick they add up to, at 500 and at
 // 2000 agents, must stay within the ceilings recorded in
 // testdata/bench_slot_baseline.txt. Under
 // gob a J=3 message cost 205 allocations to encode and decode; a regression of
@@ -205,6 +206,11 @@ func TestWireAllocationBudget(t *testing.T) {
 	}
 	defer cli.Close()
 	conn := cli.Agent(0)
+	pongs := make([]transport.Ping, 4)
+	batch := make([]transport.BatchCall, len(pongs))
+	for k := range batch {
+		batch[k] = transport.BatchCall{Kind: transport.KindPing, Req: transport.Ping{Nonce: uint64(k)}, Resp: &pongs[k]}
+	}
 
 	// The whole tick: BenchmarkHollowSlot's fleet and controller, at two sizes
 	// so a per-agent allocation shows as a slope and not only as a level.
@@ -257,6 +263,11 @@ func TestWireAllocationBudget(t *testing.T) {
 		{"mux-call", func() {
 			var got transport.StateReport
 			if err := conn.Call(transport.KindState, transport.StateRequest{Slot: 5}, &got); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"mux-batch", func() {
+			if err := cli.CallBatch(context.Background(), batch); err != nil {
 				t.Fatal(err)
 			}
 		}},

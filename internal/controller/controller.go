@@ -87,6 +87,7 @@ type Controller struct {
 	wires  []wire
 	wireOf []int
 	live   []int
+	wg     sync.WaitGroup // the phase's per-agent calls
 
 	// Fault tolerance: the failure policy and thresholds, the registry the
 	// metric families publish to (nil disables them), and the health tracker
@@ -97,12 +98,16 @@ type Controller struct {
 }
 
 // wire is one MuxClient: the batch frame a phase builds for the agents that
-// client carries. ids and calls are refilled per phase, in step; neither
-// outlives it.
+// client carries. ids and calls are refilled per phase, in step; the batch in
+// flight, its send error and send time live from send to await. None of it
+// outlives the phase.
 type wire struct {
 	client *transport.MuxClient
 	ids    []int // agent ids, in call order
 	calls  []transport.BatchCall
+	batch  transport.Batch
+	err    error
+	sent   time.Time
 }
 
 // PartitionStats describes the loop as one partition owning every data
@@ -174,11 +179,15 @@ func (ct *Controller) Health() []AgentHealth { return ct.tracker.Health() }
 
 // CentralLens returns the central backlog per job type.
 func (ct *Controller) CentralLens() []float64 {
-	out := make([]float64, len(ct.central))
+	return ct.centralLens(make([]float64, len(ct.central)))
+}
+
+// centralLens writes the central backlog per job type into dst and returns it.
+func (ct *Controller) centralLens(dst []float64) []float64 {
 	for j := range ct.central {
-		out[j] = ct.central[j].Len()
+		dst[j] = ct.central[j].Len()
 	}
-	return out
+	return dst
 }
 
 // Stats describes the loop as one partition.
@@ -240,9 +249,14 @@ func (ct *Controller) wireFor(conn AgentConn) int {
 // which carry one agent per address and so have nothing to batch) gets a
 // concurrent per-agent call. req(i) builds the request; resp(i) returns the
 // decode destination.
+//
+// The per-agent calls start first, each on its own goroutine. Then every
+// wire's batch is sent, and only then are the batches awaited, in wire order:
+// the wires' round trips overlap one another and the per-agent calls, and a
+// fleet of mux conns spawns no goroutine. A batched agent's RTT runs from its
+// wire's send until that wire's reply is decoded.
 func (ct *Controller) callMany(ctx context.Context, kind string,
 	req func(i int) any, resp func(i int) any, errs []error) {
-	var wg sync.WaitGroup
 	for _, i := range ct.live {
 		if w := ct.wireOf[i]; w >= 0 {
 			wr := &ct.wires[w]
@@ -255,36 +269,46 @@ func (ct *Controller) callMany(ctx context.Context, kind string,
 			})
 			continue
 		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = ct.tracker.Call(ctx, i, kind, req(i), resp(i))
-		}(i)
+		ct.wg.Add(1)
+		go ct.callOne(ctx, i, kind, req(i), resp(i), errs)
 	}
 	for w := range ct.wires {
-		if len(ct.wires[w].calls) == 0 {
+		wr := &ct.wires[w]
+		if len(wr.calls) > 0 {
+			wr.sent = time.Now()
+			wr.batch, wr.err = wr.client.StartBatch(wr.calls)
+		}
+	}
+	for w := range ct.wires {
+		wr := &ct.wires[w]
+		if len(wr.calls) == 0 {
 			continue
 		}
-		wg.Add(1)
-		go func(wr *wire) {
-			defer wg.Done()
-			start := time.Now()
-			err := wr.client.CallBatch(ctx, wr.calls)
-			rtt := time.Since(start)
-			for k, i := range wr.ids {
-				ct.tracker.ObserveRTT(i, rtt)
-				if err != nil {
-					errs[i] = err
-					continue
-				}
-				errs[i] = wr.calls[k].Err
+		err := wr.err
+		if err == nil {
+			err = wr.batch.Wait(ctx, wr.calls)
+		}
+		rtt := time.Since(wr.sent)
+		for k, i := range wr.ids {
+			ct.tracker.ObserveRTT(i, rtt)
+			if err != nil {
+				errs[i] = err
+				continue
 			}
-			// The calls point at this slot's requests and replies: drop them.
-			clear(wr.calls)
-			wr.ids, wr.calls = wr.ids[:0], wr.calls[:0]
-		}(&ct.wires[w])
+			errs[i] = wr.calls[k].Err
+		}
+		// The calls point at this slot's requests and replies: drop them.
+		clear(wr.calls)
+		wr.ids, wr.calls = wr.ids[:0], wr.calls[:0]
+		wr.batch, wr.err = transport.Batch{}, nil
 	}
-	wg.Wait()
+	ct.wg.Wait()
+}
+
+// callOne is one per-agent call of callMany, run on its own goroutine.
+func (ct *Controller) callOne(ctx context.Context, i int, kind string, req, resp any, errs []error) {
+	defer ct.wg.Done()
+	errs[i] = ct.tracker.Call(ctx, i, kind, req, resp)
 }
 
 // RunSlot executes one slot of the control loop: gather, decide, allocate,
@@ -373,10 +397,8 @@ func (ct *Controller) RunSlotContext(ctx context.Context, t int, arrivals []int)
 	// bit-identical to their reports, so the scheduler's view is unchanged
 	// from the historical report-driven assembly.
 	st := model.NewState(c)
-	pre := queue.Lengths{
-		Central: ct.CentralLens(),
-		Local:   newRows(c.N(), c.J()),
-	}
+	pre := ct.scratch.Pre
+	ct.centralLens(pre.Central)
 	var masked []int
 	for i := 0; i < c.N(); i++ {
 		if ok[i] {
@@ -497,9 +519,13 @@ func (ct *Controller) RunSlotContext(ctx context.Context, t int, arrivals []int)
 	// the shadow for responders, synthesized from it when the response was
 	// lost (the dispatch is authoritative — a rejoining agent is restored
 	// onto this trajectory), zero for masked agents whose rows were zeroed.
-	processedEv, delaySums := newRows(c.N(), c.J()), newRows(c.N(), c.J())
+	// processedEv is slot evidence a detail observer keeps: fresh for one.
+	processedEv, delays := ct.scratch.Processed, ct.scratch.Delays
+	if ct.detail {
+		processedEv = newRows(c.N(), c.J())
+	}
 	for i := 0; i < c.N(); i++ {
-		popped, delays := processedEv[i], delaySums[i]
+		popped := processedEv[i]
 		ct.tracker.ApplyShadow(i, t, act.Process[i], routed[i], popped, delays)
 		if !ok[i] {
 			acks[i].Slot = t // never sent, never decoded into: the zero ack
@@ -507,7 +533,11 @@ func (ct *Controller) RunSlotContext(ctx context.Context, t int, arrivals []int)
 		}
 		if errsA[i] != nil {
 			ct.tracker.RecordFailure(i)
-			acks[i] = ct.tracker.SynthesizeAck(i, t, popped, delays, st, act)
+			ack := ct.tracker.SynthesizeAck(i, t, popped, delays, st, act)
+			// The ack is the caller's; popped and delays are slot storage.
+			ack.Processed = append(acks[i].Processed[:0], popped...)
+			ack.DelaySum = append(acks[i].DelaySum[:0], delays...)
+			acks[i] = ack
 			continue
 		}
 		for j := range popped {
@@ -538,7 +568,8 @@ func (ct *Controller) emitSlot(t int, arrivals []int, st *model.State, act *mode
 		return
 	}
 	c := ct.cluster
-	post := queue.Lengths{Central: ct.CentralLens(), Local: newRows(c.N(), c.J())}
+	post := ct.scratch.Post
+	ct.centralLens(post.Central)
 	for i := 0; i < c.N(); i++ {
 		ct.tracker.ShadowLens(i, post.Local[i])
 	}

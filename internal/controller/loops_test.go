@@ -3,6 +3,7 @@ package controller_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand/v2"
 	"net"
 	"sync/atomic"
@@ -459,5 +460,98 @@ func TestCallManyBatchesByConnType(t *testing.T) {
 				t.Errorf("agents handled %d requests, want %d", handled.Load(), want)
 			}
 		})
+	}
+}
+
+// overlapGate is the rendezvous of a mixed fleet's two sides — side 0 the
+// agents behind a mux wire, side 1 those on per-agent conns. It counts the
+// calls each side has started and holds a call of phase k until the other
+// side has started one of phase k too.
+type overlapGate struct {
+	perPhase [2]int64
+	started  [2]atomic.Int64
+}
+
+func (g *overlapGate) meet(side int) error {
+	phase := (g.started[side].Add(1) - 1) / g.perPhase[side]
+	other := 1 - side
+	for deadline := time.Now().Add(5 * time.Second); g.started[other].Load() <= phase*g.perPhase[other]; time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			return fmt.Errorf("side %d, phase %d: the other side never started", side, phase)
+		}
+	}
+	return nil
+}
+
+// gatedConn is a per-agent connection that meets the gate before each call.
+type gatedConn struct {
+	inner controller.AgentConn
+	gate  *overlapGate
+}
+
+func (g gatedConn) Call(kind string, reqBody, respBody any) error {
+	if err := g.gate.meet(1); err != nil {
+		return err
+	}
+	return g.inner.Call(kind, reqBody, respBody)
+}
+
+// TestCallManyOverlapsMuxAndPerAgentCalls pins the send-then-await fan-out on
+// a fleet that mixes the two kinds of conn: in every phase the per-agent calls
+// run while the wire's batch is in flight. Each side's handler waits for the
+// other side to have started the same phase, so a loop that ran one side
+// after the other could not finish a slot.
+func TestCallManyOverlapsMuxAndPerAgentCalls(t *testing.T) {
+	const slots = 4
+	in, err := sim.NewReferenceInputs(2012, slots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := in.Cluster.N()
+	agents := make([]*agent.Agent, n)
+	for i := range agents {
+		if agents[i], err = agent.New(agent.Config{
+			Cluster: in.Cluster, DataCenter: i, Price: in.Prices[i], Availability: in.Availability,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Site 0 rides the wire; the others are called one by one.
+	gate := &overlapGate{perPhase: [2]int64{1, int64(n - 1)}}
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := transport.NewMuxServer(lis, func(dst []byte, target int, kind string, body []byte) ([]byte, error) {
+		if target == 0 {
+			if err := gate.meet(0); err != nil {
+				return nil, err
+			}
+		}
+		return agents[target].AppendReply(dst, kind, body)
+	})
+	go srv.Serve()
+	defer srv.Close()
+	cli, err := transport.DialMux(srv.Addr(), 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	conns := make([]controller.AgentConn, n)
+	conns[0] = cli.Agent(0)
+	for i := 1; i < n; i++ {
+		conns[i] = gatedConn{inner: opaqueConn{cli.Agent(i)}, gate: gate}
+	}
+	ct, err := loopCtors[0].build(in.Cluster, conns, controller.Strict, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for tt := 0; tt < slots; tt++ {
+		if _, _, _, err := ct.RunSlot(tt, in.Workload.Arrivals(tt)); err != nil {
+			t.Fatalf("slot %d: %v", tt, err)
+		}
+	}
+	if got, want := gate.started[0].Load(), int64(2*slots); got != want {
+		t.Errorf("the wire's agent was called %d times, want %d", got, want)
 	}
 }

@@ -3,6 +3,7 @@ package controller_test
 import (
 	"bytes"
 	"encoding/json"
+	"sync/atomic"
 	"testing"
 
 	"grefar/internal/controller"
@@ -36,13 +37,21 @@ type slotOutputs struct {
 
 // TestSlotOutputsBelongToTheCaller pins "returned or observed means fresh per
 // slot". The loop decodes each slot's acks into slices it cut beforehand,
-// reuses its gather and scatter scratch, and assembles the state on one
-// array; none of that may be visible to a caller who keeps what slot t
-// returned, or to an observer who keeps its detail, while slots t+1 and t+2
-// run. One agent is down, so a masked site's zero ack is among the outputs.
+// reuses its gather and scatter scratch, keeps the slot's backlog and
+// shadow-replay matrices, and assembles the state on one array; none of that
+// may be visible to a caller who keeps what slot t returned, or to an
+// observer who keeps its detail, while slots t+1 and t+2 run. One agent is
+// down, so a masked site's zero ack is among the outputs, and another loses
+// slot t's allocate, so a synthesized ack is too. Without an observer the
+// loop keeps every matrix in its scratch; the caller's outputs must not care.
 func TestSlotOutputsBelongToTheCaller(t *testing.T) {
-	const agents, down, keep = 8, 5, 3
-	for _, lc := range []loopCtor{loopCtors[0], planeCtor("controlplane.New/P=2", 2, false)} {
+	const agents, down, lost, keep = 8, 5, 6, 3
+	for _, lc := range []loopCtor{loopCtors[0], planeCtor("controlplane.New/P=2", 2, false), {
+		name: "controller.New/unobserved",
+		build: func(c *model.Cluster, conns []controller.AgentConn, policy controller.FailurePolicy, _ telemetry.SlotObserver) (*controller.Controller, error) {
+			return loopCtors[0].build(c, conns, policy, nil)
+		},
+	}} {
 		t.Run(lc.name, func(t *testing.T) {
 			in, err := hollow.NewScaleInputs(2012, agents, 16)
 			if err != nil {
@@ -54,14 +63,18 @@ func TestSlotOutputsBelongToTheCaller(t *testing.T) {
 			}
 			defer fleet.Close()
 			fleet.Kill(down)
+			conns := fleet.Conns()
+			var failAlloc atomic.Bool
+			conns[lost] = allocGateConn{inner: conns[lost], fail: &failAlloc}
 			keeper := &detailKeeper{details: map[int]*telemetry.SlotDetail{}}
-			ct, err := lc.build(in.Cluster, fleet.Conns(), controller.Degrade, keeper)
+			ct, err := lc.build(in.Cluster, conns, controller.Degrade, keeper)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var kept slotOutputs
 			var want []byte
 			for tt := 0; tt < keep+3; tt++ {
+				failAlloc.Store(tt == keep)
 				act, st, acks, err := ct.RunSlot(tt, in.Workload.Arrivals(tt))
 				if err != nil {
 					t.Fatalf("slot %d: %v", tt, err)
@@ -69,13 +82,19 @@ func TestSlotOutputsBelongToTheCaller(t *testing.T) {
 				if tt != keep {
 					continue
 				}
-				d := keeper.details[tt]
-				kept = slotOutputs{
-					Action: act, State: st, Acks: acks,
-					DetailState: d.State, DetailAction: d.Action, Pre: d.Pre, Post: d.Post,
-					Arrivals: d.Arrivals, Routed: d.Routed, ProcessedJob: d.Processed,
+				kept = slotOutputs{Action: act, State: st, Acks: acks}
+				if d := keeper.details[tt]; d != nil {
+					kept.DetailState, kept.DetailAction, kept.Pre, kept.Post = d.State, d.Action, d.Pre, d.Post
+					kept.Arrivals, kept.Routed, kept.ProcessedJob = d.Arrivals, d.Routed, d.Processed
 				}
 				want = mustJSON(t, kept)
+				var lostProcessed float64
+				for _, p := range acks[lost].Processed {
+					lostProcessed += p
+				}
+				if lostProcessed == 0 {
+					t.Fatal("the synthesized ack processed nothing; the test would compare zeros with zeros")
+				}
 
 				// The slot must have had something to overwrite, and the
 				// masked agent's ack must be the whole zero ack.

@@ -2,15 +2,18 @@ package controller
 
 import (
 	"grefar/internal/model"
+	"grefar/internal/queue"
 	"grefar/internal/transport"
 )
 
 // SlotScratch is the working set one slot's gather and scatter need and no
 // caller ever sees: the state-report decode destinations, the per-agent
-// error and participation marks, the realized integer routing, and the
-// allocate requests the scatter sends by pointer. The control loop owns one
-// and Resets it at the top of every slot instead of reallocating O(N) slices
-// per tick.
+// error and participation marks, the realized integer routing, the allocate
+// requests the scatter sends by pointer, the backlogs the decision and the
+// slot event read, and the shadow replay's processed amounts and delay sums.
+// The control loop owns one and Resets it at the top of every slot instead of
+// reallocating O(N) slices per tick; what a detail observer keeps is made
+// fresh instead (see RunSlotContext).
 // Reports keep their Avail/QueueLens backing arrays across slots — Unmarshal
 // overwrites every field and reuses capacity — so nothing read out of a
 // report may be retained past the slot.
@@ -21,6 +24,14 @@ type SlotScratch struct {
 	OK        []bool
 	Routed    [][]int // [site][job type], rows cut from routedFlat
 	Allocs    []transport.Allocate
+
+	// Pre and Post are the central and shadow backlogs before the decision
+	// and after the slot; Processed is the shadow replay's popped amounts,
+	// [site][job type], and Delays one site's delay sums, reused site by
+	// site. Each is written whole before it is read.
+	Pre, Post queue.Lengths
+	Processed [][]float64
+	Delays    []float64
 
 	routedFlat []int
 }
@@ -35,6 +46,11 @@ func NewSlotScratch(c *model.Cluster) *SlotScratch {
 		OK:        make([]bool, n),
 		Routed:    make([][]int, n),
 		Allocs:    make([]transport.Allocate, n),
+
+		Pre:       queue.Lengths{Central: make([]float64, j), Local: newRows(n, j)},
+		Post:      queue.Lengths{Central: make([]float64, j), Local: newRows(n, j)},
+		Processed: newRows(n, j),
+		Delays:    make([]float64, j),
 
 		routedFlat: make([]int, n*j),
 	}

@@ -210,6 +210,9 @@ func (tk *Tracker) resync(ctx context.Context, i, t int) error {
 // phase; state transitions are applied serially in index order afterwards so
 // the health machine stays single-threaded.
 func (tk *Tracker) ProbeDead(ctx context.Context, t int) {
+	if !tk.anyDead() {
+		return // nothing to probe: a healthy slot allocates nothing here
+	}
 	probed := make([]bool, len(tk.recs))
 	joined := make([]bool, len(tk.recs))
 	var wg sync.WaitGroup
@@ -238,6 +241,16 @@ func (tk *Tracker) ProbeDead(ctx context.Context, t int) {
 			tk.RecordFailure(i)
 		}
 	}
+}
+
+// anyDead reports whether some agent is in state Dead.
+func (tk *Tracker) anyDead() bool {
+	for i := range tk.recs {
+		if tk.recs[i].state == Dead {
+			return true
+		}
+	}
+	return false
 }
 
 // ResolveReport folds one valid state report into the health machine under

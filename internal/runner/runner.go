@@ -27,7 +27,7 @@ import (
 )
 
 // DefaultWorkers resolves a worker-count knob: values <= 0 select
-// GOMAXPROCS, everything else passes through. Both Map and Do apply it, so
+// GOMAXPROCS, everything else passes through. Map applies it, so
 // callers can thread a zero-valued "use the hardware" default from flags and
 // config structs without special-casing.
 func DefaultWorkers(workers int) int {
@@ -137,13 +137,4 @@ func Map[T any](ctx context.Context, workers, n int, fn func(ctx context.Context
 		return nil, fmt.Errorf("runner: sweep canceled: %w", err)
 	}
 	return out, nil
-}
-
-// Do is Map for tasks that produce no value: it runs fn(ctx, i) for every i
-// in [0, n) under the same pool, ordering, and error semantics.
-func Do(ctx context.Context, workers, n int, fn func(ctx context.Context, i int) error) error {
-	_, err := Map(ctx, workers, n, func(ctx context.Context, i int) (struct{}, error) {
-		return struct{}{}, fn(ctx, i)
-	})
-	return err
 }

@@ -184,25 +184,3 @@ func TestDefaultWorkers(t *testing.T) {
 		t.Errorf("DefaultWorkers(5) = %d, want 5", got)
 	}
 }
-
-func TestDoPropagatesErrors(t *testing.T) {
-	boom := errors.New("boom")
-	if err := Do(context.Background(), 4, 8, func(_ context.Context, i int) error {
-		if i == 5 {
-			return boom
-		}
-		return nil
-	}); !errors.Is(err, boom) {
-		t.Fatalf("got %v, want boom", err)
-	}
-	var sum atomic.Int64
-	if err := Do(context.Background(), 4, 8, func(_ context.Context, i int) error {
-		sum.Add(int64(i))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if sum.Load() != 28 {
-		t.Fatalf("tasks summed to %d, want 28", sum.Load())
-	}
-}

@@ -1,13 +1,16 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -45,6 +48,30 @@ func postJSON(t *testing.T, url, body string) (int, map[string]any) {
 		}
 	}
 	return resp.StatusCode, out
+}
+
+// TestAcceptedAckMatchesWriteJSON pins the ingest ack to the bytes the
+// reflection-based encoder writes for {"accepted": n}: status, headers and
+// body, byte for byte.
+func TestAcceptedAckMatchesWriteJSON(t *testing.T) {
+	for _, n := range []int{0, 1, 9, 10, 1000, math.MaxInt} {
+		body, err := json.Marshal(map[string]int{"accepted": n})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := append(body, '\n')
+		got := httptest.NewRecorder()
+		writeAccepted(got, n)
+		if got.Code != http.StatusAccepted {
+			t.Errorf("n=%d: status %d, want %d", n, got.Code, http.StatusAccepted)
+		}
+		if h := (http.Header{"Content-Type": {"application/json"}}); !reflect.DeepEqual(got.Header(), h) {
+			t.Errorf("n=%d: headers %v, want %v", n, got.Header(), h)
+		}
+		if !bytes.Equal(got.Body.Bytes(), want) {
+			t.Errorf("n=%d: body %q, want %q", n, got.Body.Bytes(), want)
+		}
+	}
 }
 
 func TestServerEndpoints(t *testing.T) {

@@ -10,7 +10,8 @@
 //     with that index; in-flight frames on a connection are served
 //     concurrently, so one slow target never head-of-line-blocks the calls
 //     in other frames. The items inside one batch frame share a bounded set
-//     of workers (see MuxServer).
+//     of workers, and finished workers park for the next frame (see
+//     MuxServer).
 //
 //   - MuxClient pipelines calls: any number of goroutines issue requests on
 //     the same connection concurrently, and a reader goroutine routes each
@@ -46,8 +47,9 @@ type MuxHandler func(dst []byte, target int, kind string, body []byte) ([]byte, 
 const KindBatch = "__batch"
 
 // MuxServer accepts connections and dispatches frames to a target-aware
-// handler. Every request frame on a connection is served in its own
-// goroutine; each response is one Write, serialized by a per-connection lock.
+// handler. Every request frame on a connection is served concurrently with
+// the others; each response is one Write, serialized by a per-connection
+// lock.
 //
 // A batch frame (CallBatch) is one request: its items run on
 // min(GOMAXPROCS, items) workers and its one reply frame is written when the
@@ -57,9 +59,19 @@ const KindBatch = "__batch"
 // short (an agent's ledger update); a caller whose handlers block for long
 // should send them as separate frames, which still run concurrently, as do
 // batch frames on different connections.
+//
+// Frames and a batch's helper shares run on workers that park when they
+// finish: a unit of work goes to an idle worker, and a new goroutine starts
+// only when none is idle. A busy worker is never waited for, so a stalled
+// handler blocks only its own frame; at most maxParkedWorkers stay parked,
+// and Close releases them.
 type MuxServer struct {
 	lis     net.Listener
 	handler MuxHandler
+
+	idle   chan muxTask  // unbuffered: a send succeeds only into a parked worker
+	quit   chan struct{} // closed by Close, which releases parked workers
+	parked atomic.Int32
 
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -67,9 +79,65 @@ type MuxServer struct {
 	wg     sync.WaitGroup
 }
 
+// maxParkedWorkers bounds the workers kept idle between frames. A fleet tick
+// keeps one frame and its batch helpers busy per connection; the bound only
+// stops a burst of single-call frames from leaving as many goroutines behind.
+const maxParkedWorkers = 64
+
+// muxTask is one unit of a worker's work: a request frame of a session
+// (sess, req, and the pooled buffer in backing req.Body), or worker w's share
+// of a batch frame's items.
+type muxTask struct {
+	sess  *muxSession
+	req   frame
+	in    *[]byte
+	batch *batchScratch
+	w     int
+}
+
 // NewMuxServer wraps a listener. Call Serve to start accepting.
 func NewMuxServer(lis net.Listener, handler MuxHandler) *MuxServer {
-	return &MuxServer{lis: lis, handler: handler, conns: make(map[net.Conn]struct{})}
+	return &MuxServer{
+		lis:     lis,
+		handler: handler,
+		idle:    make(chan muxTask),
+		quit:    make(chan struct{}),
+		conns:   make(map[net.Conn]struct{}),
+	}
+}
+
+// dispatch hands a task to a parked worker, or starts one when none is idle.
+func (s *MuxServer) dispatch(t muxTask) {
+	select {
+	case s.idle <- t:
+	default:
+		go s.worker(t)
+	}
+}
+
+// worker runs its task, then parks for the next one until the server closes
+// or enough workers are parked already.
+func (s *MuxServer) worker(t muxTask) {
+	for {
+		if t.batch != nil {
+			s.work(t.batch, t.w)
+			t.batch.wg.Done()
+		} else {
+			t.sess.serve(t.req, t.in)
+		}
+		t = muxTask{} // hold nothing of the finished task while parked
+		if s.parked.Add(1) > maxParkedWorkers {
+			s.parked.Add(-1)
+			return
+		}
+		select {
+		case t = <-s.idle:
+			s.parked.Add(-1)
+		case <-s.quit:
+			s.parked.Add(-1)
+			return
+		}
+	}
 }
 
 // Addr returns the listener address.
@@ -124,12 +192,12 @@ func (s *MuxServer) serveConn(conn net.Conn) {
 			putBuf(in)
 			return
 		}
-		go sess.serve(req, in)
+		s.dispatch(muxTask{sess: sess, req: req, in: in})
 	}
 }
 
 // muxSession is one accepted connection: the write lock that keeps the
-// response frames of concurrent request goroutines whole.
+// response frames of concurrently served requests whole.
 type muxSession struct {
 	srv     *MuxServer
 	conn    net.Conn
@@ -192,13 +260,14 @@ func (sc *batchScratch) release() {
 }
 
 // serveBatch runs the items of one batch frame through the handler on
-// min(GOMAXPROCS, len(items)) workers — this goroutine is one of them — that
-// pull item indices from a shared counter, and appends the reply frame,
-// replies in item order, to dst. Each worker's handlers append their replies
-// to that worker's own buffer; the buffers are stitched into the frame once
-// every item is done. A goroutine per item cost more than the handlers
-// themselves at fleet size: a third of a 500-agent tick was spawning a
-// thousand of them a slot and growing each one's stack.
+// min(GOMAXPROCS, len(items)) workers — this goroutine is one of them, the
+// others are dispatched a share each — that pull item indices from a shared
+// counter, and appends the reply frame, replies in item order, to dst. Each
+// worker's handlers append their replies to that worker's own buffer; the
+// buffers are stitched into the frame once every item is done. A goroutine
+// per item cost more than the handlers themselves at fleet size: a third of a
+// 500-agent tick was spawning a thousand of them a slot and growing each
+// one's stack.
 func (s *MuxServer) serveBatch(dst []byte, req frame) ([]byte, error) {
 	sc := batchScratches.Get().(*batchScratch)
 	defer sc.release()
@@ -216,22 +285,11 @@ func (s *MuxServer) serveBatch(dst []byte, req frame) ([]byte, error) {
 		sc.bufs = append(sc.bufs, getBuf())
 	}
 	sc.next.Store(0)
-	work := func(w int) {
-		buf := sc.bufs[w]
-		for i := int(sc.next.Add(1)) - 1; i < len(items); i = int(sc.next.Add(1)) - 1 {
-			off := len(*buf)
-			*buf = appendBatchReply(*buf, items[i], s.handler)
-			sc.segs[i] = batchSeg{w, off, len(*buf)}
-		}
-	}
+	sc.wg.Add(workers - 1)
 	for w := 1; w < workers; w++ {
-		sc.wg.Add(1)
-		go func(w int) {
-			defer sc.wg.Done()
-			work(w)
-		}(w)
+		s.dispatch(muxTask{batch: sc, w: w})
 	}
-	work(0)
+	s.work(sc, 0)
 	sc.wg.Wait()
 
 	start := len(dst)
@@ -244,6 +302,17 @@ func (s *MuxServer) serveBatch(dst []byte, req frame) ([]byte, error) {
 		return appendErrorFrame(dst[:start], req.ID, req.Target, req.Kind, err)
 	}
 	return dst, nil
+}
+
+// work is worker w's share of a batch: it takes item indices from the shared
+// counter until none is left, appending each reply to the worker's buffer.
+func (s *MuxServer) work(sc *batchScratch, w int) {
+	buf, items := sc.bufs[w], sc.items
+	for i := int(sc.next.Add(1)) - 1; i < len(items); i = int(sc.next.Add(1)) - 1 {
+		off := len(*buf)
+		*buf = appendBatchReply(*buf, items[i], s.handler)
+		sc.segs[i] = batchSeg{w, off, len(*buf)}
+	}
 }
 
 // appendBatchReply runs one batch item through the handler and appends its
@@ -266,10 +335,11 @@ func appendBatchReply(dst []byte, it batchItem, h MuxHandler) []byte {
 	return append(dst, 0, 0, 0, 0) // empty body
 }
 
-// Close stops accepting and closes open connections. Like net/http's Close,
-// it does not wait for in-flight handlers: a wedged handler must not wedge
-// shutdown, and its eventual response write fails harmlessly on the closed
-// connection. It does wait for the per-connection reader goroutines.
+// Close stops accepting, closes open connections and releases the parked
+// workers. Like net/http's Close, it does not wait for in-flight handlers: a
+// wedged handler must not wedge shutdown, and its eventual response write
+// fails harmlessly on the closed connection, after which its worker exits. It
+// does wait for the per-connection reader goroutines.
 func (s *MuxServer) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -277,6 +347,7 @@ func (s *MuxServer) Close() error {
 		return nil
 	}
 	s.closed = true
+	close(s.quit)
 	err := s.lis.Close()
 	for conn := range s.conns {
 		conn.Close()
@@ -333,7 +404,7 @@ type muxReply struct {
 
 // replyChans and callTimers recycle the two per-call objects every round
 // trip needs. A channel goes back only once nothing else can send on it (see
-// roundTrip); a timer only stopped and drained.
+// await); a timer only stopped and drained.
 var (
 	replyChans = sync.Pool{New: func() any { return make(chan muxReply, 1) }}
 	callTimers = sync.Pool{New: func() any {
@@ -397,10 +468,29 @@ func (m *MuxClient) CallTarget(ctx context.Context, target int, kind string, req
 }
 
 // roundTrip frames one request, sends it, and waits for its response. All
-// client calls — single and batched — funnel through here, so the poisoning,
-// timeout, and abandonment rules are identical across both surfaces. On
-// success the caller owns resp.buf and must release it with putBuf.
+// client calls — single and batched — funnel through send and await, so the
+// poisoning, timeout, and abandonment rules are identical across both
+// surfaces. On success the caller owns resp.buf and must release it with
+// putBuf.
 func (m *MuxClient) roundTrip(ctx context.Context, target int, kind string, body any) (muxReply, error) {
+	c, err := m.send(target, kind, body)
+	if err != nil {
+		return muxReply{}, err
+	}
+	return m.await(ctx, c, target, kind)
+}
+
+// sentCall is a request on the wire: the frame id its reply carries, the
+// channel the read loop delivers that reply on, and when the call times out.
+type sentCall struct {
+	id       uint64
+	ch       chan muxReply
+	deadline time.Time
+}
+
+// send frames one request, registers it and writes it. The call's timeout
+// counts from here, however late its await starts.
+func (m *MuxClient) send(target int, kind string, body any) (sentCall, error) {
 	ch := replyChans.Get().(chan muxReply)
 	m.mu.Lock()
 	if m.closed || m.readErr != nil {
@@ -410,7 +500,7 @@ func (m *MuxClient) roundTrip(ctx context.Context, target int, kind string, body
 		}
 		m.mu.Unlock()
 		replyChans.Put(ch)
-		return muxReply{}, err
+		return sentCall{}, err
 	}
 	m.nextID++
 	id := m.nextID
@@ -422,12 +512,13 @@ func (m *MuxClient) roundTrip(ctx context.Context, target int, kind string, body
 	var err error
 	if *out, err = appendFrame(*out, id, target, kind, "", body); err != nil {
 		m.abandon(id, ch) // nothing was written; the stream is intact
-		return muxReply{}, unsentError{fmt.Errorf("encode %s for target %d: %w", kind, target, err)}
+		return sentCall{}, unsentError{fmt.Errorf("encode %s for target %d: %w", kind, target, err)}
 	}
 	m.writeMu.Lock()
 	// Bound the write alone: a per-connection read deadline would abort
 	// every pipelined call in flight, not just a stalled one.
-	m.conn.SetWriteDeadline(time.Now().Add(m.timeout))
+	deadline := time.Now().Add(m.timeout)
+	m.conn.SetWriteDeadline(deadline)
 	_, err = m.conn.Write(*out)
 	m.writeMu.Unlock()
 	if err != nil {
@@ -436,11 +527,18 @@ func (m *MuxClient) roundTrip(ctx context.Context, target int, kind string, body
 		// rather than letting the next call emit garbage.
 		m.poison(fmt.Errorf("%w: send %s to target %d: %v", ErrClientPoisoned, kind, target, err))
 		m.abandon(id, ch)
-		return muxReply{}, fmt.Errorf("send %s to target %d: %w", kind, target, err)
+		return sentCall{}, fmt.Errorf("send %s to target %d: %w", kind, target, err)
 	}
+	return sentCall{id: id, ch: ch, deadline: deadline}, nil
+}
 
+// await waits for a sent call's response until its deadline, ctx, or the
+// connection's end, whichever comes first. A reply the read loop has already
+// taken off the pending table is returned even when the wait gave up at the
+// same moment: it arrived in time.
+func (m *MuxClient) await(ctx context.Context, c sentCall, target int, kind string) (muxReply, error) {
 	timer := callTimers.Get().(*time.Timer)
-	timer.Reset(m.timeout)
+	timer.Reset(time.Until(c.deadline))
 	defer func() {
 		if !timer.Stop() {
 			select {
@@ -455,28 +553,36 @@ func (m *MuxClient) roundTrip(ctx context.Context, target int, kind string, body
 		ctxDone = ctx.Done()
 	}
 	select {
-	case resp := <-ch:
-		replyChans.Put(ch) // the read loop's one send on it is behind us
+	case resp := <-c.ch:
+		replyChans.Put(c.ch) // the read loop's one send on it is behind us
 		return resp, nil
 	case <-ctxDone:
-		m.abandon(id, ch)
+		if !m.abandon(c.id, c.ch) {
+			return c.delivered(), nil
+		}
 		return muxReply{}, ctx.Err()
 	case <-timer.C:
-		m.abandon(id, ch)
+		if !m.abandon(c.id, c.ch) {
+			return c.delivered(), nil
+		}
 		return muxReply{}, fmt.Errorf("target %d %s: %w", target, kind, ErrCallTimeout)
 	case <-m.done:
-		if !m.abandon(id, ch) {
-			// The read loop took the call off the pending table before it
-			// died, so its send is on the way or already buffered.
-			resp := <-ch
-			replyChans.Put(ch)
-			return resp, nil
+		if !m.abandon(c.id, c.ch) {
+			return c.delivered(), nil
 		}
 		m.mu.Lock()
 		err := m.readErr
 		m.mu.Unlock()
 		return muxReply{}, err
 	}
+}
+
+// delivered receives the reply of a call the read loop took off the pending
+// table: its send is on the way or already buffered.
+func (c sentCall) delivered() muxReply {
+	resp := <-c.ch
+	replyChans.Put(c.ch)
+	return resp
 }
 
 // poison marks the client's stream as unusable and closes the connection so
@@ -503,15 +609,35 @@ type BatchCall struct {
 	Err    error
 }
 
-// CallBatch sends every call in one frame and decodes the replies in order.
-// The server runs the items on a bounded set of workers (see MuxServer), so a
-// batch over N targets costs one round trip, one frame encode and N handler
-// runs spread over the server's cores, not N round trips. A nil return means
-// the batch itself was delivered and answered; inspect each call's Err for
-// per-target outcomes.
+// CallBatch sends every call in one frame and decodes the replies in order:
+// StartBatch, then Wait. The server runs the items on a bounded set of
+// workers (see MuxServer), so a batch over N targets costs one round trip,
+// one frame encode and N handler runs spread over the server's cores, not N
+// round trips. A nil return means the batch itself was delivered and
+// answered; inspect each call's Err for per-target outcomes.
 func (m *MuxClient) CallBatch(ctx context.Context, calls []BatchCall) error {
+	b, err := m.StartBatch(calls)
+	if err != nil {
+		return err
+	}
+	return b.Wait(ctx, calls)
+}
+
+// Batch is a batch frame on the wire, sent by StartBatch and answered by
+// Wait. A caller holding several clients sends every batch before awaiting
+// any, so the wires' round trips overlap without a goroutine per wire.
+type Batch struct {
+	m    *MuxClient // nil for an empty batch
+	call sentCall
+}
+
+// StartBatch encodes every call into one frame and sends it. The batch's
+// timeout counts from here. Call Wait with the same calls to decode the
+// replies into their Resp destinations; a batch never waited for keeps its
+// pending entry until its reply arrives.
+func (m *MuxClient) StartBatch(calls []BatchCall) (Batch, error) {
 	if len(calls) == 0 {
-		return nil
+		return Batch{}, nil
 	}
 	body := getBuf()
 	defer putBuf(body)
@@ -521,10 +647,26 @@ func (m *MuxClient) CallBatch(ctx context.Context, calls []BatchCall) error {
 		*body = appendString(*body, calls[i].Kind)
 		var err error
 		if *body, err = appendNested(*body, calls[i].Req); err != nil {
-			return fmt.Errorf("batch call %d (%s): %w", i, calls[i].Kind, err)
+			return Batch{}, fmt.Errorf("batch call %d (%s): %w", i, calls[i].Kind, err)
 		}
 	}
-	resp, err := m.roundTrip(ctx, -1, KindBatch, *body)
+	c, err := m.send(-1, KindBatch, *body)
+	if err != nil {
+		return Batch{}, err
+	}
+	return Batch{m: m, call: c}, nil
+}
+
+// Wait awaits the batch's reply frame and decodes the replies, in order, into
+// calls — the slice StartBatch sent. It honors ctx and the client timeout,
+// counted from the send, so waiting on k batches one after another costs at
+// most one timeout however many of them hang. An abandoned batch's late
+// reply is dropped by the read loop.
+func (b Batch) Wait(ctx context.Context, calls []BatchCall) error {
+	if b.m == nil {
+		return nil
+	}
+	resp, err := b.m.await(ctx, b.call, -1, KindBatch)
 	if err != nil {
 		return err
 	}

@@ -257,6 +257,18 @@ func TestMuxShutdownLeaksNoGoroutines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Batches first: their frames and helper shares leave workers parked,
+	// which Close must release.
+	for b := 0; b < 4; b++ {
+		calls := make([]BatchCall, 8)
+		for i := range calls {
+			calls[i] = BatchCall{Target: i, Kind: KindPing, Req: Ping{Nonce: 1}}
+		}
+		if err := cli.CallBatch(context.Background(), calls); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "a parked worker", func() bool { return srv.parked.Load() > 0 })
 	var wg sync.WaitGroup
 	for i := 0; i < 64; i++ {
 		wg.Add(1)
@@ -621,8 +633,9 @@ func TestBatchItemFailingAfterAppend(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 8} {
 		runtime.GOMAXPROCS(procs)
-		srv := &MuxServer{handler: halfThenFail}
+		srv := NewMuxServer(nil, halfThenFail)
 		out, err := srv.serveBatch([]byte("earlier frame"), frame{ID: 9, Target: -1, Kind: KindBatch, Body: body})
+		close(srv.quit) // release the helpers this batch parked
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -689,5 +702,254 @@ func TestMuxOversizedReplyIsAnErrorReply(t *testing.T) {
 	var pong Ping
 	if err := cli.Agent(3).Call(KindPing, Ping{Nonce: 6}, &pong); err != nil || pong.Nonce != 3006 {
 		t.Errorf("call after the oversized replies: nonce %d, err %v", pong.Nonce, err)
+	}
+}
+
+// waitFor polls cond for up to five seconds and fails the test if it never
+// holds: a worker parks just after writing its reply, so the caller may see
+// the reply first.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("gave up waiting for %s", what)
+		}
+	}
+}
+
+// TestMuxStalledFrameBlocksOnlyItself holds the parked-worker rule to the
+// per-frame contract: once every parked worker is stuck in a handler, the
+// next frame on the same connection still gets a worker of its own and is
+// answered at once.
+func TestMuxStalledFrameBlocksOnlyItself(t *testing.T) {
+	release := make(chan struct{})
+	var stalled atomic.Int64
+	srv, cli := startMux(t, func(dst []byte, target int, kind string, body []byte) ([]byte, error) {
+		if target == 0 {
+			stalled.Add(1)
+			<-release
+		}
+		return echoMux(dst, target, kind, body)
+	})
+	// Park some workers: concurrent calls end as idle workers.
+	var wg sync.WaitGroup
+	for i := 1; i <= 6; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if err := cli.Agent(i).Call(KindPing, Ping{Nonce: 1}, nil); err != nil {
+				t.Errorf("warm-up call %d: %v", i, err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	waitFor(t, "a parked worker", func() bool { return srv.parked.Load() > 0 })
+
+	// Stall frames until no worker is left parked. A worker counts itself
+	// parked just before it waits, so keep stalling until the count is zero.
+	const maxStalls = 4 * maxParkedWorkers
+	errs := make(chan error, maxStalls)
+	stalls := 0
+	for stalls < 8 || srv.parked.Load() > 0 {
+		if stalls == maxStalls {
+			t.Fatalf("%d workers still parked after %d stalled frames", srv.parked.Load(), stalls)
+		}
+		stalls++
+		go func() { errs <- cli.Agent(0).Call(KindPing, Ping{Nonce: 1}, nil) }()
+		waitFor(t, "the stalled frame in its handler", func() bool { return stalled.Load() == int64(stalls) })
+	}
+
+	start := time.Now()
+	var pong Ping
+	if err := cli.Agent(7).Call(KindPing, Ping{Nonce: 2}, &pong); err != nil || pong.Nonce != 7002 {
+		t.Fatalf("call behind the stalled frames: nonce %d, err %v", pong.Nonce, err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("a free frame waited %v behind stalled ones", d)
+	}
+	close(release)
+	for k := 0; k < stalls; k++ {
+		if err := <-errs; err != nil {
+			t.Errorf("stalled call: %v", err)
+		}
+	}
+}
+
+// pingBatch builds n ping calls to targets 0..n-1 carrying the nonce, with
+// their replies landing in a fresh slice.
+func pingBatch(n int, nonce uint64) ([]BatchCall, []Ping) {
+	calls, pongs := make([]BatchCall, n), make([]Ping, n)
+	for i := range calls {
+		calls[i] = BatchCall{Target: i, Kind: KindPing, Req: Ping{Nonce: nonce}, Resp: &pongs[i]}
+	}
+	return calls, pongs
+}
+
+// TestStartBatchWait holds the split batch surface to CallBatch's rules: Wait
+// gives up on ctx and on the client timeout, a closed client refuses a start
+// and fails a wait, and the late reply of an abandoned batch never reaches the
+// next one.
+func TestStartBatchWait(t *testing.T) {
+	// Nonce 1 stalls until released, or for 150 ms when release is nil.
+	stallingServer := func(t *testing.T, release chan struct{}) *MuxServer {
+		srv, _ := startMux(t, func(dst []byte, target int, kind string, body []byte) ([]byte, error) {
+			var p Ping
+			if err := Unmarshal(body, &p); err != nil {
+				return nil, err
+			}
+			if p.Nonce == 1 {
+				if release != nil {
+					<-release
+				} else {
+					time.Sleep(150 * time.Millisecond)
+				}
+			}
+			return echoMux(dst, target, kind, body)
+		})
+		return srv
+	}
+	dial := func(t *testing.T, srv *MuxServer, timeout time.Duration) *MuxClient {
+		cli, err := DialMux(srv.Addr(), timeout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { cli.Close() })
+		return cli
+	}
+
+	t.Run("ctx cancel", func(t *testing.T) {
+		release := make(chan struct{})
+		defer close(release)
+		cli := dial(t, stallingServer(t, release), 5*time.Second)
+		calls, _ := pingBatch(3, 1)
+		b, err := cli.StartBatch(calls)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		defer cancel()
+		start := time.Now()
+		if err := b.Wait(ctx, calls); !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("err = %v, want the context's", err)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Errorf("cancellation took %v", d)
+		}
+	})
+
+	t.Run("timeout counts from the send", func(t *testing.T) {
+		release := make(chan struct{})
+		defer close(release)
+		const timeout = 100 * time.Millisecond
+		cli := dial(t, stallingServer(t, release), timeout)
+		calls, _ := pingBatch(3, 1)
+		b, err := cli.StartBatch(calls)
+		if err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(timeout)
+		start := time.Now()
+		if err := b.Wait(context.Background(), calls); !errors.Is(err, ErrCallTimeout) {
+			t.Errorf("err = %v, want ErrCallTimeout", err)
+		}
+		if d := time.Since(start); d > timeout/2 {
+			t.Errorf("a wait begun after the timeout waited %v more", d)
+		}
+	})
+
+	t.Run("closed client", func(t *testing.T) {
+		release := make(chan struct{})
+		defer close(release)
+		cli := dial(t, stallingServer(t, release), 5*time.Second)
+		calls, _ := pingBatch(2, 1)
+		b, err := cli.StartBatch(calls)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cli.Close()
+		if err := b.Wait(context.Background(), calls); err == nil {
+			t.Error("a batch in flight when its client closed was answered")
+		}
+		if _, err := cli.StartBatch(calls); !errors.Is(err, ErrClosed) {
+			t.Errorf("start on a closed client: err = %v, want ErrClosed", err)
+		}
+	})
+
+	t.Run("late reply to an abandoned batch", func(t *testing.T) {
+		cli := dial(t, stallingServer(t, nil), 50*time.Millisecond)
+		calls, _ := pingBatch(3, 1)
+		b, err := cli.StartBatch(calls)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Wait(context.Background(), calls); !errors.Is(err, ErrCallTimeout) {
+			t.Fatalf("err = %v, want ErrCallTimeout", err)
+		}
+		// The abandoned batch's reply lands while the next one is in flight.
+		next, pongs := pingBatch(3, 2)
+		if b, err = cli.StartBatch(next); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(150 * time.Millisecond)
+		if err := b.Wait(context.Background(), next); err != nil {
+			t.Fatal(err)
+		}
+		for i := range next {
+			if next[i].Err != nil || pongs[i].Nonce != uint64(2+i*1000) {
+				t.Errorf("call %d: nonce %d, err %v; want its own reply", i, pongs[i].Nonce, next[i].Err)
+			}
+		}
+	})
+
+	t.Run("empty batch", func(t *testing.T) {
+		cli := dial(t, stallingServer(t, nil), time.Second)
+		b, err := cli.StartBatch(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Wait(context.Background(), nil); err != nil {
+			t.Errorf("empty batch: %v", err)
+		}
+	})
+}
+
+// TestHungWiresCostOneTimeout sends a batch on each of four clients whose
+// handlers never answer in time, then waits on them one after another, as the
+// control loop does: the four timeouts run from the four sends, so together
+// they cost about one timeout, not four.
+func TestHungWiresCostOneTimeout(t *testing.T) {
+	release := make(chan struct{})
+	defer close(release)
+	srv, _ := startMux(t, func(dst []byte, target int, kind string, body []byte) ([]byte, error) {
+		<-release
+		return echoMux(dst, target, kind, body)
+	})
+	const wires, timeout = 4, 200 * time.Millisecond
+	clients := make([]*MuxClient, wires)
+	for w := range clients {
+		cli, err := DialMux(srv.Addr(), timeout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cli.Close()
+		clients[w] = cli
+	}
+	calls := make([][]BatchCall, wires)
+	batches := make([]Batch, wires)
+	start := time.Now()
+	for w, cli := range clients {
+		calls[w], _ = pingBatch(3, 1)
+		var err error
+		if batches[w], err = cli.StartBatch(calls[w]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for w, b := range batches {
+		if err := b.Wait(context.Background(), calls[w]); !errors.Is(err, ErrCallTimeout) {
+			t.Errorf("wire %d: err = %v, want ErrCallTimeout", w, err)
+		}
+	}
+	if d := time.Since(start); d < timeout || d >= 2*timeout {
+		t.Errorf("%d hung wires took %v; want one timeout (%v), not %d", wires, d, timeout, wires)
 	}
 }
