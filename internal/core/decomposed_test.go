@@ -10,50 +10,25 @@ import (
 )
 
 // The decomposed solver is gone; SolverDecomposed survives only as a
-// deprecated name for SolverSparse. These tests pin what is left of it: the
-// name decides exactly as the compact solver does, is validated like it, and
-// states its schedulers wrote still restore.
+// deprecated name the frozen benchmark still compiles against. These tests
+// pin what is left of it: a scheduler configured with the name decides
+// exactly as the default does, and states its schedulers wrote still restore.
 
-// decomposedAliasMatchesDense drives a SolverDecomposed scheduler and a
-// monolithic one over the same slots and requires bit-identical actions.
-func decomposedAliasMatchesDense(t *testing.T, cfg Config) {
-	t.Helper()
-	c := refCluster(t)
-	states, lengths := stateTestWorld(t, c, 20)
-	cfg.Solver = SolverMonolithic
-	dense, err := New(c, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Solver = SolverDecomposed
-	alias, err := New(c, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s := range states {
-		da, err := dense.Decide(s, states[s], lengths[s])
-		if err != nil {
-			t.Fatal(err)
-		}
-		xa, err := alias.Decide(s, states[s], lengths[s])
-		if err != nil {
-			t.Fatal(err)
-		}
-		decisionsEqual(t, s, "decomposed-alias", da, xa)
-	}
-}
-
-// TestDecomposedLinearBitIdentical: at beta = 0 the deprecated kind runs the
-// compact greedy, bit-identical to the dense one.
+// TestDecomposedLinearBitIdentical: at beta = 0 a scheduler naming the
+// deprecated kind replays the dense layout's recorded decisions.
 func TestDecomposedLinearBitIdentical(t *testing.T) {
-	decomposedAliasMatchesDense(t, Config{V: 7.5})
+	if got := decisionDigest(t, refCluster(t), Config{V: 7.5, Solver: SolverDecomposed}, 30); got != pinnedRefLinear {
+		t.Errorf("decision digest %s, dense layout recorded %s", got, pinnedRefLinear)
+	}
 }
 
-// TestDecomposedQuadraticAgreesWithDense: at beta > 0 the deprecated kind runs
-// the compact warm-started Frank-Wolfe, whose decisions equal the dense
-// solve's bit for bit, slot after slot.
+// TestDecomposedQuadraticAgreesWithDense: at beta > 0 a scheduler naming the
+// deprecated kind replays the dense layout's recorded warm-started
+// Frank-Wolfe decisions, slot after slot.
 func TestDecomposedQuadraticAgreesWithDense(t *testing.T) {
-	decomposedAliasMatchesDense(t, Config{V: 7.5, Beta: 100})
+	if got := decisionDigest(t, refCluster(t), Config{V: 7.5, Beta: 100, Solver: SolverDecomposed}, 30); got != pinnedRefConvex {
+		t.Errorf("decision digest %s, dense layout recorded %s", got, pinnedRefConvex)
+	}
 }
 
 // legacyDecomposedState is SchedulerState as the decomposed solver wrote it:

@@ -1,7 +1,12 @@
 package invariant_test
 
 import (
-	"reflect"
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
+	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"grefar/internal/core"
@@ -9,24 +14,9 @@ import (
 	"grefar/internal/invariant"
 	"grefar/internal/model"
 	"grefar/internal/sim"
+	"grefar/internal/tariff"
 	"grefar/internal/telemetry"
 )
-
-// kindBlind forwards events without the options block a non-default
-// scheduler attaches to its first solve event. The block echoes the
-// configuration, and the two configurations compared here differ by design:
-// naming SolverMonolithic is a departure from the defaults and is reported,
-// SolverAuto never is. Everything the solvers computed must match to the byte.
-type kindBlind struct{ inner telemetry.SlotObserver }
-
-func (k kindBlind) ObserveSlot(ev telemetry.SlotEvent) {
-	if ev.Solve != nil && ev.Solve.Options != nil {
-		solve := *ev.Solve
-		solve.Options = nil
-		ev.Solve = &solve
-	}
-	k.inner.ObserveSlot(ev)
-}
 
 // actionLog keeps the action of every applied slot.
 type actionLog struct{ actions []*model.Action }
@@ -39,97 +29,129 @@ func (a *actionLog) ObserveSlot(ev telemetry.SlotEvent) {
 	}
 }
 
-// TestAutoSolverBitIdentical holds the default solver to the dense reference:
-// SolverAuto, which runs on the compact active-pair representation wherever
-// it can, and SolverMonolithic must produce byte-identical actions and JSONL
-// event streams — over the golden-trace run under the linear and the
-// (warm-started) convex configuration, and over a drifting 200x100 instance
-// with a tenth of its pairs backlogged.
+// actionDigest hashes every bit of an action: routes, processing and busy
+// servers, in row order.
+func actionDigest(a *model.Action) string {
+	h := sha256.New()
+	var buf [8]byte
+	for i := range a.Route {
+		for _, r := range a.Route[i] {
+			binary.LittleEndian.PutUint64(buf[:], uint64(r))
+			h.Write(buf[:])
+		}
+		for _, p := range a.Process[i] {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(p))
+			h.Write(buf[:])
+		}
+		for _, b := range a.Busy[i] {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(b))
+			h.Write(buf[:])
+		}
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// pinnedStream renders a run as its golden form: the JSONL event stream,
+// then one line per slot with the digest of the action decided.
+func pinnedStream(t *testing.T, rec *invariant.TraceRecorder, acts []*model.Action) []byte {
+	t.Helper()
+	out, err := rec.MarshalJSONL()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s, a := range acts {
+		out = fmt.Appendf(out, "{\"slot\":%d,\"action_sha256\":%q}\n", s, actionDigest(a))
+	}
+	return out
+}
+
+// checkPinned compares a pinned stream with its golden file, or rewrites the
+// file under -update.
+func checkPinned(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", "golden", name+".jsonl")
+	if *updateGolden {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s (%d bytes)", path, len(got))
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file: %v", err)
+	}
+	if diff := invariant.DiffJSONL(got, want); diff != "" {
+		t.Errorf("stream deviates from %s:\n%s", path, diff)
+	}
+}
+
+// pinnedTariffSlots is the horizon of the convex-tariff goldens.
+const pinnedTariffSlots = 200
+
+// TestAutoSolverBitIdentical replays the default scheduler against streams
+// recorded from the dense N*J slot layout, the reference the compact
+// active-pair layout was held to until the dense one was deleted: the
+// reference workload billed under a quadratic tariff (the section III-A2
+// extension) at beta = 0 and beta = 100, and a drifting 200x100 instance with
+// a tenth of its pairs backlogged. Events and every action bit must match.
 func TestAutoSolverBitIdentical(t *testing.T) {
+	quad, err := tariff.NewQuadratic(60)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
-		name string
-		cfg  core.Config
+		name, file string
+		beta       float64
 	}{
-		{"beta=0", core.Config{V: 7.5}},
-		{"beta=100", core.Config{V: 7.5, Beta: 100}},
+		{"beta=0", "tariff-quadratic-v7.5-beta0", 0},
+		{"beta=100", "tariff-quadratic-v7.5-beta100", 100},
 	} {
 		t.Run("golden/"+tc.name, func(t *testing.T) {
-			run := func(kind core.SolverKind) ([]byte, []*model.Action) {
-				t.Helper()
-				in, err := sim.NewReferenceInputs(goldenSeed, goldenSlots)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rec, acts := &invariant.TraceRecorder{}, &actionLog{}
-				cfg := tc.cfg
-				cfg.Solver, cfg.Observer = kind, kindBlind{rec}
-				g, err := core.New(in.Cluster, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				opt := sim.Options{Slots: goldenSlots, Observer: telemetry.Multi(rec, acts), ValidateActions: true, Check: true}
-				if _, err := sim.Run(in, g, opt); err != nil {
-					t.Fatal(err)
-				}
-				out, err := rec.MarshalJSONL()
-				if err != nil {
-					t.Fatal(err)
-				}
-				return out, acts.actions
+			in, err := sim.NewReferenceInputs(goldenSeed, pinnedTariffSlots)
+			if err != nil {
+				t.Fatal(err)
 			}
-			autoTrace, autoActs := run(core.SolverAuto)
-			denseTrace, denseActs := run(core.SolverMonolithic)
-			if len(autoActs) != goldenSlots {
-				t.Fatalf("captured %d actions, want %d", len(autoActs), goldenSlots)
+			in.Tariff = quad
+			rec, acts := &invariant.TraceRecorder{}, &actionLog{}
+			g, err := core.New(in.Cluster, core.Config{
+				V: 7.5, Beta: tc.beta, Tariff: quad, Observer: rec,
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(autoActs, denseActs) {
-				t.Error("actions differ between SolverAuto and SolverMonolithic")
+			opt := sim.Options{Slots: pinnedTariffSlots, Observer: telemetry.Multi(rec, acts), ValidateActions: true, Check: true}
+			if _, err := sim.Run(in, g, opt); err != nil {
+				t.Fatal(err)
 			}
-			if diff := invariant.DiffJSONL(autoTrace, denseTrace); diff != "" {
-				t.Errorf("event streams differ between SolverAuto and SolverMonolithic:\n%s", diff)
+			if len(acts.actions) != pinnedTariffSlots {
+				t.Fatalf("captured %d actions, want %d", len(acts.actions), pinnedTariffSlots)
 			}
+			checkPinned(t, tc.file, pinnedStream(t, rec, acts.actions))
 		})
 	}
 
 	t.Run("N=200/J=100", func(t *testing.T) {
 		const slots = 12
-		run := func(kind core.SolverKind) ([]byte, []*model.Action) {
-			t.Helper()
-			in, err := experiments.NewSolverScaleInstance(goldenSeed, 200, 100, 0.1)
+		in, err := experiments.NewSolverScaleInstance(goldenSeed, 200, 100, 0.1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := &invariant.TraceRecorder{}
+		g, err := core.New(in.Cluster, core.Config{V: 7.5, Beta: 100, Observer: rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var acts []*model.Action
+		for s := 0; s < slots; s++ {
+			act, err := g.Decide(s, in.State, in.Lengths)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rec := &invariant.TraceRecorder{}
-			g, err := core.New(in.Cluster, core.Config{
-				V: 7.5, Beta: 100, Solver: kind, Observer: kindBlind{rec},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var acts []*model.Action
-			for s := 0; s < slots; s++ {
-				act, err := g.Decide(s, in.State, in.Lengths)
-				if err != nil {
-					t.Fatal(err)
-				}
-				// Clone: the scheduler rewrites act on its next Decide, so
-				// keeping act itself would compare the last action with itself.
-				acts = append(acts, act.Clone())
-				in.Mutate()
-			}
-			out, err := rec.MarshalJSONL()
-			if err != nil {
-				t.Fatal(err)
-			}
-			return out, acts
+			// Clone: the scheduler rewrites act on its next Decide.
+			acts = append(acts, act.Clone())
+			in.Mutate()
 		}
-		autoTrace, autoActs := run(core.SolverAuto)
-		denseTrace, denseActs := run(core.SolverMonolithic)
-		if !reflect.DeepEqual(autoActs, denseActs) {
-			t.Error("actions differ between SolverAuto and SolverMonolithic")
-		}
-		if diff := invariant.DiffJSONL(autoTrace, denseTrace); diff != "" {
-			t.Errorf("event streams differ between SolverAuto and SolverMonolithic:\n%s", diff)
-		}
+		checkPinned(t, "solverscale-200x100-v7.5-beta100", pinnedStream(t, rec, acts))
 	})
 }
