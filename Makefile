@@ -27,8 +27,8 @@ race:
 #   runner: sweeps independent of scheduling
 #   serve: tick and checkpoint locking
 #   agent..hollow: wire reuse, batch contract, parked workers, degrade
-#   core: compact solver matches dense
-#   invariant: default solver matches across representations
+#   core: decisions replay the dense layout's pins; greedy edges; warm repair
+#   invariant: decisions replay the dense goldens; aux runs checked
 #   queue, sim: rejected input leaves no trace
 #   grefar-hollow: kill, mask, resync, rejoin
 #   budgets: decide, step, wire, tick allocations
@@ -48,8 +48,8 @@ tier1:
 	$(GO) test -race -count=1 ./internal/runner
 	$(GO) test -race -count=1 ./internal/serve/... ./cmd/grefar-serve
 	$(GO) test -race -count=1 ./internal/agent ./internal/controller ./internal/controlplane ./internal/transport/... ./internal/experiments ./internal/hollow
-	$(GO) test -race -count=1 -run 'TestSparse|TestAuto|TestSchedulerState|TestDecideLeavesNoStaleCells' ./internal/core
-	$(GO) test -race -count=1 -run 'TestAutoSolverBitIdentical' ./internal/invariant
+	$(GO) test -race -count=1 -run 'TestSparse|TestAuto|TestDecomposed|TestSchedulerState|TestRestoreRejects|TestRepairWarmStartOutcomes|TestGreedy|TestDecideLeavesNoStaleCells' ./internal/core
+	$(GO) test -race -count=1 -run 'TestAutoSolverBitIdentical|TestCheckerCleanOnAuxCluster' ./internal/invariant
 	$(GO) test -race -count=1 -run 'TestRejectedApply|TestRejectedStep|TestSnapshotsOwn|TestViewTracksTheSet|TestEngineSnapshotReuse|TestEngineDetailOwnsFlows|FuzzApply' ./internal/queue ./internal/sim
 	$(GO) run -race ./cmd/grefar-hollow -agents 64 -slots 5 -kill-frac 0.05
 	$(GO) test -count=1 -run 'TestDecideAllocationBudget|TestEngineStepAllocationBudget|TestWireAllocationBudget' .
@@ -105,8 +105,8 @@ bench-slot:
 
 # SLOT_BENCHES is the set recorded in BENCH_slot.json: the per-slot solver
 # cost on the reference cluster (the linear beta=0 slot and the warm-started
-# away-step beta=100 one) plus the large-instance N=200/J=100 arms (auto,
-# dense, sparse) at ~10% active-pair density and one whole
+# away-step beta=100 one) plus the large-instance N=200/J=100 decision at
+# ~10% active-pair density and one whole
 # default-configured engine slot at the same shape, and the routing half of a
 # decision alone at 20 and at 500 candidate sites per job type (it lives in
 # internal/core, hence the second package on those lines). DIST_BENCHES is
@@ -131,7 +131,7 @@ bench-json:
 # bench-compare re-runs the same benchmarks and fails on >15% ns/op or
 # allocs/op regressions (allocs/op must also rise by more than one, the
 # rounding of go test's integer per-op count): the beta=100 slot decision
-# and the N=200/J=100 large-instance arms and engine step against BENCH_slot.json
+# and the N=200/J=100 large-instance decision and engine step against BENCH_slot.json
 # (the benchjson default guard covers all three families), and the
 # distributed slot ticks (one mux conn per agent and every hollow fleet size)
 # against BENCH_distributed.json; other benchmarks warn — including the

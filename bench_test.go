@@ -262,31 +262,18 @@ func BenchmarkSlotDecision(b *testing.B) {
 			benchmarkSlotDecision(b, beta)
 		})
 	}
-	// The large-instance arms: a 200-site, 100-job-type synthetic cluster at
-	// ~10% active-pair density, where the sparse index earns its keep. All arms
-	// share the same instance and the same per-slot input drift; compare
-	// against "dense" for the sparse win, and "auto" (the default, which
-	// resolves to the compact representation here) against "sparse" to see
-	// that the default pays nothing extra.
-	for _, arm := range []struct {
-		name string
-		kind grefar.SolverKind
-	}{
-		{"auto", grefar.SolverAuto},
-		{"dense", grefar.SolverMonolithic},
-		{"sparse", grefar.SolverSparse},
-	} {
-		b.Run("N=200/J=100/"+arm.name, func(b *testing.B) {
-			b.ReportAllocs()
-			benchmarkLargeSlotDecision(b, arm.kind)
-		})
-	}
+	// The large instance: a 200-site, 100-job-type synthetic cluster at ~10%
+	// active-pair density, where the compact index earns its keep.
+	b.Run("N=200/J=100", func(b *testing.B) {
+		b.ReportAllocs()
+		benchmarkLargeSlotDecision(b)
+	})
 }
 
 // BenchmarkEngineStep measures one whole default-configured simulator slot —
 // reveal, decide, apply, arrive, snapshot, metrics — on the solver-scale
 // cluster at N=200/J=100 with a tenth of the pairs eligible, warm-started:
-// the engine-side counterpart of BenchmarkSlotDecision/N=200/J=100/auto, and
+// the engine-side counterpart of BenchmarkSlotDecision/N=200/J=100, and
 // what the repo benchmark's solve-large workload times end to end.
 func BenchmarkEngineStep(b *testing.B) {
 	b.Run("N=200/J=100", func(b *testing.B) {
@@ -345,15 +332,12 @@ func largeEngineInputs(tb testing.TB) sim.Inputs {
 // 200 sites x 100 job types at 10% density, warm-started, with small input
 // drift each iteration so the incremental coefficient refresh is on its
 // steady-state path rather than replaying one frozen slot.
-func benchmarkLargeSlotDecision(b *testing.B, kind grefar.SolverKind) {
+func benchmarkLargeSlotDecision(b *testing.B) {
 	in, err := experiments.NewSolverScaleInstance(2012, 200, 100, 0.1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	g, err := grefar.New(in.Cluster,
-		grefar.Config{V: 7.5, Beta: 100},
-		grefar.WithSolver(kind),
-	)
+	g, err := grefar.New(in.Cluster, grefar.WithV(7.5), grefar.WithBeta(100))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -32,8 +32,7 @@
 // -scale-chaos, under partitions of -kill-frac of the fleet plus call drops.
 //
 // The solverscale experiment (also outside -experiment all) sweeps the slot
-// solvers themselves — the default (auto), monolithic and sparse — over
-// large synthetic instances of -solver-shapes
+// solver itself over large synthetic instances of -solver-shapes
 // (N x J) at -solver-densities active-pair fractions, measuring per-decision
 // latency and allocation rate for -scale-slots drifting slots per cell.
 package main
@@ -307,7 +306,7 @@ func parseFloatList(s string) ([]float64, error) {
 }
 
 // runSolverScale runs the slot-solver scale sweep: per instance shape and
-// backlog density, each solver arm decides the same drifting slot sequence.
+// backlog density, the default scheduler decides a drifting slot sequence.
 func runSolverScale(out io.Writer, cfg experiments.SolverScaleConfig) error {
 	res, err := experiments.SolverScale(cfg)
 	if err != nil {
@@ -320,13 +319,12 @@ func runSolverScale(out io.Writer, cfg experiments.SolverScaleConfig) error {
 			strconv.Itoa(pt.J),
 			report.FormatFloat(pt.Density, 2),
 			strconv.Itoa(pt.ActivePairs),
-			pt.Solver,
 			report.FormatFloat(pt.DecideMicros, 1),
 			report.FormatFloat(pt.AllocsPerDecide, 0),
 			report.FormatFloat(pt.Objective, 1),
 		}
 	}
-	return report.Table(out, []string{"N", "J", "Density", "Active", "Solver", "us/decide", "Allocs/decide", "Objective"}, table)
+	return report.Table(out, []string{"N", "J", "Density", "Active", "us/decide", "Allocs/decide", "Objective"}, table)
 }
 
 // runScale runs the hollow-fleet scale sweep: per agent count, a real

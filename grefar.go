@@ -83,22 +83,6 @@ type (
 	FWOptions = solve.FWOptions
 	// QueueLengths is the backlog snapshot Theta(t) a Scheduler observes.
 	QueueLengths = queue.Lengths
-	// SolverKind selects the slot-solver implementation (see WithSolver).
-	SolverKind = core.SolverKind
-)
-
-// Slot-solver kinds (Config.Solver / WithSolver).
-const (
-	// SolverAuto (the default) runs on the active-pair compact
-	// representation when the cluster and tariff allow it and on the dense
-	// layout otherwise; the two decide bit-identically.
-	SolverAuto = core.SolverAuto
-	// SolverMonolithic pins the dense N*J layout, the reference the
-	// differential tests compare against.
-	SolverMonolithic = core.SolverMonolithic
-	// SolverSparse runs the slot solve on the active-pair compact
-	// representation: identical algorithms, bit-identical decisions.
-	SolverSparse = core.SolverSparse
 )
 
 // Simulation types.

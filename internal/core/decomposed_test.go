@@ -3,10 +3,10 @@ package core
 import (
 	"bytes"
 	"encoding/gob"
-	"errors"
 	"testing"
 
 	"grefar/internal/model"
+	"grefar/internal/tariff"
 )
 
 // The decomposed solver is gone; SolverDecomposed survives only as a
@@ -109,36 +109,31 @@ func TestDecomposedStateRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDecomposedConfigValidation pins the gate: the deprecated kind is
-// validated exactly like SolverSparse (no auxiliary resources) and runs as
-// it; unknown kinds are ErrBadConfig.
+// TestDecomposedConfigValidation pins the gate that is left: none. Every
+// solver kind — the deprecated names and values no name ever had — is
+// accepted on every input the default accepts, auxiliary resources and
+// non-linear tariffs included, and decides exactly as the default does.
 func TestDecomposedConfigValidation(t *testing.T) {
-	c := refCluster(t)
-	if _, err := New(c, Config{V: 1, Solver: SolverKind(99)}); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("unknown solver kind: got %v, want ErrBadConfig", err)
-	}
-	g, err := New(c, Config{V: 1, Solver: SolverDecomposed})
+	quad, err := tariff.NewQuadratic(20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.cfg.Solver != SolverSparse || !g.compact {
-		t.Errorf("SolverDecomposed resolved to %v (compact %v), want the compact sparse solver", g.cfg.Solver, g.compact)
-	}
-	aux := auxCluster()
-	for _, kind := range []SolverKind{SolverSparse, SolverDecomposed} {
-		if _, err := New(aux, Config{V: 1, Solver: kind}); !errors.Is(err, ErrBadConfig) {
-			t.Errorf("solver kind %d accepted a cluster with auxiliary resources: %v", int(kind), err)
-		}
-	}
-	// Monolithic kinds still take auxiliary clusters.
-	if _, err := New(aux, Config{V: 1, Solver: SolverMonolithic}); err != nil {
-		t.Errorf("monolithic solver rejected auxiliary cluster: %v", err)
-	}
-	for kind, want := range map[SolverKind]string{
-		SolverAuto: "auto", SolverMonolithic: "monolithic", SolverSparse: "sparse",
+	for _, in := range []struct {
+		c   *model.Cluster
+		cfg Config
+	}{
+		{refCluster(t), Config{V: 7.5, Beta: 100}},
+		{auxCluster(), Config{V: 40}},
+		{auxCluster(), Config{V: 40, Tariff: quad}},
+		{twoSiteCluster(), Config{V: 40, Beta: 100, Tariff: quad}},
 	} {
-		if got := kind.String(); got != want {
-			t.Errorf("SolverKind(%d).String() = %q, want %q", int(kind), got, want)
+		want := decisionDigest(t, in.c, in.cfg, 10)
+		for _, kind := range []SolverKind{SolverMonolithic, SolverSparse, SolverDecomposed, SolverKind(99)} {
+			cfg := in.cfg
+			cfg.Solver = kind
+			if got := decisionDigest(t, in.c, cfg, 10); got != want {
+				t.Errorf("solver kind %d on %d sites: decision digest %s, default %s", int(kind), in.c.N(), got, want)
+			}
 		}
 	}
 }

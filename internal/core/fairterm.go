@@ -29,7 +29,9 @@ type CurvedFairnessTerm interface {
 }
 
 // slotObjective is the general convex slot program over the concatenated
-// variables x = [h (N*J) ; b (sum K)]:
+// variables x = [h ; b (sum K)], h being one variable per active pair in the
+// compact layout Decide runs on (sparse.go), or all N*J pairs in the dense
+// reference SlotObjective builds:
 //
 //	Linear.x + V*beta * P(alloc(h)) + V * sum_i [T(phi_i, base_i+E_i(b)) - T(phi_i, base_i)]
 //

@@ -5,6 +5,9 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"grefar/internal/model"
+	"grefar/internal/queue"
 )
 
 // sortedExchange is the reference greedy exchange: stable-sort every job by
@@ -107,4 +110,74 @@ func FuzzGreedyExchange(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestGreedyThresholdIsStrict pins the paper's threshold rule at its edge:
+// a site processes type j on server type k only while q_{i,j}/d_j >
+// V*phi_i*p_k/s_k, so at exact equality it processes nothing. Here the
+// pricey server's density V*phi*p/s = 1*1.5*2/1 = 3 equals q/d = 6/2.
+func TestGreedyThresholdIsStrict(t *testing.T) {
+	c := &model.Cluster{
+		DataCenters: []model.DataCenter{{Name: "dc", Servers: []model.ServerType{
+			{Name: "cheap", Speed: 1, Power: 1},
+			{Name: "pricey", Speed: 1, Power: 2},
+		}}},
+		JobTypes: []model.JobType{{Name: "j", Demand: 2, Eligible: []int{0}}},
+		Accounts: []model.Account{{Name: "a", Weight: 1}},
+	}
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	q := queue.Lengths{Central: []float64{0}, Local: [][]float64{{6}}}
+	for _, tc := range []struct {
+		name  string
+		cheap float64 // cheap servers available
+		want  float64 // jobs processed
+	}{
+		// Only the server at the threshold: nothing.
+		{"at-threshold", 0, 0},
+		// One cheap server (1 work unit, half a job), then the threshold.
+		{"cheap-then-threshold", 1, 0.5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := model.NewState(c)
+			st.Price[0] = 1.5
+			st.Avail[0][0], st.Avail[0][1] = tc.cheap, 10
+			g, err := New(c, Config{V: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			act, err := g.Decide(0, st, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := act.Process[0][0]; got != tc.want {
+				t.Errorf("processed %v jobs, want %v", got, tc.want)
+			}
+			if act.Busy[0][1] != 0 {
+				t.Errorf("%v servers busy at the threshold price, want 0", act.Busy[0][1])
+			}
+		})
+	}
+}
+
+// TestGreedySegmentExhaustedAtEpsilon pins the exchange's exhaustion test: a
+// capacity segment left with exactly 1e-15 work units counts as used up, so
+// the next job takes nothing from it.
+func TestGreedySegmentExhaustedAtEpsilon(t *testing.T) {
+	w, eps := 2e-15, 1e-15 // variables: the sum must round at run time
+	capacity := w + eps
+	if capacity-w != 1e-15 {
+		t.Fatalf("test setup: %v - %v leaves %v, not 1e-15", capacity, w, capacity-w)
+	}
+	segs := []segment{{serverType: 0, cap: capacity, density: 0, speed: 1}}
+	jobs := []jobDemand{
+		{job: 0, work: w, density: 2, demand: 1},
+		{job: 1, work: 1, density: 1, demand: 1},
+	}
+	h, b := make([]float64, 2), make([]float64, 1)
+	greedyExchange(segs, jobs, h, b, 0)
+	if h[0] != w || h[1] != 0 || b[0] != w {
+		t.Errorf("h = %v, b = %v; want h = [%v 0], b = [%v]", h, b, w, w)
+	}
 }

@@ -52,57 +52,30 @@ type Config struct {
 	// V*g(t) penalty decomposition of the chosen action, and solver
 	// statistics. Nil costs nothing on the decision path.
 	Observer telemetry.SlotObserver
-	// Solver selects the slot-solver implementation. SolverAuto (the zero
-	// value) runs on the active-pair compact representation whenever the
-	// cluster and tariff allow it and on the dense layout otherwise — the two
-	// decide bit-identically, so the choice never shows in a trace;
-	// SolverMonolithic pins the dense layout; SolverSparse insists on the
-	// compact one. The compact representation requires a cluster without
-	// auxiliary resources and a linear (or absent) tariff; New rejects
-	// SolverSparse on other inputs.
+	// Solver named a slot-solver representation when there were several.
+	// Decide runs on the compact active-pair layout (see sparse.go) whatever
+	// the field holds.
+	//
+	// Deprecated: ignored; kept so existing Config literals compile.
 	Solver SolverKind
 }
 
-// SolverKind selects the slot-solver implementation (Config.Solver).
+// SolverKind named a slot-solver representation (Config.Solver). There is
+// one representation now, so every value, named or not, selects it.
+//
+// Deprecated: ignored; kept so code that names the kinds (the frozen
+// benchmark's solver probe) still compiles.
 type SolverKind int
 
+// The slot-solver kinds Config.Solver once chose between.
+//
+// Deprecated: ignored, like Config.Solver.
 const (
-	// SolverAuto (the default) picks the representation from the inputs:
-	// the active-pair compact one when the cluster has no auxiliary
-	// resources and the tariff is linear or absent, the dense one otherwise.
-	// Both run the same algorithms and decide bit-identically; Auto never
-	// appears in telemetry.
 	SolverAuto SolverKind = iota
-	// SolverMonolithic pins the dense N*J layout: the reference the
-	// differential tests and the benchmark's solver probe compare against.
 	SolverMonolithic
-	// SolverSparse runs the slot solve on the active-pair compact
-	// representation: identical algorithms, bit-identical decisions,
-	// O(active) work instead of O(N*J). Unlike Auto it is an error on inputs
-	// the compact representation does not cover.
 	SolverSparse
-	// SolverDecomposed named the per-data-center block decomposition of the
-	// beta > 0 solve (sharing ADMM plus a Frank-Wolfe polish). It lost to the
-	// compact solver on every measured shape and is gone; New runs
-	// SolverSparse in its place, under the same input requirements.
-	//
-	// Deprecated: use SolverAuto or SolverSparse. Kept so code that names it
-	// (benchmark/solve.go's solver probe) still compiles.
 	SolverDecomposed
 )
-
-// String names the solver kind as it appears in telemetry and flags.
-func (k SolverKind) String() string {
-	switch k {
-	case SolverAuto:
-		return "auto"
-	case SolverMonolithic:
-		return "monolithic"
-	case SolverSparse:
-		return "sparse"
-	}
-	return fmt.Sprintf("SolverKind(%d)", int(k))
-}
 
 // ApplyScheduler replaces the whole configuration with c, making a Config
 // literal usable wherever a scheduler option is accepted. This is the
@@ -136,11 +109,6 @@ type GreFar struct {
 	cluster *model.Cluster
 	cfg     Config
 	weights []float64 // account target shares gamma_m
-
-	// compact marks a scheduler whose Decide runs on the active-pair compact
-	// representation (see sparse.go); resolved once in New from the solver
-	// kind, the cluster, and the tariff.
-	compact bool
 
 	// ws is the per-scheduler solver workspace. Its single-owner rule makes
 	// Decide NOT safe for concurrent calls on one GreFar instance; parallel
@@ -192,27 +160,9 @@ func New(c *model.Cluster, cfg Config) (*GreFar, error) {
 		}
 		cfg.Fairness = quad
 	}
-	if cfg.Solver < SolverAuto || cfg.Solver > SolverDecomposed {
-		return nil, fmt.Errorf("%w: unknown solver kind %d", ErrBadConfig, int(cfg.Solver))
-	}
-	if cfg.Solver == SolverDecomposed {
-		cfg.Solver = SolverSparse
-	}
 	g := &GreFar{cluster: c, cfg: cfg, weights: weights}
-	switch cfg.Solver {
-	case SolverSparse:
-		if c.Aux() > 0 {
-			return nil, fmt.Errorf("%w: solver %v requires a cluster without auxiliary resources", ErrBadConfig, cfg.Solver)
-		}
-		if !linearTariff(cfg.Tariff) {
-			return nil, fmt.Errorf("%w: solver %v requires a linear (or absent) tariff", ErrBadConfig, cfg.Solver)
-		}
-		g.compact = true
-	case SolverAuto:
-		g.compact = c.Aux() == 0 && linearTariff(cfg.Tariff)
-	}
-	g.ws = newDecideScratch(c, !g.linearSlot(), g.compact)
-	g.reportOpts = cfg.FW != (solve.FWOptions{}) || cfg.Solver != SolverAuto
+	g.ws = newDecideScratch(c, !g.linearSlot())
+	g.reportOpts = cfg.FW != (solve.FWOptions{})
 	return g, nil
 }
 
@@ -482,58 +432,43 @@ func routeBudgetFor(jt *model.JobType) int {
 // over the capacity polytope (11). With beta = 0 the problem is linear and
 // the greedy exchange solves it exactly, realizing the paper's threshold
 // rule: process type j at site i only while q_{i,j}/d_j > V * phi_i * p_k/s_k.
-// With beta > 0 it is a convex QP solved by Frank-Wolfe with the greedy as
-// its linear oracle and exact line search.
+// With beta > 0 (or a non-linear tariff) it is convex and solved by
+// Frank-Wolfe with the greedy as its linear oracle and exact line search.
+// Auxiliary resource rows (footnote 3) swap the greedy for the simplex LP.
+//
+// Everything runs on the compact active-pair layout (sparse.go): refresh the
+// index incrementally, solve, scatter the clamped h into the action, then
+// provision the cheapest busy-server mix for the chosen work — optimal given
+// h because b enters the objective with non-negative cost. The
+// cheapest-first server order is cluster-static, so the precomputed
+// ws.provOrder avoids re-sorting every slot.
 func (g *GreFar) decideProcessing(st *model.State, q queue.Lengths, act *model.Action, stats *telemetry.SolveStats) error {
-	if g.compact {
-		return g.decideProcessingSparse(st, q, act, stats)
+	c, ws := g.cluster, g.ws
+	sp := ws.sparse
+	var warmRef []float64
+	if ws.warmValid {
+		warmRef = ws.warm
 	}
-	c := g.cluster
-	ws := g.ws
+	sp.refresh(g.cfg, st, q, warmRef)
 
-	// Linear coefficients and per-pair processing caps shared by all paths,
-	// rebuilt in the scheduler's workspace each slot.
-	slotCoefficientsInto(c, g.cfg, st, q, ws.cH, ws.cB, ws.hCap)
-	cH, cB, hCap := ws.cH, ws.cB, ws.hCap
-
-	var process [][]float64
-	switch {
-	case g.linearSlot() && c.Aux() == 0:
-		la, err := solveLinearSlotWS(&ws.lin, c, st, cH, cB, hCap)
-		if err != nil {
-			return err
-		}
-		process = la.process
-		if stats != nil {
-			*stats = telemetry.SolveStats{Solver: telemetry.SolverGreedy, Iterations: 1, Converged: true}
-		}
-	case g.linearSlot():
-		// Auxiliary resource constraints (footnote 3) break the
-		// single-constraint greedy; the simplex solves the linear slot
-		// problem exactly.
-		p, _, _, err := solveSlotLPGeneral(c, st, cH, cB, hCap)
-		if err != nil {
-			return err
-		}
-		process = p
-		if stats != nil {
-			*stats = telemetry.SolveStats{Solver: telemetry.SolverLP, Iterations: 1, Converged: true}
-		}
-	default:
-		var err error
-		process, err = g.solveQuadraticSlot(st, cH, cB, hCap, stats)
-		if err != nil {
-			return err
-		}
+	var err error
+	if g.linearSlot() {
+		err = g.solveLinear(st, act, stats)
+	} else {
+		err = g.solveConvex(st, act, stats)
+	}
+	if err != nil {
+		return err
 	}
 
-	// Provision the cheapest busy-server mix for the chosen work; this is
-	// optimal given h because b enters the objective linearly with
-	// non-negative cost. The cheapest-first server order is cluster-static,
-	// so the precomputed ws.provOrder avoids re-sorting every slot.
 	for i := 0; i < c.N(); i++ {
-		copy(act.Process[i], process[i])
-		if _, err := model.ProvisionOrdered(c.DataCenters[i], ws.provOrder[i], st.Avail[i], act.Busy[i], act.WorkAt(c, i)); err != nil {
+		// act.WorkAt(c, i) over the site's active pairs: the action processes
+		// nothing anywhere else, and a zero term changes no bit of the sum.
+		work := 0.0
+		for t := sp.siteOff[i]; t < sp.siteOff[i+1]; t++ {
+			work += act.Process[i][sp.pairJ[t]] * sp.demand[t]
+		}
+		if _, err := model.ProvisionOrdered(c.DataCenters[i], ws.provOrder[i], st.Avail[i], act.Busy[i], work); err != nil {
 			return fmt.Errorf("data center %d: %w", i, err)
 		}
 	}
@@ -566,95 +501,6 @@ func linearTariff(t tariff.Tariff) bool {
 	}
 	_, linear := t.(tariff.Linear)
 	return linear
-}
-
-// solveQuadraticSlot handles beta > 0 by Frank-Wolfe over the concatenated
-// (h, b) variables. The fairness penalty V*beta*P(alloc(h)) couples job
-// types of the same account across sites; everything else is linear. With
-// the paper's quadratic fairness the program is a QP solved with exact line
-// search; other convex penalties (alpha-fair) use diminishing steps.
-func (g *GreFar) solveQuadraticSlot(st *model.State, cH, cB, hCap [][]float64, stats *telemetry.SolveStats) ([][]float64, error) {
-	c := g.cluster
-	ws := g.ws
-	l := ws.layout
-
-	// Non-linear tariffs move the energy cost out of the linear part and
-	// into the convex tariff term.
-	nonlinearTariff := !linearTariff(g.cfg.Tariff)
-	linear := ws.linear
-	for i := 0; i < c.N(); i++ {
-		for j := 0; j < c.J(); j++ {
-			linear[l.hIndex(i, j)] = cH[i][j]
-		}
-		for k := 0; k < c.K(i); k++ {
-			if nonlinearTariff {
-				linear[l.bOff[i]+k] = 0
-			} else {
-				linear[l.bOff[i]+k] = cB[i][k]
-			}
-		}
-	}
-	// The objective's structural maps (per-variable account, demand, power)
-	// depend only on the cluster and configuration, so the objective is built
-	// once and refreshed with the slot's prices and resource total thereafter.
-	if ws.obj == nil {
-		ws.obj = newSlotObjective(c, linear, g.cfg.V*g.cfg.Beta, st.TotalResource(c), g.cfg.Fairness)
-		if nonlinearTariff {
-			ws.obj.attachTariff(c, st, g.cfg.Tariff, g.cfg.V)
-		}
-		ws.wrapped = wrapSlotObjective(ws.obj)
-	} else {
-		ws.obj.total = st.TotalResource(c)
-		if nonlinearTariff {
-			ws.obj.refreshTariff(c, st)
-		}
-	}
-
-	oracle := slotOracleWS(c, st, hCap, ws.gradH, ws.gradB, &ws.lin)
-
-	opts := g.cfg.FW
-	if opts.MaxIters <= 0 {
-		opts.MaxIters = 150
-	}
-
-	// Start from the previous slot's iterate, repaired in place against this
-	// slot's caps, or from zero (see warmStart).
-	outcome := warmFallback
-	if ws.warmValid {
-		outcome = repairWarmStart(c, st, hCap, l, ws.warm)
-	}
-	warm := g.warmStart(outcome)
-	res, err := solve.FrankWolfeWS(&ws.fw, ws.wrapped, oracle, ws.warm, opts)
-	if err != nil {
-		return nil, fmt.Errorf("frank-wolfe: %w", err)
-	}
-	copy(ws.warm, res.X)
-	ws.warmValid = true
-	if stats != nil {
-		*stats = telemetry.SolveStats{
-			Solver:     telemetry.SolverFrankWolfe,
-			Iterations: res.Iters,
-			Converged:  res.Converged,
-			Residual:   res.Gap,
-		}
-		g.attachWarmStats(stats, warm)
-		g.attachSolverOptions(stats, opts)
-	}
-
-	process := ws.process
-	for i := range process {
-		for j := 0; j < c.J(); j++ {
-			h := res.X[l.hIndex(i, j)]
-			if h < 0 {
-				h = 0
-			}
-			if h > hCap[i][j] {
-				h = hCap[i][j]
-			}
-			process[i][j] = h
-		}
-	}
-	return process, nil
 }
 
 // warmStart settles this slot's starting point in ws.warm from the repair's

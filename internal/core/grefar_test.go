@@ -472,7 +472,7 @@ func TestEnergyFairnessCost(t *testing.T) {
 // so every cell the previous slot set must be cleared. At beta = 0 a decision
 // depends on the slot's inputs alone, so after a heavily backlogged slot the
 // action for a light one must equal, bit for bit, what a fresh scheduler
-// decides on it, under every solver kind.
+// decides on it.
 func TestDecideLeavesNoStaleCells(t *testing.T) {
 	c := refCluster(t)
 	states, _ := stateTestWorld(t, c, 2)
@@ -499,34 +499,32 @@ func TestDecideLeavesNoStaleCells(t *testing.T) {
 		}
 		return n
 	}
-	for _, kind := range []SolverKind{SolverAuto, SolverMonolithic, SolverSparse} {
-		cfg := Config{V: 7.5, Solver: kind}
-		g, err := New(c, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		first, err := g.Decide(0, states[0], heavy)
-		if err != nil {
-			t.Fatal(err)
-		}
-		busy := nonzero(first)
-		second, err := g.Decide(1, states[1], light)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fresh, err := New(c, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := fresh.Decide(1, states[1], light)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if busy <= nonzero(want) {
-			t.Fatalf("%v: the heavy slot set %d cells, the light one %d; nothing could go stale", kind, busy, nonzero(want))
-		}
-		if !reflect.DeepEqual(second, want) {
-			t.Errorf("%v: the light slot's action carries cells from the heavy one:\n got %+v\nwant %+v", kind, second, want)
-		}
+	cfg := Config{V: 7.5}
+	g, err := New(c, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := g.Decide(0, states[0], heavy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	busy := nonzero(first)
+	second, err := g.Decide(1, states[1], light)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := New(c, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.Decide(1, states[1], light)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if busy <= nonzero(want) {
+		t.Fatalf("the heavy slot set %d cells, the light one %d; nothing could go stale", busy, nonzero(want))
+	}
+	if !reflect.DeepEqual(second, want) {
+		t.Errorf("the light slot's action carries cells from the heavy one:\n got %+v\nwant %+v", second, want)
 	}
 }

@@ -39,6 +39,23 @@ type linearAssignment struct {
 	value   float64     // objective value achieved
 }
 
+// linearScratch holds the buffers of one greedy-exchange slot solve.
+type linearScratch struct {
+	out  linearAssignment
+	segs []segment
+	jobs []jobDemand
+}
+
+// newLinearScratch sizes a greedy-exchange workspace for the cluster.
+func newLinearScratch(c *model.Cluster) *linearScratch {
+	ws := &linearScratch{}
+	ws.out.process = newMatrixNJ(c)
+	ws.out.busy = newMatrixNK(c)
+	ws.segs = make([]segment, 0, maxServerTypes(c))
+	ws.jobs = make([]jobDemand, 0, c.J())
+	return ws
+}
+
 // segment is one server-type capacity tranche with a linear activation cost.
 type segment struct {
 	serverType int
@@ -66,18 +83,16 @@ type jobDemand struct {
 // decreasing reward density with capacity segments in increasing cost
 // density while the exchange is profitable.
 //
-// This routine doubles as the Frank-Wolfe linear oracle for the beta > 0
-// case, because the gradient of the quadratic slot objective with respect to
-// b is exactly the constant cB.
+// It is the dense reference of the compact per-site greedy Decide runs
+// (sparseSlot.greedySite): SolveSlotGreedy and SlotOracle are built on it.
 func solveLinearSlot(c *model.Cluster, st *model.State, cH, cB, hCap [][]float64) (*linearAssignment, error) {
 	return solveLinearSlotWS(newLinearScratch(c), c, st, cH, cB, hCap)
 }
 
 // solveLinearSlotWS is solveLinearSlot running entirely inside the given
 // workspace: the returned assignment aliases ws.out and is valid only until
-// the next call with the same workspace. The Decide hot path and the
-// Frank-Wolfe oracle (one greedy solve per iteration) both go through here
-// with a per-scheduler workspace, making the greedy exchange allocation-free.
+// the next call with the same workspace, so SlotOracle's per-iteration
+// solves share one.
 func solveLinearSlotWS(ws *linearScratch, c *model.Cluster, st *model.State, cH, cB, hCap [][]float64) (*linearAssignment, error) {
 	out := &ws.out
 	out.value = 0
@@ -130,10 +145,11 @@ func solveLinearSlotWS(ws *linearScratch, c *model.Cluster, st *model.State, cH,
 }
 
 // greedyExchange is the exchange core of every greedy slot solve: the dense
-// solveLinearSlotWS and the compact sparseSlot.greedySite. It matches job demands in descending reward density with
-// capacity segments in ascending cost density while the reward strictly
-// exceeds the cost, adding each take into h[job] and b[serverType] and its
-// objective change into value, which it returns.
+// reference solveLinearSlotWS and the compact sparseSlot.greedySite. It
+// matches job demands in descending reward density with capacity segments in
+// ascending cost density while the reward strictly exceeds the cost, adding
+// each take into h[job] and b[serverType] and its objective change into
+// value, which it returns.
 //
 // segs must be sorted (sortSegsByDensity). jobs is in ascending job order and
 // is consumed: the next job is picked only when the exchange needs one, as

@@ -26,8 +26,7 @@ import (
 // Telemetry events and their slices are allocated fresh per call. Everything
 // else here is solver-internal state whose lifetime ends when Decide returns.
 type decideScratch struct {
-	layout slotLayout
-	act    *model.Action
+	act *model.Action
 
 	// Routing (decideRouting): routeSites[j] is job type j's eligible set in
 	// ascending site order — cluster-static; the Eligible list itself when it
@@ -40,23 +39,10 @@ type decideScratch struct {
 	// rate of a server type does not, so the order is cluster-static.
 	provOrder [][]int
 
-	// Dense representation: linear slot data (SlotCoefficients output) and
-	// the greedy exchange workspace, shared by the direct beta = 0 path and
-	// the Frank-Wolfe linear oracle (whose calls are sequential within one
-	// Decide, so one workspace serves both). Nil/empty on a compact
-	// scheduler, which keeps its coefficients in sparse instead.
-	cH, cB, hCap [][]float64
-	lin          linearScratch
-
-	// Dense quadratic (beta > 0 / non-linear tariff) path, allocated only
-	// when a dense configuration can take it.
-	linear  []float64 // linear coefficients over the flat (h, b) vector
-	gradH   [][]float64
-	gradB   [][]float64
-	process [][]float64 // clamped h result
-	obj     *slotObjective
-	wrapped solve.Objective
-	fw      solve.FWWorkspace
+	// The slot's compact active-pair representation (sparse.go): its
+	// coefficients, index, objective and greedy buffers.
+	sparse *sparseSlot
+	fw     solve.FWWorkspace
 
 	// Cross-slot warm start: warm holds the previous slot's (h, b) iterate
 	// in slotLayout order, and warmValid reports whether it exists (false
@@ -65,44 +51,22 @@ type decideScratch struct {
 	// trajectory, so sharing a scheduler across runs would leak one run's
 	// iterate into another; one scheduler per run keeps it sound. Decide
 	// repairs the iterate against the current slot's caps and zeroes it when
-	// repair fails (see GreFar.warmStart); the dense path then hands it to
-	// Frank-Wolfe as the starting point. Both representations keep it in the
-	// dense layout — that is what SchedulerState carries, so a checkpoint
-	// restores under either — and only a configuration that can reach the
-	// convex path has one: a linear-slot scheduler exports no warm state.
+	// repair fails (see GreFar.warmStart). It stays in the dense layout, not
+	// the compact one, because that is what SchedulerState carries: every
+	// checkpoint ever written restores. Only a configuration that can reach
+	// the convex path has one: a linear-slot scheduler exports no warm state.
 	warm      []float64
 	warmValid bool
-
-	// Compact representation (see GreFar.compact); nil on the dense path.
-	sparse *sparseSlot
 }
 
-// linearScratch holds the buffers of one greedy-exchange slot solve.
-type linearScratch struct {
-	out  linearAssignment
-	segs []segment
-	jobs []jobDemand
-}
-
-// newLinearScratch sizes a greedy-exchange workspace for the cluster.
-func newLinearScratch(c *model.Cluster) *linearScratch {
-	ws := &linearScratch{}
-	ws.out.process = newMatrixNJ(c)
-	ws.out.busy = newMatrixNK(c)
-	ws.segs = make([]segment, 0, maxServerTypes(c))
-	ws.jobs = make([]jobDemand, 0, c.J())
-	return ws
-}
-
-// newDecideScratch builds the workspace for one scheduler: only the buffers
-// its representation uses. The quadratic-path buffers are allocated only when
-// quad is set (beta > 0 or a non-linear tariff can reach Frank-Wolfe); a
-// compact scheduler gets the sparse slot and none of the dense N*J
-// coefficient, gradient, or greedy matrices.
-func newDecideScratch(c *model.Cluster, quad, compact bool) *decideScratch {
+// newDecideScratch builds the workspace for one scheduler. The warm buffer
+// is allocated only when quad is set (beta > 0 or a non-linear tariff can
+// reach Frank-Wolfe); no configuration gets an N*J coefficient, gradient or
+// greedy matrix.
+func newDecideScratch(c *model.Cluster, quad bool) *decideScratch {
 	ws := &decideScratch{
-		layout: newSlotLayout(c),
 		order:  make([]routeSite, 0, c.N()),
+		sparse: newSparseSlot(c),
 	}
 	ws.provOrder = make([][]int, c.N())
 	for i := 0; i < c.N(); i++ {
@@ -118,21 +82,7 @@ func newDecideScratch(c *model.Cluster, quad, compact bool) *decideScratch {
 		ws.routeSites[j] = sites
 	}
 	if quad {
-		ws.warm = make([]float64, ws.layout.total)
-	}
-	if compact {
-		ws.sparse = newSparseSlot(c)
-		return ws
-	}
-	ws.cH = newMatrixNJ(c)
-	ws.cB = newMatrixNK(c)
-	ws.hCap = newMatrixNJ(c)
-	ws.lin = *newLinearScratch(c)
-	if quad {
-		ws.linear = make([]float64, ws.layout.total)
-		ws.gradH = newMatrixNJ(c)
-		ws.gradB = newMatrixNK(c)
-		ws.process = newMatrixNJ(c)
+		ws.warm = make([]float64, ws.sparse.l.total)
 	}
 	return ws
 }

@@ -34,7 +34,9 @@ func (l slotLayout) hIndex(i, j int) int { return i*l.nJ + j }
 //	cB[i][k]   = V * phi_i * p_k     (energy cost of a busy server)
 //	hCap[i][j] = min(q_{i,j}, h_max) on eligible sites, 0 elsewhere
 //
-// Every beta = 0 slot solver in this package (the greedy exchange, the
+// These are the dense reference coefficients: the compact layout Decide
+// runs on holds the same values for its active pairs (sparseSlot.refresh).
+// Every beta = 0 reference solver in this package (the greedy exchange, the
 // simplex LP) minimizes exactly cH.h + cB.b over the scheduling polytope;
 // the invariant package's differential harness uses the same coefficients to
 // cross-run the iterative solvers on identical inputs.
@@ -42,26 +44,18 @@ func SlotCoefficients(c *model.Cluster, cfg Config, st *model.State, q queue.Len
 	cH = newMatrixNJ(c)
 	cB = newMatrixNK(c)
 	hCap = newMatrixNJ(c)
-	slotCoefficientsInto(c, cfg, st, q, cH, cB, hCap)
-	return cH, cB, hCap
-}
-
-// slotCoefficientsInto fills caller-owned coefficient matrices, overwriting
-// every entry; the Decide hot path reuses one set per scheduler.
-func slotCoefficientsInto(c *model.Cluster, cfg Config, st *model.State, q queue.Lengths, cH, cB, hCap [][]float64) {
 	for i := 0; i < c.N(); i++ {
 		for j := 0; j < c.J(); j++ {
 			cH[i][j] = -q.Local[i][j]
 			if c.JobTypes[j].EligibleSet(i) {
 				hCap[i][j] = processBudgetFor(&c.JobTypes[j], q.Local[i][j])
-			} else {
-				hCap[i][j] = 0
 			}
 		}
 		for k, stype := range c.DataCenters[i].Servers {
 			cB[i][k] = cfg.V * st.Price[i] * stype.Power
 		}
 	}
+	return cH, cB, hCap
 }
 
 // SlotObjective builds the full convex slot objective of (14) over the
@@ -108,22 +102,17 @@ func SlotObjective(c *model.Cluster, cfg Config, st *model.State, q queue.Length
 }
 
 // SlotOracle returns the linear-minimization oracle of the slot scheduling
-// polytope (paper eq. 11 plus the per-pair bounds hCap and availability):
-// given a gradient over the concatenated (h, b) variables in slotLayout
-// order, it writes a vertex minimizing grad.v. The Frank-Wolfe path of the
-// scheduler and the differential solver cross-checks share this oracle, so a
-// disagreement between them isolates the iterative machinery rather than the
-// feasible set.
+// polytope (paper eq. 11 plus the per-pair bounds hCap, availability and any
+// auxiliary rows): given a gradient over the concatenated (h, b) variables in
+// slotLayout order, it writes a vertex minimizing grad.v. It is the dense
+// reference of the compact oracle Decide runs (sparseSlot.oracle): the
+// differential solver cross-checks run independent solvers against it, so a
+// disagreement isolates the iterative machinery rather than the feasible set.
+// The oracle is invoked once per solver iteration and the caller copies each
+// vertex out immediately, so one workspace serves every call.
 func SlotOracle(c *model.Cluster, st *model.State, hCap [][]float64) solve.LinearOracle {
-	return slotOracleWS(c, st, hCap, newMatrixNJ(c), newMatrixNK(c), newLinearScratch(c))
-}
-
-// slotOracleWS is SlotOracle running on caller-owned gradient matrices and a
-// greedy-exchange workspace. The oracle is invoked once per Frank-Wolfe
-// iteration and the solver copies each vertex out immediately, so one
-// workspace safely serves every iteration of a Decide call.
-func slotOracleWS(c *model.Cluster, st *model.State, hCap, gradH, gradB [][]float64, lin *linearScratch) solve.LinearOracle {
 	l := newSlotLayout(c)
+	gradH, gradB, lin := newMatrixNJ(c), newMatrixNK(c), newLinearScratch(c)
 	return func(grad []float64, out []float64) {
 		for i := 0; i < c.N(); i++ {
 			for j := 0; j < c.J(); j++ {

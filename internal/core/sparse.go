@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"grefar/internal/model"
 	"grefar/internal/queue"
@@ -10,21 +9,21 @@ import (
 	"grefar/internal/telemetry"
 )
 
-// This file implements the compact slot representation — what SolverAuto runs
-// on whenever the inputs allow it, and what SolverSparse insists on: an
+// This file implements the slot representation Decide runs on: an
 // active-pair index over the (i, j) processing variables that skips every pair
 // with zero backlog and zero warm-start mass, threaded through the coefficient
 // build, the objective/gradient, the greedy oracle, and the Frank-Wolfe
 // workspace. At production scale most pairs are inactive — a job type's data
-// lives at a handful of sites and most queues are empty — so the dense N*J
-// vectors the monolithic path iterates over are mostly exact zeros. The
-// compact layout makes every solver pass O(active) instead of O(N*J) — and the
-// passes that maintain the index itself O(eligible pairs), the size (14)
-// actually has — while producing bit-identical iterates: an inactive pair has
-// x = v = dir = 0 on the dense path, contributing exactly +0.0 to every inner
-// product, and the compact index preserves the dense (i, j) lexicographic
-// order, so the fairness account sums, the greedy candidate lists, and the
-// line-search scalars all come out float-for-float equal.
+// lives at a handful of sites and most queues are empty — so a dense N*J
+// vector would be mostly exact zeros. The compact layout makes every solver
+// pass O(active) instead of O(N*J) — and the passes that maintain the index
+// itself O(eligible pairs), the size (14) actually has — while producing the
+// iterates the dense layout of the reference builders (slotvars.go) would:
+// an inactive pair has x = v = dir = 0 there, contributing exactly +0.0 to
+// every inner product, and the compact index preserves the dense (i, j)
+// lexicographic order, so the fairness account sums, the greedy candidate
+// lists, and the line-search scalars come out float-for-float equal. The
+// golden streams recorded from the deleted dense decide path pin this.
 
 // sparseSlot is the active-pair slot representation owned by one scheduler.
 // Pair (i, j) is active when j is eligible at i and the pair has positive
@@ -58,7 +57,8 @@ type sparseSlot struct {
 	gen      int   // bumped on every index rebuild (consumers re-derive)
 
 	// Compact slot coefficients: linear is [cH | cB] in compact layout
-	// (cH[t] = -q for the pair, cB = V*phi*p as in slotCoefficientsInto);
+	// (cH[t] = -q for the pair, cB = V*phi*p as in SlotCoefficients, or 0
+	// under a non-linear tariff);
 	// hCap[t] is the pair's processing cap.
 	linear []float64
 	hCap   []float64
@@ -175,10 +175,7 @@ func (sp *sparseSlot) refresh(cfg Config, st *model.State, q queue.Lengths, warm
 		}
 		if st.Price[i] != sp.prevPrice[i] {
 			sp.prevPrice[i] = st.Price[i]
-			b := sp.bOffC[i]
-			for k, stype := range c.DataCenters[i].Servers {
-				sp.linear[b+k] = cfg.V * st.Price[i] * stype.Power
-			}
+			sp.priceSite(cfg, st.Price[i], i)
 			touched = true
 		}
 		if touched {
@@ -236,20 +233,32 @@ func (sp *sparseSlot) rebuildIndex(cfg Config, st *model.State, q queue.Lengths,
 			sp.demand[t] = jt.Demand
 		}
 		sp.prevPrice[i] = st.Price[i]
-		b := sp.bOffC[i]
-		for k, stype := range c.DataCenters[i].Servers {
-			sp.linear[b+k] = cfg.V * st.Price[i] * stype.Power
-		}
+		sp.priceSite(cfg, st.Price[i], i)
 	}
 	sp.prevValid = true
 	sp.rebuilds++
 	sp.gen++
 }
 
+// priceSite writes site i's busy-server coefficients cB = V*phi*p_k for the
+// slot price phi. Under a non-linear tariff they are zero: the convex tariff
+// term of the objective carries the energy cost instead (attachTariff).
+func (sp *sparseSlot) priceSite(cfg Config, phi float64, i int) {
+	b := sp.bOffC[i]
+	linear := linearTariff(cfg.Tariff)
+	for k, stype := range sp.c.DataCenters[i].Servers {
+		if linear {
+			sp.linear[b+k] = cfg.V * phi * stype.Power
+		} else {
+			sp.linear[b+k] = 0
+		}
+	}
+}
+
 // ensureObjective (re)binds the compact convex objective to the current
-// index and slot total. The slotObjective struct is reused; only its slice
-// headers and totals move.
-func (sp *sparseSlot) ensureObjective(cfg Config, total float64) {
+// index and slot state. The slotObjective struct is reused; only its slice
+// headers, totals and tariff inputs move.
+func (sp *sparseSlot) ensureObjective(cfg Config, st *model.State) {
 	if sp.obj == nil {
 		m := sp.c.M()
 		sp.obj = &slotObjective{
@@ -260,22 +269,31 @@ func (sp *sparseSlot) ensureObjective(cfg Config, total float64) {
 			allocGrad: make([]float64, m),
 			allocDir:  make([]float64, m),
 		}
+		if !linearTariff(cfg.Tariff) {
+			sp.obj.attachTariff(sp.c, st, cfg.Tariff, cfg.V)
+		}
 		sp.wrapped = wrapSlotObjective(sp.obj)
+	} else if sp.obj.trf != nil {
+		sp.obj.refreshTariff(sp.c, st)
 	}
 	sp.obj.linear = sp.linear
 	sp.obj.nH = sp.nH
 	sp.obj.account = sp.account
 	sp.obj.demand = sp.demand
-	sp.obj.total = total
+	sp.obj.total = st.TotalResource(sp.c)
 }
 
-// oracle returns the compact greedy linear-minimization oracle: the same
-// per-site exchange as slotOracleWS, restricted to active pairs, writing a
-// vertex in compact layout.
+// oracle returns the compact linear-minimization oracle: the per-site greedy
+// exchange over active pairs, or the simplex LP when the cluster has
+// auxiliary rows, writing a vertex in compact layout. Negative b costs clamp
+// to zero: b only enters the objective with non-negative marginal cost, so a
+// negative one is roundoff.
 func (sp *sparseSlot) oracle(st *model.State) solve.LinearOracle {
 	return func(grad, out []float64) {
-		for j := range out {
-			out[j] = 0
+		clear(out)
+		if sp.c.Aux() > 0 {
+			_ = sp.solveAux(st, grad, out, true) // on error: the zero vertex
+			return
 		}
 		for i := 0; i < sp.c.N(); i++ {
 			sp.greedySite(st, i, grad, out, true)
@@ -283,11 +301,45 @@ func (sp *sparseSlot) oracle(st *model.State) solve.LinearOracle {
 	}
 }
 
+// solveAux minimizes cost.x over the slot polytope with the footnote-3
+// auxiliary rows by the simplex LP, writing the vertex into out (compact
+// layout). The LP is the reference builder
+// solveSlotLPGeneral, so the compact cost and caps are scattered into dense
+// per-call matrices, where a pair off the index has cost and cap zero. With
+// clampNegB, negative b costs clamp to zero as in greedySite.
+func (sp *sparseSlot) solveAux(st *model.State, cost, out []float64, clampNegB bool) error {
+	c := sp.c
+	cH, cB, hCap := newMatrixNJ(c), newMatrixNK(c), newMatrixNJ(c)
+	for i := 0; i < c.N(); i++ {
+		for t := sp.siteOff[i]; t < sp.siteOff[i+1]; t++ {
+			cH[i][sp.pairJ[t]] = cost[t]
+			hCap[i][sp.pairJ[t]] = sp.hCap[t]
+		}
+		for k := range cB[i] {
+			cB[i][k] = cost[sp.bOffC[i]+k]
+			if clampNegB && cB[i][k] < 0 {
+				cB[i][k] = 0
+			}
+		}
+	}
+	process, busy, _, err := solveSlotLPGeneral(c, st, cH, cB, hCap)
+	if err != nil {
+		return err
+	}
+	for i := 0; i < c.N(); i++ {
+		for t := sp.siteOff[i]; t < sp.siteOff[i+1]; t++ {
+			out[t] = process[i][sp.pairJ[t]]
+		}
+		copy(out[sp.bOffC[i]:sp.bOffC[i]+c.K(i)], busy[i])
+	}
+	return nil
+}
+
 // greedySite runs one site's greedy exchange over the site's active pairs
 // with the compact cost vector cost, adding the chosen vertex into out
 // (caller-zeroed, compact layout). With clampNegB, negative b costs clamp to
-// zero exactly as in slotOracleWS; without it they are an error, mirroring
-// solveLinearSlotWS.
+// zero exactly as in SlotOracle; without it they are an error, mirroring
+// solveLinearSlot.
 func (sp *sparseSlot) greedySite(st *model.State, i int, cost, out []float64, clampNegB bool) error {
 	c := sp.c
 	segs := sp.segs[:0]
@@ -329,97 +381,6 @@ func (sp *sparseSlot) greedySite(st *model.State, i int, cost, out []float64, cl
 	return nil
 }
 
-// repairWarm is repairWarmStart for the sparse path: it repairs the dense
-// warm vector in place against the compact caps without materializing a
-// dense hCap matrix, walking eligible pairs only — an ineligible pair holds
-// an exact zero and needs neither the finite check nor the clamp. An
-// inactive pair's cap is zero, so any mass there clamps away; the
-// capacity-row sums skip inactive pairs, whose terms are exact zeros, and
-// therefore match the dense sums float-for-float. The outcome classification
-// is identical to repairWarmStart on the dense coefficients. Auxiliary rows
-// are absent by construction: New rejects the sparse solvers on clusters
-// with auxiliary resources.
-func (sp *sparseSlot) repairWarm(st *model.State, x []float64) warmOutcome {
-	c := sp.c
-	n, nJ := c.N(), c.J()
-	repaired := false
-	for i := 0; i < n; i++ {
-		base := i * nJ
-		for _, j := range sp.eligibleAt(i) {
-			idx := base + j
-			v := x[idx]
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return warmFallback
-			}
-			if sp.active[idx] {
-				continue // clamped against the compact cap below
-			}
-			if v != 0 { // cap is 0 off the active index
-				x[idx] = 0
-				repaired = true
-			}
-		}
-		for t := sp.siteOff[i]; t < sp.siteOff[i+1]; t++ {
-			idx := sp.denseIdx[t]
-			v := x[idx]
-			w := v
-			if w < 0 {
-				w = 0
-			}
-			if cap := sp.hCap[t]; w > cap {
-				w = cap
-			}
-			if w != v {
-				x[idx] = w
-				repaired = true
-			}
-		}
-		for k := 0; k < c.K(i); k++ {
-			idx := sp.l.bOff[i] + k
-			v := x[idx]
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return warmFallback
-			}
-			w := v
-			if w < 0 {
-				w = 0
-			}
-			if avail := st.Avail[i][k]; w > avail {
-				w = avail
-			}
-			if w != v {
-				x[idx] = w
-				repaired = true
-			}
-		}
-
-		// Capacity row (eq. 11) over active pairs; inactive pairs are exact
-		// zeros after the clamp above.
-		work := 0.0
-		for t := sp.siteOff[i]; t < sp.siteOff[i+1]; t++ {
-			work += sp.demand[t] * x[sp.denseIdx[t]]
-		}
-		capWork := 0.0
-		for k, stype := range c.DataCenters[i].Servers {
-			capWork += stype.Speed * x[sp.l.bOff[i]+k]
-		}
-		if work > capWork*(1+warmFeasEps) {
-			if capWork < warmCollapseScale*work {
-				return warmFallback
-			}
-			scale := capWork / work
-			for t := sp.siteOff[i]; t < sp.siteOff[i+1]; t++ {
-				x[sp.denseIdx[t]] *= scale
-			}
-			repaired = true
-		}
-	}
-	if repaired {
-		return warmRepaired
-	}
-	return warmHit
-}
-
 // gather copies the dense (h, b) vector x into the compact vector out.
 func (sp *sparseSlot) gather(x, out []float64) {
 	for t := 0; t < sp.nH; t++ {
@@ -450,53 +411,25 @@ func (sp *sparseSlot) scatterWarm(x, warm []float64) {
 	}
 }
 
-// decideProcessingSparse is decideProcessing on the sparse representation:
-// refresh the active-pair index incrementally, solve on the compact layout
-// (greedy for linear slots, compact Frank-Wolfe otherwise), scatter the
-// clamped h into the action, and provision exactly as the dense path does.
-func (g *GreFar) decideProcessingSparse(st *model.State, q queue.Lengths, act *model.Action, stats *telemetry.SolveStats) error {
-	c, ws := g.cluster, g.ws
-	sp := ws.sparse
-	var warmRef []float64
-	if ws.warmValid {
-		warmRef = ws.warm
-	}
-	sp.refresh(g.cfg, st, q, warmRef)
-
-	var err error
-	if g.linearSlot() {
-		err = g.solveSparseLinear(st, act, stats)
-	} else {
-		err = g.solveSparseQuadratic(st, act, stats)
-	}
-	if err != nil {
-		return err
-	}
-
-	for i := 0; i < c.N(); i++ {
-		// act.WorkAt(c, i) over the site's active pairs: the action processes
-		// nothing anywhere else, and a zero term changes no bit of the sum.
-		work := 0.0
-		for t := sp.siteOff[i]; t < sp.siteOff[i+1]; t++ {
-			work += act.Process[i][sp.pairJ[t]] * sp.demand[t]
-		}
-		if _, err := model.ProvisionOrdered(c.DataCenters[i], ws.provOrder[i], st.Avail[i], act.Busy[i], work); err != nil {
-			return fmt.Errorf("data center %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// solveSparseLinear is the beta = 0 slot solve on the compact layout: the
-// per-site greedy exchange over active pairs, site by site.
-func (g *GreFar) solveSparseLinear(st *model.State, act *model.Action, stats *telemetry.SolveStats) error {
+// solveLinear is the linear slot solve on the compact layout: the
+// per-site greedy exchange over active pairs, site by site, or the simplex
+// LP when auxiliary rows break the single-constraint greedy.
+func (g *GreFar) solveLinear(st *model.State, act *model.Action, stats *telemetry.SolveStats) error {
 	c := g.cluster
 	sp := g.ws.sparse
 	sp.vertex = resizeFloats(sp.vertex, sp.total)
 	clear(sp.vertex)
-	for i := 0; i < c.N(); i++ {
-		if err := sp.greedySite(st, i, sp.linear, sp.vertex, false); err != nil {
+	solver := telemetry.SolverGreedy
+	if c.Aux() > 0 {
+		solver = telemetry.SolverLP
+		if err := sp.solveAux(st, sp.linear, sp.vertex, false); err != nil {
 			return err
+		}
+	} else {
+		for i := 0; i < c.N(); i++ {
+			if err := sp.greedySite(st, i, sp.linear, sp.vertex, false); err != nil {
+				return err
+			}
 		}
 	}
 	for i := 0; i < c.N(); i++ {
@@ -505,23 +438,23 @@ func (g *GreFar) solveSparseLinear(st *model.State, act *model.Action, stats *te
 		}
 	}
 	if stats != nil {
-		*stats = telemetry.SolveStats{Solver: telemetry.SolverGreedy, Iterations: 1, Converged: true}
-		// The dense linear path never reports options, and Auto must read
-		// exactly like it.
-		if g.cfg.Solver != SolverAuto {
-			g.attachSolverOptions(stats, g.cfg.FW)
-		}
+		*stats = telemetry.SolveStats{Solver: solver, Iterations: 1, Converged: true}
 	}
 	return nil
 }
 
-// solveSparseQuadratic is solveQuadraticSlot on the compact layout: same
-// Frank-Wolfe machinery, same warm-start protocol against the canonical
-// dense warm buffer, bit-identical iterates (see the file comment).
-func (g *GreFar) solveSparseQuadratic(st *model.State, act *model.Action, stats *telemetry.SolveStats) error {
-	c, ws := g.cluster, g.ws
+// solveConvex is the convex slot solve (beta > 0 or a non-linear
+// tariff): Frank-Wolfe over the compact layout, whose fairness penalty
+// V*beta*P(alloc(h)) couples job types of the same account across sites.
+// With the paper's quadratic fairness (and a tariff of constant curvature)
+// it uses exact line search; other convex penalties (alpha-fair) use
+// diminishing steps. It starts from the previous slot's iterate — kept in
+// the slotLayout order SchedulerState carries — repaired in place against
+// this slot's caps, or from zero (see warmStart).
+func (g *GreFar) solveConvex(st *model.State, act *model.Action, stats *telemetry.SolveStats) error {
+	ws := g.ws
 	sp := ws.sparse
-	sp.ensureObjective(g.cfg, st.TotalResource(c))
+	sp.ensureObjective(g.cfg, st)
 	oracle := sp.oracle(st)
 
 	opts := g.cfg.FW
@@ -557,7 +490,7 @@ func (g *GreFar) solveSparseQuadratic(st *model.State, act *model.Action, stats 
 }
 
 // clampProcess scatters the compact iterate's h block into the action,
-// clamped into [0, hCap] exactly as the dense path clamps its result.
+// clamped into [0, hCap].
 func (sp *sparseSlot) clampProcess(x []float64, act *model.Action) {
 	for i := 0; i < sp.c.N(); i++ {
 		for t := sp.siteOff[i]; t < sp.siteOff[i+1]; t++ {
@@ -582,16 +515,12 @@ func (g *GreFar) attachWarmStats(stats *telemetry.SolveStats, warm string) {
 }
 
 // attachSolverOptions attaches the effective solver options to the first
-// telemetry event of a non-default-configured scheduler (same latch as the
-// dense path).
+// convex-slot telemetry event of a scheduler with non-default solver knobs.
 func (g *GreFar) attachSolverOptions(stats *telemetry.SolveStats, opts solve.FWOptions) {
 	if !g.reportOpts || g.optsReported {
 		return
 	}
 	stats.Options = &telemetry.SolverOptions{MaxIters: opts.MaxIters, Tol: opts.Tol}
-	if g.cfg.Solver != SolverAuto {
-		stats.Options.Solver = g.cfg.Solver.String()
-	}
 	g.optsReported = true
 }
 

@@ -1,10 +1,9 @@
 package core
 
 import (
-	"errors"
 	"fmt"
-	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -138,79 +137,97 @@ const (
 	pinnedRefConvex = "62fa4f77cd272ab60dc61744fcc77c9c2a7c1e4319761142f056bc1c6db739cc"
 	pinnedOddLinear = "cb1fd5dc83ccd82928e45ad5545c676af1e432529f31c0e0c58dda511ab90cd6"
 	pinnedOddConvex = "02476654032f4393bec2c9f4d2b02e4b5dc4723fbbd2216c020f6f7ae26a4fee"
+
+	// V = 40 on auxCluster (the simplex LP and its Frank-Wolfe oracle) and on
+	// twoSiteCluster, both under tariff.Quadratic(20) where named.
+	pinnedAuxLinear  = "71570195eb67677cf18c0578401af974f6b8213066295c7ebdffd4a6777cb7da"
+	pinnedAuxTariff  = "540dfb242d3e8fa658c58fc7618af9109312c5cf4fb7339016400cd4c874e8ed"
+	pinnedTariff     = "f4e710293c83148cf72381f94a4f40cbac58af32f7b69c5a3a21fcce3a7ea118"
+	pinnedTariffFair = "081183001d7a44ae67a6b0ab872214bf983c6f89099fd06615bff614b4583804"
 )
 
 // TestSparseDecideBitIdentical replays the default scheduler over an
 // evolving slot sequence and requires every decision and exported state bit
 // the dense layout produced — the linear path and the (warm-started) convex
-// path.
+// path, and both again with auxiliary resource rows and under a convex
+// tariff.
 func TestSparseDecideBitIdentical(t *testing.T) {
-	c := refCluster(t)
+	quad, err := tariff.NewQuadratic(20)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name, want string
+		c          *model.Cluster
 		cfg        Config
 	}{
-		{"beta=0", pinnedRefLinear, Config{V: 7.5}},
-		{"beta=100", pinnedRefConvex, Config{V: 7.5, Beta: 100}},
+		{"beta=0", pinnedRefLinear, refCluster(t), Config{V: 7.5}},
+		{"beta=100", pinnedRefConvex, refCluster(t), Config{V: 7.5, Beta: 100}},
+		{"aux/beta=0", pinnedAuxLinear, auxCluster(), Config{V: 40}},
+		{"aux/tariff", pinnedAuxTariff, auxCluster(), Config{V: 40, Tariff: quad}},
+		{"tariff/beta=0", pinnedTariff, twoSiteCluster(), Config{V: 40, Tariff: quad}},
+		{"tariff/beta=100", pinnedTariffFair, twoSiteCluster(), Config{V: 40, Beta: 100, Tariff: quad}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := decisionDigest(t, c, tc.cfg, 30); got != tc.want {
+			if got := decisionDigest(t, tc.c, tc.cfg, 30); got != tc.want {
 				t.Errorf("decision digest %s, dense layout recorded %s", got, tc.want)
 			}
 		})
 	}
 }
 
-// TestAutoResolvesRepresentation pins what SolverAuto picks and what it
-// allocates: the compact representation, and none of the dense N*J
-// coefficient, gradient, or greedy scratch, whenever the cluster has no
-// auxiliary resources and the tariff is linear or absent; the dense layout —
-// built without error, where SolverSparse is one — on the inputs the compact
-// representation does not cover. Either way the scheduler decides.
+// TestAutoResolvesRepresentation pins what every configuration runs on and
+// allocates: the compact representation, auxiliary resources and non-linear
+// tariffs included. Building a scheduler for a 200x100 cluster must cost
+// less than its warm iterate plus one N*J float matrix, so no N*J
+// coefficient, gradient or greedy matrix can hide in the workspace. Either
+// way the scheduler decides feasibly on the small cluster.
 func TestAutoResolvesRepresentation(t *testing.T) {
 	quadTariff, err := tariff.NewQuadratic(20)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cases := []struct {
-		name    string
-		c       *model.Cluster
-		cfg     Config
-		compact bool
+		name string
+		c    *model.Cluster
+		aux  bool // give the 200x100 cluster an auxiliary resource row
+		cfg  Config
 	}{
-		{"reference-linear", refCluster(t), Config{V: 7.5}, true},
-		{"reference-convex", refCluster(t), Config{V: 7.5, Beta: 100}, true},
-		{"linear-tariff", refCluster(t), Config{V: 7.5, Beta: 100, Tariff: tariff.Linear{}}, true},
-		{"auxiliary-resources", auxCluster(), Config{V: 1, Beta: 5}, false},
-		{"quadratic-tariff", twoSiteCluster(), Config{V: 2, Tariff: quadTariff}, false},
+		{"reference-linear", refCluster(t), false, Config{V: 7.5}},
+		{"reference-convex", refCluster(t), false, Config{V: 7.5, Beta: 100}},
+		{"linear-tariff", refCluster(t), false, Config{V: 7.5, Beta: 100, Tariff: tariff.Linear{}}},
+		{"auxiliary-resources", auxCluster(), true, Config{V: 1, Beta: 5}},
+		{"quadratic-tariff", twoSiteCluster(), false, Config{V: 2, Tariff: quadTariff}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			big := stripedCluster(t, 200, 100, 10)
+			if tc.aux {
+				for i := range big.DataCenters {
+					big.DataCenters[i].AuxCapacity = []float64{50}
+				}
+				for j := range big.JobTypes {
+					big.JobTypes[j].AuxDemand = []float64{1 + float64(j%4)}
+				}
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			gBig, err := New(big, tc.cfg)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			budget := 8 * (big.N()*big.J() + len(gBig.ws.warm))
+			if got := int(after.TotalAlloc - before.TotalAlloc); got >= budget {
+				t.Errorf("New allocated %d bytes on a 200x100 cluster, want < %d (warm iterate plus one N*J matrix)", got, budget)
+			}
+			if wantWarm := !gBig.linearSlot(); (gBig.ws.warm != nil) != wantWarm {
+				t.Errorf("warm buffer allocated = %v, want %v", gBig.ws.warm != nil, wantWarm)
+			}
+
 			g, err := New(tc.c, tc.cfg)
 			if err != nil {
 				t.Fatalf("default solver rejected the configuration: %v", err)
-			}
-			if g.compact != tc.compact {
-				t.Fatalf("compact = %v, want %v", g.compact, tc.compact)
-			}
-			ws := g.ws
-			if tc.compact {
-				if ws.sparse == nil {
-					t.Fatal("compact scheduler has no sparse slot")
-				}
-				if ws.cH != nil || ws.cB != nil || ws.hCap != nil || ws.lin.out.process != nil ||
-					ws.linear != nil || ws.gradH != nil || ws.gradB != nil || ws.process != nil {
-					t.Error("compact scheduler allocated dense scratch")
-				}
-			} else {
-				if ws.sparse != nil {
-					t.Error("dense scheduler allocated a sparse slot")
-				}
-				sparseCfg := tc.cfg
-				sparseCfg.Solver = SolverSparse
-				if _, err := New(tc.c, sparseCfg); !errors.Is(err, ErrBadConfig) {
-					t.Errorf("SolverSparse on the same inputs: got %v, want ErrBadConfig", err)
-				}
 			}
 			c := tc.c
 			prices := make([]float64, c.N())
@@ -466,89 +483,4 @@ func stripedCluster(tb testing.TB, n, nJ, stripes int) *model.Cluster {
 		tb.Fatal(err)
 	}
 	return c
-}
-
-// TestSparseRepairWarmMatchesDense runs sparseSlot.repairWarm against the
-// dense repairWarmStart on the same iterates over a 200x100 stream with a
-// tenth of the pairs eligible: the iterate a warm-started scheduler carries
-// from slot to slot, sometimes perturbed on eligible pairs and busy-server
-// variables (negative values, values above their cap), under backlogs that
-// drain and availability that now and then collapses at one site. The two
-// must classify every iterate alike and, unless both give it up, leave the
-// same bytes — which a second pass of either must then accept as they are.
-func TestSparseRepairWarmMatchesDense(t *testing.T) {
-	c := stripedCluster(t, 200, 100, 10)
-	cfg := Config{V: 7.5, Beta: 100}
-	g, err := New(c, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := newSlotLayout(c)
-	rng := rand.New(rand.NewSource(2012))
-	st := model.NewState(c)
-	q := queue.Lengths{Central: make([]float64, c.J()), Local: make([][]float64, c.N())}
-	for i := range q.Local {
-		q.Local[i] = make([]float64, c.J())
-	}
-	sp := newSparseSlot(c)
-	outcomes := make(map[warmOutcome]int)
-	// repairBoth repairs one copy of x each way and returns the outcome and
-	// the repaired iterate (nil when both fell back).
-	repairBoth := func(s int, x []float64) (warmOutcome, []float64) {
-		xs, xd := append([]float64(nil), x...), append([]float64(nil), x...)
-		sp.refresh(cfg, st, q, xs)
-		_, _, hCap := SlotCoefficients(c, cfg, st, q)
-		got, want := sp.repairWarm(st, xs), repairWarmStart(c, st, hCap, l, xd)
-		if got != want {
-			t.Fatalf("slot %d: sparse repair says %v, dense %v", s, got, want)
-		}
-		outcomes[want]++
-		if want == warmFallback {
-			return want, nil
-		}
-		for idx := range xd {
-			if math.Float64bits(xs[idx]) != math.Float64bits(xd[idx]) {
-				t.Fatalf("slot %d: variable %d repaired to %v, dense %v", s, idx, xs[idx], xd[idx])
-			}
-		}
-		return want, xs
-	}
-	for s := 0; s < 40; s++ {
-		for i := 0; i < c.N(); i++ {
-			st.Price[i] = 0.3 + 0.4*rng.Float64()
-			st.Avail[i][0], st.Avail[i][1] = float64(2+rng.Intn(4)), float64(1+rng.Intn(4))
-			for j := range q.Local[i] {
-				q.Local[i][j] = 0
-				if c.JobTypes[j].EligibleSet(i) && rng.Intn(4) != 0 {
-					q.Local[i][j] = float64(rng.Intn(12))
-				}
-			}
-		}
-		if s%5 == 4 {
-			i := rng.Intn(c.N())
-			st.Avail[i][0], st.Avail[i][1] = 0.1, 0
-		}
-		if g.ws.warmValid {
-			x := append([]float64(nil), g.ws.warm...)
-			if s%2 == 0 {
-				for n := 0; n < 50; n++ {
-					j := rng.Intn(c.J())
-					i := c.JobTypes[j].Eligible[rng.Intn(len(c.JobTypes[j].Eligible))]
-					x[l.hIndex(i, j)] = 12*rng.Float64() - 2
-					x[l.bOff[rng.Intn(c.N())]+rng.Intn(2)] = 6*rng.Float64() - 1
-				}
-			}
-			if outcome, repaired := repairBoth(s, x); outcome != warmFallback {
-				if again, _ := repairBoth(s, repaired); again != warmHit {
-					t.Fatalf("slot %d: a repaired iterate needed repair again (%v)", s, again)
-				}
-			}
-		}
-		if _, err := g.Decide(s, st, q); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if outcomes[warmHit] == 0 || outcomes[warmRepaired] == 0 || outcomes[warmFallback] == 0 {
-		t.Errorf("stream did not reach every outcome: %v", outcomes)
-	}
 }

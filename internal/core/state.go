@@ -20,14 +20,14 @@ import (
 // States written before the decomposed solver was removed may also carry its
 // ADMM duals as DecomposedU and DecomposedZ. gob drops fields the type no
 // longer has, so such a checkpoint decodes and restores without them: the
-// warm iterate it carries is the dense-layout one every kind shares.
+// warm iterate it carries is the dense-layout one every kind wrote.
 type SchedulerState struct {
-	// Warm is the previous slot's (h, b) iterate in slotLayout order, the
-	// seed of the next warm-started solve — the dense layout under every
-	// solver kind, so a state exported under one representation restores
-	// under another. Nil for schedulers whose configuration never reaches the
-	// convex path (V = 0, or beta = 0 with a linear tariff), whatever the
-	// kind.
+	// Warm is the previous slot's (h, b) iterate in the dense slotLayout
+	// order, the seed of the next warm-started solve. Decide solves on the
+	// compact layout but keeps this one, so every state written under any
+	// former solver kind restores. Nil for schedulers whose configuration
+	// never reaches the convex path (V = 0, or beta = 0 with a linear
+	// tariff).
 	Warm []float64
 	// WarmValid reports whether Warm holds a real iterate (false before the
 	// first convex solve).
@@ -94,7 +94,7 @@ func (g *GreFar) RestoreState(st *SchedulerState) error {
 		for j := range c.JobTypes {
 			jt := &c.JobTypes[j]
 			for i := 0; i < c.N(); i++ {
-				if v := st.Warm[g.ws.layout.hIndex(i, j)]; v != 0 && !jt.EligibleSet(i) {
+				if v := st.Warm[g.ws.sparse.l.hIndex(i, j)]; v != 0 && !jt.EligibleSet(i) {
 					return fmt.Errorf("%w: warm iterate carries %v on job type %d at data center %d, where it is not eligible",
 						ErrBadConfig, v, j, i)
 				}

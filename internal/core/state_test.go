@@ -46,10 +46,10 @@ func stateTestWorld(t *testing.T, c *model.Cluster, slots int) ([]*model.State, 
 // TestSchedulerStateRoundTrip drives a warm-starting beta > 0 scheduler for a
 // prefix of slots, exports its state into a fresh instance, and requires the
 // continuation's decisions to be byte-identical to the uninterrupted run —
-// under the default solver, and across representations: a state exported
-// under SolverMonolithic (the dense layout every checkpoint was written under
-// before the default moved to the compact one) restores into the default,
-// and back, because the state is the dense-layout iterate either way.
+// under the default configuration, and across the deprecated solver-kind
+// names, which are accepted and ignored: a state exported by a scheduler
+// configured with SolverMonolithic (the kind that named the dense layout
+// many checkpoints were written under) restores into the default, and back.
 func TestSchedulerStateRoundTrip(t *testing.T) {
 	c := model.NewReferenceCluster()
 	const slots, split = 24, 12
@@ -122,44 +122,41 @@ func TestSchedulerStateRoundTrip(t *testing.T) {
 }
 
 // TestSchedulerStateLinearPath checks that a scheduler whose slot problem is
-// linear (beta = 0, or V = 0) exports an empty (but restorable) state under
-// every solver kind, after deciding as well as before: a snapshot of such a
-// session carries no warm vector whichever representation ran it.
+// linear (beta = 0, or V = 0) exports an empty (but restorable) state, after
+// deciding as well as before: a snapshot of such a session carries no warm
+// vector.
 func TestSchedulerStateLinearPath(t *testing.T) {
 	c := model.NewReferenceCluster()
 	states, lengths := stateTestWorld(t, c, 3)
-	for _, kind := range []SolverKind{SolverAuto, SolverMonolithic, SolverSparse} {
-		for _, cfg := range []Config{{V: 7.5}, {V: 0, Beta: 100}} {
-			cfg.Solver = kind
-			g, err := New(c, cfg)
-			if err != nil {
+	for _, cfg := range []Config{{V: 7.5}, {V: 0, Beta: 100}} {
+		g, err := New(c, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s := range states {
+			if st := g.ExportState(); st.Warm != nil || st.WarmValid {
+				t.Fatalf("%+v slot %d: linear-path scheduler exported warm state", cfg, s)
+			}
+			if _, err := g.Decide(s, states[s], lengths[s]); err != nil {
 				t.Fatal(err)
 			}
-			for s := range states {
-				if st := g.ExportState(); st.Warm != nil || st.WarmValid {
-					t.Fatalf("%v %+v slot %d: linear-path scheduler exported warm state", kind, cfg, s)
-				}
-				if _, err := g.Decide(s, states[s], lengths[s]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			st := g.ExportState()
-			g2, err := New(c, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := g2.RestoreState(st); err != nil {
-				t.Fatal(err)
-			}
-			if err := g2.RestoreState(nil); err != nil {
-				t.Fatal(err)
-			}
-			// What a linear-slot sparse scheduler exported before it stopped
-			// allocating the buffer: a zero iterate marked not valid.
-			old := &SchedulerState{Warm: make([]float64, newSlotLayout(c).total)}
-			if err := g2.RestoreState(old); err != nil {
-				t.Errorf("%v %+v: unused zero iterate rejected: %v", kind, cfg, err)
-			}
+		}
+		st := g.ExportState()
+		g2, err := New(c, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := g2.RestoreState(st); err != nil {
+			t.Fatal(err)
+		}
+		if err := g2.RestoreState(nil); err != nil {
+			t.Fatal(err)
+		}
+		// What a linear-slot compact scheduler exported before it stopped
+		// allocating the buffer: a zero iterate marked not valid.
+		old := &SchedulerState{Warm: make([]float64, newSlotLayout(c).total)}
+		if err := g2.RestoreState(old); err != nil {
+			t.Errorf("%+v: unused zero iterate rejected: %v", cfg, err)
 		}
 	}
 }
@@ -199,85 +196,82 @@ func TestSchedulerStateRejectsMismatch(t *testing.T) {
 // TestRestoreRejectsIneligibleWarmMass: a warm iterate with a value on a pair
 // whose job type may not run at that site is one no scheduler can export.
 // Restoring it used to succeed — the first Decide clamped the value away and
-// booked a "repaired" warm start — and would, now that the compact repair
-// walks eligible pairs only, ride along unseen. It is rejected under every
-// solver kind before anything is copied: the scheduler's own state is
-// unchanged, and the corrected state then restores and the decision stream
-// continues bit-identically.
+// booked a "repaired" warm start — and would, now that the repair walks
+// eligible pairs only, ride along unseen. It is rejected before anything is
+// copied: the scheduler's own state is unchanged, and the corrected state
+// then restores and the decision stream continues bit-identically.
 func TestRestoreRejectsIneligibleWarmMass(t *testing.T) {
 	c := oddEligibilityCluster(t)
 	const slots, split = 20, 10
 	states, lengths := stateTestWorld(t, c, slots)
 	l := newSlotLayout(c)
 	ineligible := l.hIndex(1, 0) // site 1 runs no job type at all
-	for _, kind := range []SolverKind{SolverAuto, SolverMonolithic, SolverSparse} {
-		for _, planted := range []float64{3, -2} {
-			build := func() *GreFar {
-				g, err := New(c, Config{V: 7.5, Beta: 100, Solver: kind})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return g
-			}
-			full := build()
-			var want []*model.Action
-			for s := 0; s < slots; s++ {
-				act, err := full.Decide(s, states[s], lengths[s])
-				if err != nil {
-					t.Fatal(err)
-				}
-				if s >= split {
-					want = append(want, act.Clone()) // act is rewritten by the next Decide
-				}
-				if s == split-1 {
-					if v := full.ExportState().Warm[ineligible]; v != 0 {
-						t.Fatalf("%v: scheduler exported %v on an ineligible pair", kind, v)
-					}
-				}
-			}
-
-			first := build()
-			for s := 0; s < split; s++ {
-				if _, err := first.Decide(s, states[s], lengths[s]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			good := first.ExportState()
-			bad := *good
-			bad.Warm = append([]float64(nil), good.Warm...)
-			bad.Warm[ineligible] = planted
-			bad.WarmHits += 100
-
-			// Into a scheduler with a trajectory of its own, so that "nothing
-			// was copied" is visible.
-			second := build()
-			for s := 0; s < 3; s++ {
-				if _, err := second.Decide(s, states[s], lengths[s]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			before := second.ExportState()
-			if err := second.RestoreState(&bad); !errors.Is(err, ErrBadConfig) {
-				t.Fatalf("%v planted %v: got %v, want ErrBadConfig", kind, planted, err)
-			}
-			if !reflect.DeepEqual(second.ExportState(), before) {
-				t.Fatalf("%v planted %v: rejected restore changed the scheduler's state", kind, planted)
-			}
-			if err := second.RestoreState(good); err != nil {
+	build := func() *GreFar {
+		g, err := New(c, Config{V: 7.5, Beta: 100})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	for _, planted := range []float64{3, -2} {
+		full := build()
+		var want []*model.Action
+		for s := 0; s < slots; s++ {
+			act, err := full.Decide(s, states[s], lengths[s])
+			if err != nil {
 				t.Fatal(err)
 			}
-			for s := split; s < slots; s++ {
-				act, err := second.Decide(s, states[s], lengths[s])
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(act, want[s-split]) {
-					t.Fatalf("%v: slot %d after the corrected restore diverged from the uninterrupted run", kind, s)
+			if s >= split {
+				want = append(want, act.Clone()) // act is rewritten by the next Decide
+			}
+			if s == split-1 {
+				if v := full.ExportState().Warm[ineligible]; v != 0 {
+					t.Fatalf("scheduler exported %v on an ineligible pair", v)
 				}
 			}
-			if !reflect.DeepEqual(second.ExportState(), full.ExportState()) {
-				t.Errorf("%v: final scheduler states differ", kind)
+		}
+
+		first := build()
+		for s := 0; s < split; s++ {
+			if _, err := first.Decide(s, states[s], lengths[s]); err != nil {
+				t.Fatal(err)
 			}
+		}
+		good := first.ExportState()
+		bad := *good
+		bad.Warm = append([]float64(nil), good.Warm...)
+		bad.Warm[ineligible] = planted
+		bad.WarmHits += 100
+
+		// Into a scheduler with a trajectory of its own, so that "nothing
+		// was copied" is visible.
+		second := build()
+		for s := 0; s < 3; s++ {
+			if _, err := second.Decide(s, states[s], lengths[s]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := second.ExportState()
+		if err := second.RestoreState(&bad); !errors.Is(err, ErrBadConfig) {
+			t.Fatalf("planted %v: got %v, want ErrBadConfig", planted, err)
+		}
+		if !reflect.DeepEqual(second.ExportState(), before) {
+			t.Fatalf("planted %v: rejected restore changed the scheduler's state", planted)
+		}
+		if err := second.RestoreState(good); err != nil {
+			t.Fatal(err)
+		}
+		for s := split; s < slots; s++ {
+			act, err := second.Decide(s, states[s], lengths[s])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(act, want[s-split]) {
+				t.Fatalf("slot %d after the corrected restore diverged from the uninterrupted run", s)
+			}
+		}
+		if !reflect.DeepEqual(second.ExportState(), full.ExportState()) {
+			t.Error("final scheduler states differ")
 		}
 	}
 }

@@ -6,8 +6,8 @@ import (
 	"grefar/internal/model"
 )
 
-// warmOutcome classifies one warm-start attempt; solveQuadraticSlot maps it
-// to the telemetry Warm* constants and counters.
+// warmOutcome classifies one warm-start attempt; GreFar.warmStart maps it to
+// the telemetry Warm* constants and counters.
 type warmOutcome int
 
 const (
@@ -37,85 +37,109 @@ const warmCollapseScale = 0.1
 // relative, six orders below the model's feasibilityTol.
 const warmFeasEps = 1e-12
 
-// repairWarmStart clamps and rescales x — a previous slot's (h, b) iterate
-// in slotLayout order — into the current slot's feasible set, in place.
+// repairWarm clamps and rescales x — a previous slot's (h, b) iterate in
+// slotLayout order, the warm buffer SchedulerState carries — into the
+// current slot's feasible set, in place, against the compact caps the last
+// refresh built.
 //
-// Per site, the repair (1) clamps h into [0, hCap] and b into
-// [0, avail]; (2) restores the capacity row sum_j d_j*h <= sum_k s_k*b by
-// scaling the site's h block down (scaling down is always safe: it keeps the
-// box and only loosens the auxiliary rows); and (3) restores each auxiliary
-// row the same way. Every move shrinks h, so the steps cannot un-repair each
+// Per site, the repair (1) clamps h into [0, hCap] and b into [0, avail];
+// (2) restores the capacity row sum_j d_j*h <= sum_k s_k*b by scaling the
+// site's h block down (scaling down is always safe: it keeps the box and only
+// loosens the auxiliary rows); and (3) restores each auxiliary row (footnote
+// 3) the same way. Every move shrinks h, so the steps cannot un-repair each
 // other and a single pass suffices.
+//
+// It walks eligible pairs only: an ineligible pair holds an exact zero
+// (RestoreState rejects an iterate that would put mass there) and needs
+// neither the finite check nor the clamp. An inactive pair's cap is zero, so
+// any mass there clamps away, and the row sums skip inactive pairs, whose
+// terms are then exact zeros.
 //
 // It returns warmHit when nothing needed repair, warmRepaired when the
 // result is feasible but was moved, and warmFallback when the iterate is
 // non-finite or a coupling row would force a site's h block below
 // warmCollapseScale of itself — in which case x is left in an unspecified
 // state and the caller must use the zero start.
-func repairWarmStart(c *model.Cluster, st *model.State, hCap [][]float64, l slotLayout, x []float64) warmOutcome {
+func (sp *sparseSlot) repairWarm(st *model.State, x []float64) warmOutcome {
+	c := sp.c
+	n, nJ := c.N(), c.J()
 	repaired := false
-	for i := 0; i < c.N(); i++ {
-		for j := 0; j < c.J(); j++ {
-			idx := l.hIndex(i, j)
+	for i := 0; i < n; i++ {
+		base := i * nJ
+		for _, j := range sp.eligibleAt(i) {
+			idx := base + j
 			v := x[idx]
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				return warmFallback
 			}
-			if v < 0 {
-				v = 0
+			if sp.active[idx] {
+				continue // clamped against the compact cap below
 			}
-			if cap := hCap[i][j]; v > cap {
-				v = cap
+			if v != 0 { // cap is 0 off the active index
+				x[idx] = 0
+				repaired = true
 			}
-			if v != x[idx] {
-				x[idx] = v
+		}
+		for t := sp.siteOff[i]; t < sp.siteOff[i+1]; t++ {
+			idx := sp.denseIdx[t]
+			v := x[idx]
+			w := v
+			if w < 0 {
+				w = 0
+			}
+			if cap := sp.hCap[t]; w > cap {
+				w = cap
+			}
+			if w != v {
+				x[idx] = w
 				repaired = true
 			}
 		}
 		for k := 0; k < c.K(i); k++ {
-			idx := l.bOff[i] + k
+			idx := sp.l.bOff[i] + k
 			v := x[idx]
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				return warmFallback
 			}
-			if v < 0 {
-				v = 0
+			w := v
+			if w < 0 {
+				w = 0
 			}
-			if avail := st.Avail[i][k]; v > avail {
-				v = avail
+			if avail := st.Avail[i][k]; w > avail {
+				w = avail
 			}
-			if v != x[idx] {
-				x[idx] = v
+			if w != v {
+				x[idx] = w
 				repaired = true
 			}
 		}
 
 		// Capacity row (eq. 11): sum_j d_j h_{i,j} <= sum_k s_k b_{i,k}.
 		work := 0.0
-		for j := 0; j < c.J(); j++ {
-			work += c.JobTypes[j].Demand * x[l.hIndex(i, j)]
+		for t := sp.siteOff[i]; t < sp.siteOff[i+1]; t++ {
+			work += sp.demand[t] * x[sp.denseIdx[t]]
 		}
 		capWork := 0.0
 		for k, stype := range c.DataCenters[i].Servers {
-			capWork += stype.Speed * x[l.bOff[i]+k]
+			capWork += stype.Speed * x[sp.l.bOff[i]+k]
 		}
 		if work > capWork*(1+warmFeasEps) {
 			if capWork < warmCollapseScale*work {
 				return warmFallback
 			}
 			scale := capWork / work
-			for j := 0; j < c.J(); j++ {
-				x[l.hIndex(i, j)] *= scale
+			for t := sp.siteOff[i]; t < sp.siteOff[i+1]; t++ {
+				x[sp.denseIdx[t]] *= scale
 			}
 			repaired = true
 		}
 
-		// Auxiliary rows (footnote 3): sum_j AuxDemand_{j,r} h_{i,j} <= cap_r.
+		// Auxiliary rows: sum_j AuxDemand_{j,r} h_{i,j} <= cap_r.
 		for r := 0; r < c.Aux(); r++ {
 			usage := 0.0
-			for j := 0; j < c.J(); j++ {
-				if r < len(c.JobTypes[j].AuxDemand) {
-					usage += c.JobTypes[j].AuxDemand[r] * x[l.hIndex(i, j)]
+			for t := sp.siteOff[i]; t < sp.siteOff[i+1]; t++ {
+				if aux := c.JobTypes[sp.pairJ[t]].AuxDemand; r < len(aux) {
+					usage += aux[r] * x[sp.denseIdx[t]]
 				}
 			}
 			capR := c.DataCenters[i].AuxCapacity[r]
@@ -124,8 +148,8 @@ func repairWarmStart(c *model.Cluster, st *model.State, hCap [][]float64, l slot
 					return warmFallback
 				}
 				scale := capR / usage
-				for j := 0; j < c.J(); j++ {
-					x[l.hIndex(i, j)] *= scale
+				for t := sp.siteOff[i]; t < sp.siteOff[i+1]; t++ {
+					x[sp.denseIdx[t]] *= scale
 				}
 				repaired = true
 			}

@@ -51,16 +51,24 @@ func warmTestSlotFeasible(t *testing.T, c *model.Cluster, st *model.State, hCap 
 	}
 }
 
-// TestRepairWarmStartOutcomes unit-tests the repair state machine: a
-// feasible iterate passes untouched, box and capacity violations are
-// repaired into feasibility, a capacity collapse or non-finite entry forces
-// the fallback.
+// TestRepairWarmStartOutcomes unit-tests the repair state machine of
+// sparseSlot.repairWarm: a feasible iterate passes untouched, box and
+// capacity violations are repaired into feasibility, a capacity collapse or
+// non-finite entry forces the fallback.
 func TestRepairWarmStartOutcomes(t *testing.T) {
 	c := refCluster(t)
 	l := newSlotLayout(c)
+	cfg := Config{V: 7.5, Beta: 100}
 	st := stateWith(c, 10, []float64{0.4, 0.5, 0.6})
 	q := randomLengths(rand.New(rand.NewSource(7)), c, 30)
-	_, _, hCap := SlotCoefficients(c, Config{V: 7.5, Beta: 100}, st, q)
+	_, _, hCap := SlotCoefficients(c, cfg, st, q)
+	// repair refreshes the compact index against the iterate, as Decide
+	// does, and repairs it against st.
+	sp := newSparseSlot(c)
+	repair := func(st *model.State, x []float64) warmOutcome {
+		sp.refresh(cfg, st, q, x)
+		return sp.repairWarm(st, x)
+	}
 
 	feasible := make([]float64, l.total)
 	for i := 0; i < c.N(); i++ {
@@ -69,7 +77,7 @@ func TestRepairWarmStartOutcomes(t *testing.T) {
 		}
 	}
 	x := append([]float64(nil), feasible...)
-	if got := repairWarmStart(c, st, hCap, l, x); got != warmHit {
+	if got := repair(st, x); got != warmHit {
 		t.Errorf("feasible iterate: outcome %v, want warmHit", got)
 	}
 	for j := range x {
@@ -83,7 +91,7 @@ func TestRepairWarmStartOutcomes(t *testing.T) {
 	x[l.hIndex(0, 0)] = hCap[0][0] + 50
 	x[l.bOff[1]] = st.Avail[1][0] + 3
 	x[l.hIndex(2, 1)] = -4
-	if got := repairWarmStart(c, st, hCap, l, x); got != warmRepaired {
+	if got := repair(st, x); got != warmRepaired {
 		t.Errorf("box violations: outcome %v, want warmRepaired", got)
 	}
 	warmTestSlotFeasible(t, c, st, hCap, l, x)
@@ -107,7 +115,7 @@ func TestRepairWarmStartOutcomes(t *testing.T) {
 			x[l.hIndex(i, j)] = h
 		}
 	}
-	switch got := repairWarmStart(c, st, hCap, l, x); got {
+	switch got := repair(st, x); got {
 	case warmRepaired, warmHit:
 		warmTestSlotFeasible(t, c, st, hCap, l, x)
 	default:
@@ -141,7 +149,7 @@ func TestRepairWarmStartOutcomes(t *testing.T) {
 	if !hasWork {
 		t.Fatal("test setup: no work in the iterate")
 	}
-	if got := repairWarmStart(c, collapsed, hCap, l, x); got != warmFallback {
+	if got := repair(collapsed, x); got != warmFallback {
 		t.Errorf("availability collapse: outcome %v, want warmFallback", got)
 	}
 
@@ -149,7 +157,7 @@ func TestRepairWarmStartOutcomes(t *testing.T) {
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		x = append([]float64(nil), feasible...)
 		x[l.hIndex(1, 1)] = bad
-		if got := repairWarmStart(c, st, hCap, l, x); got != warmFallback {
+		if got := repair(st, x); got != warmFallback {
 			t.Errorf("entry %v: outcome %v, want warmFallback", bad, got)
 		}
 	}
@@ -296,8 +304,7 @@ func TestWarmVsColdParity(t *testing.T) {
 
 // TestSolverOptionsReportedOnce pins the once-per-scheduler options
 // surfacing: a scheduler with non-default solver knobs attaches the
-// effective Frank-Wolfe options (and a pinned solver kind) to its first event
-// only; a default-configured scheduler never attaches them (golden traces
+// effective Frank-Wolfe options to its first event only; a default-configured scheduler never attaches them (golden traces
 // depend on this), though its convex slots do carry their warm-start fields.
 func TestSolverOptionsReportedOnce(t *testing.T) {
 	c := refCluster(t)
@@ -324,7 +331,7 @@ func TestSolverOptionsReportedOnce(t *testing.T) {
 		t.Fatal("first event missing effective options")
 	}
 	if want := (telemetry.SolverOptions{MaxIters: 150, Tol: 1e-9}); *tuned[0].Options != want {
-		t.Errorf("options %+v, want %+v: the configured tolerance, the default MaxIters and no solver kind", *tuned[0].Options, want)
+		t.Errorf("options %+v, want %+v: the configured tolerance and the default MaxIters", *tuned[0].Options, want)
 	}
 	if tuned[1].Options != nil || tuned[2].Options != nil {
 		t.Error("options attached to more than the first event")
@@ -349,21 +356,18 @@ func TestSolverOptionsReportedOnce(t *testing.T) {
 		}
 	}
 
-	// The linear slot path reports no options under the default kind even
-	// with solver knobs set, whichever representation it runs on: the dense
-	// greedy never did. It has no warm start to report either.
-	for _, kind := range []SolverKind{SolverAuto, SolverMonolithic} {
-		var linear []telemetry.SolveStats
-		g3, err := New(c, Config{V: 7.5, FW: cfg.FW, Solver: kind, Observer: collectSolves(&linear)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := g3.Decide(0, st, randomLengths(rng, c, 40)); err != nil {
-			t.Fatal(err)
-		}
-		if len(linear) != 1 || linear[0].Options != nil || linear[0].Warm != "" {
-			t.Errorf("%v: linear-path events %+v, want one without options or warm outcome", kind, linear)
-		}
+	// The linear slot path reports no options even with solver knobs set,
+	// and has no warm start to report either.
+	var linear []telemetry.SolveStats
+	g3, err := New(c, Config{V: 7.5, FW: cfg.FW, Observer: collectSolves(&linear)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g3.Decide(0, st, randomLengths(rng, c, 40)); err != nil {
+		t.Fatal(err)
+	}
+	if len(linear) != 1 || linear[0].Options != nil || linear[0].Warm != "" {
+		t.Errorf("linear-path events %+v, want one without options or warm outcome", linear)
 	}
 }
 
@@ -392,9 +396,11 @@ func TestNewRejectsBadFWOptions(t *testing.T) {
 }
 
 // FuzzWarmRepair feeds arbitrary availability levels and iterates through
-// the feasibility repair and checks its contract: a non-fallback result is
-// feasible for the current slot, a warmHit left the iterate untouched, and
-// the repair is idempotent (repairing a repaired iterate is a hit).
+// sparseSlot.repairWarm and checks its contract, on the reference cluster
+// and on one with an auxiliary resource row: a non-fallback result is
+// feasible for the current slot (auxiliary rows included), a warmHit left the
+// iterate untouched, and the repair is idempotent (repairing a repaired
+// iterate is a hit).
 func FuzzWarmRepair(f *testing.F) {
 	f.Add([]byte{10, 10, 10, 50, 50, 50, 50, 50, 50, 50, 50, 50})
 	f.Add([]byte{1, 200, 3, 255, 0, 255, 0, 255, 0, 128, 64, 32})
@@ -403,78 +409,105 @@ func FuzzWarmRepair(f *testing.F) {
 		if len(data) < 2 {
 			t.Skip()
 		}
-		c := model.NewReferenceCluster()
-		if err := c.Validate(); err != nil {
-			t.Fatal(err)
-		}
-		l := newSlotLayout(c)
+		checkWarmRepair(t, model.NewReferenceCluster(), data)
+		checkWarmRepair(t, auxCluster(), data)
+	})
+}
 
-		// Decode: one byte per (site, server-type) availability, then one
-		// byte per flat variable; missing bytes read as zero.
-		at := func(n int) float64 {
-			if n < len(data) {
-				return float64(data[n])
-			}
-			return 0
+// checkWarmRepair is FuzzWarmRepair's contract on one cluster.
+func checkWarmRepair(t *testing.T, c *model.Cluster, data []byte) {
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	l := newSlotLayout(c)
+
+	// Decode: one byte per (site, server-type) availability, then one byte
+	// per flat variable; missing bytes read as zero. A pair whose job type
+	// may not run at the site keeps an exact zero, as in every iterate a
+	// scheduler holds (RestoreState rejects anything else).
+	at := func(n int) float64 {
+		if n < len(data) {
+			return float64(data[n])
 		}
-		st := model.NewState(c)
-		n := 0
-		for i := range st.Avail {
-			for k := range st.Avail[i] {
-				st.Avail[i][k] = at(n) / 4
-				n++
-			}
-			st.Price[i] = 0.5
-		}
-		q := queue.Lengths{Central: make([]float64, c.J()), Local: make([][]float64, c.N())}
-		for i := range q.Local {
-			q.Local[i] = make([]float64, c.J())
-			for j := range q.Local[i] {
-				q.Local[i][j] = 40
-			}
-		}
-		_, _, hCap := SlotCoefficients(c, Config{V: 7.5, Beta: 100}, st, q)
-		x := make([]float64, l.total)
-		for j := range x {
-			x[j] = at(n)/2 - 16 // some entries negative
+		return 0
+	}
+	st := model.NewState(c)
+	n := 0
+	for i := range st.Avail {
+		for k := range st.Avail[i] {
+			st.Avail[i][k] = at(n) / 4
 			n++
 		}
+		st.Price[i] = 0.5
+	}
+	q := queue.Lengths{Central: make([]float64, c.J()), Local: make([][]float64, c.N())}
+	for i := range q.Local {
+		q.Local[i] = make([]float64, c.J())
+		for j := range q.Local[i] {
+			q.Local[i][j] = 40
+		}
+	}
+	cfg := Config{V: 7.5, Beta: 100}
+	_, _, hCap := SlotCoefficients(c, cfg, st, q)
+	x := make([]float64, l.total)
+	for v := range x {
+		x[v] = at(n)/2 - 16 // some entries negative
+		n++
+	}
+	for i := 0; i < c.N(); i++ {
+		for j := range c.JobTypes {
+			if !c.JobTypes[j].EligibleSet(i) {
+				x[l.hIndex(i, j)] = 0
+			}
+		}
+	}
+	sp := newSparseSlot(c)
+	sp.refresh(cfg, st, q, x)
 
-		before := append([]float64(nil), x...)
-		switch repairWarmStart(c, st, hCap, l, x) {
-		case warmFallback:
-			return
-		case warmHit:
-			for j := range x {
-				if x[j] != before[j] {
-					t.Fatalf("warmHit mutated index %d: %v -> %v", j, before[j], x[j])
-				}
+	before := append([]float64(nil), x...)
+	switch sp.repairWarm(st, x) {
+	case warmFallback:
+		return
+	case warmHit:
+		for v := range x {
+			if x[v] != before[v] {
+				t.Fatalf("warmHit mutated index %d: %v -> %v", v, before[v], x[v])
 			}
 		}
-		// Feasible now, and stable under a second pass.
-		const tol = 1e-9
-		for i := 0; i < c.N(); i++ {
-			var work, capWork float64
+	}
+	// Feasible now, and stable under a second pass.
+	const tol = 1e-9
+	for i := 0; i < c.N(); i++ {
+		var work, capWork float64
+		for j := 0; j < c.J(); j++ {
+			h := x[l.hIndex(i, j)]
+			if h < 0 || h > hCap[i][j] {
+				t.Fatalf("site %d job %d: h=%v outside [0, %v]", i, j, h, hCap[i][j])
+			}
+			work += c.JobTypes[j].Demand * h
+		}
+		for k, stype := range c.DataCenters[i].Servers {
+			b := x[l.bOff[i]+k]
+			if b < 0 || b > st.Avail[i][k] {
+				t.Fatalf("site %d server %d: b=%v outside [0, %v]", i, k, b, st.Avail[i][k])
+			}
+			capWork += stype.Speed * b
+		}
+		if work > capWork*(1+1e-9)+tol {
+			t.Fatalf("site %d: work %v exceeds capacity %v", i, work, capWork)
+		}
+		for r := 0; r < c.Aux(); r++ {
+			var usage float64
 			for j := 0; j < c.J(); j++ {
-				h := x[l.hIndex(i, j)]
-				if h < 0 || h > hCap[i][j] {
-					t.Fatalf("site %d job %d: h=%v outside [0, %v]", i, j, h, hCap[i][j])
-				}
-				work += c.JobTypes[j].Demand * h
+				usage += c.JobTypes[j].AuxDemand[r] * x[l.hIndex(i, j)]
 			}
-			for k, stype := range c.DataCenters[i].Servers {
-				b := x[l.bOff[i]+k]
-				if b < 0 || b > st.Avail[i][k] {
-					t.Fatalf("site %d server %d: b=%v outside [0, %v]", i, k, b, st.Avail[i][k])
-				}
-				capWork += stype.Speed * b
-			}
-			if work > capWork*(1+1e-9)+tol {
-				t.Fatalf("site %d: work %v exceeds capacity %v", i, work, capWork)
+			if capR := c.DataCenters[i].AuxCapacity[r]; usage > capR*(1+1e-9)+tol {
+				t.Fatalf("site %d aux %d: usage %v exceeds capacity %v", i, r, usage, capR)
 			}
 		}
-		if got := repairWarmStart(c, st, hCap, l, x); got != warmHit {
-			t.Fatalf("repair not idempotent: second pass returned %v", got)
-		}
-	})
+	}
+	sp.refresh(cfg, st, q, x)
+	if got := sp.repairWarm(st, x); got != warmHit {
+		t.Fatalf("repair not idempotent: second pass returned %v", got)
+	}
 }

@@ -197,7 +197,7 @@ func (in *SolverScaleInstance) Mutate() {
 }
 
 // SolverScaleConfig tunes the solver-scale sweep: for each (N, J, density)
-// shape, every solver arm decides the same evolving slot sequence while the
+// shape, the default scheduler decides an evolving slot sequence while the
 // harness measures per-decision latency and allocation rate.
 type SolverScaleConfig struct {
 	// Seed drives instance generation (0 = DefaultSeed; SeedZero for 0).
@@ -206,14 +206,13 @@ type SolverScaleConfig struct {
 	// {200, 100}).
 	Shapes [][2]int
 	// Densities are the active-pair fractions per shape (default 0.1, 0.5,
-	// 1.0 — the last is the regime a dense layout would have to win to be
-	// worth keeping).
+	// 1.0 — the last leaves the compact index nothing to skip).
 	Densities []float64
-	// Slots is the per-arm horizon (default 20).
+	// Slots is the per-cell horizon (default 20).
 	Slots int
 	// Beta and V parameterize the objective (defaults 100, 7.5).
 	Beta, V float64
-	// Context cancels the sweep between arms.
+	// Context cancels the sweep between slots.
 	Context context.Context
 }
 
@@ -240,20 +239,18 @@ func (c SolverScaleConfig) withDefaults() SolverScaleConfig {
 	return c
 }
 
-// SolverScalePoint is one measured (shape, density, solver arm) cell.
+// SolverScalePoint is one measured (shape, density) cell.
 type SolverScalePoint struct {
 	// N, J, and ActivePairs describe the instance; Density is the requested
 	// active-pair fraction.
 	N, J, ActivePairs int
 	Density           float64
-	// Solver names the arm.
-	Solver string
 	// DecideMicros is the mean per-Decide wall time over the horizon.
 	DecideMicros float64
 	// AllocsPerDecide is the mean heap allocation count per Decide.
 	AllocsPerDecide float64
-	// Objective is the final slot's processing objective, a cross-arm
-	// agreement signal (arms on the same instance must match closely).
+	// Objective is the final slot's processing objective: the answer the
+	// timing is for, so a faster cell that decides differently shows.
 	Objective float64
 }
 
@@ -262,22 +259,16 @@ type SolverScaleResult struct {
 	Points []SolverScalePoint
 }
 
-// solverScaleArm describes one solver configuration under measurement.
-type solverScaleArm struct {
-	name string
-	kind core.SolverKind
-}
-
 // solverScaleRun measures one cell: fresh instance, warm-up decide, then the
 // timed horizon with per-slot input drift.
-func solverScaleRun(cfg SolverScaleConfig, shape [2]int, density float64, arm solverScaleArm) (SolverScalePoint, error) {
-	pt := SolverScalePoint{N: shape[0], J: shape[1], Density: density, Solver: arm.name}
+func solverScaleRun(cfg SolverScaleConfig, shape [2]int, density float64) (SolverScalePoint, error) {
+	pt := SolverScalePoint{N: shape[0], J: shape[1], Density: density}
 	in, err := NewSolverScaleInstance(cfg.Seed, shape[0], shape[1], density)
 	if err != nil {
 		return pt, err
 	}
 	pt.ActivePairs = in.ActivePairs
-	g, err := core.New(in.Cluster, core.Config{V: cfg.V, Beta: cfg.Beta, Solver: arm.kind})
+	g, err := core.New(in.Cluster, core.Config{V: cfg.V, Beta: cfg.Beta})
 	if err != nil {
 		return pt, err
 	}
@@ -296,7 +287,7 @@ func solverScaleRun(cfg SolverScaleConfig, shape [2]int, density float64, arm so
 		}
 		in.Mutate()
 		if act, err = g.Decide(t, in.State, in.Lengths); err != nil {
-			return pt, fmt.Errorf("%s %dx%d slot %d: %w", arm.name, shape[0], shape[1], t, err)
+			return pt, fmt.Errorf("%dx%d slot %d: %w", shape[0], shape[1], t, err)
 		}
 	}
 	total := time.Since(start)
@@ -316,26 +307,18 @@ func solverScaleRun(cfg SolverScaleConfig, shape [2]int, density float64, arm so
 }
 
 // SolverScale runs the solver-scale sweep: for each shape and density, the
-// default (auto), monolithic and sparse solvers decide the same drifting slot
-// sequence. Cells run sequentially —
+// default scheduler decides a drifting slot sequence. Cells run sequentially —
 // never in parallel — because each one times solver work on the shared cores.
 func SolverScale(cfg SolverScaleConfig) (*SolverScaleResult, error) {
 	cfg = cfg.withDefaults()
-	arms := []solverScaleArm{
-		{"auto", core.SolverAuto},
-		{"monolithic", core.SolverMonolithic},
-		{"sparse", core.SolverSparse},
-	}
 	res := &SolverScaleResult{}
 	for _, shape := range cfg.Shapes {
 		for _, density := range cfg.Densities {
-			for _, arm := range arms {
-				pt, err := solverScaleRun(cfg, shape, density, arm)
-				if err != nil {
-					return nil, err
-				}
-				res.Points = append(res.Points, pt)
+			pt, err := solverScaleRun(cfg, shape, density)
+			if err != nil {
+				return nil, err
 			}
+			res.Points = append(res.Points, pt)
 		}
 	}
 	return res, nil

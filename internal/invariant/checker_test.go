@@ -2,6 +2,8 @@ package invariant_test
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -45,6 +47,95 @@ func TestCheckerCleanOnReferenceRuns(t *testing.T) {
 			if res.TotalProcessed <= 0 {
 				t.Error("nothing processed")
 			}
+		})
+	}
+}
+
+// decideLog keeps each decision's evidence: the state, the backlogs it saw
+// and the action it chose.
+type decideLog struct{ slots []*telemetry.SlotDetail }
+
+func (d *decideLog) WantsSlotDetail() bool { return true }
+
+func (d *decideLog) ObserveSlot(ev telemetry.SlotEvent) {
+	if ev.Origin == telemetry.OriginDecide && ev.Detail != nil {
+		d.slots = append(d.slots, ev.Detail)
+	}
+}
+
+// TestCheckerCleanOnAuxCluster drives the reference pipeline on the
+// reference cluster given a memory-like auxiliary resource (footnote 3) with
+// Options.Check on, at beta = 0 and beta = 100: every slot must satisfy the
+// checker's invariants, auxiliary rows included. At beta = 0 every slot's
+// processing objective must also equal the simplex LP's optimum within
+// CrossCheckSolvers' default tolerance, and the memory rows must bind on
+// some slots, or the run would not exercise them.
+func TestCheckerCleanOnAuxCluster(t *testing.T) {
+	const slots = 24 * 5
+	for _, beta := range []float64{0, 100} {
+		t.Run(fmt.Sprintf("beta=%g", beta), func(t *testing.T) {
+			in, err := sim.NewReferenceInputs(2012, slots)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := in.Cluster
+			for i := range c.DataCenters {
+				c.DataCenters[i].AuxCapacity = []float64{40}
+			}
+			for j := range c.JobTypes {
+				c.JobTypes[j].AuxDemand = []float64{1 + float64(j%2)*2}
+			}
+			if err := c.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			log := &decideLog{}
+			cfg := core.Config{V: 7.5, Beta: beta, Observer: log}
+			g, err := core.New(c, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := sim.Run(in, g, sim.Options{Slots: slots, ValidateActions: true, Check: true})
+			if err != nil {
+				t.Fatalf("checked run failed: %v", err)
+			}
+			if res.TotalProcessed <= 0 {
+				t.Error("nothing processed")
+			}
+			if len(log.slots) != slots {
+				t.Fatalf("observed %d decisions, want %d", len(log.slots), slots)
+			}
+			bound := 0
+			for s, d := range log.slots {
+				for i := 0; i < c.N(); i++ {
+					if d.Action.AuxUsageAt(c, i, 0) > c.DataCenters[i].AuxCapacity[0]-1e-6 {
+						bound++
+					}
+				}
+				if beta != 0 {
+					continue
+				}
+				cH, cB, _ := core.SlotCoefficients(c, cfg, d.State, d.Pre)
+				got := 0.0
+				for i := 0; i < c.N(); i++ {
+					for j, h := range d.Action.Process[i] {
+						got += cH[i][j] * h
+					}
+					for k, b := range d.Action.Busy[i] {
+						got += cB[i][k] * b
+					}
+				}
+				_, _, want, err := core.SolveSlotLP(c, cfg, d.State, d.Pre)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rel := math.Abs(got-want) / math.Max(1, math.Max(math.Abs(got), math.Abs(want))); rel > 1e-6 {
+					t.Errorf("slot %d: objective %v, simplex LP %v (relative diff %.3g)", s, got, want, rel)
+				}
+			}
+			if bound == 0 {
+				t.Error("no memory row ever bound")
+			}
+			t.Logf("memory rows bound on %d site-slots of %d", bound, slots*c.N())
 		})
 	}
 }

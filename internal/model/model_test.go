@@ -233,6 +233,26 @@ func TestActionValidateCatchesInfeasible(t *testing.T) {
 	})
 }
 
+// TestActionValidateProcessBoundIsInclusive pins the edge of the h_max check:
+// processing exactly MaxProcess plus the feasibility tolerance is accepted,
+// the next float above it is not.
+func TestActionValidateProcessBoundIsInclusive(t *testing.T) {
+	c := refCluster(t) // type 0: Demand 1, MaxProcess 120; site 0: Speed 1
+	s := refState(t, c)
+	s.Avail[0][0] = 200
+	edge := c.JobTypes[0].MaxProcess + feasibilityTol
+	a := NewAction(c)
+	a.Process[0][0] = edge
+	a.Busy[0][0] = 150
+	if err := a.Validate(c, s); err != nil {
+		t.Errorf("process at MaxProcess+tol rejected: %v", err)
+	}
+	a.Process[0][0] = math.Nextafter(edge, math.Inf(1))
+	if err := a.Validate(c, s); err == nil {
+		t.Error("process above MaxProcess+tol accepted")
+	}
+}
+
 func TestEligibleSet(t *testing.T) {
 	jt := JobType{Eligible: []int{0, 2}}
 	if !jt.EligibleSet(0) || !jt.EligibleSet(2) {

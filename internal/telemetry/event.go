@@ -89,9 +89,6 @@ type SolverOptions struct {
 	MaxIters int `json:"max_iters"`
 	// Tol is the effective duality-gap tolerance (0 = solver default).
 	Tol float64 `json:"tol"`
-	// Solver names the configured solver kind when it departs from the
-	// automatic selection ("monolithic", "sparse").
-	Solver string `json:"solver,omitempty"`
 }
 
 // SlotEvent is the structured record one control-loop iteration emits.

@@ -115,19 +115,6 @@ func WithFrankWolfe(opts solve.FWOptions) SchedulerOption {
 	return optionFunc(func(cfg *Config) { cfg.FW = opts })
 }
 
-// WithSolver selects the slot-solver implementation: SolverAuto (the
-// default: the active-pair compact representation, O(active) work per slot,
-// whenever the cluster has no auxiliary resources and the tariff is linear
-// or absent, and the dense layout otherwise — bit-identical decisions either
-// way), SolverMonolithic (the dense N*J layout, pinned as a reference), or
-// SolverSparse (the compact representation, insisted on). SolverSparse
-// requires a cluster without auxiliary resources and a linear (or absent)
-// tariff; New rejects other combinations with ErrBadConfig, where SolverAuto
-// falls back to dense.
-func WithSolver(kind core.SolverKind) SchedulerOption {
-	return optionFunc(func(cfg *Config) { cfg.Solver = kind })
-}
-
 // WithSlots sets the simulation horizon t_end (required, > 0).
 func WithSlots(n int) SimOption {
 	return simOptionFunc(func(o *SimOptions) { o.Slots = n })
