@@ -25,12 +25,13 @@ race:
 #   vet: no suspicious constructs
 #   race ./...: no data race anywhere
 #   runner: sweeps independent of scheduling
-#   serve: tick and checkpoint locking
-#   agent..hollow: wire reuse, batch contract, parked workers, degrade
+#   serve: tick and checkpoint locking; kill/restart in process and on agents
+#   agent..hollow: wire reuse, batch contract, parked workers, degrade,
+#     restore rewind; hollow's kill, mask, resync, rejoin at 48 and at 1000
+#     agents (TestFleetKillReviveRejoins, TestThousandAgentsWithMidRunKill)
 #   core: decisions replay the dense layout's pins; greedy edges; warm repair
 #   invariant: decisions replay the dense goldens; aux runs checked
 #   queue, sim: rejected input leaves no trace
-#   grefar-hollow: kill, mask, resync, rejoin
 #   budgets: decide, step, wire, tick allocations
 #   FuzzSimplex: hostile LPs
 #   FuzzApply: hostile actions
@@ -51,7 +52,6 @@ tier1:
 	$(GO) test -race -count=1 -run 'TestSparse|TestAuto|TestDecomposed|TestSchedulerState|TestRestoreRejects|TestRepairWarmStartOutcomes|TestGreedy|TestDecideLeavesNoStaleCells' ./internal/core
 	$(GO) test -race -count=1 -run 'TestAutoSolverBitIdentical|TestCheckerCleanOnAuxCluster' ./internal/invariant
 	$(GO) test -race -count=1 -run 'TestRejectedApply|TestRejectedStep|TestSnapshotsOwn|TestViewTracksTheSet|TestEngineSnapshotReuse|TestEngineDetailOwnsFlows|FuzzApply' ./internal/queue ./internal/sim
-	$(GO) run -race ./cmd/grefar-hollow -agents 64 -slots 5 -kill-frac 0.05
 	$(GO) test -count=1 -run 'TestDecideAllocationBudget|TestEngineStepAllocationBudget|TestWireAllocationBudget' .
 	$(GO) test -run '^$$' -fuzz FuzzSimplex -fuzztime $(FUZZTIME) ./internal/lp
 	$(GO) test -run '^$$' -fuzz FuzzApply -fuzztime $(FUZZTIME) ./internal/queue

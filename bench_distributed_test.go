@@ -13,8 +13,8 @@ import (
 )
 
 // startDistributed builds the 3-site reference system over real loopback TCP
-// as the two daemons do — one listener and agent.Serve per agent, one
-// ReconnectClient per address, as cmd/grefar-controller dials them — and
+// as the daemons do — one listener and agent.Serve per agent, one
+// ReconnectClient per address, as grefar-serve -agents dials them — and
 // returns the controller with a teardown that closes every connection,
 // server, and listener. Both the benchmark and its companion leak test run
 // through this helper so the lifecycle they exercise is identical.

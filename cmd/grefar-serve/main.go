@@ -10,7 +10,20 @@
 //
 //	grefar-serve -listen 127.0.0.1:8080 -snapshot-dir /var/lib/grefar \
 //	             [-seed 2012] [-v 7.5] [-beta 100] [-check] \
-//	             [-snapshot-every 20] [-tick 1s] [-pprof]
+//	             [-snapshot-every 20] [-tick 1s] [-pprof] \
+//	             [-agents 127.0.0.1:7001,127.0.0.1:7002,127.0.0.1:7003 \
+//	              [-timeout 10s] [-retries 2] [-failure-policy degrade] \
+//	              [-suspect-after 1] [-dead-after 3]]
+//
+// Without -agents the sites are simulated in process from -seed. With
+// -agents the daemon is the central scheduler of the distributed deployment:
+// it drives one grefar-agent per data center (started with the same -seed,
+// in site order) over TCP, and the agents hold the local queues. A checkpoint
+// then holds the central queues and the scheduler's shadow of every agent's
+// queues; after a restart the first slot rewinds every agent onto it. The
+// agent connections redial with capped exponential backoff (-retries bounds
+// the attempts), and SIGINT or SIGTERM aborts that backoff at once. The
+// grefar_controller_* agent-health families join /metrics.
 //
 // With -snapshot-dir the daemon restores the newest intact snapshot at boot
 // (falling back to the previous generation if the current one is torn),
@@ -28,12 +41,17 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
-	"grefar"
+	"grefar/internal/controller"
+	"grefar/internal/core"
 	"grefar/internal/serve"
 	"grefar/internal/serve/snapshot"
+	"grefar/internal/sim"
+	"grefar/internal/telemetry"
+	"grefar/internal/transport"
 )
 
 func main() {
@@ -46,7 +64,7 @@ func main() {
 }
 
 func run(ctx context.Context, args []string) error {
-	a, err := newApp(args)
+	a, err := newApp(ctx, args)
 	if err != nil {
 		return err
 	}
@@ -90,6 +108,7 @@ type app struct {
 	listen    string
 	tickEvery time.Duration
 	hasStore  bool
+	conns     []*transport.ReconnectClient
 }
 
 // tickLoop executes one slot per -tick interval until the context ends.
@@ -111,7 +130,7 @@ func (a *app) tickLoop(ctx context.Context) {
 }
 
 // Shutdown writes the graceful-exit checkpoint (when a store is configured)
-// and closes the session.
+// and closes the app.
 func (a *app) Shutdown() error {
 	var err error
 	if a.hasStore {
@@ -119,21 +138,32 @@ func (a *app) Shutdown() error {
 			fmt.Printf("grefar-serve: final checkpoint at slot %d\n", a.Server.Session().Slot())
 		}
 	}
-	if cerr := a.Server.Session().Close(); err == nil {
+	if cerr := a.Close(); err == nil {
 		err = cerr
 	}
 	return err
 }
 
-// Close releases the app without a graceful checkpoint (the error path).
-func (a *app) Close() error { return a.Server.Session().Close() }
+// Close releases the app without a graceful checkpoint (the error path): it
+// closes the session and the agent connections.
+func (a *app) Close() error {
+	closeAll(a.conns)
+	return a.Server.Session().Close()
+}
+
+func closeAll(conns []*transport.ReconnectClient) {
+	for _, cli := range conns {
+		cli.Close()
+	}
+}
 
 // newApp parses flags and assembles the session, snapshot store, and HTTP
-// server, restoring the newest snapshot when one exists.
-func newApp(args []string) (*app, error) {
+// server, restoring the newest snapshot when one exists. ctx bounds every
+// agent call the session makes.
+func newApp(ctx context.Context, args []string) (*app, error) {
 	fs := flag.NewFlagSet("grefar-serve", flag.ContinueOnError)
 	listen := fs.String("listen", "127.0.0.1:8080", "address to listen on")
-	seed := fs.Int64("seed", 2012, "environment seed (prices and availability)")
+	seed := fs.Int64("seed", 2012, "environment seed (prices and availability; must match the agents')")
 	horizon := fs.Int("horizon", 4096, "length of the materialized environment (slots wrap past it)")
 	v := fs.Float64("v", 7.5, "cost-delay parameter V")
 	beta := fs.Float64("beta", 100, "energy-fairness parameter beta")
@@ -142,24 +172,72 @@ func newApp(args []string) (*app, error) {
 	snapEvery := fs.Int("snapshot-every", 20, "checkpoint automatically every n served slots (0 disables)")
 	tick := fs.Duration("tick", 0, "wall-clock slot length (0 = slots execute only via POST /v1/tick)")
 	pprofOn := fs.Bool("pprof", false, "mount /debug/pprof/ on the handler")
+	agentList := fs.String("agents", "", "comma-separated agent addresses, one per data center, in site order (empty simulates the sites in process)")
+	timeout := fs.Duration("timeout", 10*time.Second, "per-RPC agent timeout")
+	retries := fs.Int("retries", 2, "redial attempts per agent RPC after a transport failure (with capped exponential backoff)")
+	failurePolicy := fs.String("failure-policy", "degrade", "reaction to agent failures: degrade (mask the site and keep scheduling) or strict (fail the slot)")
+	suspectAfter := fs.Int("suspect-after", 1, "consecutive failed interactions before an agent is masked (degrade policy)")
+	deadAfter := fs.Int("dead-after", 3, "consecutive failed interactions before an agent leaves the gather set and is heartbeat-probed instead")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
+	policy, err := controller.ParseFailurePolicy(*failurePolicy)
+	if err != nil {
+		return nil, err
+	}
 
-	in, err := grefar.ReferenceInputs(*seed, *horizon)
+	in, err := sim.NewReferenceInputs(*seed, *horizon)
 	if err != nil {
 		return nil, fmt.Errorf("inputs: %w", err)
 	}
 	// Serving mode: every arrival comes through the ingest endpoints.
 	in.Workload = nil
+	c := in.Cluster
 
-	reg := grefar.NewRegistry()
-	s, err := grefar.Open(
-		grefar.WithInputs(in),
-		grefar.WithV(*v), grefar.WithBeta(*beta),
-		grefar.WithActionValidation(true), grefar.WithCheck(*check),
-		grefar.WithTelemetry(reg),
-	)
+	reg := telemetry.NewRegistry()
+	obs := telemetry.NewRegistryObserver(reg)
+	names := make([]string, c.N())
+	for i, dc := range c.DataCenters {
+		names[i] = dc.Name
+	}
+	obs.SetDCNames(names)
+	cfg := serve.SessionConfig{
+		Inputs:    in,
+		Scheduler: core.Config{V: *v, Beta: *beta, Observer: obs},
+		Sim:       sim.Options{ValidateActions: true, Check: *check, Observer: obs, Context: ctx},
+	}
+
+	var conns []*transport.ReconnectClient
+	ok := false
+	defer func() {
+		if !ok {
+			closeAll(conns)
+		}
+	}()
+	if *agentList != "" {
+		addrs := strings.Split(*agentList, ",")
+		if len(addrs) != c.N() {
+			return nil, fmt.Errorf("need exactly %d agent addresses via -agents, got %q", c.N(), *agentList)
+		}
+		for i, addr := range addrs {
+			// A ReconnectClient dials lazily and redials with backoff; ctx
+			// threads through every call, so SIGINT aborts a backoff mid-wait.
+			cli := transport.NewReconnectClient(strings.TrimSpace(addr), *timeout, *retries)
+			conns = append(conns, cli)
+			var pong transport.Ping
+			if err := cli.CallContext(ctx, transport.KindPing, transport.Ping{Nonce: uint64(i)}, &pong); err != nil {
+				return nil, fmt.Errorf("agent %d ping: %w", i, err)
+			}
+			cfg.Agents = append(cfg.Agents, cli)
+		}
+		cfg.Controller = []controller.Option{
+			controller.WithFailurePolicy(policy),
+			controller.WithHealthThresholds(*suspectAfter, *deadAfter),
+			controller.WithHealthMetrics(reg),
+		}
+	}
+
+	s, err := serve.NewSession(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -186,11 +264,13 @@ func newApp(args []string) (*app, error) {
 	if err != nil {
 		return nil, err
 	}
+	ok = true
 	return &app{
 		Server:    sv,
 		Boot:      boot,
 		listen:    *listen,
 		tickEvery: *tick,
 		hasStore:  store != nil,
+		conns:     conns,
 	}, nil
 }

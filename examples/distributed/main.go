@@ -1,10 +1,11 @@
-// Distributed deployment: spin up one agent per data center on loopback TCP,
-// connect a central controller running GreFar, and drive the control loop —
-// the same protocol the grefar-agent and grefar-controller binaries speak,
-// compressed into one process for demonstration.
+// Distributed deployment: spin up one agent per data center on loopback TCP
+// and drive them from a serving session running GreFar — the same protocol
+// grefar-agent and grefar-serve -agents speak, compressed into one process for
+// demonstration. The session's arrivals come from the reference workload.
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"net"
@@ -13,6 +14,8 @@ import (
 	"grefar"
 	"grefar/internal/agent"
 	"grefar/internal/controller"
+	"grefar/internal/core"
+	"grefar/internal/serve"
 	"grefar/internal/transport"
 )
 
@@ -53,21 +56,22 @@ func main() {
 		conns[i] = cli.Agent(0)
 	}
 
-	scheduler, err := grefar.New(c, grefar.WithV(7.5), grefar.WithBeta(100))
+	s, err := serve.NewSession(serve.SessionConfig{
+		Inputs:    inputs,
+		Scheduler: core.Config{V: 7.5, Beta: 100},
+		Agents:    conns,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	ct, err := controller.New(c, scheduler, conns)
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	start := time.Now()
-	res, err := ct.Run(slots, inputs.Workload)
-	if err != nil {
-		log.Fatal(err)
+	for t := 0; t < slots; t++ {
+		if _, err := s.Tick(context.Background()); err != nil {
+			log.Fatal(err)
+		}
 	}
-	fmt.Printf("\ncontroller ran %d slots across %d agents in %v\n", slots, c.N(), time.Since(start).Round(time.Millisecond))
+	res := s.Result()
+	fmt.Printf("\nscheduler ran %d slots across %d agents in %v\n", slots, c.N(), time.Since(start).Round(time.Millisecond))
 	fmt.Printf("  avg energy cost    %.3f\n", res.AvgEnergy)
 	fmt.Printf("  avg fairness score %.4f\n", res.AvgFairness)
 	for i, d := range res.AvgLocalDelay {

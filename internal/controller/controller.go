@@ -21,14 +21,11 @@ import (
 	"time"
 
 	"grefar/internal/fairness"
-	"grefar/internal/metrics"
 	"grefar/internal/model"
 	"grefar/internal/queue"
 	"grefar/internal/sched"
-	"grefar/internal/sim"
 	"grefar/internal/telemetry"
 	"grefar/internal/transport"
-	"grefar/internal/workload"
 )
 
 // AgentConn abstracts the RPC connection to one agent, enabling in-process
@@ -95,6 +92,11 @@ type Controller struct {
 	health  HealthConfig
 	reg     *telemetry.Registry
 	tracker *Tracker
+
+	// slot is the next slot to run; rewind marks a restored loop whose agents
+	// have not yet been pushed onto their restored shadows.
+	slot   int
+	rewind bool
 }
 
 // wire is one MuxClient: the batch frame a phase builds for the agents that
@@ -197,17 +199,61 @@ func (ct *Controller) Stats() []PartitionStats {
 	return []PartitionStats{{Owned: ct.cluster.N()}}
 }
 
-// Snapshot serializes the controller's central queue state so a restarted
-// controller can resume exactly where the previous one stopped; pair it with
-// agent.Agent.Snapshot for whole-system checkpoints.
-func (ct *Controller) Snapshot() ([]byte, error) {
-	return queue.SnapshotLedgers(ct.central)
+// Slot returns the slot after the last one the loop ran: the next slot to run,
+// and 0 before any.
+func (ct *Controller) Slot() int { return ct.slot }
+
+// Lengths returns a fresh snapshot of the backlogs the loop schedules on: the
+// central ledgers and every agent's shadow ledgers (zero until the agent's
+// first report seeds its shadow).
+func (ct *Controller) Lengths() queue.Lengths {
+	c := ct.cluster
+	l := queue.Lengths{Central: ct.CentralLens(), Local: newRows(c.N(), c.J())}
+	for i := range l.Local {
+		ct.tracker.ShadowLens(i, l.Local[i])
+	}
+	return l
 }
 
-// Restore replaces the central queue state from a Snapshot of a controller
-// for the same cluster.
-func (ct *Controller) Restore(snapshot []byte) error {
-	return queue.RestoreLedgers(ct.central, snapshot)
+// SetScheduler swaps the deciding scheduler at a slot boundary, the serving
+// mode's hot reload. Queues and agent health are untouched.
+func (ct *Controller) SetScheduler(s sched.Scheduler) { ct.sch = s }
+
+// State is the loop's durable state: the next slot, and the central ledgers
+// with every agent's shadow ledgers in queue.Set's snapshot format (a shadow
+// is its site's local queues). An engine's queue snapshot and a controller's
+// therefore restore into each other.
+type State struct {
+	Slot   int
+	Queues []byte
+}
+
+// ExportState captures the loop's durable state. The snapshot owns its memory.
+func (ct *Controller) ExportState() (*State, error) {
+	q, err := queue.SnapshotSet(ct.central, ct.tracker.shadows())
+	if err != nil {
+		return nil, err
+	}
+	return &State{Slot: ct.slot, Queues: q}, nil
+}
+
+// RestoreState rewinds the loop onto an exported state: the central ledgers
+// and the shadows take the snapshot, and the shadows become authoritative. No
+// agent is called here. The next slot opens by pushing each agent's restored
+// shadow onto it through the KindRestore resync, under either failure policy,
+// so agents that ran past the checkpoint are rewound onto it. A rejected
+// state leaves the loop as it was.
+func (ct *Controller) RestoreState(st *State) error {
+	if st.Slot < 0 {
+		return fmt.Errorf("negative slot counter %d", st.Slot)
+	}
+	if err := queue.RestoreSet(ct.central, ct.tracker.shadows(), st.Queues); err != nil {
+		return err
+	}
+	ct.tracker.markRewind()
+	ct.slot = st.Slot
+	ct.rewind = true
+	return nil
 }
 
 // errAgentDead marks an agent excluded from the gather set because its
@@ -354,6 +400,11 @@ func (ct *Controller) RunSlotContext(ctx context.Context, t int, arrivals []int)
 	var stateReq any = transport.StateRequest{Slot: t} // boxed once, not per agent
 	if degrade {
 		ct.tracker.ProbeDead(ctx, t)
+	}
+	if ct.rewind {
+		if err := ct.rewindAgents(ctx, t, degrade); err != nil {
+			return nil, nil, nil, err
+		}
 	}
 	ct.live = ct.live[:0]
 	for i := 0; i < c.N(); i++ {
@@ -557,7 +608,31 @@ func (ct *Controller) RunSlotContext(ctx context.Context, t int, arrivals []int)
 	}
 
 	ct.emitSlot(t, arrivals, st, act, pre, routedF, processedEv, acks, masked)
+	ct.slot = t + 1
 	return act, st, acks, nil
+}
+
+// rewindAgents opens the first slot after a restore: every agent not Dead is
+// pushed onto its restored shadow (ProbeDead's resync rewinds the Dead ones).
+// Under Strict a failure aborts the slot before anything moves, and the retry
+// rewinds again. Under Degrade a failure counts against the agent, which keeps
+// its rewind mark: until a resync lands, its reports are checked against the
+// shadow and never re-seed it, whatever its health.
+func (ct *Controller) rewindAgents(ctx context.Context, t int, degrade bool) error {
+	errs := make([]error, ct.cluster.N())
+	ct.tracker.Rewind(ctx, t, errs)
+	if !degrade {
+		if err := joinAgentErrors("rewind", errs); err != nil {
+			return fmt.Errorf("slot %d: %w", t, err)
+		}
+	}
+	for i, err := range errs {
+		if err != nil {
+			ct.tracker.RecordFailure(i)
+		}
+	}
+	ct.rewind = false
+	return nil
 }
 
 // emitSlot assembles and publishes the controller's per-slot telemetry
@@ -621,80 +696,4 @@ func (ct *Controller) emitSlot(t int, arrivals []int, st *model.State, act *mode
 		}
 	}
 	ct.obs.ObserveSlot(ev)
-}
-
-// Run drives the loop for the given horizon and aggregates the same metrics
-// as the single-process simulator, so results are directly comparable.
-func (ct *Controller) Run(slots int, wl workload.Generator) (*sim.Result, error) {
-	return ct.RunContext(context.Background(), slots, wl)
-}
-
-// RunContext is Run with cancellation: the loop stops between slots as soon
-// as the context is done, returning an error wrapping the context's error.
-func (ct *Controller) RunContext(ctx context.Context, slots int, wl workload.Generator) (*sim.Result, error) {
-	if slots <= 0 {
-		return nil, fmt.Errorf("horizon %d is not positive", slots)
-	}
-	if wl == nil {
-		return nil, fmt.Errorf("nil workload")
-	}
-	c := ct.cluster
-	energy := metrics.NewRunning(false)
-	fairScore := metrics.NewRunning(false)
-	localDelay := make([]*metrics.Ratio, c.N())
-	workAvg := make([]*metrics.Running, c.N())
-	for i := range localDelay {
-		localDelay[i] = metrics.NewRatio(false)
-		workAvg[i] = metrics.NewRunning(false)
-	}
-
-	res := &sim.Result{SchedulerName: ct.sch.Name(), Slots: slots}
-	for t := 0; t < slots; t++ {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("slot %d: run canceled: %w", t, err)
-			}
-		}
-		arrivals := wl.Arrivals(t)
-		// Per-slot telemetry (origin "controller") is emitted inside
-		// RunSlotContext so degraded-mode evidence reaches observers even when
-		// the loop is driven slot-by-slot (grefar-serve, experiments).
-		_, st, acks, err := ct.RunSlotContext(ctx, t, arrivals)
-		if err != nil {
-			return nil, err
-		}
-		var e float64
-		alloc := make([]float64, c.M())
-		for i, ack := range acks {
-			e += ack.Energy
-			var dSum, dCount float64
-			for j := 0; j < c.J(); j++ {
-				dSum += ack.DelaySum[j]
-				dCount += ack.Processed[j]
-				alloc[c.JobTypes[j].Account] += ack.Processed[j] * c.JobTypes[j].Demand
-				res.TotalProcessed += ack.Processed[j]
-			}
-			localDelay[i].Add(dSum, dCount)
-			workAvg[i].Add(ack.Work)
-		}
-		energy.Add(e)
-		fairScore.Add(ct.fair.Score(alloc, st.TotalResource(c)))
-		for _, a := range arrivals {
-			res.TotalArrived += float64(a)
-		}
-	}
-	res.AvgEnergy = energy.Mean()
-	res.AvgFairness = fairScore.Mean()
-	res.AvgLocalDelay = make([]float64, c.N())
-	res.AvgWorkPerDC = make([]float64, c.N())
-	for i := 0; i < c.N(); i++ {
-		res.AvgLocalDelay[i] = localDelay[i].Value()
-		res.AvgWorkPerDC[i] = workAvg[i].Mean()
-	}
-	var backlog float64
-	for _, v := range ct.CentralLens() {
-		backlog += v
-	}
-	res.FinalBacklog = backlog // central only; agents hold the rest
-	return res, nil
 }

@@ -5,12 +5,14 @@ import (
 	"errors"
 	"math"
 	"net"
+	"reflect"
 	"testing"
 	"time"
 
 	"grefar/internal/agent"
 	"grefar/internal/core"
 	"grefar/internal/model"
+	"grefar/internal/queue"
 	"grefar/internal/sched"
 	"grefar/internal/sim"
 	"grefar/internal/transport"
@@ -99,9 +101,10 @@ func TestNewValidation(t *testing.T) {
 }
 
 // TestDistributedMatchesSimulator is the keystone test: the distributed
-// control loop (controller + agents) must produce bit-identical metrics to
-// the single-process simulator on the same inputs and scheduler, because the
-// protocol preserves the exact slot semantics.
+// control loop (controller + agents) must run the single-process simulator's
+// queue trajectory bit for bit on the same inputs and scheduler, because the
+// protocol preserves the exact slot semantics — so its realized energy and
+// processed counts match the simulator's too.
 func TestDistributedMatchesSimulator(t *testing.T) {
 	const slots = 24 * 14
 	for _, overTCP := range []bool{false, true} {
@@ -115,12 +118,6 @@ func TestDistributedMatchesSimulator(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dist, err := ct.Run(slots, in.Workload)
-		if err != nil {
-			t.Fatalf("overTCP=%v: %v", overTCP, err)
-		}
-		cleanup()
-
 		in2, err := sim.NewReferenceInputs(2012, slots)
 		if err != nil {
 			t.Fatal(err)
@@ -129,27 +126,38 @@ func TestDistributedMatchesSimulator(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		local, err := sim.Run(in2, g2, sim.Options{Slots: slots, ValidateActions: true})
+		eng, err := sim.NewEngine(in2, g2, sim.Options{ValidateActions: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 
-		if math.Abs(dist.AvgEnergy-local.AvgEnergy) > 1e-9 {
-			t.Errorf("overTCP=%v: energy %v != %v", overTCP, dist.AvgEnergy, local.AvgEnergy)
-		}
-		if math.Abs(dist.AvgFairness-local.AvgFairness) > 1e-9 {
-			t.Errorf("overTCP=%v: fairness %v != %v", overTCP, dist.AvgFairness, local.AvgFairness)
-		}
-		for i := range dist.AvgLocalDelay {
-			if math.Abs(dist.AvgLocalDelay[i]-local.AvgLocalDelay[i]) > 1e-9 {
-				t.Errorf("overTCP=%v: delay[%d] %v != %v", overTCP, i, dist.AvgLocalDelay[i], local.AvgLocalDelay[i])
+		var energy, processed float64
+		for s := 0; s < slots; s++ {
+			_, _, acks, err := ct.RunSlot(s, in.Workload.Arrivals(s))
+			if err != nil {
+				t.Fatalf("overTCP=%v: slot %d: %v", overTCP, s, err)
 			}
-			if math.Abs(dist.AvgWorkPerDC[i]-local.AvgWorkPerDC[i]) > 1e-9 {
-				t.Errorf("overTCP=%v: work[%d] %v != %v", overTCP, i, dist.AvgWorkPerDC[i], local.AvgWorkPerDC[i])
+			for _, ack := range acks {
+				energy += ack.Energy
+				for _, p := range ack.Processed {
+					processed += p
+				}
+			}
+			if err := eng.Step(nil); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := ct.Lengths(), eng.Lengths(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("overTCP=%v: slot %d: backlogs %v, simulator %v", overTCP, s, got, want)
 			}
 		}
-		if math.Abs(dist.TotalProcessed-local.TotalProcessed) > 1e-6 {
-			t.Errorf("overTCP=%v: processed %v != %v", overTCP, dist.TotalProcessed, local.TotalProcessed)
+		cleanup()
+
+		local := eng.Result()
+		if got := energy / slots; math.Abs(got-local.AvgEnergy) > 1e-9 {
+			t.Errorf("overTCP=%v: energy %v != %v", overTCP, got, local.AvgEnergy)
+		}
+		if math.Abs(processed-local.TotalProcessed) > 1e-6 {
+			t.Errorf("overTCP=%v: processed %v != %v", overTCP, processed, local.TotalProcessed)
 		}
 	}
 }
@@ -166,79 +174,138 @@ func TestDistributedAlways(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ct.Run(slots, in.Workload)
-	if err != nil {
-		t.Fatal(err)
+	var delaySum, processed0, processed float64
+	for s := 0; s < slots; s++ {
+		_, _, acks, err := ct.RunSlot(s, in.Workload.Arrivals(s))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, ack := range acks {
+			for j, p := range ack.Processed {
+				processed += p
+				if i == 0 {
+					delaySum += ack.DelaySum[j]
+					processed0 += p
+				}
+			}
+		}
 	}
-	if res.AvgLocalDelay[0] < 0.9 || res.AvgLocalDelay[0] > 1.5 {
-		t.Errorf("Always delay = %v, want ~1", res.AvgLocalDelay[0])
+	if d := delaySum / processed0; d < 0.9 || d > 1.5 {
+		t.Errorf("Always delay = %v, want ~1", d)
 	}
-	if res.TotalProcessed <= 0 {
+	if processed <= 0 {
 		t.Error("nothing processed")
 	}
 }
 
-func TestRunValidation(t *testing.T) {
-	in, conns, cleanup := buildSystem(t, 5, false)
-	defer cleanup()
-	g, _ := core.New(in.Cluster, core.Config{V: 1})
-	ct, err := New(in.Cluster, g, conns)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ct.Run(0, in.Workload); err == nil {
-		t.Error("zero horizon accepted")
-	}
-	if _, err := ct.Run(5, nil); err == nil {
-		t.Error("nil workload accepted")
-	}
+// flakyRestoreConn loses the first restore it is sent.
+type flakyRestoreConn struct {
+	AgentConn
+	lost bool
 }
 
-// TestControllerSnapshotRestore checkpoints the central queues mid-run and
-// resumes on a replacement loop.
+func (f *flakyRestoreConn) Call(kind string, reqBody, respBody any) error {
+	if kind == transport.KindRestore && !f.lost {
+		f.lost = true
+		return errors.New("restore lost")
+	}
+	return f.AgentConn.Call(kind, reqBody, respBody)
+}
+
+// TestControllerSnapshotRestore checkpoints the loop mid-run with
+// ExportState, lets the agents run three slots past it, and resumes a
+// replacement loop from the checkpoint: its first slot must rewind every
+// agent onto the restored shadows, so the replayed slots repeat the original
+// trajectory exactly — the loop's backlogs and the agents' own queues. It
+// holds under both failure policies, and under Degrade when the rewind's
+// restore is lost: the agent stays Healthy (suspect-after 2), and its
+// differing report must not re-seed the shadow.
 func TestControllerSnapshotRestore(t *testing.T) {
-	const slots = 10
+	const checkpoint, slots = 5, 8
 	in, conns, cleanup := buildSystem(t, slots, false)
 	defer cleanup()
-	build := func() *Controller {
-		g, err := core.New(in.Cluster, core.Config{V: 7.5})
+	build := func(conns []AgentConn, opts ...Option) *Controller {
+		g, err := core.New(in.Cluster, core.Config{V: 7.5, Beta: 100})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ct, err := New(in.Cluster, g, conns)
+		ct, err := New(in.Cluster, g, conns, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return ct
 	}
-	ct := build()
-	for s := 0; s < 5; s++ {
+	agentLens := func() [][]float64 {
+		out := make([][]float64, len(conns))
+		for i, c := range conns {
+			out[i] = c.(localConn).a.QueueLens()
+		}
+		return out
+	}
+	ct := build(conns)
+	var state *State
+	wantLens := make([]queue.Lengths, slots)
+	wantAgents := make([][][]float64, slots)
+	for s := 0; s < slots; s++ {
+		if s == checkpoint {
+			var err error
+			if state, err = ct.ExportState(); err != nil {
+				t.Fatal(err)
+			}
+		}
 		if _, _, _, err := ct.RunSlot(s, in.Workload.Arrivals(s)); err != nil {
 			t.Fatal(err)
 		}
+		wantLens[s], wantAgents[s] = ct.Lengths(), agentLens()
 	}
-	snap, err := ct.Snapshot()
-	if err != nil {
-		t.Fatal(err)
+	if state.Slot != checkpoint || ct.Slot() != slots {
+		t.Fatalf("state at slot %d, loop at %d", state.Slot, ct.Slot())
 	}
 
-	// A replacement controller (same agents) resumes with identical central
-	// backlogs.
-	ct2 := build()
-	if err := ct2.Restore(snap); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		opts []Option
+		lose int // the agent whose first restore is lost, -1 for none
+	}{
+		{"strict", nil, -1},
+		{"degrade", []Option{WithFailurePolicy(Degrade)}, -1},
+		{"degrade/restore-lost", []Option{WithFailurePolicy(Degrade), WithHealthThresholds(2, 3)}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cs := append([]AgentConn(nil), conns...)
+			if tc.lose >= 0 {
+				cs[tc.lose] = &flakyRestoreConn{AgentConn: cs[tc.lose]}
+			}
+			ct2 := build(cs, tc.opts...)
+			if err := ct2.RestoreState(state); err != nil {
+				t.Fatal(err)
+			}
+			if ct2.Slot() != checkpoint {
+				t.Fatalf("restored loop at slot %d, want %d", ct2.Slot(), checkpoint)
+			}
+			for s := checkpoint; s < slots; s++ {
+				if _, _, _, err := ct2.RunSlot(s, in.Workload.Arrivals(s)); err != nil {
+					t.Fatalf("slot %d: %v", s, err)
+				}
+				if got := ct2.Lengths(); !reflect.DeepEqual(got, wantLens[s]) {
+					t.Fatalf("slot %d: backlogs %v, want %v", s, got, wantLens[s])
+				}
+				if got := agentLens(); !reflect.DeepEqual(got, wantAgents[s]) {
+					t.Fatalf("slot %d: agents' queues %v, want %v", s, got, wantAgents[s])
+				}
+			}
+			if tc.lose >= 0 && !cs[tc.lose].(*flakyRestoreConn).lost {
+				t.Fatal("the rewind never reached the flaky agent")
+			}
+		})
 	}
-	a, b := ct.CentralLens(), ct2.CentralLens()
-	for j := range a {
-		if a[j] != b[j] {
-			t.Errorf("central[%d]: %v != %v", j, a[j], b[j])
-		}
-	}
-	if _, _, _, err := ct2.RunSlot(5, in.Workload.Arrivals(5)); err != nil {
-		t.Fatalf("restored controller cannot continue: %v", err)
-	}
-	if err := ct2.Restore([]byte("junk")); err == nil {
+
+	ct2 := build(conns)
+	if err := ct2.RestoreState(&State{Queues: []byte("junk")}); err == nil {
 		t.Error("junk snapshot accepted")
+	}
+	if err := ct2.RestoreState(&State{Slot: -1, Queues: state.Queues}); err == nil {
+		t.Error("negative slot accepted")
 	}
 }
 

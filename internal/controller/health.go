@@ -60,7 +60,7 @@ const (
 	// masked to zero, their local queues are frozen at the controller's
 	// shadow of the last known state, arrivals keep entering the central
 	// queues, and rejoining agents are re-synced. This is the default for
-	// the grefar-controller daemon.
+	// grefar-serve -agents.
 	Degrade
 )
 
@@ -173,8 +173,11 @@ type agentRecord struct {
 	// fails counts consecutive failed interactions; any success resets it.
 	fails int
 	// synced reports whether the shadow ledgers are authoritative: false
-	// until the first valid report seeds them.
+	// until the first valid report seeds them or a restore fills them.
 	synced bool
+	// rewind marks a shadow restored from a checkpoint that has not yet been
+	// pushed onto the agent.
+	rewind bool
 	// lastPrice is the most recent reported electricity price, frozen into
 	// the assembled state while the agent is masked.
 	lastPrice float64

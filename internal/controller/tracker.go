@@ -174,8 +174,9 @@ func (tk *Tracker) lensEqualShadow(i int, lens []float64) bool {
 }
 
 // resync pushes the controller's shadow queue state onto agent i and
-// verifies the agent landed exactly on it. With an unseeded shadow there is
-// nothing authoritative to push; the next state report seeds it instead.
+// verifies the agent landed exactly on it, which completes a pending rewind.
+// With an unseeded shadow there is nothing authoritative to push; the next
+// state report seeds it instead.
 func (tk *Tracker) resync(ctx context.Context, i, t int) error {
 	rec := &tk.recs[i]
 	if !rec.synced {
@@ -195,7 +196,45 @@ func (tk *Tracker) resync(ctx context.Context, i, t int) error {
 	if tk.metrics != nil {
 		tk.metrics.resyncs.With(dcLabel(i)).Inc()
 	}
+	rec.rewind = false
 	return nil
+}
+
+// shadows returns every agent's shadow ledgers, site by site: the local half
+// of the loop's durable state.
+func (tk *Tracker) shadows() [][]queue.Ledger {
+	out := make([][]queue.Ledger, len(tk.recs))
+	for i := range tk.recs {
+		out[i] = tk.recs[i].shadow
+	}
+	return out
+}
+
+// markRewind makes every restored shadow authoritative and marks its agent
+// for a rewind onto it.
+func (tk *Tracker) markRewind() {
+	for i := range tk.recs {
+		tk.recs[i].synced = true
+		tk.recs[i].rewind = true
+	}
+}
+
+// Rewind pushes every shadow marked by a restore onto its agent, concurrently,
+// writing each agent's outcome into errs. Dead agents are skipped: ProbeDead's
+// resync rewinds them when they answer.
+func (tk *Tracker) Rewind(ctx context.Context, t int, errs []error) {
+	var wg sync.WaitGroup
+	for i := range tk.recs {
+		if !tk.recs[i].rewind || tk.recs[i].state == Dead {
+			continue
+		}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = tk.resync(ctx, i, t)
+		}(i)
+	}
+	wg.Wait()
 }
 
 // ProbeDead opens the slot by heartbeating every Dead agent once. A probe
@@ -262,7 +301,9 @@ func (tk *Tracker) anyDead() bool {
 // from the report; a Suspect or Rejoining agent diverged while the
 // controller was scheduling around it, so the shadow — the trajectory every
 // emitted slot already accounted for — is authoritative and is restored onto
-// the agent before it rejoins.
+// the agent before it rejoins. So is a restored shadow whose rewind has not
+// landed yet, whatever the agent's health: it is restored onto the agent
+// even when the lengths agree, because the cohorts behind them may not.
 func (tk *Tracker) ResolveReport(ctx context.Context, i, t int, rep *transport.StateReport) bool {
 	rec := &tk.recs[i]
 	if !rec.synced {
@@ -272,7 +313,7 @@ func (tk *Tracker) ResolveReport(ctx context.Context, i, t int, rep *transport.S
 		return true
 	}
 	equal := tk.lensEqualShadow(i, rep.QueueLens)
-	if rec.state == Healthy {
+	if rec.state == Healthy && !rec.rewind {
 		if !equal {
 			if tk.metrics != nil {
 				tk.metrics.divergences.With(dcLabel(i)).Inc()
@@ -283,8 +324,8 @@ func (tk *Tracker) ResolveReport(ctx context.Context, i, t int, rep *transport.S
 		tk.RecordSuccess(i)
 		return true
 	}
-	// Suspect or Rejoining: let it back in only on the shadow trajectory.
-	if !equal {
+	// Suspect, Rejoining or rewinding: let it in only on the shadow trajectory.
+	if !equal || rec.rewind {
 		if err := tk.resync(ctx, i, t); err != nil {
 			tk.RecordFailure(i)
 			return false

@@ -143,6 +143,54 @@ func TestFleetKillReviveRejoins(t *testing.T) {
 	}
 }
 
+// TestThousandAgentsWithMidRunKill is the fleet-scale acceptance run: 1000
+// hollow agents in this one process, real slot ticks over the mux wire, 5% of
+// the fleet (50 agents, strided across the site classes) killed at slot 3 and
+// revived at slot 6, the invariant checker green on every slot, and every
+// agent healthy again at the horizon.
+func TestThousandAgentsWithMidRunKill(t *testing.T) {
+	if testing.Short() {
+		t.Skip("1000-agent run skipped in -short mode")
+	}
+	const n, slots, killAt, reviveAt = 1000, 9, 3, 6
+	f, ct, ck, in := startFleet(t, n, slots)
+	killed := make(map[int]bool)
+	for k := 0; len(killed) < n/20; k++ {
+		killed[1+(k*7)%(n-1)] = true
+	}
+	degraded := 0
+	for tt := 0; tt < slots; tt++ {
+		for i := range killed {
+			switch tt {
+			case killAt:
+				f.Kill(i)
+			case reviveAt:
+				f.Revive(i)
+			}
+		}
+		if _, _, _, err := ct.RunSlot(tt, in.Workload.Arrivals(tt)); err != nil {
+			t.Fatalf("slot %d: %v", tt, err)
+		}
+		for i := range killed {
+			if ct.Health()[i] != controller.Healthy {
+				degraded++
+				break
+			}
+		}
+	}
+	if err := ck.Err(); err != nil {
+		t.Fatalf("invariant check: %v", err)
+	}
+	if degraded == 0 {
+		t.Fatal("the outage never masked an agent")
+	}
+	for i, h := range ct.Health() {
+		if h != controller.Healthy {
+			t.Errorf("agent %d ended %v, want healthy", i, h)
+		}
+	}
+}
+
 // TestFleetRestartResyncsFromShadow crash-restarts an agent (losing its local
 // queues) and requires the controller's rejoin path to push the shadow state
 // back so the trajectory continues exactly.

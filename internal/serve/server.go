@@ -13,6 +13,7 @@ import (
 	"sync"
 	"time"
 
+	"grefar/internal/core"
 	"grefar/internal/serve/snapshot"
 	"grefar/internal/tariff"
 	"grefar/internal/telemetry"
@@ -257,7 +258,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 func writeError(w http.ResponseWriter, err error) {
 	code := http.StatusInternalServerError
 	switch {
-	case errors.Is(err, ErrBadJob):
+	case errors.Is(err, ErrBadJob), errors.Is(err, core.ErrBadConfig):
 		code = http.StatusBadRequest
 	case errors.Is(err, ErrClosed):
 		code = http.StatusServiceUnavailable
@@ -311,6 +312,12 @@ func (sv *Server) handleJobsBatch(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("line %d: %v", line, err)})
 			return
 		}
+		// One object a line: a second value, or a stray bracket (which
+		// dec.More does not see), would otherwise be dropped silently.
+		if rest := bytes.TrimSpace(raw[dec.InputOffset():]); len(rest) > 0 {
+			writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("line %d: trailing data after the job object", line)})
+			return
+		}
 		jobs = append(jobs, job)
 	}
 	if err := sc.Err(); err != nil {
@@ -348,7 +355,8 @@ func writeAccepted(w http.ResponseWriter, n int) {
 func (sv *Server) handleTick(w http.ResponseWriter, r *http.Request) {
 	n := 1
 	if q := r.URL.Query().Get("n"); q != "" {
-		if _, err := fmt.Sscanf(q, "%d", &n); err != nil || n <= 0 {
+		var err error
+		if n, err = strconv.Atoi(q); err != nil || n <= 0 {
 			writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad n %q", q)})
 			return
 		}

@@ -101,14 +101,24 @@ func TestServerEndpoints(t *testing.T) {
 	if code, _ := postJSON(t, ts.URL+"/v1/jobs/batch", `{"type":0,"bogus":1}`+"\n"); code != http.StatusBadRequest {
 		t.Fatalf("unknown field accepted: %d", code)
 	}
+	for _, body := range []string{
+		`{"type":1} {"type":2,"count":5}` + "\n", // two objects on one line
+		`{"type":1}]` + "\n",                     // a stray bracket
+	} {
+		if code, _ := postJSON(t, ts.URL+"/v1/jobs/batch", body); code != http.StatusBadRequest {
+			t.Fatalf("batch line %q accepted: %d", body, code)
+		}
+	}
 
 	// Tick five slots at once.
 	code, out = postJSON(t, ts.URL+"/v1/tick?n=5", "")
 	if code != http.StatusOK || out["slot"].(float64) != 4 {
 		t.Fatalf("tick n=5: %d %v", code, out)
 	}
-	if code, _ := postJSON(t, ts.URL+"/v1/tick?n=0", ""); code != http.StatusBadRequest {
-		t.Fatalf("n=0 accepted: %d", code)
+	for _, n := range []string{"0", "-1", "5abc", "2.5", "x"} {
+		if code, _ := postJSON(t, ts.URL+"/v1/tick?n="+n, ""); code != http.StatusBadRequest {
+			t.Fatalf("n=%s accepted: %d", n, code)
+		}
 	}
 
 	// Status reflects the served slots and ingested jobs.
@@ -130,7 +140,7 @@ func TestServerEndpoints(t *testing.T) {
 	if code != http.StatusOK || out["v"].(float64) != 20 {
 		t.Fatalf("reconfigure: %d %v", code, out)
 	}
-	if code, _ := postJSON(t, ts.URL+"/v1/reconfigure", `{"v":-3}`); code != http.StatusInternalServerError {
+	if code, _ := postJSON(t, ts.URL+"/v1/reconfigure", `{"v":-3}`); code != http.StatusBadRequest {
 		t.Fatalf("invalid reconfigure status: %d", code)
 	}
 	if code, _ := postJSON(t, ts.URL+"/v1/reconfigure", `{"tariff":{"kind":"nope"}}`); code != http.StatusBadRequest {

@@ -1,5 +1,6 @@
 // Package serve implements the long-running service mode of GreFar: a
-// stateful Session wrapping the simulator's resumable Engine, fed by a live
+// stateful Session that runs its slots on the simulator's resumable Engine or
+// on real site agents through the distributed control loop, fed by a live
 // arrival stream instead of a workload generator, ticking slots on demand,
 // and surviving restarts through durable checkpoints (internal/serve/snapshot).
 // Server exposes a Session over HTTP — see server.go for the endpoints and
@@ -16,6 +17,7 @@ import (
 	"math"
 	"sync"
 
+	"grefar/internal/controller"
 	"grefar/internal/core"
 	"grefar/internal/model"
 	"grefar/internal/queue"
@@ -64,10 +66,23 @@ type SessionConfig struct {
 	Inputs sim.Inputs
 	// Scheduler configures the GreFar scheduler driving the session.
 	Scheduler core.Config
-	// Sim carries the per-slot engine options (action validation, invariant
-	// checking, observers). Slots and Context are ignored: a session has no
-	// horizon and Tick takes its context per call.
+	// Sim carries the per-slot options (action validation, invariant
+	// checking, observers). Slots is ignored: a session has no horizon.
+	// Context, when set, bounds the agent calls of every slot (cancelling it
+	// aborts a slot's reconnect backoff); Tick's own context is checked
+	// between slots.
 	Sim sim.Options
+	// Agents, when non-empty, runs the slots on remote site agents, Agents[i]
+	// serving data center i, through the distributed control loop instead of
+	// the in-process engine. The agents reveal prices and availability, so
+	// Inputs then supplies only the cluster, the optional workload and the
+	// fairness function; a tariff, a base load and an admission policy are
+	// refused. Agents that ran past a restored checkpoint are rewound onto it
+	// by the first slot after the restore.
+	Agents []controller.AgentConn
+	// Controller tunes the control loop over Agents: failure policy, health
+	// thresholds, health metrics.
+	Controller []controller.Option
 }
 
 // Session is a long-lived GreFar control loop: jobs arrive via Submit, slots
@@ -80,7 +95,7 @@ type Session struct {
 	cfg    SessionConfig
 	c      *model.Cluster
 	g      *core.GreFar
-	eng    *sim.Engine
+	exec   executor
 	closed bool
 
 	// pending accumulates submitted jobs per type until Tick admits them.
@@ -97,12 +112,16 @@ type Session struct {
 // NewSession validates the configuration and opens a session at slot 0.
 func NewSession(cfg SessionConfig) (*Session, error) {
 	cfg.Sim.Slots = 0
-	cfg.Sim.Context = nil
 	g, err := core.New(cfg.Inputs.Cluster, cfg.Scheduler)
 	if err != nil {
 		return nil, err
 	}
-	eng, err := sim.NewEngine(cfg.Inputs, g, cfg.Sim)
+	var exec executor
+	if len(cfg.Agents) > 0 {
+		exec, err = newAgentLoop(cfg, g)
+	} else {
+		exec, err = sim.NewEngine(cfg.Inputs, g, cfg.Sim)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -110,7 +129,7 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 		cfg:     cfg,
 		c:       cfg.Inputs.Cluster,
 		g:       g,
-		eng:     eng,
+		exec:    exec,
 		pending: make([]int, cfg.Inputs.Cluster.J()),
 	}, nil
 }
@@ -181,7 +200,7 @@ func (s *Session) Tick(ctx context.Context) (*TickReport, error) {
 	if s.closed {
 		return nil, ErrClosed
 	}
-	t := s.eng.Slot()
+	t := s.exec.Slot()
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("slot %d: tick canceled: %w", t, err)
 	}
@@ -195,13 +214,13 @@ func (s *Session) Tick(ctx context.Context) (*TickReport, error) {
 		extra[j] = n
 		admitted += n
 	}
-	if err := s.eng.Step(extra); err != nil {
+	if err := s.exec.Step(extra); err != nil {
 		return nil, err
 	}
 	// The slot committed; only now do the admitted jobs leave the buffer.
-	// A Step refused before it applied its action left the engine as it was,
-	// so the jobs wait for the next Tick. One that failed after (the
-	// invariant checker's verdict) keeps them buffered too, but the engine
+	// A Step refused before it applied its action left the executor as it
+	// was, so the jobs wait for the next Tick. One that failed after (the
+	// invariant checker's verdict) keeps them buffered too, but the executor
 	// then refuses every later Step with that error until a Restore.
 	for j := range extra {
 		s.pending[j] -= extra[j]
@@ -211,7 +230,7 @@ func (s *Session) Tick(ctx context.Context) (*TickReport, error) {
 		Slot:     t,
 		Admitted: admitted,
 		Pending:  s.pendingTotal,
-		Backlog:  s.eng.Backlog(),
+		Backlog:  s.exec.Backlog(),
 	}, nil
 }
 
@@ -219,21 +238,21 @@ func (s *Session) Tick(ctx context.Context) (*TickReport, error) {
 func (s *Session) Slot() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.eng.Slot()
+	return s.exec.Slot()
 }
 
 // Lengths returns a snapshot of the current queue backlogs.
 func (s *Session) Lengths() queue.Lengths {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.eng.Lengths()
+	return s.exec.Lengths()
 }
 
 // backlog returns the total queue backlog, as Lengths().Sum() would.
 func (s *Session) backlog() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.eng.Backlog()
+	return s.exec.Backlog()
 }
 
 // Pending returns a copy of the per-type pending arrival buffer.
@@ -263,7 +282,7 @@ func (s *Session) Submitted() float64 {
 func (s *Session) Result() *sim.Result {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.eng.Result()
+	return s.exec.Result()
 }
 
 // Cluster returns the session's system description.
@@ -307,7 +326,7 @@ func (s *Session) Reconfigure(cfg core.Config) error {
 	}
 	s.g = ng
 	s.cfg.Scheduler = cfg
-	s.eng.SetScheduler(ng)
+	s.exec.SetScheduler(ng)
 	return nil
 }
 
@@ -328,8 +347,9 @@ func (s *Session) Close() error {
 type checkpointPayload struct {
 	// N, J, M guard against restoring onto a different cluster shape.
 	N, J, M int
-	// Engine is the queue trajectory state: slot counter, FIFO cohorts,
-	// lifetime totals.
+	// Engine is the queue trajectory state: slot counter, FIFO cohorts of the
+	// central and the local queues (the agents' shadows when the session runs
+	// on agents), lifetime totals.
 	Engine sim.EngineState
 	// Scheduler is the cross-slot scheduler memory: warm iterate and
 	// cumulative solver counters.
@@ -350,7 +370,7 @@ func (s *Session) EncodeState() ([]byte, error) {
 	if s.closed {
 		return nil, ErrClosed
 	}
-	eng, err := s.eng.ExportState()
+	eng, err := s.exec.ExportState()
 	if err != nil {
 		return nil, err
 	}
@@ -410,7 +430,7 @@ func (s *Session) RestoreState(payload []byte) error {
 	if err := s.g.RestoreState(&p.Scheduler); err != nil {
 		return fmt.Errorf("%w: scheduler state: %v", ErrCorruptSnapshot, err)
 	}
-	if err := s.eng.RestoreState(&p.Engine); err != nil {
+	if err := s.exec.RestoreState(&p.Engine); err != nil {
 		_ = s.g.RestoreState(prev) // its own export: accepted by construction
 		return fmt.Errorf("%w: engine state: %v", ErrCorruptSnapshot, err)
 	}
