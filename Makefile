@@ -29,6 +29,10 @@ race:
 #   agent..hollow: wire reuse, batch contract, parked workers, degrade,
 #     restore rewind; hollow's kill, mask, resync, rejoin at 48 and at 1000
 #     agents (TestFleetKillReviveRejoins, TestThousandAgentsWithMidRunKill)
+#   controller, ten times under -race: a slot's outputs hold until the next
+#     RunSlot while a late reply lands, a Strict abort restores the central
+#     queues from the checkpoint the loop reuses, and a cancelled ctx is
+#     charged to no agent
 #   core: decisions replay the dense layout's pins; greedy edges; warm repair
 #   invariant: decisions replay the dense goldens; aux runs checked
 #   queue, sim: rejected input leaves no trace
@@ -49,6 +53,7 @@ tier1:
 	$(GO) test -race -count=1 ./internal/runner
 	$(GO) test -race -count=1 ./internal/serve/... ./cmd/grefar-serve
 	$(GO) test -race -count=1 ./internal/agent ./internal/controller ./internal/controlplane ./internal/transport/... ./internal/experiments ./internal/hollow
+	$(GO) test -race -count=10 -run 'TestSlotOutputsBelongToTheCaller|TestStrictAllocateAbortConservesJobs|TestCancelledSlotChargesNoAgent' ./internal/controller
 	$(GO) test -race -count=1 -run 'TestSparse|TestAuto|TestDecomposed|TestSchedulerState|TestRestoreRejects|TestRepairWarmStartOutcomes|TestGreedy|TestDecideLeavesNoStaleCells' ./internal/core
 	$(GO) test -race -count=1 -run 'TestAutoSolverBitIdentical|TestCheckerCleanOnAuxCluster' ./internal/invariant
 	$(GO) test -race -count=1 -run 'TestRejectedApply|TestRejectedStep|TestSnapshotsOwn|TestViewTracksTheSet|TestEngineSnapshotReuse|TestEngineDetailOwnsFlows|FuzzApply' ./internal/queue ./internal/sim

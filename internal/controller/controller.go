@@ -61,6 +61,12 @@ func callAgent(ctx context.Context, a AgentConn, kind string, reqBody, respBody 
 	return a.Call(kind, reqBody, respBody)
 }
 
+// callerGaveUp reports whether err is the caller's own cancellation: ctx is
+// done and err is its error. Such a failure is not the agent's.
+func callerGaveUp(ctx context.Context, err error) bool {
+	return ctx != nil && ctx.Err() != nil && errors.Is(err, ctx.Err())
+}
+
 // Controller drives the distributed control loop.
 type Controller struct {
 	cluster *model.Cluster
@@ -70,9 +76,21 @@ type Controller struct {
 	detail  bool // obs asked for SlotEvent.Detail
 
 	// central holds the central ledgers Q_j; scratch is the per-slot
-	// gather/scatter working set.
-	central []queue.Ledger
-	scratch *SlotScratch
+	// gather/scatter working set; checkpoint is Strict's copy of the central
+	// ledgers from before the slot's pops, rewritten every slot.
+	central    []queue.Ledger
+	scratch    *SlotScratch
+	checkpoint []queue.Ledger
+
+	// st, act and acks are the slot's outputs, rewritten every slot: what
+	// RunSlot returns is the controller's until its next RunSlot. The acks'
+	// rows are cut from ackFlat; masked lists the slot's masked sites (its
+	// capacity is N, so it never grows).
+	st      *model.State
+	act     *model.Action
+	acks    []transport.AllocateAck
+	ackFlat []float64
+	masked  []int
 
 	// sch decides for the whole cluster, once per slot.
 	sch sched.Scheduler
@@ -156,14 +174,20 @@ func New(c *model.Cluster, sch sched.Scheduler, agents []AgentConn, opts ...Opti
 		return nil, err
 	}
 	ct := &Controller{
-		cluster: c,
-		conns:   agents,
-		fair:    fair,
-		central: make([]queue.Ledger, c.J()),
-		scratch: NewSlotScratch(c),
-		sch:     sch,
-		wireOf:  make([]int, c.N()),
-		live:    make([]int, 0, c.N()),
+		cluster:    c,
+		conns:      agents,
+		fair:       fair,
+		central:    make([]queue.Ledger, c.J()),
+		scratch:    NewSlotScratch(c),
+		checkpoint: make([]queue.Ledger, c.J()),
+		st:         model.NewState(c),
+		act:        model.NewAction(c),
+		acks:       make([]transport.AllocateAck, c.N()),
+		ackFlat:    make([]float64, 2*c.N()*c.J()),
+		sch:        sch,
+		wireOf:     make([]int, c.N()),
+		live:       make([]int, 0, c.N()),
+		masked:     make([]int, 0, c.N()),
 	}
 	for _, opt := range opts {
 		opt(ct)
@@ -213,6 +237,22 @@ func (ct *Controller) Lengths() queue.Lengths {
 		ct.tracker.ShadowLens(i, l.Local[i])
 	}
 	return l
+}
+
+// Backlog returns the total backlog the loop schedules on, bit-identical to
+// Lengths().Sum() (it sums in the same order: the central ledgers, then each
+// agent's shadow) without taking a snapshot.
+func (ct *Controller) Backlog() float64 {
+	var sum float64
+	for j := range ct.central {
+		sum += ct.central[j].Len()
+	}
+	for i := range ct.tracker.recs {
+		for j := range ct.tracker.recs[i].shadow {
+			sum += ct.tracker.recs[i].shadow[j].Len()
+		}
+	}
+	return sum
 }
 
 // SetScheduler swaps the deciding scheduler at a slot boundary, the serving
@@ -360,13 +400,25 @@ func (ct *Controller) callOne(ctx context.Context, i int, kind string, req, resp
 // RunSlot executes one slot of the control loop: gather, decide, allocate,
 // then admit the slot's new arrivals into the central queues. It returns the
 // acks for metric aggregation along with the decided action and state.
+//
+// What it returns is the controller's, as a sched.Scheduler's action is its
+// own: it is valid until the controller's next RunSlot, which rewrites it in
+// place, and a caller that keeps any of it longer takes a Clone (or copies
+// the acks it keeps).
 func (ct *Controller) RunSlot(t int, arrivals []int) (*model.Action, *model.State, []transport.AllocateAck, error) {
 	return ct.RunSlotContext(context.Background(), t, arrivals)
 }
 
 // RunSlotContext is RunSlot with cancellation threaded into the agent calls:
 // connections implementing ContextAgentConn abort their retry loops as soon
-// as ctx is done, so an interrupt does not wait out reconnection backoff.
+// as ctx is done, so an interrupt does not wait out reconnection backoff. Its
+// outputs are the controller's until its next RunSlot, as RunSlot's are.
+//
+// A done ctx is the caller's failure, never an agent's. A ctx done at entry,
+// or by the end of the gather, aborts the slot before anything moves, with an
+// error wrapping ctx.Err(): the slot counter and every agent's health stay as
+// they were. A call that fails with ctx's own error later in the slot does
+// not count against its agent.
 //
 // Under FailurePolicy Strict, any agent failure aborts the slot with every
 // per-agent error joined. Under Degrade the slot always completes: failed or
@@ -386,6 +438,12 @@ func (ct *Controller) RunSlotContext(ctx context.Context, t int, arrivals []int)
 			return nil, nil, nil, fmt.Errorf("negative arrivals for job type %d", j)
 		}
 	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, nil, nil, fmt.Errorf("slot %d: %w", t, err)
+	}
 	degrade := ct.health.Policy == Degrade
 
 	// Probe, gather, resolve. Dead agents are probed instead of polled; every
@@ -397,7 +455,8 @@ func (ct *Controller) RunSlotContext(ctx context.Context, t int, arrivals []int)
 	// agents participating in this slot's decision.
 	ct.scratch.Reset()
 	reports, errs, ok := ct.scratch.Reports, ct.scratch.StateErrs, ct.scratch.OK
-	var stateReq any = transport.StateRequest{Slot: t} // boxed once, not per agent
+	ct.scratch.stateReq = transport.StateRequest{Slot: t}
+	var stateReq any = &ct.scratch.stateReq // boxed once, not per agent
 	if degrade {
 		ct.tracker.ProbeDead(ctx, t)
 	}
@@ -418,6 +477,10 @@ func (ct *Controller) RunSlotContext(ctx context.Context, t int, arrivals []int)
 		func(int) any { return stateReq },
 		func(i int) any { return &reports[i] },
 		errs)
+	// A gather the caller gave up on failed for it, not for the agents.
+	if err := ctx.Err(); err != nil {
+		return nil, nil, nil, fmt.Errorf("slot %d: %w", t, err)
+	}
 	for _, i := range ct.live {
 		if errs[i] == nil {
 			errs[i] = reports[i].Validate(i, t, c.K(i), c.J())
@@ -441,21 +504,23 @@ func (ct *Controller) RunSlotContext(ctx context.Context, t int, arrivals []int)
 		}
 	}
 
-	// Assemble the global state: reported availability and price for
-	// participating agents; masked agents contribute zero availability (no
-	// routing, no processing there) and their last known price, with local
-	// queues frozen at the shadow. Participating agents' shadow lengths are
-	// bit-identical to their reports, so the scheduler's view is unchanged
-	// from the historical report-driven assembly.
-	st := model.NewState(c)
-	pre := ct.scratch.Pre
+	// Assemble the global state into the loop's own: reported availability
+	// and price for participating agents; masked agents contribute zero
+	// availability (no routing, no processing there) and their last known
+	// price, with local queues frozen at the shadow. Every row is written
+	// whole, so nothing of the previous slot's state survives. Participating
+	// agents' shadow lengths are bit-identical to their reports, so the
+	// scheduler's view is unchanged from the historical report-driven
+	// assembly.
+	st, pre := ct.st, ct.scratch.Pre
 	ct.centralLens(pre.Central)
-	var masked []int
+	masked := ct.masked[:0]
 	for i := 0; i < c.N(); i++ {
 		if ok[i] {
 			copy(st.Avail[i], reports[i].Avail)
 			st.Price[i] = reports[i].Price
 		} else {
+			clear(st.Avail[i])
 			st.Price[i] = ct.tracker.LastPrice(i)
 			masked = append(masked, i)
 		}
@@ -472,9 +537,13 @@ func (ct *Controller) RunSlotContext(ctx context.Context, t int, arrivals []int)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("slot %d: %s: %w", t, ct.sch.Name(), err)
 	}
-	// The scheduler may rewrite its action on the next Decide, and the
-	// slot's action is the caller's: copy it before anything edits it.
-	act := owned.Clone()
+	// The scheduler may rewrite its action on the next Decide, and masking
+	// edits the slot's: copy it into the loop's own first. An action shaped
+	// for another cluster does not fit, and Validate says why.
+	act := ct.act
+	if !copyRows(act.Route, owned.Route) || !copyRows(act.Process, owned.Process) || !copyRows(act.Busy, owned.Busy) {
+		return nil, nil, nil, fmt.Errorf("slot %d: infeasible action: %w", t, owned.Validate(c, st))
+	}
 	// Flow around masked sites: zero their rows so the realized dispatch,
 	// the queue dynamics, and the invariant checker's nominal-route checks
 	// all agree that nothing moved there. (Schedulers route on backlog, not
@@ -491,16 +560,14 @@ func (ct *Controller) RunSlotContext(ctx context.Context, t int, arrivals []int)
 
 	// Under Strict an allocate failure below aborts the slot, but the central
 	// pops happen first: without a checkpoint the caller's retry of the same
-	// slot would pop the same jobs twice and break conservation. Clone the
-	// ledgers now and restore them on the abort path so a failed slot leaves
-	// the central queues exactly as it found them. (Degrade never aborts.)
+	// slot would pop the same jobs twice and break conservation. Copy the
+	// ledgers into the checkpoint now and copy them back on the abort path so
+	// a failed slot leaves the central queues exactly as it found them; both
+	// copies are deep, so the live ledgers never share the checkpoint's
+	// arrays. (Degrade never aborts.)
 	central := ct.central
-	var checkpoint []queue.Ledger
 	if !degrade {
-		checkpoint = make([]queue.Ledger, c.J())
-		for j := range central {
-			checkpoint[j] = central[j].Clone()
-		}
+		queue.CopyLedgers(ct.checkpoint, central)
 	}
 
 	// Dispatch jobs from the central queues, capped at queue content, in one
@@ -529,15 +596,17 @@ func (ct *Controller) RunSlotContext(ctx context.Context, t int, arrivals []int)
 		}
 	}
 
-	// The acks are the caller's: fresh every slot. Their slices are cut from
-	// one array before the decode, which fills a destination in place when it
-	// is large enough, so the scatter's replies cost one allocation, not two
-	// per agent.
-	acks := make([]transport.AllocateAck, c.N())
-	ackFlat, j := make([]float64, 2*c.N()*c.J()), c.J()
+	// The acks are the loop's too, rewritten whole: each starts as the zero
+	// ack of slot t — what a masked agent's stays — with its rows cut afresh
+	// from one zeroed array, which a decode fills in place.
+	acks, ackFlat, nj := ct.acks, ct.ackFlat, c.J()
+	clear(ackFlat)
 	for i := range acks {
-		acks[i].Processed = ackFlat[2*i*j : (2*i+1)*j : (2*i+1)*j]
-		acks[i].DelaySum = ackFlat[(2*i+1)*j : (2*i+2)*j : (2*i+2)*j]
+		acks[i] = transport.AllocateAck{
+			Slot:      t,
+			Processed: ackFlat[2*i*nj : (2*i+1)*nj : (2*i+1)*nj],
+			DelaySum:  ackFlat[(2*i+1)*nj : (2*i+2)*nj : (2*i+2)*nj],
+		}
 	}
 	errsA, allocs := ct.scratch.AllocErrs, ct.scratch.Allocs
 	ct.live = ct.live[:0]
@@ -560,7 +629,7 @@ func (ct *Controller) RunSlotContext(ctx context.Context, t int, arrivals []int)
 		errsA)
 	if !degrade {
 		if err := joinAgentErrors("allocate", errsA); err != nil {
-			copy(central, checkpoint)
+			queue.CopyLedgers(central, ct.checkpoint)
 			return nil, nil, nil, err
 		}
 	}
@@ -569,7 +638,10 @@ func (ct *Controller) RunSlotContext(ctx context.Context, t int, arrivals []int)
 	// agent execution order, and settle each agent's ack: verified against
 	// the shadow for responders, synthesized from it when the response was
 	// lost (the dispatch is authoritative — a rejoining agent is restored
-	// onto this trajectory), zero for masked agents whose rows were zeroed.
+	// onto this trajectory), the zero ack for masked agents whose rows were
+	// zeroed. An allocate the caller gave up on may or may not have run, so
+	// its agent is held to the shadow without counting the failure against
+	// it.
 	// processedEv is slot evidence a detail observer keeps: fresh for one.
 	processedEv, delays := ct.scratch.Processed, ct.scratch.Delays
 	if ct.detail {
@@ -579,13 +651,17 @@ func (ct *Controller) RunSlotContext(ctx context.Context, t int, arrivals []int)
 		popped := processedEv[i]
 		ct.tracker.ApplyShadow(i, t, act.Process[i], routed[i], popped, delays)
 		if !ok[i] {
-			acks[i].Slot = t // never sent, never decoded into: the zero ack
 			continue
 		}
 		if errsA[i] != nil {
-			ct.tracker.RecordFailure(i)
+			if callerGaveUp(ctx, errsA[i]) {
+				ct.tracker.holdShadow(i)
+			} else {
+				ct.tracker.RecordFailure(i)
+			}
 			ack := ct.tracker.SynthesizeAck(i, t, popped, delays, st, act)
-			// The ack is the caller's; popped and delays are slot storage.
+			// popped and delays are slot storage; the ack's rows are the
+			// loop's, kept until the next slot.
 			ack.Processed = append(acks[i].Processed[:0], popped...)
 			ack.DelaySum = append(acks[i].DelaySum[:0], delays...)
 			acks[i] = ack
@@ -612,15 +688,35 @@ func (ct *Controller) RunSlotContext(ctx context.Context, t int, arrivals []int)
 	return act, st, acks, nil
 }
 
+// copyRows copies src into dst row by row and reports whether the two had
+// the same shape; on false, dst is partly written.
+func copyRows[T any](dst, src [][]T) bool {
+	if len(src) != len(dst) {
+		return false
+	}
+	for i := range dst {
+		if len(src[i]) != len(dst[i]) {
+			return false
+		}
+		copy(dst[i], src[i])
+	}
+	return true
+}
+
 // rewindAgents opens the first slot after a restore: every agent not Dead is
 // pushed onto its restored shadow (ProbeDead's resync rewinds the Dead ones).
 // Under Strict a failure aborts the slot before anything moves, and the retry
 // rewinds again. Under Degrade a failure counts against the agent, which keeps
 // its rewind mark: until a resync lands, its reports are checked against the
-// shadow and never re-seed it, whatever its health.
+// shadow and never re-seed it, whatever its health. A ctx done by the end of
+// the rewind aborts the slot under either policy, and the next slot rewinds
+// the agents it did not reach.
 func (ct *Controller) rewindAgents(ctx context.Context, t int, degrade bool) error {
 	errs := make([]error, ct.cluster.N())
 	ct.tracker.Rewind(ctx, t, errs)
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("slot %d: rewind: %w", t, err)
+	}
 	if !degrade {
 		if err := joinAgentErrors("rewind", errs); err != nil {
 			return fmt.Errorf("slot %d: %w", t, err)
@@ -653,7 +749,9 @@ func (ct *Controller) emitSlot(t int, arrivals []int, st *model.State, act *mode
 		Origin:     telemetry.OriginController,
 		Scheduler:  ct.sch.Name(),
 		DataCenter: -1,
-		Degraded:   masked,
+	}
+	if len(masked) > 0 {
+		ev.Degraded = append([]int(nil), masked...) // the event is the observer's
 	}
 	ev.EnergyPerDC = make([]float64, c.N())
 	alloc := make([]float64, c.M())

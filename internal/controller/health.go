@@ -175,8 +175,9 @@ type agentRecord struct {
 	// synced reports whether the shadow ledgers are authoritative: false
 	// until the first valid report seeds them or a restore fills them.
 	synced bool
-	// rewind marks a shadow restored from a checkpoint that has not yet been
-	// pushed onto the agent.
+	// rewind marks a shadow that has not yet been pushed onto the agent: one
+	// restored from a checkpoint, or one holding an allocate the caller gave
+	// up on.
 	rewind bool
 	// lastPrice is the most recent reported electricity price, frozen into
 	// the assembled state while the agent is masked.

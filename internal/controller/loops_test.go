@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"net"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -134,14 +136,16 @@ func (g allocGateConn) Call(kind string, reqBody, respBody any) error {
 // contract: an allocate-phase failure aborts the slot AFTER the central
 // ledger pops, so without checkpoint/restore a retried slot would pop the
 // same jobs twice and leak them out of the system. The test runs a faulty
-// system (one slot fails at scatter, then is retried) side by side with a
-// clean single controller on identical inputs, with the invariant checker
-// attached to the faulty run: the abort must leave the central queues exactly
-// as it found them, the checker's conservation and flow rules must hold on
-// every applied slot, and the retried run must be byte-identical to the clean
-// one.
+// system (one slot fails at scatter twice in a row, then is retried) side by
+// side with a clean single controller on identical inputs, with the invariant
+// checker attached to the faulty run: each abort must leave the loop's queues
+// exactly as it found them, down to the snapshot bytes — the checkpoint the
+// loop copies into is reused, so a second abort restores from what the first
+// left — the checker's conservation and flow rules must hold on every applied
+// slot, and from the retry on, every snapshot and every ack must be the clean
+// run's.
 func TestStrictAllocateAbortConservesJobs(t *testing.T) {
-	const slots, failAt = 12, 6
+	const slots, failAt, aborts = 12, 6, 2
 	eachLoop(t, func(t *testing.T, lc loopCtor) {
 		inClean, connsClean, cleanupClean := controller.BuildSystem(t, slots, false)
 		defer cleanupClean()
@@ -162,6 +166,14 @@ func TestStrictAllocateAbortConservesJobs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		snapshot := func(ct *controller.Controller) []byte {
+			t.Helper()
+			st, err := ct.ExportState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return st.Queues
+		}
 
 		for tt := 0; tt < slots; tt++ {
 			arrivals := inClean.Workload.Arrivals(tt)
@@ -171,34 +183,27 @@ func TestStrictAllocateAbortConservesJobs(t *testing.T) {
 			}
 
 			if tt == failAt {
-				before := ctFaulty.CentralLens()
+				before := snapshot(ctFaulty)
 				fail.Store(true)
-				if _, _, _, err := ctFaulty.RunSlot(tt, arrivals); err == nil {
-					t.Fatalf("slot %d: scatter outage did not abort the strict slot", tt)
-				}
-				fail.Store(false)
-				after := ctFaulty.CentralLens()
-				for j := range before {
-					if after[j] != before[j] {
-						t.Fatalf("slot %d abort moved central queue %d: %v -> %v (popped jobs not restored)",
-							tt, j, before[j], after[j])
+				for k := 0; k < aborts; k++ {
+					if _, _, _, err := ctFaulty.RunSlot(tt, arrivals); err == nil {
+						t.Fatalf("slot %d, attempt %d: scatter outage did not abort the strict slot", tt, k)
+					}
+					if after := snapshot(ctFaulty); !bytes.Equal(after, before) {
+						t.Fatalf("slot %d abort %d changed the loop's queues (popped jobs not restored)", tt, k)
 					}
 				}
+				fail.Store(false)
 			}
 			_, _, acksFaulty, err := ctFaulty.RunSlot(tt, arrivals)
 			if err != nil {
 				t.Fatalf("faulty slot %d (retry): %v", tt, err)
 			}
-			for i := range acksClean {
-				if acksClean[i].Energy != acksFaulty[i].Energy {
-					t.Fatalf("slot %d agent %d: energy %v != clean %v", tt, i, acksFaulty[i].Energy, acksClean[i].Energy)
-				}
-				for j := range acksClean[i].Processed {
-					if acksClean[i].Processed[j] != acksFaulty[i].Processed[j] {
-						t.Fatalf("slot %d agent %d job %d: processed %v != clean %v",
-							tt, i, j, acksFaulty[i].Processed[j], acksClean[i].Processed[j])
-					}
-				}
+			if !reflect.DeepEqual(acksFaulty, acksClean) {
+				t.Fatalf("slot %d: acks %+v, want the clean run's %+v", tt, acksFaulty, acksClean)
+			}
+			if !bytes.Equal(snapshot(ctFaulty), snapshot(ctClean)) {
+				t.Fatalf("slot %d: the loop's snapshot differs from the clean run's", tt)
 			}
 		}
 
@@ -295,6 +300,33 @@ func TestDegradeMasksFailedAgent(t *testing.T) {
 			t.Errorf("no slot event masked agent %d (saw %d degraded fields)", victim, events)
 		}
 	})
+}
+
+// TestBacklogMatchesLengthsSum pins Backlog to the snapshot sum it replaces:
+// the same bits as Lengths().Sum() after every slot of a Degrade run in which
+// one agent goes down and is masked, its shadow frozen.
+func TestBacklogMatchesLengthsSum(t *testing.T) {
+	const slots, failAt, victim = 12, 4, 1
+	in, conns, cleanup := controller.BuildSystem(t, slots, false)
+	defer cleanup()
+	var down atomic.Bool
+	conns[victim] = failFromConn{inner: conns[victim], down: &down}
+	ct, err := loopCtors[0].build(in.Cluster, conns, controller.Degrade, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for tt := 0; tt < slots; tt++ {
+		down.Store(tt >= failAt)
+		if _, _, _, err := ct.RunSlot(tt, in.Workload.Arrivals(tt)); err != nil {
+			t.Fatalf("slot %d: %v", tt, err)
+		}
+		if got, want := ct.Backlog(), ct.Lengths().Sum(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("slot %d: Backlog() = %v, want Lengths().Sum() = %v, bit for bit", tt, got, want)
+		}
+	}
+	if ct.Health()[victim] == controller.Healthy || ct.Backlog() == 0 {
+		t.Fatal("the run masked no agent or held no backlog; the test would compare nothing")
+	}
 }
 
 // countingScheduler counts the Decide calls reaching the scheduler it wraps.

@@ -34,6 +34,10 @@ type SlotScratch struct {
 	Delays    []float64
 
 	routedFlat []int
+	// stateReq is the gather's one request, sent to every agent by pointer:
+	// boxing a pointer allocates nothing, boxing the struct did for any slot
+	// past 255.
+	stateReq transport.StateRequest
 }
 
 // NewSlotScratch sizes a scratch set for the cluster.

@@ -210,6 +210,12 @@ func (tk *Tracker) shadows() [][]queue.Ledger {
 	return out
 }
 
+// holdShadow makes agent i's shadow authoritative until a resync lands, as a
+// restore does: its next report is checked against the shadow and never
+// re-seeds it. An allocate the caller gave up on may or may not have run on
+// the agent, and the shadow already holds it.
+func (tk *Tracker) holdShadow(i int) { tk.recs[i].rewind = true }
+
 // markRewind makes every restored shadow authoritative and marks its agent
 // for a rewind onto it.
 func (tk *Tracker) markRewind() {
@@ -253,7 +259,7 @@ func (tk *Tracker) ProbeDead(ctx context.Context, t int) {
 		return // nothing to probe: a healthy slot allocates nothing here
 	}
 	probed := make([]bool, len(tk.recs))
-	joined := make([]bool, len(tk.recs))
+	errs := make([]error, len(tk.recs))
 	var wg sync.WaitGroup
 	for i := range tk.recs {
 		if tk.recs[i].state != Dead {
@@ -264,19 +270,18 @@ func (tk *Tracker) ProbeDead(ctx context.Context, t int) {
 		go func(i int) {
 			defer wg.Done()
 			var pong transport.Ping
-			if err := tk.Call(ctx, i, transport.KindPing, transport.Ping{Nonce: uint64(t), Slot: t}, &pong); err != nil {
-				return
+			if errs[i] = tk.Call(ctx, i, transport.KindPing, transport.Ping{Nonce: uint64(t), Slot: t}, &pong); errs[i] == nil {
+				errs[i] = tk.resync(ctx, i, t)
 			}
-			joined[i] = tk.resync(ctx, i, t) == nil
 		}(i)
 	}
 	wg.Wait()
 	for i := range tk.recs {
 		switch {
 		case !probed[i]:
-		case joined[i]:
+		case errs[i] == nil:
 			tk.setState(i, Rejoining)
-		default:
+		case !callerGaveUp(ctx, errs[i]):
 			tk.RecordFailure(i)
 		}
 	}
@@ -301,9 +306,10 @@ func (tk *Tracker) anyDead() bool {
 // from the report; a Suspect or Rejoining agent diverged while the
 // controller was scheduling around it, so the shadow — the trajectory every
 // emitted slot already accounted for — is authoritative and is restored onto
-// the agent before it rejoins. So is a restored shadow whose rewind has not
-// landed yet, whatever the agent's health: it is restored onto the agent
-// even when the lengths agree, because the cohorts behind them may not.
+// the agent before it rejoins. So is a shadow marked for a rewind — restored
+// from a checkpoint, or holding an allocate the caller gave up on — until
+// the rewind lands, whatever the agent's health: it is restored onto the
+// agent even when the lengths agree, because the cohorts behind them may not.
 func (tk *Tracker) ResolveReport(ctx context.Context, i, t int, rep *transport.StateReport) bool {
 	rec := &tk.recs[i]
 	if !rec.synced {
@@ -327,7 +333,9 @@ func (tk *Tracker) ResolveReport(ctx context.Context, i, t int, rep *transport.S
 	// Suspect, Rejoining or rewinding: let it in only on the shadow trajectory.
 	if !equal || rec.rewind {
 		if err := tk.resync(ctx, i, t); err != nil {
-			tk.RecordFailure(i)
+			if !callerGaveUp(ctx, err) {
+				tk.RecordFailure(i)
+			}
 			return false
 		}
 	}

@@ -119,7 +119,7 @@ func newAgentLoop(cfg SessionConfig, s sched.Scheduler) (*agentLoop, error) {
 
 func (a *agentLoop) Slot() int              { return a.ct.Slot() }
 func (a *agentLoop) Lengths() queue.Lengths { return a.ct.Lengths() }
-func (a *agentLoop) Backlog() float64       { return a.ct.Lengths().Sum() }
+func (a *agentLoop) Backlog() float64       { return a.ct.Backlog() }
 
 func (a *agentLoop) SetScheduler(s sched.Scheduler) {
 	a.ct.SetScheduler(s)
