@@ -30,12 +30,13 @@ race:
 #     restore rewind; hollow's kill, mask, resync, rejoin at 48 and at 1000
 #     agents (TestFleetKillReviveRejoins, TestThousandAgentsWithMidRunKill)
 #   controller, ten times under -race: a slot's outputs hold until the next
-#     RunSlot while a late reply lands, a Strict abort restores the central
-#     queues from the checkpoint the loop reuses, and a cancelled ctx is
-#     charged to no agent
+#     RunSlot while a late reply lands, a Strict abort restores the loop's
+#     queue set (central queues and shadows) from the checkpoint it reuses,
+#     and a cancelled ctx is charged to no agent
 #   core: decisions replay the dense layout's pins; greedy edges; warm repair
 #   invariant: decisions replay the dense goldens; aux runs checked
-#   queue, sim: rejected input leaves no trace
+#   queue, sim: rejected input leaves no trace; the view tracks every write;
+#     a set copy is deep and reuses its arrays
 #   budgets: decide, step, wire, tick allocations
 #   FuzzSimplex: hostile LPs
 #   FuzzApply: hostile actions
@@ -56,7 +57,7 @@ tier1:
 	$(GO) test -race -count=10 -run 'TestSlotOutputsBelongToTheCaller|TestStrictAllocateAbortConservesJobs|TestCancelledSlotChargesNoAgent' ./internal/controller
 	$(GO) test -race -count=1 -run 'TestSparse|TestAuto|TestDecomposed|TestSchedulerState|TestRestoreRejects|TestRepairWarmStartOutcomes|TestGreedy|TestDecideLeavesNoStaleCells' ./internal/core
 	$(GO) test -race -count=1 -run 'TestAutoSolverBitIdentical|TestCheckerCleanOnAuxCluster' ./internal/invariant
-	$(GO) test -race -count=1 -run 'TestRejectedApply|TestRejectedStep|TestSnapshotsOwn|TestViewTracksTheSet|TestEngineSnapshotReuse|TestEngineDetailOwnsFlows|FuzzApply' ./internal/queue ./internal/sim
+	$(GO) test -race -count=1 -run 'TestRejectedApply|TestRejectedStep|TestSnapshotsOwn|TestViewTracksTheSet|TestSetCopyFromIsDeepAndReusesArrays|TestEngineSnapshotReuse|TestEngineDetailOwnsFlows|FuzzApply' ./internal/queue ./internal/sim
 	$(GO) test -count=1 -run 'TestDecideAllocationBudget|TestEngineStepAllocationBudget|TestWireAllocationBudget' .
 	$(GO) test -run '^$$' -fuzz FuzzSimplex -fuzztime $(FUZZTIME) ./internal/lp
 	$(GO) test -run '^$$' -fuzz FuzzApply -fuzztime $(FUZZTIME) ./internal/queue

@@ -12,6 +12,7 @@ import (
 
 	"grefar"
 	"grefar/internal/agent"
+	"grefar/internal/controller"
 	"grefar/internal/hollow"
 	"grefar/internal/queue"
 	"grefar/internal/sim"
@@ -213,9 +214,11 @@ func TestWireAllocationBudget(t *testing.T) {
 	}
 
 	// The whole tick: BenchmarkHollowSlot's fleet and controller, at two sizes
-	// so a per-agent allocation shows as a slope and not only as a level.
-	hollowSlot := func(agents int) func() {
-		in, fleet, ct := newHollowLoop(t, agents, 4096)
+	// so a per-agent allocation shows as a slope and not only as a level, and
+	// under Strict too, whose slot copies the loop's whole queue set into its
+	// abort checkpoint.
+	hollowSlot := func(agents int, policy controller.FailurePolicy) func() {
+		in, fleet, ct := newHollowLoop(t, agents, 4096, policy)
 		t.Cleanup(func() { fleet.Close() })
 		tick := 0
 		return func() {
@@ -271,8 +274,10 @@ func TestWireAllocationBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		{"hollow-slot/agents=500", hollowSlot(500)},
-		{"hollow-slot/agents=2000", hollowSlot(2000)},
+		{"hollow-slot/agents=500", hollowSlot(500, controller.Degrade)},
+		{"hollow-slot/agents=2000", hollowSlot(2000, controller.Degrade)},
+		{"hollow-slot-strict/agents=500", hollowSlot(500, controller.Strict)},
+		{"hollow-slot-strict/agents=2000", hollowSlot(2000, controller.Strict)},
 	}
 	for _, tc := range cases {
 		ceil, ok := budgets[tc.name]

@@ -26,9 +26,10 @@ const hollowWarmSlots = 150
 
 // newHollowLoop builds what the hollow-fleet benchmarks, the leak test and the
 // whole-tick allocation guards all drive: n hollow agents behind the mux wire
-// and the Degrade-policy GreFar control loop over fleet.Conns(). The caller
-// closes the fleet.
-func newHollowLoop(tb testing.TB, n, horizon int) (sim.Inputs, *hollow.Fleet, *controller.Controller) {
+// and the GreFar control loop over fleet.Conns() under the given failure
+// policy (Degrade everywhere but the Strict guard rows). The caller closes
+// the fleet.
+func newHollowLoop(tb testing.TB, n, horizon int, policy controller.FailurePolicy) (sim.Inputs, *hollow.Fleet, *controller.Controller) {
 	tb.Helper()
 	in, err := hollow.NewScaleInputs(2012, n, horizon)
 	if err != nil {
@@ -42,7 +43,7 @@ func newHollowLoop(tb testing.TB, n, horizon int) (sim.Inputs, *hollow.Fleet, *c
 	if err != nil {
 		tb.Fatal(err)
 	}
-	ct, err := controller.New(in.Cluster, g, fleet.Conns(), controller.WithFailurePolicy(controller.Degrade))
+	ct, err := controller.New(in.Cluster, g, fleet.Conns(), controller.WithFailurePolicy(policy))
 	if err != nil {
 		fleet.Close()
 		tb.Fatal(err)
@@ -58,7 +59,7 @@ func newHollowLoop(tb testing.TB, n, horizon int) (sim.Inputs, *hollow.Fleet, *c
 func BenchmarkHollowSlot(b *testing.B) {
 	for _, n := range hollowBenchSizes {
 		b.Run(fmt.Sprintf("agents=%d", n), func(b *testing.B) {
-			in, fleet, ct := newHollowLoop(b, n, 4096)
+			in, fleet, ct := newHollowLoop(b, n, 4096, controller.Degrade)
 			tick := func(t int) {
 				if _, _, _, err := ct.RunSlot(t%4096, in.Workload.Arrivals(t%4096)); err != nil {
 					b.Fatal(err)
@@ -82,7 +83,7 @@ func BenchmarkHollowSlot(b *testing.B) {
 // the process to its prior goroutine count.
 func TestHollowBenchHarnessLeaksNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
-	in, fleet, ct := newHollowLoop(t, 64, 32)
+	in, fleet, ct := newHollowLoop(t, 64, 32, controller.Degrade)
 	for tt := 0; tt < 3; tt++ {
 		if _, _, _, err := ct.RunSlot(tt, in.Workload.Arrivals(tt)); err != nil {
 			fleet.Close()

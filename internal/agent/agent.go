@@ -9,6 +9,7 @@ package agent
 
 import (
 	"fmt"
+	"math"
 	"net"
 	"sync"
 
@@ -54,6 +55,15 @@ type Agent struct {
 	lastSlot int
 	lastAck  transport.AllocateAck
 
+	// restoredAt is the slot of the last successful KindRestore, and
+	// math.MinInt before any. An Allocate for an earlier slot was sent
+	// before that restore — one the controller abandoned in flight and that
+	// reached the agent only after the resync — and is refused: executing it
+	// would fork the restored queues from the controller's shadow. Each
+	// restore overwrites it, because a controller restored from an older
+	// checkpoint rewinds its agents to an earlier slot.
+	restoredAt int
+
 	// req is the decode destination of every Allocate and rep the state
 	// report every State request fills, both reused under mu so a slot's
 	// gather and scatter cost the agent no slices. Nothing read out of either
@@ -78,10 +88,11 @@ func New(cfg Config) (*Agent, error) {
 	}
 	j := cfg.Cluster.J()
 	return &Agent{
-		cfg:      cfg,
-		ledgers:  make([]queue.Ledger, j),
-		lastSlot: -1,
-		lastAck:  transport.AllocateAck{Processed: make([]float64, j), DelaySum: make([]float64, j)},
+		cfg:        cfg,
+		ledgers:    make([]queue.Ledger, j),
+		lastSlot:   -1,
+		lastAck:    transport.AllocateAck{Processed: make([]float64, j), DelaySum: make([]float64, j)},
+		restoredAt: math.MinInt,
 		rep: transport.StateReport{
 			DataCenter: cfg.DataCenter,
 			Avail:      make([]float64, 0, cfg.Cluster.K(cfg.DataCenter)),
@@ -148,8 +159,8 @@ func (a *Agent) state(dst []byte, slot int) ([]byte, error) {
 // jobs routed in a slot are not processable until the next), then admits the
 // routed jobs, and appends the ack: energy, processed counts and delay sums.
 // The whole request is decoded and validated before any ledger moves: a
-// rejected allocation leaves the queues and the replay cache exactly as they
-// were.
+// rejected allocation — malformed, or for a slot before the last restore —
+// leaves the queues and the replay cache exactly as they were.
 func (a *Agent) allocate(dst, body []byte) ([]byte, error) {
 	c := a.cfg.Cluster
 	a.mu.Lock()
@@ -160,6 +171,9 @@ func (a *Agent) allocate(dst, body []byte) ([]byte, error) {
 	}
 	if err := req.Validate(c.K(a.cfg.DataCenter), c.J()); err != nil {
 		return dst, err
+	}
+	if req.Slot < a.restoredAt {
+		return dst, fmt.Errorf("allocate for slot %d predates the restore at slot %d", req.Slot, a.restoredAt)
 	}
 
 	// Idempotent replay: the controller sends exactly one allocation per
@@ -204,8 +218,8 @@ func (a *Agent) allocate(dst, body []byte) ([]byte, error) {
 // restoreRPC replaces the local queue state from a controller snapshot and
 // echoes the post-restore queue lengths so the controller can verify the
 // agent landed exactly where intended. The allocation-replay cache is
-// invalidated: after a restore the next Allocate must execute, whatever its
-// slot.
+// invalidated: after a restore the next Allocate must execute, unless it is
+// for a slot before the restore's, which is refused.
 func (a *Agent) restoreRPC(dst []byte, req transport.RestoreRequest) ([]byte, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -213,6 +227,7 @@ func (a *Agent) restoreRPC(dst []byte, req transport.RestoreRequest) ([]byte, er
 		return dst, err
 	}
 	a.lastSlot = -1
+	a.restoredAt = req.Slot
 	ack := transport.RestoreAck{Slot: req.Slot, QueueLens: make([]float64, len(a.ledgers))}
 	for j := range a.ledgers {
 		ack.QueueLens[j] = a.ledgers[j].Len()

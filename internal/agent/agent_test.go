@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"grefar/internal/availability"
@@ -411,7 +412,51 @@ func TestRestoreRPC(t *testing.T) {
 	if fresh.lastSlot != -1 {
 		t.Error("restore left the allocation-replay cache live")
 	}
-	if err := call(t, fresh, transport.KindRestore, transport.RestoreRequest{Slot: 7, Snapshot: []byte("junk")}, nil); err == nil {
+
+	// An allocate for a slot before the restore's was sent before it — one
+	// the controller abandoned in flight — and is refused, leaving the
+	// ledgers and the replay cache as they were.
+	alloc := func(slot int) error {
+		return call(t, fresh, transport.KindAllocate, transport.Allocate{
+			Slot: slot, Route: route, Process: make([]float64, c.J()), Busy: make([]float64, c.K(1)),
+		}, nil)
+	}
+	before, err := fresh.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = alloc(6)
+	if err == nil {
+		t.Fatal("allocate for slot 6 executed after the restore at slot 7")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "slot 6") || !strings.Contains(msg, "slot 7") {
+		t.Errorf("refusal %q does not name both slots", msg)
+	}
+	if after, _ := fresh.Snapshot(); !bytes.Equal(after, before) {
+		t.Error("the refused allocate moved the ledgers")
+	}
+	if fresh.lastSlot != -1 {
+		t.Errorf("the refused allocate set the replay cache to slot %d", fresh.lastSlot)
+	}
+	if err := alloc(7); err != nil {
+		t.Fatalf("allocate at the restore's slot: %v", err)
+	}
+	if after, _ := fresh.Snapshot(); bytes.Equal(after, before) || fresh.lastSlot != 7 {
+		t.Error("allocate at the restore's slot did not execute")
+	}
+
+	// A rejected restore leaves the floor where the last good one put it;
+	// a restore to an earlier slot lowers it.
+	if err := call(t, fresh, transport.KindRestore, transport.RestoreRequest{Slot: 3, Snapshot: snap}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := call(t, fresh, transport.KindRestore, transport.RestoreRequest{Slot: 9, Snapshot: []byte("junk")}, nil); err == nil {
 		t.Error("junk snapshot accepted")
+	}
+	if err := alloc(3); err != nil {
+		t.Fatalf("allocate at slot 3 after a restore rewound to slot 3: %v", err)
+	}
+	if fresh.lastSlot != 3 {
+		t.Errorf("replay cache at slot %d after the allocate at slot 3", fresh.lastSlot)
 	}
 }

@@ -3,7 +3,9 @@
 // for its state report, assembles the global view x(t) and the queue
 // backlogs Theta(t), runs any sched.Scheduler (normally GreFar), and pushes
 // the per-site allocation decisions back to the agents. The controller owns
-// only the central queues Q_j; the local queues q_{i,j} live on the agents.
+// only the central queues Q_j; the local queues q_{i,j} live on the agents,
+// and the controller keeps a shadow of each: its replay of what the agent
+// was sent.
 //
 // There is one control loop, and New builds it. Each slot it decides once, by
 // one scheduler on the slot-initial backlogs: the paper's Algorithm 1, whose
@@ -75,12 +77,14 @@ type Controller struct {
 	obs     telemetry.SlotObserver
 	detail  bool // obs asked for SlotEvent.Detail
 
-	// central holds the central ledgers Q_j; scratch is the per-slot
-	// gather/scatter working set; checkpoint is Strict's copy of the central
-	// ledgers from before the slot's pops, rewritten every slot.
-	central    []queue.Ledger
+	// qs holds the queues the loop schedules on: its central ledgers are
+	// Q_j, and its local row i is agent i's shadow. scratch is the per-slot
+	// gather/scatter working set; checkpoint is Strict's copy of qs from
+	// before the slot's Apply, rewritten every slot (nil under Degrade, which
+	// never aborts a slot).
+	qs         *queue.Set
 	scratch    *SlotScratch
-	checkpoint []queue.Ledger
+	checkpoint *queue.Set
 
 	// st, act and acks are the slot's outputs, rewritten every slot: what
 	// RunSlot returns is the controller's until its next RunSlot. The acks'
@@ -106,7 +110,7 @@ type Controller struct {
 
 	// Fault tolerance: the failure policy and thresholds, the registry the
 	// metric families publish to (nil disables them), and the health tracker
-	// owning the per-agent records and shadow ledgers.
+	// owning the per-agent records.
 	health  HealthConfig
 	reg     *telemetry.Registry
 	tracker *Tracker
@@ -174,26 +178,28 @@ func New(c *model.Cluster, sch sched.Scheduler, agents []AgentConn, opts ...Opti
 		return nil, err
 	}
 	ct := &Controller{
-		cluster:    c,
-		conns:      agents,
-		fair:       fair,
-		central:    make([]queue.Ledger, c.J()),
-		scratch:    NewSlotScratch(c),
-		checkpoint: make([]queue.Ledger, c.J()),
-		st:         model.NewState(c),
-		act:        model.NewAction(c),
-		acks:       make([]transport.AllocateAck, c.N()),
-		ackFlat:    make([]float64, 2*c.N()*c.J()),
-		sch:        sch,
-		wireOf:     make([]int, c.N()),
-		live:       make([]int, 0, c.N()),
-		masked:     make([]int, 0, c.N()),
+		cluster: c,
+		conns:   agents,
+		fair:    fair,
+		qs:      queue.NewSet(c),
+		scratch: NewSlotScratch(c),
+		st:      model.NewState(c),
+		act:     model.NewAction(c),
+		acks:    make([]transport.AllocateAck, c.N()),
+		ackFlat: make([]float64, 2*c.N()*c.J()),
+		sch:     sch,
+		wireOf:  make([]int, c.N()),
+		live:    make([]int, 0, c.N()),
+		masked:  make([]int, 0, c.N()),
 	}
 	for _, opt := range opts {
 		opt(ct)
 	}
+	if ct.health.Policy != Degrade {
+		ct.checkpoint = queue.NewSet(c)
+	}
 	ct.detail = telemetry.WantsDetail(ct.obs)
-	ct.tracker = NewTracker(c, agents, ct.health, ct.reg)
+	ct.tracker = NewTracker(c, ct.qs, agents, ct.health, ct.reg)
 	for i, conn := range agents {
 		ct.wireOf[i] = ct.wireFor(conn)
 	}
@@ -205,15 +211,7 @@ func (ct *Controller) Health() []AgentHealth { return ct.tracker.Health() }
 
 // CentralLens returns the central backlog per job type.
 func (ct *Controller) CentralLens() []float64 {
-	return ct.centralLens(make([]float64, len(ct.central)))
-}
-
-// centralLens writes the central backlog per job type into dst and returns it.
-func (ct *Controller) centralLens(dst []float64) []float64 {
-	for j := range ct.central {
-		dst[j] = ct.central[j].Len()
-	}
-	return dst
+	return append([]float64(nil), ct.qs.View().Central...)
 }
 
 // Stats describes the loop as one partition.
@@ -230,39 +228,20 @@ func (ct *Controller) Slot() int { return ct.slot }
 // Lengths returns a fresh snapshot of the backlogs the loop schedules on: the
 // central ledgers and every agent's shadow ledgers (zero until the agent's
 // first report seeds its shadow).
-func (ct *Controller) Lengths() queue.Lengths {
-	c := ct.cluster
-	l := queue.Lengths{Central: ct.CentralLens(), Local: newRows(c.N(), c.J())}
-	for i := range l.Local {
-		ct.tracker.ShadowLens(i, l.Local[i])
-	}
-	return l
-}
+func (ct *Controller) Lengths() queue.Lengths { return ct.qs.Lengths() }
 
 // Backlog returns the total backlog the loop schedules on, bit-identical to
-// Lengths().Sum() (it sums in the same order: the central ledgers, then each
-// agent's shadow) without taking a snapshot.
-func (ct *Controller) Backlog() float64 {
-	var sum float64
-	for j := range ct.central {
-		sum += ct.central[j].Len()
-	}
-	for i := range ct.tracker.recs {
-		for j := range ct.tracker.recs[i].shadow {
-			sum += ct.tracker.recs[i].shadow[j].Len()
-		}
-	}
-	return sum
-}
+// Lengths().Sum() without taking a snapshot.
+func (ct *Controller) Backlog() float64 { return ct.qs.Backlog() }
 
 // SetScheduler swaps the deciding scheduler at a slot boundary, the serving
 // mode's hot reload. Queues and agent health are untouched.
 func (ct *Controller) SetScheduler(s sched.Scheduler) { ct.sch = s }
 
-// State is the loop's durable state: the next slot, and the central ledgers
-// with every agent's shadow ledgers in queue.Set's snapshot format (a shadow
-// is its site's local queues). An engine's queue snapshot and a controller's
-// therefore restore into each other.
+// State is the loop's durable state: the next slot, and the snapshot of its
+// queue set — the central ledgers, and every agent's shadow as its site's
+// local queues. An engine's queue snapshot and a controller's therefore
+// restore into each other.
 type State struct {
 	Slot   int
 	Queues []byte
@@ -270,7 +249,7 @@ type State struct {
 
 // ExportState captures the loop's durable state. The snapshot owns its memory.
 func (ct *Controller) ExportState() (*State, error) {
-	q, err := queue.SnapshotSet(ct.central, ct.tracker.shadows())
+	q, err := ct.qs.Snapshot()
 	if err != nil {
 		return nil, err
 	}
@@ -287,7 +266,7 @@ func (ct *Controller) RestoreState(st *State) error {
 	if st.Slot < 0 {
 		return fmt.Errorf("negative slot counter %d", st.Slot)
 	}
-	if err := queue.RestoreSet(ct.central, ct.tracker.shadows(), st.Queues); err != nil {
+	if err := ct.qs.Restore(st.Queues); err != nil {
 		return err
 	}
 	ct.tracker.markRewind()
@@ -512,8 +491,7 @@ func (ct *Controller) RunSlotContext(ctx context.Context, t int, arrivals []int)
 	// agents' shadow lengths are bit-identical to their reports, so the
 	// scheduler's view is unchanged from the historical report-driven
 	// assembly.
-	st, pre := ct.st, ct.scratch.Pre
-	ct.centralLens(pre.Central)
+	st := ct.st
 	masked := ct.masked[:0]
 	for i := 0; i < c.N(); i++ {
 		if ok[i] {
@@ -524,7 +502,6 @@ func (ct *Controller) RunSlotContext(ctx context.Context, t int, arrivals []int)
 			st.Price[i] = ct.tracker.LastPrice(i)
 			masked = append(masked, i)
 		}
-		ct.tracker.ShadowLens(i, pre.Local[i])
 	}
 	if err := st.Validate(c); err != nil {
 		return nil, nil, nil, fmt.Errorf("slot %d: bad assembled state: %w", t, err)
@@ -533,7 +510,10 @@ func (ct *Controller) RunSlotContext(ctx context.Context, t int, arrivals []int)
 		ct.tracker.NoteDegraded()
 	}
 
-	owned, err := ct.sch.Decide(t, st, pre)
+	// The scheduler decides on the set's own view of the backlogs, which
+	// Apply rewrites; a detail observer gets a copy taken before it does.
+	view := ct.qs.View()
+	owned, err := ct.sch.Decide(t, st, view)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("slot %d: %s: %w", t, ct.sch.Name(), err)
 	}
@@ -558,41 +538,36 @@ func (ct *Controller) RunSlotContext(ctx context.Context, t int, arrivals []int)
 		return nil, nil, nil, fmt.Errorf("slot %d: infeasible action: %w", t, err)
 	}
 
-	// Under Strict an allocate failure below aborts the slot, but the central
-	// pops happen first: without a checkpoint the caller's retry of the same
-	// slot would pop the same jobs twice and break conservation. Copy the
-	// ledgers into the checkpoint now and copy them back on the abort path so
-	// a failed slot leaves the central queues exactly as it found them; both
-	// copies are deep, so the live ledgers never share the checkpoint's
-	// arrays. (Degrade never aborts.)
-	central := ct.central
+	// Under Strict an allocate failure below aborts the slot, but Apply moves
+	// the central queues and the shadows first: without a checkpoint the
+	// caller's retry of the same slot would pop the same jobs twice and break
+	// conservation. Copy the set into the checkpoint now and back on the abort
+	// path so a failed slot leaves the queues exactly as it found them; both
+	// copies are deep, so the live set never shares the checkpoint's arrays.
+	// (Degrade never aborts.)
 	if !degrade {
-		queue.CopyLedgers(ct.checkpoint, central)
+		ct.checkpoint.CopyFrom(ct.qs)
+	}
+	var pre queue.Lengths
+	if ct.detail {
+		pre = view.Clone()
 	}
 
-	// Dispatch jobs from the central queues, capped at queue content, in one
-	// pass in (job type, data-center) order exactly like queue.Set.Apply: the
-	// distributed run is bit-identical to the single-process simulator, and
-	// the realized routing is what the invariant checker's flow-routed rule
-	// recomputes from the action.
-	// routedF is slot evidence for a detail observer and handed to it, so it
-	// is built fresh, and only when one is listening.
-	routed := ct.scratch.Routed
-	var routedF [][]float64
-	if ct.detail {
-		routedF = newRows(c.N(), c.J())
+	// One Apply moves every queue, as it does in the single-process
+	// simulator: it dispatches from the central ledgers, capped at their
+	// content, and replays each agent's allocation on its shadow in the
+	// agent's own order (process, then admit the routed jobs). Its flows are
+	// the realized routing the agents are sent — what the invariant checker's
+	// flow-routed rule recomputes from the action — and the processed amounts
+	// and delay sums their acks are settled against.
+	fs, err := ct.qs.Apply(t, act)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("slot %d: applying action: %w", t, err)
 	}
-	for j := 0; j < c.J(); j++ {
-		for i := 0; i < c.N(); i++ {
-			r := act.Route[i][j]
-			if r <= 0 {
-				continue
-			}
-			popped, _ := central[j].Pop(t, float64(r))
-			routed[i][j] = int(popped)
-			if routedF != nil {
-				routedF[i][j] = popped
-			}
+	routed := ct.scratch.Routed
+	for i := range routed {
+		for j, r := range fs.Routed[i] {
+			routed[i][j] = int(r)
 		}
 	}
 
@@ -629,30 +604,22 @@ func (ct *Controller) RunSlotContext(ctx context.Context, t int, arrivals []int)
 		errsA)
 	if !degrade {
 		if err := joinAgentErrors("allocate", errsA); err != nil {
-			queue.CopyLedgers(central, ct.checkpoint)
+			ct.qs.CopyFrom(ct.checkpoint)
 			return nil, nil, nil, err
 		}
 	}
 
-	// Advance the shadow ledgers with exactly the dispatched operations, in
-	// agent execution order, and settle each agent's ack: verified against
-	// the shadow for responders, synthesized from it when the response was
-	// lost (the dispatch is authoritative — a rejoining agent is restored
-	// onto this trajectory), the zero ack for masked agents whose rows were
-	// zeroed. An allocate the caller gave up on may or may not have run, so
-	// its agent is held to the shadow without counting the failure against
-	// it.
-	// processedEv is slot evidence a detail observer keeps: fresh for one.
-	processedEv, delays := ct.scratch.Processed, ct.scratch.Delays
-	if ct.detail {
-		processedEv = newRows(c.N(), c.J())
-	}
+	// Settle each agent's ack against the shadow replay: verified for
+	// responders, synthesized from the replay when the response was lost (the
+	// dispatch is authoritative — a rejoining agent is restored onto this
+	// trajectory), the zero ack for masked agents whose rows were zeroed. An
+	// allocate the caller gave up on may or may not have run, so its agent is
+	// held to the shadow without counting the failure against it.
 	for i := 0; i < c.N(); i++ {
-		popped := processedEv[i]
-		ct.tracker.ApplyShadow(i, t, act.Process[i], routed[i], popped, delays)
 		if !ok[i] {
 			continue
 		}
+		popped, delays := fs.Processed[i], fs.LocalDelaySum[i]
 		if errsA[i] != nil {
 			if callerGaveUp(ctx, errsA[i]) {
 				ct.tracker.holdShadow(i)
@@ -660,8 +627,8 @@ func (ct *Controller) RunSlotContext(ctx context.Context, t int, arrivals []int)
 				ct.tracker.RecordFailure(i)
 			}
 			ack := ct.tracker.SynthesizeAck(i, t, popped, delays, st, act)
-			// popped and delays are slot storage; the ack's rows are the
-			// loop's, kept until the next slot.
+			// popped and delays are the set's, rewritten by its next Apply;
+			// the ack's rows are the loop's, kept until the next slot.
 			ack.Processed = append(acks[i].Processed[:0], popped...)
 			ack.DelaySum = append(acks[i].DelaySum[:0], delays...)
 			acks[i] = ack
@@ -679,11 +646,10 @@ func (ct *Controller) RunSlotContext(ctx context.Context, t int, arrivals []int)
 		}
 	}
 
-	for j, a := range arrivals {
-		central[j].Push(t, float64(a))
-	}
+	// The counts were checked at entry, so Arrive cannot refuse them.
+	_ = ct.qs.Arrive(t, arrivals)
 
-	ct.emitSlot(t, arrivals, st, act, pre, routedF, processedEv, acks, masked)
+	ct.emitSlot(t, arrivals, st, act, pre, fs, acks, masked)
 	ct.slot = t + 1
 	return act, st, acks, nil
 }
@@ -734,16 +700,12 @@ func (ct *Controller) rewindAgents(ctx context.Context, t int, degrade bool) err
 // emitSlot assembles and publishes the controller's per-slot telemetry
 // event, including the full slot evidence when the observer asks for it.
 func (ct *Controller) emitSlot(t int, arrivals []int, st *model.State, act *model.Action,
-	pre queue.Lengths, routedF, processedEv [][]float64, acks []transport.AllocateAck, masked []int) {
+	pre queue.Lengths, fs *queue.FlowStats, acks []transport.AllocateAck, masked []int) {
 	if ct.obs == nil {
 		return
 	}
 	c := ct.cluster
-	post := ct.scratch.Post
-	ct.centralLens(post.Central)
-	for i := 0; i < c.N(); i++ {
-		ct.tracker.ShadowLens(i, post.Local[i])
-	}
+	post := ct.qs.View()
 	ev := telemetry.SlotEvent{
 		Slot:       t,
 		Origin:     telemetry.OriginController,
@@ -759,8 +721,8 @@ func (ct *Controller) emitSlot(t int, arrivals []int, st *model.State, act *mode
 		ev.Energy += ack.Energy
 		ev.EnergyPerDC[i] = ack.Energy
 	}
-	for i := range processedEv {
-		for j, p := range processedEv[i] {
+	for i := range fs.Processed {
+		for j, p := range fs.Processed[i] {
 			ev.Processed += p
 			alloc[c.JobTypes[j].Account] += p * c.JobTypes[j].Demand
 		}
@@ -783,15 +745,19 @@ func (ct *Controller) emitSlot(t int, arrivals []int, st *model.State, act *mode
 		ev.TotalBacklog += v
 	}
 	if ct.detail {
+		// The detail owns everything it carries: the set rewrites its view
+		// and flow matrices on the next slot, so they are copied here.
 		ev.Detail = &telemetry.SlotDetail{
 			State:     st.Clone(),
 			Action:    act.Clone(),
-			Pre:       pre.Clone(),
+			Pre:       pre,
 			Post:      post.Clone(),
 			Arrivals:  append([]int(nil), arrivals...),
-			Routed:    routedF,
-			Processed: processedEv,
+			Routed:    newRows(c.N(), c.J()),
+			Processed: newRows(c.N(), c.J()),
 		}
+		copyRows(ev.Detail.Routed, fs.Routed)
+		copyRows(ev.Detail.Processed, fs.Processed)
 	}
 	ct.obs.ObserveSlot(ev)
 }

@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math"
@@ -148,6 +149,20 @@ func TestDistributedMatchesSimulator(t *testing.T) {
 			}
 			if got, want := ct.Lengths(), eng.Lengths(); !reflect.DeepEqual(got, want) {
 				t.Fatalf("overTCP=%v: slot %d: backlogs %v, simulator %v", overTCP, s, got, want)
+			}
+			// Cohort for cohort: the loop's central ledgers and shadows
+			// snapshot to the engine's queue bytes, at the same next slot.
+			got, err := ct.ExportState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := eng.ExportState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Slot != want.Slot || !bytes.Equal(got.Queues, want.Queues) {
+				t.Fatalf("overTCP=%v: slot %d: exported state (slot %d, %d queue bytes) differs from the simulator's (slot %d, %d bytes)",
+					overTCP, s, got.Slot, len(got.Queues), want.Slot, len(want.Queues))
 			}
 		}
 		cleanup()

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strconv"
 
-	"grefar/internal/queue"
 	"grefar/internal/telemetry"
 )
 
@@ -163,11 +162,13 @@ type healthMetrics struct {
 }
 
 // agentRecord is the controller's per-agent bookkeeping: the health state
-// machine plus the shadow ledgers — an exact controller-side mirror of the
-// agent's local queues, advanced by replaying the same pops and pushes the
-// controller dispatches. The shadow is what lets the controller freeze a
-// failed site's queues at their true values, synthesize the outcome of an
-// allocation whose ack was lost, and restore a rejoining agent byte-exactly.
+// machine plus the trust in the agent's shadow. The shadow itself is local
+// row i of the loop's queue set — an exact controller-side mirror of the
+// agent's local queues, advanced by the same Apply that dispatches the
+// central jobs, which replays the pops and pushes the agent performs. The
+// shadow is what lets the controller freeze a failed site's queues at their
+// true values, synthesize the outcome of an allocation whose ack was lost,
+// and restore a rejoining agent byte-exactly.
 type agentRecord struct {
 	state AgentHealth
 	// fails counts consecutive failed interactions; any success resets it.
@@ -182,8 +183,6 @@ type agentRecord struct {
 	// lastPrice is the most recent reported electricity price, frozen into
 	// the assembled state while the agent is masked.
 	lastPrice float64
-	// shadow mirrors the agent's local FIFO ledgers per job type.
-	shadow []queue.Ledger
 	// series are this agent's own metric series (all nil without a registry).
 	series agentSeries
 }

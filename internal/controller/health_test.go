@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"grefar/internal/core"
+	"grefar/internal/model"
 	"grefar/internal/telemetry"
 )
 
@@ -283,9 +284,10 @@ func TestSuspectHealsThroughRealGather(t *testing.T) {
 	}
 }
 
-// TestShadowSeedApplyRestore exercises the shadow-ledger bookkeeping that
-// degraded mode rests on: seeding from a report, replaying an allocation, and
-// exact equality checks.
+// TestShadowSeedApplyRestore exercises the shadow bookkeeping that degraded
+// mode rests on, on the loop's queue set whose local rows are the shadows:
+// seeding a row from a report, replaying an allocation through the set's
+// Apply, and exact equality checks.
 func TestShadowSeedApplyRestore(t *testing.T) {
 	in, conns, cleanup := buildSystem(t, 10, false)
 	defer cleanup()
@@ -307,19 +309,25 @@ func TestShadowSeedApplyRestore(t *testing.T) {
 		t.Fatal("seedShadow did not mark the shadow synced")
 	}
 	if !ct.tracker.lensEqualShadow(0, lens) {
-		t.Fatalf("shadow lens %v != seed %v", ct.tracker.ShadowLens(0, make([]float64, j)), lens)
+		t.Fatalf("shadow lens %v != seed %v", ct.qs.View().Local[0], lens)
 	}
 
-	process := make([]float64, j)
-	routed := make([]int, j)
-	process[0], routed[0] = 2, 5 // pop 2 of 3, then push 5
-	process[1] = 100             // over-processing caps at content
-	popped, delays := make([]float64, j), make([]float64, j)
-	ct.tracker.ApplyShadow(0, 1, process, routed, popped, delays)
-	if popped[0] != 2 || popped[1] != lens[1] {
+	arrivals := make([]int, j)
+	arrivals[0] = 5 // the central jobs the allocation routes to site 0
+	if err := ct.qs.Arrive(0, arrivals); err != nil {
+		t.Fatal(err)
+	}
+	act := model.NewAction(in.Cluster)
+	act.Process[0][0], act.Route[0][0] = 2, 5 // pop 2 of 3, then push 5
+	act.Process[0][1] = 100                   // over-processing caps at content
+	fs, err := ct.qs.Apply(1, act)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if popped := fs.Processed[0]; popped[0] != 2 || popped[1] != lens[1] {
 		t.Errorf("popped = %v, want [2 %v ...]", popped, lens[1])
 	}
-	got := ct.tracker.ShadowLens(0, make([]float64, j))
+	got := ct.qs.View().Local[0]
 	if got[0] != lens[0]-2+5 || got[1] != 0 {
 		t.Errorf("post-apply lens = %v", got)
 	}

@@ -2,15 +2,13 @@ package controller
 
 import (
 	"grefar/internal/model"
-	"grefar/internal/queue"
 	"grefar/internal/transport"
 )
 
 // SlotScratch is the working set one slot's gather and scatter need and no
 // caller ever sees: the state-report decode destinations, the per-agent
-// error and participation marks, the realized integer routing, the allocate
-// requests the scatter sends by pointer, the backlogs the decision and the
-// slot event read, and the shadow replay's processed amounts and delay sums.
+// error and participation marks, the realized integer routing, and the
+// allocate requests the scatter sends by pointer.
 // The control loop owns one and Resets it at the top of every slot instead of
 // reallocating O(N) slices per tick; what a detail observer keeps is made
 // fresh instead (see RunSlotContext).
@@ -22,18 +20,9 @@ type SlotScratch struct {
 	StateErrs []error
 	AllocErrs []error
 	OK        []bool
-	Routed    [][]int // [site][job type], rows cut from routedFlat
+	Routed    [][]int // [site][job type], rows cut from one array, written whole each slot
 	Allocs    []transport.Allocate
 
-	// Pre and Post are the central and shadow backlogs before the decision
-	// and after the slot; Processed is the shadow replay's popped amounts,
-	// [site][job type], and Delays one site's delay sums, reused site by
-	// site. Each is written whole before it is read.
-	Pre, Post queue.Lengths
-	Processed [][]float64
-	Delays    []float64
-
-	routedFlat []int
 	// stateReq is the gather's one request, sent to every agent by pointer:
 	// boxing a pointer allocates nothing, boxing the struct did for any slot
 	// past 255.
@@ -50,29 +39,22 @@ func NewSlotScratch(c *model.Cluster) *SlotScratch {
 		OK:        make([]bool, n),
 		Routed:    make([][]int, n),
 		Allocs:    make([]transport.Allocate, n),
-
-		Pre:       queue.Lengths{Central: make([]float64, j), Local: newRows(n, j)},
-		Post:      queue.Lengths{Central: make([]float64, j), Local: newRows(n, j)},
-		Processed: newRows(n, j),
-		Delays:    make([]float64, j),
-
-		routedFlat: make([]int, n*j),
 	}
+	routedFlat := make([]int, n*j)
 	for i := range s.Routed {
-		s.Routed[i] = s.routedFlat[i*j : (i+1)*j : (i+1)*j]
+		s.Routed[i] = routedFlat[i*j : (i+1)*j : (i+1)*j]
 	}
 	return s
 }
 
-// Reset clears the marks and the routing for a new slot. Reports are left
-// alone: a report is only read after its call succeeded, and a successful
-// decode has overwritten all of it. So are Allocs: the scatter writes a
-// request whole before it sends it.
+// Reset clears the marks for a new slot. Reports are left alone: a report is
+// only read after its call succeeded, and a successful decode has overwritten
+// all of it. So are Allocs and Routed: the scatter writes both whole before
+// it sends them.
 func (s *SlotScratch) Reset() {
 	clear(s.StateErrs)
 	clear(s.AllocErrs)
 	clear(s.OK)
-	clear(s.routedFlat)
 }
 
 // newRows returns an n x j matrix whose rows are cut from one fresh backing

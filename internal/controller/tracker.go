@@ -13,32 +13,32 @@ import (
 )
 
 // Tracker is the per-agent health machine the control loop drives: the
-// Healthy/Suspect/Dead/Rejoining state machine, the shadow ledgers mirroring
-// each agent's local queues, probe/resync/rejoin, and the divergence
-// bookkeeping.
+// Healthy/Suspect/Dead/Rejoining state machine, the trust in the shadow of
+// each agent's local queues (local row i of the loop's queue set),
+// probe/resync/rejoin, and the divergence bookkeeping.
 //
 // Every method taking an agent index touches only that agent's record (plus
 // concurrency-safe metric families), so the loop's concurrent per-agent calls
 // never race; such methods are not safe for concurrent use on the SAME index.
 type Tracker struct {
 	cluster *model.Cluster
+	qs      *queue.Set // local row i is agent i's shadow
 	conns   []AgentConn
 	cfg     HealthConfig
 	recs    []agentRecord
 	metrics *healthMetrics
 }
 
-// NewTracker builds a health tracker over the given agent connections.
-// conns[i] must serve data center i. A nil registry disables metrics.
-func NewTracker(c *model.Cluster, conns []AgentConn, cfg HealthConfig, reg *telemetry.Registry) *Tracker {
+// NewTracker builds a health tracker over the given agent connections, whose
+// shadows are the local rows of qs. conns[i] must serve data center i. A nil
+// registry disables metrics.
+func NewTracker(c *model.Cluster, qs *queue.Set, conns []AgentConn, cfg HealthConfig, reg *telemetry.Registry) *Tracker {
 	tk := &Tracker{
 		cluster: c,
+		qs:      qs,
 		conns:   conns,
 		cfg:     cfg.withDefaults(),
 		recs:    make([]agentRecord, len(conns)),
-	}
-	for i := range tk.recs {
-		tk.recs[i].shadow = make([]queue.Ledger, c.J())
 	}
 	if reg != nil {
 		tk.metrics = newHealthMetrics(reg)
@@ -121,40 +121,13 @@ func (tk *Tracker) NoteDegraded() {
 	}
 }
 
-// ShadowLens writes the shadow backlog per job type for agent i (zeros before
-// the shadow is seeded) into dst, which must hold J entries, and returns it.
-// The caller supplies the row so a whole slot's lengths can share one array.
-func (tk *Tracker) ShadowLens(i int, dst []float64) []float64 {
-	for j := range tk.recs[i].shadow {
-		dst[j] = tk.recs[i].shadow[j].Len()
-	}
-	return dst
-}
-
-// seedShadow replaces agent i's shadow with fresh ledgers holding the given
-// backlogs as single cohorts arriving at the current slot. Amounts are exact
-// from here on; waiting times of the pre-existing backlog are approximated as
-// zero, which only affects synthesized delay sums, never job counts.
+// seedShadow replaces agent i's shadow with the given backlogs as single
+// cohorts arriving at the current slot. Amounts are exact from here on;
+// waiting times of the pre-existing backlog are approximated as zero, which
+// only affects synthesized delay sums, never job counts.
 func (tk *Tracker) seedShadow(i, slot int, lens []float64) {
-	rec := &tk.recs[i]
-	rec.shadow = make([]queue.Ledger, tk.cluster.J())
-	for j, v := range lens {
-		rec.shadow[j].Push(slot, v)
-	}
-	rec.synced = true
-}
-
-// ApplyShadow replays one slot's allocation on agent i's shadow ledgers in
-// exactly the agent's execution order (pop then push, per job type) and
-// writes the realized processed amounts and delay sums into popped and
-// delays, J entries each. Because the shadow held the same cohorts, the
-// popped amounts are bit-identical to what the agent itself reports.
-func (tk *Tracker) ApplyShadow(i, t int, process []float64, routed []int, popped, delays []float64) {
-	rec := &tk.recs[i]
-	for j := range rec.shadow {
-		popped[j], delays[j] = rec.shadow[j].Pop(t, process[j])
-		rec.shadow[j].Push(t, float64(routed[j]))
-	}
+	tk.qs.SeedRow(i, slot, lens)
+	tk.recs[i].synced = true
 }
 
 // lensEqualShadow reports whether the agent-reported queue lengths coincide
@@ -162,11 +135,12 @@ func (tk *Tracker) ApplyShadow(i, t int, process []float64, routed []int, popped
 // the identical float operations the agent performs, so any difference means
 // the trajectories genuinely forked (restart, missed allocation, meddling).
 func (tk *Tracker) lensEqualShadow(i int, lens []float64) bool {
-	if len(lens) != tk.cluster.J() {
+	shadow := tk.qs.View().Local[i]
+	if len(lens) != len(shadow) {
 		return false
 	}
-	for j := range tk.recs[i].shadow {
-		if tk.recs[i].shadow[j].Len() != lens[j] {
+	for j, v := range shadow {
+		if v != lens[j] {
 			return false
 		}
 	}
@@ -182,7 +156,7 @@ func (tk *Tracker) resync(ctx context.Context, i, t int) error {
 	if !rec.synced {
 		return nil
 	}
-	snap, err := queue.SnapshotLedgers(rec.shadow)
+	snap, err := tk.qs.SnapshotRow(i)
 	if err != nil {
 		return fmt.Errorf("snapshot shadow: %w", err)
 	}
@@ -191,23 +165,13 @@ func (tk *Tracker) resync(ctx context.Context, i, t int) error {
 		return err
 	}
 	if !tk.lensEqualShadow(i, ack.QueueLens) {
-		return fmt.Errorf("restore verification failed: agent echoed %v, shadow holds %v", ack.QueueLens, tk.ShadowLens(i, make([]float64, tk.cluster.J())))
+		return fmt.Errorf("restore verification failed: agent echoed %v, shadow holds %v", ack.QueueLens, tk.qs.View().Local[i])
 	}
 	if tk.metrics != nil {
 		tk.metrics.resyncs.With(dcLabel(i)).Inc()
 	}
 	rec.rewind = false
 	return nil
-}
-
-// shadows returns every agent's shadow ledgers, site by site: the local half
-// of the loop's durable state.
-func (tk *Tracker) shadows() [][]queue.Ledger {
-	out := make([][]queue.Ledger, len(tk.recs))
-	for i := range tk.recs {
-		out[i] = tk.recs[i].shadow
-	}
-	return out
 }
 
 // holdShadow makes agent i's shadow authoritative until a resync lands, as a
@@ -357,7 +321,7 @@ func (tk *Tracker) TrueUpShadow(i, t int, rep *transport.StateReport) {
 
 // SynthesizeAck reconstructs what a non-responding agent did (or will be
 // restored to have done) from the shadow replay: processed counts and delay
-// sums come from the shadow pops, energy from the reported price and the
+// sums are the replay's (the queue set's flows for site i), energy from the reported price and the
 // dispatched busy-server decision, work from the processed demand. For an
 // agent that executed the allocation but lost the response, this is
 // bit-identical to the ack it would have sent.

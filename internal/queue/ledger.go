@@ -42,18 +42,6 @@ func (l *Ledger) Clone() Ledger {
 	return out
 }
 
-// CopyLedgers makes each dst[k] an independent deep copy of src[k], as Clone
-// does, but into dst's own cohort arrays: a checkpoint taken every slot
-// allocates only while a ledger's longest backlog is still growing. dst and
-// src must have the same length and share no cohort array.
-func CopyLedgers(dst, src []Ledger) {
-	for k := range dst {
-		d, s := &dst[k], &src[k]
-		d.entries = append(d.entries[:0], s.entries...)
-		d.head, d.total = s.head, s.total
-	}
-}
-
 // Push appends amount jobs that entered during the given slot. Pushing a
 // non-positive amount is a no-op.
 func (l *Ledger) Push(slot int, amount float64) {

@@ -2,7 +2,6 @@ package queue
 
 import (
 	"math"
-	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -185,37 +184,5 @@ func TestPopVisitConsistency(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestCopyLedgersIsDeepAndReusesArrays pins CopyLedgers to Clone's result
-// without Clone's allocation: the copy has the source's cohorts, head and
-// total, popping either side leaves the other as it was, and a second copy
-// into the same destination allocates nothing.
-func TestCopyLedgersIsDeepAndReusesArrays(t *testing.T) {
-	src := make([]Ledger, 2)
-	for s := 0; s < 5; s++ {
-		src[0].Push(s, float64(s+1))
-		src[1].Push(s, 0.5)
-	}
-	src[0].Pop(5, 2) // a live head past the first cohort
-	dst := make([]Ledger, 2)
-	CopyLedgers(dst, src)
-	for k := range src {
-		if want := src[k].Clone(); !reflect.DeepEqual(dst[k], want) {
-			t.Fatalf("ledger %d: copy %+v, want %+v", k, dst[k], want)
-		}
-	}
-	want := dst[0].Clone()
-	src[0].Pop(6, 4)
-	if !reflect.DeepEqual(dst[0], want) {
-		t.Fatalf("popping the source changed the copy: %+v, want %+v", dst[0], want)
-	}
-	dst[1].Pop(6, 1)
-	if got := src[1].Len(); got != 2.5 {
-		t.Fatalf("popping the copy changed the source: Len = %v, want 2.5", got)
-	}
-	if allocs := testing.AllocsPerRun(10, func() { CopyLedgers(dst, src) }); allocs != 0 {
-		t.Errorf("a copy into grown ledgers allocates %v times, want 0", allocs)
 	}
 }

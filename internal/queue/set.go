@@ -190,8 +190,8 @@ func (s *Set) Lengths() Lengths {
 
 // View returns the current backlogs without copying them: the Lengths reads
 // the set's own mirror of its ledger totals. It is valid until the set's next
-// Apply, Arrive or Restore, which write through it, and it must be treated as
-// read-only. A caller that keeps backlogs longer takes Lengths (or Clones the
+// Apply, Arrive, Restore, SeedRow or CopyFrom, which write through it, and it
+// must be treated as read-only. A caller that keeps backlogs longer takes Lengths (or Clones the
 // view).
 func (s *Set) View() Lengths { return s.view }
 
@@ -203,6 +203,42 @@ func (s *Set) Backlog() float64 {
 		sum += q
 	}
 	return sum
+}
+
+// SeedRow replaces data center i's local ledgers with lens[j] jobs of each
+// type arriving at slot, one cohort per ledger: exact backlogs whose waiting
+// times start from zero. len(lens) must equal the number of job types.
+func (s *Set) SeedRow(i, slot int, lens []float64) {
+	nJ := len(s.central)
+	for j := range s.local[i] {
+		l := &s.local[i][j]
+		l.entries, l.head, l.total = l.entries[:0], 0, 0
+		l.Push(slot, lens[j])
+		s.lens[(i+1)*nJ+j] = l.Len()
+	}
+}
+
+// CopyFrom makes s an independent deep copy of src's queues — every ledger's
+// cohorts, head and total, and the backlog mirror — written into s's own
+// cohort arrays, so a copy taken every slot allocates only while some
+// ledger's longest backlog is still growing. src must be shaped for the same
+// cluster. Apply's result is not copied: s's stays whatever its last Apply
+// returned.
+func (s *Set) CopyFrom(src *Set) {
+	copyLedgers(s.central, src.central)
+	for i := range s.local {
+		copyLedgers(s.local[i], src.local[i])
+	}
+	copy(s.lens, src.lens)
+}
+
+// copyLedgers makes each dst[k] a deep copy of src[k] into dst's arrays.
+func copyLedgers(dst, src []Ledger) {
+	for k := range dst {
+		d, s := &dst[k], &src[k]
+		d.entries = append(d.entries[:0], s.entries...)
+		d.head, d.total = s.head, s.total
+	}
 }
 
 // Arrive records a_j(t) new jobs of each type entering the central queue

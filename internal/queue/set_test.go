@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -566,6 +567,37 @@ func TestViewTracksTheSet(t *testing.T) {
 	if !reflect.DeepEqual(view, kept[2]) {
 		t.Fatal("the view after a Restore does not read the restored queues")
 	}
+	seed := make([]float64, c.J())
+	for j := range seed {
+		seed[j] = float64(2*j + 1)
+	}
+	s.SeedRow(1, 9, seed)
+	check("after SeedRow")
+	if !reflect.DeepEqual(view.Local[1], seed) {
+		t.Fatalf("seeded row reads %v, want %v", view.Local[1], seed)
+	}
+	row, err := s.SnapshotRow(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := make([]Ledger, c.J())
+	if err := RestoreLedgers(restored, row); err != nil {
+		t.Fatal(err)
+	}
+	for j := range restored {
+		if got := restored[j].Len(); got != seed[j] {
+			t.Fatalf("row snapshot ledger %d restores to %v, want %v", j, got, seed[j])
+		}
+	}
+	other := NewSet(c)
+	if err := other.Restore(snaps[6]); err != nil {
+		t.Fatal(err)
+	}
+	s.CopyFrom(other)
+	check("after CopyFrom")
+	if !reflect.DeepEqual(view, kept[6]) {
+		t.Fatal("the view after a CopyFrom does not read the copied queues")
+	}
 	for k := 1; k < len(kept); k++ {
 		if reflect.DeepEqual(kept[k], kept[k-1]) {
 			t.Fatalf("snapshots %d and %d are equal; the slots moved nothing", k-1, k)
@@ -573,6 +605,85 @@ func TestViewTracksTheSet(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { _ = s.View() }); n != 0 {
 		t.Errorf("View allocates %v times", n)
+	}
+}
+
+// TestSetCopyFromIsDeepAndReusesArrays pins CopyFrom to the source's state
+// without sharing it: every ledger gets the source's cohorts, head and total,
+// and the copy snapshots to the same bytes; moving either set afterwards
+// leaves the other as it was; and a second copy into the same set allocates
+// nothing.
+func TestSetCopyFromIsDeepAndReusesArrays(t *testing.T) {
+	c := testCluster(t)
+	src := NewSet(c)
+	act := model.NewAction(c)
+	arr := make([]int, c.J())
+	for slot := 0; slot < 5; slot++ {
+		for j, jt := range c.JobTypes {
+			arr[j] = 3 + j
+			for _, i := range jt.Eligible {
+				act.Route[i][j] = 1
+				act.Process[i][j] = 0.5
+			}
+		}
+		if _, err := src.Apply(slot, act); err != nil {
+			t.Fatal(err)
+		}
+		if err := src.Arrive(slot, arr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	same := func(a, b *Ledger) bool {
+		return a.head == b.head && a.total == b.total && slices.Equal(a.entries, b.entries)
+	}
+	dst := NewSet(c)
+	dst.CopyFrom(src)
+	live := 0
+	for j := range src.central {
+		if !same(&dst.central[j], &src.central[j]) {
+			t.Fatalf("central %d: copy %+v, want %+v", j, dst.central[j], src.central[j])
+		}
+	}
+	for i := range src.local {
+		for j := range src.local[i] {
+			if !same(&dst.local[i][j], &src.local[i][j]) {
+				t.Fatalf("local %d/%d: copy %+v, want %+v", i, j, dst.local[i][j], src.local[i][j])
+			}
+			if src.local[i][j].head > 0 {
+				live++
+			}
+		}
+	}
+	if live == 0 {
+		t.Fatal("no ledger has a live head past its first cohort; the copy proved little")
+	}
+	want, err := src.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := dst.Snapshot(); !bytes.Equal(got, want) {
+		t.Fatal("the copy snapshots to other bytes than its source")
+	}
+	if !reflect.DeepEqual(dst.View(), src.View()) {
+		t.Fatalf("copy view %v, source view %v", dst.View(), src.View())
+	}
+
+	if _, err := src.Apply(5, act); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := dst.Snapshot(); !bytes.Equal(got, want) {
+		t.Fatal("moving the source changed the copy")
+	}
+	srcSnap, _ := src.Snapshot()
+	if _, err := dst.Apply(6, act); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := src.Snapshot(); !bytes.Equal(got, srcSnap) {
+		t.Fatal("moving the copy changed the source")
+	}
+	dst.CopyFrom(src)
+	if allocs := testing.AllocsPerRun(10, func() { dst.CopyFrom(src) }); allocs != 0 {
+		t.Errorf("a copy into a grown set allocates %v times, want 0", allocs)
 	}
 }
 

@@ -121,24 +121,18 @@ func RestoreLedgers(ls []Ledger, snapshot []byte) error {
 
 // Snapshot serializes the full queue state (central and local ledgers with
 // their arrival slots) with gob.
-func (s *Set) Snapshot() ([]byte, error) { return SnapshotSet(s.central, s.local) }
-
-// SnapshotSet serializes central and local ledgers held outside a Set in the
-// Set's snapshot format: local[i] are site i's ledgers. The distributed
-// controller checkpoints its central ledgers and its per-agent shadows this
-// way, so either kind of checkpoint restores into the other.
-func SnapshotSet(central []Ledger, local [][]Ledger) ([]byte, error) {
+func (s *Set) Snapshot() ([]byte, error) {
 	data := setData{
-		Central: make([]ledgerData, len(central)),
-		Local:   make([][]ledgerData, len(local)),
+		Central: make([]ledgerData, len(s.central)),
+		Local:   make([][]ledgerData, len(s.local)),
 	}
-	for j := range central {
-		data.Central[j] = central[j].snapshot()
+	for j := range s.central {
+		data.Central[j] = s.central[j].snapshot()
 	}
-	for i := range local {
-		data.Local[i] = make([]ledgerData, len(local[i]))
-		for j := range local[i] {
-			data.Local[i][j] = local[i][j].snapshot()
+	for i := range s.local {
+		data.Local[i] = make([]ledgerData, len(s.local[i]))
+		for j := range s.local[i] {
+			data.Local[i][j] = s.local[i][j].snapshot()
 		}
 	}
 	var buf bytes.Buffer
@@ -148,35 +142,21 @@ func SnapshotSet(central []Ledger, local [][]Ledger) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// Restore replaces the queue state from a Snapshot taken on a set with the
-// same shape (same cluster).
-func (s *Set) Restore(snapshot []byte) error {
-	if err := RestoreSet(s.central, s.local, snapshot); err != nil {
-		return err
-	}
-	nJ := len(s.central)
-	for j := range s.central {
-		s.lens[j] = s.central[j].Len()
-	}
-	for i := range s.local {
-		for j := range s.local[i] {
-			s.lens[(i+1)*nJ+j] = s.local[i][j].Len()
-		}
-	}
-	return nil
-}
+// SnapshotRow serializes data center i's local ledgers in SnapshotLedgers'
+// format: what an agent holding site i's queues restores from.
+func (s *Set) SnapshotRow(i int) ([]byte, error) { return SnapshotLedgers(s.local[i]) }
 
-// RestoreSet replaces central and local ledgers from a snapshot of the same
-// shape (a Set's, or SnapshotSet's). Every ledger is checked before any is
-// replaced, so a rejected snapshot leaves them all as they were.
-func RestoreSet(central []Ledger, local [][]Ledger, snapshot []byte) error {
+// Restore replaces the queue state from a Snapshot taken on a set with the
+// same shape (same cluster). Every ledger is checked before any is replaced,
+// so a rejected snapshot leaves the set as it was.
+func (s *Set) Restore(snapshot []byte) error {
 	var data setData
 	if err := gob.NewDecoder(bytes.NewReader(snapshot)).Decode(&data); err != nil {
 		return fmt.Errorf("decode queue snapshot: %w", err)
 	}
-	if len(data.Central) != len(central) || len(data.Local) != len(local) {
+	if len(data.Central) != len(s.central) || len(data.Local) != len(s.local) {
 		return fmt.Errorf("snapshot shaped %dx%d, set is %dx%d",
-			len(data.Central), len(data.Local), len(central), len(local))
+			len(data.Central), len(data.Local), len(s.central), len(s.local))
 	}
 	for j := range data.Central {
 		if err := data.Central[j].check(); err != nil {
@@ -184,8 +164,8 @@ func RestoreSet(central []Ledger, local [][]Ledger, snapshot []byte) error {
 		}
 	}
 	for i := range data.Local {
-		if len(data.Local[i]) != len(local[i]) {
-			return fmt.Errorf("snapshot site %d has %d job types, set has %d", i, len(data.Local[i]), len(local[i]))
+		if len(data.Local[i]) != len(s.local[i]) {
+			return fmt.Errorf("snapshot site %d has %d job types, set has %d", i, len(data.Local[i]), len(s.local[i]))
 		}
 		for j := range data.Local[i] {
 			if err := data.Local[i][j].check(); err != nil {
@@ -193,12 +173,15 @@ func RestoreSet(central []Ledger, local [][]Ledger, snapshot []byte) error {
 			}
 		}
 	}
-	for j := range central {
-		central[j].restore(data.Central[j])
+	nJ := len(s.central)
+	for j := range s.central {
+		s.central[j].restore(data.Central[j])
+		s.lens[j] = s.central[j].Len()
 	}
-	for i := range local {
-		for j := range local[i] {
-			local[i][j].restore(data.Local[i][j])
+	for i := range s.local {
+		for j := range s.local[i] {
+			s.local[i][j].restore(data.Local[i][j])
+			s.lens[(i+1)*nJ+j] = s.local[i][j].Len()
 		}
 	}
 	return nil
