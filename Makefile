@@ -32,7 +32,10 @@ race:
 #   controller, ten times under -race: a slot's outputs hold until the next
 #     RunSlot while a late reply lands, a Strict abort restores the loop's
 #     queue set (central queues and shadows) from the checkpoint it reuses,
-#     and a cancelled ctx is charged to no agent
+#     a cancelled ctx is charged to no agent (after a probe, and with a
+#     whole wire's batch in flight), and probe, rewind and resync batch per
+#     wire: the health machine's transitions, a restored loop's rewind, one
+#     frame per wire per phase
 #   core: decisions replay the dense layout's pins; greedy edges; warm repair
 #   invariant: decisions replay the dense goldens; aux runs checked
 #   queue, sim: rejected input leaves no trace; the view tracks every write;
@@ -54,7 +57,7 @@ tier1:
 	$(GO) test -race -count=1 ./internal/runner
 	$(GO) test -race -count=1 ./internal/serve/... ./cmd/grefar-serve
 	$(GO) test -race -count=1 ./internal/agent ./internal/controller ./internal/controlplane ./internal/transport/... ./internal/experiments ./internal/hollow
-	$(GO) test -race -count=10 -run 'TestSlotOutputsBelongToTheCaller|TestStrictAllocateAbortConservesJobs|TestCancelledSlotChargesNoAgent' ./internal/controller
+	$(GO) test -race -count=10 -run 'TestSlotOutputsBelongToTheCaller|TestStrictAllocateAbortConservesJobs|TestCancelledSlotChargesNoAgent|TestHealthTransitionTable|TestControllerSnapshotRestore|TestCallManyBatchesByConnType' ./internal/controller
 	$(GO) test -race -count=1 -run 'TestSparse|TestAuto|TestDecomposed|TestSchedulerState|TestRestoreRejects|TestRepairWarmStartOutcomes|TestGreedy|TestDecideLeavesNoStaleCells' ./internal/core
 	$(GO) test -race -count=1 -run 'TestAutoSolverBitIdentical|TestCheckerCleanOnAuxCluster' ./internal/invariant
 	$(GO) test -race -count=1 -run 'TestRejectedApply|TestRejectedStep|TestSnapshotsOwn|TestViewTracksTheSet|TestSetCopyFromIsDeepAndReusesArrays|TestEngineSnapshotReuse|TestEngineDetailOwnsFlows|FuzzApply' ./internal/queue ./internal/sim

@@ -9,10 +9,10 @@
 //
 // There is one control loop, and New builds it. Each slot it decides once, by
 // one scheduler on the slot-initial backlogs: the paper's Algorithm 1, whose
-// fairness term couples every site's allocation. Its agent I/O (probe,
-// gather, scatter) fans out once per wire: the agents behind one
-// transport.MuxClient share one batch frame per phase, and every other agent
-// gets its own concurrent call.
+// fairness term couples every site's allocation. All its agent I/O (probe,
+// shadow pushes, gather, scatter) fans out once per phase and wire: the
+// agents behind one transport.MuxClient share one batch frame per phase, and
+// every other agent gets its own concurrent call.
 package controller
 
 import (
@@ -199,7 +199,7 @@ func New(c *model.Cluster, sch sched.Scheduler, agents []AgentConn, opts ...Opti
 		ct.checkpoint = queue.NewSet(c)
 	}
 	ct.detail = telemetry.WantsDetail(ct.obs)
-	ct.tracker = NewTracker(c, ct.qs, agents, ct.health, ct.reg)
+	ct.tracker = NewTracker(c, ct.qs, ct.health, ct.reg)
 	for i, conn := range agents {
 		ct.wireOf[i] = ct.wireFor(conn)
 	}
@@ -373,7 +373,135 @@ func (ct *Controller) callMany(ctx context.Context, kind string,
 // callOne is one per-agent call of callMany, run on its own goroutine.
 func (ct *Controller) callOne(ctx context.Context, i int, kind string, req, resp any, errs []error) {
 	defer ct.wg.Done()
-	errs[i] = ct.tracker.Call(ctx, i, kind, req, resp)
+	start := time.Now()
+	errs[i] = callAgent(ctx, ct.conns[i], kind, req, resp)
+	ct.tracker.ObserveRTT(i, time.Since(start))
+}
+
+// pick makes the agents keep selects, in index order, the next phase's call
+// list, and returns how many it picked.
+func (ct *Controller) pick(keep func(i int) bool) int {
+	ct.live = ct.live[:0]
+	for i := 0; i < ct.cluster.N(); i++ {
+		if keep(i) {
+			ct.live = append(ct.live, i)
+		}
+	}
+	return len(ct.live)
+}
+
+// pushShadows is the loop's one restore phase, which probe, rewind and
+// resolve all use: it pushes the shadow of every agent in ct.live onto it and
+// checks that each landed exactly on it, writing the outcomes into errs. Only
+// a slot that pushes allocates its requests and replies.
+func (ct *Controller) pushShadows(ctx context.Context, t int, errs []error) {
+	if len(ct.live) == 0 {
+		return
+	}
+	n := ct.cluster.N()
+	reqs, acks := make([]transport.RestoreRequest, n), make([]transport.RestoreAck, n)
+	live := ct.live[:0]
+	for _, i := range ct.live {
+		snap, err := ct.qs.SnapshotRow(i)
+		if err != nil {
+			errs[i] = fmt.Errorf("snapshot shadow: %w", err)
+			continue
+		}
+		reqs[i] = transport.RestoreRequest{Slot: t, Snapshot: snap}
+		live = append(live, i)
+	}
+	ct.live = live
+	ct.callMany(ctx, transport.KindRestore,
+		func(i int) any { return &reqs[i] },
+		func(i int) any { return &acks[i] },
+		errs)
+	for _, i := range ct.live {
+		if errs[i] == nil {
+			errs[i] = ct.tracker.resync(i, acks[i].QueueLens)
+		}
+	}
+}
+
+// open runs the slot's opening phases: one ping phase over the Dead agents,
+// then one restore phase pushing the shadows of those that answered and, on
+// the first slot after RestoreState, of every agent the restore marked. The
+// outcomes wait in scratch.openErrs until the gather passes its ctx check
+// (settleOpen), so a slot aborted before then moves no health record, and
+// the next slot probes again. Only Degrade ever marks an agent Dead, so under
+// Strict the opening is a rewind alone, and a failed one aborts the slot.
+func (ct *Controller) open(ctx context.Context, t int) error {
+	tk, s := ct.tracker, ct.scratch
+	if ct.pick(func(i int) bool { return tk.State(i) == Dead }) > 0 {
+		var ping any = &transport.Ping{Nonce: uint64(t), Slot: t}
+		pongs := make([]transport.Ping, ct.cluster.N())
+		ct.callMany(ctx, transport.KindPing,
+			func(int) any { return ping },
+			func(i int) any { return &pongs[i] },
+			s.openErrs)
+	} else if !ct.rewind {
+		return nil // a healthy slot calls nothing here
+	}
+	ct.pick(func(i int) bool { return tk.opensWithPush(i, s.openErrs[i] == nil, ct.rewind) })
+	ct.pushShadows(ctx, t, s.openErrs)
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("slot %d: %w", t, err)
+	}
+	if err := joinAgentErrors("rewind", s.openErrs); err != nil && ct.health.Policy == Strict {
+		return fmt.Errorf("slot %d: %w", t, err)
+	}
+	return nil
+}
+
+// settleOpen hands the opening's outcomes to the health machine, once the
+// gather has passed its ctx check (so no error here is the caller's): a Dead
+// agent whose probe landed is Rejoining, a failed probe or rewind counts.
+func (ct *Controller) settleOpen() {
+	for i, err := range ct.scratch.openErrs {
+		switch {
+		case err != nil:
+			ct.tracker.RecordFailure(i)
+		case ct.tracker.State(i) == Dead:
+			ct.tracker.setState(i, Rejoining)
+		}
+	}
+	ct.rewind = false
+}
+
+// resolve folds the gathered reports into the health machine under Degrade,
+// in two passes around one restore phase: the first admits every agent its
+// report alone lets in and picks those whose shadows must be pushed first,
+// the second admits those whose push landed. A failed gather or push counts
+// against its agent, unless the caller gave up on the push.
+func (ct *Controller) resolve(ctx context.Context, t int) {
+	tk, s := ct.tracker, ct.scratch
+	pushes := ct.pick(func(i int) bool {
+		switch {
+		case s.StateErrs[i] != nil:
+			tk.RecordFailure(i)
+		case tk.ResolveReport(i, t, &s.Reports[i]):
+			s.OK[i] = true
+		default:
+			return true
+		}
+		return false
+	})
+	if pushes == 0 {
+		return
+	}
+	ct.pushShadows(ctx, t, s.pushErrs)
+	for i, err := range s.StateErrs {
+		if err != nil || s.OK[i] {
+			continue
+		}
+		if err := s.pushErrs[i]; err != nil {
+			if !callerGaveUp(ctx, err) {
+				tk.RecordFailure(i)
+			}
+			continue
+		}
+		tk.admit(i, s.Reports[i].Price)
+		s.OK[i] = true
+	}
 }
 
 // RunSlot executes one slot of the control loop: gather, decide, allocate,
@@ -425,33 +553,29 @@ func (ct *Controller) RunSlotContext(ctx context.Context, t int, arrivals []int)
 	}
 	degrade := ct.health.Policy == Degrade
 
-	// Probe, gather, resolve. Dead agents are probed instead of polled; every
-	// other agent's report is validated on receipt (site echo, slot echo,
-	// dimensions, finite non-negative values), so a malformed or truncated
-	// report surfaces as a typed per-agent error — wrapping
-	// transport.ErrMalformedReport — before it can corrupt the assembled
-	// state. errs[i] is nil exactly when reports[i] is usable; ok[i] marks the
-	// agents participating in this slot's decision.
+	// Open, gather, resolve. Dead agents are probed instead of polled, and a
+	// restored loop first rewinds its agents; every other agent's report is
+	// validated on receipt (site echo, slot echo, dimensions, finite
+	// non-negative values), so a malformed or truncated report surfaces as a
+	// typed per-agent error — wrapping transport.ErrMalformedReport — before
+	// it can corrupt the assembled state. errs[i] is nil exactly when
+	// reports[i] is usable; ok[i] marks the agents in this slot's decision.
 	ct.scratch.Reset()
 	reports, errs, ok := ct.scratch.Reports, ct.scratch.StateErrs, ct.scratch.OK
 	ct.scratch.stateReq = transport.StateRequest{Slot: t}
 	var stateReq any = &ct.scratch.stateReq // boxed once, not per agent
-	if degrade {
-		ct.tracker.ProbeDead(ctx, t)
+	if err := ct.open(ctx, t); err != nil {
+		return nil, nil, nil, err
 	}
-	if ct.rewind {
-		if err := ct.rewindAgents(ctx, t, degrade); err != nil {
-			return nil, nil, nil, err
-		}
-	}
-	ct.live = ct.live[:0]
-	for i := 0; i < c.N(); i++ {
-		if ct.tracker.State(i) == Dead {
+	// Poll every agent the opening leaves alive: all but the Dead agents
+	// whose probe failed and those a failed rewind kills.
+	ct.pick(func(i int) bool {
+		if ct.scratch.openErrs[i] != nil && ct.tracker.failureKills(i) {
 			errs[i] = errAgentDead
-			continue
+			return false
 		}
-		ct.live = append(ct.live, i)
-	}
+		return true
+	})
 	ct.callMany(ctx, transport.KindState,
 		func(int) any { return stateReq },
 		func(i int) any { return &reports[i] },
@@ -460,19 +584,14 @@ func (ct *Controller) RunSlotContext(ctx context.Context, t int, arrivals []int)
 	if err := ctx.Err(); err != nil {
 		return nil, nil, nil, fmt.Errorf("slot %d: %w", t, err)
 	}
+	ct.settleOpen()
 	for _, i := range ct.live {
 		if errs[i] == nil {
 			errs[i] = reports[i].Validate(i, t, c.K(i), c.J())
 		}
 	}
 	if degrade {
-		for i, err := range errs {
-			if err != nil {
-				ct.tracker.RecordFailure(i)
-				continue
-			}
-			ok[i] = ct.tracker.ResolveReport(ctx, i, t, &reports[i])
-		}
+		ct.resolve(ctx, t)
 	} else {
 		if err := joinAgentErrors("state", errs); err != nil {
 			return nil, nil, nil, err
@@ -584,12 +703,7 @@ func (ct *Controller) RunSlotContext(ctx context.Context, t int, arrivals []int)
 		}
 	}
 	errsA, allocs := ct.scratch.AllocErrs, ct.scratch.Allocs
-	ct.live = ct.live[:0]
-	for i, in := range ok {
-		if in {
-			ct.live = append(ct.live, i)
-		}
-	}
+	ct.pick(func(i int) bool { return ok[i] })
 	ct.callMany(ctx, transport.KindAllocate,
 		func(i int) any {
 			allocs[i] = transport.Allocate{
@@ -667,34 +781,6 @@ func copyRows[T any](dst, src [][]T) bool {
 		copy(dst[i], src[i])
 	}
 	return true
-}
-
-// rewindAgents opens the first slot after a restore: every agent not Dead is
-// pushed onto its restored shadow (ProbeDead's resync rewinds the Dead ones).
-// Under Strict a failure aborts the slot before anything moves, and the retry
-// rewinds again. Under Degrade a failure counts against the agent, which keeps
-// its rewind mark: until a resync lands, its reports are checked against the
-// shadow and never re-seed it, whatever its health. A ctx done by the end of
-// the rewind aborts the slot under either policy, and the next slot rewinds
-// the agents it did not reach.
-func (ct *Controller) rewindAgents(ctx context.Context, t int, degrade bool) error {
-	errs := make([]error, ct.cluster.N())
-	ct.tracker.Rewind(ctx, t, errs)
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("slot %d: rewind: %w", t, err)
-	}
-	if !degrade {
-		if err := joinAgentErrors("rewind", errs); err != nil {
-			return fmt.Errorf("slot %d: %w", t, err)
-		}
-	}
-	for i, err := range errs {
-		if err != nil {
-			ct.tracker.RecordFailure(i)
-		}
-	}
-	ct.rewind = false
-	return nil
 }
 
 // emitSlot assembles and publishes the controller's per-slot telemetry

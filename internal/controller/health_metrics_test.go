@@ -36,7 +36,7 @@ func driveHealthMetrics(tk *Tracker) {
 // that never failed has no failures line.
 func TestHealthMetricsOutputUnchanged(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	tk := NewTracker(model.NewReferenceCluster(), nil, make([]AgentConn, 3), HealthConfig{Policy: Degrade}, reg)
+	tk := NewTracker(model.NewReferenceCluster(), nil, HealthConfig{Policy: Degrade}, reg)
 	driveHealthMetrics(tk)
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {
@@ -63,9 +63,13 @@ func TestHealthMetricsOutputUnchanged(t *testing.T) {
 // family's series map each time. The agent index is past strconv's table of
 // preformatted small integers, where looking the series up by label did
 // allocate. (None of these touches a shadow, so the tracker needs no queue
-// set, and the three-site reference cluster serves a 200-agent tracker.)
+// set, and the reference cluster's sites, repeated, make a 200-agent one.)
 func TestHealthMetricsAllocateNothing(t *testing.T) {
-	tk := NewTracker(model.NewReferenceCluster(), nil, make([]AgentConn, 200), HealthConfig{Policy: Degrade}, telemetry.NewRegistry())
+	c := model.NewReferenceCluster()
+	for len(c.DataCenters) < 200 {
+		c.DataCenters = append(c.DataCenters, c.DataCenters[0])
+	}
+	tk := NewTracker(c, nil, HealthConfig{Policy: Degrade}, telemetry.NewRegistry())
 	const agent = 150
 	tk.ObserveRTT(agent, time.Millisecond) // first samples create the series
 	tk.RecordFailure(agent)

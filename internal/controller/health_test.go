@@ -3,12 +3,14 @@ package controller
 import (
 	"context"
 	"errors"
+	"reflect"
 	"sync/atomic"
 	"testing"
 
 	"grefar/internal/core"
 	"grefar/internal/model"
 	"grefar/internal/telemetry"
+	"grefar/internal/transport"
 )
 
 // switchConn is an agent connection with a breaker: while tripped, every call
@@ -131,10 +133,11 @@ func TestHealthStateMachineTransitions(t *testing.T) {
 
 // TestHealthTransitionTable walks the health state machine through every
 // transition as event sequences: failed and resolved interactions drive the
-// counters exactly as gather/allocate outcomes do, and "probe" events run a
-// real probeDead round against the agent (reachable or not), so the
-// Dead -> Rejoining edge is exercised through the actual heartbeat + resync
-// path rather than by poking setState.
+// counters exactly as gather/allocate outcomes do, and "probe" events run the
+// loop's real slot opening against the agent (reachable or not) — its ping
+// phase, then its restore phase — and settle it as a slot does once its
+// gather is through, so the Dead -> Rejoining edge is exercised through the
+// actual heartbeat + resync path rather than by poking setState.
 func TestHealthTransitionTable(t *testing.T) {
 	const (
 		fail      = "fail"       // one failed interaction (gather or allocate error)
@@ -218,6 +221,14 @@ func TestHealthTransitionTable(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			probeRound := func(slot int) {
+				t.Helper()
+				ct.scratch.Reset()
+				if err := ct.open(context.Background(), slot); err != nil {
+					t.Fatalf("slot %d: open: %v", slot, err)
+				}
+				ct.settleOpen()
+			}
 			for slot, st := range tc.steps {
 				switch st.ev {
 				case fail:
@@ -226,10 +237,10 @@ func TestHealthTransitionTable(t *testing.T) {
 					ct.tracker.RecordSuccess(0)
 				case probe:
 					sw.down.Store(false)
-					ct.tracker.ProbeDead(context.Background(), slot)
+					probeRound(slot)
 				case probeFail:
 					sw.down.Store(true)
-					ct.tracker.ProbeDead(context.Background(), slot)
+					probeRound(slot)
 					sw.down.Store(false)
 				default:
 					t.Fatalf("unknown event %q", st.ev)
@@ -242,10 +253,69 @@ func TestHealthTransitionTable(t *testing.T) {
 	}
 }
 
+// kindLog records the kinds of the calls an agent connection carries.
+type kindLog struct {
+	AgentConn
+	kinds []string
+}
+
+func (k *kindLog) Call(kind string, reqBody, respBody any) error {
+	k.kinds = append(k.kinds, kind)
+	return k.AgentConn.Call(kind, reqBody, respBody)
+}
+
+// TestFailedRewindKeepsItsDeadAgentOutOfTheGather pins the gather set of a
+// slot whose opening failed an agent: the health machine takes the opening's
+// outcomes only after the gather, yet an agent the failed rewind makes Dead
+// is not polled in that slot, as if the failure had been recorded first. Its
+// next calls are the following slot's probe, the push of its shadow, and the
+// rejoin.
+func TestFailedRewindKeepsItsDeadAgentOutOfTheGather(t *testing.T) {
+	in, conns, cleanup := buildSystem(t, 4, false)
+	defer cleanup()
+	build := func(conns []AgentConn) *Controller {
+		g, err := core.New(in.Cluster, core.Config{V: 7.5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ct, err := New(in.Cluster, g, conns, WithFailurePolicy(Degrade), WithHealthThresholds(1, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ct
+	}
+	run := func(ct *Controller, slot int) {
+		t.Helper()
+		if _, _, _, err := ct.RunSlot(slot, in.Workload.Arrivals(slot)); err != nil {
+			t.Fatalf("slot %d: %v", slot, err)
+		}
+	}
+	ct := build(conns)
+	run(ct, 0)
+	state, err := ct.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := &kindLog{AgentConn: &flakyRestoreConn{AgentConn: conns[0]}}
+	restored := build(append([]AgentConn{log}, conns[1:]...))
+	if err := restored.RestoreState(state); err != nil {
+		t.Fatal(err)
+	}
+	run(restored, 1)
+	if h := restored.Health()[0]; h != Dead || !reflect.DeepEqual(log.kinds, []string{transport.KindRestore}) {
+		t.Fatalf("after the lost rewind: agent 0 is %v with calls %v, want dead after [restore] alone", h, log.kinds)
+	}
+	run(restored, 2)
+	want := []string{transport.KindRestore, transport.KindPing, transport.KindRestore, transport.KindState, transport.KindAllocate}
+	if h := restored.Health()[0]; h != Healthy || !reflect.DeepEqual(log.kinds, want) {
+		t.Fatalf("after the probe: agent 0 is %v with calls %v, want healthy after %v", h, log.kinds, want)
+	}
+}
+
 // TestSuspectHealsThroughRealGather covers probe-success during Suspect on the
 // operational path: a Suspect agent is still in the gather set (it is polled,
 // not heartbeated), so the first slot where its state report gets through
-// restores Healthy — no probeDead round involved.
+// restores Healthy — no probe round involved.
 func TestSuspectHealsThroughRealGather(t *testing.T) {
 	in, conns, cleanup := buildSystem(t, 10, false)
 	defer cleanup()

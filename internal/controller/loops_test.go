@@ -414,9 +414,13 @@ type opaqueConn struct{ controller.AgentConn }
 
 // TestCallManyBatchesByConnType pins the one I/O rule: the loop reads from the
 // connection's type — not from any option — whether agents share a wire. Over
-// raw MuxConns a slot costs one batch frame per connection per phase (gather,
-// scatter), whatever partition count the deprecated adapter was asked for;
-// over wrapped conns it costs one call per live agent per phase.
+// raw MuxConns a slot costs one batch frame per connection per phase,
+// whatever partition count the deprecated adapter was asked for; over wrapped
+// conns it costs one call per live agent per phase. That holds for every
+// phase: gather and scatter, a restored loop's first slot, which rewinds
+// every agent in one restore phase, and a slot that probes the Dead agents of
+// a whole wire, which pings them in one phase and pushes their shadows in
+// one more.
 func TestCallManyBatchesByConnType(t *testing.T) {
 	const slots = 6
 	for _, tc := range []struct {
@@ -429,7 +433,7 @@ func TestCallManyBatchesByConnType(t *testing.T) {
 		{"controlplane.New/P=3", planeCtor("controlplane.New/P=3", 3, false), false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			in, err := sim.NewReferenceInputs(2012, slots)
+			in, err := sim.NewReferenceInputs(2012, slots+6)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -447,8 +451,12 @@ func TestCallManyBatchesByConnType(t *testing.T) {
 				t.Fatal(err)
 			}
 			var frames, handled atomic.Int64
+			down := make([]atomic.Bool, n)
 			srv := transport.NewMuxServer(frameCountingListener{Listener: lis, frames: &frames},
 				func(dst []byte, target int, kind string, body []byte) ([]byte, error) {
+					if down[target].Load() {
+						return dst, errors.New("agent down")
+					}
 					handled.Add(1)
 					return agents[target].AppendReply(dst, kind, body)
 				})
@@ -472,24 +480,88 @@ func TestCallManyBatchesByConnType(t *testing.T) {
 					conns[i] = opaqueConn{conns[i]}
 				}
 			}
-			ct, err := tc.lc.build(in.Cluster, conns, controller.Strict, nil)
+			build := func(policy controller.FailurePolicy) *controller.Controller {
+				ct, err := tc.lc.build(in.Cluster, conns, policy, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return ct
+			}
+			// A phase calls some agents riding some wires: it costs one frame
+			// per wire, or one per agent over wrapped conns. run runs slots
+			// [from, to) and checks the frames the server answered and the
+			// requests the agents handled against the phases the slots ran.
+			type phase struct{ agents, wires int64 }
+			all, firstWire := phase{int64(n), wires}, phase{int64(n - 1), 1}
+			run := func(what string, ct *controller.Controller, from, to int, phases ...phase) {
+				t.Helper()
+				f0, h0 := frames.Load(), handled.Load()
+				for tt := from; tt < to; tt++ {
+					if _, _, _, err := ct.RunSlot(tt, in.Workload.Arrivals(tt)); err != nil {
+						t.Fatalf("%s: slot %d: %v", what, tt, err)
+					}
+				}
+				var wantFrames, wantHandled int64
+				for _, p := range phases {
+					wantHandled += p.agents
+					if tc.wrapped {
+						wantFrames += p.agents
+					} else {
+						wantFrames += p.wires
+					}
+				}
+				if got := frames.Load() - f0; got != wantFrames {
+					t.Errorf("%s: server answered %d frames, want %d", what, got, wantFrames)
+				}
+				if got := handled.Load() - h0; got != wantHandled {
+					t.Errorf("%s: agents handled %d requests, want %d", what, got, wantHandled)
+				}
+			}
+
+			// Gather and scatter, slot after slot.
+			var phases []phase
+			for range 2 * slots {
+				phases = append(phases, all)
+			}
+			ct := build(controller.Strict)
+			run("healthy slots", ct, 0, slots, phases...)
+
+			// A loop restored from ct's checkpoint rewinds every agent, then
+			// gathers and scatters.
+			state, err := ct.ExportState()
 			if err != nil {
 				t.Fatal(err)
 			}
-			for tt := 0; tt < slots; tt++ {
-				if _, _, _, err := ct.RunSlot(tt, in.Workload.Arrivals(tt)); err != nil {
+			restored := build(controller.Strict)
+			if err := restored.RestoreState(state); err != nil {
+				t.Fatal(err)
+			}
+			run("restored loop's first slot", restored, slots, slots+1, all, all, all)
+
+			// Under Degrade, the agents on the first wire go dark until three
+			// failures make them Dead; the next slot pings them and pushes
+			// their shadows in one frame each on that wire.
+			dg := build(controller.Degrade)
+			run("first Degrade slot", dg, slots+1, slots+2, all, all)
+			for i := 0; i < n-1; i++ {
+				down[i].Store(true)
+			}
+			for tt := slots + 2; tt < slots+5; tt++ {
+				if _, _, _, err := dg.RunSlot(tt, in.Workload.Arrivals(tt)); err != nil {
 					t.Fatalf("slot %d: %v", tt, err)
 				}
 			}
-			wantFrames := int64(slots * 2 * wires)
-			if tc.wrapped {
-				wantFrames = int64(slots * 2 * n)
+			for i := 0; i < n-1; i++ {
+				if h := dg.Health()[i]; h != controller.Dead {
+					t.Fatalf("agent %d is %v after three dark slots, want dead", i, h)
+				}
+				down[i].Store(false)
 			}
-			if frames.Load() != wantFrames {
-				t.Errorf("server answered %d frames over %d slots, want %d", frames.Load(), slots, wantFrames)
-			}
-			if want := int64(slots * 2 * n); handled.Load() != want {
-				t.Errorf("agents handled %d requests, want %d", handled.Load(), want)
+			run("probing slot", dg, slots+5, slots+6, firstWire, firstWire, all, all)
+			for i, h := range dg.Health() {
+				if h != controller.Healthy {
+					t.Errorf("agent %d is %v after the probing slot, want healthy", i, h)
+				}
 			}
 		})
 	}

@@ -27,6 +27,9 @@ type SlotScratch struct {
 	// boxing a pointer allocates nothing, boxing the struct did for any slot
 	// past 255.
 	stateReq transport.StateRequest
+
+	// The opening's outcomes (probe, then push) and the resolve's pushes.
+	openErrs, pushErrs []error
 }
 
 // NewSlotScratch sizes a scratch set for the cluster.
@@ -39,6 +42,8 @@ func NewSlotScratch(c *model.Cluster) *SlotScratch {
 		OK:        make([]bool, n),
 		Routed:    make([][]int, n),
 		Allocs:    make([]transport.Allocate, n),
+		openErrs:  make([]error, n),
+		pushErrs:  make([]error, n),
 	}
 	routedFlat := make([]int, n*j)
 	for i := range s.Routed {
@@ -55,6 +60,8 @@ func (s *SlotScratch) Reset() {
 	clear(s.StateErrs)
 	clear(s.AllocErrs)
 	clear(s.OK)
+	clear(s.openErrs)
+	clear(s.pushErrs)
 }
 
 // newRows returns an n x j matrix whose rows are cut from one fresh backing

@@ -1,9 +1,7 @@
 package controller
 
 import (
-	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"grefar/internal/model"
@@ -14,31 +12,26 @@ import (
 
 // Tracker is the per-agent health machine the control loop drives: the
 // Healthy/Suspect/Dead/Rejoining state machine, the trust in the shadow of
-// each agent's local queues (local row i of the loop's queue set),
-// probe/resync/rejoin, and the divergence bookkeeping.
-//
-// Every method taking an agent index touches only that agent's record (plus
-// concurrency-safe metric families), so the loop's concurrent per-agent calls
-// never race; such methods are not safe for concurrent use on the SAME index.
+// each agent's local queues (local row i of the loop's queue set), and the
+// divergence bookkeeping. It calls no agent: the loop hands it the outcomes.
+// Only ObserveRTT runs on the loop's per-agent call goroutines, touching only
+// agent i's series; every other method runs on the loop's goroutine.
 type Tracker struct {
 	cluster *model.Cluster
 	qs      *queue.Set // local row i is agent i's shadow
-	conns   []AgentConn
 	cfg     HealthConfig
 	recs    []agentRecord
 	metrics *healthMetrics
 }
 
-// NewTracker builds a health tracker over the given agent connections, whose
-// shadows are the local rows of qs. conns[i] must serve data center i. A nil
-// registry disables metrics.
-func NewTracker(c *model.Cluster, qs *queue.Set, conns []AgentConn, cfg HealthConfig, reg *telemetry.Registry) *Tracker {
+// NewTracker builds a health tracker with one record per data center of c,
+// whose shadows are the local rows of qs. A nil registry disables metrics.
+func NewTracker(c *model.Cluster, qs *queue.Set, cfg HealthConfig, reg *telemetry.Registry) *Tracker {
 	tk := &Tracker{
 		cluster: c,
 		qs:      qs,
-		conns:   conns,
 		cfg:     cfg.withDefaults(),
-		recs:    make([]agentRecord, len(conns)),
+		recs:    make([]agentRecord, c.N()),
 	}
 	if reg != nil {
 		tk.metrics = newHealthMetrics(reg)
@@ -104,6 +97,12 @@ func (tk *Tracker) RecordSuccess(i int) {
 	}
 }
 
+// failureKills reports whether one more failure leaves agent i Dead.
+func (tk *Tracker) failureKills(i int) bool {
+	rec := &tk.recs[i]
+	return rec.state == Dead || rec.fails+1 >= tk.cfg.DeadAfter
+}
+
 // NoteDivergence records that agent i's physical trajectory forked from the
 // shadow (a mismatched report or ack): the divergence counter ticks and the
 // shadow is de-synced so the next valid report re-seeds it.
@@ -147,30 +146,16 @@ func (tk *Tracker) lensEqualShadow(i int, lens []float64) bool {
 	return true
 }
 
-// resync pushes the controller's shadow queue state onto agent i and
-// verifies the agent landed exactly on it, which completes a pending rewind.
-// With an unseeded shadow there is nothing authoritative to push; the next
-// state report seeds it instead.
-func (tk *Tracker) resync(ctx context.Context, i, t int) error {
-	rec := &tk.recs[i]
-	if !rec.synced {
-		return nil
-	}
-	snap, err := tk.qs.SnapshotRow(i)
-	if err != nil {
-		return fmt.Errorf("snapshot shadow: %w", err)
-	}
-	var ack transport.RestoreAck
-	if err := tk.Call(ctx, i, transport.KindRestore, transport.RestoreRequest{Slot: t, Snapshot: snap}, &ack); err != nil {
-		return err
-	}
-	if !tk.lensEqualShadow(i, ack.QueueLens) {
-		return fmt.Errorf("restore verification failed: agent echoed %v, shadow holds %v", ack.QueueLens, tk.qs.View().Local[i])
+// resync completes a push of agent i's shadow onto it: the lengths the agent
+// echoed must be the shadow's, and then a pending rewind is done.
+func (tk *Tracker) resync(i int, echo []float64) error {
+	if !tk.lensEqualShadow(i, echo) {
+		return fmt.Errorf("restore verification failed: agent echoed %v, shadow holds %v", echo, tk.qs.View().Local[i])
 	}
 	if tk.metrics != nil {
 		tk.metrics.resyncs.With(dcLabel(i)).Inc()
 	}
-	rec.rewind = false
+	tk.recs[i].rewind = false
 	return nil
 }
 
@@ -189,81 +174,20 @@ func (tk *Tracker) markRewind() {
 	}
 }
 
-// Rewind pushes every shadow marked by a restore onto its agent, concurrently,
-// writing each agent's outcome into errs. Dead agents are skipped: ProbeDead's
-// resync rewinds them when they answer.
-func (tk *Tracker) Rewind(ctx context.Context, t int, errs []error) {
-	var wg sync.WaitGroup
-	for i := range tk.recs {
-		if !tk.recs[i].rewind || tk.recs[i].state == Dead {
-			continue
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = tk.resync(ctx, i, t)
-		}(i)
+// opensWithPush reports whether the slot's opening pushes agent i's shadow
+// onto it: a Dead agent's once its probe is answered, if the shadow was ever
+// seeded (else its next report seeds it); any other's when the slot rewinds.
+func (tk *Tracker) opensWithPush(i int, answered, rewind bool) bool {
+	rec := &tk.recs[i]
+	if rec.state == Dead {
+		return answered && rec.synced
 	}
-	wg.Wait()
-}
-
-// ProbeDead opens the slot by heartbeating every Dead agent once. A probe
-// answer re-syncs the agent onto the shadow state and moves it to Rejoining,
-// so the following gather can complete the rejoin; a failed probe (or a
-// failed re-sync) keeps it Dead.
-//
-// Probes run concurrently, like the gather: a mass outage must cost one probe
-// timeout per slot, not one per dead agent — at fleet scale a sequential
-// probe loop would stall the slot for minutes. The RPCs (ping, then restore)
-// touch only agent i's record, which nothing else reads during the probe
-// phase; state transitions are applied serially in index order afterwards so
-// the health machine stays single-threaded.
-func (tk *Tracker) ProbeDead(ctx context.Context, t int) {
-	if !tk.anyDead() {
-		return // nothing to probe: a healthy slot allocates nothing here
-	}
-	probed := make([]bool, len(tk.recs))
-	errs := make([]error, len(tk.recs))
-	var wg sync.WaitGroup
-	for i := range tk.recs {
-		if tk.recs[i].state != Dead {
-			continue
-		}
-		probed[i] = true
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			var pong transport.Ping
-			if errs[i] = tk.Call(ctx, i, transport.KindPing, transport.Ping{Nonce: uint64(t), Slot: t}, &pong); errs[i] == nil {
-				errs[i] = tk.resync(ctx, i, t)
-			}
-		}(i)
-	}
-	wg.Wait()
-	for i := range tk.recs {
-		switch {
-		case !probed[i]:
-		case errs[i] == nil:
-			tk.setState(i, Rejoining)
-		case !callerGaveUp(ctx, errs[i]):
-			tk.RecordFailure(i)
-		}
-	}
-}
-
-// anyDead reports whether some agent is in state Dead.
-func (tk *Tracker) anyDead() bool {
-	for i := range tk.recs {
-		if tk.recs[i].state == Dead {
-			return true
-		}
-	}
-	return false
+	return rewind && rec.rewind
 }
 
 // ResolveReport folds one valid state report into the health machine under
 // the Degrade policy and reports whether the agent participates in this
-// slot's scheduling decision.
+// slot's decision; false means its shadow must be pushed onto it first.
 //
 // The trust rules: a Healthy agent owns its physical queues, so a shadow
 // mismatch (an externally restored or replaced agent) re-seeds the shadow
@@ -274,38 +198,29 @@ func (tk *Tracker) anyDead() bool {
 // from a checkpoint, or holding an allocate the caller gave up on — until
 // the rewind lands, whatever the agent's health: it is restored onto the
 // agent even when the lengths agree, because the cohorts behind them may not.
-func (tk *Tracker) ResolveReport(ctx context.Context, i, t int, rep *transport.StateReport) bool {
+func (tk *Tracker) ResolveReport(i, t int, rep *transport.StateReport) bool {
 	rec := &tk.recs[i]
-	if !rec.synced {
+	switch {
+	case !rec.synced:
 		tk.seedShadow(i, t, rep.QueueLens)
-		rec.lastPrice = rep.Price
-		tk.RecordSuccess(i)
-		return true
-	}
-	equal := tk.lensEqualShadow(i, rep.QueueLens)
-	if rec.state == Healthy && !rec.rewind {
-		if !equal {
-			if tk.metrics != nil {
-				tk.metrics.divergences.With(dcLabel(i)).Inc()
-			}
+	case rec.state == Healthy && !rec.rewind:
+		if !tk.lensEqualShadow(i, rep.QueueLens) {
+			tk.NoteDivergence(i)
 			tk.seedShadow(i, t, rep.QueueLens)
 		}
-		rec.lastPrice = rep.Price
-		tk.RecordSuccess(i)
-		return true
+	case rec.rewind || !tk.lensEqualShadow(i, rep.QueueLens):
+		// Suspect, Rejoining or rewinding: let it in only on the shadow
+		// trajectory.
+		return false
 	}
-	// Suspect, Rejoining or rewinding: let it in only on the shadow trajectory.
-	if !equal || rec.rewind {
-		if err := tk.resync(ctx, i, t); err != nil {
-			if !callerGaveUp(ctx, err) {
-				tk.RecordFailure(i)
-			}
-			return false
-		}
-	}
-	rec.lastPrice = rep.Price
-	tk.RecordSuccess(i)
+	tk.admit(i, rep.Price)
 	return true
+}
+
+// admit lets agent i into the slot's decision at its reported price.
+func (tk *Tracker) admit(i int, price float64) {
+	tk.recs[i].lastPrice = price
+	tk.RecordSuccess(i)
 }
 
 // TrueUpShadow keeps the shadow exact under the Strict policy, where the
@@ -337,21 +252,8 @@ func (tk *Tracker) SynthesizeAck(i, t int, popped, delays []float64, st *model.S
 	return ack
 }
 
-// Call issues one RPC to agent i with the round-trip recorded in the RTT
-// histogram when health metrics are wired.
-func (tk *Tracker) Call(ctx context.Context, i int, kind string, reqBody, respBody any) error {
-	if tk.metrics == nil {
-		return callAgent(ctx, tk.conns[i], kind, reqBody, respBody)
-	}
-	start := time.Now()
-	err := callAgent(ctx, tk.conns[i], kind, reqBody, respBody)
-	tk.ObserveRTT(i, time.Since(start))
-	return err
-}
-
-// ObserveRTT records one round-trip duration for agent i — the hook for
-// callers that batch many agents' calls onto one wire and apportion the
-// batch round-trip themselves.
+// ObserveRTT records one round-trip duration for agent i: its own call's, or
+// the batch frame's it rode in.
 func (tk *Tracker) ObserveRTT(i int, d time.Duration) {
 	if tk.metrics == nil {
 		return
