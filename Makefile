@@ -38,8 +38,13 @@ race:
 #     frame per wire per phase
 #   core: decisions replay the dense layout's pins; greedy edges; warm repair
 #   invariant: decisions replay the dense goldens; aux runs checked
-#   queue, sim: rejected input leaves no trace; the view tracks every write;
-#     a set copy is deep and reuses its arrays
+#   queue, sim, controller: rejected input leaves no trace; the view tracks
+#     every write; a set copy is deep and reuses its arrays; the slot account
+#     bills centrally, scores fairness on h*d and allocates nothing
+#     (TestAccount*); the control loop, which keeps the same account, writes
+#     the engine's slot events byte for byte, also where h exceeds the
+#     queue, and every agent's ack bills exactly its row's central bill
+#     (TestDistributedMatchesSimulator)
 #   budgets: decide, step, wire, tick allocations
 #   FuzzSimplex: hostile LPs
 #   FuzzApply: hostile actions
@@ -60,7 +65,7 @@ tier1:
 	$(GO) test -race -count=10 -run 'TestSlotOutputsBelongToTheCaller|TestStrictAllocateAbortConservesJobs|TestCancelledSlotChargesNoAgent|TestHealthTransitionTable|TestControllerSnapshotRestore|TestCallManyBatchesByConnType' ./internal/controller
 	$(GO) test -race -count=1 -run 'TestSparse|TestAuto|TestDecomposed|TestSchedulerState|TestRestoreRejects|TestRepairWarmStartOutcomes|TestGreedy|TestDecideLeavesNoStaleCells' ./internal/core
 	$(GO) test -race -count=1 -run 'TestAutoSolverBitIdentical|TestCheckerCleanOnAuxCluster' ./internal/invariant
-	$(GO) test -race -count=1 -run 'TestRejectedApply|TestRejectedStep|TestSnapshotsOwn|TestViewTracksTheSet|TestSetCopyFromIsDeepAndReusesArrays|TestEngineSnapshotReuse|TestEngineDetailOwnsFlows|FuzzApply' ./internal/queue ./internal/sim
+	$(GO) test -race -count=1 -run 'TestRejectedApply|TestRejectedStep|TestSnapshotsOwn|TestViewTracksTheSet|TestSetCopyFromIsDeepAndReusesArrays|TestEngineSnapshotReuse|TestEngineDetailOwnsFlows|FuzzApply|TestAccount|TestDistributedMatchesSimulator' ./internal/queue ./internal/sim ./internal/controller
 	$(GO) test -count=1 -run 'TestDecideAllocationBudget|TestEngineStepAllocationBudget|TestWireAllocationBudget' .
 	$(GO) test -run '^$$' -fuzz FuzzSimplex -fuzztime $(FUZZTIME) ./internal/lp
 	$(GO) test -run '^$$' -fuzz FuzzApply -fuzztime $(FUZZTIME) ./internal/queue

@@ -186,7 +186,7 @@ func (a *Agent) allocate(dst, body []byte) ([]byte, error) {
 	}
 
 	// Nothing below can fail, so the cached ack is overwritten in place.
-	ack.Slot, ack.Energy, ack.Work = req.Slot, 0, 0
+	ack.Slot, ack.Work = req.Slot, 0
 	for j := 0; j < c.J(); j++ {
 		popped, delay := a.ledgers[j].Pop(req.Slot, req.Process[j])
 		ack.Processed[j] = popped
@@ -194,10 +194,7 @@ func (a *Agent) allocate(dst, body []byte) ([]byte, error) {
 		ack.Work += popped * c.JobTypes[j].Demand
 		a.ledgers[j].Push(req.Slot, float64(req.Route[j]))
 	}
-	priceNow := a.cfg.Price.At(req.Slot)
-	for k, b := range req.Busy {
-		ack.Energy += priceNow * b * c.DataCenters[a.cfg.DataCenter].Servers[k].Power
-	}
+	ack.Energy = a.cfg.Price.At(req.Slot) * c.DrawAt(a.cfg.DataCenter, req.Busy)
 	if a.cfg.Observer != nil {
 		ev := telemetry.SlotEvent{
 			Slot:       req.Slot,

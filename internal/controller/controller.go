@@ -19,13 +19,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
-	"grefar/internal/fairness"
 	"grefar/internal/model"
 	"grefar/internal/queue"
 	"grefar/internal/sched"
+	"grefar/internal/sim"
 	"grefar/internal/telemetry"
 	"grefar/internal/transport"
 )
@@ -73,9 +74,12 @@ func callerGaveUp(ctx context.Context, err error) bool {
 type Controller struct {
 	cluster *model.Cluster
 	conns   []AgentConn // index i is data center i
-	fair    fairness.Function
 	obs     telemetry.SlotObserver
 	detail  bool // obs asked for SlotEvent.Detail
+
+	// acct bills, scores and sums every completed slot, as sim.Engine's
+	// account does: the paper's quadratic fairness, linear billing.
+	acct *sim.Account
 
 	// qs holds the queues the loop schedules on: its central ledgers are
 	// Q_j, and its local row i is agent i's shadow. scratch is the per-slot
@@ -151,8 +155,9 @@ type PartitionStats struct {
 type Option func(*Controller)
 
 // WithObserver attaches a telemetry observer: the controller emits one
-// SlotEvent per slot (origin "controller") from its run loop, carrying the
-// realized energy, fairness, flows, and the central backlog it owns.
+// SlotEvent per slot (origin "controller") from its run loop, which its
+// account builds as sim.Engine's builds the engine's: the central bill,
+// fairness, flows and backlogs.
 func WithObserver(obs telemetry.SlotObserver) Option {
 	return func(ct *Controller) { ct.obs = obs }
 }
@@ -169,18 +174,14 @@ func New(c *model.Cluster, sch sched.Scheduler, agents []AgentConn, opts ...Opti
 	if len(agents) != c.N() {
 		return nil, fmt.Errorf("got %d agents, cluster has %d data centers", len(agents), c.N())
 	}
-	weights := make([]float64, c.M())
-	for m, a := range c.Accounts {
-		weights[m] = a.Weight
-	}
-	fair, err := fairness.NewQuadratic(weights)
+	acct, err := sim.NewAccount(c, nil, nil, false)
 	if err != nil {
 		return nil, err
 	}
 	ct := &Controller{
 		cluster: c,
 		conns:   agents,
-		fair:    fair,
+		acct:    acct,
 		qs:      queue.NewSet(c),
 		scratch: NewSlotScratch(c),
 		st:      model.NewState(c),
@@ -234,41 +235,48 @@ func (ct *Controller) Lengths() queue.Lengths { return ct.qs.Lengths() }
 // Lengths().Sum() without taking a snapshot.
 func (ct *Controller) Backlog() float64 { return ct.qs.Backlog() }
 
+// Scheduler returns the policy currently deciding.
+func (ct *Controller) Scheduler() sched.Scheduler { return ct.sch }
+
 // SetScheduler swaps the deciding scheduler at a slot boundary, the serving
 // mode's hot reload. Queues and agent health are untouched.
 func (ct *Controller) SetScheduler(s sched.Scheduler) { ct.sch = s }
 
-// State is the loop's durable state: the next slot, and the snapshot of its
-// queue set — the central ledgers, and every agent's shadow as its site's
-// local queues. An engine's queue snapshot and a controller's therefore
-// restore into each other.
-type State struct {
-	Slot   int
-	Queues []byte
+// Result aggregates the slots run since the loop was built or restored, as
+// sim.Engine.Result does: the loop's account fills it with the same code.
+// The Result is the loop's, and stays valid (but stale) across later slots.
+func (ct *Controller) Result() *sim.Result {
+	return ct.acct.Result(ct.sch.Name(), ct.slot, ct.qs.Backlog())
 }
 
-// ExportState captures the loop's durable state. The snapshot owns its memory.
-func (ct *Controller) ExportState() (*State, error) {
+// ExportState captures the loop's durable state, in the engine's form: the
+// next slot, the snapshot of its queue set — the central ledgers, and every
+// agent's shadow as its site's local queues — and the account's lifetime job
+// counters. An engine's state and a controller's therefore restore into each
+// other. The snapshot owns its memory.
+func (ct *Controller) ExportState() (*sim.EngineState, error) {
 	q, err := ct.qs.Snapshot()
 	if err != nil {
 		return nil, err
 	}
-	return &State{Slot: ct.slot, Queues: q}, nil
+	return ct.acct.Export(ct.slot, q), nil
 }
 
 // RestoreState rewinds the loop onto an exported state: the central ledgers
-// and the shadows take the snapshot, and the shadows become authoritative. No
-// agent is called here. The next slot opens by pushing each agent's restored
-// shadow onto it through the KindRestore resync, under either failure policy,
-// so agents that ran past the checkpoint are rewound onto it. A rejected
-// state leaves the loop as it was.
-func (ct *Controller) RestoreState(st *State) error {
+// and the shadows take the snapshot, the shadows become authoritative, and
+// the account takes the lifetime job counters. No agent is called here. The
+// next slot opens by pushing each agent's restored shadow onto it through
+// the KindRestore resync, under either failure policy, so agents that ran
+// past the checkpoint are rewound onto it. A rejected state leaves the loop
+// as it was.
+func (ct *Controller) RestoreState(st *sim.EngineState) error {
 	if st.Slot < 0 {
 		return fmt.Errorf("negative slot counter %d", st.Slot)
 	}
 	if err := ct.qs.Restore(st.Queues); err != nil {
 		return err
 	}
+	ct.acct.Restore(st)
 	ct.tracker.markRewind()
 	ct.slot = st.Slot
 	ct.rewind = true
@@ -505,8 +513,9 @@ func (ct *Controller) resolve(ctx context.Context, t int) {
 }
 
 // RunSlot executes one slot of the control loop: gather, decide, allocate,
-// then admit the slot's new arrivals into the central queues. It returns the
-// acks for metric aggregation along with the decided action and state.
+// then admit the slot's new arrivals into the central queues, and account
+// the slot (Result). It returns the decided action and state and the
+// settled acks.
 //
 // What it returns is the controller's, as a sched.Scheduler's action is its
 // own: it is valid until the controller's next RunSlot, which rewrites it in
@@ -748,22 +757,27 @@ func (ct *Controller) RunSlotContext(ctx context.Context, t int, arrivals []int)
 			acks[i] = ack
 			continue
 		}
-		for j := range popped {
-			if acks[i].Processed[j] != popped[j] {
-				// The agent executed something other than the shadow replay:
-				// its trajectory forked mid-slot (e.g. it restarted behind a
-				// reconnecting transport and answered empty). De-sync the
-				// shadow so the next report re-seeds it.
-				ct.tracker.NoteDivergence(i)
-				break
-			}
+		// The agent bills its row with the central formula and executes
+		// the shadow replay; anything else means its trajectory forked
+		// mid-slot (e.g. it restarted behind a reconnecting transport and
+		// answered empty). De-sync the shadow so the next report re-seeds it.
+		if acks[i].Energy != act.EnergyAt(c, st, i) || !slices.Equal(acks[i].Processed, popped) {
+			ct.tracker.NoteDivergence(i)
 		}
 	}
 
 	// The counts were checked at entry, so Arrive cannot refuse them.
 	_ = ct.qs.Arrive(t, arrivals)
 
-	ct.emitSlot(t, arrivals, st, act, pre, fs, acks, masked)
+	ct.acct.Add(sim.Slot{T: t, State: st, Action: act, Flows: fs, Pre: pre, Post: ct.qs.View(),
+		Arrivals: arrivals, Admitted: arrivals})
+	if ct.obs != nil {
+		ev := ct.acct.Event(telemetry.OriginController, ct.sch.Name(), ct.detail)
+		if len(masked) > 0 {
+			ev.Degraded = append([]int(nil), masked...) // the event is the observer's
+		}
+		ct.obs.ObserveSlot(ev)
+	}
 	ct.slot = t + 1
 	return act, st, acks, nil
 }
@@ -781,69 +795,4 @@ func copyRows[T any](dst, src [][]T) bool {
 		copy(dst[i], src[i])
 	}
 	return true
-}
-
-// emitSlot assembles and publishes the controller's per-slot telemetry
-// event, including the full slot evidence when the observer asks for it.
-func (ct *Controller) emitSlot(t int, arrivals []int, st *model.State, act *model.Action,
-	pre queue.Lengths, fs *queue.FlowStats, acks []transport.AllocateAck, masked []int) {
-	if ct.obs == nil {
-		return
-	}
-	c := ct.cluster
-	post := ct.qs.View()
-	ev := telemetry.SlotEvent{
-		Slot:       t,
-		Origin:     telemetry.OriginController,
-		Scheduler:  ct.sch.Name(),
-		DataCenter: -1,
-	}
-	if len(masked) > 0 {
-		ev.Degraded = append([]int(nil), masked...) // the event is the observer's
-	}
-	ev.EnergyPerDC = make([]float64, c.N())
-	alloc := make([]float64, c.M())
-	for i, ack := range acks {
-		ev.Energy += ack.Energy
-		ev.EnergyPerDC[i] = ack.Energy
-	}
-	for i := range fs.Processed {
-		for j, p := range fs.Processed[i] {
-			ev.Processed += p
-			alloc[c.JobTypes[j].Account] += p * c.JobTypes[j].Demand
-		}
-	}
-	ev.Fairness = ct.fair.Score(alloc, st.TotalResource(c))
-	for _, a := range arrivals {
-		ev.Arrived += float64(a)
-	}
-	for _, v := range post.Central {
-		ev.CentralBacklog += v
-	}
-	ev.LocalBacklog = make([]float64, c.N())
-	for i := range post.Local {
-		for _, v := range post.Local[i] {
-			ev.LocalBacklog[i] += v
-		}
-	}
-	ev.TotalBacklog = ev.CentralBacklog
-	for _, v := range ev.LocalBacklog {
-		ev.TotalBacklog += v
-	}
-	if ct.detail {
-		// The detail owns everything it carries: the set rewrites its view
-		// and flow matrices on the next slot, so they are copied here.
-		ev.Detail = &telemetry.SlotDetail{
-			State:     st.Clone(),
-			Action:    act.Clone(),
-			Pre:       pre,
-			Post:      post.Clone(),
-			Arrivals:  append([]int(nil), arrivals...),
-			Routed:    newRows(c.N(), c.J()),
-			Processed: newRows(c.N(), c.J()),
-		}
-		copyRows(ev.Detail.Routed, fs.Routed)
-		copyRows(ev.Detail.Processed, fs.Processed)
-	}
-	ct.obs.ObserveSlot(ev)
 }

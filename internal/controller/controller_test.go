@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"math"
+	"fmt"
 	"net"
 	"reflect"
 	"testing"
@@ -16,6 +16,7 @@ import (
 	"grefar/internal/queue"
 	"grefar/internal/sched"
 	"grefar/internal/sim"
+	"grefar/internal/telemetry"
 	"grefar/internal/transport"
 )
 
@@ -104,77 +105,161 @@ func TestNewValidation(t *testing.T) {
 // TestDistributedMatchesSimulator is the keystone test: the distributed
 // control loop (controller + agents) must run the single-process simulator's
 // queue trajectory bit for bit on the same inputs and scheduler, because the
-// protocol preserves the exact slot semantics — so its realized energy and
-// processed counts match the simulator's too.
+// protocol preserves the exact slot semantics. And one account bills, scores
+// and sums both: every ack's Energy is its row's central bill, the loop's
+// JSONL slot events are the simulator's byte for byte apart from their
+// origin, and its Result is the simulator's. The over-ask row pins the one
+// fairness definition where it matters: its scheduler asks every site to
+// process more than the queues hold, so the processed counts fall short of
+// h, and fairness is still eq. (3)'s score of the allocation sum h*d in
+// both.
 func TestDistributedMatchesSimulator(t *testing.T) {
 	const slots = 24 * 14
-	for _, overTCP := range []bool{false, true} {
-		in, conns, cleanup := buildSystem(t, slots, overTCP)
-
-		g1, err := core.New(in.Cluster, core.Config{V: 7.5, Beta: 100})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ct, err := New(in.Cluster, g1, conns)
-		if err != nil {
-			t.Fatal(err)
-		}
-		in2, err := sim.NewReferenceInputs(2012, slots)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g2, err := core.New(in2.Cluster, core.Config{V: 7.5, Beta: 100})
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng, err := sim.NewEngine(in2, g2, sim.Options{ValidateActions: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		var energy, processed float64
-		for s := 0; s < slots; s++ {
-			_, _, acks, err := ct.RunSlot(s, in.Workload.Arrivals(s))
-			if err != nil {
-				t.Fatalf("overTCP=%v: slot %d: %v", overTCP, s, err)
-			}
-			for _, ack := range acks {
-				energy += ack.Energy
-				for _, p := range ack.Processed {
-					processed += p
-				}
-			}
-			if err := eng.Step(nil); err != nil {
-				t.Fatal(err)
-			}
-			if got, want := ct.Lengths(), eng.Lengths(); !reflect.DeepEqual(got, want) {
-				t.Fatalf("overTCP=%v: slot %d: backlogs %v, simulator %v", overTCP, s, got, want)
-			}
-			// Cohort for cohort: the loop's central ledgers and shadows
-			// snapshot to the engine's queue bytes, at the same next slot.
-			got, err := ct.ExportState()
+	grefar := func(beta float64) func(c *model.Cluster) sched.Scheduler {
+		return func(c *model.Cluster) sched.Scheduler {
+			g, err := core.New(c, core.Config{V: 7.5, Beta: beta})
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := eng.ExportState()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Slot != want.Slot || !bytes.Equal(got.Queues, want.Queues) {
-				t.Fatalf("overTCP=%v: slot %d: exported state (slot %d, %d queue bytes) differs from the simulator's (slot %d, %d bytes)",
-					overTCP, s, got.Slot, len(got.Queues), want.Slot, len(want.Queues))
-			}
-		}
-		cleanup()
-
-		local := eng.Result()
-		if got := energy / slots; math.Abs(got-local.AvgEnergy) > 1e-9 {
-			t.Errorf("overTCP=%v: energy %v != %v", overTCP, got, local.AvgEnergy)
-		}
-		if math.Abs(processed-local.TotalProcessed) > 1e-6 {
-			t.Errorf("overTCP=%v: processed %v != %v", overTCP, processed, local.TotalProcessed)
+			return g
 		}
 	}
+	for _, tc := range []struct {
+		name     string
+		sched    func(c *model.Cluster) sched.Scheduler
+		overAsks bool
+	}{
+		{"beta=0", grefar(0), false},
+		{"beta=100", grefar(100), false},
+		{"over-ask", func(c *model.Cluster) sched.Scheduler { return &overAsk{c: c, act: model.NewAction(c)} }, true},
+	} {
+		for _, overTCP := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/tcp=%v", tc.name, overTCP), func(t *testing.T) {
+				in, conns, cleanup := buildSystem(t, slots, overTCP)
+				defer cleanup()
+				var loopEvents, engEvents bytes.Buffer
+				ct, err := New(in.Cluster, tc.sched(in.Cluster), conns, WithObserver(telemetry.NewJSONLObserver(&loopEvents)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				in2, err := sim.NewReferenceInputs(2012, slots)
+				if err != nil {
+					t.Fatal(err)
+				}
+				eng, err := sim.NewEngine(in2, tc.sched(in2.Cluster), sim.Options{
+					ValidateActions: true,
+					Observer:        telemetry.NewJSONLObserver(&engEvents),
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				c, overAsked := in.Cluster, 0
+				for s := 0; s < slots; s++ {
+					act, st, acks, err := ct.RunSlot(s, in.Workload.Arrivals(s))
+					if err != nil {
+						t.Fatalf("slot %d: %v", s, err)
+					}
+					for i, ack := range acks {
+						if want := act.EnergyAt(c, st, i); ack.Energy != want {
+							t.Fatalf("slot %d: agent %d acked energy %v, its row bills %v", s, i, ack.Energy, want)
+						}
+						for j, p := range ack.Processed {
+							if act.Process[i][j] >= p+1 {
+								overAsked++
+							}
+						}
+					}
+					if err := eng.Step(nil); err != nil {
+						t.Fatal(err)
+					}
+					if got, want := ct.Lengths(), eng.Lengths(); !reflect.DeepEqual(got, want) {
+						t.Fatalf("slot %d: backlogs %v, simulator %v", s, got, want)
+					}
+					// Cohort for cohort: the loop's central ledgers and
+					// shadows snapshot to the engine's queue bytes, at the
+					// same next slot, with the same lifetime counters.
+					got, err := ct.ExportState()
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := eng.ExportState()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("slot %d: exported state (slot %d, %d queue bytes, arrived %v, processed %v) differs from the simulator's (slot %d, %d bytes, %v, %v)",
+							s, got.Slot, len(got.Queues), got.TotalArrived, got.TotalProcessed,
+							want.Slot, len(want.Queues), want.TotalArrived, want.TotalProcessed)
+					}
+				}
+				if tc.overAsks && overAsked == 0 {
+					t.Fatal("no site was asked for a job more than it processed; the row proves nothing")
+				}
+
+				loopLines := bytes.Split(bytes.ReplaceAll(loopEvents.Bytes(), []byte(`"origin":"controller"`), []byte(`"origin":"sim"`)), []byte("\n"))
+				engLines := bytes.Split(engEvents.Bytes(), []byte("\n"))
+				if len(loopLines) != len(engLines) {
+					t.Fatalf("loop wrote %d event lines, simulator %d", len(loopLines), len(engLines))
+				}
+				differ := 0
+				for k := range loopLines {
+					if !bytes.Equal(loopLines[k], engLines[k]) {
+						if differ == 0 {
+							t.Errorf("first differing event:\n loop:      %s\n simulator: %s", loopLines[k], engLines[k])
+						}
+						differ++
+					}
+				}
+				if differ > 0 {
+					t.Errorf("%d of %d events differ from the simulator's", differ, slots)
+				}
+				if got, want := ct.Result(), eng.Result(); !reflect.DeepEqual(got, want) {
+					t.Errorf("loop's result %+v, simulator's %+v", got, want)
+				}
+			})
+		}
+	}
+}
+
+// overAsk asks every site to process more than its queues hold: every
+// available server busy, the site's capacity split evenly over its eligible
+// job types, and every central job routed to its type's first eligible site.
+type overAsk struct {
+	c   *model.Cluster
+	act *model.Action
+}
+
+func (o *overAsk) Name() string { return "over-ask" }
+
+func (o *overAsk) Decide(t int, st *model.State, q queue.Lengths) (*model.Action, error) {
+	c, act := o.c, o.act
+	for i := range act.Process {
+		clear(act.Route[i])
+		clear(act.Process[i])
+		copy(act.Busy[i], st.Avail[i])
+		var eligible []int
+		for j := range c.JobTypes {
+			if c.JobTypes[j].EligibleSet(i) {
+				eligible = append(eligible, j)
+			}
+		}
+		for _, j := range eligible {
+			jt := &c.JobTypes[j]
+			h := st.Capacity(c, i) / float64(len(eligible)) / jt.Demand
+			if jt.MaxProcess > 0 {
+				h = min(h, jt.MaxProcess)
+			}
+			act.Process[i][j] = h
+		}
+	}
+	for j, jt := range c.JobTypes {
+		r := int(q.Central[j])
+		if jt.MaxRoute > 0 {
+			r = min(r, jt.MaxRoute)
+		}
+		act.Route[jt.Eligible[0]][j] = r
+	}
+	return act, nil
 }
 
 func TestDistributedAlways(t *testing.T) {
@@ -258,7 +343,7 @@ func TestControllerSnapshotRestore(t *testing.T) {
 		return out
 	}
 	ct := build(conns)
-	var state *State
+	var state *sim.EngineState
 	wantLens := make([]queue.Lengths, slots)
 	wantAgents := make([][][]float64, slots)
 	for s := 0; s < slots; s++ {
@@ -316,10 +401,10 @@ func TestControllerSnapshotRestore(t *testing.T) {
 	}
 
 	ct2 := build(conns)
-	if err := ct2.RestoreState(&State{Queues: []byte("junk")}); err == nil {
+	if err := ct2.RestoreState(&sim.EngineState{Queues: []byte("junk")}); err == nil {
 		t.Error("junk snapshot accepted")
 	}
-	if err := ct2.RestoreState(&State{Slot: -1, Queues: state.Queues}); err == nil {
+	if err := ct2.RestoreState(&sim.EngineState{Slot: -1, Queues: state.Queues}); err == nil {
 		t.Error("negative slot accepted")
 	}
 }

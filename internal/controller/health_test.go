@@ -3,12 +3,15 @@ package controller
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 
 	"grefar/internal/core"
 	"grefar/internal/model"
+	"grefar/internal/sim"
 	"grefar/internal/telemetry"
 	"grefar/internal/transport"
 )
@@ -406,5 +409,96 @@ func TestShadowSeedApplyRestore(t *testing.T) {
 	}
 	if ct.tracker.lensEqualShadow(0, lens[:1]) {
 		t.Error("short lens compare equal")
+	}
+}
+
+// skewAck rewrites its agent's allocate ack for one slot before the loop
+// settles it.
+type skewAck struct {
+	AgentConn
+	slot int
+	skew func(*transport.AllocateAck)
+}
+
+func (s *skewAck) Call(kind string, reqBody, respBody any) error {
+	err := s.AgentConn.Call(kind, reqBody, respBody)
+	if ack, ok := respBody.(*transport.AllocateAck); ok && err == nil && ack.Slot == s.slot {
+		s.skew(ack)
+	}
+	return err
+}
+
+// TestAckMismatchReseedsTheShadow pins ack settlement's two checked figures:
+// an ack whose Energy is one ulp off its row's central bill, or whose
+// Processed is one ulp off the shadow replay, is a forked agent. The slot
+// notes the divergence and distrusts the shadow, and the next report
+// re-seeds it — as one cohort per type arriving at that slot, so the site's
+// delay falls below an untouched loop's while the backlogs still agree —
+// under either failure policy.
+func TestAckMismatchReseedsTheShadow(t *testing.T) {
+	const agent, bad, slots = 1, 4, 7
+	up := math.Inf(1)
+	for _, tc := range []struct {
+		name string
+		skew func(*transport.AllocateAck)
+	}{
+		{"energy", func(a *transport.AllocateAck) { a.Energy = math.Nextafter(a.Energy, up) }},
+		{"processed", func(a *transport.AllocateAck) { a.Processed[0] = math.Nextafter(a.Processed[0], up) }},
+	} {
+		for _, policy := range []FailurePolicy{Strict, Degrade} {
+			t.Run(tc.name+"/"+policy.String(), func(t *testing.T) {
+				build := func(skew func(*transport.AllocateAck), reg *telemetry.Registry) *Controller {
+					in, conns, cleanup := buildSystem(t, slots, false)
+					t.Cleanup(cleanup)
+					if skew != nil {
+						conns[agent] = &skewAck{AgentConn: conns[agent], slot: bad, skew: skew}
+					}
+					g, err := core.New(in.Cluster, core.Config{V: 7.5, Beta: 100})
+					if err != nil {
+						t.Fatal(err)
+					}
+					ct, err := New(in.Cluster, g, conns, WithFailurePolicy(policy), WithHealthMetrics(reg))
+					if err != nil {
+						t.Fatal(err)
+					}
+					return ct
+				}
+				reg := telemetry.NewRegistry()
+				ct, ref := build(tc.skew, reg), build(nil, telemetry.NewRegistry())
+				in, err := sim.NewReferenceInputs(2012, slots)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for s := 0; s < slots; s++ {
+					for _, loop := range []*Controller{ct, ref} {
+						if _, _, _, err := loop.RunSlot(s, in.Workload.Arrivals(s)); err != nil {
+							t.Fatalf("slot %d: %v", s, err)
+						}
+					}
+					if synced := ct.tracker.recs[agent].synced; synced == (s == bad) {
+						t.Fatalf("slot %d: shadow synced = %v", s, synced)
+					}
+					if s != bad+1 {
+						continue
+					}
+					// A seeded cohort arrives at the seeding slot, so the jobs
+					// this slot popped from it waited nothing by the shadow's
+					// clock.
+					if got, want := ct.Result().AvgLocalDelay[agent], ref.Result().AvgLocalDelay[agent]; got >= want {
+						t.Fatalf("slot %d: site delay %v, untouched loop's %v: the report after the mismatch did not re-seed the shadow", s, got, want)
+					}
+					if g, w := ct.Lengths(), ref.Lengths(); !reflect.DeepEqual(g, w) {
+						t.Fatalf("slot %d: re-seeded backlogs %v, untouched loop's %v", s, g, w)
+					}
+				}
+				var b strings.Builder
+				if err := reg.WritePrometheus(&b); err != nil {
+					t.Fatal(err)
+				}
+				if line := `grefar_controller_agent_divergences_total{dc="1"} 1`; !strings.Contains(b.String(), line) {
+					t.Errorf("/metrics lacks %s:\n%s", line, b.String())
+				}
+			})
+		}
 	}
 }

@@ -63,15 +63,3 @@ func (s *SlotScratch) Reset() {
 	clear(s.openErrs)
 	clear(s.pushErrs)
 }
-
-// newRows returns an n x j matrix whose rows are cut from one fresh backing
-// array: what a slot hands to observers and callers is theirs to keep, but it
-// need not cost an allocation per site.
-func newRows(n, j int) [][]float64 {
-	flat := make([]float64, n*j)
-	rows := make([][]float64, n)
-	for i := range rows {
-		rows[i] = flat[i*j : (i+1)*j : (i+1)*j]
-	}
-	return rows
-}

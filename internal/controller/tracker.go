@@ -236,19 +236,18 @@ func (tk *Tracker) TrueUpShadow(i, t int, rep *transport.StateReport) {
 
 // SynthesizeAck reconstructs what a non-responding agent did (or will be
 // restored to have done) from the shadow replay: processed counts and delay
-// sums are the replay's (the queue set's flows for site i), energy from the reported price and the
-// dispatched busy-server decision, work from the processed demand. For an
-// agent that executed the allocation but lost the response, this is
-// bit-identical to the ack it would have sent.
+// sums are the replay's (the queue set's flows for site i), energy the row's
+// central bill (Action.EnergyAt: the reported price times the draw
+// model.Cluster.DrawAt, as the agent bills it), work from the processed
+// demand. For an agent that executed the allocation but lost the response,
+// this is bit-identical to the ack it would have sent.
 func (tk *Tracker) SynthesizeAck(i, t int, popped, delays []float64, st *model.State, act *model.Action) transport.AllocateAck {
 	c := tk.cluster
 	ack := transport.AllocateAck{Slot: t, Processed: popped, DelaySum: delays}
 	for j := range popped {
 		ack.Work += popped[j] * c.JobTypes[j].Demand
 	}
-	for k, b := range act.Busy[i] {
-		ack.Energy += st.Price[i] * b * c.DataCenters[i].Servers[k].Power
-	}
+	ack.Energy = act.EnergyAt(c, st, i)
 	return ack
 }
 

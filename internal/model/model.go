@@ -121,6 +121,18 @@ func (c *Cluster) M() int { return len(c.Accounts) }
 // K returns the number of server types at data center i.
 func (c *Cluster) K(i int) int { return len(c.DataCenters[i].Servers) }
 
+// DrawAt returns the power the busy servers busy draw at data center i:
+// sum_k b_{i,k}*p_k. It is the one energy formula: the central bill
+// (EnergyAt, BilledCostAt) and an agent's ack both price this sum, so an
+// agent bills its row bit for bit as the controller does.
+func (c *Cluster) DrawAt(i int, busy []float64) float64 {
+	var p float64
+	for k, b := range busy {
+		p += b * c.DataCenters[i].Servers[k].Power
+	}
+	return p
+}
+
 // Aux returns the number of auxiliary resource dimensions (0 when the
 // cluster models CPU work only).
 func (c *Cluster) Aux() int {
@@ -459,11 +471,7 @@ func (a *Action) ProvidedAt(c *Cluster, i int) float64 {
 // EnergyAt returns e_i(t) = phi_i(t) * sum_k b_{i,k}(t)*p_k, the energy cost
 // at data center i under the given state (paper eq. 2).
 func (a *Action) EnergyAt(c *Cluster, s *State, i int) float64 {
-	var p float64
-	for k, b := range a.Busy[i] {
-		p += b * c.DataCenters[i].Servers[k].Power
-	}
-	return s.Price[i] * p
+	return s.Price[i] * c.DrawAt(i, a.Busy[i])
 }
 
 // Energy returns the total energy cost e(t) = sum_i e_i(t).
@@ -495,10 +503,7 @@ func (a *Action) BilledCostAt(c *Cluster, s *State, i int, trf tariff.Tariff) fl
 	if trf == nil {
 		return a.EnergyAt(c, s, i)
 	}
-	var draw float64
-	for k, b := range a.Busy[i] {
-		draw += b * c.DataCenters[i].Servers[k].Power
-	}
+	draw := c.DrawAt(i, a.Busy[i])
 	base := s.BaseEnergyAt(i)
 	return trf.Cost(s.Price[i], base+draw) - trf.Cost(s.Price[i], base)
 }

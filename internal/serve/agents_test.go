@@ -2,8 +2,8 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"math"
 	"net"
 	"reflect"
 	"testing"
@@ -12,7 +12,10 @@ import (
 	"grefar/internal/agent"
 	"grefar/internal/controller"
 	"grefar/internal/core"
+	"grefar/internal/fairness"
+	"grefar/internal/price"
 	"grefar/internal/sim"
+	"grefar/internal/tariff"
 	"grefar/internal/transport"
 	"grefar/internal/workload"
 )
@@ -62,7 +65,7 @@ func referenceDeployment(t *testing.T, slots int) sim.Inputs {
 // TestSessionOnAgentsMatchesReference runs the reference deployment (seed
 // 2012, 2000 slots, V=7.5, beta=100) as a serving session on three TCP
 // agents, its arrivals from the reference generator: Result must read the
-// reference numbers and match the single-process simulator within 1e-9.
+// reference numbers and equal the single-process simulator's exactly.
 func TestSessionOnAgentsMatchesReference(t *testing.T) {
 	if testing.Short() {
 		t.Skip("2000 distributed slots skipped in -short mode")
@@ -100,20 +103,14 @@ func TestSessionOnAgentsMatchesReference(t *testing.T) {
 	if got.Slots != slots || got.SchedulerName != want.SchedulerName {
 		t.Errorf("result covers %d slots of %q, want %d of %q", got.Slots, got.SchedulerName, slots, want.SchedulerName)
 	}
-	near := func(name string, a, b float64) {
-		if math.Abs(a-b) > 1e-9 {
-			t.Errorf("%s: agents %v, simulator %v", name, a, b)
+	// One account bills, scores and sums both runs: every field the engine
+	// fills, histograms included, is the agents' bit for bit.
+	gv, wv := reflect.ValueOf(got).Elem(), reflect.ValueOf(want).Elem()
+	for k := 0; k < gv.NumField(); k++ {
+		if !reflect.DeepEqual(gv.Field(k).Interface(), wv.Field(k).Interface()) {
+			t.Errorf("%s: agents %v, simulator %v", gv.Type().Field(k).Name, gv.Field(k).Interface(), wv.Field(k).Interface())
 		}
 	}
-	near("energy", got.AvgEnergy, want.AvgEnergy)
-	near("fairness", got.AvgFairness, want.AvgFairness)
-	for i := range want.AvgLocalDelay {
-		near(fmt.Sprintf("delay[%d]", i), got.AvgLocalDelay[i], want.AvgLocalDelay[i])
-		near(fmt.Sprintf("work[%d]", i), got.AvgWorkPerDC[i], want.AvgWorkPerDC[i])
-	}
-	near("arrived", got.TotalArrived, want.TotalArrived)
-	near("processed", got.TotalProcessed, want.TotalProcessed)
-	near("final backlog", got.FinalBacklog, want.FinalBacklog)
 }
 
 // TestCheckpointRestoresAcrossExecutors restores an in-process session's
@@ -156,14 +153,41 @@ func TestCheckpointRestoresAcrossExecutors(t *testing.T) {
 	}
 }
 
-// TestSessionOnAgentsRefusesEngineOnlyInputs pins that what the agents cannot
-// do — bill a tariff or a base load, filter arrivals — is refused, not
-// ignored.
+// TestSessionOnAgentsRefusesEngineOnlyInputs pins that what the loop on
+// agents does not do — bill a tariff or a base load, filter arrivals, score
+// another fairness function — is refused, not ignored.
 func TestSessionOnAgentsRefusesEngineOnlyInputs(t *testing.T) {
-	cfg := testConfig(t, core.Config{V: 7.5})
-	cfg.Agents, _ = tcpAgents(t, cfg.Inputs)
-	cfg.Sim.Admission = &sim.ThresholdAdmission{}
-	if _, err := NewSession(cfg); err == nil {
-		t.Fatal("admission policy accepted on agents")
+	base := testConfig(t, core.Config{V: 7.5})
+	base.Agents, _ = tcpAgents(t, base.Inputs)
+	weights := make([]float64, base.Inputs.Cluster.M())
+	for m := range weights {
+		weights[m] = 1
+	}
+	fair, err := fairness.NewAlphaFair(2, weights)
+	if err != nil {
+		t.Fatal(err)
+	}
+	quad, err := tariff.NewQuadratic(0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		set  func(cfg *SessionConfig)
+	}{
+		{"tariff", func(cfg *SessionConfig) { cfg.Inputs.Tariff = quad }},
+		{"base load", func(cfg *SessionConfig) {
+			cfg.Inputs.BaseLoad = []price.Source{price.Constant(1), price.Constant(1), price.Constant(1)}
+		}},
+		{"admission", func(cfg *SessionConfig) { cfg.Sim.Admission = &sim.ThresholdAdmission{} }},
+		{"fairness", func(cfg *SessionConfig) { cfg.Inputs.Fairness = fair }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := base
+			tc.set(&cfg)
+			if _, err := NewSession(cfg); !errors.Is(err, sim.ErrBadInputs) {
+				t.Fatalf("got %v, want an error wrapping sim.ErrBadInputs", err)
+			}
+		})
 	}
 }

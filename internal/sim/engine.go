@@ -3,9 +3,7 @@ package sim
 import (
 	"fmt"
 
-	"grefar/internal/fairness"
 	"grefar/internal/invariant"
-	"grefar/internal/metrics"
 	"grefar/internal/model"
 	"grefar/internal/queue"
 	"grefar/internal/sched"
@@ -29,7 +27,7 @@ type Engine struct {
 	s    sched.Scheduler
 	opt  Options
 	c    *model.Cluster
-	fair fairness.Function
+	acct *Account
 
 	qs *queue.Set
 	st *model.State
@@ -38,22 +36,11 @@ type Engine struct {
 	checker    *invariant.Checker
 	wantDetail bool
 
-	energy, fairScore  *metrics.Running
-	localDelay         []*metrics.Ratio
-	workAvg            []*metrics.Running
-	centralDelay       *metrics.Ratio
-	hists              []*metrics.Histogram
-	maxQ               metrics.Max
-	avgQ               metrics.Running
-	arrived, processed float64
-
 	// failed is the first error a Step returned after its slot had already
 	// moved the queues; every later Step returns it instead of re-running a
 	// slot on queues that moved. RestoreState clears it.
 	failed error
 
-	res           *Result
-	accountWork   []float64 // r_m(t), rewritten every slot
 	admissionLens []float64
 	zeroArrivals  []int
 	arrivalsBuf   []int
@@ -79,20 +66,12 @@ func NewEngine(in Inputs, s sched.Scheduler, opt Options) (*Engine, error) {
 	if in.Availability == nil {
 		return nil, fmt.Errorf("%w: availability is required", ErrBadInputs)
 	}
-	fair := in.Fairness
-	if fair == nil {
-		weights := make([]float64, c.M())
-		for m, a := range c.Accounts {
-			weights[m] = a.Weight
-		}
-		var err error
-		fair, err = fairness.NewQuadratic(weights)
-		if err != nil {
-			return nil, err
-		}
+	acct, err := NewAccount(c, in.Fairness, in.Tariff, opt.RecordSeries)
+	if err != nil {
+		return nil, err
 	}
 
-	e := &Engine{in: in, s: s, opt: opt, c: c, fair: fair}
+	e := &Engine{in: in, s: s, opt: opt, c: c, acct: acct}
 	e.qs = queue.NewSet(c)
 	e.st = model.NewState(c)
 
@@ -105,30 +84,6 @@ func NewEngine(in Inputs, s sched.Scheduler, opt Options) (*Engine, error) {
 	}
 	e.wantDetail = telemetry.WantsDetail(e.obs)
 
-	e.energy = metrics.NewRunning(opt.RecordSeries)
-	e.fairScore = metrics.NewRunning(opt.RecordSeries)
-	e.localDelay = make([]*metrics.Ratio, c.N())
-	e.workAvg = make([]*metrics.Running, c.N())
-	for i := range e.localDelay {
-		e.localDelay[i] = metrics.NewRatio(opt.RecordSeries)
-		e.workAvg[i] = metrics.NewRunning(false)
-	}
-	e.centralDelay = metrics.NewRatio(false)
-	e.hists = make([]*metrics.Histogram, c.N())
-	for i := range e.hists {
-		var err error
-		e.hists[i], err = metrics.NewHistogram(metrics.DelayBounds())
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	e.res = &Result{SchedulerName: s.Name()}
-	if opt.RecordSeries {
-		e.res.WorkSeries = make([][]float64, c.N())
-		e.res.PriceSeries = make([][]float64, c.N())
-	}
-
 	if in.BaseLoad != nil {
 		if len(in.BaseLoad) != c.N() {
 			return nil, fmt.Errorf("%w: got %d base-load sources, cluster has %d data centers", ErrBadInputs, len(in.BaseLoad), c.N())
@@ -138,7 +93,6 @@ func NewEngine(in Inputs, s sched.Scheduler, opt Options) (*Engine, error) {
 	if opt.Admission != nil {
 		e.admissionLens = make([]float64, c.J())
 	}
-	e.accountWork = make([]float64, c.M())
 	e.zeroArrivals = make([]int, c.J())
 	e.arrivalsBuf = make([]int, c.J())
 	return e, nil
@@ -163,10 +117,7 @@ func (e *Engine) Scheduler() sched.Scheduler { return e.s }
 // SetScheduler swaps the driving policy at a slot boundary — the serving
 // mode's hot reload of V/beta/tariff. The caller owns the lifecycle of the
 // old scheduler; queue state is untouched.
-func (e *Engine) SetScheduler(s sched.Scheduler) {
-	e.s = s
-	e.res.SchedulerName = s.Name()
-}
+func (e *Engine) SetScheduler(s sched.Scheduler) { e.s = s }
 
 // CheckerErr surfaces the invariant checker's verdict (nil when checking is
 // off or every slot passed).
@@ -196,7 +147,6 @@ func (e *Engine) Step(extra []int) error {
 	}
 	c, st, t := e.c, e.st, e.t
 	in, opt := &e.in, &e.opt
-	res := e.res
 
 	if extra != nil {
 		if len(extra) != c.J() {
@@ -255,7 +205,6 @@ func (e *Engine) Step(extra []int) error {
 		arrivals = buf
 	}
 	admitted := arrivals
-	var slotDropped float64
 	if opt.Admission != nil {
 		lens := e.admissionLens
 		for j := range lens {
@@ -270,96 +219,16 @@ func (e *Engine) Step(extra []int) error {
 				return e.fail(fmt.Errorf("slot %d: admission policy admitted %d of %d for job type %d",
 					t, admitted[j], arrivals[j], j))
 			}
-			slotDropped += float64(arrivals[j] - admitted[j])
 		}
 	}
 	if err := e.qs.Arrive(t, admitted); err != nil {
 		return e.fail(fmt.Errorf("slot %d: arrivals: %w", t, err))
 	}
-	res.TotalDropped += slotDropped
 
-	// Metrics. Work, account work and the delay sums walk only the pairs the
-	// action asked to process, site by site in row-major order: every term
-	// they skip is an exact +0.0, so each sum is bit-identical to the dense
-	// one (WorkAt, AccountWork).
-	slotEnergy := act.BilledCost(c, st, in.Tariff)
-	e.energy.Add(slotEnergy)
-	clear(e.accountWork)
-	var slotProcessed float64
-	cells, k, nJ := flows.Cells, 0, c.J()
-	for i := 0; i < c.N(); i++ {
-		var work, dSum, dCount float64
-		for ; k < len(cells) && cells[k] < (i+1)*nJ; k++ {
-			j := cells[k] - i*nJ
-			jt := &c.JobTypes[j]
-			w := act.Process[i][j] * jt.Demand
-			work += w
-			e.accountWork[jt.Account] += w
-			// A pair that processed nothing has no delay to report either.
-			if p := flows.Processed[i][j]; p != 0 {
-				dSum += flows.LocalDelaySum[i][j]
-				dCount += p
-				e.processed += p
-				slotProcessed += p
-			}
-		}
-		e.localDelay[i].Add(dSum, dCount)
-		for _, sample := range flows.LocalDelaySamples[i] {
-			e.hists[i].Add(sample.Delay, sample.Jobs)
-		}
-		e.workAvg[i].Add(work)
-		if opt.RecordSeries {
-			res.WorkSeries[i] = append(res.WorkSeries[i], work)
-			res.PriceSeries[i] = append(res.PriceSeries[i], st.Price[i])
-		}
-	}
-	slotFairness := e.fair.Score(e.accountWork, st.TotalResource(c))
-	e.fairScore.Add(slotFairness)
-	var slotArrived float64
-	for j := 0; j < c.J(); j++ {
-		e.centralDelay.Add(flows.CentralDelaySum[j], flows.CentralRouted[j])
-		e.arrived += float64(arrivals[j])
-		slotArrived += float64(arrivals[j])
-	}
-	// One pass over the view, now the post-slot backlogs, for both queue
-	// statistics, summing in Lengths.Sum's order; backlogs are never
-	// negative, so the slot's largest is all maxQ needs to see.
-	var qSum, qMax float64
-	for _, v := range view.Central {
-		qSum += v
-		if v > qMax {
-			qMax = v
-		}
-	}
-	for i := range view.Local {
-		for _, v := range view.Local[i] {
-			qSum += v
-			if v > qMax {
-				qMax = v
-			}
-		}
-	}
-	e.maxQ.Add(qMax)
-	e.avgQ.Add(qSum)
-
+	e.acct.Add(Slot{T: t, State: st, Action: act, Flows: flows, Pre: pre, Post: view,
+		Arrivals: arrivals, Admitted: admitted})
 	if e.obs != nil {
-		ev := slotEvent(c, e.s.Name(), t, view, act, st, in.Tariff,
-			slotEnergy, slotFairness, slotArrived, slotProcessed, slotDropped)
-		if e.wantDetail {
-			// The detail owns everything it carries: the scheduler rewrites
-			// its action, and the queue set its view and flow matrices, on
-			// the next slot, so they are copied here.
-			ev.Detail = &telemetry.SlotDetail{
-				State:     st.Clone(),
-				Action:    act.Clone(),
-				Pre:       pre,
-				Post:      view.Clone(),
-				Arrivals:  append([]int(nil), admitted...),
-				Routed:    cloneRows(flows.Routed),
-				Processed: cloneRows(flows.Processed),
-			}
-		}
-		e.obs.ObserveSlot(ev)
+		e.obs.ObserveSlot(e.acct.Event(telemetry.OriginSim, e.s.Name(), e.wantDetail))
 	}
 	if e.checker != nil {
 		if err := e.checker.Err(); err != nil {
@@ -377,52 +246,11 @@ func (e *Engine) fail(err error) error {
 	return err
 }
 
-// cloneRows deep-copies a matrix onto one backing array, each row capped at
-// its own length.
-func cloneRows(m [][]float64) [][]float64 {
-	total := 0
-	for _, row := range m {
-		total += len(row)
-	}
-	flat := make([]float64, 0, total)
-	out := make([][]float64, len(m))
-	for i, row := range m {
-		flat = append(flat, row...)
-		out[i] = flat[len(flat)-len(row) : len(flat) : len(flat)]
-	}
-	return out
-}
-
 // Result finalizes the aggregate metrics over the slots executed so far. The
 // returned Result is owned by the engine and remains valid (but stale) after
 // further Step calls; Run calls it exactly once at the horizon.
 func (e *Engine) Result() *Result {
-	c, res := e.c, e.res
-	res.Slots = e.t
-	res.AvgEnergy = e.energy.Mean()
-	res.EnergySeries = e.energy.Series()
-	res.AvgFairness = e.fairScore.Mean()
-	res.FairnessSeries = e.fairScore.Series()
-	res.AvgLocalDelay = make([]float64, c.N())
-	res.AvgWorkPerDC = make([]float64, c.N())
-	if e.opt.RecordSeries {
-		res.LocalDelaySeries = make([][]float64, c.N())
-	}
-	for i := 0; i < c.N(); i++ {
-		res.AvgLocalDelay[i] = e.localDelay[i].Value()
-		res.AvgWorkPerDC[i] = e.workAvg[i].Mean()
-		if e.opt.RecordSeries {
-			res.LocalDelaySeries[i] = e.localDelay[i].Series()
-		}
-	}
-	res.AvgCentralDelay = e.centralDelay.Value()
-	res.DelayHistograms = e.hists
-	res.MaxQueue = e.maxQ.Value()
-	res.AvgQueue = e.avgQ.Mean()
-	res.FinalBacklog = e.qs.Backlog()
-	res.TotalArrived = e.arrived
-	res.TotalProcessed = e.processed
-	return res
+	return e.acct.Result(e.s.Name(), e.t, e.qs.Backlog())
 }
 
 // EngineState is the durable state of an engine: what must survive a restart
@@ -449,13 +277,7 @@ func (e *Engine) ExportState() (*EngineState, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &EngineState{
-		Slot:           e.t,
-		Queues:         qs,
-		TotalArrived:   e.arrived,
-		TotalProcessed: e.processed,
-		TotalDropped:   e.res.TotalDropped,
-	}, nil
+	return e.acct.Export(e.t, qs), nil
 }
 
 // RestoreState rewinds a freshly built engine onto a previously exported
@@ -476,8 +298,6 @@ func (e *Engine) RestoreState(st *EngineState) error {
 	}
 	e.failed = nil
 	e.t = st.Slot
-	e.arrived = st.TotalArrived
-	e.processed = st.TotalProcessed
-	e.res.TotalDropped = st.TotalDropped
+	e.acct.Restore(st)
 	return nil
 }

@@ -14,7 +14,6 @@ import (
 	"grefar/internal/metrics"
 	"grefar/internal/model"
 	"grefar/internal/price"
-	"grefar/internal/queue"
 	"grefar/internal/sched"
 	"grefar/internal/tariff"
 	"grefar/internal/telemetry"
@@ -180,42 +179,6 @@ func Run(in Inputs, s sched.Scheduler, opt Options) (*Result, error) {
 		}
 	}
 	return e.Result(), nil
-}
-
-// slotEvent assembles the origin-"sim" telemetry event for one applied slot:
-// realized billed energy (total and per site), the fairness score, the job
-// flows, and the post-slot backlog snapshot.
-func slotEvent(c *model.Cluster, scheduler string, t int, post queue.Lengths, act *model.Action,
-	st *model.State, trf tariff.Tariff, energy, fairness, arrived, processed, dropped float64) telemetry.SlotEvent {
-	ev := telemetry.SlotEvent{
-		Slot:       t,
-		Origin:     telemetry.OriginSim,
-		Scheduler:  scheduler,
-		DataCenter: -1,
-		Energy:     energy,
-		Fairness:   fairness,
-		Arrived:    arrived,
-		Processed:  processed,
-		Dropped:    dropped,
-	}
-	ev.EnergyPerDC = make([]float64, c.N())
-	for i := 0; i < c.N(); i++ {
-		ev.EnergyPerDC[i] = act.BilledCostAt(c, st, i, trf)
-	}
-	for _, v := range post.Central {
-		ev.CentralBacklog += v
-	}
-	ev.LocalBacklog = make([]float64, c.N())
-	for i := range post.Local {
-		for _, v := range post.Local[i] {
-			ev.LocalBacklog[i] += v
-		}
-	}
-	ev.TotalBacklog = ev.CentralBacklog
-	for _, v := range ev.LocalBacklog {
-		ev.TotalBacklog += v
-	}
-	return ev
 }
 
 // CollectStates materializes the per-slot states and arrivals of the inputs
