@@ -38,8 +38,11 @@ race:
 #     frame per wire per phase
 #   core: decisions replay the dense layout's pins; greedy edges; warm repair
 #   invariant: decisions replay the dense goldens; aux runs checked
-#   queue, sim, controller: rejected input leaves no trace; the view tracks
-#     every write; a set copy is deep and reuses its arrays; the slot account
+#   queue, sim, controller: rejected input leaves no trace, and nothing puts
+#     jobs at an ineligible pair (Apply, Restore, SeedRow, Engine.Step, an
+#     agent's report); the snapshot format holds on a partially eligible
+#     set; a backlogged ledger stays compact; the view tracks every write;
+#     a set copy is deep and reuses its arrays; the slot account
 #     bills centrally, scores fairness on h*d and allocates nothing
 #     (TestAccount*); the control loop, which keeps the same account, writes
 #     the engine's slot events byte for byte, also where h exceeds the
@@ -65,7 +68,7 @@ tier1:
 	$(GO) test -race -count=10 -run 'TestSlotOutputsBelongToTheCaller|TestStrictAllocateAbortConservesJobs|TestCancelledSlotChargesNoAgent|TestHealthTransitionTable|TestControllerSnapshotRestore|TestCallManyBatchesByConnType' ./internal/controller
 	$(GO) test -race -count=1 -run 'TestSparse|TestAuto|TestDecomposed|TestSchedulerState|TestRestoreRejects|TestRepairWarmStartOutcomes|TestGreedy|TestDecideLeavesNoStaleCells' ./internal/core
 	$(GO) test -race -count=1 -run 'TestAutoSolverBitIdentical|TestCheckerCleanOnAuxCluster' ./internal/invariant
-	$(GO) test -race -count=1 -run 'TestRejectedApply|TestRejectedStep|TestSnapshotsOwn|TestViewTracksTheSet|TestSetCopyFromIsDeepAndReusesArrays|TestEngineSnapshotReuse|TestEngineDetailOwnsFlows|FuzzApply|TestAccount|TestDistributedMatchesSimulator' ./internal/queue ./internal/sim ./internal/controller
+	$(GO) test -race -count=1 -run 'TestRejectedApply|TestRejectedStep|TestSnapshotsOwn|TestViewTracksTheSet|TestSetCopyFromIsDeepAndReusesArrays|TestEngineSnapshotReuse|TestEngineDetailOwnsFlows|FuzzApply|TestAccount|TestDistributedMatchesSimulator|TestIneligibleJobsAreRefused|TestStepRefusesIneligibleRoute|TestSnapshotFormatOnPartialEligibility|TestBackloggedLedgerStaysCompact|TestReportAtIneligiblePairIsMalformed' ./internal/queue ./internal/sim ./internal/controller
 	$(GO) test -count=1 -run 'TestDecideAllocationBudget|TestEngineStepAllocationBudget|TestWireAllocationBudget' .
 	$(GO) test -run '^$$' -fuzz FuzzSimplex -fuzztime $(FUZZTIME) ./internal/lp
 	$(GO) test -run '^$$' -fuzz FuzzApply -fuzztime $(FUZZTIME) ./internal/queue

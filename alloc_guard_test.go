@@ -118,9 +118,9 @@ func TestDecideAllocationBudget(t *testing.T) {
 // make per site in queue.Set.Lengths (twice a slot) and queue.Set.Apply;
 // then 303, the flow matrices, a closure and a sample slice per site that
 // queue.Set.Apply built every call; then 17, the fresh action and post-slot
-// snapshot among them. The scheduler now owns its action and the engine
-// decides on the queue set's view, so what remains is the workload's
-// arrivals row and ledger appends.
+// snapshot among them. The scheduler now owns its action, the engine
+// decides on the queue set's view and the workload hands out its stored
+// row, so what remains is ledger appends.
 func TestEngineStepAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts include race-detector bookkeeping under -race")

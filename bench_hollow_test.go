@@ -17,11 +17,11 @@ var hollowBenchSizes = []int{100, 500, 1000, 2000}
 
 // hollowWarmSlots run before BenchmarkHollowSlot starts its timer. A young
 // fleet is still sizing things it then keeps — every ledger (agent, shadow,
-// central) doubles its cohort array until its first compaction at 64 dead
-// entries, and the wire's decode scratch is cut on first use — and a
-// one-second run at 2000 agents is only ~300 slots long, so without the
-// warm-up the large cells reported mostly that growth (~180 of 263 allocs/op)
-// while the small ones, thousands of slots long, did not.
+// central) doubles its cohort array until it holds about twice its live
+// cohorts, where compaction keeps it, and the wire's decode scratch is cut on
+// first use — and a one-second run at 2000 agents is only ~300 slots long, so
+// without the warm-up the large cells reported mostly that growth while the
+// small ones, thousands of slots long, did not.
 const hollowWarmSlots = 150
 
 // newHollowLoop builds what the hollow-fleet benchmarks, the leak test and the

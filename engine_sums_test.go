@@ -185,7 +185,9 @@ func (w *denseWalk) ObserveSlot(ev telemetry.SlotEvent) {
 	if err != nil {
 		t.Fatalf("slot %d: replaying the action: %v", ev.Slot, err)
 	}
-	if !reflect.DeepEqual(flows.Routed, d.Routed) || !reflect.DeepEqual(flows.Processed, d.Processed) {
+	routed := flows.Matrix(c.J(), func(f queue.Flow) float64 { return f.Routed })
+	processed := flows.Matrix(c.J(), func(f queue.Flow) float64 { return f.Processed })
+	if !reflect.DeepEqual(routed, d.Routed) || !reflect.DeepEqual(processed, d.Processed) {
 		t.Fatalf("slot %d: the replayed action moved other jobs than the engine's", ev.Slot)
 	}
 	if err := w.qs.Arrive(ev.Slot, d.Arrivals); err != nil {
@@ -202,12 +204,13 @@ func (w *denseWalk) ObserveSlot(ev telemetry.SlotEvent) {
 	}
 	w.energy.Add(d.Action.BilledCost(c, d.State, nil))
 	w.fairScore.Add(fair)
+	delaySum := flows.Matrix(c.J(), func(f queue.Flow) float64 { return f.DelaySum })
 	var slotProcessed float64
 	for i := 0; i < c.N(); i++ {
 		var dSum, dCount float64
 		for j := 0; j < c.J(); j++ {
-			p := flows.Processed[i][j]
-			dSum += flows.LocalDelaySum[i][j]
+			p := processed[i][j]
+			dSum += delaySum[i][j]
 			dCount += p
 			w.processed += p
 			slotProcessed += p

@@ -19,7 +19,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"time"
 
@@ -598,6 +597,11 @@ func (ct *Controller) RunSlotContext(ctx context.Context, t int, arrivals []int)
 		if errs[i] == nil {
 			errs[i] = reports[i].Validate(i, t, c.K(i), c.J())
 		}
+		if errs[i] == nil {
+			if err := ct.qs.CheckRow(i, reports[i].QueueLens); err != nil {
+				errs[i] = fmt.Errorf("%w: %v", transport.ErrMalformedReport, err)
+			}
+		}
 	}
 	if degrade {
 		ct.resolve(ctx, t)
@@ -693,9 +697,10 @@ func (ct *Controller) RunSlotContext(ctx context.Context, t int, arrivals []int)
 		return nil, nil, nil, fmt.Errorf("slot %d: applying action: %w", t, err)
 	}
 	routed := ct.scratch.Routed
-	for i := range routed {
-		for j, r := range fs.Routed[i] {
-			routed[i][j] = int(r)
+	for i, row := range routed {
+		clear(row)
+		for _, f := range fs.At(i) {
+			row[f.Type] = int(f.Routed)
 		}
 	}
 
@@ -742,26 +747,30 @@ func (ct *Controller) RunSlotContext(ctx context.Context, t int, arrivals []int)
 		if !ok[i] {
 			continue
 		}
-		popped, delays := fs.Processed[i], fs.LocalDelaySum[i]
+		cells := fs.At(i)
 		if errsA[i] != nil {
 			if callerGaveUp(ctx, errsA[i]) {
 				ct.tracker.holdShadow(i)
 			} else {
 				ct.tracker.RecordFailure(i)
 			}
-			ack := ct.tracker.SynthesizeAck(i, t, popped, delays, st, act)
-			// popped and delays are the set's, rewritten by its next Apply;
-			// the ack's rows are the loop's, kept until the next slot.
-			ack.Processed = append(acks[i].Processed[:0], popped...)
-			ack.DelaySum = append(acks[i].DelaySum[:0], delays...)
-			acks[i] = ack
+			// The replay's rows are the set's cells, rewritten by its next
+			// Apply; the ack's rows are the loop's, kept until the next slot.
+			popped := ackFlat[2*i*nj : (2*i+1)*nj : (2*i+1)*nj]
+			delays := ackFlat[(2*i+1)*nj : (2*i+2)*nj : (2*i+2)*nj]
+			clear(popped)
+			clear(delays)
+			for _, f := range cells {
+				popped[f.Type], delays[f.Type] = f.Processed, f.DelaySum
+			}
+			acks[i] = ct.tracker.SynthesizeAck(i, t, popped, delays, st, act)
 			continue
 		}
 		// The agent bills its row with the central formula and executes
 		// the shadow replay; anything else means its trajectory forked
 		// mid-slot (e.g. it restarted behind a reconnecting transport and
 		// answered empty). De-sync the shadow so the next report re-seeds it.
-		if acks[i].Energy != act.EnergyAt(c, st, i) || !slices.Equal(acks[i].Processed, popped) {
+		if acks[i].Energy != act.EnergyAt(c, st, i) || !replayed(acks[i].Processed, cells, nj) {
 			ct.tracker.NoteDivergence(i)
 		}
 	}
@@ -780,6 +789,24 @@ func (ct *Controller) RunSlotContext(ctx context.Context, t int, arrivals []int)
 	}
 	ct.slot = t + 1
 	return act, st, acks, nil
+}
+
+// replayed reports whether an ack's processed row is the shadow replay's:
+// each cell's Processed at its job type and zero at every other of the nJ.
+func replayed(row []float64, cells []queue.Flow, nJ int) bool {
+	if len(row) != nJ {
+		return false
+	}
+	for j, v := range row {
+		want := 0.0
+		if len(cells) > 0 && cells[0].Type == j {
+			want, cells = cells[0].Processed, cells[1:]
+		}
+		if v != want {
+			return false
+		}
+	}
+	return true
 }
 
 // copyRows copies src into dst row by row and reports whether the two had

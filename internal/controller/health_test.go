@@ -11,6 +11,7 @@ import (
 
 	"grefar/internal/core"
 	"grefar/internal/model"
+	"grefar/internal/queue"
 	"grefar/internal/sim"
 	"grefar/internal/telemetry"
 	"grefar/internal/transport"
@@ -397,7 +398,7 @@ func TestShadowSeedApplyRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if popped := fs.Processed[0]; popped[0] != 2 || popped[1] != lens[1] {
+	if popped := fs.Matrix(j, func(f queue.Flow) float64 { return f.Processed })[0]; popped[0] != 2 || popped[1] != lens[1] {
 		t.Errorf("popped = %v, want [2 %v ...]", popped, lens[1])
 	}
 	got := ct.qs.View().Local[0]
@@ -500,5 +501,76 @@ func TestAckMismatchReseedsTheShadow(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// strayReport adds jobs of type 0 to its agent's state reports from slot at
+// on.
+type strayReport struct {
+	AgentConn
+	at int
+}
+
+func (s *strayReport) Call(kind string, reqBody, respBody any) error {
+	err := s.AgentConn.Call(kind, reqBody, respBody)
+	if rep, ok := respBody.(*transport.StateReport); ok && err == nil && rep.Slot >= s.at {
+		rep.QueueLens[0] += 3
+	}
+	return err
+}
+
+// TestReportAtIneligiblePairIsMalformed: an agent that reports jobs of a type
+// not eligible at its site sent a malformed report. Under Strict the slot
+// fails before anything moves; under Degrade the agent is masked, and its
+// shadow never holds the jobs.
+func TestReportAtIneligiblePairIsMalformed(t *testing.T) {
+	const stray, at = 1, 2
+	for _, policy := range []FailurePolicy{Strict, Degrade} {
+		t.Run(policy.String(), func(t *testing.T) {
+			in, conns, cleanup := buildSystem(t, 6, false)
+			t.Cleanup(cleanup)
+			in.Cluster.JobTypes[0].Eligible = []int{0, 2}
+			conns[stray] = &strayReport{AgentConn: conns[stray], at: at}
+			g, err := core.New(in.Cluster, core.Config{V: 7.5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ct, err := New(in.Cluster, g, conns, WithFailurePolicy(policy))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for s := 0; s < at; s++ {
+				if _, _, _, err := ct.RunSlot(s, in.Workload.Arrivals(s)); err != nil {
+					t.Fatalf("slot %d: %v", s, err)
+				}
+			}
+			before, err := ct.ExportState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, _, _, err = ct.RunSlot(at, in.Workload.Arrivals(at))
+			if policy == Strict {
+				if !errors.Is(err, transport.ErrMalformedReport) {
+					t.Fatalf("err = %v, want a malformed report", err)
+				}
+				after, err := ct.ExportState()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(after, before) {
+					t.Fatal("the refused slot changed the loop's state")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if h := ct.Health()[stray]; h == Healthy {
+				t.Fatalf("agent %d stays %v", stray, h)
+			}
+			if q := ct.qs.View().Local[stray][0]; q != 0 {
+				t.Fatalf("shadow holds %v jobs at an ineligible pair", q)
+			}
+		})
 	}
 }

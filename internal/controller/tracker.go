@@ -123,9 +123,10 @@ func (tk *Tracker) NoteDegraded() {
 // seedShadow replaces agent i's shadow with the given backlogs as single
 // cohorts arriving at the current slot. Amounts are exact from here on;
 // waiting times of the pre-existing backlog are approximated as zero, which
-// only affects synthesized delay sums, never job counts.
+// only affects synthesized delay sums, never job counts. A report's lengths
+// pass queue.Set.CheckRow on receipt, so the seed is never refused.
 func (tk *Tracker) seedShadow(i, slot int, lens []float64) {
-	tk.qs.SeedRow(i, slot, lens)
+	_ = tk.qs.SeedRow(i, slot, lens)
 	tk.recs[i].synced = true
 }
 

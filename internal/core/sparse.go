@@ -34,14 +34,12 @@ type sparseSlot struct {
 	c *model.Cluster
 	l slotLayout
 
-	// Cluster-static eligibility as a per-site CSR list: the job types that
-	// may run at site i are eligJ[eligOff[i]:eligOff[i+1]], ascending — the
-	// dense (i, j) scan order restricted to the pairs (14) has a variable for.
-	// Every pass that used to walk all N*J cells walks this instead: a pair
-	// outside it is never active and never carries warm-start mass
-	// (RestoreState rejects an iterate that would put some there).
-	eligOff []int // len N+1
-	eligJ   []int
+	// Cluster-static eligibility by site (model.SitePairs): the dense (i, j)
+	// scan order restricted to the pairs (14) has a variable for. Every pass
+	// that used to walk all N*J cells walks this instead: a pair outside it
+	// is never active and never carries warm-start mass (RestoreState
+	// rejects an iterate that would put some there).
+	elig model.SitePairs
 
 	// Active-pair index. Compact h variable t covers the dense pair
 	// denseIdx[t] = i*J+j with job type pairJ[t]; a site's compact h
@@ -95,39 +93,15 @@ func newSparseSlot(c *model.Cluster) *sparseSlot {
 	sp := &sparseSlot{
 		c:         c,
 		l:         newSlotLayout(c),
-		eligOff:   make([]int, c.N()+1),
+		elig:      c.SitePairs(),
 		active:    make([]bool, nJ),
 		siteOff:   make([]int, 0, c.N()+1),
 		bOffC:     make([]int, c.N()),
 		prevPrice: make([]float64, c.N()),
 	}
-	// Counting sort of the (site, type) pairs by site: walking the job types
-	// in ascending j leaves every site's row ascending whatever order the
-	// Eligible lists are in.
-	for _, jt := range c.JobTypes {
-		for _, i := range jt.Eligible {
-			sp.eligOff[i+1]++
-		}
-	}
-	for i := 0; i < c.N(); i++ {
-		sp.eligOff[i+1] += sp.eligOff[i]
-	}
-	sp.eligJ = make([]int, sp.eligOff[c.N()])
-	next := append([]int(nil), sp.eligOff[:c.N()]...)
-	for j, jt := range c.JobTypes {
-		for _, i := range jt.Eligible {
-			sp.eligJ[next[i]] = j
-			next[i]++
-		}
-	}
 	sp.segs = make([]segment, 0, maxServerTypes(c))
 	sp.jobs = make([]jobDemand, 0, c.J())
 	return sp
-}
-
-// eligibleAt returns the job types that may run at site i, ascending.
-func (sp *sparseSlot) eligibleAt(i int) []int {
-	return sp.eligJ[sp.eligOff[i]:sp.eligOff[i+1]]
 }
 
 // wantActive is the membership rule for an eligible pair: it carries either
@@ -153,7 +127,7 @@ func (sp *sparseSlot) refresh(cfg Config, st *model.State, q queue.Lengths, warm
 	for i := 0; i < n; i++ {
 		row := q.Local[i]
 		base := i * nJ
-		for _, j := range sp.eligibleAt(i) {
+		for _, j := range sp.elig.At(i) {
 			if wantActive(base+j, row[j], warm) != sp.active[base+j] {
 				sp.rebuildIndex(cfg, st, q, warm)
 				return
@@ -197,7 +171,7 @@ func (sp *sparseSlot) rebuildIndex(cfg Config, st *model.State, q queue.Lengths,
 		sp.siteOff = append(sp.siteOff, len(sp.pairJ))
 		row := q.Local[i]
 		base := i * nJ
-		for _, j := range sp.eligibleAt(i) {
+		for _, j := range sp.elig.At(i) {
 			idx := base + j
 			want := wantActive(idx, row[j], warm)
 			sp.active[idx] = want
@@ -399,7 +373,7 @@ func (sp *sparseSlot) scatterWarm(x, warm []float64) {
 	nJ := sp.c.J()
 	for i := 0; i < sp.c.N(); i++ {
 		base := i * nJ
-		for _, j := range sp.eligibleAt(i) {
+		for _, j := range sp.elig.At(i) {
 			warm[base+j] = 0
 		}
 	}

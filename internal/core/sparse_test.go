@@ -420,12 +420,12 @@ func TestEligibilityIndex(t *testing.T) {
 					want = append(want, j)
 				}
 			}
-			if got := sp.eligibleAt(i); !slices.Equal(got, want) {
+			if got := sp.elig.At(i); !slices.Equal(got, want) {
 				t.Errorf("N=%d site %d: eligible job types %v, want %v", c.N(), i, got, want)
 			}
 		}
 	}
-	if row := newSparseSlot(oddEligibilityCluster(t)).eligibleAt(1); len(row) != 0 {
+	if row := newSparseSlot(oddEligibilityCluster(t)).elig.At(1); len(row) != 0 {
 		t.Errorf("site no job type may use has row %v", row)
 	}
 }

@@ -66,7 +66,7 @@ func (sp *sparseSlot) repairWarm(st *model.State, x []float64) warmOutcome {
 	repaired := false
 	for i := 0; i < n; i++ {
 		base := i * nJ
-		for _, j := range sp.eligibleAt(i) {
+		for _, j := range sp.elig.At(i) {
 			idx := base + j
 			v := x[idx]
 			if math.IsNaN(v) || math.IsInf(v, 0) {

@@ -468,10 +468,8 @@ func TestCheckerRandomizedTrajectories(t *testing.T) {
 			}
 			post := qs.Lengths()
 			var processed float64
-			for i := range flows.Processed {
-				for _, h := range flows.Processed[i] {
-					processed += h
-				}
+			for _, f := range flows.Cells {
+				processed += f.Processed
 			}
 			ck.ObserveSlot(telemetry.SlotEvent{
 				Slot:         slot,
@@ -485,8 +483,8 @@ func TestCheckerRandomizedTrajectories(t *testing.T) {
 					Pre:       pre,
 					Post:      post,
 					Arrivals:  arr,
-					Routed:    flows.Routed,
-					Processed: flows.Processed,
+					Routed:    flows.Matrix(c.J(), func(f queue.Flow) float64 { return f.Routed }),
+					Processed: flows.Matrix(c.J(), func(f queue.Flow) float64 { return f.Processed }),
 				},
 			})
 		}

@@ -142,6 +142,64 @@ func (c *Cluster) Aux() int {
 	return len(c.DataCenters[0].AuxCapacity)
 }
 
+// SitePairs is a cluster's eligibility read by site: the job types that may
+// run at site i are Types[Off[i]:Off[i+1]], ascending. Position k in Types
+// names the pair (i, Types[k]), so a store built on it holds one entry per
+// eligible pair — the only pairs eqs. (12)-(13) give a local queue — and
+// none for the pairs no job may reach.
+type SitePairs struct {
+	Off   []int // len N+1
+	Types []int
+}
+
+// SitePairs lists the cluster's eligible (site, job type) pairs site by site
+// with one counting sort over the Eligible lists: walking the job types in
+// ascending j leaves every site's types ascending whatever order the lists
+// are in. A site out of range or listed twice, which Validate refuses, is
+// left out or listed once.
+func (c *Cluster) SitePairs() SitePairs {
+	n := c.N()
+	p := SitePairs{Off: make([]int, n+1)}
+	// seenBy[i] is one past the last job type that listed site i, as in
+	// validate.
+	seenBy := make([]int, n)
+	eligible := func(i, j int) bool {
+		if i < 0 || i >= n || seenBy[i] == j+1 {
+			return false
+		}
+		seenBy[i] = j + 1
+		return true
+	}
+	for j, jt := range c.JobTypes {
+		for _, i := range jt.Eligible {
+			if eligible(i, j) {
+				p.Off[i+1]++
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		p.Off[i+1] += p.Off[i]
+	}
+	p.Types = make([]int, p.Off[n])
+	next := append([]int(nil), p.Off[:n]...)
+	clear(seenBy)
+	for j, jt := range c.JobTypes {
+		for _, i := range jt.Eligible {
+			if eligible(i, j) {
+				p.Types[next[i]] = j
+				next[i]++
+			}
+		}
+	}
+	return p
+}
+
+// At returns the job types eligible at site i, ascending.
+func (p SitePairs) At(i int) []int { return p.Types[p.Off[i]:p.Off[i+1]:p.Off[i+1]] }
+
+// Len returns the number of eligible pairs.
+func (p SitePairs) Len() int { return len(p.Types) }
+
 // Validate checks structural consistency: non-empty components, positive
 // speeds/demands, non-negative powers and weights, eligible and account
 // indices in range, and sane bounds. It returns the first problem found,
@@ -543,59 +601,81 @@ func (a *Action) validate(c *Cluster, s *State) error {
 	if len(a.Route) != c.N() || len(a.Process) != c.N() || len(a.Busy) != c.N() {
 		return fmt.Errorf("action shaped for %d data centers, cluster has %d", len(a.Route), c.N())
 	}
-	// eligible[i*J+j] reports i in D_j: the transposed eligibility lists, built
-	// once per call so the per-pair test below is a load, not a scan of D_j
-	// (which made validation O(N^2 J) on a fleet where every site is eligible).
+	// The eligibility rule costs no table: the pairs that move are counted
+	// once over the whole action and once at each type's Eligible sites (a
+	// valid cluster lists no site twice), and only when the two counts differ
+	// is the offending pair looked up. Every other error first hands its
+	// position to firstError, so the error reported is still the first in
+	// (site, job type) order, as a per-pair check would find it.
 	nJ := c.J()
-	eligible := make([]bool, c.N()*nJ)
-	for j, jt := range c.JobTypes {
-		for _, i := range jt.Eligible {
-			if i >= 0 && i < c.N() {
-				eligible[i*nJ+j] = true
-			}
-		}
-	}
+	moving := 0
 	for i := 0; i < c.N(); i++ {
-		if len(a.Route[i]) != c.J() || len(a.Process[i]) != c.J() {
-			return fmt.Errorf("data center %d: action has wrong job-type dimension", i)
+		if len(a.Route[i]) != nJ || len(a.Process[i]) != nJ {
+			return a.firstError(c, i*nJ, fmt.Errorf("data center %d: action has wrong job-type dimension", i))
 		}
 		if len(a.Busy[i]) != c.K(i) {
-			return fmt.Errorf("data center %d: action has %d server types, cluster has %d", i, len(a.Busy[i]), c.K(i))
+			return a.firstError(c, i*nJ, fmt.Errorf("data center %d: action has %d server types, cluster has %d", i, len(a.Busy[i]), c.K(i)))
 		}
-		for j := 0; j < c.J(); j++ {
+		for j := 0; j < nJ; j++ {
 			jt := &c.JobTypes[j]
-			if a.Route[i][j] < 0 {
-				return fmt.Errorf("route[%d][%d] = %d is negative", i, j, a.Route[i][j])
+			r, h := a.Route[i][j], a.Process[i][j]
+			if r < 0 {
+				return a.firstError(c, i*nJ+j, fmt.Errorf("route[%d][%d] = %d is negative", i, j, r))
 			}
-			if a.Process[i][j] < 0 {
-				return fmt.Errorf("process[%d][%d] = %v is negative", i, j, a.Process[i][j])
+			if h < 0 {
+				return a.firstError(c, i*nJ+j, fmt.Errorf("process[%d][%d] = %v is negative", i, j, h))
 			}
-			if !eligible[i*nJ+j] && (a.Route[i][j] > 0 || a.Process[i][j] > 0) {
-				return fmt.Errorf("job type %d is not eligible at data center %d", j, i)
+			if r > 0 || h > 0 {
+				moving++
 			}
-			if jt.MaxRoute > 0 && a.Route[i][j] > jt.MaxRoute {
-				return fmt.Errorf("route[%d][%d] = %d exceeds bound %d", i, j, a.Route[i][j], jt.MaxRoute)
+			if jt.MaxRoute > 0 && r > jt.MaxRoute {
+				return a.firstError(c, i*nJ+j+1, fmt.Errorf("route[%d][%d] = %d exceeds bound %d", i, j, r, jt.MaxRoute))
 			}
-			if jt.MaxProcess > 0 && a.Process[i][j] > jt.MaxProcess+feasibilityTol {
-				return fmt.Errorf("process[%d][%d] = %v exceeds bound %v", i, j, a.Process[i][j], jt.MaxProcess)
+			if jt.MaxProcess > 0 && h > jt.MaxProcess+feasibilityTol {
+				return a.firstError(c, i*nJ+j+1, fmt.Errorf("process[%d][%d] = %v exceeds bound %v", i, j, h, jt.MaxProcess))
 			}
 		}
+		end := (i + 1) * nJ
 		for k := range a.Busy[i] {
 			if a.Busy[i][k] < -feasibilityTol {
-				return fmt.Errorf("busy[%d][%d] = %v is negative", i, k, a.Busy[i][k])
+				return a.firstError(c, end, fmt.Errorf("busy[%d][%d] = %v is negative", i, k, a.Busy[i][k]))
 			}
 			if a.Busy[i][k] > s.Avail[i][k]+feasibilityTol {
-				return fmt.Errorf("busy[%d][%d] = %v exceeds availability %v", i, k, a.Busy[i][k], s.Avail[i][k])
+				return a.firstError(c, end, fmt.Errorf("busy[%d][%d] = %v exceeds availability %v", i, k, a.Busy[i][k], s.Avail[i][k]))
 			}
 		}
 		if w, p := a.WorkAt(c, i), a.ProvidedAt(c, i); w > p+feasibilityTol {
-			return fmt.Errorf("data center %d: processed work %v exceeds provided resource %v", i, w, p)
+			return a.firstError(c, end, fmt.Errorf("data center %d: processed work %v exceeds provided resource %v", i, w, p))
 		}
 		for r := 0; r < c.Aux(); r++ {
 			if u, cap := a.AuxUsageAt(c, i, r), c.DataCenters[i].AuxCapacity[r]; u > cap+feasibilityTol {
-				return fmt.Errorf("data center %d: auxiliary resource %d usage %v exceeds capacity %v", i, r, u, cap)
+				return a.firstError(c, end, fmt.Errorf("data center %d: auxiliary resource %d usage %v exceeds capacity %v", i, r, u, cap))
 			}
 		}
 	}
+	for j, jt := range c.JobTypes {
+		for _, i := range jt.Eligible {
+			if i >= 0 && i < c.N() && (a.Route[i][j] > 0 || a.Process[i][j] > 0) {
+				moving--
+			}
+		}
+	}
+	if moving != 0 {
+		return a.firstError(c, c.N()*nJ, nil)
+	}
 	return nil
+}
+
+// firstError returns the eligibility error of the first pair before flat
+// index end (i*J+j, row-major) that routes or processes at an ineligible
+// site, or err when there is none: what a check of every pair in order would
+// have reported first. The rows before end have passed the shape checks.
+func (a *Action) firstError(c *Cluster, end int, err error) error {
+	for cell := 0; cell < end; cell++ {
+		i, j := cell/c.J(), cell%c.J()
+		if (a.Route[i][j] > 0 || a.Process[i][j] > 0) && !c.JobTypes[j].EligibleSet(i) {
+			return fmt.Errorf("job type %d is not eligible at data center %d", j, i)
+		}
+	}
+	return err
 }

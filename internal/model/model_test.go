@@ -3,6 +3,7 @@ package model
 import (
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -322,5 +323,33 @@ func TestActionCloneIsDeepAndFlat(t *testing.T) {
 	nLarge := testing.AllocsPerRun(50, func() { _ = large.Clone() })
 	if nSmall != nLarge {
 		t.Errorf("Clone allocates %v times at 8 sites and %v at 200", nSmall, nLarge)
+	}
+}
+
+// TestSitePairs: the eligible pairs listed site by site, job types ascending
+// whatever order the Eligible lists are in; a site no type may use has an
+// empty run, and a site out of range or listed twice (which Validate
+// refuses) is left out or listed once.
+func TestSitePairs(t *testing.T) {
+	c := &Cluster{
+		DataCenters: make([]DataCenter, 4),
+		JobTypes: []JobType{
+			{Eligible: []int{2, 0}},
+			{Eligible: []int{0, 0, 7, -1}},
+			{Eligible: []int{2, 1, 0}},
+		},
+	}
+	p := c.SitePairs()
+	want := [][]int{{0, 1, 2}, {2}, {0, 2}, {}}
+	for i, w := range want {
+		if got := p.At(i); !slices.Equal(got, w) {
+			t.Errorf("At(%d) = %v, want %v", i, got, w)
+		}
+	}
+	if p.Len() != 6 {
+		t.Errorf("Len() = %d, want 6", p.Len())
+	}
+	if got := p.At(0); cap(got) != len(got) {
+		t.Errorf("At(0) has capacity %d past its %d types", cap(got), len(got))
 	}
 }

@@ -96,6 +96,24 @@ func TestActionValidateEligibilityAtFleetSize(t *testing.T) {
 			a.Route[5][0] = 11
 			return a
 		}, "route[5][0] = 11 exceeds bound 10"},
+		{"an earlier offender comes before a later site's other violation", func() *Action {
+			a := busyAction(c)
+			a.Route[2][2] = 1
+			a.Route[5][0] = 11
+			return a
+		}, "job type 2 is not eligible at data center 2"},
+		{"an offender comes before its own site's capacity", func() *Action {
+			a := busyAction(c)
+			a.Process[6][2] = 1
+			a.Busy[6][0] = 0
+			return a
+		}, "job type 2 is not eligible at data center 6"},
+		{"a violation before the offender in its row comes first", func() *Action {
+			a := busyAction(c)
+			a.Route[6][0] = 11
+			a.Route[6][2] = 11
+			return a
+		}, "route[6][0] = 11 exceeds bound 10"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -107,6 +125,21 @@ func TestActionValidateEligibilityAtFleetSize(t *testing.T) {
 				t.Errorf("err = %q, want %q", err, want)
 			}
 		})
+	}
+}
+
+// TestActionValidateAllocatesNothing: validating a feasible action at the
+// fleet's shape allocates nothing, with some types eligible everywhere and
+// one at two sites only.
+func TestActionValidateAllocatesNothing(t *testing.T) {
+	c, s := fleetCluster(t, 500)
+	a := busyAction(c)
+	if n := testing.AllocsPerRun(20, func() {
+		if err := a.Validate(c, s); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Validate allocates %v times", n)
 	}
 }
 

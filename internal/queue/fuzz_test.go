@@ -29,6 +29,17 @@ func fuzzCluster() *model.Cluster {
 	}
 }
 
+// partialFuzzCluster is fuzzCluster with a third site and holes in the
+// eligibility: type a runs at sites 1 and 0, type b at site 1 only, and site
+// 2 runs nothing.
+func partialFuzzCluster() *model.Cluster {
+	c := fuzzCluster()
+	c.DataCenters = append(c.DataCenters, model.DataCenter{Name: "n", Servers: []model.ServerType{{Name: "s", Speed: 1, Power: 1}}})
+	c.JobTypes[0].Eligible = []int{1, 0}
+	c.JobTypes[1].Eligible = []int{1}
+	return c
+}
+
 // FuzzApply drives a queue.Set with arbitrary non-negative arrivals and
 // scheduler actions — including wildly infeasible ones that demand more work
 // than exists — and checks the ledger invariants the rest of the system
@@ -41,12 +52,17 @@ func fuzzCluster() *model.Cluster {
 // It is also the stale-cell detector for the flow storage Apply reuses: every
 // call's FlowStats must equal, field for field, what a second Set — restored
 // from the first's Snapshot just before the call, so with untouched scratch —
-// returns for the same action, and its Cells must list exactly the h != 0
-// pairs in row-major order. After every Apply, Arrive and Restore the length
-// mirror must match the ledgers. Each slot also offers the set its action
-// with one entry made negative (the pair chosen by the slot index): the
-// refusal must leave the lengths and the slot's FlowStats, Cells included,
-// as they were.
+// returns for the same action, and its Cells must list exactly the pairs
+// with h != 0 or r != 0 in row-major order. After every Apply, Arrive and
+// Restore the length mirror must match the ledgers. Each slot also offers
+// the set its action with one entry made negative (the pair chosen by the
+// slot index): the refusal must leave the lengths and the slot's FlowStats,
+// Cells included, as they were.
+//
+// An input whose first byte has its high bit set runs on
+// partialFuzzCluster instead: the actions move only eligible pairs, and each
+// slot also offers one that moves jobs at an ineligible pair, which must be
+// refused in the same way.
 func FuzzApply(f *testing.F) {
 	f.Add([]byte{3, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
 	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 0, 0})
@@ -56,11 +72,15 @@ func FuzzApply(f *testing.F) {
 	// one (a slot reads 8 action bytes and 2 arrival bytes, and the 20 bytes
 	// repeat): whatever the wide slot wrote must be gone from the empty one.
 	f.Add([]byte{11, 7, 31, 7, 31, 7, 31, 7, 31, 7, 7, 0, 0, 0, 0, 0, 0, 0, 0, 3})
+	f.Add([]byte{128 + 9, 7, 31, 3, 9, 200, 17, 5, 0, 31, 7, 1, 2, 64, 8, 99})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
 		}
 		c := fuzzCluster()
+		if data[0] >= 128 {
+			c = partialFuzzCluster()
+		}
 		if err := c.Validate(); err != nil {
 			t.Fatal(err)
 		}
@@ -79,12 +99,17 @@ func FuzzApply(f *testing.F) {
 		for slot := 0; slot < slots; slot++ {
 			act := model.NewAction(c)
 			var commandRoute, commandProcess float64
+			var ineligible [][2]int
 			for i := 0; i < c.N(); i++ {
 				for j := 0; j < c.J(); j++ {
-					act.Route[i][j] = int(next() % 8)
-					commandRoute += float64(act.Route[i][j])
-					act.Process[i][j] = float64(next()%32) / 4
-					commandProcess += act.Process[i][j]
+					r, h := int(next()%8), float64(next()%32)/4
+					if !c.JobTypes[j].EligibleSet(i) {
+						ineligible = append(ineligible, [2]int{i, j})
+						continue
+					}
+					act.Route[i][j], act.Process[i][j] = r, h
+					commandRoute += float64(r)
+					commandProcess += h
 				}
 			}
 			arrivals := make([]int, c.J())
@@ -118,17 +143,22 @@ func FuzzApply(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertSameFlows(t, slot, flow, want)
-			var wantCells []int
+			assertSameFlows(t, slot, cloneFlows(flow), cloneFlows(want))
+			var cells, wantCells [][2]int
+			for i := 0; i < c.N(); i++ {
+				for _, f := range flow.At(i) {
+					cells = append(cells, [2]int{i, f.Type})
+				}
+			}
 			for i := range act.Process {
 				for j, h := range act.Process[i] {
-					if h != 0 {
-						wantCells = append(wantCells, i*c.J()+j)
+					if h != 0 || act.Route[i][j] != 0 {
+						wantCells = append(wantCells, [2]int{i, j})
 					}
 				}
 			}
-			if !slices.Equal(flow.Cells, wantCells) {
-				t.Fatalf("slot %d: Cells = %v, want the h != 0 pairs %v", slot, flow.Cells, wantCells)
+			if !slices.Equal(cells, wantCells) {
+				t.Fatalf("slot %d: Cells at %v, want the moving pairs %v", slot, cells, wantCells)
 			}
 			assertMirror(t, slot, set)
 			post := set.Lengths()
@@ -141,12 +171,24 @@ func FuzzApply(f *testing.F) {
 			} else {
 				bad.Route[cell/c.J()][cell%c.J()] = -1
 			}
-			if _, err := set.Apply(slot, bad); err == nil {
-				t.Fatalf("slot %d: Apply accepted a negative entry", slot)
+			bads := []*model.Action{bad}
+			if len(ineligible) > 0 {
+				bad := act.Clone()
+				if p := ineligible[slot%len(ineligible)]; slot%2 == 0 {
+					bad.Route[p[0]][p[1]] = 1
+				} else {
+					bad.Process[p[0]][p[1]] = 0.25
+				}
+				bads = append(bads, bad)
 			}
-			assertSameFlows(t, slot, flow, &kept)
-			if !reflect.DeepEqual(set.Lengths(), post) {
-				t.Fatalf("slot %d: a rejected action moved the queues", slot)
+			for _, bad := range bads {
+				if _, err := set.Apply(slot, bad); err == nil {
+					t.Fatalf("slot %d: Apply accepted a negative entry or an ineligible move", slot)
+				}
+				assertSameFlows(t, slot, cloneFlows(flow), kept)
+				if !reflect.DeepEqual(set.Lengths(), post) {
+					t.Fatalf("slot %d: a rejected action moved the queues", slot)
+				}
 			}
 
 			// Apply routes (conserving) and processes (removing at most the
@@ -224,64 +266,53 @@ func assertMirror(t *testing.T, slot int, s *queue.Set) {
 	}
 }
 
-// cloneFlows deep-copies a FlowStats, so a kept copy outlives the storage
-// Apply reuses.
-func cloneFlows(fs *queue.FlowStats) queue.FlowStats {
-	rows := func(m [][]float64) [][]float64 {
-		out := make([][]float64, len(m))
-		for i := range m {
-			out[i] = slices.Clone(m[i])
-		}
-		return out
-	}
-	out := queue.FlowStats{
-		Cells:             slices.Clone(fs.Cells),
-		Routed:            rows(fs.Routed),
-		Processed:         rows(fs.Processed),
-		CentralDelaySum:   slices.Clone(fs.CentralDelaySum),
-		CentralRouted:     slices.Clone(fs.CentralRouted),
-		LocalDelaySum:     rows(fs.LocalDelaySum),
-		LocalDelaySamples: make([][]queue.DelaySample, len(fs.LocalDelaySamples)),
+// flowCopy is a FlowStats copied field by field, each site's run of cells
+// included, so a kept copy outlives the storage Apply reuses.
+type flowCopy struct {
+	cells                          []queue.Flow
+	sites                          [][]queue.Flow
+	centralDelaySum, centralRouted []float64
+	samples                        [][]queue.DelaySample
+}
+
+func cloneFlows(fs *queue.FlowStats) flowCopy {
+	out := flowCopy{
+		cells:           slices.Clone(fs.Cells),
+		sites:           make([][]queue.Flow, len(fs.LocalDelaySamples)),
+		centralDelaySum: slices.Clone(fs.CentralDelaySum),
+		centralRouted:   slices.Clone(fs.CentralRouted),
+		samples:         make([][]queue.DelaySample, len(fs.LocalDelaySamples)),
 	}
 	for i, s := range fs.LocalDelaySamples {
-		out.LocalDelaySamples[i] = slices.Clone(s)
+		out.sites[i] = slices.Clone(fs.At(i))
+		out.samples[i] = slices.Clone(s)
 	}
 	return out
 }
 
-// assertSameFlows compares the seven FlowStats fields by content (an empty
-// list equals a nil one).
-func assertSameFlows(t *testing.T, slot int, got, want *queue.FlowStats) {
+// assertSameFlows compares two FlowStats copies by content (an empty list
+// equals a nil one).
+func assertSameFlows(t *testing.T, slot int, got, want flowCopy) {
 	t.Helper()
-	if !slices.Equal(got.Cells, want.Cells) {
-		t.Fatalf("slot %d: Cells = %v on the reused storage, %v on fresh", slot, got.Cells, want.Cells)
+	if !slices.Equal(got.cells, want.cells) {
+		t.Fatalf("slot %d: Cells = %v on the reused storage, %v on fresh", slot, got.cells, want.cells)
 	}
-	matrix := func(name string, g, w [][]float64) {
-		if len(g) != len(w) {
-			t.Fatalf("slot %d: %s has %d rows, want %d", slot, name, len(g), len(w))
+	if len(got.sites) != len(want.sites) {
+		t.Fatalf("slot %d: flows for %d sites, want %d", slot, len(got.sites), len(want.sites))
+	}
+	for i := range want.sites {
+		if !slices.Equal(got.sites[i], want.sites[i]) {
+			t.Fatalf("slot %d: At(%d) = %v on the reused storage, %v on fresh", slot, i, got.sites[i], want.sites[i])
 		}
-		for i := range w {
-			if !slices.Equal(g[i], w[i]) {
-				t.Fatalf("slot %d: %s[%d] = %v on the reused storage, %v on fresh", slot, name, i, g[i], w[i])
-			}
+		if !slices.Equal(got.samples[i], want.samples[i]) {
+			t.Fatalf("slot %d: LocalDelaySamples[%d] = %v on the reused storage, %v on fresh", slot, i, got.samples[i], want.samples[i])
 		}
 	}
-	matrix("Routed", got.Routed, want.Routed)
-	matrix("Processed", got.Processed, want.Processed)
-	matrix("LocalDelaySum", got.LocalDelaySum, want.LocalDelaySum)
-	if !slices.Equal(got.CentralDelaySum, want.CentralDelaySum) {
-		t.Fatalf("slot %d: CentralDelaySum = %v on the reused storage, %v on fresh", slot, got.CentralDelaySum, want.CentralDelaySum)
+	if !slices.Equal(got.centralDelaySum, want.centralDelaySum) {
+		t.Fatalf("slot %d: CentralDelaySum = %v on the reused storage, %v on fresh", slot, got.centralDelaySum, want.centralDelaySum)
 	}
-	if !slices.Equal(got.CentralRouted, want.CentralRouted) {
-		t.Fatalf("slot %d: CentralRouted = %v on the reused storage, %v on fresh", slot, got.CentralRouted, want.CentralRouted)
-	}
-	if len(got.LocalDelaySamples) != len(want.LocalDelaySamples) {
-		t.Fatalf("slot %d: delay samples for %d sites, want %d", slot, len(got.LocalDelaySamples), len(want.LocalDelaySamples))
-	}
-	for i := range want.LocalDelaySamples {
-		if !slices.Equal(got.LocalDelaySamples[i], want.LocalDelaySamples[i]) {
-			t.Fatalf("slot %d: LocalDelaySamples[%d] = %v on the reused storage, %v on fresh", slot, i, got.LocalDelaySamples[i], want.LocalDelaySamples[i])
-		}
+	if !slices.Equal(got.centralRouted, want.centralRouted) {
+		t.Fatalf("slot %d: CentralRouted = %v on the reused storage, %v on fresh", slot, got.centralRouted, want.centralRouted)
 	}
 }
 

@@ -94,12 +94,14 @@ func (l *Ledger) PopVisit(now int, amount float64, visit func(delay, jobs float6
 	}
 	// An emptied ledger rewinds to the start of its slice, so a queue that
 	// drains every slot reuses one entry instead of growing a dead prefix.
-	// Otherwise compact once the dead prefix dominates, keeping Pop
-	// amortized O(1).
+	// Otherwise compact as soon as the drained prefix outgrows the live
+	// cohorts: the array stays within about twice the live cohorts, and each
+	// compaction copies fewer entries than were popped since the last, so Pop
+	// stays amortized O(1).
 	if l.head == len(l.entries) {
 		l.entries = l.entries[:0]
 		l.head = 0
-	} else if l.head > 64 && l.head*2 > len(l.entries) {
+	} else if l.head*2 > len(l.entries) {
 		n := copy(l.entries, l.entries[l.head:])
 		l.entries = l.entries[:n]
 		l.head = 0

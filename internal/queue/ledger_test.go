@@ -186,3 +186,29 @@ func TestPopVisitConsistency(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestBackloggedLedgerStaysCompact keeps one ledger backlogged for thousands
+// of slots — one cohort in and one out every slot, five live throughout — and
+// requires its cohort array to stay within a small multiple of the live
+// cohorts: a drained prefix is compacted away as soon as it outgrows them,
+// not left to grow to a fixed floor first.
+func TestBackloggedLedgerStaysCompact(t *testing.T) {
+	const live = 5
+	var l Ledger
+	for slot := 0; slot < live; slot++ {
+		l.Push(slot, 1)
+	}
+	for slot := live; slot < 5000; slot++ {
+		l.Push(slot, 1)
+		popped, delay := l.Pop(slot, 1)
+		if popped != 1 || delay != live {
+			t.Fatalf("slot %d: popped %v jobs that waited %v, want 1 and %d", slot, popped, delay, live)
+		}
+		if n := len(l.entries) - l.head; n != live {
+			t.Fatalf("slot %d: %d live cohorts, want %d", slot, n, live)
+		}
+		if c := cap(l.entries); c > 4*live {
+			t.Fatalf("slot %d: cohort array holds %d entries for %d live cohorts", slot, c, live)
+		}
+	}
+}

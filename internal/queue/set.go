@@ -3,6 +3,7 @@ package queue
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"grefar/internal/model"
 )
@@ -51,27 +52,60 @@ func (l Lengths) Clone() Lengths {
 // until the next Apply on the same Set, and a caller that keeps any of it
 // longer copies what it keeps (sim.Engine does, for SlotDetail).
 type FlowStats struct {
-	// Cells lists, in row-major order as flat indices i*J+j, the pairs the
-	// action asked to process (h_{i,j} != 0). Processed and LocalDelaySum
-	// are zero outside it, so a sum over them may walk Cells alone.
-	Cells []int
-	// Routed[i][j] is the number of type-j jobs actually moved from the
-	// central queue to data center i (after capping at queue content).
-	Routed [][]float64
-	// Processed[i][j] is the number of type-j jobs actually processed at
-	// data center i (after capping at queue content).
-	Processed [][]float64
+	// Cells lists the pairs the action asked to move jobs at (h_{i,j} != 0
+	// or r_{i,j} != 0), site by site, job types ascending, with what each
+	// moved; At(i) is site i's run. Every pair outside it routed and
+	// processed nothing, so a sum over the pairs may walk Cells alone.
+	Cells []Flow
 	// CentralDelaySum[j] is the summed waiting time (in slots, weighted by
 	// job count) of the jobs routed out of the central queue this slot.
 	CentralDelaySum []float64
 	// CentralRouted[j] is the total number of type-j jobs routed this slot.
 	CentralRouted []float64
-	// LocalDelaySum[i][j] is the summed waiting time of the jobs processed
-	// at data center i this slot.
-	LocalDelaySum [][]float64
 	// LocalDelaySamples[i] lists the (delay, jobs) cohorts processed at data
 	// center i this slot, for delay-distribution metrics.
 	LocalDelaySamples [][]DelaySample
+
+	// cellOff[i] is where site i's run of Cells starts; cellOff[N] is
+	// len(Cells).
+	cellOff []int
+}
+
+// Flow is what one Apply moved at one eligible (data center, job type) pair,
+// after capping at queue content. Its data center is the FlowStats.At run
+// it sits in.
+type Flow struct {
+	Type int
+	// Routed is the number of jobs moved from the central queue to the site.
+	Routed float64
+	// Processed is the number of jobs processed at the site.
+	Processed float64
+	// DelaySum is the summed waiting time of the jobs processed.
+	DelaySum float64
+
+	pair int // the pair's local ledger
+}
+
+// At returns data center i's run of Cells, capped at its own length.
+func (f *FlowStats) At(i int) []Flow {
+	a, b := f.cellOff[i], f.cellOff[i+1]
+	return f.Cells[a:b:b]
+}
+
+// Matrix spreads one amount of every cell over a fresh N x nJ matrix, zero at
+// every other pair, on one backing array with each row capped at its own
+// length: the dense form a slot detail carries.
+func (f *FlowStats) Matrix(nJ int, amount func(Flow) float64) [][]float64 {
+	n := len(f.cellOff) - 1
+	flat := make([]float64, n*nJ)
+	out := make([][]float64, n)
+	for i := range out {
+		out[i] = flat[i*nJ : (i+1)*nJ : (i+1)*nJ]
+		for _, c := range f.At(i) {
+			out[i][c.Type] = amount(c)
+		}
+	}
+	return out
 }
 
 // DelaySample is one cohort of jobs that completed with the same waiting
@@ -96,68 +130,58 @@ func (f *FlowStats) TotalRouted() float64 {
 // Unlike the Virtual dynamics used by the Lyapunov analysis, a Set caps the
 // scheduler's routing and processing decisions at the jobs actually present,
 // so queue lengths always equal real backlog and measured delays are exact.
+//
+// A local ledger exists only for an eligible pair (i in D_j): eqs. (12)-(13)
+// define no other local queue. Apply, Restore and SeedRow refuse whatever
+// would put jobs anywhere else, and every other pair reads as empty.
 type Set struct {
-	cluster *model.Cluster
-	central []Ledger   // per job type j
-	local   [][]Ledger // per data center i, job type j
+	pairs   model.SitePairs
+	central []Ledger // per job type j
+	local   []Ledger // per eligible pair, in pairs order
 
 	// lens mirrors every ledger's total in Lengths' layout: lens[j] is Q_j
-	// and lens[(i+1)*J+j] is q_{i,j}. Whatever changes a total writes the
-	// mirror in the same step, so a snapshot is one copy.
+	// and lens[(i+1)*J+j] is q_{i,j}, zero at every ineligible pair. Whatever
+	// changes a total writes the mirror in the same step, so a snapshot is
+	// one copy.
 	lens []float64
 	// view is lens seen as Lengths, its row headers cut once: lens is
 	// written in place and never reallocated, so they stay valid.
 	view Lengths
 
-	// Apply's result and the scratch behind it, reused call to call. The
-	// three N x J matrices and the two per-type vectors of flows share the
-	// backing array flowFlat. flows.Cells and routes list the process and
-	// route cells (flat index i*J+j) the previous call moved, so the next one
-	// clears those and not N*J zeros; cellsNext and routesNext are where the
-	// next call collects its own before it swaps them in. samples holds every
-	// site's delay cohorts back to back, appended through the one closure
-	// visit; sampleOff[i] is where site i's run starts.
-	flows      FlowStats
-	flowFlat   []float64
-	routes     []int
-	cellsNext  []int
-	routesNext []int
-	samples    []DelaySample
-	sampleOff  []int
-	visit      func(delay, jobs float64)
+	// Apply's result and the scratch behind it, reused call to call.
+	// moving lists the ledgers of the pairs the action moves, collected
+	// while the action is checked and before the set moves. samples holds
+	// every site's delay cohorts back to back, appended through the one
+	// closure visit; sampleOff[i] is where site i's run starts.
+	flows     FlowStats
+	moving    []int
+	samples   []DelaySample
+	sampleOff []int
+	visit     func(delay, jobs float64)
 }
 
 // NewSet builds an empty queue set shaped for the cluster.
 func NewSet(c *model.Cluster) *Set {
-	s := &Set{
-		cluster: c,
-		central: make([]Ledger, c.J()),
-		local:   make([][]Ledger, c.N()),
-	}
-	for i := range s.local {
-		s.local[i] = make([]Ledger, c.J())
-	}
-
-	// One backing array for the three N x J matrices and the two per-type
-	// vectors; every row is capped at its own length.
 	n, j := c.N(), c.J()
+	s := &Set{
+		pairs:   c.SitePairs(),
+		central: make([]Ledger, j),
+	}
+	s.local = make([]Ledger, s.pairs.Len())
+
+	// One backing array for the backlog mirror; every row is capped at its
+	// own length. So is the flows' per-type pair of vectors.
 	s.lens = make([]float64, (n+1)*j)
 	s.view = Lengths{Central: s.lens[:j:j], Local: make([][]float64, n)}
 	for i := range s.view.Local {
 		s.view.Local[i] = s.lens[(i+1)*j : (i+2)*j : (i+2)*j]
 	}
-	s.flowFlat = make([]float64, (3*n+2)*j)
-	rows := make([][]float64, 3*n)
-	for r := range rows {
-		rows[r] = s.flowFlat[r*j : (r+1)*j : (r+1)*j]
-	}
+	central := make([]float64, 2*j)
 	s.flows = FlowStats{
-		Routed:            rows[:n:n],
-		Processed:         rows[n : 2*n : 2*n],
-		LocalDelaySum:     rows[2*n:],
-		CentralDelaySum:   s.flowFlat[3*n*j : (3*n+1)*j : (3*n+1)*j],
-		CentralRouted:     s.flowFlat[(3*n+1)*j:],
+		CentralDelaySum:   central[:j:j],
+		CentralRouted:     central[j:],
 		LocalDelaySamples: make([][]DelaySample, n),
+		cellOff:           make([]int, n+1),
 	}
 	s.sampleOff = make([]int, n+1)
 	s.visit = func(delay, jobs float64) {
@@ -169,14 +193,19 @@ func NewSet(c *model.Cluster) *Set {
 // CentralLen returns Q_j(t).
 func (s *Set) CentralLen(j int) float64 { return s.central[j].Len() }
 
-// LocalLen returns q_{i,j}(t).
-func (s *Set) LocalLen(i, j int) float64 { return s.local[i][j].Len() }
+// LocalLen returns q_{i,j}(t): zero at an ineligible pair.
+func (s *Set) LocalLen(i, j int) float64 {
+	if k, ok := slices.BinarySearch(s.pairs.At(i), j); ok {
+		return s.local[s.pairs.Off[i]+k].Len()
+	}
+	return 0
+}
 
 // Lengths returns a snapshot of all backlogs. The snapshot owns its memory
 // (one backing array shared by Central and every Local row, each row capped
 // at its own length) and is never written again by the set.
 func (s *Set) Lengths() Lengths {
-	n, j := len(s.local), len(s.central)
+	n, j := len(s.view.Local), len(s.central)
 	flat := append([]float64(nil), s.lens...)
 	out := Lengths{
 		Central: flat[:j:j],
@@ -195,27 +224,56 @@ func (s *Set) Lengths() Lengths {
 // view).
 func (s *Set) View() Lengths { return s.view }
 
-// Backlog returns the total backlog, bit-identical to Lengths().Sum() (it
-// sums in the same order) without taking a snapshot.
+// Backlog returns the total backlog, bit-identical to Lengths().Sum()
+// without taking a snapshot: it sums in the same order and skips only the
+// ineligible pairs, each an exact +0.0.
 func (s *Set) Backlog() float64 {
 	var sum float64
-	for _, q := range s.lens {
+	for _, q := range s.view.Central {
 		sum += q
+	}
+	for i, row := range s.view.Local {
+		for _, j := range s.pairs.At(i) {
+			sum += row[j]
+		}
 	}
 	return sum
 }
 
 // SeedRow replaces data center i's local ledgers with lens[j] jobs of each
 // type arriving at slot, one cohort per ledger: exact backlogs whose waiting
-// times start from zero. len(lens) must equal the number of job types.
-func (s *Set) SeedRow(i, slot int, lens []float64) {
+// times start from zero. len(lens) must equal the number of job types, and
+// lens must be zero wherever the type is not eligible at i; a refused row
+// leaves the set as it was.
+func (s *Set) SeedRow(i, slot int, lens []float64) error {
+	if err := s.CheckRow(i, lens); err != nil {
+		return err
+	}
 	nJ := len(s.central)
-	for j := range s.local[i] {
-		l := &s.local[i][j]
+	for k, j := range s.pairs.At(i) {
+		l := &s.local[s.pairs.Off[i]+k]
 		l.entries, l.head, l.total = l.entries[:0], 0, 0
 		l.Push(slot, lens[j])
 		s.lens[(i+1)*nJ+j] = l.Len()
 	}
+	return nil
+}
+
+// CheckRow reports whether lens could be data center i's local backlogs:
+// one per job type, and zero wherever the type is not eligible at i.
+func (s *Set) CheckRow(i int, lens []float64) error {
+	if len(lens) != len(s.central) {
+		return fmt.Errorf("data center %d: got %d local backlogs, want %d", i, len(lens), len(s.central))
+	}
+	types := s.pairs.At(i)
+	for j, q := range lens {
+		if len(types) > 0 && types[0] == j {
+			types = types[1:]
+		} else if q != 0 {
+			return fmt.Errorf("data center %d: %v jobs of type %d, which is not eligible there", i, q, j)
+		}
+	}
+	return nil
 }
 
 // CopyFrom makes s an independent deep copy of src's queues — every ledger's
@@ -226,9 +284,7 @@ func (s *Set) SeedRow(i, slot int, lens []float64) {
 // returned.
 func (s *Set) CopyFrom(src *Set) {
 	copyLedgers(s.central, src.central)
-	for i := range s.local {
-		copyLedgers(s.local[i], src.local[i])
-	}
+	copyLedgers(s.local, src.local)
 	copy(s.lens, src.lens)
 }
 
@@ -271,72 +327,74 @@ func (s *Set) Arrive(t int, arrivals []int) error {
 // Apply returns what actually moved, in storage the set reuses: the returned
 // FlowStats is valid until the next Apply (see FlowStats). It does not
 // validate resource feasibility; use model.Action.Validate for that. The
-// action's shape and signs are checked in full before the first ledger — or
-// the previous call's result — is touched, so a rejected action leaves the
-// set exactly as it was.
+// action's shape, its signs and the eligibility of every pair it moves are
+// checked in full before the first ledger — or the previous call's result —
+// is touched, so a rejected action leaves the set exactly as it was.
 func (s *Set) Apply(t int, act *model.Action) (*FlowStats, error) {
-	n, j := len(s.local), len(s.central)
+	n, j := len(s.view.Local), len(s.central)
 	if len(act.Route) != n || len(act.Process) != n {
 		return nil, fmt.Errorf("action shaped for %d data centers, queues have %d", len(act.Route), n)
 	}
-	// The one pass over every cell: check each sign and collect the pairs
-	// that move, row-major, into scratch. Nothing is swapped in before the
-	// whole action has passed.
-	cells, routes := s.cellsNext[:0], s.routesNext[:0]
+	// The one pass over every cell: check each sign and match each pair
+	// that moves against the site's eligible types, collecting its ledger
+	// into scratch. Nothing moves before the whole action has passed.
+	moving := s.moving[:0]
 	for i := 0; i < n; i++ {
 		proc, route := act.Process[i], act.Route[i]
 		if len(route) != j || len(proc) != j {
 			return nil, fmt.Errorf("data center %d: action has wrong job dimension", i)
 		}
+		types, k := s.pairs.At(i), 0
 		for jj, h := range proc {
 			// Most pairs move nothing: one test on both entries' bits
 			// passes them over.
-			if math.Float64bits(h)|uint64(route[jj]) == 0 {
+			r := route[jj]
+			if math.Float64bits(h)|uint64(r) == 0 {
 				continue
 			}
-			if h != 0 {
-				if h < 0 {
-					return nil, fmt.Errorf("process[%d][%d] = %v is negative", i, jj, h)
-				}
-				cells = append(cells, i*j+jj)
+			if h < 0 {
+				return nil, fmt.Errorf("process[%d][%d] = %v is negative", i, jj, h)
 			}
-			if r := route[jj]; r != 0 {
-				if r < 0 {
-					return nil, fmt.Errorf("route[%d][%d] = %v is negative", i, jj, r)
-				}
-				routes = append(routes, i*j+jj)
+			if r < 0 {
+				return nil, fmt.Errorf("route[%d][%d] = %v is negative", i, jj, r)
 			}
+			if h == 0 && r == 0 {
+				continue // a -0.0 process
+			}
+			for k < len(types) && types[k] < jj {
+				k++
+			}
+			if k == len(types) || types[k] != jj {
+				return nil, fmt.Errorf("data center %d: job type %d is not eligible there", i, jj)
+			}
+			moving = append(moving, s.pairs.Off[i]+k)
 		}
 	}
+	s.moving = moving
 
-	// Back to all-zero: only the cells the previous call wrote.
 	fs := &s.flows
-	for _, cell := range fs.Cells {
-		s.flowFlat[n*j+cell], s.flowFlat[2*n*j+cell] = 0, 0
-	}
-	for _, cell := range s.routes {
-		s.flowFlat[cell] = 0
-	}
-	for jj := 0; jj < j; jj++ {
-		fs.CentralDelaySum[jj], fs.CentralRouted[jj] = 0, 0
-	}
+	fs.Cells = fs.Cells[:0]
+	clear(fs.CentralDelaySum)
+	clear(fs.CentralRouted)
 	s.samples = s.samples[:0]
-	fs.Cells, s.cellsNext = cells, fs.Cells[:0]
-	s.routes, s.routesNext = routes, s.routes[:0]
 
-	// Process from local queues out of the system, site by site; a pair
-	// with nothing to process moves nothing and records nothing.
-	k := 0
+	// Process from local queues out of the system, site by site, recording
+	// a cell for every pair that moves; a pair with nothing to process moves
+	// nothing there and records nothing.
+	m := 0
 	for i := 0; i < n; i++ {
-		s.sampleOff[i] = len(s.samples)
-		for ; k < len(cells) && cells[k] < (i+1)*j; k++ {
-			jj := cells[k] - i*j
-			l := &s.local[i][jj]
-			fs.Processed[i][jj], fs.LocalDelaySum[i][jj] = l.PopVisit(t, act.Process[i][jj], s.visit)
-			s.lens[j+cells[k]] = l.Len()
+		fs.cellOff[i], s.sampleOff[i] = len(fs.Cells), len(s.samples)
+		for ; m < len(moving) && moving[m] < s.pairs.Off[i+1]; m++ {
+			f := Flow{Type: s.pairs.Types[moving[m]], pair: moving[m]}
+			if h := act.Process[i][f.Type]; h != 0 {
+				l := &s.local[f.pair]
+				f.Processed, f.DelaySum = l.PopVisit(t, h, s.visit)
+				s.lens[(i+1)*j+f.Type] = l.Len()
+			}
+			fs.Cells = append(fs.Cells, f)
 		}
 	}
-	s.sampleOff[n] = len(s.samples)
+	fs.cellOff[n], s.sampleOff[n] = len(fs.Cells), len(s.samples)
 	// Cut the per-site runs only now: the buffer may have moved while it grew.
 	for i := 0; i < n; i++ {
 		a, b := s.sampleOff[i], s.sampleOff[i+1]
@@ -345,21 +403,27 @@ func (s *Set) Apply(t int, act *model.Action) (*FlowStats, error) {
 
 	// Route from central queues into local queues. Routing is capped at the
 	// central queue content; when the action over-asks across several data
-	// centers the cap is consumed in data-center order: the row-major route
-	// list still visits each type's central ledger by ascending site.
-	for _, cell := range routes {
-		i, jj := cell/j, cell%j
-		popped, delay := s.central[jj].Pop(t, float64(act.Route[i][jj]))
-		s.lens[jj] = s.central[jj].Len()
-		if popped <= 0 {
-			continue
+	// centers the cap is consumed in data-center order: the cells, site by
+	// site, still visit each type's central ledger by ascending site.
+	for i := 0; i < n; i++ {
+		for k := fs.cellOff[i]; k < fs.cellOff[i+1]; k++ {
+			f := &fs.Cells[k]
+			r := act.Route[i][f.Type]
+			if r == 0 {
+				continue
+			}
+			popped, delay := s.central[f.Type].Pop(t, float64(r))
+			s.lens[f.Type] = s.central[f.Type].Len()
+			if popped <= 0 {
+				continue
+			}
+			l := &s.local[f.pair]
+			l.Push(t, popped)
+			s.lens[(i+1)*j+f.Type] = l.Len()
+			f.Routed = popped
+			fs.CentralRouted[f.Type] += popped
+			fs.CentralDelaySum[f.Type] += delay
 		}
-		l := &s.local[i][jj]
-		l.Push(t, popped)
-		s.lens[j+cell] = l.Len()
-		fs.Routed[i][jj] = popped
-		fs.CentralRouted[jj] += popped
-		fs.CentralDelaySum[jj] += delay
 	}
 	return fs, nil
 }

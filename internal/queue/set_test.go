@@ -89,11 +89,11 @@ func TestSetRouteThenProcessDelays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fs.Processed[1][0] != 3 {
-		t.Errorf("processed %v, want 3", fs.Processed[1][0])
+	if f := cellAt(fs, 1, 0); f.Processed != 3 {
+		t.Errorf("processed %v, want 3", f.Processed)
 	}
-	if fs.LocalDelaySum[1][0] != 3 {
-		t.Errorf("local delay sum = %v, want 3", fs.LocalDelaySum[1][0])
+	if f := cellAt(fs, 1, 0); f.DelaySum != 3 {
+		t.Errorf("local delay sum = %v, want 3", f.DelaySum)
 	}
 
 	// Slot 5: process the last one; it waited 4 slots in the data center.
@@ -103,8 +103,8 @@ func TestSetRouteThenProcessDelays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fs.LocalDelaySum[1][0] != 4 {
-		t.Errorf("local delay sum = %v, want 4", fs.LocalDelaySum[1][0])
+	if f := cellAt(fs, 1, 0); f.DelaySum != 4 {
+		t.Errorf("local delay sum = %v, want 4", f.DelaySum)
 	}
 	if got := s.LocalLen(1, 0); got != 0 {
 		t.Errorf("LocalLen(1,0) = %v, want 0", got)
@@ -159,8 +159,8 @@ func TestSetProcessingCappedAtQueueContent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fs.Processed[0][0] != 2 {
-		t.Errorf("Processed = %v, want 2", fs.Processed[0][0])
+	if f := cellAt(fs, 0, 0); f.Processed != 2 {
+		t.Errorf("Processed = %v, want 2", f.Processed)
 	}
 }
 
@@ -181,8 +181,8 @@ func TestSetSameSlotRoutedJobsNotProcessable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fs.Processed[0][0] != 0 {
-		t.Errorf("processed a job the same slot it was routed: %v", fs.Processed[0][0])
+	if f := cellAt(fs, 0, 0); f.Processed != 0 {
+		t.Errorf("processed a job the same slot it was routed: %v", f.Processed)
 	}
 	if got := s.LocalLen(0, 0); got != 1 {
 		t.Errorf("LocalLen = %v, want 1", got)
@@ -235,17 +235,29 @@ func loadedSet(t *testing.T, c *model.Cluster) *Set {
 	return s
 }
 
+// cellAt returns what fs moved at (i, j): the zero Flow where it moved
+// nothing.
+func cellAt(fs *FlowStats, i, j int) Flow {
+	for _, f := range fs.At(i) {
+		if f.Type == j {
+			return f
+		}
+	}
+	return Flow{}
+}
+
 // walkLengths builds a Lengths snapshot by walking the ledgers, the reference
-// for the mirror Lengths copies.
+// for the mirror Lengths copies: zero at every ineligible pair.
 func walkLengths(s *Set) Lengths {
-	out := Lengths{Central: make([]float64, len(s.central)), Local: make([][]float64, len(s.local))}
+	n, nJ := len(s.view.Local), len(s.central)
+	out := Lengths{Central: make([]float64, nJ), Local: make([][]float64, n)}
 	for j := range s.central {
 		out.Central[j] = s.central[j].Len()
 	}
-	for i := range s.local {
-		out.Local[i] = make([]float64, len(s.local[i]))
-		for j := range s.local[i] {
-			out.Local[i][j] = s.local[i][j].Len()
+	for i := range out.Local {
+		out.Local[i] = make([]float64, nJ)
+		for k, j := range s.pairs.At(i) {
+			out.Local[i][j] = s.local[s.pairs.Off[i]+k].Len()
 		}
 	}
 	return out
@@ -328,16 +340,21 @@ func TestRejectedApplyLeavesNoTrace(t *testing.T) {
 			if got.TotalRouted() == 0 {
 				t.Fatal("test action routed nothing")
 			}
-			var wantCells []int
+			var cells, wantCells [][2]int
+			for i := 0; i < n; i++ {
+				for _, f := range got.At(i) {
+					cells = append(cells, [2]int{i, f.Type})
+				}
+			}
 			for i, row := range good().Process {
 				for j, h := range row {
-					if h != 0 {
-						wantCells = append(wantCells, i*nJ+j)
+					if h != 0 || good().Route[i][j] != 0 {
+						wantCells = append(wantCells, [2]int{i, j})
 					}
 				}
 			}
-			if !reflect.DeepEqual(got.Cells, wantCells) {
-				t.Errorf("Cells = %v, want the h != 0 pairs %v", got.Cells, wantCells)
+			if !reflect.DeepEqual(cells, wantCells) {
+				t.Errorf("Cells at %v, want the moving pairs %v", cells, wantCells)
 			}
 			if !reflect.DeepEqual(s.Lengths(), walkLengths(s)) {
 				t.Error("Lengths() after the corrected resend differs from the ledgers")
@@ -385,11 +402,10 @@ func TestSnapshotsOwnTheirRows(t *testing.T) {
 		t.Error("a Lengths snapshot changed after it was taken")
 	}
 	wantRouted := append([]float64(nil), fs.CentralRouted...)
-	wantProcessed1 := append([]float64(nil), fs.Processed[1]...)
+	wantSite1 := append([]Flow(nil), fs.At(1)...)
 	_ = append(fs.CentralDelaySum, -1)
-	_ = append(fs.Processed[0], -1)
-	_ = append(fs.Routed[len(fs.Routed)-1], -1)
-	if !reflect.DeepEqual(fs.CentralRouted, wantRouted) || !reflect.DeepEqual(fs.Processed[1], wantProcessed1) {
+	_ = append(fs.At(0), Flow{Type: -1})
+	if !reflect.DeepEqual(fs.CentralRouted, wantRouted) || !reflect.DeepEqual(fs.At(1), wantSite1) {
 		t.Error("growing one FlowStats row wrote into another")
 	}
 }
@@ -491,10 +507,8 @@ func TestSetConservation(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			for i := range fs.Processed {
-				for _, p := range fs.Processed[i] {
-					processed += p
-				}
+			for _, f := range fs.Cells {
+				processed += f.Processed
 			}
 			arr := make([]int, c.J())
 			for j := range arr {
@@ -571,7 +585,9 @@ func TestViewTracksTheSet(t *testing.T) {
 	for j := range seed {
 		seed[j] = float64(2*j + 1)
 	}
-	s.SeedRow(1, 9, seed)
+	if err := s.SeedRow(1, 9, seed); err != nil {
+		t.Fatal(err)
+	}
 	check("after SeedRow")
 	if !reflect.DeepEqual(view.Local[1], seed) {
 		t.Fatalf("seeded row reads %v, want %v", view.Local[1], seed)
@@ -644,14 +660,12 @@ func TestSetCopyFromIsDeepAndReusesArrays(t *testing.T) {
 			t.Fatalf("central %d: copy %+v, want %+v", j, dst.central[j], src.central[j])
 		}
 	}
-	for i := range src.local {
-		for j := range src.local[i] {
-			if !same(&dst.local[i][j], &src.local[i][j]) {
-				t.Fatalf("local %d/%d: copy %+v, want %+v", i, j, dst.local[i][j], src.local[i][j])
-			}
-			if src.local[i][j].head > 0 {
-				live++
-			}
+	for k := range src.local {
+		if !same(&dst.local[k], &src.local[k]) {
+			t.Fatalf("local pair %d: copy %+v, want %+v", k, dst.local[k], src.local[k])
+		}
+		if src.local[k].head > 0 {
+			live++
 		}
 	}
 	if live == 0 {

@@ -91,6 +91,10 @@ func SnapshotLedgers(ls []Ledger) ([]byte, error) {
 	for j := range ls {
 		data[j] = ls[j].snapshot()
 	}
+	return encodeLedgers(data)
+}
+
+func encodeLedgers(data []ledgerData) ([]byte, error) {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(data); err != nil {
 		return nil, fmt.Errorf("encode ledger snapshot: %w", err)
@@ -119,21 +123,32 @@ func RestoreLedgers(ls []Ledger, snapshot []byte) error {
 	return nil
 }
 
+// row returns data center i's local ledgers in wire form, one per job type:
+// an ineligible pair is written as the empty ledger it always is.
+func (s *Set) row(i int) []ledgerData {
+	out := make([]ledgerData, len(s.central))
+	for j := range out {
+		out[j] = ledgerData{HasTotal: true}
+	}
+	for k, j := range s.pairs.At(i) {
+		out[j] = s.local[s.pairs.Off[i]+k].snapshot()
+	}
+	return out
+}
+
 // Snapshot serializes the full queue state (central and local ledgers with
-// their arrival slots) with gob.
+// their arrival slots) with gob. The format is dense: every (data center,
+// job type) pair has a ledger, empty where the type is not eligible.
 func (s *Set) Snapshot() ([]byte, error) {
 	data := setData{
 		Central: make([]ledgerData, len(s.central)),
-		Local:   make([][]ledgerData, len(s.local)),
+		Local:   make([][]ledgerData, len(s.view.Local)),
 	}
 	for j := range s.central {
 		data.Central[j] = s.central[j].snapshot()
 	}
-	for i := range s.local {
-		data.Local[i] = make([]ledgerData, len(s.local[i]))
-		for j := range s.local[i] {
-			data.Local[i][j] = s.local[i][j].snapshot()
-		}
+	for i := range data.Local {
+		data.Local[i] = s.row(i)
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(data); err != nil {
@@ -144,44 +159,52 @@ func (s *Set) Snapshot() ([]byte, error) {
 
 // SnapshotRow serializes data center i's local ledgers in SnapshotLedgers'
 // format: what an agent holding site i's queues restores from.
-func (s *Set) SnapshotRow(i int) ([]byte, error) { return SnapshotLedgers(s.local[i]) }
+func (s *Set) SnapshotRow(i int) ([]byte, error) { return encodeLedgers(s.row(i)) }
 
 // Restore replaces the queue state from a Snapshot taken on a set with the
 // same shape (same cluster). Every ledger is checked before any is replaced,
-// so a rejected snapshot leaves the set as it was.
+// and a ledger at a pair whose type is not eligible there must be empty, so
+// a rejected snapshot leaves the set as it was.
 func (s *Set) Restore(snapshot []byte) error {
 	var data setData
 	if err := gob.NewDecoder(bytes.NewReader(snapshot)).Decode(&data); err != nil {
 		return fmt.Errorf("decode queue snapshot: %w", err)
 	}
-	if len(data.Central) != len(s.central) || len(data.Local) != len(s.local) {
+	if len(data.Central) != len(s.central) || len(data.Local) != len(s.view.Local) {
 		return fmt.Errorf("snapshot shaped %dx%d, set is %dx%d",
-			len(data.Central), len(data.Local), len(s.central), len(s.local))
+			len(data.Central), len(data.Local), len(s.central), len(s.view.Local))
 	}
 	for j := range data.Central {
 		if err := data.Central[j].check(); err != nil {
 			return fmt.Errorf("snapshot central queue %d: %w", j, err)
 		}
 	}
-	for i := range data.Local {
-		if len(data.Local[i]) != len(s.local[i]) {
-			return fmt.Errorf("snapshot site %d has %d job types, set has %d", i, len(data.Local[i]), len(s.local[i]))
+	nJ := len(s.central)
+	for i, row := range data.Local {
+		if len(row) != nJ {
+			return fmt.Errorf("snapshot site %d has %d job types, set has %d", i, len(row), nJ)
 		}
-		for j := range data.Local[i] {
-			if err := data.Local[i][j].check(); err != nil {
+		types := s.pairs.At(i)
+		for j := range row {
+			if err := row[j].check(); err != nil {
 				return fmt.Errorf("snapshot site %d queue %d: %w", i, j, err)
+			}
+			if len(types) > 0 && types[0] == j {
+				types = types[1:]
+			} else if len(row[j].Cohorts) > 0 || row[j].Total != 0 {
+				return fmt.Errorf("snapshot site %d queue %d holds jobs of a type not eligible there", i, j)
 			}
 		}
 	}
-	nJ := len(s.central)
 	for j := range s.central {
 		s.central[j].restore(data.Central[j])
 		s.lens[j] = s.central[j].Len()
 	}
-	for i := range s.local {
-		for j := range s.local[i] {
-			s.local[i][j].restore(data.Local[i][j])
-			s.lens[(i+1)*nJ+j] = s.local[i][j].Len()
+	for i, row := range data.Local {
+		for k, j := range s.pairs.At(i) {
+			l := &s.local[s.pairs.Off[i]+k]
+			l.restore(row[j])
+			s.lens[(i+1)*nJ+j] = l.Len()
 		}
 	}
 	return nil

@@ -66,8 +66,8 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fs1.LocalDelaySum[1][0] != fs2.LocalDelaySum[1][0] {
-		t.Errorf("delay sums differ after restore: %v vs %v", fs1.LocalDelaySum[1][0], fs2.LocalDelaySum[1][0])
+	if d1, d2 := cellAt(fs1, 1, 0).DelaySum, cellAt(fs2, 1, 0).DelaySum; d1 != d2 {
+		t.Errorf("delay sums differ after restore: %v vs %v", d1, d2)
 	}
 }
 

@@ -41,11 +41,13 @@ type Slot struct {
 // differ from h by the queue's pop rounding and where h exceeds the queue.
 //
 // Work, account work and the delay sums walk only the pairs the slot's
-// flows list as moving, site by site in row-major order: every term they
-// skip is an exact +0.0, so each sum is bit-identical to the dense one. Add
-// allocates nothing unless series are recorded.
+// flows list as moving, and the backlog sums only the eligible pairs, site
+// by site in row-major order: every term they skip is an exact +0.0, so
+// each sum is bit-identical to the dense one. Add allocates nothing unless
+// series are recorded.
 type Account struct {
 	c      *model.Cluster
+	pairs  model.SitePairs
 	fair   fairness.Function
 	trf    tariff.Tariff
 	series bool
@@ -79,6 +81,7 @@ func NewAccount(c *model.Cluster, fair fairness.Function, trf tariff.Tariff, ser
 	}
 	a := &Account{
 		c:            c,
+		pairs:        c.SitePairs(),
 		fair:         fair,
 		trf:          trf,
 		series:       series,
@@ -120,18 +123,21 @@ func (a *Account) Add(s Slot) {
 
 	clear(a.accountWork)
 	var processed float64
-	cells, k, nJ := flows.Cells, 0, c.J()
+	nJ := c.J()
 	for i := 0; i < c.N(); i++ {
 		var work, dSum, dCount float64
-		for ; k < len(cells) && cells[k] < (i+1)*nJ; k++ {
-			j := cells[k] - i*nJ
-			jt := &c.JobTypes[j]
-			w := act.Process[i][j] * jt.Demand
+		for _, f := range flows.At(i) {
+			h := act.Process[i][f.Type]
+			if h == 0 {
+				continue // routed only: no work, nothing processed
+			}
+			jt := &c.JobTypes[f.Type]
+			w := h * jt.Demand
 			work += w
 			a.accountWork[jt.Account] += w
 			// A pair that processed nothing has no delay to report either.
-			if p := flows.Processed[i][j]; p != 0 {
-				dSum += flows.LocalDelaySum[i][j]
+			if p := f.Processed; p != 0 {
+				dSum += f.DelaySum
 				dCount += p
 				a.processed += p
 				processed += p
@@ -162,7 +168,8 @@ func (a *Account) Add(s Slot) {
 		Arrived: arrived, Processed: processed, Dropped: dropped}
 
 	// One pass over the post-slot backlogs for both queue statistics,
-	// summing in Lengths.Sum's order; backlogs are never negative, so the
+	// summing in Lengths.Sum's order over the eligible pairs: every other
+	// local queue is an exact +0.0. Backlogs are never negative, so the
 	// slot's largest is all maxQ needs to see.
 	var qSum, qMax float64
 	for _, v := range s.Post.Central {
@@ -171,8 +178,9 @@ func (a *Account) Add(s Slot) {
 			qMax = v
 		}
 	}
-	for i := range s.Post.Local {
-		for _, v := range s.Post.Local[i] {
+	for i, row := range s.Post.Local {
+		for _, j := range a.pairs.At(i) {
+			v := row[j]
 			qSum += v
 			if v > qMax {
 				qMax = v
@@ -196,9 +204,9 @@ func (a *Account) Event(origin, scheduler string, detail bool) telemetry.SlotEve
 		ev.CentralBacklog += v
 	}
 	ev.LocalBacklog = make([]float64, len(s.Post.Local))
-	for i := range s.Post.Local {
-		for _, v := range s.Post.Local[i] {
-			ev.LocalBacklog[i] += v
+	for i, row := range s.Post.Local {
+		for _, j := range a.pairs.At(i) {
+			ev.LocalBacklog[i] += row[j]
 		}
 	}
 	ev.TotalBacklog = ev.CentralBacklog
@@ -212,27 +220,11 @@ func (a *Account) Event(origin, scheduler string, detail bool) telemetry.SlotEve
 			Pre:       s.Pre,
 			Post:      s.Post.Clone(),
 			Arrivals:  append([]int(nil), s.Admitted...),
-			Routed:    cloneRows(s.Flows.Routed),
-			Processed: cloneRows(s.Flows.Processed),
+			Routed:    s.Flows.Matrix(a.c.J(), func(f queue.Flow) float64 { return f.Routed }),
+			Processed: s.Flows.Matrix(a.c.J(), func(f queue.Flow) float64 { return f.Processed }),
 		}
 	}
 	return ev
-}
-
-// cloneRows deep-copies a matrix onto one backing array, each row capped at
-// its own length.
-func cloneRows(m [][]float64) [][]float64 {
-	total := 0
-	for _, row := range m {
-		total += len(row)
-	}
-	flat := make([]float64, 0, total)
-	out := make([][]float64, len(m))
-	for i, row := range m {
-		flat = append(flat, row...)
-		out[i] = flat[len(flat)-len(row) : len(flat) : len(flat)]
-	}
-	return out
 }
 
 // Result finalizes the running aggregates over the slots added so far,

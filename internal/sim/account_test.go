@@ -81,11 +81,10 @@ func TestAccountScoresTheAllocation(t *testing.T) {
 	}
 	done := make([]float64, c.M())
 	var processed float64
-	for i := range s.Flows.Processed {
-		for j, p := range s.Flows.Processed[i] {
-			done[c.JobTypes[j].Account] += p * c.JobTypes[j].Demand
-			processed += p
-		}
+	for _, f := range s.Flows.Cells {
+		jt := &c.JobTypes[f.Type]
+		done[jt.Account] += f.Processed * jt.Demand
+		processed += f.Processed
 	}
 	if ev.Fairness == fair.Score(done, R) {
 		t.Fatal("the processed counts score as the allocation does; the row proves nothing")

@@ -9,8 +9,9 @@ import "fmt"
 // complement.
 type AdmissionPolicy interface {
 	// Admit returns how many of the arriving jobs of each type to accept,
-	// given the current central backlogs. The returned slice may alias
-	// arrivals. Each entry must be in [0, arrivals[j]].
+	// given the current central backlogs. arrivals is read-only: it may be
+	// the workload's own row. The returned slice may alias it. Each entry
+	// must be in [0, arrivals[j]].
 	Admit(t int, arrivals []int, centralLens []float64) []int
 	// Name identifies the policy in reports.
 	Name() string

@@ -2,9 +2,12 @@ package sim
 
 import (
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"grefar/internal/core"
+	"grefar/internal/model"
 	"grefar/internal/queue"
 	"grefar/internal/sched"
 	"grefar/internal/telemetry"
@@ -271,6 +274,15 @@ func (k *flowKeeper) ObserveSlot(ev telemetry.SlotEvent) {
 	k.processed = append(k.processed, cloneRows(ev.Detail.Processed))
 	k.pre = append(k.pre, ev.Detail.Pre.Clone())
 	k.post = append(k.post, ev.Detail.Post.Clone())
+}
+
+// cloneRows deep-copies a matrix row by row.
+func cloneRows(m [][]float64) [][]float64 {
+	out := make([][]float64, len(m))
+	for i := range m {
+		out[i] = slices.Clone(m[i])
+	}
+	return out
 }
 
 // TestEngineDetailOwnsFlows holds the engine to SlotDetail's ownership rule
@@ -587,5 +599,60 @@ func TestRejectedStepLeavesNoTrace(t *testing.T) {
 	}
 	if !reflect.DeepEqual(export(e), export(twin)) || !reflect.DeepEqual(e.Result(), twin.Result()) {
 		t.Fatal("the run that saw rejected calls diverged from the one that did not")
+	}
+}
+
+// strayRouter is Always until slot at; from then on it also routes one job
+// of type 0 to site 1.
+type strayRouter struct {
+	sched.Scheduler
+	at int
+}
+
+func (s strayRouter) Decide(t int, st *model.State, q queue.Lengths) (*model.Action, error) {
+	act, err := s.Scheduler.Decide(t, st, q)
+	if err != nil || t < s.at {
+		return act, err
+	}
+	act = act.Clone()
+	act.Route[1][0]++
+	return act, nil
+}
+
+// TestStepRefusesIneligibleRoute: with action validation off, a scheduler
+// that routes jobs to a site their type may not use is refused by the queue
+// set, and the Step fails with the engine's durable state and slot counter
+// as they were, instead of moving jobs into a queue eqs. (12)-(13) do not
+// have.
+func TestStepRefusesIneligibleRoute(t *testing.T) {
+	const at = 4
+	in := refInputs(t, 10)
+	in.Cluster.JobTypes[0].Eligible = []int{0}
+	always, err := sched.NewAlways(in.Cluster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEngine(in, strayRouter{Scheduler: always, at: at}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s := 0; s < at; s++ {
+		if err := e.Step(nil); err != nil {
+			t.Fatalf("slot %d: %v", s, err)
+		}
+	}
+	before, err := e.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Step(nil); err == nil || !strings.Contains(err.Error(), "not eligible") {
+		t.Fatalf("Step with an ineligible route: err = %v", err)
+	}
+	after, err := e.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(after, before) || e.Slot() != at {
+		t.Fatal("the refused Step changed the engine's state")
 	}
 }

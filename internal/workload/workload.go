@@ -20,7 +20,9 @@ import (
 )
 
 // Generator yields the arrival counts for every job type at slot t.
-// Implementations must be deterministic in t.
+// Implementations must be deterministic in t. The returned slice is
+// read-only: it may be the generator's own storage, shared by every call for
+// the same slot.
 type Generator interface {
 	Arrivals(t int) []int
 }
@@ -33,13 +35,13 @@ type Trace struct {
 
 var _ Generator = (*Trace)(nil)
 
-// Arrivals implements Generator. The returned slice is a copy.
+// Arrivals implements Generator. The returned slice is the stored row, so it
+// is read-only.
 func (tr *Trace) Arrivals(t int) []int {
 	if len(tr.Counts) == 0 {
 		return nil
 	}
-	row := tr.Counts[((t%len(tr.Counts))+len(tr.Counts))%len(tr.Counts)]
-	return append([]int(nil), row...)
+	return tr.Counts[((t%len(tr.Counts))+len(tr.Counts))%len(tr.Counts)]
 }
 
 // Len returns the number of materialized slots.

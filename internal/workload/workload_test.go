@@ -8,15 +8,18 @@ import (
 	"grefar/internal/model"
 )
 
-func TestTraceWrapAndCopy(t *testing.T) {
+// TestTraceWrapReturnsStoredRow: Arrivals wraps at the end of the trace and
+// hands out the stored row itself, without copying it.
+func TestTraceWrapReturnsStoredRow(t *testing.T) {
 	tr := &Trace{Counts: [][]int{{1, 2}, {3, 4}}}
 	if got := tr.Arrivals(2); got[0] != 1 || got[1] != 2 {
 		t.Errorf("wrap failed: %v", got)
 	}
-	got := tr.Arrivals(0)
-	got[0] = 99
-	if tr.Counts[0][0] == 99 {
-		t.Error("Arrivals shares storage with the trace")
+	if got := tr.Arrivals(-1); &got[0] != &tr.Counts[1][0] {
+		t.Error("Arrivals(-1) is not the stored last row")
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = tr.Arrivals(3) }); n != 0 {
+		t.Errorf("Arrivals allocates %v times", n)
 	}
 	if (&Trace{}).Arrivals(0) != nil {
 		t.Error("empty trace should return nil")
