@@ -20,55 +20,18 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# tier1 is the merge gate. What each command protects, in order:
-#   build: the tree compiles
-#   vet: no suspicious constructs
-#   race ./...: no data race anywhere
-#   runner: sweeps independent of scheduling
-#   serve: tick and checkpoint locking; kill/restart in process and on agents
-#   agent..hollow: wire reuse, batch contract, parked workers, degrade,
-#     restore rewind; hollow's kill, mask, resync, rejoin at 48 and at 1000
-#     agents (TestFleetKillReviveRejoins, TestThousandAgentsWithMidRunKill)
-#   controller, ten times under -race: a slot's outputs hold until the next
-#     RunSlot while a late reply lands, a Strict abort restores the loop's
-#     queue set (central queues and shadows) from the checkpoint it reuses,
-#     a cancelled ctx is charged to no agent (after a probe, and with a
-#     whole wire's batch in flight), and probe, rewind and resync batch per
-#     wire: the health machine's transitions, a restored loop's rewind, one
-#     frame per wire per phase
-#   core: decisions replay the dense layout's pins; greedy edges; warm repair
-#   invariant: decisions replay the dense goldens; aux runs checked
-#   queue, sim, controller: rejected input leaves no trace, and nothing puts
-#     jobs at an ineligible pair (Apply, Restore, SeedRow, Engine.Step, an
-#     agent's report); the snapshot format holds on a partially eligible
-#     set; a backlogged ledger stays compact; the view tracks every write;
-#     a set copy is deep and reuses its arrays; the slot account
-#     bills centrally, scores fairness on h*d and allocates nothing
-#     (TestAccount*); the control loop, which keeps the same account, writes
-#     the engine's slot events byte for byte, also where h exceeds the
-#     queue, and every agent's ack bills exactly its row's central bill
-#     (TestDistributedMatchesSimulator)
-#   budgets: decide, step, wire, tick allocations
-#   FuzzSimplex: hostile LPs
-#   FuzzApply: hostile actions
-#   FuzzWarmRepair: hostile warm starts
-#   FuzzGreedyExchange: greedy exchange optimality
-#   FuzzSparseRefresh: incremental refresh exactness
-#   FuzzRestoreSnapshot: hostile serve checkpoints
-#   FuzzDecode: hostile snapshot files
-#   FuzzServerFrame: hostile wire frames
-#   FuzzCodec: hostile message bodies
+# tier1 is the merge gate. Its lines, in order: the tree builds and vets
+# clean; no data race anywhere, with every test run a second time uncached;
+# six controller tests whose races need many interleavings, ten times more
+# (each test's doc comment says what it holds); the allocation budgets, which
+# skip under -race; and each fuzz target for FUZZTIME. A new test needs no
+# line here unless it needs the ten-fold repetition or is a fuzz target.
 tier1:
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test -race ./...
-	$(GO) test -race -count=1 ./internal/runner
-	$(GO) test -race -count=1 ./internal/serve/... ./cmd/grefar-serve
-	$(GO) test -race -count=1 ./internal/agent ./internal/controller ./internal/controlplane ./internal/transport/... ./internal/experiments ./internal/hollow
+	$(GO) test -race -count=1 ./...
 	$(GO) test -race -count=10 -run 'TestSlotOutputsBelongToTheCaller|TestStrictAllocateAbortConservesJobs|TestCancelledSlotChargesNoAgent|TestHealthTransitionTable|TestControllerSnapshotRestore|TestCallManyBatchesByConnType' ./internal/controller
-	$(GO) test -race -count=1 -run 'TestSparse|TestAuto|TestDecomposed|TestSchedulerState|TestRestoreRejects|TestRepairWarmStartOutcomes|TestGreedy|TestDecideLeavesNoStaleCells' ./internal/core
-	$(GO) test -race -count=1 -run 'TestAutoSolverBitIdentical|TestCheckerCleanOnAuxCluster' ./internal/invariant
-	$(GO) test -race -count=1 -run 'TestRejectedApply|TestRejectedStep|TestSnapshotsOwn|TestViewTracksTheSet|TestSetCopyFromIsDeepAndReusesArrays|TestEngineSnapshotReuse|TestEngineDetailOwnsFlows|FuzzApply|TestAccount|TestDistributedMatchesSimulator|TestIneligibleJobsAreRefused|TestStepRefusesIneligibleRoute|TestSnapshotFormatOnPartialEligibility|TestBackloggedLedgerStaysCompact|TestReportAtIneligiblePairIsMalformed' ./internal/queue ./internal/sim ./internal/controller
 	$(GO) test -count=1 -run 'TestDecideAllocationBudget|TestEngineStepAllocationBudget|TestWireAllocationBudget' .
 	$(GO) test -run '^$$' -fuzz FuzzSimplex -fuzztime $(FUZZTIME) ./internal/lp
 	$(GO) test -run '^$$' -fuzz FuzzApply -fuzztime $(FUZZTIME) ./internal/queue
@@ -129,11 +92,11 @@ bench-slot:
 # internal/core, hence the second package on those lines). DIST_BENCHES is
 # the set recorded in BENCH_distributed.json: the 3-agent controller round
 # (one mux conn per agent), the hollow-fleet sweep at 100/500/1000/2000
-# agents, and the wire codec alone (state report and allocation, encode and decode). benchjson
-# records the box under "_env" in both files, and bench-compare refuses a run
+# agents, the hollow fleet's build at 500 and 2000 agents, and the wire codec
+# alone (state report and allocation, encode and decode). benchjson records the box under "_env" in both files, and bench-compare refuses a run
 # taken at another GOMAXPROCS.
 SLOT_BENCHES = BenchmarkSlotDecision$$|BenchmarkEngineStep$$|BenchmarkDecideRouting$$
-DIST_BENCHES = BenchmarkDistributedSlot$$|BenchmarkHollowSlot/|BenchmarkCodec/
+DIST_BENCHES = BenchmarkDistributedSlot$$|BenchmarkHollowSlot/|BenchmarkFleetBuild/|BenchmarkCodec/
 BENCHCOUNT ?= 3
 
 # bench-json refreshes the committed baselines BENCH_slot.json and

@@ -78,6 +78,30 @@ func BenchmarkHollowSlot(b *testing.B) {
 	}
 }
 
+// BenchmarkFleetBuild measures hollow.NewFleet — every agent, the listener
+// and the fleet's client connections — on inputs built once; Close runs off
+// the clock. The agents share one cluster, validated once, so 2000 agents
+// cost about four times 500, not sixteen.
+func BenchmarkFleetBuild(b *testing.B) {
+	for _, n := range []int{500, 2000} {
+		b.Run(fmt.Sprintf("agents=%d", n), func(b *testing.B) {
+			in, err := hollow.NewScaleInputs(2012, n, 4096)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < b.N; i++ {
+				fleet, err := hollow.NewFleet(in, hollow.Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				fleet.Close()
+				b.StartTimer()
+			}
+		})
+	}
+}
+
 // TestHollowBenchHarnessLeaksNoGoroutines is the hollow counterpart of the
 // distributed harness leak test: one fleet start/run/close cycle must return
 // the process to its prior goroutine count.

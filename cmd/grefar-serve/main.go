@@ -164,7 +164,7 @@ func newApp(ctx context.Context, args []string) (*app, error) {
 	fs := flag.NewFlagSet("grefar-serve", flag.ContinueOnError)
 	listen := fs.String("listen", "127.0.0.1:8080", "address to listen on")
 	seed := fs.Int64("seed", 2012, "environment seed (prices and availability; must match the agents')")
-	horizon := fs.Int("horizon", 4096, "length of the materialized environment (slots wrap past it)")
+	horizon := fs.Int("horizon", 4096, "slots of prices and availability materialized at boot, wrapping past it (must match the agents' -slots); arrivals come only from ingest")
 	v := fs.Float64("v", 7.5, "cost-delay parameter V")
 	beta := fs.Float64("beta", 100, "energy-fairness parameter beta")
 	check := fs.Bool("check", false, "re-verify every slot against the paper's queue dynamics")
@@ -190,7 +190,8 @@ func newApp(ctx context.Context, args []string) (*app, error) {
 	if err != nil {
 		return nil, fmt.Errorf("inputs: %w", err)
 	}
-	// Serving mode: every arrival comes through the ingest endpoints.
+	// Serving mode: every arrival comes through the ingest endpoints. The
+	// reference workload was never generated: it is built on first read.
 	in.Workload = nil
 	c := in.Cluster
 

@@ -163,7 +163,9 @@ func simOptions(in SimInputs, opts []SimOption) SimOptions {
 // ReferenceInputs assembles the paper's evaluation setup: the Table I
 // three-data-center cluster, electricity prices calibrated to the Table I
 // averages, the four-organization Cosmos-like workload, and
-// slackness-respecting availability, all deterministic in the seed.
+// slackness-respecting availability, all deterministic in the seed. The
+// workload is generated on its first read, so a caller that replaces it
+// pays only for the prices and availability.
 func ReferenceInputs(seed int64, slots int) (SimInputs, error) {
 	return sim.NewReferenceInputs(seed, slots)
 }

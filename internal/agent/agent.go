@@ -73,12 +73,36 @@ type Agent struct {
 }
 
 // New validates the configuration and builds an agent.
-func New(cfg Config) (*Agent, error) {
+func New(cfg Config) (*Agent, error) { return newAgent(cfg, nil) }
+
+// NewSites builds one agent per configuration, as New would, but validates
+// each cluster once rather than once per agent, so N agents of one N-site
+// cluster cost O(N) to build, not O(N²). The first configuration New would
+// refuse fails the whole call, with New's error and the configuration's
+// index.
+func NewSites(cfgs []Config) ([]*Agent, error) {
+	out := make([]*Agent, len(cfgs))
+	var valid *model.Cluster
+	for n, cfg := range cfgs {
+		a, err := newAgent(cfg, valid)
+		if err != nil {
+			return nil, fmt.Errorf("agent %d: %w", n, err)
+		}
+		out[n], valid = a, cfg.Cluster
+	}
+	return out, nil
+}
+
+// newAgent is New for a cluster that, when it is valid, has already passed
+// Validate.
+func newAgent(cfg Config, valid *model.Cluster) (*Agent, error) {
 	if cfg.Cluster == nil {
 		return nil, fmt.Errorf("nil cluster")
 	}
-	if err := cfg.Cluster.Validate(); err != nil {
-		return nil, err
+	if cfg.Cluster != valid {
+		if err := cfg.Cluster.Validate(); err != nil {
+			return nil, err
+		}
 	}
 	if cfg.DataCenter < 0 || cfg.DataCenter >= cfg.Cluster.N() {
 		return nil, fmt.Errorf("data center %d out of range [0,%d)", cfg.DataCenter, cfg.Cluster.N())

@@ -52,6 +52,48 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestNewSites: NewSites builds what New builds, one agent per
+// configuration, and refuses what New refuses, naming the configuration. A
+// configuration on another cluster has that cluster validated too.
+func TestNewSites(t *testing.T) {
+	c := model.NewReferenceCluster()
+	avail, _ := availability.NewReferenceAvailability(1, c, 10)
+	cfg := func(c *model.Cluster, i int) Config {
+		return Config{Cluster: c, DataCenter: i, Price: price.Constant(float64(i)), Availability: avail}
+	}
+	cfgs := []Config{cfg(c, 0), cfg(c, 1), cfg(c, 2)}
+	agents, err := NewSites(cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, a := range agents {
+		want, err := New(cfgs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(a, want) {
+			t.Errorf("agent %d differs from New's", i)
+		}
+	}
+
+	bad := model.NewReferenceCluster()
+	bad.JobTypes[0].Demand = 0
+	for name, cfgs := range map[string][]Config{
+		"out-of-range site":      {cfg(c, 0), cfg(c, 3)},
+		"nil price":              {cfg(c, 0), {Cluster: c, DataCenter: 1, Availability: avail}},
+		"nil cluster":            {cfg(c, 0), {DataCenter: 1}},
+		"invalid second cluster": {cfg(c, 0), cfg(bad, 1)},
+	} {
+		_, want := New(cfgs[1])
+		if _, err := NewSites(cfgs); err == nil || err.Error() != "agent 1: "+want.Error() {
+			t.Errorf("%s: NewSites error %v, want agent 1: %v", name, err, want)
+		}
+	}
+	if _, err := NewSites([]Config{cfg(bad, 0)}); !errors.Is(err, model.ErrInvalidCluster) {
+		t.Errorf("invalid cluster: %v, want model.ErrInvalidCluster", err)
+	}
+}
+
 func call(t *testing.T, a *Agent, kind string, req, resp any) error {
 	t.Helper()
 	body, err := transport.Marshal(req)

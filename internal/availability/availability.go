@@ -105,16 +105,28 @@ func Generate(rng *rand.Rand, c *model.Cluster, n int, p Params) (*Trace, error)
 	}
 	p = p.withDefaults()
 
+	// The interactive claim depends only on the hour of the day.
+	var claimed [24]float64
+	for h := range claimed {
+		day := -math.Cos(2 * math.Pi * (float64(h) - 4) / 24) // -1 at 4am, +1 at 4pm
+		claimed[h] = p.InteractiveShare * (1 + p.DiurnalDepth*day)
+	}
+	// Every slot's rows are cut from one backing array of cells.
+	width := 0
+	for i := 0; i < c.N(); i++ {
+		width += c.K(i)
+	}
+	cells := make([]float64, n*width)
+	rows := make([][]float64, n*c.N())
 	values := make([][][]float64, n)
 	for t := 0; t < n; t++ {
-		slot := make([][]float64, c.N())
-		hour := float64(t % 24)
-		day := -math.Cos(2 * math.Pi * (hour - 4) / 24) // -1 at 4am, +1 at 4pm
+		slot := rows[:c.N():c.N()]
+		rows = rows[c.N():]
 		for i := range slot {
-			slot[i] = make([]float64, c.K(i))
+			ki := c.K(i)
+			slot[i], cells = cells[:ki:ki], cells[ki:]
 			for k := range slot[i] {
-				claimed := p.InteractiveShare * (1 + p.DiurnalDepth*day)
-				share := 1 - claimed
+				share := 1 - claimed[t%24]
 				if p.Jitter > 0 {
 					share *= 1 + p.Jitter*rng.NormFloat64()
 				}

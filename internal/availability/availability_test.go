@@ -201,3 +201,37 @@ func TestAvailabilityReadCSV(t *testing.T) {
 		}
 	}
 }
+
+// TestGenerateRowsMatchPerSlotBuild holds the generator, whose rows share one
+// backing array and whose claim is tabulated by hour, to the per-slot build
+// it replaced, bit for bit, on sites with one, two and three server types.
+// Each row's capacity ends at its length, so appending to one cannot write
+// into the next.
+func TestGenerateRowsMatchPerSlotBuild(t *testing.T) {
+	c := model.NewReferenceCluster()
+	c.DataCenters[0].Servers = append(c.DataCenters[0].Servers, c.DataCenters[0].Servers[0])
+	c.DataCenters[2].Servers = append(c.DataCenters[2].Servers, c.DataCenters[2].Servers[0], c.DataCenters[2].Servers[0])
+	p := ReferenceParams()
+	p.Base = [][]float64{{55, 20}, {72}, {50, 10, 5}}
+	got, err := Generate(rand.New(rand.NewSource(9)), c, 60, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(9))
+	for tt := 0; tt < 60; tt++ {
+		day := -math.Cos(2 * math.Pi * (float64(tt%24) - 4) / 24)
+		for i, row := range got.At(tt) {
+			if len(row) != c.K(i) || cap(row) != c.K(i) {
+				t.Fatalf("slot %d site %d: len %d cap %d, want %d", tt, i, len(row), cap(row), c.K(i))
+			}
+			for k, v := range row {
+				share := 1 - p.InteractiveShare*(1+p.DiurnalDepth*day)
+				share *= 1 + p.Jitter*rng.NormFloat64()
+				share = math.Min(math.Max(share, p.MinShare), 1)
+				if want := p.Base[i][k] * share; math.Float64bits(v) != math.Float64bits(want) {
+					t.Fatalf("slot %d site %d type %d: %v, per-slot build gives %v", tt, i, k, v, want)
+				}
+			}
+		}
+	}
+}

@@ -74,11 +74,15 @@ func NewFleet(in sim.Inputs, opts Options) (*Fleet, error) {
 		agents: make([]atomic.Pointer[agent.Agent], n),
 		down:   make([]atomic.Bool, n),
 	}
-	for i := 0; i < n; i++ {
-		a, err := f.newAgent(i)
-		if err != nil {
-			return nil, err
-		}
+	cfgs := make([]agent.Config, n)
+	for i := range cfgs {
+		cfgs[i] = f.agentConfig(i)
+	}
+	agents, err := agent.NewSites(cfgs)
+	if err != nil {
+		return nil, fmt.Errorf("hollow: %w", err)
+	}
+	for i, a := range agents {
 		f.agents[i].Store(a)
 	}
 
@@ -103,17 +107,14 @@ func NewFleet(in sim.Inputs, opts Options) (*Fleet, error) {
 	return f, nil
 }
 
-func (f *Fleet) newAgent(i int) (*agent.Agent, error) {
-	a, err := agent.New(agent.Config{
+// agentConfig is hollow agent i's configuration.
+func (f *Fleet) agentConfig(i int) agent.Config {
+	return agent.Config{
 		Cluster:      f.inputs.Cluster,
 		DataCenter:   i,
 		Price:        f.inputs.Prices[i],
 		Availability: f.inputs.Availability,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("hollow: agent %d: %w", i, err)
 	}
-	return a, nil
 }
 
 // handle is the fleet's MuxHandler: it routes each request to the target
@@ -161,9 +162,9 @@ func (f *Fleet) Revive(i int) { f.down[i].Store(false) }
 // cache — and brings it back up, modeling a crash-restart that lost local
 // state. The controller's rejoin path must resync it from shadow ledgers.
 func (f *Fleet) Restart(i int) error {
-	a, err := f.newAgent(i)
+	a, err := agent.New(f.agentConfig(i))
 	if err != nil {
-		return err
+		return fmt.Errorf("hollow: agent %d: %w", i, err)
 	}
 	f.agents[i].Store(a)
 	f.down[i].Store(false)

@@ -1,6 +1,8 @@
 package hollow
 
 import (
+	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -8,6 +10,7 @@ import (
 	"grefar/internal/controller"
 	"grefar/internal/core"
 	"grefar/internal/invariant"
+	"grefar/internal/model"
 	"grefar/internal/sim"
 	"grefar/internal/telemetry"
 	"grefar/internal/transport"
@@ -39,6 +42,32 @@ func startFleet(t *testing.T, n, slots int) (*Fleet, *controller.Controller, *in
 		t.Fatal(err)
 	}
 	return f, ct, ck, in
+}
+
+// TestNewFleetRefusesInvalidCluster: the fleet validates its cluster before
+// it listens, so an invalid one fails NewFleet with model.ErrInvalidCluster
+// and leaves no listener and no goroutine behind.
+func TestNewFleetRefusesInvalidCluster(t *testing.T) {
+	in, err := NewScaleInputs(7, 64, 24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in.Cluster.JobTypes[1].Demand = -1
+	before := runtime.NumGoroutine()
+	f, err := NewFleet(in, Options{})
+	if !errors.Is(err, model.ErrInvalidCluster) {
+		if f != nil {
+			f.Close()
+		}
+		t.Fatalf("NewFleet on an invalid cluster: %v, want model.ErrInvalidCluster", err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if got := runtime.NumGoroutine(); got > before {
+		t.Errorf("goroutines: %d before NewFleet, %d after it failed", before, got)
+	}
 }
 
 func TestScaleInputsValidate(t *testing.T) {

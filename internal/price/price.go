@@ -111,12 +111,24 @@ func GenerateDiurnal(rng *rand.Rand, n int, p DiurnalParams) (*Trace, error) {
 		return nil, fmt.Errorf("amplitude %v and noise %v must be non-negative", p.Amplitude, p.NoiseSigma)
 	}
 	p = p.withDefaults()
+	// The shape has one value per hour of the period, tabulated once. The
+	// table stops at the run's length when the period is longer, and holds
+	// no negative hour (a negative phase before the first wrap): those
+	// hours are computed in place.
+	table := make([]float64, min(p.PeriodHours, n))
+	for h := range table {
+		table[h] = dailyShape(h, p.PeriodHours)
+	}
 	values := make([]float64, n)
 	var ou float64
 	for t := 0; t < n; t++ {
-		// Trough near 4am, peak near 4pm local time.
-		hour := float64((t + p.PhaseHours) % p.PeriodHours)
-		shape := -math.Cos(2 * math.Pi * (hour - 4) / float64(p.PeriodHours))
+		hour := (t + p.PhaseHours) % p.PeriodHours
+		var shape float64
+		if hour >= 0 && hour < len(table) {
+			shape = table[hour]
+		} else {
+			shape = dailyShape(hour, p.PeriodHours)
+		}
 		ou += p.Reversion*(0-ou) + p.NoiseSigma*rng.NormFloat64()
 		v := p.Mean + p.Amplitude*shape + ou
 		if v < p.Floor {
@@ -125,6 +137,12 @@ func GenerateDiurnal(rng *rand.Rand, n int, p DiurnalParams) (*Trace, error) {
 		values[t] = v
 	}
 	return &Trace{Values: values}, nil
+}
+
+// dailyShape is the daily price shape at hour of a period-hour day: its
+// trough is near 4am and its peak near 4pm local time.
+func dailyShape(hour, period int) float64 {
+	return -math.Cos(2 * math.Pi * (float64(hour) - 4) / float64(period))
 }
 
 // ReferenceParams returns the three-location configuration calibrated to the

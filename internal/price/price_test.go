@@ -150,3 +150,35 @@ func TestFloorRespected(t *testing.T) {
 		t.Errorf("floor violated: min %v", min)
 	}
 }
+
+// TestGenerateDiurnalShapeTable holds the tabulated daily shape to the
+// per-slot cosine it replaced, bit for bit, where the table is partial: a
+// negative phase (a negative hour until the first wrap), periods other than
+// 24, and a period longer than the run.
+func TestGenerateDiurnalShapeTable(t *testing.T) {
+	cases := []struct {
+		n             int
+		phase, period int
+	}{
+		{100, 0, 24}, {100, -3, 24}, {100, -30, 7}, {100, 5, 7}, {100, 0, 1}, {50, -120, 100}, {50, 13, 100},
+	}
+	for _, tc := range cases {
+		p := DiurnalParams{Mean: 0.4, Amplitude: 0.05, PhaseHours: tc.phase, PeriodHours: tc.period, NoiseSigma: 0.05}
+		got, err := GenerateDiurnal(rand.New(rand.NewSource(3)), tc.n, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p = p.withDefaults()
+		rng := rand.New(rand.NewSource(3))
+		var ou float64
+		for tt, v := range got.Values {
+			hour := float64((tt + p.PhaseHours) % p.PeriodHours)
+			shape := -math.Cos(2 * math.Pi * (hour - 4) / float64(p.PeriodHours))
+			ou += p.Reversion*(0-ou) + p.NoiseSigma*rng.NormFloat64()
+			want := math.Max(p.Mean+p.Amplitude*shape+ou, p.Floor)
+			if math.Float64bits(v) != math.Float64bits(want) {
+				t.Fatalf("phase %d period %d slot %d: %v, per-slot cosine gives %v", tc.phase, tc.period, tt, v, want)
+			}
+		}
+	}
+}

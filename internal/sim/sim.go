@@ -8,6 +8,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"grefar/internal/availability"
 	"grefar/internal/fairness"
@@ -208,6 +209,11 @@ func CollectStates(in Inputs, slots int) ([]*model.State, [][]int, error) {
 // cluster, three price processes calibrated to the Table I averages, the
 // four-organization Cosmos-like workload, and slackness-respecting
 // availability. The seed makes the whole configuration deterministic.
+//
+// Prices and availability are materialized here. The workload is checked
+// here but generated on its first Arrivals call, so a caller that replaces
+// or drops it (the serving daemon takes arrivals from ingest) never pays for
+// the trace.
 func NewReferenceInputs(seed int64, slots int) (Inputs, error) {
 	c := model.NewReferenceCluster()
 	prices, err := price.NewReferenceSources(seed, slots)
@@ -218,13 +224,39 @@ func NewReferenceInputs(seed int64, slots int) (Inputs, error) {
 	for i, p := range prices {
 		srcs[i] = p
 	}
-	wl, err := workload.NewReferenceWorkload(seed+1, c, slots)
-	if err != nil {
+	if err := workload.Check(c, slots, workload.ReferenceProfiles()); err != nil {
 		return Inputs{}, fmt.Errorf("workload: %w", err)
 	}
+	wl := &referenceWorkload{seed: seed + 1, c: c, n: slots}
 	avail, err := availability.NewReferenceAvailability(seed+2, c, slots)
 	if err != nil {
 		return Inputs{}, fmt.Errorf("availability: %w", err)
 	}
 	return Inputs{Cluster: c, Prices: srcs, Workload: wl, Availability: avail}, nil
+}
+
+// referenceWorkload is the reference arrival trace, generated by
+// workload.NewReferenceWorkload on the first Arrivals call. The once makes
+// that first call safe from concurrent goroutines: a sweep shares one Inputs
+// across its workers.
+type referenceWorkload struct {
+	seed int64
+	c    *model.Cluster
+	n    int
+
+	once  sync.Once
+	trace *workload.Trace
+}
+
+// Arrivals implements workload.Generator.
+func (w *referenceWorkload) Arrivals(t int) []int {
+	w.once.Do(func() {
+		tr, err := workload.NewReferenceWorkload(w.seed, w.c, w.n)
+		if err != nil {
+			// NewReferenceInputs checked the length and the profiles.
+			panic(fmt.Sprintf("sim: reference workload: %v", err))
+		}
+		w.trace = tr
+	})
+	return w.trace.Arrivals(t)
 }

@@ -106,20 +106,30 @@ func (p Profile) validate(j int) error {
 	return nil
 }
 
+// Check reports the error Generate would return for these arguments without
+// generating anything: a non-positive length, a profile count that does not
+// match the cluster's job types, or an invalid profile.
+func Check(c *model.Cluster, n int, profiles []Profile) error {
+	if n <= 0 {
+		return fmt.Errorf("trace length %d is not positive", n)
+	}
+	if len(profiles) != c.J() {
+		return fmt.Errorf("got %d profiles, cluster has %d job types", len(profiles), c.J())
+	}
+	for j, p := range profiles {
+		if err := p.validate(j); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Generate materializes n slots of arrivals for the cluster's job types from
 // the given profiles (one per job type). Counts are clamped to each type's
 // MaxArrival bound when that bound is positive.
 func Generate(rng *rand.Rand, c *model.Cluster, n int, profiles []Profile) (*Trace, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("trace length %d is not positive", n)
-	}
-	if len(profiles) != c.J() {
-		return nil, fmt.Errorf("got %d profiles, cluster has %d job types", len(profiles), c.J())
-	}
-	for j, p := range profiles {
-		if err := p.validate(j); err != nil {
-			return nil, err
-		}
+	if err := Check(c, n, profiles); err != nil {
+		return nil, err
 	}
 	counts := make([][]int, n)
 	for t := 0; t < n; t++ {
